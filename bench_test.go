@@ -18,6 +18,7 @@ import (
 	"github.com/tracesynth/rostracer/internal/harness"
 	"github.com/tracesynth/rostracer/internal/metrics"
 	"github.com/tracesynth/rostracer/internal/rclcpp"
+	"github.com/tracesynth/rostracer/internal/sched"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
 	"github.com/tracesynth/rostracer/internal/tracers"
@@ -141,6 +142,70 @@ func BenchmarkSimulation_AVPSecond(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSched_Reschedule measures the simulated scheduler's decisions
+// on the thread mix of `rostracer -app both` (SYN + AVP) on 12 CPUs:
+// each iteration wakes every thread, then runs
+// the machine until each has computed its burst and blocked again — one
+// decision per wake and one per block. No tracer is attached, so the
+// figure is the scheduler and the event queue alone; it must stay
+// allocation-free.
+func BenchmarkSched_Reschedule(b *testing.B) {
+	const cpus = 12
+	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cpus, Seed: 1})
+	harness.BuildBoth(1)(w)
+	mix := w.Machine().Threads()
+
+	eng := sim.NewEngine()
+	m := sched.NewMachine(eng, cpus)
+	pids := make([]sched.PID, len(mix))
+	for i, th := range mix {
+		burst := sim.Duration(40+17*i) * sim.Microsecond
+		computing := false
+		t := m.Spawn(th.Name(), th.Priority(), th.Affinity(), sched.ProcFunc(func(*sched.Machine) sched.Demand {
+			computing = !computing
+			if computing {
+				return sched.Block()
+			}
+			return sched.Compute(burst)
+		}))
+		pids[i] = t.PID()
+	}
+	eng.Run(sim.MaxTime) // every thread parks in its first Block
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := m.Switches()
+	for i := 0; i < b.N; i++ {
+		for _, pid := range pids {
+			m.Wake(pid)
+		}
+		eng.Run(sim.MaxTime)
+	}
+	b.ReportMetric(float64(m.Switches()-start)/float64(b.N), "switches/op")
+}
+
+// BenchmarkSim_EngineAtRun measures the discrete-event queue in steady
+// state: 64 pending events, and each event that fires schedules one
+// successor at a pseudo-random delay, so one op is one At plus one
+// dispatch. Slots are recycled, so it must stay allocation-free.
+func BenchmarkSim_EngineAtRun(b *testing.B) {
+	e := sim.NewEngine()
+	rng := sim.NewRNG(1)
+	left := b.N
+	var fn func()
+	fn = func() {
+		if left > 0 {
+			left--
+			e.After(sim.Duration(rng.Intn(1000)), fn)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		e.After(sim.Duration(rng.Intn(1000)), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(sim.MaxTime)
 }
 
 // BenchmarkAlg1_ExtractModel measures Algorithm 1 over a 20 s AVP trace.

@@ -181,17 +181,18 @@ func SpawnChatter(w *rclcpp.World, n int, period sim.Duration) {
 		phase := period * sim.Duration(i) / sim.Duration(n)
 		state := 0
 		var pid sched.PID
+		wake := func() { m.Wake(pid) }
 		th := m.Spawn(fmt.Sprintf("host_proc_%d", i), 1, 0, sched.ProcFunc(func(*sched.Machine) sched.Demand {
 			state++
 			if state == 1 {
 				// Initial desynchronization.
-				w.Engine().After(phase, func() { m.Wake(pid) })
+				w.Engine().After(phase, wake)
 				return sched.Block()
 			}
 			if state%2 == 0 {
 				return sched.Compute(50 * sim.Microsecond)
 			}
-			w.Engine().After(period, func() { m.Wake(pid) })
+			w.Engine().After(period, wake)
 			return sched.Block()
 		}))
 		pid = th.PID()

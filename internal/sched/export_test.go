@@ -1,0 +1,9 @@
+package sched
+
+// UseScanReference makes m take every scheduling decision with the
+// scan-and-sort reference instead of the run queue.
+func UseScanReference(m *Machine) { m.scan = scanReschedule }
+
+// CheckInvariants reports the first broken run-queue or CPU-booking
+// invariant of m, or "".
+func CheckInvariants(m *Machine) string { return checkInvariants(m) }

@@ -16,7 +16,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"github.com/tracesynth/rostracer/internal/sim"
 )
@@ -134,6 +134,7 @@ type Thread struct {
 	remaining   sim.Duration
 	sliceStart  sim.Time
 	completion  sim.EventID
+	completeFn  func() // m.complete(t), built once at spawn
 	hasEvent    bool
 	fifoSeq     uint64
 	wakePending bool
@@ -162,18 +163,32 @@ func (t *Thread) CPU() int { return t.cpu }
 // CPUTime returns the ground-truth CPU time consumed so far.
 func (t *Thread) CPUTime() sim.Duration { return t.cpuTime }
 
-type cpu struct {
-	id      int
-	running *Thread
-}
-
 // Machine is the simulated multiprocessor.
 type Machine struct {
 	eng     *sim.Engine
-	cpus    []*cpu
-	threads map[PID]*Thread
-	nextPID PID
+	running []*Thread // per-CPU occupant; nil = idle
+	all     uint64    // bit i set for every CPU i
+	threads []*Thread // indexed by PID - firstPID
 	seq     uint64
+
+	// active is the run queue: every running or runnable thread, in
+	// dispatch order (runsBefore). A thread's key only changes when it
+	// enters the queue (Spawn, Wake from blocked) and it only leaves when
+	// it blocks or exits, so the queue stays sorted without re-sorting.
+	active []*Thread
+	// busy has bit i set while CPU i has an occupant.
+	busy uint64
+	// Scratch reused by every decision. deciding guards it: a wake that
+	// arrives from a switch observer while a decision is being applied
+	// sets again instead of re-entering, and the decision then runs once
+	// more over the updated run queue.
+	assigned []*Thread
+	changes  []change
+	deciding bool
+	again    bool
+	// scan, when set, replaces the run-queue decision. Only tests set it,
+	// to drive the same machine with the scan-and-sort reference.
+	scan func(*Machine)
 
 	// OnSwitch, if set, observes every context switch; the kernel tracer
 	// attaches here (via the ebpf tracepoint bridge).
@@ -191,18 +206,23 @@ func NewMachine(eng *sim.Engine, numCPUs int) *Machine {
 	if numCPUs <= 0 || numCPUs > 64 {
 		panic(fmt.Sprintf("sched: invalid CPU count %d", numCPUs))
 	}
-	m := &Machine{eng: eng, threads: make(map[PID]*Thread), nextPID: 1000}
-	for i := 0; i < numCPUs; i++ {
-		m.cpus = append(m.cpus, &cpu{id: i})
+	return &Machine{
+		eng:      eng,
+		running:  make([]*Thread, numCPUs),
+		assigned: make([]*Thread, numCPUs),
+		all:      ^uint64(0) >> uint(64-numCPUs),
 	}
-	return m
 }
+
+// firstPID is the PID of the first spawned thread; PIDs are dense from
+// there.
+const firstPID PID = 1000
 
 // Engine returns the simulation engine.
 func (m *Machine) Engine() *sim.Engine { return m.eng }
 
 // NumCPUs returns the processor count.
-func (m *Machine) NumCPUs() int { return len(m.cpus) }
+func (m *Machine) NumCPUs() int { return len(m.running) }
 
 // Switches returns the total number of context switches so far.
 func (m *Machine) Switches() uint64 { return m.switches }
@@ -219,20 +239,18 @@ func (m *Machine) Spawn(name string, prio int, affinity uint64, p Proc) *Thread 
 	if affinity == 0 {
 		affinity = AffinityAll
 	}
-	mask := affinity & (uint64(1)<<uint(len(m.cpus)) - 1)
-	if len(m.cpus) == 64 {
-		mask = affinity
-	}
+	mask := affinity & m.all
 	if mask == 0 {
 		panic(fmt.Sprintf("sched: thread %q has empty effective affinity", name))
 	}
 	t := &Thread{
-		pid: m.nextPID, name: name, prio: prio, affinity: mask,
+		pid: firstPID + PID(len(m.threads)), name: name, prio: prio, affinity: mask,
 		proc: p, state: StateRunnable, fifoSeq: m.seq,
 	}
+	t.completeFn = func() { m.complete(t) }
 	m.seq++
-	m.nextPID++
-	m.threads[t.pid] = t
+	m.threads = append(m.threads, t)
+	m.enqueue(t)
 	// Defer the initial dispatch to an engine event so that spawning
 	// during setup (before Run) behaves identically to spawning mid-run.
 	m.eng.After(0, m.reschedule)
@@ -240,23 +258,21 @@ func (m *Machine) Spawn(name string, prio int, affinity uint64, p Proc) *Thread 
 }
 
 // Lookup returns the thread with the given PID, or nil.
-func (m *Machine) Lookup(pid PID) *Thread { return m.threads[pid] }
+func (m *Machine) Lookup(pid PID) *Thread {
+	if i := pid - firstPID; pid >= firstPID && int(i) < len(m.threads) {
+		return m.threads[i]
+	}
+	return nil
+}
 
 // Threads returns all threads sorted by PID.
-func (m *Machine) Threads() []*Thread {
-	out := make([]*Thread, 0, len(m.threads))
-	for _, t := range m.threads {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pid < out[j].pid })
-	return out
-}
+func (m *Machine) Threads() []*Thread { return append([]*Thread(nil), m.threads...) }
 
 // Wake makes a blocked thread runnable. Waking a running or runnable
 // thread records a pending wake so a concurrent block is absorbed, which
 // mirrors the kernel's wake-up race handling.
 func (m *Machine) Wake(pid PID) {
-	t := m.threads[pid]
+	t := m.Lookup(pid)
 	if t == nil || t.state == StateExited {
 		return
 	}
@@ -265,6 +281,7 @@ func (m *Machine) Wake(pid PID) {
 		t.state = StateRunnable
 		t.fifoSeq = m.seq
 		m.seq++
+		m.enqueue(t)
 		if m.OnWakeup != nil {
 			m.OnWakeup(Wakeup{Time: m.eng.Now(), PID: t.pid, Prio: t.prio})
 		}
@@ -274,90 +291,144 @@ func (m *Machine) Wake(pid PID) {
 	}
 }
 
+// runsBefore is the dispatch order: higher priority first, then FIFO
+// within a priority, then PID. It is total, so the run queue's order —
+// and with it every scheduling decision — is fully determined.
+func runsBefore(a, b *Thread) bool {
+	if a.prio != b.prio {
+		return a.prio > b.prio
+	}
+	if a.fifoSeq != b.fifoSeq {
+		return a.fifoSeq < b.fifoSeq
+	}
+	return a.pid < b.pid
+}
+
+// queuePos returns the index of the first queued thread that t runs
+// before (or that is t itself).
+func (m *Machine) queuePos(t *Thread) int {
+	lo, hi := 0, len(m.active)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if runsBefore(m.active[mid], t) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// enqueue adds a thread that just became runnable to the run queue.
+func (m *Machine) enqueue(t *Thread) {
+	i := m.queuePos(t)
+	m.active = append(m.active, nil)
+	copy(m.active[i+1:], m.active[i:])
+	m.active[i] = t
+}
+
+// dequeue removes a thread that is leaving the running/runnable states.
+func (m *Machine) dequeue(t *Thread) {
+	if t.state != StateRunning && t.state != StateRunnable {
+		return
+	}
+	i := m.queuePos(t)
+	n := len(m.active) - 1
+	copy(m.active[i:], m.active[i+1:])
+	m.active[n] = nil
+	m.active = m.active[:n]
+}
+
+// change records one CPU whose occupant a decision replaces.
+type change struct {
+	cpu                 int
+	next                *Thread
+	prevPID             PID
+	prevPrio, prevState int
+}
+
 // reschedule computes the preferred assignment of runnable threads to CPUs
 // and applies the difference. Changed CPUs are first paused, then refilled,
 // so a migrating thread is never booked on two CPUs at once.
 func (m *Machine) reschedule() {
-	// Candidates: running + runnable threads, by (priority desc, FIFO asc).
-	var cands []*Thread
-	for _, t := range m.threads {
-		if t.state == StateRunning || t.state == StateRunnable {
-			cands = append(cands, t)
+	if m.deciding {
+		m.again = true
+		return
+	}
+	m.deciding = true
+	defer func() { m.deciding = false }()
+	for {
+		m.again = false
+		if m.scan != nil {
+			m.scan(m)
+		} else {
+			m.decide()
+		}
+		if !m.again {
+			return
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].prio != cands[j].prio {
-			return cands[i].prio > cands[j].prio
-		}
-		if cands[i].fifoSeq != cands[j].fifoSeq {
-			return cands[i].fifoSeq < cands[j].fifoSeq
-		}
-		return cands[i].pid < cands[j].pid
-	})
+}
 
-	assigned := make([]*Thread, len(m.cpus))
-	taken := make([]bool, len(m.cpus))
-	place := func(t *Thread, c int) {
-		assigned[c] = t
-		taken[c] = true
-	}
-	allowed := func(t *Thread, c int) bool { return t.affinity&(1<<uint(c)) != 0 }
-	for _, t := range cands {
-		// Prefer the CPU the thread already occupies, then an idle CPU,
-		// then any free slot (taking it from a lower-priority occupant).
-		if t.state == StateRunning && !taken[t.cpu] && allowed(t, t.cpu) {
-			place(t, t.cpu)
-			continue
+// decide walks the run queue in dispatch order and gives each thread its
+// own CPU if it is running and still free there, else the first idle
+// allowed CPU, else the first free allowed CPU (taking it from a
+// lower-priority occupant). A thread with no slot stays runnable.
+func (m *Machine) decide() {
+	// assigned[c] is meaningful only where taken has bit c set.
+	assigned := m.assigned
+	var taken uint64
+	for _, t := range m.active {
+		if taken == m.all {
+			break
 		}
-		idle, free := -1, -1
-		for _, c := range m.cpus {
-			if taken[c.id] || !allowed(t, c.id) {
+		if t.state == StateRunning {
+			if own := uint64(1) << uint(t.cpu); taken&own == 0 && t.affinity&own != 0 {
+				assigned[t.cpu] = t
+				taken |= own
 				continue
 			}
-			if c.running == nil && idle < 0 {
-				idle = c.id
-			}
-			if free < 0 {
-				free = c.id
-			}
 		}
-		switch {
-		case idle >= 0:
-			place(t, idle)
-		case free >= 0:
-			place(t, free)
+		free := t.affinity &^ taken
+		if free == 0 {
+			continue
 		}
-		// No slot: the thread stays runnable.
+		if idle := free &^ m.busy; idle != 0 {
+			free = idle
+		}
+		c := bits.TrailingZeros64(free)
+		assigned[c] = t
+		taken |= uint64(1) << uint(c)
 	}
 
 	// Phase 1: pause every outgoing occupant.
-	type change struct {
-		c        *cpu
-		prev     *Thread
-		prevInfo [3]uint64 // pid, prio, state
-	}
-	var changes []change
-	for _, c := range m.cpus {
-		if c.running == assigned[c.id] {
+	changes := m.changes[:0]
+	for c, cur := range m.running {
+		var next *Thread
+		if taken&(uint64(1)<<uint(c)) != 0 {
+			next = assigned[c]
+		}
+		if cur == next {
 			continue
 		}
-		ch := change{c: c, prev: c.running}
-		if p := c.running; p != nil {
-			ch.prevInfo = [3]uint64{uint64(p.pid), uint64(p.prio), uint64(prevStateOf(p))}
+		ch := change{cpu: c, next: next}
+		if cur != nil {
+			ch.prevPID, ch.prevPrio, ch.prevState = cur.pid, cur.prio, prevStateOf(cur)
 			m.pause(c)
 		}
 		changes = append(changes, ch)
 	}
+	m.changes = changes
 	// Phase 2: install incoming threads and emit one switch per CPU.
 	for _, ch := range changes {
-		next := assigned[ch.c.id]
-		m.install(ch.c, next)
+		next := ch.next
+		m.install(ch.cpu, next)
 		sw := Switch{
 			Time:      m.eng.Now(),
-			CPU:       ch.c.id,
-			PrevPID:   PID(ch.prevInfo[0]),
-			PrevPrio:  int(ch.prevInfo[1]),
-			PrevState: int(ch.prevInfo[2]),
+			CPU:       ch.cpu,
+			PrevPID:   ch.prevPID,
+			PrevPrio:  ch.prevPrio,
+			PrevState: ch.prevState,
 		}
 		if next != nil {
 			sw.NextPID = next.pid
@@ -384,8 +455,8 @@ func prevStateOf(t *Thread) int {
 // pause halts the occupant of c, charging its CPU time and cancelling its
 // completion event. A still-running occupant becomes runnable (preemption);
 // blocked/exited occupants keep their state.
-func (m *Machine) pause(c *cpu) {
-	t := c.running
+func (m *Machine) pause(c int) {
+	t := m.running[c]
 	if t == nil {
 		return
 	}
@@ -402,23 +473,25 @@ func (m *Machine) pause(c *cpu) {
 	if t.state == StateRunning {
 		t.state = StateRunnable
 	}
-	c.running = nil
+	m.running[c] = nil
+	m.busy &^= uint64(1) << uint(c)
 }
 
 // install puts t (possibly nil) on c and schedules its compute completion.
-func (m *Machine) install(c *cpu, t *Thread) {
-	c.running = t
+func (m *Machine) install(c int, t *Thread) {
+	m.running[c] = t
 	if t == nil {
 		return
 	}
+	m.busy |= uint64(1) << uint(c)
 	t.state = StateRunning
-	t.cpu = c.id
+	t.cpu = c
 	t.sliceStart = m.eng.Now()
 	d := t.remaining
 	if d < 0 {
 		d = 0
 	}
-	t.completion = m.eng.After(d, func() { m.complete(t) })
+	t.completion = m.eng.After(d, t.completeFn)
 	t.hasEvent = true
 }
 
@@ -440,7 +513,7 @@ func (m *Machine) complete(t *Thread) {
 		t.remaining = d.Cost
 		// The thread keeps its CPU; a thread continuing to run produces no
 		// sched_switch, matching the kernel.
-		t.completion = m.eng.After(d.Cost, func() { m.complete(t) })
+		t.completion = m.eng.After(d.Cost, t.completeFn)
 		t.hasEvent = true
 		m.reschedule()
 
@@ -450,14 +523,16 @@ func (m *Machine) complete(t *Thread) {
 			// the same instant via a zero-cost compute.
 			t.wakePending = false
 			t.remaining = 0
-			t.completion = m.eng.After(0, func() { m.complete(t) })
+			t.completion = m.eng.After(0, t.completeFn)
 			t.hasEvent = true
 			return
 		}
+		m.dequeue(t)
 		t.state = StateBlocked
 		m.reschedule()
 
 	case DemandExit:
+		m.dequeue(t)
 		t.state = StateExited
 		m.reschedule()
 	}

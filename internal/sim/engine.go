@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -45,35 +44,36 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 func (t Time) String() string     { return fmt.Sprintf("%dns", int64(t)) }
 func (d Duration) String() string { return fmt.Sprintf("%dns", int64(d)) }
 
-// Event is a pending simulation event.
-type event struct {
-	at   Time
-	seq  uint64
+// slot holds one scheduled event's callback. Slots are recycled through
+// the engine's free list; gen advances every time a slot is released, so
+// an EventID naming an earlier occupant never matches a later one.
+type slot struct {
 	fn   func()
+	gen  uint32
 	dead bool
 }
 
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID struct{ ev *event }
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// entry is one heap element: the (at, seq) ordering key and the slot it
+// schedules. Keeping the key in the heap array lets sifts compare without
+// touching the slots.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// EventID identifies a scheduled event so it can be cancelled. The zero
+// value names no event.
+type EventID struct {
+	slot int32
+	gen  uint32 // slot generations start at 1
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
@@ -81,7 +81,10 @@ func (q *eventQueue) Pop() interface{} {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
+	heap    []entry // binary min-heap on (at, seq)
+	slots   []slot
+	free    []int32 // released slot indices
+	dead    int     // cancelled events still in the heap
 	stopped bool
 	// executed counts events dispatched so far; useful as a progress and
 	// runaway guard in tests.
@@ -89,11 +92,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	heap.Init(&e.queue)
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -107,10 +106,20 @@ func (e *Engine) At(at Time, fn func()) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	ev := &event{at: at, seq: e.seq, fn: fn}
+	var i int32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, slot{gen: 1})
+	}
+	s := &e.slots[i]
+	s.fn = fn
+	e.heap = append(e.heap, entry{at: at, seq: e.seq, slot: i})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return EventID{ev}
+	e.up(len(e.heap) - 1)
+	return EventID{slot: i, gen: s.gen}
 }
 
 // After schedules fn d nanoseconds from now. Negative d panics.
@@ -121,46 +130,45 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 	return e.At(e.now.Add(d), fn)
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// Cancel removes a pending event in O(1): the event stays in the heap,
+// marked dead, until it reaches the top. Cancelling an already-fired or
+// already-cancelled event is a no-op, even once its slot holds a newer
+// event (a stale ID would have to outlive 2^32 reuses of its slot to
+// match again).
 func (e *Engine) Cancel(id EventID) {
-	if id.ev != nil {
-		id.ev.dead = true
+	if id.gen == 0 || int(id.slot) >= len(e.slots) {
+		return
 	}
+	s := &e.slots[id.slot]
+	if s.gen != id.gen || s.dead {
+		return
+	}
+	s.dead = true
+	s.fn = nil
+	e.dead++
 }
 
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of live events in the queue.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.heap) - e.dead }
 
 // Run executes events in order until the queue empties, Stop is called, or
 // the clock passes until. It returns the time at which it stopped.
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		ev := e.queue[0]
-		if ev.dead {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if ev.at > until {
+	for len(e.heap) > 0 && !e.stopped {
+		top := e.heap[0]
+		if !e.slots[top.slot].dead && top.at > until {
 			e.now = until
 			return e.now
 		}
-		heap.Pop(&e.queue)
-		e.now = ev.at
-		e.executed++
-		ev.fn()
+		if fn := e.pop(); fn != nil {
+			e.now = top.at
+			e.executed++
+			fn()
+		}
 	}
 	// The queue drained (or Stop was called). For a finite horizon the
 	// caller asked to observe the system up to that wall-clock point, so
@@ -174,15 +182,76 @@ func (e *Engine) Run(until Time) Time {
 
 // Step executes exactly one live event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.dead {
-			continue
+	for len(e.heap) > 0 {
+		at := e.heap[0].at
+		if fn := e.pop(); fn != nil {
+			e.now = at
+			e.executed++
+			fn()
+			return true
 		}
-		e.now = ev.at
-		e.executed++
-		ev.fn()
-		return true
 	}
 	return false
+}
+
+// pop removes the earliest event, releases its slot and returns its
+// callback, or nil if the event was cancelled. The slot is free before
+// the callback runs, so the callback may reuse it and cancelling the
+// running event's own ID is a no-op.
+func (e *Engine) pop() func() {
+	i := e.heap[0].slot
+	n := len(e.heap) - 1
+	e.heap[0] = e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.down(0)
+	}
+	s := &e.slots[i]
+	fn := s.fn
+	if s.dead {
+		e.dead--
+		fn = nil
+	}
+	gen := s.gen + 1
+	if gen == 0 {
+		gen = 1 // 0 stays reserved for the zero EventID
+	}
+	*s = slot{gen: gen}
+	e.free = append(e.free, i)
+	return fn
+}
+
+func (e *Engine) up(j int) {
+	h := e.heap
+	x := h[j]
+	for j > 0 {
+		p := (j - 1) / 2
+		if !x.before(h[p]) {
+			break
+		}
+		h[j] = h[p]
+		j = p
+	}
+	h[j] = x
+}
+
+func (e *Engine) down(j int) {
+	h := e.heap
+	n := len(h)
+	x := h[j]
+	for {
+		c := 2*j + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(x) {
+			break
+		}
+		h[j] = h[c]
+		j = c
+	}
+	h[j] = x
 }

@@ -16,8 +16,9 @@ import json
 import sys
 
 # The hot-path benchmarks that gate: the per-event fire path, the ring
-# emit/drain path, the streaming drain the tracers sustain, and the
-# trace-store read paths.
+# emit/drain path, the streaming drain the tracers sustain, the
+# trace-store read paths, and the simulated scheduler and event queue
+# that produce every sched_switch.
 GATED = [
     "BenchmarkEBPF_DispatchDecoded",
     "BenchmarkEBPF_DispatchTier2",
@@ -38,17 +39,22 @@ GATED = [
     "BenchmarkSnapshotIncremental/preload=2s",
     "BenchmarkSnapshotIncremental/preload=8s",
     "BenchmarkSnapshotIncremental/preload=16s",
+    "BenchmarkSched_Reschedule",
+    "BenchmarkSim_EngineAtRun",
 ]
 
 # Alloc regressions on the zero-alloc paths are failures at any size:
-# the fire path (dispatch) and the streaming ring->sink drain, whose
-# B/op is per-drain-constant under the zero-copy decode.
+# the fire path (dispatch), the streaming ring->sink drain, whose B/op
+# is per-drain-constant under the zero-copy decode, and the scheduler's
+# decisions and event queue, which reuse their scratch and slots.
 ZERO_ALLOC = [
     "BenchmarkEBPF_DispatchDecoded",
     "BenchmarkEBPF_DispatchTier2",
     "BenchmarkEBPF_ProbeDispatch",
     "BenchmarkBundle_StreamDrain",
     "BenchmarkMetricsSinkObserve",
+    "BenchmarkSched_Reschedule",
+    "BenchmarkSim_EngineAtRun",
 ]
 
 
