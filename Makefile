@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check bench bench-smoke bench-compare stream-bench fmt-compat fuzz-smoke chaos chaos-race baseline metrics-smoke
+.PHONY: all build test vet race check bench bench-smoke bench-compare stream-bench fmt-compat fuzz-smoke chaos chaos-race baseline metrics-smoke perfbench-vet
 
 all: check
 
@@ -18,7 +18,14 @@ vet:
 race:
 	$(GO) test -race ./internal/...
 
-check: vet build test race metrics-smoke
+check: vet build test race metrics-smoke perfbench-vet
+
+# Vet the end-to-end benchmark against the library. perfbench is a nested
+# module (it replaces the root module with ../), so `go build ./...` at
+# the root never compiles it; this catches a library change that breaks
+# an API the benchmark imports.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # /metrics endpoint smoke: a live short session served over real HTTP and
 # scraped concurrently with the drive loop, asserting the Prometheus
@@ -41,13 +48,6 @@ bench-smoke:
 # allocation reporting.
 stream-bench:
 	$(GO) test -run '^$$' -bench 'Bundle_|Alg1_|Trace_Merge|Store' -benchmem .
-
-# Parallel storage pipeline at 1 and 4 scheduler threads: the speedup
-# table in docs/PERFORMANCE.md comes from this target on a multi-core
-# host (a single-core runner reports the coordination-overhead floor
-# at both settings, not a speedup).
-bench-parallel:
-	$(GO) test -run '^$$' -bench 'StoreStreamSessionParallel|StoreQuerySessionParallel|SegmentWriteV2Async|StoreStreamSession$$|StoreQuerySession$$|SegmentWriteV2$$' -benchmem -cpu 1,4 .
 
 # Run the suite and diff against BENCH_baseline.json: fails on >15% ns/op
 # regression of the named hot-path benchmarks (scripts/bench_compare.py).

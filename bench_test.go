@@ -853,11 +853,22 @@ func BenchmarkStoreStreamSessionV1(b *testing.B) {
 // BenchmarkStoreStreamSession, which decodes every record to answer
 // the same question.
 func BenchmarkStoreQuerySession(b *testing.B) {
+	benchStoreQuery(b, 5*sim.Second, 5*sim.Second+100*sim.Millisecond)
+}
+
+// BenchmarkStoreQuerySessionWide measures the indexed read on a wide
+// window (60% of the same session), where most blocks are selected and
+// the cost approaches a full decode of the window.
+func BenchmarkStoreQuerySessionWide(b *testing.B) {
+	benchStoreQuery(b, 2*sim.Second, 8*sim.Second)
+}
+
+// benchStoreQuery queries the [t0, t1] window of a 10 s, 8-segment v2
+// session, reporting how many records matched and how many blocks the
+// index let it read and skip.
+func benchStoreQuery(b *testing.B, t0, t1 sim.Duration) {
 	st, sess, _ := benchStoreSession(b, 10*sim.Second, 8)
-	f := trace.Filter{
-		T0: sim.Time(5 * sim.Second),
-		T1: sim.Time(5*sim.Second + 100*sim.Millisecond),
-	}
+	f := trace.Filter{T0: sim.Time(t0), T1: sim.Time(t1)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var last trace.QueryStats
@@ -912,87 +923,6 @@ func BenchmarkSegmentWriteV1(b *testing.B) { benchSegmentWrite(b, trace.FormatV1
 // encoder; its B/event against V1's is the compression ratio
 // docs/PERFORMANCE.md reports.
 func BenchmarkSegmentWriteV2(b *testing.B) { benchSegmentWrite(b, trace.FormatV2) }
-
-// --- parallel storage pipeline ---
-//
-// The three parallel read/write benchmarks pin Parallelism explicitly
-// instead of inheriting GOMAXPROCS, so the concurrent structure
-// (prefetch goroutines, decode pool, encode thread) is exercised — and
-// its coordination overhead measured — even on a single-CPU runner. Run
-// them with -cpu 1,4 to see the actual core scaling; on one core they
-// report the overhead floor of the parallel paths, not a speedup.
-
-// BenchmarkStoreStreamSessionParallel is BenchmarkStoreStreamSession
-// with four prefetching segment decoders feeding the merge.
-func BenchmarkStoreStreamSessionParallel(b *testing.B) {
-	st, sess, want := benchStoreSession(b, 10*sim.Second, 8)
-	st.Parallelism = 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var kc trace.KindCounter
-		if err := st.StreamSession(sess, &kc); err != nil {
-			b.Fatal(err)
-		}
-		if kc.Total() != want {
-			b.Fatalf("streamed %d events, want %d", kc.Total(), want)
-		}
-	}
-}
-
-// BenchmarkStoreQuerySessionParallel measures the concurrent block
-// decode on a wide window (60% of the session, many blocks per
-// segment), where the per-block fan-out has enough work to matter —
-// the narrow-window query above reads too few blocks to parallelize.
-func BenchmarkStoreQuerySessionParallel(b *testing.B) {
-	st, sess, _ := benchStoreSession(b, 10*sim.Second, 8)
-	st.Parallelism = 4
-	f := trace.Filter{
-		T0: sim.Time(2 * sim.Second),
-		T1: sim.Time(8 * sim.Second),
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var last trace.QueryStats
-	for i := 0; i < b.N; i++ {
-		var kc trace.KindCounter
-		stats, err := st.QuerySession(sess, f, &kc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if kc.Total() == 0 || kc.Total() != stats.RecordsMatched {
-			b.Fatalf("window matched %d events (stats %+v)", kc.Total(), stats)
-		}
-		last = stats
-	}
-	b.ReportMetric(float64(last.BlocksRead), "blocks-read/op")
-	b.ReportMetric(float64(st.ResolveParallelism()), "workers")
-}
-
-// BenchmarkSegmentWriteV2Async measures the v2 encoder with block
-// encoding on the background goroutine: the caller's cost per event is
-// appending to the open block plus the double-buffer handoff at each
-// block seal.
-func BenchmarkSegmentWriteV2Async(b *testing.B) {
-	tr := avpTrace(b, 10*sim.Second)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var bytes int64
-	for i := 0; i < b.N; i++ {
-		var cw countWriter
-		sw := trace.NewSegmentWriterFormat(&cw, trace.FormatV2, 0)
-		sw.EnableAsync()
-		for _, e := range tr.Events {
-			sw.Observe(e)
-		}
-		if err := sw.Close(); err != nil {
-			b.Fatal(err)
-		}
-		bytes = cw.n
-	}
-	b.ReportMetric(float64(tr.Len()), "events/op")
-	b.ReportMetric(float64(bytes)/float64(tr.Len()), "B/event")
-}
 
 // BenchmarkMetricsSinkObserve measures the metrics sink's per-event fold
 // — kind counter, publish-latency histogram, callback exec-time pairing —

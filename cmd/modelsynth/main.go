@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	modelsynth -in ./traces [-dot model.dot] [-json model.json] [-mode-prefix avp]
+//	modelsynth -in ./traces [-dot model.dot] [-json model.json] [-session-prefix avp]
 //	modelsynth -in ./traces -t0 2s -t1 8s -kinds sched_switch,P6
 //
 // With -salvage, damaged sessions degrade instead of aborting: each
@@ -51,7 +51,6 @@ func main() {
 	t1 := flag.Duration("t1", 0, "only synthesize from events at or before this virtual time (0 = unbounded)")
 	kindList := flag.String("kinds", "", "comma-separated event kinds to synthesize from, e.g. sched_switch,P6,execute_timer:entry (empty = all)")
 	node := flag.String("node", "", "only synthesize from events of this node (blocks without it are skipped via the v2 string tables)")
-	parallelism := flag.Int("parallelism", 0, "decode workers for the parallel read paths (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
 
 	filter := trace.Filter{
@@ -79,7 +78,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store.Parallelism = *parallelism
 	if *fsck {
 		rep, err := store.Fsck()
 		if err != nil {
@@ -122,17 +120,16 @@ func main() {
 			if err != nil {
 				log.Fatalf("querying %s: %v", s, err)
 			}
-			log.Printf("session %s: %d/%d blocks read (%d skipped by index, %d footers rebuilt), %d records decoded, %d matched, %d decode workers",
+			log.Printf("session %s: %d/%d blocks read (%d skipped by index, %d footers rebuilt), %d records decoded, %d matched",
 				s, stats.BlocksRead, stats.BlocksTotal, stats.BlocksSkipped,
-				stats.FootersRebuilt, stats.RecordsDecoded, stats.RecordsMatched,
-				store.ResolveParallelism())
+				stats.FootersRebuilt, stats.RecordsDecoded, stats.RecordsMatched)
 		} else if err := store.StreamSession(s, trace.MultiSink(sink, &spanSink)); err != nil {
 			log.Fatalf("loading %s: %v (re-run with -salvage to recover the undamaged prefix)", s, err)
 		}
 		first, last := spanSink.Span()
 		inferredSpan += last.Sub(first)
 		dags = append(dags, sink.DAG())
-		log.Printf("session %s: %d events, %d decode workers", s, spanSink.Total(), store.ResolveParallelism())
+		log.Printf("session %s: %d events", s, spanSink.Total())
 	}
 	if len(dags) == 0 {
 		log.Fatal("no sessions found")

@@ -63,8 +63,6 @@ func main() {
 	snapshotEvery := flag.Duration("snapshot-every", 0, "synthesize and write a model snapshot (JSON + DOT) every this much virtual time (0 = off)")
 	spillCap := flag.Int("spill-capacity", 0, "bounded in-memory event spill while the disk is down (0 = default)")
 	format := flag.String("format", "v2", "segment format: v2 (indexed, delta-compressed) or v1 (flat records)")
-	parallelism := flag.Int("parallelism", 0, "decode workers for the store's parallel read paths (0 = GOMAXPROCS, 1 = sequential)")
-	asyncEncode := flag.Bool("async-encode", false, "encode v2 segment blocks on a background goroutine, off the drain loop")
 	hotThreshold := flag.Uint64("hot-threshold", ebpf.DefaultHotThreshold(), "tier-0 run count at which a probe program is re-decoded into its profile-guided form (0 disables automatic promotion)")
 	profilePath := flag.String("profile", "", "warmup profile file: loaded at start so programs dispatch at tier >= 1 from the first fire, saved on shutdown (empty = no persistence)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text-format self-metrics at this address (e.g. :9090); empty disables the endpoint")
@@ -97,8 +95,6 @@ func main() {
 	default:
 		log.Fatalf("unknown -format %q (want v1 or v2)", *format)
 	}
-	store.Parallelism = *parallelism
-	store.AsyncEncode = *asyncEncode
 
 	// Self-observability: each run folds its stream into a fresh metrics
 	// registry (counters reset per session, keeping every exposed counter
@@ -450,14 +446,9 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 		}
 		log.Printf("  WARNING: sink %q detached after %d events: %v%s", d.Name, d.Events, d.Err, suffix)
 	}
-	encMode := "inline"
-	if store.AsyncEncode {
-		encMode = "async"
-	}
-	log.Printf("  %d events, %.2f MB perf payload, probe cost %.4f cores, %d decode workers, %s encode",
+	log.Printf("  %d events, %.2f MB perf payload, probe cost %.4f cores",
 		totalEvents, float64(b.TraceBytes())/1e6,
-		w.Runtime().CostNs()/float64(cfg.duration),
-		store.ResolveParallelism(), encMode)
+		w.Runtime().CostNs()/float64(cfg.duration))
 	// Per-CPU ring accounting, as a real perf_event_array poller reports
 	// it: payload per CPU, and any overruns attributed to the ring that
 	// dropped them.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -546,6 +547,61 @@ func TestQuerySessionMatchesFilteredStream(t *testing.T) {
 	}
 }
 
+// TestQuerySessionFineIndexFilters queries a five-segment v2 session
+// cut into 32-record blocks, so every filter selects many blocks across
+// several segments: events and RecordsMatched must match the reference
+// filter, the block accounting must balance, and a repeated query must
+// return the same events and stats.
+func TestQuerySessionFineIndexFilters(t *testing.T) {
+	segs := sessionEvents(17, 5, 1200)
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Format = FormatV2
+	st.BlockRecords = 32
+	var events []Event
+	for i, evs := range segs {
+		writeSessionSegment(t, st, "run", i, evs)
+		events = append(events, evs...)
+	}
+	end := events[len(events)-1].Time
+	filters := []Filter{
+		{},
+		{T0: end / 3, T1: 2 * end / 3},
+		{Kinds: []Kind{KindSchedSwitch}},
+		{T0: end / 2, Kinds: []Kind{KindTakeInt, KindSubCBEnd}},
+		{Node: "no-such-node"},
+	}
+	for i, f := range filters {
+		t.Run(fmt.Sprintf("filter%d", i), func(t *testing.T) {
+			var got collectSink
+			stats, err := st.QuerySession("run", f, &got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := applyFilter(events, f)
+			if !reflect.DeepEqual(got.events, want) {
+				t.Fatalf("got %d events, want %d", len(got.events), len(want))
+			}
+			if stats.RecordsMatched != len(want) || stats.Segments != len(segs) {
+				t.Fatalf("stats = %+v, want %d matched over %d segments", stats, len(want), len(segs))
+			}
+			if stats.BlocksRead+stats.BlocksSkipped != stats.BlocksTotal {
+				t.Fatalf("block accounting broken: %+v", stats)
+			}
+			var again collectSink
+			againStats, err := st.QuerySession("run", f, &again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if againStats != stats || !reflect.DeepEqual(again.events, got.events) {
+				t.Fatalf("repeated query differs: %+v vs %+v", againStats, stats)
+			}
+		})
+	}
+}
+
 // TestQuerySessionSkipsBlocks proves the indexed read does sublinear
 // work: a narrow time window must decode only the overlapping blocks,
 // a non-occurring kind and a non-occurring node must decode nothing,
@@ -667,9 +723,10 @@ func TestQuerySessionWrapReaderFallback(t *testing.T) {
 
 // TestQuerySessionDamageFails pins the strictness contract: QuerySession
 // fails on damage exactly like StreamSession (salvage is the lenient
-// path), and names the segment either way.
+// path), and names the segment either way. What StreamSession delivers
+// before the error is a prefix of the undamaged session's stream.
 func TestQuerySessionDamageFails(t *testing.T) {
-	s, _ := queryStore(t, FormatV2)
+	s, events := queryStore(t, FormatV2)
 	names, err := s.segmentNames("q")
 	if err != nil {
 		t.Fatal(err)
@@ -684,12 +741,18 @@ func TestQuerySessionDamageFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, qerr := s.QuerySession("q", Filter{}, &collectSink{})
-	serr := s.StreamSession("q", &collectSink{})
+	var streamed collectSink
+	serr := s.StreamSession("q", &streamed)
 	if qerr == nil || serr == nil {
 		t.Fatalf("damage accepted: query=%v stream=%v", qerr, serr)
 	}
-	if !errors.Is(qerr, ErrTruncated) || !strings.Contains(qerr.Error(), names[1]) {
-		t.Fatalf("query error = %v, want named ErrTruncated like stream's %v", qerr, serr)
+	for _, err := range []error{qerr, serr} {
+		if !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), names[1]) {
+			t.Fatalf("error = %v, want ErrTruncated naming %s", err, names[1])
+		}
+	}
+	if n := len(streamed.events); n == 0 || n >= len(events) || !reflect.DeepEqual(streamed.events, events[:n]) {
+		t.Fatalf("stream delivered %d events before the error, want a proper prefix of the %d clean ones", n, len(events))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"github.com/tracesynth/rostracer/internal/sim"
 )
@@ -101,13 +100,6 @@ type QueryStats struct {
 // cannot seek) fall back to a full sequential scan with the same filter.
 // Damage fails the query exactly as it fails StreamSession; use
 // SalvageSession for degraded reads.
-//
-// With Parallelism resolved above 1 the selected v2 blocks decode on a
-// worker pool: each segment cursor keeps a small window of outstanding
-// block reads, workers serve them with positioned reads (v2 blocks are
-// self-contained, so any block decodes without its predecessors), and
-// the cursor re-serves decoded blocks strictly in index order. Output,
-// errors, and QueryStats are identical to the sequential path.
 func (s *Store) QuerySession(session string, f Filter, sink Sink) (QueryStats, error) {
 	var qs QueryStats
 	cf := compileFilter(f)
@@ -120,16 +112,11 @@ func (s *Store) QuerySession(session string, f Filter, sink Sink) (QueryStats, e
 	}
 	var cursors []Cursor
 	var closers []io.Closer
-	var pool *blockPool
 	defer func() {
-		if pool != nil {
-			pool.stop()
-		}
 		for _, c := range closers {
 			c.Close()
 		}
 	}()
-	parallelism := s.ResolveParallelism()
 	for _, name := range names {
 		path := filepath.Join(s.dir, name)
 		qs.Segments++
@@ -185,17 +172,7 @@ func (s *Store) QuerySession(session string, f Filter, sink Sink) (QueryStats, e
 			}
 			qs.BlocksSkipped += len(blocks) - len(sel)
 			closers = append(closers, file)
-			if parallelism > 1 && len(sel) > 1 {
-				if pool == nil {
-					pool = newBlockPool(parallelism)
-				}
-				cursors = append(cursors, &parallelIndexedCursor{
-					f: file, name: name, blocks: sel, filter: &cf, qs: &qs,
-					pool: pool, window: parallelism,
-				})
-			} else {
-				cursors = append(cursors, &indexedCursor{f: file, name: name, blocks: sel, filter: &cf, qs: &qs})
-			}
+			cursors = append(cursors, &indexedCursor{f: file, name: name, blocks: sel, filter: &cf, qs: &qs})
 		default:
 			file.Close()
 			return qs, fmt.Errorf("trace: segment %s: %w: %q", name, ErrBadMagic, magic)
@@ -386,151 +363,5 @@ func (c *indexedCursor) Next() (Event, bool, error) {
 		}
 		c.qs.BlocksRead++
 		c.qs.RecordsDecoded += len(events)
-	}
-}
-
-// blockPool is a shared worker pool decoding v2 blocks for the parallel
-// query path. Jobs carry everything a worker needs (file, index entry,
-// filter) and deliver into a per-job buffered channel, so workers never
-// block on a consumer and the pool drains cleanly even when the merge
-// aborts early.
-type blockPool struct {
-	jobs chan *blockJob
-	wg   sync.WaitGroup
-}
-
-type blockJob struct {
-	f      *os.File
-	info   BlockInfo
-	filter *compiledFilter
-	res    chan blockResult // buffered (1): the worker's send never blocks
-}
-
-type blockResult struct {
-	events  []Event
-	skipped bool // node prefilter excluded the block without decoding records
-	err     error
-}
-
-func newBlockPool(workers int) *blockPool {
-	p := &blockPool{jobs: make(chan *blockJob)}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer p.wg.Done()
-			for job := range p.jobs {
-				job.res <- runBlockJob(job)
-			}
-		}()
-	}
-	return p
-}
-
-// stop ends the workers and waits for them to exit. Callers must stop
-// the pool before closing the segment files the jobs read.
-func (p *blockPool) stop() {
-	close(p.jobs)
-	p.wg.Wait()
-}
-
-// runBlockJob reads, validates, and decodes one block — the worker-side
-// half of indexedCursor.Next, byte for byte: positioned read, frame
-// check against the index, node prefilter via the block string table,
-// then the record decode. Per-job buffers are freshly allocated; the
-// events slice is handed off to the consuming cursor.
-func runBlockJob(job *blockJob) blockResult {
-	bi := job.info
-	frame := make([]byte, 5+int(bi.Len))
-	if _, err := job.f.ReadAt(frame, bi.Offset); err != nil {
-		return blockResult{err: fmt.Errorf("%w: block at %d: %v", ErrBadBlock, bi.Offset, err)}
-	}
-	if frame[0] != frameBlock || binary.LittleEndian.Uint32(frame[1:5]) != bi.Len {
-		return blockResult{err: fmt.Errorf("%w: frame at %d disagrees with index", ErrBadBlock, bi.Offset)}
-	}
-	body := frame[5:]
-	if job.filter.node != "" {
-		_, strs, _, err := decodeBlockHeader(body, nil)
-		if err != nil {
-			return blockResult{err: fmt.Errorf("%w: %v", ErrBadBlock, err)}
-		}
-		found := false
-		for _, s := range strs {
-			if s == job.filter.node {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return blockResult{skipped: true}
-		}
-	}
-	events, _, _, err := decodeBlockBody(nil, nil, body)
-	if err != nil {
-		return blockResult{err: fmt.Errorf("%w: %v", ErrBadBlock, err)}
-	}
-	return blockResult{events: events}
-}
-
-// parallelIndexedCursor serves the selected blocks of one v2 segment
-// from the shared worker pool, keeping up to window block reads
-// outstanding and re-serving results strictly in index order — so the
-// merged stream, the per-record filtering, and the stats all match the
-// sequential indexedCursor exactly. Stats are aggregated here, on the
-// single merge thread, as results arrive.
-type parallelIndexedCursor struct {
-	f      *os.File
-	name   string
-	blocks []BlockInfo
-	filter *compiledFilter
-	qs     *QueryStats
-	pool   *blockPool
-	window int
-
-	next    int                // next block index to submit
-	pending []chan blockResult // outstanding results, oldest first
-	events  []Event
-	ei      int
-	err     error
-}
-
-func (c *parallelIndexedCursor) fail(err error) (Event, bool, error) {
-	c.err = fmt.Errorf("trace: segment %s (%s): %w", c.name, FormatV2, err)
-	return Event{}, false, c.err
-}
-
-func (c *parallelIndexedCursor) Next() (Event, bool, error) {
-	if c.err != nil {
-		return Event{}, false, c.err
-	}
-	for {
-		for c.ei < len(c.events) {
-			ev := c.events[c.ei]
-			c.ei++
-			if c.filter.match(&ev) {
-				c.qs.RecordsMatched++
-				return ev, true, nil
-			}
-		}
-		for c.next < len(c.blocks) && len(c.pending) < c.window {
-			res := make(chan blockResult, 1)
-			c.pool.jobs <- &blockJob{f: c.f, info: c.blocks[c.next], filter: c.filter, res: res}
-			c.pending = append(c.pending, res)
-			c.next++
-		}
-		if len(c.pending) == 0 {
-			return Event{}, false, nil
-		}
-		r := <-c.pending[0]
-		c.pending = c.pending[1:]
-		if r.err != nil {
-			return c.fail(r.err)
-		}
-		if r.skipped {
-			c.qs.BlocksSkipped++
-			continue
-		}
-		c.qs.BlocksRead++
-		c.qs.RecordsDecoded += len(r.events)
-		c.events, c.ei = r.events, 0
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tracesynth/rostracer/internal/sim"
 )
@@ -74,31 +72,6 @@ type SegmentWriter struct {
 	enc          *blockEnc
 	off          int64 // file offset where the next block frame lands
 	index        []BlockInfo
-
-	// Async v2 encode (EnableAsync): sealed blocks travel to a background
-	// goroutine that frames, writes, and indexes them, double-buffered so
-	// one block fills on the caller thread while the previous one encodes
-	// and writes off-thread. The caller-facing contract is unchanged —
-	// single caller, sticky errors, Close drains — and the bytes produced
-	// are identical to the synchronous path (same blocks, same order).
-	// While the worker runs it exclusively owns bw, scratch, lenBuf, off,
-	// and index (the v2 Observe path touches none of them); the caller
-	// reclaims ownership after the worker exits, which is how Close can
-	// write the footer in place.
-	async     bool
-	jobs      chan asyncEncCmd
-	free      chan *blockEnc
-	asyncDone chan struct{}
-	aerrSet   atomic.Bool
-	amu       sync.Mutex
-	aerr      error
-}
-
-// asyncEncCmd is one unit of background-encoder work: a sealed block to
-// write, a flush request to acknowledge, or both (never in practice).
-type asyncEncCmd struct {
-	enc   *blockEnc
-	flush chan error
 }
 
 // NewSegmentWriter starts a v1 segment on w by writing the magic header.
@@ -140,97 +113,6 @@ func NewSegmentWriterFormat(w io.Writer, format Format, blockRecords int) *Segme
 // Format reports the on-disk format this writer produces.
 func (sw *SegmentWriter) Format() Format { return sw.format }
 
-// EnableAsync moves block encoding and writing onto a background
-// goroutine. Only meaningful for v2 writers and only before the first
-// Observe; v1 writers and already-started or failed writers ignore it.
-// The segment bytes are identical to the synchronous path: blocks are
-// framed in seal order by a single worker, and Close drains the worker
-// before writing the footer.
-func (sw *SegmentWriter) EnableAsync() {
-	if sw.format != FormatV2 || sw.async || sw.closed || sw.err != nil || sw.n > 0 {
-		return
-	}
-	sw.async = true
-	sw.jobs = make(chan asyncEncCmd, 1)
-	sw.free = make(chan *blockEnc, 2)
-	sw.free <- newBlockEnc() // the spare of the double buffer
-	sw.asyncDone = make(chan struct{})
-	go sw.asyncLoop()
-}
-
-// asyncLoop is the background encoder: it frames and writes sealed
-// blocks, recycles their encoders, and acknowledges flush requests.
-// After an error it keeps draining (recycling without writing) so the
-// caller never blocks on a dead worker; the error is sticky and
-// surfaces through Observe, Flush, and Close.
-func (sw *SegmentWriter) asyncLoop() {
-	defer close(sw.asyncDone)
-	for cmd := range sw.jobs {
-		if cmd.enc != nil {
-			if sw.asyncErr() == nil {
-				if err := sw.writeBlockFrom(cmd.enc); err != nil {
-					sw.setAsyncErr(err)
-				}
-			}
-			cmd.enc.reset()
-			sw.free <- cmd.enc
-		}
-		if cmd.flush != nil {
-			err := sw.asyncErr()
-			if err == nil {
-				if err = sw.bw.Flush(); err != nil {
-					sw.setAsyncErr(err)
-				}
-			}
-			cmd.flush <- err
-		}
-	}
-}
-
-func (sw *SegmentWriter) asyncErr() error {
-	if !sw.aerrSet.Load() {
-		return nil
-	}
-	sw.amu.Lock()
-	defer sw.amu.Unlock()
-	return sw.aerr
-}
-
-func (sw *SegmentWriter) setAsyncErr(err error) {
-	sw.amu.Lock()
-	if sw.aerr == nil {
-		sw.aerr = err
-	}
-	sw.amu.Unlock()
-	sw.aerrSet.Store(true)
-}
-
-// sealAsync hands the filled encoder to the worker and takes the spare.
-// Both channel operations apply backpressure: at most one sealed block
-// queues while another writes, so memory stays at two blocks.
-func (sw *SegmentWriter) sealAsync() {
-	sw.jobs <- asyncEncCmd{enc: sw.enc}
-	sw.enc = <-sw.free
-}
-
-// drainAsync seals any partial block, stops the worker, and waits for it
-// to exit, reclaiming ownership of the buffered writer and the index.
-// The worker's sticky error (if any) folds into the writer's.
-func (sw *SegmentWriter) drainAsync() {
-	if !sw.async {
-		return
-	}
-	if sw.enc.count > 0 {
-		sw.jobs <- asyncEncCmd{enc: sw.enc}
-	}
-	close(sw.jobs)
-	<-sw.asyncDone
-	sw.async = false
-	if err := sw.asyncErr(); err != nil && sw.err == nil {
-		sw.err = err
-	}
-}
-
 // Observe implements Sink, appending one record to the segment.
 func (sw *SegmentWriter) Observe(e Event) {
 	if sw.closed {
@@ -245,13 +127,6 @@ func (sw *SegmentWriter) Observe(e Event) {
 		return
 	}
 	if sw.format == FormatV2 {
-		if sw.async && sw.aerrSet.Load() {
-			// Surface the worker's failure here so callers that poll Err()
-			// between Observes (the degradation-aware writer does) see it as
-			// early as the synchronous path would have.
-			sw.err = sw.asyncErr()
-			return
-		}
 		if len(e.Node) > 0xFFFF || len(e.Topic) > 0xFFFF {
 			sw.err = fmt.Errorf("trace: string field too long in event %v", e)
 			return
@@ -259,11 +134,7 @@ func (sw *SegmentWriter) Observe(e Event) {
 		sw.enc.add(&e)
 		sw.n++
 		if sw.enc.count >= sw.blockRecords {
-			if sw.async {
-				sw.sealAsync()
-			} else {
-				sw.flushBlock()
-			}
+			sw.flushBlock()
 		}
 		return
 	}
@@ -285,26 +156,13 @@ func (sw *SegmentWriter) Observe(e Event) {
 	sw.n++
 }
 
-// flushBlock frames the accumulated v2 block and records its index
-// entry. The encoder's buffers are reused for the next block.
+// flushBlock frames the accumulated v2 block onto the buffered writer
+// and records its index entry. The encoder's buffers are reused for the
+// next block.
 func (sw *SegmentWriter) flushBlock() {
-	if sw.err != nil || sw.enc.count == 0 {
+	enc := sw.enc
+	if sw.err != nil || enc.count == 0 {
 		return
-	}
-	if err := sw.writeBlockFrom(sw.enc); err != nil {
-		sw.err = err
-		return
-	}
-	sw.enc.reset()
-}
-
-// writeBlockFrom frames enc's block onto the buffered writer and records
-// its index entry. It is the single block-serialization path, shared by
-// the synchronous flushBlock and the async worker; the caller resets the
-// encoder afterwards.
-func (sw *SegmentWriter) writeBlockFrom(enc *blockEnc) error {
-	if enc.count == 0 {
-		return nil
 	}
 	hdr := binary.AppendUvarint(sw.scratch[:0], uint64(enc.count))
 	hdr = binary.AppendUvarint(hdr, uint64(len(enc.strs)))
@@ -312,20 +170,21 @@ func (sw *SegmentWriter) writeBlockFrom(enc *blockEnc) error {
 		hdr = binary.AppendUvarint(hdr, uint64(len(s)))
 		hdr = append(hdr, s...)
 	}
+	sw.scratch = hdr[:0]
 	bodyLen := len(hdr) + len(enc.records)
 	sw.lenBuf[0] = frameBlock
-	if _, err := sw.bw.Write(sw.lenBuf[:1]); err != nil {
-		return err
+	if _, sw.err = sw.bw.Write(sw.lenBuf[:1]); sw.err != nil {
+		return
 	}
 	binary.LittleEndian.PutUint32(sw.lenBuf[:], uint32(bodyLen))
-	if _, err := sw.bw.Write(sw.lenBuf[:]); err != nil {
-		return err
+	if _, sw.err = sw.bw.Write(sw.lenBuf[:]); sw.err != nil {
+		return
 	}
-	if _, err := sw.bw.Write(hdr); err != nil {
-		return err
+	if _, sw.err = sw.bw.Write(hdr); sw.err != nil {
+		return
 	}
-	if _, err := sw.bw.Write(enc.records); err != nil {
-		return err
+	if _, sw.err = sw.bw.Write(enc.records); sw.err != nil {
+		return
 	}
 	sw.index = append(sw.index, BlockInfo{
 		Offset:  sw.off,
@@ -336,8 +195,7 @@ func (sw *SegmentWriter) writeBlockFrom(enc *blockEnc) error {
 		Kinds:   enc.kinds,
 	})
 	sw.off += int64(5 + bodyLen)
-	sw.scratch = hdr[:0]
-	return nil
+	enc.reset()
 }
 
 // writeFooter frames the footer index and its fixed-size trailer; only
@@ -396,15 +254,6 @@ func (sw *SegmentWriter) Flush() error {
 	if sw.closed || sw.err != nil {
 		return sw.err
 	}
-	if sw.async {
-		// The worker owns the buffered writer; route the flush through it.
-		// Channel order guarantees every block sealed before this call is
-		// written first, exactly as the synchronous path would have.
-		ch := make(chan error, 1)
-		sw.jobs <- asyncEncCmd{flush: ch}
-		sw.err = <-ch
-		return sw.err
-	}
 	sw.err = sw.bw.Flush()
 	return sw.err
 }
@@ -420,11 +269,7 @@ func (sw *SegmentWriter) Close() error {
 	}
 	sw.closed = true
 	if sw.format == FormatV2 {
-		if sw.async {
-			sw.drainAsync()
-		} else {
-			sw.flushBlock()
-		}
+		sw.flushBlock()
 		sw.writeFooter()
 	}
 	if sw.err == nil {

@@ -2,13 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"github.com/tracesynth/rostracer/internal/faultinject"
 	"github.com/tracesynth/rostracer/internal/sim"
 )
 
@@ -89,6 +94,89 @@ func TestSegmentWriterStickyError(t *testing.T) {
 	}
 	if sw.Count() != 1 {
 		t.Fatalf("Count = %d after sticky error, want 1", sw.Count())
+	}
+}
+
+// TestSegmentWriterDiskFault checks that a disk filling up mid-segment
+// surfaces from Err and Close with its classification intact, in both
+// formats, so the degradation-aware writer can tell ENOSPC from an
+// encode error.
+func TestSegmentWriterDiskFault(t *testing.T) {
+	evs := sessionEvents(29, 1, 600)[0]
+	for _, format := range []Format{FormatV1, FormatV2} {
+		t.Run(format.String(), func(t *testing.T) {
+			var buf bytes.Buffer
+			fw := faultinject.NewWriter(&buf, faultinject.WriteFault{Kind: faultinject.WriteFailAfter, N: 2000})
+			sw := NewSegmentWriterFormat(fw, format, 32)
+			for _, e := range evs {
+				sw.Observe(e)
+			}
+			err := sw.Close()
+			if !errors.Is(err, faultinject.ErrDiskFull) {
+				t.Fatalf("Close = %v, want ErrDiskFull", err)
+			}
+			if !errors.Is(sw.Err(), faultinject.ErrDiskFull) {
+				t.Fatalf("Err = %v, want ErrDiskFull", sw.Err())
+			}
+			if buf.Len() != 2000 {
+				t.Fatalf("%d bytes reached the disk, want the 2000 it accepted", buf.Len())
+			}
+		})
+	}
+}
+
+// TestSessionNamePrefixCollision checks that a session whose name
+// extends another's ("run-b" after "run") stays out of the shorter
+// session on every read path: the stream, the indexed query, salvage,
+// and fsck.
+func TestSessionNamePrefixCollision(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := Event{Time: 1, Seq: 1, Kind: KindSubCBStart, Node: "run"}
+	writeSessionSegment(t, st, "run", 0, []Event{run})
+	writeSessionSegment(t, st, "run-b", 0, []Event{{Time: 2, Seq: 2, Kind: KindSubCBStart, Node: "run-b"}})
+	writeSessionSegment(t, st, "run-b", 1, []Event{{Time: 3, Seq: 3, Kind: KindSubCBEnd, Node: "run-b"}})
+
+	sessions, err := st.Sessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sessions, []string{"run", "run-b"}) {
+		t.Fatalf("sessions = %v, want [run run-b]", sessions)
+	}
+	loaded, err := st.LoadSession("run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.Events, []Event{run}) {
+		t.Fatalf("LoadSession(run) = %v, want only run's event", loaded.Events)
+	}
+	var got collectSink
+	qs, err := st.QuerySession("run", Filter{}, &got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qs.Segments != 1 || len(got.events) != 1 {
+		t.Fatalf("QuerySession(run) read %d segments, %d events; want 1, 1", qs.Segments, len(got.events))
+	}
+	rep, err := st.SalvageSession("run", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Segments) != 1 || rep.Segments[0].Name != "run-0000.rtrc" {
+		t.Fatalf("salvage segments = %+v, want only run-0000.rtrc", rep.Segments)
+	}
+	fsck, err := st.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range fsck.Sessions {
+		want := map[string]int{"run": 1, "run-b": 2}[sr.Session]
+		if len(sr.Segments) != want {
+			t.Fatalf("fsck session %s has %d segments, want %d", sr.Session, len(sr.Segments), want)
+		}
 	}
 }
 
@@ -375,5 +463,224 @@ func TestStreamSessionPeakBuffering(t *testing.T) {
 	large := drainAllocs(150 * 20)
 	if large > small*2 {
 		t.Fatalf("allocations scale with session size: %v for 150 events, %v for 3000", small, large)
+	}
+}
+
+// formats lists the on-disk formats every format-sensitive test covers.
+var formats = []Format{FormatV1, FormatV2}
+
+// concatSegments joins per-segment slices built by sessionEvents back
+// into the one globally ordered stream they partition.
+func concatSegments(segs [][]Event) []Event {
+	var out []Event
+	for _, seg := range segs {
+		out = append(out, seg...)
+	}
+	return out
+}
+
+// TestStreamSessionRoundTripsFormats checks that a many-segment session
+// streams back as exactly the ordered stream it was cut from, in both
+// formats.
+func TestStreamSessionRoundTripsFormats(t *testing.T) {
+	segs := sessionEvents(11, 6, 700)
+	want := concatSegments(segs)
+	for _, format := range formats {
+		t.Run(format.String(), func(t *testing.T) {
+			st := writeSessionSegmentsFormat(t, "run", segs, format)
+			var col Collector
+			if err := st.StreamSession("run", &col); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(col.Trace.Events, want) {
+				t.Fatalf("StreamSession returned %d events, want the %d written", col.Trace.Len(), len(want))
+			}
+		})
+	}
+}
+
+// TestStreamSessionDamagedSegment tears the tail off one segment of a
+// session: StreamSession must deliver every event of the segments before
+// it, then a prefix of the damaged one, and fail with ErrTruncated
+// naming that segment.
+func TestStreamSessionDamagedSegment(t *testing.T) {
+	segs := sessionEvents(13, 4, 400)
+	want := concatSegments(segs)
+	before := len(segs[0]) + len(segs[1])
+	for _, format := range formats {
+		t.Run(format.String(), func(t *testing.T) {
+			st := writeSessionSegmentsFormat(t, "run", segs, format)
+			name := filepath.Join(st.Dir(), "run-0002.rtrc")
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(name, data[:len(data)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var col Collector
+			err = st.StreamSession("run", &col)
+			if !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), "run-0002.rtrc") {
+				t.Fatalf("error = %v, want ErrTruncated naming run-0002.rtrc", err)
+			}
+			got := col.Trace.Events
+			if n := len(got); n < before || n >= before+len(segs[2]) || !reflect.DeepEqual(got, want[:n]) {
+				t.Fatalf("delivered %d events, want a prefix ending inside segment 2 (events %d..%d)",
+					n, before, before+len(segs[2]))
+			}
+		})
+	}
+}
+
+// TestSegmentWriterFlushKeepsLayout checks the Flush contract: flushing
+// mid-stream, v2 mid-block included, writes exactly the bytes an
+// unflushed writer writes.
+func TestSegmentWriterFlushKeepsLayout(t *testing.T) {
+	evs := sessionEvents(19, 1, 900)[0]
+	write := func(format Format, flushEvery int) []byte {
+		var buf bytes.Buffer
+		sw := NewSegmentWriterFormat(&buf, format, 64)
+		for i, e := range evs {
+			sw.Observe(e)
+			if flushEvery > 0 && i%flushEvery == 0 {
+				if err := sw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if sw.Count() != len(evs) {
+			t.Fatalf("Count = %d, want %d", sw.Count(), len(evs))
+		}
+		return buf.Bytes()
+	}
+	for _, format := range formats {
+		t.Run(format.String(), func(t *testing.T) {
+			plain, flushed := write(format, 0), write(format, 97)
+			if !bytes.Equal(flushed, plain) {
+				t.Fatalf("flushed segment differs: %d vs %d bytes", len(flushed), len(plain))
+			}
+		})
+	}
+}
+
+// TestStoreWritesAreReproducible writes the same session into two
+// stores: every segment file must be byte-identical, footer index
+// included, so the encoders carry no hidden order-dependent state.
+func TestStoreWritesAreReproducible(t *testing.T) {
+	segs := sessionEvents(23, 3, 600)
+	write := func(format Format) *Store {
+		st, err := NewStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Format = format
+		st.BlockRecords = 48
+		for i, evs := range segs {
+			writeSessionSegment(t, st, "run", i, evs)
+		}
+		return st
+	}
+	for _, format := range formats {
+		t.Run(format.String(), func(t *testing.T) {
+			a, b := write(format), write(format)
+			for i := range segs {
+				name := fmt.Sprintf("run-%04d.rtrc", i)
+				da, err := os.ReadFile(filepath.Join(a.Dir(), name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				db, err := os.ReadFile(filepath.Join(b.Dir(), name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(da, db) {
+					t.Fatalf("%s differs between two writes: %d vs %d bytes", name, len(da), len(db))
+				}
+			}
+		})
+	}
+}
+
+// TestSegmentWritersConcurrent runs one writer per goroutine, the shape
+// of several sessions recorded at once, under the race detector. One
+// writer's disk fills up; it alone reports an error, and every other
+// segment decodes back to exactly its input.
+func TestSegmentWritersConcurrent(t *testing.T) {
+	segs := sessionEvents(31, 8, 1600)
+	const faulty = 3
+	bufs := make([]bytes.Buffer, len(segs))
+	errs := make([]error, len(segs))
+	var wg sync.WaitGroup
+	for i, evs := range segs {
+		wg.Add(1)
+		go func(i int, evs []Event) {
+			defer wg.Done()
+			var w io.Writer = &bufs[i]
+			if i == faulty {
+				w = faultinject.NewWriter(w, faultinject.WriteFault{Kind: faultinject.WriteFailAfter, N: 500})
+			}
+			sw := NewSegmentWriterFormat(w, FormatV2, 16)
+			for _, e := range evs {
+				sw.Observe(e)
+			}
+			errs[i] = sw.Close()
+		}(i, evs)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if i == faulty {
+			if !errors.Is(err, faultinject.ErrDiskFull) {
+				t.Fatalf("writer %d on a full disk: Close = %v, want ErrDiskFull", i, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("writer %d: %v", i, err)
+		}
+		got, err := drainCursor(NewFileCursor(bytes.NewReader(bufs[i].Bytes())))
+		if err != nil {
+			t.Fatalf("writer %d: decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, segs[i]) {
+			t.Fatalf("writer %d: decoded %d events, want %d", i, len(got), len(segs[i]))
+		}
+	}
+}
+
+// TestFileCursorEndIsSticky checks a cursor that has read a whole
+// segment keeps reporting a clean end, and that BytesConsumed then
+// covers the whole file.
+func TestFileCursorEndIsSticky(t *testing.T) {
+	evs := sessionEvents(37, 1, 1000)[0]
+	for _, format := range formats {
+		t.Run(format.String(), func(t *testing.T) {
+			var buf bytes.Buffer
+			sw := NewSegmentWriterFormat(&buf, format, 64)
+			for _, e := range evs {
+				sw.Observe(e)
+			}
+			if err := sw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c := NewFileCursor(bytes.NewReader(buf.Bytes()))
+			got, err := drainCursor(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, evs) {
+				t.Fatalf("cursor returned %d events, want %d", len(got), len(evs))
+			}
+			for i := 0; i < 3; i++ {
+				if ev, ok, err := c.Next(); ok || err != nil {
+					t.Fatalf("Next after end = %v %v %v", ev, ok, err)
+				}
+			}
+			if c.BytesConsumed() != int64(buf.Len()) {
+				t.Fatalf("BytesConsumed = %d, want the whole %d-byte segment", c.BytesConsumed(), buf.Len())
+			}
+		})
 	}
 }

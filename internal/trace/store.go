@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,23 +34,6 @@ type Store struct {
 	// amortize over more records).
 	BlockRecords int
 
-	// Parallelism bounds the decode workers the parallel read paths use:
-	// StreamSession wraps each segment cursor in a prefetching decoder and
-	// QuerySession decodes selected v2 blocks across a worker pool. 0
-	// selects GOMAXPROCS; 1 selects the sequential paths. Output is
-	// byte-identical at every setting — merge order is (Time, Seq) and
-	// blocks decode in index order, so parallelism is invisible except in
-	// wall-clock time.
-	Parallelism int
-
-	// AsyncEncode moves v2 block encoding and writing onto a background
-	// goroutine per SegmentWriter (double-buffered: one block fills while
-	// the previous one compresses and writes), so delta/varint encode
-	// leaves the drain thread. Segment bytes are identical to the
-	// synchronous path; errors still surface through the writer's sticky
-	// error, at the latest at Close, which drains the encoder.
-	AsyncEncode bool
-
 	// WrapWriter, when set, wraps the file every WriteSegment opens; the
 	// segment writer's bytes flow through the returned writer (the file
 	// itself is still closed by Close). WrapReader does the same for every
@@ -74,19 +56,6 @@ func NewStore(dir string) (*Store, error) {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// ResolveParallelism reports the decode-worker count the parallel read
-// paths will use: Parallelism, with 0 resolved to GOMAXPROCS.
-func (s *Store) ResolveParallelism() int {
-	p := s.Parallelism
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
 func (s *Store) segPath(session string, segment int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s-%04d.rtrc", session, segment))
 }
@@ -108,9 +77,6 @@ func (s *Store) WriteSegment(session string, segment int) (*SegmentWriter, error
 	sw := NewSegmentWriterFormat(w, s.Format, s.BlockRecords)
 	sw.c = f
 	sw.path = path
-	if s.AsyncEncode {
-		sw.EnableAsync()
-	}
 	return sw, nil
 }
 
@@ -213,11 +179,11 @@ func segmentIndex(name, session string) (int, bool) {
 }
 
 // segmentNames lists the segment files of a session in segment order.
-// Order is by parsed numeric index, not lexicographic: zero-padding runs
-// out at segment 10000 (%04d), where a filename sort would merge
-// "10000" before "9999" and break tie-resolution to the earlier
-// segment. Non-numeric suffixes (never produced by segPath) sort after
-// all numeric ones, by name.
+// Only names with a numeric index after "<session>-" belong to the
+// session: a session named "run-b" is not part of session "run". Order
+// is by parsed numeric index, not lexicographic: zero-padding runs out
+// at segment 10000 (%04d), where a filename sort would merge "10000"
+// before "9999" and break tie-resolution to the earlier segment.
 func (s *Store) segmentNames(session string) ([]string, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -227,27 +193,20 @@ func (s *Store) segmentNames(session string) ([]string, error) {
 	var names []string
 	for _, ent := range entries {
 		name := ent.Name()
-		if filepath.Ext(name) != ".rtrc" || len(name) < len(prefix) || name[:len(prefix)] != prefix {
+		if filepath.Ext(name) != ".rtrc" || !strings.HasPrefix(name, prefix) {
 			continue
 		}
-		names = append(names, name)
+		if _, ok := segmentIndex(name, session); ok {
+			names = append(names, name)
+		}
 	}
 	sort.Slice(names, func(i, j int) bool {
-		ni, oki := segmentIndex(names[i], session)
-		nj, okj := segmentIndex(names[j], session)
-		switch {
-		case oki && okj:
-			if ni != nj {
-				return ni < nj
-			}
-			return names[i] < names[j]
-		case oki:
-			return true
-		case okj:
-			return false
-		default:
-			return names[i] < names[j]
+		ni, _ := segmentIndex(names[i], session)
+		nj, _ := segmentIndex(names[j], session)
+		if ni != nj {
+			return ni < nj
 		}
+		return names[i] < names[j]
 	})
 	return names, nil
 }
@@ -300,40 +259,19 @@ func (s *Store) SessionCursors(session string) ([]*FileCursor, error) {
 // ties across segments resolve to the earlier segment, exactly as
 // LoadSession's historical Merge over materialized segments resolved
 // them to the earlier input trace.
-//
-// With Parallelism resolved above 1 (the default: GOMAXPROCS) and more
-// than one segment, each segment cursor runs behind a prefetching decode
-// goroutine (PrefetchCursor), so segment decode proceeds on all segments
-// concurrently while the merge consumes heads. The merge itself is
-// unchanged and ties still resolve to the earlier segment, so the output
-// stream is byte-identical to the sequential path.
 func (s *Store) StreamSession(session string, sink Sink) error {
 	curs, err := s.SessionCursors(session)
 	if err != nil {
 		return err
 	}
-	var prefetch []*PrefetchCursor
 	defer func() {
-		// Prefetch goroutines reference the file cursors; stop them before
-		// closing the files underneath.
-		for _, pc := range prefetch {
-			pc.Close()
-		}
 		for _, c := range curs {
 			c.Close()
 		}
 	}()
 	cursors := make([]Cursor, len(curs))
-	if s.ResolveParallelism() > 1 && len(curs) > 1 {
-		prefetch = make([]*PrefetchCursor, len(curs))
-		for i, c := range curs {
-			prefetch[i] = NewPrefetchCursor(c)
-			cursors[i] = prefetch[i]
-		}
-	} else {
-		for i, c := range curs {
-			cursors[i] = c
-		}
+	for i, c := range curs {
+		cursors[i] = c
 	}
 	return NewMergeStream(cursors...).Run(sink)
 }

@@ -31,10 +31,8 @@ GATED = [
     "BenchmarkStoreLoadSession",
     "BenchmarkStoreStreamSession",
     "BenchmarkStoreQuerySession",
+    "BenchmarkStoreQuerySessionWide",
     "BenchmarkSegmentWriteV2",
-    "BenchmarkStoreStreamSessionParallel",
-    "BenchmarkStoreQuerySessionParallel",
-    "BenchmarkSegmentWriteV2Async",
     "BenchmarkMetricsSinkObserve",
     "BenchmarkSnapshotIncremental/preload=2s",
     "BenchmarkSnapshotIncremental/preload=8s",
