@@ -221,27 +221,6 @@ func BenchmarkAlg1_ExtractModel(b *testing.B) {
 	}
 }
 
-// BenchmarkAlg2_ExecTime measures the execution-time computation on a
-// preemption-heavy switch sequence.
-func BenchmarkAlg2_ExecTime(b *testing.B) {
-	var sched []trace.Event
-	for i := 0; i < 2000; i++ {
-		t := sim.Time(i * 1000)
-		prev, next := uint32(7), uint32(9)
-		if i%2 == 1 {
-			prev, next = 9, 7
-		}
-		sched = append(sched, trace.Event{Time: t, Seq: uint64(i), Kind: trace.KindSchedSwitch, PrevPID: prev, NextPID: next})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := core.ExecTime(500, 1999500, 0, 1<<62, 7, sched); got <= 0 {
-			b.Fatal("bad ET")
-		}
-	}
-}
-
 // BenchmarkDAG_Synthesize measures full DAG synthesis from a trace.
 func BenchmarkDAG_Synthesize(b *testing.B) {
 	tr := avpTrace(b, 20*sim.Second)
@@ -697,9 +676,8 @@ func BenchmarkBundle_StreamDrain(b *testing.B) {
 }
 
 // BenchmarkBundle_StreamSynthesize measures the full streaming pipeline
-// stage: one 500 ms segment drained straight into the incremental
-// Algorithm 1/2 builder (sched events folded online, ROS events
-// buffered).
+// stage: one 500 ms segment drained straight into the online Algorithm
+// 1/2 builder, every event folded as it arrives and none retained.
 func BenchmarkBundle_StreamSynthesize(b *testing.B) {
 	w, bd := benchTracedWorld(b)
 	mb := core.NewModelBuilder()
@@ -966,11 +944,11 @@ func BenchmarkMetricsSinkObserve(b *testing.B) {
 
 // BenchmarkSnapshotIncremental measures one live Snapshot after the
 // service has already folded sessions of increasing length. Each
-// iteration folds a small fixed delta and snapshots; since the engine
-// keeps persistent extraction and DAG state, ns/op must stay flat as
-// the preload grows — the incremental property. (The batch pipeline's
-// cost over the same preloads is BenchmarkAlg1_ExtractModel-shaped:
-// linear in session length.)
+// iteration observes a small fixed batch of events, each folded as it
+// arrives, and snapshots; a snapshot only materializes the engine's
+// accumulators, so ns/op tracks the number of callbacks and instances,
+// not the events behind them. (A batch re-traversal over the same
+// preloads would be linear in session length.)
 func BenchmarkSnapshotIncremental(b *testing.B) {
 	full := avpTrace(b, 16*sim.Second)
 	full.SortByTime()

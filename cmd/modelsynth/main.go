@@ -24,8 +24,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"sort"
 	"strings"
 
 	"github.com/tracesynth/rostracer/internal/analysis"
@@ -126,6 +128,9 @@ func main() {
 		} else if err := store.StreamSession(s, trace.MultiSink(sink, &spanSink)); err != nil {
 			log.Fatalf("loading %s: %v (re-run with -salvage to recover the undamaged prefix)", s, err)
 		}
+		if err := sink.Err(); err != nil {
+			log.Fatalf("synthesizing %s: %v", s, err)
+		}
 		first, last := spanSink.Span()
 		inferredSpan += last.Sub(first)
 		dags = append(dags, sink.DAG())
@@ -172,18 +177,7 @@ func main() {
 		if obsSpan == 0 {
 			obsSpan = inferredSpan
 		}
-		fmt.Println("\nprocessor loads:")
-		ls := analysis.Loads(d, obsSpan)
-		for _, l := range ls {
-			fmt.Printf("  %-60.60s %6.2f Hz  %8.2f ms  %6.2f%%\n",
-				l.Key, l.RateHz, l.ACET.Milliseconds(), 100*l.Utilization)
-		}
-		b := analysis.GreedyBinding(analysis.NodeLoads(ls), 4)
-		fmt.Println("greedy 4-core binding:")
-		for node, cpu := range b.CPUOf {
-			fmt.Printf("  cpu%d <- %s\n", cpu, node)
-		}
-		fmt.Printf("max core load: %.2f%%\n", 100*b.MaxLoad)
+		printLoads(os.Stdout, d, obsSpan)
 	}
 	if degraded {
 		// The model above was synthesized from a damaged store: every
@@ -200,4 +194,26 @@ func renderChain(d *core.DAG, c analysis.Chain) string {
 		parts = append(parts, d.Vertices[k].Label())
 	}
 	return strings.Join(parts, " -> ")
+}
+
+// printLoads writes the -loads report: per-vertex processor loads over
+// span, then the greedy 4-core node binding, sorted by node.
+func printLoads(w io.Writer, d *core.DAG, span sim.Duration) {
+	fmt.Fprintln(w, "\nprocessor loads:")
+	ls := analysis.Loads(d, span)
+	for _, l := range ls {
+		fmt.Fprintf(w, "  %-60.60s %6.2f Hz  %8.2f ms  %6.2f%%\n",
+			l.Key, l.RateHz, l.ACET.Milliseconds(), 100*l.Utilization)
+	}
+	b := analysis.GreedyBinding(analysis.NodeLoads(ls), 4)
+	nodes := make([]string, 0, len(b.CPUOf))
+	for node := range b.CPUOf {
+		nodes = append(nodes, node)
+	}
+	sort.Strings(nodes)
+	fmt.Fprintln(w, "greedy 4-core binding:")
+	for _, node := range nodes {
+		fmt.Fprintf(w, "  cpu%d <- %s\n", b.CPUOf[node], node)
+	}
+	fmt.Fprintf(w, "max core load: %.2f%%\n", 100*b.MaxLoad)
 }

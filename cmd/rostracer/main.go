@@ -283,9 +283,10 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 		})
 	}
 	// -snapshot-every puts a live synthesis service on the drain loop:
-	// every segment streams into the service alongside the store, and
-	// each time the interval elapses the service re-finishes the model
-	// and writes JSON/DOT snapshots of the session so far.
+	// every segment streams into the service alongside the store, which
+	// folds each event into the model as it arrives, and each time the
+	// interval elapses the service materializes the model and writes
+	// JSON/DOT snapshots of the session so far.
 	var snapSvc *core.SnapshotService
 	var nextSnapAt sim.Duration
 	if cfg.snapshotEvery > 0 {

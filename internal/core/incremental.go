@@ -9,96 +9,138 @@ import (
 	"github.com/tracesynth/rostracer/internal/trace"
 )
 
-// snapEngine is the incremental form of buildModel: it folds the ROS
-// event stream delta by delta, keeping Algorithm 1's per-PID extraction
-// state machines, the caller/client search index, and per-callback
-// accumulators alive between snapshots. A snapshot then materializes a
-// Model from the accumulators in O(callbacks) instead of re-running the
-// extraction over the whole buffered stream, so snapshot cost is
-// proportional to the events observed since the previous snapshot, not
-// to session length.
+// snapEngine is the one implementation of Algorithm 1 and Algorithm 2.
+// It folds every event the moment it is observed, in (Time, Seq) order:
+// scheduler events charge or suspend the open execution-time windows,
+// and each ROS event advances its PID's extraction machine. A model is
+// then "observe everything, then resolvePending + materialize once",
+// and materializing costs O(callbacks), not O(events), so live
+// snapshots and offline synthesis share the same code and neither
+// re-traverses the stream.
 //
-// Equivalence with the batch pipeline rests on which Algorithm 1
-// lookups are stable under stream growth:
+// No event is retained. The caller and client searches of Algorithm 1
+// run over values captured as events pass:
 //
-//   - findCaller is stable: a request's dds_write precedes its
-//     take_request in (Time, Seq) order (the write causes the take), so
-//     by the time the take is folded the index already holds the write,
-//     and positions only ever append — the first match never changes.
+//   - findCaller: each PID keeps the callback ID of its last timer call
+//     or take since its last callback start — exactly what a backward
+//     walk from one of its writes would find. A request-topic dds_write
+//     records that ID under its (topic, srcTS), first write only. A
+//     request's write precedes its take in (Time, Seq) order (the write
+//     causes the take), so the answer is known when the take is folded
+//     and never changes.
 //   - findClient is NOT stable: the take_response and
 //     take_type_erased_response events that identify the dispatched
 //     client follow the response's dds_write in time, so the answer for
 //     an already-extracted write can change as the stream grows — from
 //     "no client" (decoration #0 plus a diagnostic) to the real client
-//     ID. Such lookups stay pending: every snapshot re-resolves them
-//     against the current index, updating the owning callback's
-//     decorated out-topic set and suppressing the diagnostic once a
-//     client appears, until the answer is provably final (a dispatched
-//     client found with every earlier take definitively skipped).
+//     ID. Takes are indexed by (ordinal, pid, CBID) and type-erased
+//     takes by ordinal per PID; lookups stay pending and are re-resolved
+//     at every materialization, updating the owning callback's decorated
+//     out-topic set and suppressing the diagnostic once a client
+//     appears, until the answer is provably final (a dispatched client
+//     found with every earlier take definitively skipped).
 //
 // All other attributes fold forward: merged callbacks accumulate stats,
 // instances, and refcounted out-topics; timer periods keep an exact
-// two-heap running median over inter-start gaps, matching the batch
-// sort's upper-median element for any length.
+// two-heap running median over inter-start gaps, matching
+// EstimatePeriod's upper-median element for any length.
 type snapEngine struct {
-	idx    *eventIndex // over the builder's ros buffer, grown in place
-	folded int         // prefix of idx.events already folded
-
-	// tte holds take_type_erased_response positions per PID, the
-	// resumable form of findClient's inner forward scan: the outcome for
-	// a take at position p is decided by the first entry past p.
-	tte map[uint32][]ttePoint
+	ord uint64 // ROS events folded so far: the ordinal of the next one
 
 	nodeOf   map[uint32]string
 	machines map[uint32]*pidMachine
 
-	// et receives closed-window execution times from the ModelBuilder's
-	// log; entries are deleted as their callback-end events consume them.
-	et     map[etKey]sim.Duration
-	etSeen int
+	// callerOf maps a request write's (topic, srcTS) to findCaller's
+	// answer, captured when the first such write was folded.
+	callerOf map[topicTS]uint64
+	// takeRespBy maps (response topic, srcTS) to the take_response
+	// events that read it, in stream order.
+	takeRespBy map[topicTS][]takeResp
 
 	pending []*pendingClient
 }
 
+// topicTS keys a message by topic and source timestamp.
+type topicTS struct {
+	topic string
+	srcTS int64
+}
+
+// takeResp is one take_response event as findClient needs it.
+type takeResp struct {
+	ord  uint64
+	pid  uint32
+	cbid uint64
+}
+
+// ttePoint is one take_type_erased_response event of a PID.
 type ttePoint struct {
-	pos int
+	ord uint64
 	ret uint64
 }
 
 func newSnapEngine() *snapEngine {
 	return &snapEngine{
-		idx:      newEventIndex(nil),
-		tte:      make(map[uint32][]ttePoint),
-		nodeOf:   make(map[uint32]string),
-		machines: make(map[uint32]*pidMachine),
-		et:       make(map[etKey]sim.Duration),
+		nodeOf:     make(map[uint32]string),
+		machines:   make(map[uint32]*pidMachine),
+		callerOf:   make(map[topicTS]uint64),
+		takeRespBy: make(map[topicTS][]takeResp),
 	}
 }
 
-// pidMachine is one PID's extractCallbacks loop, suspended between
-// folds: the merged callback list, the diagnostics (some conditional on
-// a pending client resolution), and the currently open instance.
+// pidMachine is one PID's Algorithm 1 extraction state and Algorithm 2
+// window: the merged callback list, the diagnostics (some conditional
+// on a pending client resolution), the currently open instance, and the
+// findCaller / findClient values the PID contributes.
 type pidMachine struct {
 	pid   uint32
 	list  []*cbEntry
 	diags []diagSlot
-	cur   *curState
+
+	open bool // cur holds an instance
+	cur  curState
+	win  etWindow
+
+	// caller is findCaller's answer for a write folded now: the CBID of
+	// the last timer call or take since the last callback start.
+	caller uint64
+	// tte holds the PID's take_type_erased_response events, the
+	// resumable form of findClient's forward scan: the outcome for a
+	// take at ordinal o is decided by the first entry past o.
+	tte []ttePoint
+}
+
+// etWindow is Algorithm 2's state for one callback-instance window. A
+// callback-start probe opens it running (the probe fires on-CPU),
+// switches charge or suspend it as they stream by, and the callback-end
+// probe closes it. The (Time, Seq) bracketing of window boundaries falls
+// out of stream order: a switch sharing the start timestamp but emitted
+// earlier arrives before the start probe; one sharing the end timestamp
+// but emitted later arrives after the window closed.
+type etWindow struct {
+	open     bool
+	running  bool
+	startSeq uint64
+	last     sim.Time
+	et       sim.Duration
 }
 
 // diagSlot is one diagnostic position in a PID's extraction output. A
 // slot tied to a pending client lookup is visible only while that
-// lookup resolves to "no client", exactly when the batch extraction
-// would emit it.
+// lookup resolves to "no client", exactly when a batch extraction over
+// the same prefix would emit it.
 type diagSlot struct {
 	d    Diagnostic
 	pend *pendingClient
 }
 
-// curState mirrors the batch loop's cur/curStart/curStartSeq/curInst
-// locals for the instance currently open on a PID.
+// curState is the instance currently open on a PID.
 type curState struct {
-	cb       Callback // ID, Type, InTopic, IsSync accumulate here
-	outs     []outContrib
+	typ      CBType
+	id       uint64
+	inTopic  string
+	isSync   bool
+	outs     []outContrib // reused across instances
 	start    sim.Time
 	startSeq uint64
 	inst     Instance
@@ -143,8 +185,9 @@ func (e *cbEntry) addOut(c outContrib) {
 	if s == "" {
 		return
 	}
-	e.outRefs[s]++
-	e.outsDirty = true
+	if e.outRefs[s]++; e.outRefs[s] == 1 {
+		e.outsDirty = true
+	}
 }
 
 // outs returns the current decorated out-topic set, sorted. The cache
@@ -189,8 +232,8 @@ func (e *cbEntry) snapshotCallback(node string) *Callback {
 }
 
 // pendingClient is one unresolved findClient lookup, created at a
-// response dds_write and re-resolved against the grown index at every
-// snapshot until final.
+// response dds_write and re-resolved at every materialization until
+// final.
 type pendingClient struct {
 	topic  string // response topic (the write's topic, also the lookup key)
 	srcTS  int64
@@ -198,6 +241,7 @@ type pendingClient struct {
 	curOut string   // decorated string currently in owner's refcounts
 	id     uint64
 	final  bool
+	msg    string // the "no client" diagnostic, formatted when first shown
 }
 
 func (p *pendingClient) set(id uint64, final bool) {
@@ -209,8 +253,7 @@ func (p *pendingClient) set(id uint64, final bool) {
 	p.id = id
 	p.curOut = decorate(p.topic, id)
 	if o := p.owner; o != nil {
-		o.outRefs[old]--
-		if o.outRefs[old] <= 0 {
+		if o.outRefs[old]--; o.outRefs[old] <= 0 {
 			delete(o.outRefs, old)
 		}
 		o.outRefs[p.curOut]++
@@ -218,38 +261,52 @@ func (p *pendingClient) set(id uint64, final bool) {
 	}
 }
 
-// fold advances the engine over the builder's buffers: ros is the full
-// (Time, Seq)-sorted ROS event prefix observed so far and etLog the
-// closed-window log; both only ever grow. The delta is indexed first
-// and extracted second — the batch pipeline builds its index over the
-// whole stream before extracting, so a caller search from inside the
-// delta must already see writes later in the same delta.
-func (g *snapEngine) fold(ros []trace.Event, etLog []etEntry) {
-	for _, rec := range etLog[g.etSeen:] {
-		g.et[rec.key] = rec.et
+// diagnostic is the slot's "no dispatched client" message.
+func (p *pendingClient) diagnostic() string {
+	if p.msg == "" {
+		p.msg = fmt.Sprintf("no dispatched client found for response on %s srcTS=%d", p.topic, p.srcTS)
 	}
-	g.etSeen = len(etLog)
+	return p.msg
+}
 
-	g.idx.events = ros
-	for i := g.folded; i < len(ros); i++ {
-		e := ros[i]
-		switch e.Kind {
-		case trace.KindDDSWrite:
-			k := topicTS{e.Topic, e.SrcTS}
-			g.idx.writesBy[k] = append(g.idx.writesBy[k], i)
-		case trace.KindTakeResponse:
-			k := topicTS{dds.ServiceResponseTopic(e.Topic), e.SrcTS}
-			g.idx.takeRespBy[k] = append(g.idx.takeRespBy[k], i)
-		case trace.KindTakeTypeErased:
-			g.tte[e.PID] = append(g.tte[e.PID], ttePoint{i, e.Ret})
-		case trace.KindCreateNode:
-			g.nodeOf[e.PID] = e.Node
+// observe folds one event. Events must arrive in (Time, Seq) order.
+func (g *snapEngine) observe(e *trace.Event) {
+	switch e.Kind {
+	case trace.KindSchedSwitch:
+		g.observeSwitch(e)
+	case trace.KindSchedWakeup:
+		// wakeups carry no Algorithm 2 information
+	default:
+		g.machineFor(e.PID).step(g, e)
+		g.ord++
+	}
+}
+
+// observeSwitch folds one sched_switch into the open windows, mirroring
+// ExecTime's per-PID branch structure: a switch whose previous thread
+// owns a running window suspends it; one whose next thread owns a
+// suspended window resumes it — and when one thread is both prev and
+// next, the suspend branch wins, as in the batch loop's else-if.
+func (g *snapEngine) observeSwitch(e *trace.Event) {
+	if w := g.window(e.PrevPID); w != nil && w.running {
+		w.et += e.Time.Sub(w.last)
+		w.running = false
+		if e.PrevPID == e.NextPID {
+			return
 		}
 	}
-	for i := g.folded; i < len(ros); i++ {
-		g.machineFor(ros[i].PID).step(g, ros[i])
+	if w := g.window(e.NextPID); w != nil && !w.running {
+		w.last = e.Time
+		w.running = true
 	}
-	g.folded = len(ros)
+}
+
+// window returns pid's open execution-time window, or nil.
+func (g *snapEngine) window(pid uint32) *etWindow {
+	if m := g.machines[pid]; m != nil && m.win.open {
+		return &m.win
+	}
+	return nil
 }
 
 func (g *snapEngine) machineFor(pid uint32) *pidMachine {
@@ -261,48 +318,35 @@ func (g *snapEngine) machineFor(pid uint32) *pidMachine {
 	return m
 }
 
-// takeET consumes one closed window's execution time. Each window is
-// read exactly once (its callback-end event), so the entry is deleted
-// to keep the transfer map at O(open + unconsumed) instead of O(all).
-func (g *snapEngine) takeET(pid uint32, startSeq uint64) sim.Duration {
-	k := etKey{pid, startSeq}
-	d := g.et[k]
-	delete(g.et, k)
-	return d
-}
-
-// tteAfter finds the first take_type_erased_response of pid past pos —
-// findClient's inner scan as a binary search over the per-PID position
-// list. ok is false while no such event has been observed yet.
-func (g *snapEngine) tteAfter(pid uint32, pos int) (ttePoint, bool) {
-	list := g.tte[pid]
-	i := sort.Search(len(list), func(i int) bool { return list[i].pos > pos })
-	if i == len(list) {
+// tteAfter finds the PID's first take_type_erased_response past ord —
+// findClient's inner scan as a binary search. ok is false while no such
+// event has been observed yet.
+func (m *pidMachine) tteAfter(ord uint64) (ttePoint, bool) {
+	i := sort.Search(len(m.tte), func(i int) bool { return m.tte[i].ord > ord })
+	if i == len(m.tte) {
 		return ttePoint{}, false
 	}
-	return list[i], true
+	return m.tte[i], true
 }
 
-// resolve recomputes a pending client lookup against the current index,
-// replicating findClient: walk the matching take_response events in
-// stream order; the first whose next type-erased take returned 1 names
-// the client; a take whose next type-erased take returned 0 is skipped
-// for good; a take with no type-erased take yet is skipped for now. The
-// answer is final only when a client was found and every earlier take
-// was definitively skipped — otherwise later events could change it,
-// exactly as a batch re-run over the longer stream could.
+// resolve recomputes a pending client lookup, replicating findClient:
+// walk the matching take_response events in stream order; the first
+// whose next type-erased take returned 1 names the client; a take whose
+// next type-erased take returned 0 is skipped for good; a take with no
+// type-erased take yet is skipped for now. The answer is final only
+// when a client was found and every earlier take was definitively
+// skipped — otherwise later events could change it, exactly as a batch
+// re-run over the longer stream could.
 func (g *snapEngine) resolve(p *pendingClient) {
-	positions := g.idx.takeRespBy[topicTS{p.topic, p.srcTS}]
 	definitive := true
-	for _, pos := range positions {
-		take := g.idx.events[pos]
-		tte, ok := g.tteAfter(take.PID, pos)
+	for _, take := range g.takeRespBy[topicTS{p.topic, p.srcTS}] {
+		tte, ok := g.machines[take.pid].tteAfter(take.ord)
 		if !ok {
 			definitive = false
 			continue
 		}
 		if tte.ret == 1 {
-			p.set(take.CBID, definitive)
+			p.set(take.cbid, definitive)
 			return
 		}
 	}
@@ -320,77 +364,89 @@ func (g *snapEngine) resolvePending() {
 			live = append(live, p)
 		}
 	}
-	for i := len(live); i < len(old); i++ {
-		old[i] = nil // release finalized lookups
-	}
+	clear(old[len(live):]) // release finalized lookups
 	g.pending = live
 }
 
-// step folds one ROS event into the PID's extraction machine. The case
-// structure and diagnostics mirror extractCallbacks exactly; the only
-// differences are that out-topic decoration for responses goes through
-// a pendingClient, and execution times come from the online fold.
-func (m *pidMachine) step(g *snapEngine, e trace.Event) {
-	switch {
-	case e.Kind.IsCBStart(): // P2 / P5 / P9 / P12
-		if m.cur != nil {
+// step folds one ROS event of the machine's PID: Algorithm 1's case
+// analysis, the findCaller / findClient values the event contributes,
+// and the Algorithm 2 window its callback start and end bracket.
+func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
+	switch e.Kind {
+	case trace.KindCreateNode: // P1
+		g.nodeOf[e.PID] = e.Node
+
+	case trace.KindTimerCBStart, trace.KindSubCBStart,
+		trace.KindServiceCBStart, trace.KindClientCBStart: // P2 / P5 / P9 / P12
+		m.win = etWindow{open: true, running: true, startSeq: e.Seq, last: e.Time}
+		m.caller = 0
+		if m.open {
 			m.diags = append(m.diags, diagSlot{d: Diagnostic{m.pid, e.Time,
 				fmt.Sprintf("callback start %v while instance from %v still open", e.Kind, m.cur.start)}})
 		}
-		cur := &curState{start: e.Time, startSeq: e.Seq}
-		cur.cb = Callback{PID: m.pid}
-		switch e.Kind {
-		case trace.KindTimerCBStart:
-			cur.cb.Type = CBTimer
-		case trace.KindSubCBStart:
-			cur.cb.Type = CBSubscriber
-		case trace.KindServiceCBStart:
-			cur.cb.Type = CBService
-		case trace.KindClientCBStart:
-			cur.cb.Type = CBClient
+		m.open = true
+		m.cur = curState{typ: cbTypeOf(e.Kind), outs: m.cur.outs[:0], start: e.Time, startSeq: e.Seq}
+
+	case trace.KindTimerCall: // P3
+		m.caller = e.CBID
+		if m.open {
+			m.cur.id = e.CBID
 		}
-		m.cur = cur
 
-	case e.Kind == trace.KindTimerCall && m.cur != nil: // P3
-		m.cur.cb.ID = e.CBID
-
-	case e.Kind.IsTake() && m.cur != nil: // P6 / P10 / P13
-		cur := m.cur
-		cur.cb.ID = e.CBID
+	case trace.KindTakeInt, trace.KindTakeRequest, trace.KindTakeResponse: // P6 / P10 / P13
+		m.caller = e.CBID
+		var respTopic string
+		if e.Kind == trace.KindTakeResponse {
+			respTopic = dds.ServiceResponseTopic(e.Topic)
+			k := topicTS{respTopic, e.SrcTS}
+			g.takeRespBy[k] = append(g.takeRespBy[k], takeResp{g.ord, m.pid, e.CBID})
+		}
+		if !m.open {
+			return
+		}
+		cur := &m.cur
+		cur.id = e.CBID
 		cur.inst.TakeSrcTS = e.SrcTS
 		switch e.Kind {
 		case trace.KindTakeResponse:
-			respTopic := dds.ServiceResponseTopic(e.Topic)
-			cur.cb.InTopic = decorate(respTopic, cur.cb.ID)
+			// Response read: concatenate own ID to distinguish clients.
+			cur.inTopic = decorate(respTopic, cur.id)
 			cur.inst.TakeTopic = respTopic
 		case trace.KindTakeRequest:
+			// Request read: concatenate the caller's ID.
 			reqTopic := dds.ServiceRequestTopic(e.Topic)
-			caller := g.idx.findCaller(reqTopic, e.SrcTS)
+			caller := g.callerOf[topicTS{reqTopic, e.SrcTS}]
 			if caller == 0 {
 				m.diags = append(m.diags, diagSlot{d: Diagnostic{m.pid, e.Time,
 					fmt.Sprintf("no caller found for request on %s srcTS=%d", reqTopic, e.SrcTS)}})
 			}
-			cur.cb.InTopic = decorate(reqTopic, caller)
+			cur.inTopic = decorate(reqTopic, caller)
 			cur.inst.TakeTopic = reqTopic
 		default:
-			cur.cb.InTopic = e.Topic
+			cur.inTopic = e.Topic
 			cur.inst.TakeTopic = e.Topic
 		}
 
-	case e.Kind == trace.KindDDSWrite && m.cur != nil: // P16
+	case trace.KindDDSWrite: // P16
 		topic := e.Topic
+		isReq := dds.IsRequestTopic(topic)
+		if isReq {
+			k := topicTS{topic, e.SrcTS}
+			if _, seen := g.callerOf[k]; !seen {
+				g.callerOf[k] = m.caller
+			}
+		}
+		if !m.open {
+			return
+		}
 		var contrib outContrib
 		switch {
-		case dds.IsRequestTopic(topic):
-			contrib.fixed = decorate(topic, m.cur.cb.ID)
+		case isReq:
+			contrib.fixed = decorate(topic, m.cur.id)
 		case dds.IsResponseTopic(topic):
 			p := &pendingClient{topic: topic, srcTS: e.SrcTS, curOut: decorate(topic, 0)}
 			g.resolve(p)
-			m.diags = append(m.diags, diagSlot{
-				d: Diagnostic{m.pid, e.Time,
-					fmt.Sprintf("no dispatched client found for response on %s srcTS=%d", topic, e.SrcTS)},
-				pend: p,
-			})
+			m.diags = append(m.diags, diagSlot{d: Diagnostic{PID: m.pid, Time: e.Time}, pend: p})
 			if !p.final {
 				g.pending = append(g.pending, p)
 			}
@@ -401,50 +457,81 @@ func (m *pidMachine) step(g *snapEngine, e trace.Event) {
 		m.cur.outs = append(m.cur.outs, contrib)
 		m.cur.inst.Writes = append(m.cur.inst.Writes, Write{Topic: topic, SrcTS: e.SrcTS})
 
-	case e.Kind == trace.KindTakeTypeErased && e.Ret == 0: // P14: will not dispatch
-		m.cur = nil
+	case trace.KindTakeTypeErased: // P14
+		m.tte = append(m.tte, ttePoint{g.ord, e.Ret})
+		if e.Ret == 0 { // will not dispatch: drop the instance, keep the window
+			m.open = false
+		}
 
-	case e.Kind == trace.KindSyncSubscribe && m.cur != nil: // P7
-		m.cur.cb.IsSync = true
+	case trace.KindSyncSubscribe: // P7
+		if m.open {
+			m.cur.isSync = true
+		}
 
-	case e.Kind.IsCBEnd() && m.cur != nil: // P4 / P8 / P11 / P15
-		cur := m.cur
+	case trace.KindTimerCBEnd, trace.KindSubCBEnd,
+		trace.KindServiceCBEnd, trace.KindClientCBEnd: // P4 / P8 / P11 / P15
+		w := m.win
+		m.win.open = false
+		if !m.open {
+			return
+		}
+		m.open = false
+		cur := &m.cur
 		cur.inst.Start = cur.start
 		cur.inst.End = e.Time
-		cur.inst.ET = g.takeET(m.pid, cur.startSeq)
+		// The window and the instance open on the same start event, but
+		// a dispatch-0 take clears only the instance: use the window's
+		// time only when it is this instance's.
+		if w.open && w.startSeq == cur.startSeq {
+			cur.inst.ET = w.et
+			if w.running {
+				cur.inst.ET += e.Time.Sub(w.last)
+			}
+		}
 		m.merge(cur)
-		m.cur = nil
 	}
 }
 
+func cbTypeOf(k trace.Kind) CBType {
+	switch k {
+	case trace.KindSubCBStart:
+		return CBSubscriber
+	case trace.KindServiceCBStart:
+		return CBService
+	case trace.KindClientCBStart:
+		return CBClient
+	}
+	return CBTimer
+}
+
 // merge folds a completed instance into the machine's CBlist, with
-// addToList's matching rule: same ID, and for service entries also the
-// same (caller-decorated) in-topic. Both sides of the comparison are
-// stable under stream growth (caller decoration rests on findCaller),
-// so merge decisions never need revisiting.
+// Algorithm 1's AddToList matching rule: same ID, and for service
+// entries also the same (caller-decorated) in-topic. Both sides of the
+// comparison are stable under stream growth (caller decoration rests on
+// findCaller), so merge decisions never need revisiting.
 func (m *pidMachine) merge(cur *curState) {
 	for _, e := range m.list {
-		if e.cb.ID != cur.cb.ID {
+		if e.cb.ID != cur.id {
 			continue
 		}
-		if e.cb.Type == CBService && e.cb.InTopic != cur.cb.InTopic {
+		if e.cb.Type == CBService && e.cb.InTopic != cur.inTopic {
 			continue
 		}
 		e.addInstance(cur.inst)
 		for _, c := range cur.outs {
 			e.addOut(c)
 		}
-		if cur.cb.IsSync {
+		if cur.isSync {
 			e.cb.IsSync = true
 		}
 		if e.cb.InTopic == "" {
-			e.cb.InTopic = cur.cb.InTopic
+			e.cb.InTopic = cur.inTopic
 		}
 		return
 	}
 	e := &cbEntry{
-		cb: Callback{PID: cur.cb.PID, Type: cur.cb.Type, ID: cur.cb.ID,
-			InTopic: cur.cb.InTopic, IsSync: cur.cb.IsSync},
+		cb: Callback{PID: m.pid, Type: cur.typ, ID: cur.id,
+			InTopic: cur.inTopic, IsSync: cur.isSync},
 		outRefs: make(map[string]int),
 	}
 	e.addInstance(cur.inst)
@@ -455,10 +542,10 @@ func (m *pidMachine) merge(cur *curState) {
 }
 
 // materialize assembles a Model from the accumulators: fresh Callback
-// headers over clamp-shared slices, node-sorted like buildModel, with
-// diagnostics filtered by current pending resolutions and an open
-// instance reported as truncated. The returned periodOf closes over the
-// entries' running medians for buildDAG.
+// headers over clamp-shared slices, in (PID, first-instance) order,
+// with diagnostics filtered by current pending resolutions and an open
+// instance reported as truncated. The returned periodOf reads timer
+// periods captured here, so it stays valid while the engine folds on.
 func (g *snapEngine) materialize() (*Model, func(*Callback) sim.Duration) {
 	m := &Model{NodeOf: make(map[uint32]string, len(g.nodeOf))}
 	pids := make([]uint32, 0, len(g.nodeOf))
@@ -468,30 +555,34 @@ func (g *snapEngine) materialize() (*Model, func(*Callback) sim.Duration) {
 	}
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 
-	entryOf := make(map[*Callback]*cbEntry)
+	periods := make(map[*Callback]sim.Duration)
 	for _, pid := range pids {
 		mach := g.machines[pid]
-		if mach == nil {
-			continue
-		}
 		for _, e := range mach.list {
 			cb := e.snapshotCallback(g.nodeOf[pid])
-			entryOf[cb] = e
+			if cb.Type == CBTimer {
+				periods[cb] = e.period()
+			}
 			m.Callbacks = append(m.Callbacks, cb)
 		}
 		for _, slot := range mach.diags {
-			if slot.pend == nil || slot.pend.id == 0 {
+			switch {
+			case slot.pend == nil:
 				m.Diags = append(m.Diags, slot.d)
+			case slot.pend.id == 0:
+				d := slot.d
+				d.Msg = slot.pend.diagnostic()
+				m.Diags = append(m.Diags, d)
 			}
 		}
-		if mach.cur != nil {
+		if mach.open {
 			m.Diags = append(m.Diags, Diagnostic{pid, mach.cur.start,
 				"instance open at end of trace (truncated)"})
 		}
 	}
 	periodOf := func(cb *Callback) sim.Duration {
-		if e := entryOf[cb]; e != nil {
-			return e.period()
+		if p, ok := periods[cb]; ok {
+			return p
 		}
 		return cb.EstimatePeriod()
 	}

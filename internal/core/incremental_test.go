@@ -47,7 +47,7 @@ func TestSnapshotServiceCheckpointsMatchBatch(t *testing.T) {
 		checkpoints++
 		snap := svc.Snapshot()
 		prefix := &trace.Trace{Events: all[:len(all):len(all)]}
-		wantM := core.ExtractModel(prefix)
+		wantM := core.BatchExtractModel(prefix)
 		wantD := core.BuildDAG(wantM)
 
 		if got, want := core.Summary(snap.DAG), core.Summary(wantD); got != want {

@@ -11,22 +11,24 @@ import (
 // batch) while periodic Snapshot calls hand out the current model and
 // DAG.
 //
-// Synthesis is incremental: a snapEngine folds only the events observed
-// since the previous snapshot into persistent model and DAG delta state
-// (extraction machines, search index, per-callback accumulators), so
-// Snapshot cost is proportional to the delta, not to session length.
-// Model building also runs off the observation lock — Observe holds mu
-// for one event fold; Snapshot holds it just long enough to capture the
-// builder's append-only buffers, then indexes, extracts, and builds the
-// DAG under its own serialization lock while observation continues.
+// Every event is folded into the synthesis engine as it is observed, so
+// the service holds no event buffer and a Snapshot never re-traverses
+// the stream: it resolves the pending client lookups and materializes
+// the model from the engine's accumulators, in O(callbacks). One lock
+// covers both: Observe holds it for one event fold, Snapshot for the
+// materialization (including the timer periods, which read live running
+// medians). The DAG is then built outside the lock from the
+// materialized model: its slices are clamped, so the engine only ever
+// appends behind them.
+//
+// The service is a trace.ErrSink: an event out of (Time, Seq) order
+// fails it for good (see ModelBuilder), and Err reports that without
+// taking the lock.
 type SnapshotService struct {
-	mu  sync.Mutex // guards b and obs: the whole Observe footprint
+	mu  sync.Mutex // guards b, obs and seq
 	b   *ModelBuilder
 	obs uint64 // total events observed, ROS + sched
-
-	synthMu sync.Mutex // serializes snapshots; guards seq and eng
-	seq     int
-	eng     *snapEngine
+	seq int
 }
 
 // Snapshot is one point-in-time synthesis of the stream so far. Counters
@@ -36,14 +38,13 @@ type Snapshot struct {
 	Seq         int    // 1-based snapshot number
 	Events      uint64 // events observed when the snapshot was taken
 	FoldedSched uint64 // sched events folded online (never retained)
-	BufferedROS int    // ROS events the builder holds
 	Model       *Model
 	DAG         *DAG
 }
 
 // NewSnapshotService returns a service over an empty builder.
 func NewSnapshotService() *SnapshotService {
-	return &SnapshotService{b: NewModelBuilder(), eng: newSnapEngine()}
+	return &SnapshotService{b: NewModelBuilder()}
 }
 
 // Observe implements trace.Sink. Safe for concurrent use; events must
@@ -71,6 +72,9 @@ func (s *SnapshotService) ObserveBatch(evs []trace.Event) {
 	s.mu.Unlock()
 }
 
+// Err implements trace.ErrSink: the builder's sticky order failure.
+func (s *SnapshotService) Err() error { return s.b.Err() }
+
 // EventsObserved reports how many events the service has folded so far.
 func (s *SnapshotService) EventsObserved() uint64 {
 	s.mu.Lock()
@@ -79,29 +83,15 @@ func (s *SnapshotService) EventsObserved() uint64 {
 }
 
 // Snapshot synthesizes the model and DAG from everything observed so
-// far, folding only the delta since the previous snapshot. Observation
-// is blocked only for the buffer capture — the builder's ros and
-// closed-window buffers are append-only, so their captured prefixes
-// stay immutable while the fold and DAG build run outside the lock.
+// far.
 func (s *SnapshotService) Snapshot() Snapshot {
-	s.synthMu.Lock()
-	defer s.synthMu.Unlock()
-	s.seq++
-
 	s.mu.Lock()
-	ros, etLog := s.b.ros, s.b.etLog
-	obs, sched := s.obs, s.b.sched
+	s.seq++
+	snap := Snapshot{Seq: s.seq, Events: s.obs, FoldedSched: s.b.sched}
+	m, periodOf := s.b.finish()
 	s.mu.Unlock()
 
-	s.eng.fold(ros, etLog)
-	s.eng.resolvePending()
-	m, periodOf := s.eng.materialize()
-	return Snapshot{
-		Seq:         s.seq,
-		Events:      obs,
-		FoldedSched: sched,
-		BufferedROS: len(ros),
-		Model:       m,
-		DAG:         buildDAG(m, periodOf),
-	}
+	snap.Model = m
+	snap.DAG = buildDAG(m, periodOf)
+	return snap
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestSnapshotServiceMatchesBatch(t *testing.T) {
 	seen = append(seen, final)
 
 	tr := run(nil, false)
-	want := core.BuildDAG(core.ExtractModel(tr))
+	want := core.BuildDAG(core.BatchExtractModel(tr))
 
 	if got, wantTxt := core.Summary(final.DAG), core.Summary(want); got != wantTxt {
 		t.Fatalf("final snapshot summary differs from batch:\n--- snapshot ---\n%s--- batch ---\n%s", got, wantTxt)
@@ -86,10 +87,12 @@ func TestSnapshotServiceMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotServiceConcurrent hammers the service with concurrent
-// Observe batches while a snapshotter runs — the long-running tracer
-// shape, under -race — and asserts monotonicity: every snapshot's
-// folded-event count is non-decreasing, and the final totals are exact.
+// TestSnapshotServiceConcurrent hammers the service with Observe
+// batches from concurrent producers while a snapshotter runs — the
+// long-running tracer shape, under -race — and asserts monotonicity:
+// every snapshot's folded-event count is non-decreasing, and the final
+// totals are exact. The producers hand a turn around a ring so that the
+// batches, like drained segments, arrive in (Time, Seq) order overall.
 func TestSnapshotServiceConcurrent(t *testing.T) {
 	svc := core.NewSnapshotService()
 
@@ -98,17 +101,23 @@ func TestSnapshotServiceConcurrent(t *testing.T) {
 	const batchLen = 20
 
 	// Sched-only batches: folding them never opens windows, so totals
-	// are exact regardless of producer interleaving.
+	// are exact. Batch b of producer p is global batch b*producers+p.
 	mkBatch := func(p, b int) []trace.Event {
 		evs := make([]trace.Event, batchLen)
+		base := (b*producers + p) * batchLen
 		for i := range evs {
 			evs[i] = trace.Event{
-				Time: sim.Time(b*batchLen + i), Seq: uint64(p*batches*batchLen + b*batchLen + i),
+				Time: sim.Time(base + i), Seq: uint64(base + i),
 				Kind: trace.KindSchedSwitch, PrevPID: uint32(p + 1), NextPID: uint32(p + 2),
 			}
 		}
 		return evs
 	}
+	turn := make([]chan struct{}, producers)
+	for p := range turn {
+		turn[p] = make(chan struct{}, 1)
+	}
+	turn[0] <- struct{}{}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -131,7 +140,10 @@ func TestSnapshotServiceConcurrent(t *testing.T) {
 		go func(p int) {
 			defer pwg.Done()
 			for b := 0; b < batches; b++ {
-				svc.ObserveBatch(mkBatch(p, b))
+				batch := mkBatch(p, b)
+				<-turn[p]
+				svc.ObserveBatch(batch)
+				turn[(p+1)%producers] <- struct{}{}
 			}
 		}(p)
 	}
@@ -139,6 +151,9 @@ func TestSnapshotServiceConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
+	if err := svc.Err(); err != nil {
+		t.Fatal(err)
+	}
 	final := svc.Snapshot()
 	const total = producers * batches * batchLen
 	if final.Events != total || final.FoldedSched != total {
@@ -157,5 +172,129 @@ func TestSnapshotServiceConcurrent(t *testing.T) {
 		if snaps[i].Seq != snaps[i-1].Seq+1 {
 			t.Fatalf("snapshot seq not sequential: %d then %d", snaps[i-1].Seq, snaps[i].Seq)
 		}
+	}
+}
+
+// TestSnapshotServiceSnapshotsDuringTraffic takes snapshots and renders
+// them while a producer keeps folding a real traced session — services,
+// clients and sync subscribers — into the engine. A snapshot's model and
+// DAG are built from slices the engine keeps appending behind, so under
+// -race this checks the sharing is safe; the final snapshot must still
+// equal the batch oracle.
+func TestSnapshotServiceSnapshotsDuringTraffic(t *testing.T) {
+	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: 6, Seed: 29})
+	b, err := tracers.NewBundle(w.Runtime())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracers.BridgeSched(w.Machine(), w.Runtime())
+	for _, err := range []error{b.StartInit(), b.StartRT(), b.StartKernel(true)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	apps.BuildAVP(w, apps.AVPConfig{})
+	apps.BuildSYN(w, apps.SYNConfig{})
+	b.StopInit()
+	w.Run(3 * sim.Second)
+	tr, err := b.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc := core.NewSnapshotService()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for lo := 0; lo < tr.Len(); lo += 500 {
+			svc.ObserveBatch(tr.Events[lo:min(lo+500, tr.Len())])
+		}
+	}()
+	snaps := 0
+	for running := true; running; snaps++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		snap := svc.Snapshot()
+		_ = core.ToDOT(snap.DAG, "g") + callbackText(snap.Model)
+	}
+	if err := svc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := core.BuildDAG(core.BatchExtractModel(tr))
+	if got, want := core.ToDOT(svc.Snapshot().DAG, "g"), core.ToDOT(want, "g"); got != want {
+		t.Fatalf("final snapshot after %d concurrent ones differs from the batch oracle", snaps)
+	}
+}
+
+// TestSnapshotServiceDetachesOnUnorderedDrain checks the order contract
+// at the synthesis boundary. Per-ring drains (Bundle.StreamDueTo) order
+// events only within one drain: a ring drained later can hold events
+// older than ones already delivered. Fed through an IsolatingMultiSink,
+// the snapshot service must fail with trace.ErrUnordered on the first
+// event that goes backwards and be detached with exact accounting; the
+// model it keeps is the batch model of the ordered prefix it accepted,
+// not a model of the scrambled stream.
+func TestSnapshotServiceDetachesOnUnorderedDrain(t *testing.T) {
+	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: 4, Seed: 11})
+	b, err := tracers.NewBundle(w.Runtime())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracers.BridgeSched(w.Machine(), w.Runtime())
+	for _, err := range []error{b.StartInit(), b.StartRT(), b.StartKernel(true)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	apps.BuildSYN(w, apps.SYNConfig{})
+	b.StopInit()
+
+	svc := core.NewSnapshotService()
+	var all []trace.Event
+	fan := trace.NewIsolatingMultiSink()
+	fan.Add("all", trace.SinkFunc(func(e trace.Event) { all = append(all, e) }))
+	fan.Add("snapshot", svc)
+	w.Run(sim.Second)
+	// Even CPUs first, then the rest: the second drain starts back in
+	// time.
+	if err := b.StreamDueTo(fan, func(_, cpu int) bool { return cpu%2 == 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Err(); err != nil {
+		t.Fatalf("one drain is ordered, yet the service failed: %v", err)
+	}
+	if err := b.StreamDueTo(fan, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	det := fan.Detached()
+	if len(det) != 1 || det[0].Name != "snapshot" {
+		t.Fatalf("detachments %+v, want the snapshot service alone", det)
+	}
+	if !errors.Is(det[0].Err, trace.ErrUnordered) || !errors.Is(svc.Err(), trace.ErrUnordered) {
+		t.Fatalf("detached with %v (service reports %v), want trace.ErrUnordered", det[0].Err, svc.Err())
+	}
+	accepted := det[0].Events
+	if accepted == 0 || accepted >= len(all) {
+		t.Fatalf("service accepted %d of %d events", accepted, len(all))
+	}
+	prev, next := all[accepted-1], all[accepted]
+	if next.Time > prev.Time || (next.Time == prev.Time && next.Seq >= prev.Seq) {
+		t.Fatalf("detached at event %d, which does not go backwards", accepted)
+	}
+	if fan.Live() != 1 {
+		t.Fatalf("%d sinks live, want the collector alone", fan.Live())
+	}
+
+	snap := svc.Snapshot()
+	want := core.BuildDAG(core.BatchExtractModel(&trace.Trace{Events: all[:accepted]}))
+	if got, want := core.ToDOT(snap.DAG, "g"), core.ToDOT(want, "g"); got != want {
+		t.Fatalf("model after detachment differs from the batch model of the accepted prefix\n--- snapshot ---\n%s--- batch ---\n%s", got, want)
+	}
+	if len(snap.DAG.Vertices) == 0 {
+		t.Fatal("accepted prefix synthesized an empty DAG")
 	}
 }

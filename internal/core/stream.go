@@ -1,150 +1,96 @@
 package core
 
 import (
+	"fmt"
+	"sync/atomic"
+
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
 )
 
-// ModelBuilder is the streaming counterpart of ExtractModel: an
-// incremental Algorithm 1 that consumes one event at a time (it is a
-// trace.Sink) and assembles the same Model the batch extraction builds
-// from a materialized trace.
+// ModelBuilder is the streaming form of Algorithm 1 and Algorithm 2: a
+// trace.Sink that folds each event into the synthesis engine the moment
+// it is observed, so Finish only resolves the pending client lookups
+// and materializes the model.
+//
+// Memory: no event is retained, ROS or scheduler. Scheduler events —
+// the bulk of any kernel-traced run — charge or suspend the open
+// execution-time windows and are gone; ROS events advance their PID's
+// extraction state and leave behind only the values Algorithm 1's
+// caller and client searches need (one callback ID per request write,
+// one entry per take_response and take_type_erased_response) and the
+// callbacks' instances.
 //
 // Events must arrive in (Time, Seq) order — exactly what the streaming
-// drain (tracers.Bundle.StreamTo) delivers, including across successive
-// periodic drains, since virtual time and the emission counter only
-// grow.
-//
-// The memory shape is what makes streaming worthwhile: ROS middleware
-// events are buffered (Algorithm 1's caller/client searches cross node
-// boundaries in both directions, so the model needs them all), but
-// scheduler events — the bulk of any kernel-traced run — are folded into
-// per-PID execution-time accumulators as they pass and never retained.
-// Algorithm 2 runs online: a callback-start probe opens a window
-// (running, since the probe fires on-CPU), switches charge or suspend
-// the window as they stream by, and the callback-end probe closes it.
-// The (Time, Seq) bracketing ExecTime applies to window boundaries falls
-// out of stream order for free: a switch sharing the start timestamp but
-// emitted earlier arrives before the start probe and is ignored; one
-// sharing the end timestamp but emitted later arrives after the end
-// probe, when the window is already closed.
+// drain (tracers.Bundle.StreamTo) and the store's merged read deliver,
+// including across successive periodic drains. The order is checked at
+// every event: on the first one that goes backwards the builder fails
+// with trace.ErrUnordered, ignores every later event, and reports the
+// error through Err, so an IsolatingMultiSink detaches it instead of
+// letting it synthesize a wrong model.
 type ModelBuilder struct {
-	ros   []trace.Event
-	open  map[uint32]*etWindow
-	et    map[etKey]sim.Duration
+	eng   *snapEngine
 	sched uint64
 
-	// etLog records closed windows in close order. It lets an incremental
-	// consumer (the snapshot engine) pick up exactly the windows closed
-	// since its last visit by remembering a log position, without touching
-	// the live et map — entries [0, n) never change once appended.
-	etLog []etEntry
-}
+	// (lastTime, lastSeq) is the last event folded; seen is false before
+	// the first one.
+	lastTime sim.Time
+	lastSeq  uint64
+	seen     bool
 
-// etEntry is one closed callback-instance window: its identity and the
-// accumulated execution time.
-type etEntry struct {
-	key etKey
-	et  sim.Duration
-}
-
-// etKey identifies one callback-instance window: the executor PID plus
-// the emission sequence number of its start probe (globally unique).
-type etKey struct {
-	pid      uint32
-	startSeq uint64
-}
-
-// etWindow accumulates Algorithm 2 state for one open window.
-type etWindow struct {
-	startSeq uint64
-	last     sim.Time
-	et       sim.Duration
-	running  bool
+	err atomic.Pointer[error] // sticky; read without the observer's locks
 }
 
 // NewModelBuilder returns an empty builder.
 func NewModelBuilder() *ModelBuilder {
-	return &ModelBuilder{
-		open: make(map[uint32]*etWindow),
-		et:   make(map[etKey]sim.Duration),
-	}
+	return &ModelBuilder{eng: newSnapEngine()}
 }
 
 // Observe implements trace.Sink.
 func (b *ModelBuilder) Observe(e trace.Event) {
-	switch e.Kind {
-	case trace.KindSchedSwitch:
-		b.sched++
-		b.observeSwitch(e)
-	case trace.KindSchedWakeup:
-		b.sched++ // wakeups carry no Algorithm 2 information
-	default:
-		b.ros = append(b.ros, e)
-		switch {
-		case e.Kind.IsCBStart():
-			// The start probe fires on-CPU, so the window opens running.
-			b.open[e.PID] = &etWindow{startSeq: e.Seq, last: e.Time, running: true}
-		case e.Kind.IsCBEnd():
-			if w, ok := b.open[e.PID]; ok {
-				et := w.et
-				if w.running {
-					et += e.Time.Sub(w.last)
-				}
-				b.et[etKey{e.PID, w.startSeq}] = et
-				b.etLog = append(b.etLog, etEntry{etKey{e.PID, w.startSeq}, et})
-				delete(b.open, e.PID)
-			}
-		}
-	}
-}
-
-// observeSwitch folds one sched_switch into the open windows, mirroring
-// ExecTime's per-PID branch structure: a switch whose previous thread
-// owns a running window suspends it; one whose next thread owns a
-// suspended window resumes it — and when one thread is both prev and
-// next, the suspend branch wins, as in the batch loop's else-if.
-func (b *ModelBuilder) observeSwitch(e trace.Event) {
-	if e.PrevPID == e.NextPID {
-		if w, ok := b.open[e.PrevPID]; ok {
-			if w.running {
-				w.et += e.Time.Sub(w.last)
-				w.running = false
-			} else {
-				w.last = e.Time
-				w.running = true
-			}
-		}
+	if b.err.Load() != nil {
 		return
 	}
-	if w, ok := b.open[e.PrevPID]; ok && w.running {
-		w.et += e.Time.Sub(w.last)
-		w.running = false
+	if b.seen && (e.Time < b.lastTime || (e.Time == b.lastTime && e.Seq < b.lastSeq)) {
+		err := fmt.Errorf("core: model builder: %w: (%d, %d) after (%d, %d)",
+			trace.ErrUnordered, e.Time, e.Seq, b.lastTime, b.lastSeq)
+		b.err.Store(&err)
+		return
 	}
-	if w, ok := b.open[e.NextPID]; ok && !w.running {
-		w.last = e.Time
-		w.running = true
+	b.lastTime, b.lastSeq, b.seen = e.Time, e.Seq, true
+	if e.Kind == trace.KindSchedSwitch || e.Kind == trace.KindSchedWakeup {
+		b.sched++
 	}
+	b.eng.observe(&e)
 }
 
-// BufferedROSEvents reports how many ROS events the builder holds — the
-// streaming pipeline's entire retained state besides O(open windows).
-func (b *ModelBuilder) BufferedROSEvents() int { return len(b.ros) }
+// Err reports the builder's sticky failure: a trace.ErrUnordered if an
+// event arrived out of (Time, Seq) order, else nil. It implements
+// trace.ErrSink and is safe to call concurrently with Observe.
+func (b *ModelBuilder) Err() error {
+	if p := b.err.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
 
 // SchedEventsFolded reports how many scheduler events streamed through
 // without being retained.
 func (b *ModelBuilder) SchedEventsFolded() uint64 { return b.sched }
 
-// Finish runs the rest of Algorithm 1 over the buffered ROS events and
-// returns the model. It does not consume the builder: more events may be
-// observed and Finish called again, so a long-running tracer can
-// re-synthesize periodically while the session continues.
+// Finish returns the model of everything observed so far. It does not
+// consume the builder: more events may be observed and Finish called
+// again, so a long-running tracer can re-synthesize periodically while
+// the session continues.
 func (b *ModelBuilder) Finish() *Model {
-	return buildModel(b.ros, func(pid uint32) etFunc {
-		return func(start, end sim.Time, startSeq, endSeq uint64) sim.Duration {
-			return b.et[etKey{pid, startSeq}]
-		}
-	})
+	m, _ := b.finish()
+	return m
+}
+
+// finish is Finish plus the timer periods captured with the model.
+func (b *ModelBuilder) finish() (*Model, func(*Callback) sim.Duration) {
+	b.eng.resolvePending()
+	return b.eng.materialize()
 }
 
 // SynthesizeSink couples a ModelBuilder to DAG synthesis: stream a
@@ -155,9 +101,9 @@ type SynthesizeSink struct {
 }
 
 // DAG builds the precedence DAG from everything observed so far.
-func (s *SynthesizeSink) DAG() *DAG { return BuildDAG(s.Finish()) }
+func (s *SynthesizeSink) DAG() *DAG { return buildDAG(s.finish()) }
 
 // NewSynthesizeSink returns an empty synthesis sink.
 func NewSynthesizeSink() *SynthesizeSink {
-	return &SynthesizeSink{ModelBuilder: *NewModelBuilder()}
+	return &SynthesizeSink{ModelBuilder: ModelBuilder{eng: newSnapEngine()}}
 }

@@ -48,7 +48,7 @@ func streamedAndBatchModels(t *testing.T, cpus int, seed uint64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch = core.ExtractModel(tr)
+	batch = core.BatchExtractModel(tr)
 	return streamed, batch
 }
 

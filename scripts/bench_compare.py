@@ -17,8 +17,8 @@ import sys
 
 # The hot-path benchmarks that gate: the per-event fire path, the ring
 # emit/drain path, the streaming drain the tracers sustain, the
-# trace-store read paths, and the simulated scheduler and event queue
-# that produce every sched_switch.
+# trace-store read paths, online synthesis from disk to model, and the
+# simulated scheduler and event queue that produce every sched_switch.
 GATED = [
     "BenchmarkEBPF_DispatchDecoded",
     "BenchmarkEBPF_DispatchTier2",
@@ -30,6 +30,7 @@ GATED = [
     "BenchmarkAlg1_StreamModel",
     "BenchmarkStoreLoadSession",
     "BenchmarkStoreStreamSession",
+    "BenchmarkStoreStreamSynthesize",
     "BenchmarkStoreQuerySession",
     "BenchmarkStoreQuerySessionWide",
     "BenchmarkSegmentWriteV2",
