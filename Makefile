@@ -47,7 +47,7 @@ bench-smoke:
 # incremental model builder, and the trace-store read paths, with
 # allocation reporting.
 stream-bench:
-	$(GO) test -run '^$$' -bench 'Bundle_|Alg1_|Trace_Merge|Store' -benchmem .
+	$(GO) test -run '^$$' -bench 'Bundle_|Alg1_|Store' -benchmem .
 
 # Run the suite and diff against BENCH_baseline.json: fails on >15% ns/op
 # regression of the named hot-path benchmarks (scripts/bench_compare.py).

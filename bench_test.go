@@ -488,52 +488,6 @@ func BenchmarkDAG_VertexByLabelSubstring(b *testing.B) {
 	}
 }
 
-// BenchmarkTrace_MergeSorted measures merging 4 already-sorted segments
-// (the Fig. 2 segmented-session path) through the k-way merge.
-func BenchmarkTrace_MergeSorted(b *testing.B) {
-	tr := avpTrace(b, 8*sim.Second)
-	quarter := tr.Len() / 4
-	var segs []*trace.Trace
-	for i := 0; i < 4; i++ {
-		seg := &trace.Trace{Events: tr.Events[i*quarter : (i+1)*quarter]}
-		segs = append(segs, seg)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := trace.Merge(segs...)
-		if m.Len() != 4*quarter {
-			b.Fatal("merge lost events")
-		}
-	}
-}
-
-// BenchmarkTrace_MergePerCPUStreams measures the many-stream merge the
-// per-CPU tracer bundle drains through: 24 single-CPU streams (3 tracers
-// × 8 CPUs), each already (Time, Seq) sorted, combined by the tournament
-// heap.
-func BenchmarkTrace_MergePerCPUStreams(b *testing.B) {
-	tr := avpTrace(b, 8*sim.Second)
-	const k = 24
-	streams := make([]*trace.Trace, k)
-	for i := range streams {
-		streams[i] = &trace.Trace{}
-	}
-	// Round-robin split of a sorted trace: every stream stays sorted, as
-	// a per-CPU ring's emission stream is.
-	for i, ev := range tr.Events {
-		s := streams[i%k]
-		s.Events = append(s.Events, ev)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if trace.Merge(streams...).Len() != tr.Len() {
-			b.Fatal("merge lost events")
-		}
-	}
-}
-
 // BenchmarkEBPF_PerfEmitPerCPU measures perf-ring emission round-robin
 // across 8 CPU rings — the buffer half of perf_event_output — with the
 // periodic drain a user-space poller performs.
@@ -932,10 +886,23 @@ func BenchmarkMetricsSinkObserve(b *testing.B) {
 	for _, e := range events {
 		s.Observe(e) // warm the topic/node/PID caches
 	}
+	span := tm
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Observe(events[i%len(events)])
+	for i, j := 0, len(events); i < b.N; i, j = i+1, j+1 {
+		if j == len(events) {
+			// Shift the mix one span on, keeping the stream in the
+			// (Time, Seq) order the sink enforces.
+			for k := range events {
+				events[k].Time += span
+				events[k].SrcTS += int64(span)
+			}
+			j = 0
+		}
+		s.Observe(events[j])
+	}
+	if err := s.Err(); err != nil {
+		b.Fatal(err)
 	}
 	if s.Events() == 0 {
 		b.Fatal("sink observed nothing")

@@ -166,11 +166,7 @@ func main() {
 		log.Printf("JSON written to %s", *jsonOut)
 	}
 	if *chains {
-		fmt.Println("\ncomputation chains:")
-		for _, c := range analysis.Chains(d, 0) {
-			bound := analysis.ChainWCETBound(d, c)
-			fmt.Printf("  [bound %.2f ms] %s\n", bound.Milliseconds(), renderChain(d, c))
-		}
+		printChains(os.Stdout, d)
 	}
 	if *loads {
 		obsSpan := sim.Duration(*span)
@@ -185,6 +181,16 @@ func main() {
 		// so scripted pipelines notice.
 		log.Print("WARNING: one or more sessions were salvaged from damage; the model covers surviving events only")
 		os.Exit(1)
+	}
+}
+
+// printChains writes the -chains report: every computation chain with
+// its WCET bound.
+func printChains(w io.Writer, d *core.DAG) {
+	fmt.Fprintln(w, "\ncomputation chains:")
+	for _, c := range analysis.Chains(d, 0) {
+		bound := analysis.ChainWCETBound(d, c)
+		fmt.Fprintf(w, "  [bound %.2f ms] %s\n", bound.Milliseconds(), renderChain(d, c))
 	}
 }
 

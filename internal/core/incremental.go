@@ -57,7 +57,59 @@ type snapEngine struct {
 	// events that read it, in stream order.
 	takeRespBy map[topicTS][]takeResp
 
+	// names caches the strings derived from each service-related name,
+	// so folding an event never concatenates one.
+	names map[string]*topicNames
+
 	pending []*pendingClient
+}
+
+// topicNames holds what the engine derives from one topic or service
+// name: a service's request and response topics, and the topic's
+// decorated "topic#id" names. The cache is bounded by the topics seen
+// and, per topic, by the callback IDs that decorate it.
+type topicNames struct {
+	name      string
+	req, resp *topicNames // a service's request/response topics (see service)
+	dec       map[uint64]string
+}
+
+// topic returns name's cache entry. The cache is made on first use, so
+// a service-free stream allocates none of it.
+func (g *snapEngine) topic(name string) *topicNames {
+	t := g.names[name]
+	if t == nil {
+		if g.names == nil {
+			g.names = make(map[string]*topicNames)
+		}
+		t = &topicNames{name: name}
+		g.names[name] = t
+	}
+	return t
+}
+
+// service returns a service name's entry, with its request and response
+// topic entries set.
+func (g *snapEngine) service(name string) *topicNames {
+	s := g.topic(name)
+	if s.req == nil {
+		s.req = g.topic(dds.ServiceRequestTopic(name))
+		s.resp = g.topic(dds.ServiceResponseTopic(name))
+	}
+	return s
+}
+
+// decorate returns decorate(t.name, id), built once per id.
+func (t *topicNames) decorate(id uint64) string {
+	s, ok := t.dec[id]
+	if !ok {
+		if t.dec == nil {
+			t.dec = make(map[uint64]string)
+		}
+		s = decorate(t.name, id)
+		t.dec[id] = s
+	}
+	return s
 }
 
 // topicTS keys a message by topic and source timestamp.
@@ -235,7 +287,7 @@ func (e *cbEntry) snapshotCallback(node string) *Callback {
 // response dds_write and re-resolved at every materialization until
 // final.
 type pendingClient struct {
-	topic  string // response topic (the write's topic, also the lookup key)
+	topic  *topicNames // response topic (the write's topic, also the lookup key)
 	srcTS  int64
 	owner  *cbEntry // merged entry holding the out-topic contribution; nil while the instance is open or discarded
 	curOut string   // decorated string currently in owner's refcounts
@@ -251,7 +303,7 @@ func (p *pendingClient) set(id uint64, final bool) {
 	}
 	old := p.curOut
 	p.id = id
-	p.curOut = decorate(p.topic, id)
+	p.curOut = p.topic.decorate(id)
 	if o := p.owner; o != nil {
 		if o.outRefs[old]--; o.outRefs[old] <= 0 {
 			delete(o.outRefs, old)
@@ -264,7 +316,7 @@ func (p *pendingClient) set(id uint64, final bool) {
 // diagnostic is the slot's "no dispatched client" message.
 func (p *pendingClient) diagnostic() string {
 	if p.msg == "" {
-		p.msg = fmt.Sprintf("no dispatched client found for response on %s srcTS=%d", p.topic, p.srcTS)
+		p.msg = fmt.Sprintf("no dispatched client found for response on %s srcTS=%d", p.topic.name, p.srcTS)
 	}
 	return p.msg
 }
@@ -339,7 +391,7 @@ func (m *pidMachine) tteAfter(ord uint64) (ttePoint, bool) {
 // re-run over the longer stream could.
 func (g *snapEngine) resolve(p *pendingClient) {
 	definitive := true
-	for _, take := range g.takeRespBy[topicTS{p.topic, p.srcTS}] {
+	for _, take := range g.takeRespBy[topicTS{p.topic.name, p.srcTS}] {
 		tte, ok := g.machines[take.pid].tteAfter(take.ord)
 		if !ok {
 			definitive = false
@@ -395,10 +447,10 @@ func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 
 	case trace.KindTakeInt, trace.KindTakeRequest, trace.KindTakeResponse: // P6 / P10 / P13
 		m.caller = e.CBID
-		var respTopic string
+		var resp *topicNames
 		if e.Kind == trace.KindTakeResponse {
-			respTopic = dds.ServiceResponseTopic(e.Topic)
-			k := topicTS{respTopic, e.SrcTS}
+			resp = g.service(e.Topic).resp
+			k := topicTS{resp.name, e.SrcTS}
 			g.takeRespBy[k] = append(g.takeRespBy[k], takeResp{g.ord, m.pid, e.CBID})
 		}
 		if !m.open {
@@ -410,18 +462,18 @@ func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 		switch e.Kind {
 		case trace.KindTakeResponse:
 			// Response read: concatenate own ID to distinguish clients.
-			cur.inTopic = decorate(respTopic, cur.id)
-			cur.inst.TakeTopic = respTopic
+			cur.inTopic = resp.decorate(cur.id)
+			cur.inst.TakeTopic = resp.name
 		case trace.KindTakeRequest:
 			// Request read: concatenate the caller's ID.
-			reqTopic := dds.ServiceRequestTopic(e.Topic)
-			caller := g.callerOf[topicTS{reqTopic, e.SrcTS}]
+			req := g.service(e.Topic).req
+			caller := g.callerOf[topicTS{req.name, e.SrcTS}]
 			if caller == 0 {
 				m.diags = append(m.diags, diagSlot{d: Diagnostic{m.pid, e.Time,
-					fmt.Sprintf("no caller found for request on %s srcTS=%d", reqTopic, e.SrcTS)}})
+					fmt.Sprintf("no caller found for request on %s srcTS=%d", req.name, e.SrcTS)}})
 			}
-			cur.inTopic = decorate(reqTopic, caller)
-			cur.inst.TakeTopic = reqTopic
+			cur.inTopic = req.decorate(caller)
+			cur.inst.TakeTopic = req.name
 		default:
 			cur.inTopic = e.Topic
 			cur.inst.TakeTopic = e.Topic
@@ -442,9 +494,10 @@ func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 		var contrib outContrib
 		switch {
 		case isReq:
-			contrib.fixed = decorate(topic, m.cur.id)
+			contrib.fixed = g.topic(topic).decorate(m.cur.id)
 		case dds.IsResponseTopic(topic):
-			p := &pendingClient{topic: topic, srcTS: e.SrcTS, curOut: decorate(topic, 0)}
+			tn := g.topic(topic)
+			p := &pendingClient{topic: tn, srcTS: e.SrcTS, curOut: tn.decorate(0)}
 			g.resolve(p)
 			m.diags = append(m.diags, diagSlot{d: Diagnostic{PID: m.pid, Time: e.Time}, pend: p})
 			if !p.final {

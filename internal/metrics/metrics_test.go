@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -327,5 +328,59 @@ func TestSinkExecTimeUsesSimTime(t *testing.T) {
 	s.Observe(trace.Event{Time: start + 2_000_000, PID: 1, Kind: trace.KindTimerCBEnd})
 	if h := s.nodeHist["unknown"]; h == nil || h.Sum() != 2_000_000 {
 		t.Fatalf("exec sum = %+v, want 2ms", h)
+	}
+}
+
+// TestSinkDetachesOnUnorderedStream checks the sink's order contract: on
+// the first event that goes back in (Time, Seq) it fails with a sticky
+// trace.ErrUnordered and ignores every later event, and an
+// IsolatingMultiSink detaches it having delivered exactly the ordered
+// prefix.
+func TestSinkDetachesOnUnorderedStream(t *testing.T) {
+	r := NewRegistry()
+	s := NewSink(r)
+	evs := []trace.Event{
+		{Time: 10, Seq: 1, PID: 7, Kind: trace.KindCreateNode, Node: "camera"},
+		{Time: 100, Seq: 2, PID: 7, Kind: trace.KindSubCBStart},
+		{Time: 150, Seq: 3, PID: 7, Kind: trace.KindTakeInt, Topic: "/img", SrcTS: 50},
+		{Time: 150, Seq: 3, PID: 7, Kind: trace.KindDDSWrite, Topic: "/out", SrcTS: 150}, // equal key: in order
+		{Time: 400, Seq: 5, PID: 7, Kind: trace.KindSubCBEnd},
+		// Back in Seq at the same time: the first unordered event.
+		{Time: 400, Seq: 4, PID: 7, Kind: trace.KindSubCBStart},
+		// Forward again, but after the failure: ignored.
+		{Time: 500, Seq: 6, PID: 7, Kind: trace.KindTakeInt, Topic: "/img", SrcTS: 450},
+		{Time: 900, Seq: 7, PID: 7, Kind: trace.KindSubCBEnd},
+	}
+	const ordered = 5
+	var all trace.Collector
+	fan := trace.NewIsolatingMultiSink()
+	fan.Add("all", &all)
+	fan.Add("metrics", s)
+	for _, e := range evs {
+		fan.Observe(e)
+	}
+	if !errors.Is(s.Err(), trace.ErrUnordered) {
+		t.Fatalf("sink error %v, want trace.ErrUnordered", s.Err())
+	}
+	det := fan.Detached()
+	if len(det) != 1 || det[0].Name != "metrics" || det[0].Events != ordered || !errors.Is(det[0].Err, trace.ErrUnordered) {
+		t.Fatalf("detachments %+v, want metrics after %d events with trace.ErrUnordered", det, ordered)
+	}
+	if fan.Live() != 1 || all.Trace.Len() != len(evs) {
+		t.Fatalf("%d sinks live, collector got %d of %d events", fan.Live(), all.Trace.Len(), len(evs))
+	}
+	// Only the ordered prefix was folded, and later events stay ignored.
+	s.Observe(trace.Event{Time: 1000, Seq: 8, PID: 7, Kind: trace.KindTakeInt, Topic: "/img", SrcTS: 900})
+	if s.Events() != ordered {
+		t.Fatalf("sink folded %d events, want the %d-event ordered prefix", s.Events(), ordered)
+	}
+	if h := s.topicHist["/img"]; h == nil || h.Count() != 1 || h.Sum() != 100 {
+		t.Fatalf("latency{/img} = %+v, want the one ordered sample of 100ns", h)
+	}
+	if h := s.nodeHist["camera"]; h == nil || h.Count() != 1 || h.Sum() != 300 {
+		t.Fatalf("exec{camera} = %+v, want the one ordered instance of 300ns", h)
+	}
+	if !errors.Is(s.Err(), trace.ErrUnordered) {
+		t.Fatal("order error not sticky")
 	}
 }

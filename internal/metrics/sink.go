@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"fmt"
+
+	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
 )
 
@@ -17,6 +20,12 @@ import (
 // don't allocate), and open-callback tracking reuses map slots per PID.
 // Sink is not goroutine-safe — it rides a single drain like every other
 // trace.Sink here.
+//
+// Events must arrive in (Time, Seq) order, or the latency and exec-time
+// histograms would fold a reordered stream silently. On the first event
+// that goes backwards the sink fails with a sticky trace.ErrUnordered,
+// ignores every later event, and reports the error through Err, so an
+// IsolatingMultiSink detaches it with accounting.
 type Sink struct {
 	kinds   [64]*Counter // dense Kind space; index by uint8 kind
 	kindVec CounterVec
@@ -28,6 +37,13 @@ type Sink struct {
 	pidNode   map[uint32]string
 	openCB    map[uint32]int64 // PID -> callback-start time
 	events    uint64
+
+	// (lastTime, lastSeq) is the last event folded; seen is false before
+	// the first one.
+	lastTime sim.Time
+	lastSeq  uint64
+	seen     bool
+	err      error // sticky
 }
 
 // NewSink registers the sink's families on r and returns a sink ready to
@@ -47,8 +63,22 @@ func NewSink(r *Registry) *Sink {
 // Events reports how many events the sink has folded.
 func (s *Sink) Events() uint64 { return s.events }
 
+// Err reports the sink's sticky failure: a trace.ErrUnordered if an
+// event arrived out of (Time, Seq) order, else nil. It implements
+// trace.ErrSink.
+func (s *Sink) Err() error { return s.err }
+
 // Observe implements trace.Sink.
 func (s *Sink) Observe(e trace.Event) {
+	if s.err != nil {
+		return
+	}
+	if s.seen && (e.Time < s.lastTime || (e.Time == s.lastTime && e.Seq < s.lastSeq)) {
+		s.err = fmt.Errorf("metrics: sink: %w: (%d, %d) after (%d, %d)",
+			trace.ErrUnordered, e.Time, e.Seq, s.lastTime, s.lastSeq)
+		return
+	}
+	s.lastTime, s.lastSeq, s.seen = e.Time, e.Seq, true
 	s.events++
 	k := uint8(e.Kind) & 63
 	c := s.kinds[k]

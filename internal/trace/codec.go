@@ -76,7 +76,7 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		if !ok {
 			return out, nil
 		}
-		out.Events = append(out.Events, e)
+		out.Events = append(out.Events, *e)
 	}
 }
 
@@ -90,17 +90,18 @@ const recFixedSize = 1 + // kind
 	4*6 + // cpu, prevPid, nextPid, prevPrio, nextPrio, prevState
 	2 + 2 // nodeLen, topicLen
 
-// decodeRecord decodes one length-delimited record body. Every read is
-// bounds-checked: a truncated or corrupt record returns an error instead
-// of panicking, so callers can feed the codec untrusted trace files.
-func decodeRecord(b []byte) (Event, error) {
-	var e Event
+// decodeRecord decodes one length-delimited record body into e, writing
+// every field (a v1 record carries them all), so e can be a reused slot.
+// Every read is bounds-checked: a truncated or corrupt record returns an
+// error instead of panicking, so callers can feed the codec untrusted
+// trace files. On error e is partially written and must not be served.
+func decodeRecord(b []byte, e *Event) error {
 	if len(b) < recFixedSize {
-		return e, fmt.Errorf("trace: record too short: %d bytes, need at least %d", len(b), recFixedSize)
+		return fmt.Errorf("trace: record too short: %d bytes, need at least %d", len(b), recFixedSize)
 	}
 	e.Kind = Kind(b[0])
 	if e.Kind == KindInvalid || e.Kind >= numKinds {
-		return e, fmt.Errorf("trace: invalid kind %d", b[0])
+		return fmt.Errorf("trace: invalid kind %d", b[0])
 	}
 	o := 1
 	u64 := func() uint64 { v := binary.LittleEndian.Uint64(b[o:]); o += 8; return v }
@@ -121,23 +122,23 @@ func decodeRecord(b []byte) (Event, error) {
 	o += 2
 	// The second length prefix still has to fit after the node bytes.
 	if o+nodeLen+2 > len(b) {
-		return e, fmt.Errorf("trace: node string overruns record")
+		return fmt.Errorf("trace: node string overruns record")
 	}
 	node := b[o : o+nodeLen]
 	o += nodeLen
 	topicLen := int(binary.LittleEndian.Uint16(b[o:]))
 	o += 2
 	if o+topicLen > len(b) {
-		return e, fmt.Errorf("trace: topic string overruns record")
+		return fmt.Errorf("trace: topic string overruns record")
 	}
 	if o+topicLen != len(b) {
-		return e, fmt.Errorf("trace: %d trailing bytes after record", len(b)-o-topicLen)
+		return fmt.Errorf("trace: %d trailing bytes after record", len(b)-o-topicLen)
 	}
 	// Intern only once the whole record has validated, so malformed
 	// input cannot populate the process-wide name table.
 	e.Node = InternBytes(node)
 	e.Topic = InternBytes(b[o : o+topicLen])
-	return e, nil
+	return nil
 }
 
 // jsonEvent is the JSONL wire form, with omission of empty fields.

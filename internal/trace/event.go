@@ -286,118 +286,6 @@ func (t *Trace) Nodes() map[string]uint32 {
 	return out
 }
 
-// Merge combines traces into one chronologically sorted trace, the
-// "merge traces" path of Fig. 2. Inputs that are already (Time, Seq)
-// sorted — the common case, since every tracer drains in order — are
-// k-way merged in a single output allocation; otherwise it falls back to
-// concatenate-and-stable-sort. Ties on (Time, Seq) resolve to the
-// earlier input trace, exactly as the stable sort over the concatenation
-// would.
-func Merge(traces ...*Trace) *Trace {
-	ins := make([]*Trace, 0, len(traces))
-	total := 0
-	allSorted := true
-	for _, t := range traces {
-		if t == nil || len(t.Events) == 0 {
-			continue
-		}
-		ins = append(ins, t)
-		total += len(t.Events)
-		allSorted = allSorted && t.sortedByTime()
-	}
-	out := &Trace{}
-	if total == 0 {
-		return out
-	}
-	out.Events = make([]Event, 0, total)
-	if !allSorted {
-		for _, t := range ins {
-			out.Events = append(out.Events, t.Events...)
-		}
-		out.SortByTime()
-		return out
-	}
-	idx := make([]int, len(ins))
-	if len(ins) > mergeLinearStreams {
-		return mergeHeap(out, ins, idx, total)
-	}
-	for len(out.Events) < total {
-		best := -1
-		for t := range ins {
-			if idx[t] >= len(ins[t].Events) {
-				continue
-			}
-			if best < 0 || eventLess(&ins[t].Events[idx[t]], &ins[best].Events[idx[best]]) {
-				best = t
-			}
-		}
-		out.Events = append(out.Events, ins[best].Events[idx[best]])
-		idx[best]++
-	}
-	return out
-}
-
-// mergeLinearStreams is the stream count up to which Merge scans every
-// head per output event; beyond it (e.g. the tracer bundle's 3×NCPU
-// per-CPU rings) a tournament heap keeps the per-event cost logarithmic.
-const mergeLinearStreams = 4
-
-// mergeHeap is the many-stream merge path: a binary min-heap of stream
-// indexes ordered by head event, tie-broken by input index so the output
-// is byte-identical to the linear scan (and to the stable sort of the
-// concatenation). It is the batch specialization of MergeStream — same
-// algorithm, same tie-breaking, pinned against it by
-// TestMergeStreamMatchesMerge — kept free of interface dispatch and
-// per-stream cursor allocations because every >4-stream Bundle drain
-// funnels through here.
-func mergeHeap(out *Trace, ins []*Trace, idx []int, total int) *Trace {
-	less := func(a, b int) bool {
-		ea, eb := &ins[a].Events[idx[a]], &ins[b].Events[idx[b]]
-		if ea.Time != eb.Time {
-			return ea.Time < eb.Time
-		}
-		if ea.Seq != eb.Seq {
-			return ea.Seq < eb.Seq
-		}
-		return a < b
-	}
-	heap := make([]int, len(ins))
-	for i := range ins {
-		heap[i] = i
-	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(heap) && less(heap[l], heap[m]) {
-				m = l
-			}
-			if r < len(heap) && less(heap[r], heap[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(out.Events) < total {
-		t := heap[0]
-		out.Events = append(out.Events, ins[t].Events[idx[t]])
-		idx[t]++
-		if idx[t] >= len(ins[t].Events) {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(0)
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (t *Trace) Clone() *Trace {
 	out := &Trace{Events: make([]Event, len(t.Events))}

@@ -288,115 +288,121 @@ type decState struct {
 	prevSrc  int64
 }
 
-// decodeRecord2 decodes one v2 record at offset o, advancing the delta
-// state. Every read is bounds-checked; errors never panic.
-func decodeRecord2(b []byte, o int, st *decState, strs []string) (Event, int, error) {
-	var e Event
+// decodeRecord2 decodes one v2 record at offset o into e, advancing the
+// delta state. It writes every field, zeroing the ones the record's mask
+// leaves out, so e can be a reused slot that held an earlier record.
+// Every read is bounds-checked; errors never panic, and on error e is
+// partially written and must not be served.
+func decodeRecord2(b []byte, o int, st *decState, strs []string, e *Event) (int, error) {
 	if o >= len(b) {
-		return e, o, fmt.Errorf("trace: record overruns block")
+		return o, fmt.Errorf("trace: record overruns block")
 	}
 	e.Kind = Kind(b[o])
 	if e.Kind == KindInvalid || e.Kind >= numKinds {
-		return e, o, fmt.Errorf("trace: invalid kind %d", b[o])
+		return o, fmt.Errorf("trace: invalid kind %d", b[o])
 	}
 	o++
 	mask, o, err := ruv(b, o)
 	if err != nil {
-		return e, o, err
+		return o, err
 	}
 	if mask&^uint64(maskAll) != 0 {
-		return e, o, fmt.Errorf("trace: unknown record mask bits %#x", mask)
+		return o, fmt.Errorf("trace: unknown record mask bits %#x", mask)
 	}
+	// Clear every field the mask can leave out: e may hold an earlier
+	// record. Field stores, not a whole-struct zeroing copy.
+	e.CBID, e.Ret, e.Node, e.Topic = 0, 0, "", ""
+	e.CPU, e.PrevPID, e.NextPID, e.PrevPrio, e.NextPrio, e.PrevState = 0, 0, 0, 0, 0, 0
 	u, o, err := ruv(b, o)
 	if err != nil {
-		return e, o, err
+		return o, err
 	}
 	st.prevTime += unzz(u)
 	e.Time = sim.Time(st.prevTime)
 	if u, o, err = ruv(b, o); err != nil {
-		return e, o, err
+		return o, err
 	}
 	st.prevSeq += uint64(unzz(u))
 	e.Seq = st.prevSeq
 	if mask&maskPID != 0 {
 		if u, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 		st.prevPID = uint32(int64(st.prevPID) + unzz(u))
 	}
 	e.PID = st.prevPID
 	if mask&maskCBID != 0 {
 		if e.CBID, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 	}
 	if mask&maskSrcTS != 0 {
 		if u, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 		st.prevSrc += unzz(u)
 	}
 	e.SrcTS = st.prevSrc
 	if mask&maskRet != 0 {
 		if e.Ret, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 	}
 	if mask&maskCPU != 0 {
 		if u, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 		e.CPU = int32(unzz(u))
 	}
 	if mask&maskPrevPID != 0 {
 		if u, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 		e.PrevPID = uint32(u)
 	}
 	if mask&maskNextPID != 0 {
 		if u, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 		e.NextPID = uint32(u)
 	}
 	if mask&maskPrevPrio != 0 {
 		if u, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 		e.PrevPrio = int32(unzz(u))
 	}
 	if mask&maskNextPrio != 0 {
 		if u, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 		e.NextPrio = int32(unzz(u))
 	}
 	if mask&maskPrevState != 0 {
 		if u, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 		e.PrevState = int32(unzz(u))
 	}
 	if mask&maskNode != 0 {
 		if u, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 		if u == 0 || u > uint64(len(strs)) {
-			return e, o, fmt.Errorf("trace: node reference %d outside table of %d", u, len(strs))
+			return o, fmt.Errorf("trace: node reference %d outside table of %d", u, len(strs))
 		}
 		e.Node = strs[u-1]
 	}
 	if mask&maskTopic != 0 {
 		if u, o, err = ruv(b, o); err != nil {
-			return e, o, err
+			return o, err
 		}
 		if u == 0 || u > uint64(len(strs)) {
-			return e, o, fmt.Errorf("trace: topic reference %d outside table of %d", u, len(strs))
+			return o, fmt.Errorf("trace: topic reference %d outside table of %d", u, len(strs))
 		}
 		e.Topic = strs[u-1]
 	}
-	return e, o, nil
+	return o, nil
 }
 
 // decodeBlockHeader parses a block body's record count and string table,
@@ -432,7 +438,10 @@ func decodeBlockHeader(body []byte, strs []string) (count int, strsOut []string,
 	return int(c), strs, o, nil
 }
 
-// decodeBlockBody decodes one complete block body into dst. On error it
+// decodeBlockBody decodes one complete block body in place into dst's
+// backing array, reusing its slots (decodeRecord2 overwrites every field)
+// and growing it by append only past its capacity — never pre-sized from
+// the header's record count, which is untrusted input. On error it
 // returns the records decoded before the damage point (the
 // complete-record prefix a torn block salvages to) along with the error;
 // info is only meaningful when err is nil.
@@ -444,11 +453,16 @@ func decodeBlockBody(dst []Event, strs []string, body []byte) (events []Event, s
 	}
 	var st decState
 	for i := 0; i < count; i++ {
-		e, o2, derr := decodeRecord2(body, o, &st, strs)
-		if derr != nil {
-			return events, strs, info, derr
+		if len(events) < cap(events) {
+			events = events[:len(events)+1]
+		} else {
+			events = append(events, Event{})
 		}
-		events = append(events, e)
+		e := &events[len(events)-1]
+		o2, derr := decodeRecord2(body, o, &st, strs, e)
+		if derr != nil {
+			return events[:len(events)-1], strs, info, derr
+		}
 		o = o2
 		if i == 0 || e.Time < info.MinTime {
 			info.MinTime = e.Time

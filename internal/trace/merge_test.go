@@ -51,6 +51,23 @@ func referenceMerge(traces ...*Trace) *Trace {
 	return out
 }
 
+// mergeStreams merges (Time, Seq)-sorted traces the one way the
+// package merges: MergeStream over SliceCursors into a Collector.
+func mergeStreams(t testing.TB, traces ...*Trace) *Trace {
+	t.Helper()
+	curs := make([]Cursor, 0, len(traces))
+	for _, tr := range traces {
+		if tr != nil {
+			curs = append(curs, &SliceCursor{Events: tr.Events})
+		}
+	}
+	var col Collector
+	if err := NewMergeStream(curs...).Run(&col); err != nil {
+		t.Fatal(err)
+	}
+	return &col.Trace
+}
+
 func TestMergeMatchesReference(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -63,12 +80,15 @@ func TestMergeMatchesReference(t *testing.T) {
 			synthTrace(3, 40, true), synthTrace(4, 1, true),
 			synthTrace(5, 0, true), synthTrace(6, 90, true),
 		}},
-		{"unsorted fallback", []*Trace{synthTrace(7, 60, false), synthTrace(8, 30, true)}},
-		{"all unsorted", []*Trace{synthTrace(9, 25, false), synthTrace(10, 25, false)}},
+		{"eight sorted segments", []*Trace{
+			synthTrace(7, 60, true), synthTrace(8, 30, true), synthTrace(9, 25, true),
+			synthTrace(10, 25, true), synthTrace(11, 5, true), synthTrace(12, 0, true),
+			synthTrace(13, 44, true), synthTrace(14, 80, true),
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := Merge(tc.traces...)
+			got := mergeStreams(t, tc.traces...)
 			want := referenceMerge(tc.traces...)
 			if got.Len() != want.Len() {
 				t.Fatalf("len %d, want %d", got.Len(), want.Len())
@@ -87,19 +107,21 @@ func TestMergeMatchesReference(t *testing.T) {
 func TestMergeTieBreaksByInputOrder(t *testing.T) {
 	a := &Trace{Events: []Event{{Time: 5, Seq: 1, PID: 100}}}
 	b := &Trace{Events: []Event{{Time: 5, Seq: 1, PID: 200}}}
-	m := Merge(a, b)
+	m := mergeStreams(t, a, b)
 	if m.Len() != 2 || m.Events[0].PID != 100 || m.Events[1].PID != 200 {
 		t.Fatalf("tie order broken: %v", m.Events)
 	}
 }
 
-// TestMergeDoesNotAliasInputs checks the merged trace owns its storage.
+// TestMergeDoesNotAliasInputs checks the merged trace owns its storage:
+// SliceCursor hands out pointers into its input, and the by-value
+// Observe is where the merge copies.
 func TestMergeDoesNotAliasInputs(t *testing.T) {
 	a := synthTrace(11, 10, true)
-	m := Merge(a)
+	m := mergeStreams(t, a)
 	m.Events[0].PID = 999
 	if a.Events[0].PID == 999 {
-		t.Fatal("Merge aliases its input's event storage")
+		t.Fatal("merge aliases its input's event storage")
 	}
 }
 

@@ -268,13 +268,13 @@ type filterCursor struct {
 	qs *QueryStats
 }
 
-func (c *filterCursor) Next() (Event, bool, error) {
+func (c *filterCursor) Next() (*Event, bool, error) {
 	for {
 		ev, ok, err := c.c.Next()
 		if err != nil || !ok {
 			return ev, ok, err
 		}
-		if c.f.match(&ev) {
+		if c.f.match(ev) {
 			c.qs.RecordsMatched++
 			return ev, true, nil
 		}
@@ -301,26 +301,28 @@ type indexedCursor struct {
 	err    error
 }
 
-func (c *indexedCursor) fail(err error) (Event, bool, error) {
+func (c *indexedCursor) fail(err error) (*Event, bool, error) {
 	c.err = fmt.Errorf("trace: segment %s (%s): %w", c.name, FormatV2, err)
-	return Event{}, false, c.err
+	return nil, false, c.err
 }
 
-func (c *indexedCursor) Next() (Event, bool, error) {
+// Next implements Cursor; the event is a slot of the reused decoded
+// block.
+func (c *indexedCursor) Next() (*Event, bool, error) {
 	if c.err != nil {
-		return Event{}, false, c.err
+		return nil, false, c.err
 	}
 	for {
 		for c.ei < len(c.events) {
-			ev := c.events[c.ei]
+			ev := &c.events[c.ei]
 			c.ei++
-			if c.filter.match(&ev) {
+			if c.filter.match(ev) {
 				c.qs.RecordsMatched++
 				return ev, true, nil
 			}
 		}
 		if c.bi >= len(c.blocks) {
-			return Event{}, false, nil
+			return nil, false, nil
 		}
 		bi := c.blocks[c.bi]
 		c.bi++

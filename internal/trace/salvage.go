@@ -120,16 +120,17 @@ func NewSalvageCursor(fc *FileCursor) *SalvageCursor {
 	return &SalvageCursor{fc: fc}
 }
 
-// Next implements Cursor; it never returns an error.
-func (c *SalvageCursor) Next() (Event, bool, error) {
+// Next implements Cursor; it never returns an error. The event is the
+// underlying FileCursor's, under the same ownership rule.
+func (c *SalvageCursor) Next() (*Event, bool, error) {
 	if c.damaged {
-		return Event{}, false, nil
+		return nil, false, nil
 	}
 	ev, ok, err := c.fc.Next()
 	if err != nil {
 		c.damaged = true
 		c.cause = err
-		return Event{}, false, nil
+		return nil, false, nil
 	}
 	if ok {
 		c.events++
@@ -177,7 +178,7 @@ func SalvageReader(r io.Reader, sink Sink) SegmentSalvage {
 			break
 		}
 		if sink != nil {
-			sink.Observe(ev)
+			sink.Observe(*ev)
 		}
 	}
 	return sc.report("", -1)

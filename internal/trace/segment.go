@@ -322,6 +322,7 @@ type FileCursor struct {
 	// complete-record prefix has been served, and the observed block index
 	// (validated against the footer, and usable to rebuild a missing one).
 	version     Format
+	ev          Event // v1: the record Next decoded last, reused in place
 	blockEvents []Event
 	blockIdx    int
 	blockStrs   []string
@@ -337,12 +338,12 @@ func NewFileCursor(r io.Reader) *FileCursor {
 	return &FileCursor{br: bufio.NewReader(r)}
 }
 
-func (c *FileCursor) fail(err error) (Event, bool, error) {
+func (c *FileCursor) fail(err error) (*Event, bool, error) {
 	if c.name != "" {
 		err = fmt.Errorf("trace: segment %s (%s): %w", c.name, c.version, err)
 	}
 	c.err = err
-	return Event{}, false, c.err
+	return nil, false, c.err
 }
 
 // checkOrder enforces (Time, Seq) order on strict cursors.
@@ -359,13 +360,15 @@ func (c *FileCursor) checkOrder(ev *Event) error {
 }
 
 // Next implements Cursor. Errors are sticky: after the first decode
-// error the cursor keeps returning it.
-func (c *FileCursor) Next() (Event, bool, error) {
+// error the cursor keeps returning it. The event is the cursor's own
+// (v1: one reused Event; v2: a slot of the reused decoded block), valid
+// until the next Next.
+func (c *FileCursor) Next() (*Event, bool, error) {
 	if c.err != nil {
-		return Event{}, false, c.err
+		return nil, false, c.err
 	}
 	if c.done {
-		return Event{}, false, nil
+		return nil, false, nil
 	}
 	if !c.started {
 		c.started = true
@@ -389,7 +392,7 @@ func (c *FileCursor) Next() (Event, bool, error) {
 	if _, err := io.ReadFull(c.br, c.lenBuf[:]); err != nil {
 		if err == io.EOF {
 			c.done = true
-			return Event{}, false, nil
+			return nil, false, nil
 		}
 		return c.fail(fmt.Errorf("%w: record length: %w", ErrTruncated, err))
 	}
@@ -406,27 +409,26 @@ func (c *FileCursor) Next() (Event, bool, error) {
 	}
 	// decodeRecord interns the string fields, so the record buffer can be
 	// reused for the next Next.
-	ev, err := decodeRecord(buf)
-	if err != nil {
+	if err := decodeRecord(buf, &c.ev); err != nil {
 		return c.fail(fmt.Errorf("%w: %w", ErrCorrupt, err))
 	}
-	if err := c.checkOrder(&ev); err != nil {
+	if err := c.checkOrder(&c.ev); err != nil {
 		return c.fail(err)
 	}
 	c.consumed += int64(4 + n)
-	return ev, true, nil
+	return &c.ev, true, nil
 }
 
 // nextV2 serves decoded records out of the current block, pulling the
 // next frame when the block runs dry. A torn or damaged block's
 // complete-record prefix is served before its error surfaces, matching
 // v1's "every complete record, then the error" salvage semantics.
-func (c *FileCursor) nextV2() (Event, bool, error) {
+func (c *FileCursor) nextV2() (*Event, bool, error) {
 	for {
 		if c.blockIdx < len(c.blockEvents) {
-			ev := c.blockEvents[c.blockIdx]
+			ev := &c.blockEvents[c.blockIdx]
 			c.blockIdx++
-			if err := c.checkOrder(&ev); err != nil {
+			if err := c.checkOrder(ev); err != nil {
 				return c.fail(err)
 			}
 			return ev, true, nil
@@ -442,7 +444,7 @@ func (c *FileCursor) nextV2() (Event, bool, error) {
 				// ends the stream cleanly, like a v1 segment cut at a record
 				// boundary.
 				c.done = true
-				return Event{}, false, nil
+				return nil, false, nil
 			}
 			return c.fail(fmt.Errorf("%w: frame tag: %w", ErrTruncated, err))
 		}
@@ -456,7 +458,7 @@ func (c *FileCursor) nextV2() (Event, bool, error) {
 				return c.fail(err)
 			}
 			c.done = true
-			return Event{}, false, nil
+			return nil, false, nil
 		default:
 			return c.fail(fmt.Errorf("%w: unknown frame tag %#x", ErrCorrupt, tag))
 		}

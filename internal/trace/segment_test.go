@@ -279,7 +279,7 @@ func drainCursor(c Cursor) ([]Event, error) {
 		if !ok {
 			return evs, nil
 		}
-		evs = append(evs, ev)
+		evs = append(evs, *ev)
 	}
 }
 
@@ -335,8 +335,9 @@ func sessionEvents(seed int64, nSegs, total int) [][]Event {
 
 // TestStoreStreamSessionMatchesBatchMerge is the store-level equivalence
 // pin: StreamSession into a Collector must reproduce, event for event,
-// what the historical batch path produced — read every segment with
-// ReadBinary, then Merge — and LoadSession (now a wrapper) must agree.
+// what the historical batch path produced — read every segment, then
+// stable-sort the concatenation — and LoadSession (now a wrapper) must
+// agree.
 func TestStoreStreamSessionMatchesBatchMerge(t *testing.T) {
 	segs := sessionEvents(7, 5, 400)
 	st := writeSessionSegments(t, "run1", segs)
@@ -350,7 +351,7 @@ func TestStoreStreamSessionMatchesBatchMerge(t *testing.T) {
 		}
 		traces = append(traces, tr)
 	}
-	want := Merge(traces...)
+	want := referenceMerge(traces...)
 
 	var col Collector
 	if err := st.StreamSession("run1", &col); err != nil {

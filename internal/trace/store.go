@@ -129,7 +129,7 @@ func (s *Store) LoadSegment(session string, segment int) (*Trace, error) {
 		if !ok {
 			return out, nil
 		}
-		out.Events = append(out.Events, e)
+		out.Events = append(out.Events, *e)
 	}
 }
 
@@ -256,9 +256,8 @@ func (s *Store) SessionCursors(session string) ([]*FileCursor, error) {
 // size streams into a model builder (or any other sink) at O(segments)
 // peak memory. Segments must be internally (Time, Seq)-sorted — every
 // tracer drain writes them so — since a stream cannot be re-sorted;
-// ties across segments resolve to the earlier segment, exactly as
-// LoadSession's historical Merge over materialized segments resolved
-// them to the earlier input trace.
+// ties across segments resolve to the earlier segment, as a stable sort
+// of the segments' concatenation would.
 func (s *Store) StreamSession(session string, sink Sink) error {
 	curs, err := s.SessionCursors(session)
 	if err != nil {

@@ -5,10 +5,9 @@ import "github.com/tracesynth/rostracer/internal/sim"
 // Streaming counterpart of the batch Trace pipeline: a Sink consumes
 // events one at a time in (Time, Seq) order, a Cursor produces them, and
 // MergeStream k-way merges many sorted cursors into a sink with a
-// tournament heap — the same algorithm (and the same tie-breaking) as the
-// >4-way path of Merge, but without ever materializing the merged event
-// sequence. Peak buffering is one event per input stream: the heap holds
-// only the current head of each cursor.
+// tournament heap, without ever materializing the merged event sequence.
+// Peak buffering is one event per input stream: the heap holds only a
+// reference to the current head of each cursor.
 
 // Sink consumes a stream of events. Producers deliver events in
 // (Time, Seq) order, the chronological order Algorithm 1 requires, so a
@@ -115,18 +114,32 @@ func MultiSink(sinks ...Sink) Sink {
 	if len(live) == 1 {
 		return live[0]
 	}
-	return SinkFunc(func(e Event) {
-		for _, s := range live {
-			s.Observe(e)
-		}
-	})
+	return multiSink(live)
+}
+
+// multiSink is MultiSink's fan-out: a named slice type rather than a
+// SinkFunc closure, so delivery copies the event once per sink and not
+// also into the closure.
+type multiSink []Sink
+
+// Observe implements Sink.
+func (ms multiSink) Observe(e Event) {
+	for _, s := range ms {
+		s.Observe(e)
+	}
 }
 
 // Cursor yields the events of one (Time, Seq)-sorted stream, one at a
 // time. Next reports ok=false when the stream is exhausted; a non-nil
 // error (e.g. a record that fails to decode) also ends the stream.
+//
+// The event Next returns belongs to the cursor and stays valid only
+// until that cursor's next Next — the aliasing rule
+// ebpf.RecordCursor.Data has. Decoding cursors fill one reused event (or
+// a reused decoded block) in place; a caller that keeps an event past
+// the next Next copies it.
 type Cursor interface {
-	Next() (ev Event, ok bool, err error)
+	Next() (ev *Event, ok bool, err error)
 }
 
 // SliceCursor adapts a sorted event slice to the Cursor interface.
@@ -135,27 +148,29 @@ type SliceCursor struct {
 	i      int
 }
 
-// Next implements Cursor.
-func (c *SliceCursor) Next() (Event, bool, error) {
+// Next implements Cursor. The event points into Events.
+func (c *SliceCursor) Next() (*Event, bool, error) {
 	if c.i >= len(c.Events) {
-		return Event{}, false, nil
+		return nil, false, nil
 	}
-	e := c.Events[c.i]
 	c.i++
-	return e, true, nil
+	return &c.Events[c.i-1], true, nil
 }
 
 // MergeStream merges many (Time, Seq)-sorted cursors into one stream
-// with a tournament heap, generalizing the many-stream path of Merge to
-// producers that yield events incrementally (per-CPU perf rings decoded
-// on the fly, loaded trace segments, ...). Ties on (Time, Seq) resolve
-// to the earlier cursor, exactly as Merge resolves them to the earlier
-// input trace, so a MergeStream over SliceCursors reproduces Merge byte
-// for byte.
+// with a tournament heap, for producers that yield events incrementally
+// (per-CPU perf rings decoded on the fly, loaded trace segments, ...).
+// Ties on (Time, Seq) resolve to the earlier cursor, so the output is
+// the stable sort of the inputs' concatenation.
+//
+// The heap holds each cursor's head by reference, under the Cursor
+// ownership rule: a head stays valid until its own cursor's next Next,
+// and the merge calls that only after the head was delivered. The one
+// copy per event is the by-value Sink.Observe.
 type MergeStream struct {
 	curs  []Cursor
-	heads []Event // current head event per cursor
-	heap  []int   // cursor indexes, min-heap by (head Time, Seq, index)
+	heads []*Event // current head event per cursor, owned by that cursor
+	heap  []int    // cursor indexes, min-heap by (head Time, Seq, index)
 }
 
 // NewMergeStream creates a merge over cursors. Nil cursors are skipped.
@@ -183,7 +198,7 @@ func (m *MergeStream) Reset(curs ...Cursor) *MergeStream {
 func (m *MergeStream) Buffered() int { return len(m.heap) }
 
 func (m *MergeStream) less(a, b int) bool {
-	ea, eb := &m.heads[a], &m.heads[b]
+	ea, eb := m.heads[a], m.heads[b]
 	if ea.Time != eb.Time {
 		return ea.Time < eb.Time
 	}
@@ -215,7 +230,7 @@ func (m *MergeStream) siftDown(i int) {
 // prime pulls the first event of every cursor and builds the heap.
 func (m *MergeStream) prime() error {
 	if cap(m.heads) < len(m.curs) {
-		m.heads = make([]Event, len(m.curs))
+		m.heads = make([]*Event, len(m.curs))
 		m.heap = make([]int, 0, len(m.curs))
 	} else {
 		m.heads = m.heads[:len(m.curs)]
@@ -246,7 +261,7 @@ func (m *MergeStream) Run(sink Sink) error {
 	}
 	for len(m.heap) > 0 {
 		t := m.heap[0]
-		sink.Observe(m.heads[t])
+		sink.Observe(*m.heads[t])
 		ev, ok, err := m.curs[t].Next()
 		if err != nil {
 			return err

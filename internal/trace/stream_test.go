@@ -39,31 +39,22 @@ func randomSortedStreams(rng *rand.Rand, n, maxLen int) []*Trace {
 	return streams
 }
 
-// TestMergeStreamMatchesMerge pins the streaming merge to the batch
-// Merge byte for byte, across random stream counts on both sides of the
-// linear/heap threshold.
-func TestMergeStreamMatchesMerge(t *testing.T) {
+// TestMergeStreamMatchesReference pins the streaming merge to the
+// concatenate-then-stable-sort oracle, event for event, across random
+// stream counts.
+func TestMergeStreamMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(12)
 		streams := randomSortedStreams(rng, n, 1+rng.Intn(60))
-		want := Merge(streams...)
-
-		curs := make([]Cursor, n)
-		for i, s := range streams {
-			curs[i] = &SliceCursor{Events: s.Events}
-		}
-		var col Collector
-		if err := NewMergeStream(curs...).Run(&col); err != nil {
-			t.Fatal(err)
-		}
-		got := &col.Trace
+		want := referenceMerge(streams...)
+		got := mergeStreams(t, streams...)
 		if got.Len() != want.Len() {
-			t.Fatalf("trial %d: stream merged %d events, batch %d", trial, got.Len(), want.Len())
+			t.Fatalf("trial %d: stream merged %d events, reference %d", trial, got.Len(), want.Len())
 		}
 		for i := range want.Events {
 			if got.Events[i] != want.Events[i] {
-				t.Fatalf("trial %d: event %d differs:\n stream: %v\n batch:  %v",
+				t.Fatalf("trial %d: event %d differs:\n stream:    %v\n reference: %v",
 					trial, i, got.Events[i], want.Events[i])
 			}
 		}
@@ -71,7 +62,7 @@ func TestMergeStreamMatchesMerge(t *testing.T) {
 }
 
 // TestMergeStreamTieBreak pins tie resolution: equal (Time, Seq) pairs
-// resolve to the earlier cursor, matching Merge's stable behaviour.
+// resolve to the earlier cursor, the stable sort's behaviour.
 func TestMergeStreamTieBreak(t *testing.T) {
 	a := &Trace{Events: []Event{{Time: 5, Seq: 1, PID: 1}, {Time: 9, Seq: 3, PID: 1}}}
 	b := &Trace{Events: []Event{{Time: 5, Seq: 1, PID: 2}, {Time: 9, Seq: 3, PID: 2}}}

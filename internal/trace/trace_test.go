@@ -66,7 +66,7 @@ func TestPIDsAndNodes(t *testing.T) {
 func TestMergeSorts(t *testing.T) {
 	a := &Trace{Events: []Event{{Time: 30, Seq: 1, Kind: KindSubCBEnd}}}
 	b := &Trace{Events: []Event{{Time: 10, Seq: 2, Kind: KindSubCBStart}}}
-	m := Merge(a, b, nil)
+	m := mergeStreams(t, a, b, nil)
 	if m.Len() != 2 || m.Events[0].Time != 10 {
 		t.Fatalf("merge = %v", m.Events)
 	}

@@ -310,19 +310,20 @@ func (b *Bundle) PendingPerCPU() []int {
 // drain never materializes a per-ring record or event slice.
 type recordCursor struct {
 	recs ebpf.RecordCursor
+	ev   trace.Event // the record Next decoded last, reused in place
 }
 
-// Next implements trace.Cursor.
-func (c *recordCursor) Next() (trace.Event, bool, error) {
+// Next implements trace.Cursor. The event is the cursor's own, valid
+// until the next Next.
+func (c *recordCursor) Next() (*trace.Event, bool, error) {
 	rec, ok := c.recs.Next()
 	if !ok {
-		return trace.Event{}, false, nil
+		return nil, false, nil
 	}
-	ev, err := DecodeRecord(rec)
-	if err != nil {
-		return trace.Event{}, false, err
+	if err := DecodeRecord(rec, &c.ev); err != nil {
+		return nil, false, err
 	}
-	return ev, true, nil
+	return &c.ev, true, nil
 }
 
 // StreamTo drains the three tracers into sink: each tracer owns one ring
@@ -429,20 +430,20 @@ func BridgeSched(m *sched.Machine, rt *ebpf.Runtime) {
 	}
 }
 
-// DecodeRecord converts one perf record into a trace event.
-func DecodeRecord(rec ebpf.PerfRecord) (trace.Event, error) {
-	var e trace.Event
+// DecodeRecord converts one perf record into the trace event e. It
+// overwrites all of e, so e can be a reused slot; on error e is
+// partially written and must not be used.
+func DecodeRecord(rec ebpf.PerfRecord, e *trace.Event) error {
 	if len(rec.Data) < recPlainSize {
-		return e, fmt.Errorf("tracers: record too short: %d bytes", len(rec.Data))
+		return fmt.Errorf("tracers: record too short: %d bytes", len(rec.Data))
 	}
 	f := func(i int) uint64 { return binary.LittleEndian.Uint64(rec.Data[i*8:]) }
 	kind := trace.Kind(f(0))
-	e.Kind = kind
-	e.Seq = rec.Seq
+	*e = trace.Event{Kind: kind, Seq: rec.Seq}
 
 	if kind == trace.KindSchedSwitch {
 		if len(rec.Data) != recSchedSize {
-			return e, fmt.Errorf("tracers: sched record has %d bytes", len(rec.Data))
+			return fmt.Errorf("tracers: sched record has %d bytes", len(rec.Data))
 		}
 		e.CPU = int32(f(1))
 		e.Time = simTime(f(2))
@@ -451,7 +452,7 @@ func DecodeRecord(rec ebpf.PerfRecord) (trace.Event, error) {
 		e.PrevState = int32(f(5))
 		e.NextPID = uint32(f(6))
 		e.NextPrio = int32(f(7))
-		return e, nil
+		return nil
 	}
 
 	e.PID = uint32(f(1))
@@ -459,7 +460,7 @@ func DecodeRecord(rec ebpf.PerfRecord) (trace.Event, error) {
 	switch {
 	case kind == trace.KindSchedWakeup:
 		if len(rec.Data) != recIDSize {
-			return e, fmt.Errorf("tracers: wakeup record has %d bytes", len(rec.Data))
+			return fmt.Errorf("tracers: wakeup record has %d bytes", len(rec.Data))
 		}
 		// pid slot holds the woken thread; mirror it into NextPID so that
 		// FilterPID picks wakeups up alongside switches.
@@ -467,17 +468,17 @@ func DecodeRecord(rec ebpf.PerfRecord) (trace.Event, error) {
 		e.NextPrio = int32(f(3))
 	case kind == trace.KindTimerCall:
 		if len(rec.Data) != recIDSize {
-			return e, fmt.Errorf("tracers: P3 record has %d bytes", len(rec.Data))
+			return fmt.Errorf("tracers: P3 record has %d bytes", len(rec.Data))
 		}
 		e.CBID = f(3)
 	case kind == trace.KindTakeTypeErased:
 		if len(rec.Data) != recRetSize {
-			return e, fmt.Errorf("tracers: P14 record has %d bytes", len(rec.Data))
+			return fmt.Errorf("tracers: P14 record has %d bytes", len(rec.Data))
 		}
 		e.Ret = f(3)
 	case kind == trace.KindCreateNode || kind.IsTake() || kind == trace.KindDDSWrite:
 		if len(rec.Data) != recFullSize {
-			return e, fmt.Errorf("tracers: %v record has %d bytes", kind, len(rec.Data))
+			return fmt.Errorf("tracers: %v record has %d bytes", kind, len(rec.Data))
 		}
 		e.CBID = f(3)
 		e.SrcTS = int64(f(4))
@@ -496,10 +497,10 @@ func DecodeRecord(rec ebpf.PerfRecord) (trace.Event, error) {
 		}
 	default:
 		if len(rec.Data) != recPlainSize {
-			return e, fmt.Errorf("tracers: %v record has %d bytes", kind, len(rec.Data))
+			return fmt.Errorf("tracers: %v record has %d bytes", kind, len(rec.Data))
 		}
 	}
-	return e, nil
+	return nil
 }
 
 func simTime(v uint64) sim.Time { return sim.Time(v) }

@@ -311,7 +311,15 @@ func TestSessionSegmentation(t *testing.T) {
 		}
 		segments = append(segments, seg)
 	}
-	merged := trace.Merge(segments...)
+	curs := make([]trace.Cursor, len(segments))
+	for i, seg := range segments {
+		curs[i] = &trace.SliceCursor{Events: seg.Events}
+	}
+	var col trace.Collector
+	if err := trace.NewMergeStream(curs...).Run(&col); err != nil {
+		t.Fatal(err)
+	}
+	merged := &col.Trace
 
 	starts := 0
 	for _, e := range merged.Events {

@@ -48,15 +48,15 @@ func preSplitDrain(t *testing.T, b *Bundle) *trace.Trace {
 		recs := pb.Drain() // merged across rings = emission order
 		tr := &trace.Trace{Events: make([]trace.Event, 0, len(recs))}
 		for _, rec := range recs {
-			ev, err := DecodeRecord(rec)
-			if err != nil {
+			var ev trace.Event
+			if err := DecodeRecord(rec, &ev); err != nil {
 				t.Fatal(err)
 			}
 			tr.Events = append(tr.Events, ev)
 		}
 		streams[i] = tr
 	}
-	return trace.Merge(streams[0], streams[1], streams[2])
+	return referenceMerge(streams[0], streams[1], streams[2])
 }
 
 // TestPerCPUDrainMatchesPreSplit runs two identical sessions and drains

@@ -50,8 +50,8 @@ func batchDrain(t *testing.T, b *Bundle) *trace.Trace {
 			}
 			tr := &trace.Trace{Events: make([]trace.Event, 0, len(recs))}
 			for _, rec := range recs {
-				ev, err := DecodeRecord(rec)
-				if err != nil {
+				var ev trace.Event
+				if err := DecodeRecord(rec, &ev); err != nil {
 					t.Fatal(err)
 				}
 				tr.Events = append(tr.Events, ev)
@@ -59,7 +59,19 @@ func batchDrain(t *testing.T, b *Bundle) *trace.Trace {
 			streams = append(streams, tr)
 		}
 	}
-	return trace.Merge(streams...)
+	return referenceMerge(streams...)
+}
+
+// referenceMerge is the merge oracle, independent of trace.MergeStream:
+// concatenate the streams and stable-sort by (Time, Seq), so ties keep
+// the earlier stream's event first.
+func referenceMerge(streams ...*trace.Trace) *trace.Trace {
+	out := &trace.Trace{}
+	for _, s := range streams {
+		out.Events = append(out.Events, s.Events...)
+	}
+	out.SortByTime()
+	return out
 }
 
 // TestStreamToMatchesBatchDrain is the streaming-equivalence property
