@@ -13,10 +13,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race-detector pass over the library packages (the parallel harness and
-# the interned decode paths run under concurrency).
+# Race-detector pass over the library packages and the commands (the
+# parallel harness, the interned decode paths and the drive loop behind
+# rostracer run under concurrency).
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./internal/... ./cmd/...
 
 check: vet build test race metrics-smoke perfbench-vet
 

@@ -9,21 +9,27 @@
 //	rostracer -app both ...
 //
 // Each run becomes one session in the store, segmented every -segment of
-// virtual time. Segments are written in the indexed, delta-compressed v2
-// format by default; -format=v1 keeps the flat v1 record stream (both
-// read back through the same store).
+// virtual time (or the period -adaptive-drain plans) on the shared drive
+// loop of internal/pipeline; this command keeps only the flags, the log
+// lines and the signal check. Segments are written in the indexed,
+// delta-compressed v2 format by default; -format=v1 keeps the flat v1
+// record stream (both read back through the same store).
 //
 // Persistence is hardened (see docs/RELIABILITY.md): segment-write
 // failures retry with bounded backoff and rotate to fresh files, events
-// spill to a bounded in-memory buffer while the disk is down, auxiliary
-// sinks (JSONL, snapshots) are fault-isolated from the trace store, and
-// SIGINT/SIGTERM flush the open segment and a final snapshot before
-// exit. A session that lost events or needed recovery exits nonzero.
+// spill to a bounded in-memory buffer while the disk is down, and
+// auxiliary sinks (JSONL, snapshots) are fault-isolated from the trace
+// store: a snapshot that cannot be written is logged, ends the cuts and
+// degrades the session, and tracing goes on. Shutdown, normal or on
+// SIGINT/SIGTERM, flushes the open segment and cuts a final snapshot
+// when events arrived after the last cut. A session that lost events or
+// needed recovery exits nonzero.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -35,9 +41,9 @@ import (
 
 	"github.com/tracesynth/rostracer/internal/apps"
 	"github.com/tracesynth/rostracer/internal/core"
-	"github.com/tracesynth/rostracer/internal/ebpf"
 	"github.com/tracesynth/rostracer/internal/harness"
 	"github.com/tracesynth/rostracer/internal/metrics"
+	"github.com/tracesynth/rostracer/internal/pipeline"
 	"github.com/tracesynth/rostracer/internal/rclcpp"
 	"github.com/tracesynth/rostracer/internal/service"
 	"github.com/tracesynth/rostracer/internal/sim"
@@ -63,8 +69,6 @@ func main() {
 	snapshotEvery := flag.Duration("snapshot-every", 0, "synthesize and write a model snapshot (JSON + DOT) every this much virtual time (0 = off)")
 	spillCap := flag.Int("spill-capacity", 0, "bounded in-memory event spill while the disk is down (0 = default)")
 	format := flag.String("format", "v2", "segment format: v2 (indexed, delta-compressed) or v1 (flat records)")
-	hotThreshold := flag.Uint64("hot-threshold", ebpf.DefaultHotThreshold(), "tier-0 run count at which a probe program is re-decoded into its profile-guided form (0 disables automatic promotion)")
-	profilePath := flag.String("profile", "", "warmup profile file: loaded at start so programs dispatch at tier >= 1 from the first fire, saved on shutdown (empty = no persistence)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text-format self-metrics at this address (e.g. :9090); empty disables the endpoint")
 	alertRules := metrics.DefaultAlertRules()
 	alertsGiven := false
@@ -120,9 +124,9 @@ func main() {
 		log.Printf("serving /metrics on http://%s/metrics", ln.Addr())
 	}
 
-	// Graceful shutdown: the drain loop checks this between segments and,
-	// when signalled, flushes the open segment and final snapshot before
-	// exiting instead of leaving a partial session behind.
+	// Graceful shutdown: the drain loop checks this after each segment
+	// and, when signalled, flushes the open segment and final snapshot
+	// before exiting instead of leaving a partial session behind.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 
@@ -136,8 +140,6 @@ func main() {
 			ringCapacity: *ringCapacity, adaptive: *adaptive,
 			snapshotEvery: sim.Duration(*snapshotEvery),
 			spillCapacity: *spillCap,
-			hotThreshold:  *hotThreshold,
-			profilePath:   *profilePath,
 			interrupt:     sigCh,
 		}
 		if metricsOn {
@@ -178,8 +180,6 @@ type runConfig struct {
 	adaptive      bool
 	snapshotEvery sim.Duration
 	spillCapacity int
-	hotThreshold  uint64
-	profilePath   string
 	interrupt     <-chan os.Signal
 
 	// Self-observability (nil publishReg with nil alertRules = disabled):
@@ -202,43 +202,11 @@ func buildFunc(app string) (func(*rclcpp.World), error) {
 }
 
 func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), cfg runConfig) (degraded, interrupted bool, retErr error) {
-	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cfg.cpus, Seed: cfg.seed})
-	// The threshold must be set before the bundle loads its programs:
-	// each program captures it at decode time.
-	w.Runtime().SetHotThreshold(cfg.hotThreshold)
-	b, err := tracers.NewBundleCapacity(w.Runtime(), cfg.ringCapacity)
-	if err != nil {
-		return false, false, err
-	}
-	if cfg.profilePath != "" {
-		applied, err := b.LoadProfiles(cfg.profilePath)
-		if err != nil {
-			return false, false, err
-		}
-		if applied > 0 {
-			tc := b.TierCounts()
-			log.Printf("  profile %s: seeded %d programs (tiers t0:%d t1:%d t2:%d)",
-				cfg.profilePath, applied, tc[0], tc[1], tc[2])
-		}
-	}
-	tracers.BridgeSched(w.Machine(), w.Runtime())
-	if err := b.StartInit(); err != nil {
-		return false, false, err
-	}
-	if err := b.StartRT(); err != nil {
-		return false, false, err
-	}
-	if err := b.StartKernel(cfg.filtered); err != nil {
-		return false, false, err
-	}
-	build(w)
-	b.StopInit()
-
-	// The periodic-drain loop is fully streaming, disk included: each
-	// period's ring segments decode and merge directly into the session
-	// writer on the store (and, when asked, the JSONL sink and the online
-	// synthesis service), so peak memory is one event per ring plus the
-	// writer's bounded replay buffer.
+	// The session runs on the shared drive loop (internal/pipeline):
+	// each period's ring segments decode and merge directly into the
+	// session writer on the store and, when asked, the JSONL sink, the
+	// online synthesis service and the metrics sink, so peak memory is
+	// one event per ring plus the writer's bounded replay buffer.
 	//
 	// Persistence goes through service.SessionWriter: write failures
 	// back off and rotate to fresh segment files, and a disk that stays
@@ -246,21 +214,52 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 	// accounting. Auxiliary sinks ride an IsolatingMultiSink: a failing
 	// JSONL or snapshot sink detaches with its error recorded instead of
 	// killing the drain.
-	//
+	writer := service.NewSessionWriter(store, session, service.Policy{
+		SpillCapacity: cfg.spillCapacity,
+	})
+	pcfg := pipeline.Config{
+		Seed: cfg.seed, CPUs: cfg.cpus, Build: build,
+		UnfilteredKernel: !cfg.filtered, RingCapacity: cfg.ringCapacity,
+		Duration: cfg.duration, Period: cfg.segment,
+		Writer: writer, SnapshotEvery: cfg.snapshotEvery,
+	}
 	// With -adaptive-drain the period is planned per segment by a
 	// DrainScheduler from the per-ring pending/lost gauges (-segment
 	// caps it); otherwise it is the fixed -segment.
-	var jsonlSink *trace.JSONLSink
-	var jsonlPath string
+	if cfg.adaptive {
+		if cfg.ringCapacity <= 0 {
+			log.Printf("  warning: -adaptive-drain without -ring-capacity: unbounded rings cannot overrun, draining at the fixed -segment period")
+		}
+		pcfg.Policy = &tracers.DrainPolicy{
+			Capacity:   cfg.ringCapacity,
+			TargetFill: 0.5,
+			Min:        cfg.segment / 64,
+			Max:        cfg.segment,
+		}
+	}
+	// Self-observability: a per-run registry fed by a metrics sink on the
+	// fan-out plus per-segment snapshots of the pipeline's own
+	// accounting, with threshold alert rules evaluated each segment.
+	if cfg.alertRules != nil || cfg.publishReg != nil {
+		pcfg.Metrics = metrics.NewRegistry()
+		pcfg.AlertRules = cfg.alertRules
+	}
+	s, err := pipeline.New(pcfg)
+	if err != nil {
+		return false, false, err
+	}
+	if cfg.publishReg != nil {
+		cfg.publishReg(pcfg.Metrics)
+	}
 	if cfg.jsonl {
-		jsonlPath = fmt.Sprintf("%s/%s.jsonl", cfg.outDir, session)
+		jsonlPath := fmt.Sprintf("%s/%s.jsonl", cfg.outDir, session)
 		f, err := os.Create(jsonlPath)
 		if err != nil {
 			return false, false, err
 		}
 		// A run that fails outright must not leave a truncated .jsonl
-		// behind looking like a complete trace. (The fan-out's deferred
-		// Close below runs first, so the file is closed before removal.)
+		// behind looking like a complete trace. (The session closes its
+		// fan-out before failing, so the file is closed before removal.)
 		defer func() {
 			if retErr != nil {
 				os.Remove(jsonlPath)
@@ -268,169 +267,68 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 		}()
 		// The sink owns the file: the fan-out's Close (shutdown or
 		// detach) flushes and closes it.
-		jsonlSink = trace.NewJSONLSinkCloser(f)
+		s.Fanout.Add("jsonl", trace.NewJSONLSinkCloser(f))
 	}
-	var sched *tracers.DrainScheduler
-	if cfg.adaptive {
-		if cfg.ringCapacity <= 0 {
-			log.Printf("  warning: -adaptive-drain without -ring-capacity: unbounded rings cannot overrun, draining at the fixed -segment period")
-		}
-		sched = tracers.NewDrainScheduler(b, tracers.DrainPolicy{
-			Capacity:   cfg.ringCapacity,
-			TargetFill: 0.5,
-			Min:        cfg.segment / 64,
-			Max:        cfg.segment,
-		})
-	}
-	// -snapshot-every puts a live synthesis service on the drain loop:
-	// every segment streams into the service alongside the store, which
-	// folds each event into the model as it arrives, and each time the
-	// interval elapses the service materializes the model and writes
-	// JSON/DOT snapshots of the session so far.
-	var snapSvc *core.SnapshotService
-	var nextSnapAt sim.Duration
-	if cfg.snapshotEvery > 0 {
-		snapSvc = core.NewSnapshotService()
-		nextSnapAt = cfg.snapshotEvery
-	}
-	writer := service.NewSessionWriter(store, session, service.Policy{
-		SpillCapacity: cfg.spillCapacity,
-	})
-	// Self-observability: a per-run registry fed by a metrics sink on the
-	// fan-out (event-kind counters, per-topic publish latency, per-node
-	// exec time) plus per-segment snapshots of the pipeline's own
-	// accounting, with threshold alert rules evaluated each segment.
-	var reg *metrics.Registry
-	var msink *metrics.Sink
-	var pm *metrics.PipelineMetrics
-	var alerts *metrics.Alerts
-	if cfg.alertRules != nil || cfg.publishReg != nil {
-		reg = metrics.NewRegistry()
-		msink = metrics.NewSink(reg)
-		pm = metrics.NewPipelineMetrics(reg)
-		alerts = metrics.NewAlerts(reg, cfg.alertRules)
-		if cfg.publishReg != nil {
-			cfg.publishReg(reg)
-		}
-	}
-	sink := trace.NewIsolatingMultiSink()
-	sink.Add("store", writer)
-	if jsonlSink != nil {
-		sink.Add("jsonl", jsonlSink)
-	}
-	if snapSvc != nil {
-		sink.Add("snapshot", snapSvc)
-	}
-	if msink != nil {
-		sink.Add("metrics", msink)
-	}
-	// Idempotent: covers the abort paths; the shutdown path closes
-	// explicitly before reporting detachments.
-	defer sink.Close()
-	totalEvents := 0
-	segIdx := 0
-	var prevLost uint64
-	for elapsed := sim.Duration(0); elapsed < cfg.duration; {
-		select {
-		case <-cfg.interrupt:
-			interrupted = true
-		default:
-		}
-		if interrupted {
-			break
-		}
-		step := cfg.segment
-		if sched != nil {
-			step = sched.Interval()
-		}
-		if rest := cfg.duration - elapsed; step > rest {
-			step = rest
-		}
-		w.Run(step)
-		elapsed += step
-
-		// Per-ring gauges, read before the drain clears them: the worst
-		// ring's backlog and any overruns attributed to this window.
-		pendHWM, pendCPU := b.MaxRingPending()
-		lostDelta := b.Lost() - prevLost
-		nextStep := step
-		if sched != nil {
-			obs := sched.Observe(step)
-			pendHWM, pendCPU = obs.MaxPending, obs.MaxPendingCPU
-			nextStep = obs.Next
-		}
-		prevLost = b.Lost()
-
-		writer.BeginSegment()
-		if err := b.StreamTo(sink); err != nil {
-			// Only a decode failure can surface here (the sinks are
-			// isolated); the writer's open segment still flushes what it
-			// got, then the run aborts.
-			writer.Close()
-			return false, false, err
-		}
-		res := writer.EndSegment()
-		totalEvents += res.Persisted
+	b := s.Bundle
+	rep, err := s.Run(func(win pipeline.Window) bool {
 		status := ""
-		if res.Down {
+		if win.Segment.Down {
 			status = "  [disk down: spilling]"
 		}
 		tc := b.TierCounts()
 		log.Printf("  seg %-3d t=%-12v %6d events, ring hwm cpu%d=%d, lost +%d (total %d), tiers t0:%d t1:%d t2:%d, next period %v%s",
-			segIdx, sim.Duration(elapsed), res.Persisted, pendCPU, pendHWM,
-			lostDelta, b.Lost(), tc[0], tc[1], tc[2], nextStep, status)
-		segIdx++
-		if pm != nil {
-			pm.UpdateBundle(b)
-			if sched != nil {
-				pm.UpdateScheduler(sched)
+			win.Index, win.Elapsed, win.Segment.Persisted, win.MaxPendingCPU, win.MaxPending,
+			win.LostDelta, b.Lost(), tc[0], tc[1], tc[2], win.Next, status)
+		for _, st := range win.Firing {
+			if st.FiredAt == s.Alerts.Rounds() {
+				log.Printf("  ALERT %s fired: %s (value %g)", st.Rule.Name, st.Rule, st.Last)
+			}
+		}
+		// -snapshot-every: the live synthesis service folds every event
+		// as it arrives; each cut is written as JSON/DOT next to the
+		// segments. Snapshots are fault-isolated from the trace store: a
+		// failed write degrades the session and ends the cuts, tracing
+		// goes on.
+		if snap := win.Snapshot; snap != nil {
+			if err := writeSnapshot(cfg.outDir, session, *snap); err != nil {
+				log.Printf("  WARNING: snapshot %d not written, no further snapshots: %v", snap.Seq, err)
+				degraded = true
+				s.StopSnapshots()
 			} else {
-				pm.UpdateDrain(int64(nextStep), segIdx, 0)
-			}
-			pm.UpdateWriter(writer)
-			pm.UpdateIntern()
-			pm.UpdateSinks(sink)
-			if snapSvc != nil {
-				pm.UpdateSynthesis(snapSvc)
-			}
-			for _, st := range alerts.Evaluate() {
-				if st.FiredAt == alerts.Rounds() {
-					log.Printf("  ALERT %s fired: %s (value %g)", st.Rule.Name, st.Rule, st.Last)
-				}
+				log.Printf("  snapshot %d at t=%v: %d vertices / %d edges from %d events (%d sched folded)",
+					snap.Seq, win.Elapsed, len(snap.DAG.Vertices), len(snap.DAG.Edges()),
+					snap.Events, snap.FoldedSched)
 			}
 		}
-		if snapSvc != nil && elapsed >= nextSnapAt {
-			snap := snapSvc.Snapshot()
-			if err := writeSnapshot(cfg.outDir, session, snap); err != nil {
-				return false, false, err
-			}
-			log.Printf("  snapshot %d at t=%v: %d vertices / %d edges from %d events (%d sched folded)",
-				snap.Seq, sim.Duration(elapsed), len(snap.DAG.Vertices), len(snap.DAG.Edges()),
-				snap.Events, snap.FoldedSched)
-			for nextSnapAt <= elapsed {
-				nextSnapAt += cfg.snapshotEvery
-			}
+		// Graceful shutdown: a signal ends the session after this
+		// segment, with the same flush as a normal end.
+		select {
+		case <-cfg.interrupt:
+			interrupted = true
+			return false
+		default:
+			return true
+		}
+	})
+	if err != nil {
+		return false, false, err
+	}
+	// Shutdown — signalled or normal — flushed everything still open:
+	// the writer's last segment and spill, a final snapshot of the
+	// events after the last cut, and the JSONL stream.
+	if snap := rep.Final; snap != nil {
+		if err := writeSnapshot(cfg.outDir, session, *snap); err != nil {
+			log.Printf("  WARNING: final snapshot %d not written: %v", snap.Seq, err)
+			degraded = true
+		} else {
+			log.Printf("  final snapshot %d: %d vertices from %d events",
+				snap.Seq, len(snap.DAG.Vertices), snap.Events)
 		}
 	}
-	// Shutdown — signalled or normal — flushes everything that is still
-	// open: the session writer's last segment and spill, a final
-	// snapshot, and the JSONL stream.
-	closeRes := writer.Close()
-	totalEvents += closeRes.Persisted
-	if snapSvc != nil && interrupted {
-		snap := snapSvc.Snapshot()
-		if err := writeSnapshot(cfg.outDir, session, snap); err != nil {
-			return false, false, err
-		}
-		log.Printf("  final snapshot %d: %d vertices from %d events",
-			snap.Seq, len(snap.DAG.Vertices), snap.Events)
-	}
-	// Closing the fan-out flush-closes every still-attached auxiliary
-	// sink (the JSONL file included); a failure here means some sink's
-	// output is short, so the session fails loudly rather than
-	// pretending the dump is complete.
-	if err := sink.Close(); err != nil {
-		log.Printf("  sink close: %v", err)
+	// A fan-out close failure means some sink's output is short, so the
+	// session fails loudly rather than pretending the dump is complete.
+	if rep.CloseErr != nil {
+		log.Printf("  sink close: %v", rep.CloseErr)
 		degraded = true
 	}
 	stats := writer.Stats()
@@ -439,7 +337,7 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 		log.Printf("  WARNING: persistence degraded: %d/%d events dropped, %d rotations, %d retries, %d down spells (last error: %v)",
 			stats.Dropped, stats.Observed, stats.Rotations, stats.Retries, stats.Down, stats.LastErr)
 	}
-	for _, d := range sink.Detached() {
+	for _, d := range rep.Detached {
 		degraded = true
 		suffix := ""
 		if d.CloseErr != nil {
@@ -448,8 +346,8 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 		log.Printf("  WARNING: sink %q detached after %d events: %v%s", d.Name, d.Events, d.Err, suffix)
 	}
 	log.Printf("  %d events, %.2f MB perf payload, probe cost %.4f cores",
-		totalEvents, float64(b.TraceBytes())/1e6,
-		w.Runtime().CostNs()/float64(cfg.duration))
+		rep.Persisted, float64(b.TraceBytes())/1e6,
+		s.World.Runtime().CostNs()/float64(cfg.duration))
 	// Per-CPU ring accounting, as a real perf_event_array poller reports
 	// it: payload per CPU, and any overruns attributed to the ring that
 	// dropped them.
@@ -464,61 +362,53 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 	if lost := b.Lost(); lost > 0 {
 		log.Printf("  WARNING: %d records lost to ring overruns", lost)
 	}
-	if pm != nil {
-		// Final snapshot (the close-time ledgers included) and one last
-		// evaluation round, then the session summary: any rule that fired
-		// at any point degrades the session into a nonzero exit.
-		pm.UpdateBundle(b)
-		pm.UpdateWriter(writer)
-		pm.UpdateIntern()
-		pm.UpdateSinks(sink)
-		if snapSvc != nil {
-			pm.UpdateSynthesis(snapSvc)
-		}
-		alerts.Evaluate()
-		for _, st := range alerts.Fired() {
+	if s.Alerts != nil {
+		// Any rule that fired at any point, the shutdown evaluation
+		// included, degrades the session into a nonzero exit.
+		for _, st := range s.Alerts.Fired() {
 			degraded = true
 			log.Printf("  ALERT %s: %s — fired in %d of %d evaluations (first at segment %d), last value %g",
-				st.Rule.Name, st.Rule, st.Count, alerts.Rounds(), st.FiredAt, st.Last)
-		}
-	}
-	if cfg.profilePath != "" {
-		// Save on shutdown — interrupted sessions too: the warmup profile
-		// accumulated so far is exactly what the next session wants.
-		if err := b.SaveProfiles(cfg.profilePath); err != nil {
-			log.Printf("  WARNING: %v", err)
-		} else {
-			tc := b.TierCounts()
-			log.Printf("  profile saved to %s (tiers t0:%d t1:%d t2:%d)",
-				cfg.profilePath, tc[0], tc[1], tc[2])
+				st.Rule.Name, st.Rule, st.Count, s.Alerts.Rounds(), st.FiredAt, st.Last)
 		}
 	}
 	return degraded, interrupted, nil
 }
 
 // writeSnapshot persists one online-synthesis snapshot as
-// <session>-snap<seq>.json and .dot next to the session's segments. A
-// failed write removes both files: no partial snapshot artifact may be
-// left looking complete (the segment and .jsonl cleanups' invariant).
-func writeSnapshot(dir, session string, snap core.Snapshot) (retErr error) {
+// <session>-snap<seq>.dot and .json next to the session's segments. A
+// failed write removes what it created: no partial snapshot artifact
+// may be left looking complete (the segment and .jsonl cleanups'
+// invariant).
+func writeSnapshot(dir, session string, snap core.Snapshot) error {
 	base := fmt.Sprintf("%s/%s-snap%03d", dir, session, snap.Seq)
-	defer func() {
-		if retErr != nil {
-			os.Remove(base + ".dot")
-			os.Remove(base + ".json")
-		}
-	}()
 	title := fmt.Sprintf("%s snapshot %d", session, snap.Seq)
-	if err := os.WriteFile(base+".dot", []byte(core.ToDOT(snap.DAG, title)), 0o644); err != nil {
+	err := writeFile(base+".dot", func(w io.Writer) error {
+		_, err := io.WriteString(w, core.ToDOT(snap.DAG, title))
 		return err
-	}
-	f, err := os.Create(base + ".json")
+	})
 	if err != nil {
 		return err
 	}
-	if err := core.WriteJSON(f, snap.DAG); err != nil {
-		f.Close()
+	err = writeFile(base+".json", func(w io.Writer) error { return core.WriteJSON(w, snap.DAG) })
+	if err != nil {
+		os.Remove(base + ".dot")
+	}
+	return err
+}
+
+// writeFile creates path and fills it with write, removing the file
+// again if anything after its creation fails.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
 }

@@ -9,56 +9,51 @@ import (
 	"log"
 
 	"github.com/tracesynth/rostracer/internal/core"
+	"github.com/tracesynth/rostracer/internal/pipeline"
 	"github.com/tracesynth/rostracer/internal/rclcpp"
 	"github.com/tracesynth/rostracer/internal/sim"
-	"github.com/tracesynth/rostracer/internal/tracers"
+	"github.com/tracesynth/rostracer/internal/trace"
 )
 
 func main() {
-	// 1. A simulated host: 4 CPUs, deterministic seed.
-	world := rclcpp.NewWorld(rclcpp.Config{NumCPUs: 4, Seed: 42})
+	// 1. The application: a 10 Hz camera driver and a detector.
+	build := func(world *rclcpp.World) {
+		camera := world.NewNode("camera_driver", 5, 0)
+		frames := camera.CreatePublisher("/camera/frames")
+		camera.CreateTimer(100*sim.Millisecond, 0, rclcpp.SimpleBody{
+			ET:     sim.TruncNormal{Mean: 2 * sim.Millisecond, Stddev: 300 * sim.Microsecond, Min: sim.Millisecond, Max: 4 * sim.Millisecond},
+			Action: func(*rclcpp.CallbackContext) { frames.Publish("frame") },
+		})
+		detector := world.NewNode("object_detector", 5, 0)
+		detections := detector.CreatePublisher("/detections")
+		detector.CreateSubscription("/camera/frames", rclcpp.SimpleBody{
+			ET:     sim.TruncNormal{Mean: 18 * sim.Millisecond, Stddev: 2 * sim.Millisecond, Min: 12 * sim.Millisecond, Max: 30 * sim.Millisecond},
+			Action: func(*rclcpp.CallbackContext) { detections.Publish("boxes") },
+		})
+	}
 
-	// 2. Attach the three eBPF tracers (ROS2-INIT, ROS2-RT, Kernel).
-	bundle, err := tracers.NewBundle(world.Runtime())
+	// 2. A simulated host (4 CPUs, deterministic seed) with the three
+	// eBPF tracers (ROS2-INIT, ROS2-RT, Kernel) attached before the
+	// application starts.
+	session, err := pipeline.New(pipeline.Config{
+		Seed: 42, CPUs: 4, Build: build, Duration: 10 * sim.Second, Drains: 1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tracers.BridgeSched(world.Machine(), world.Runtime())
-	must(bundle.StartInit())
-	must(bundle.StartRT())
-	must(bundle.StartKernel(true))
 
-	// 3. The application: a 10 Hz camera driver and a detector.
-	camera := world.NewNode("camera_driver", 5, 0)
-	frames := camera.CreatePublisher("/camera/frames")
-	camera.CreateTimer(100*sim.Millisecond, 0, rclcpp.SimpleBody{
-		ET:     sim.TruncNormal{Mean: 2 * sim.Millisecond, Stddev: 300 * sim.Microsecond, Min: sim.Millisecond, Max: 4 * sim.Millisecond},
-		Action: func(*rclcpp.CallbackContext) { frames.Publish("frame") },
-	})
-	detector := world.NewNode("object_detector", 5, 0)
-	detections := detector.CreatePublisher("/detections")
-	detector.CreateSubscription("/camera/frames", rclcpp.SimpleBody{
-		ET:     sim.TruncNormal{Mean: 18 * sim.Millisecond, Stddev: 2 * sim.Millisecond, Min: 12 * sim.Millisecond, Max: 30 * sim.Millisecond},
-		Action: func(*rclcpp.CallbackContext) { detections.Publish("boxes") },
-	})
-
-	// 4. Run 10 seconds of virtual time and collect the trace.
-	world.Run(10 * sim.Second)
-	tr, err := bundle.Drain()
-	if err != nil {
+	// 3. Run 10 seconds of virtual time and collect the trace.
+	var col trace.Collector
+	session.Fanout.Add("trace", &col)
+	if _, err := session.Run(nil); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("collected %d trace events (%.1f kB)\n\n", tr.Len(), float64(bundle.TraceBytes())/1e3)
+	tr := &col.Trace
+	fmt.Printf("collected %d trace events (%.1f kB)\n\n", tr.Len(), float64(session.Bundle.TraceBytes())/1e3)
 
-	// 5. Synthesize the timing model.
+	// 4. Synthesize the timing model.
 	dag := core.Synthesize(tr)
 	fmt.Print(core.Summary(dag))
 	fmt.Println()
 	fmt.Print(core.ToDOT(dag, "quickstart"))
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -230,9 +230,10 @@ func TestSnapshotServiceSnapshotsDuringTraffic(t *testing.T) {
 }
 
 // TestSnapshotServiceDetachesOnUnorderedDrain checks the order contract
-// at the synthesis boundary. Per-ring drains (Bundle.StreamDueTo) order
-// events only within one drain: a ring drained later can hold events
-// older than ones already delivered. Fed through an IsolatingMultiSink,
+// at the synthesis boundary. A stream that is not one (Time, Seq)-ordered
+// sequence — here one drained second, fed as its even-CPU events
+// followed by its odd-CPU ones, as draining rings separately would
+// deliver it — goes back in time. Fed through an IsolatingMultiSink,
 // the snapshot service must fail with trace.ErrUnordered on the first
 // event that goes backwards and be detached with exact accounting; the
 // model it keeps is the batch model of the ordered prefix it accepted,
@@ -251,23 +252,30 @@ func TestSnapshotServiceDetachesOnUnorderedDrain(t *testing.T) {
 	}
 	apps.BuildSYN(w, apps.SYNConfig{})
 	b.StopInit()
+	w.Run(sim.Second)
+	var drained trace.Collector
+	if err := b.StreamTo(&drained); err != nil {
+		t.Fatal(err)
+	}
 
 	svc := core.NewSnapshotService()
 	var all []trace.Event
 	fan := trace.NewIsolatingMultiSink()
 	fan.Add("all", trace.SinkFunc(func(e trace.Event) { all = append(all, e) }))
 	fan.Add("snapshot", svc)
-	w.Run(sim.Second)
-	// Even CPUs first, then the rest: the second drain starts back in
+	// Even CPUs first, then the rest: the second half starts back in
 	// time.
-	if err := b.StreamDueTo(fan, func(_, cpu int) bool { return cpu%2 == 0 }); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Err(); err != nil {
-		t.Fatalf("one drain is ordered, yet the service failed: %v", err)
-	}
-	if err := b.StreamDueTo(fan, nil); err != nil {
-		t.Fatal(err)
+	for _, odd := range []bool{false, true} {
+		for _, e := range drained.Trace.Events {
+			if (e.CPU%2 == 1) == odd {
+				fan.Observe(e)
+			}
+		}
+		if !odd {
+			if err := svc.Err(); err != nil {
+				t.Fatalf("the even-CPU events are ordered, yet the service failed: %v", err)
+			}
+		}
 	}
 
 	det := fan.Detached()

@@ -239,10 +239,6 @@ type decodedProgram struct {
 	// dispatch slots stay cache-line-sized; nil on tier-1/2 forms, which
 	// no longer profile.
 	takenCtr []uint64
-	// t0 points back at the tier-0 form a promoted program was re-decoded
-	// from, so the warmup profile (slot hits, taken counts, run count)
-	// stays reachable for persistence after the swap.
-	t0 *decodedProgram
 }
 
 // isJump reports whether op transfers control.

@@ -95,7 +95,7 @@ func traceDirection(hits, taken uint64) (expectTaken, ok bool) {
 // cross-block trace formation so equivalence tests can pin the pure
 // tier-1 form.
 func reoptimize(dp *decodedProgram, withTraces bool) *decodedProgram {
-	ndp := &decodedProgram{tier: 1, calls: dp.calls, ops: dp.ops, t0: dp}
+	ndp := &decodedProgram{tier: 1, calls: dp.calls, ops: dp.ops}
 	old := dp.insns
 
 	// thread follows a chain of unconditional jumps from a run's target.

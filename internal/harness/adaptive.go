@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/tracesynth/rostracer/internal/rclcpp"
+	"github.com/tracesynth/rostracer/internal/pipeline"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
 	"github.com/tracesynth/rostracer/internal/tracers"
@@ -24,16 +24,12 @@ const adaptiveFixedDrains = 8
 type adaptiveRun struct {
 	mode       string
 	drains     int
-	ringDrains int
+	ringDrains int // every drain covers every ring
 	events     int
 	lost       uint64
 	minPeriod  sim.Duration
 	maxPeriod  sim.Duration
 }
-
-// adaptiveDrive advances one session's drain loop and reports
-// (wakeups, ring drains, min period, max period).
-type adaptiveDrive func(w *rclcpp.World, b *tracers.Bundle, kc *trace.KindCounter) (int, int, sim.Duration, sim.Duration, error)
 
 // AdaptiveDrainExperiment (E12) closes the capacity-planning loop: at a
 // (capacity, period) point where the fixed-period sweep loses records,
@@ -41,145 +37,58 @@ type adaptiveDrive func(w *rclcpp.World, b *tracers.Bundle, kc *trace.KindCounte
 // from a short calibration window, plans each next period for the
 // observed fill rate, and recovers the full event stream with zero
 // overruns — without hand-tuning the cadence to the workload.
-//
-// A third mode gives each ring its own deadline (AdvancePerRing +
-// StreamDueTo): wakeups happen at the hottest ring's cadence, but each
-// wakeup drains only the rings whose deadline arrived, so cold rings
-// (init after startup, idle CPUs' RT rings) drop out of the per-wakeup
-// cost. It must preserve the zero-loss, exact-recovery guarantees while
-// doing fewer ring drains than the all-rings adaptive loop.
 func AdaptiveDrainExperiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 
-	session := func(drive adaptiveDrive) (adaptiveRun, error) {
-		w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cfg.CPUs, Seed: cfg.Seed})
-		b, err := tracers.NewBundleCapacity(w.Runtime(), adaptiveCapacity)
+	session := func(mode string, drains int, policy *tracers.DrainPolicy) (adaptiveRun, error) {
+		ps, err := pipeline.New(pipeline.Config{
+			Seed: cfg.Seed, CPUs: cfg.CPUs, Build: BuildBoth(1), RingCapacity: adaptiveCapacity,
+			Duration: cfg.Duration, Drains: drains, Policy: policy,
+		})
 		if err != nil {
 			return adaptiveRun{}, err
 		}
-		tracers.BridgeSched(w.Machine(), w.Runtime())
-		if err := b.StartInit(); err != nil {
-			return adaptiveRun{}, err
-		}
-		if err := b.StartRT(); err != nil {
-			return adaptiveRun{}, err
-		}
-		if err := b.StartKernel(true); err != nil {
-			return adaptiveRun{}, err
-		}
-		BuildBoth(1)(w)
-		b.StopInit()
 		var kc trace.KindCounter
-		drains, ringDrains, minP, maxP, err := drive(w, b, &kc)
+		ps.Fanout.Add("count", &kc)
+		r := adaptiveRun{mode: mode}
+		rep, err := ps.Run(func(win pipeline.Window) bool {
+			if r.minPeriod == 0 || win.Step < r.minPeriod {
+				r.minPeriod = win.Step
+			}
+			r.maxPeriod = max(r.maxPeriod, win.Step)
+			return true
+		})
 		if err != nil {
 			return adaptiveRun{}, err
 		}
-		return adaptiveRun{
-			drains: drains, ringDrains: ringDrains,
-			events: kc.Total(), lost: b.Lost(),
-			minPeriod: minP, maxPeriod: maxP,
-		}, nil
-	}
-	policy := func() tracers.DrainPolicy {
-		return tracers.DrainPolicy{
-			Capacity:   adaptiveCapacity,
-			TargetFill: 0.5,
-			Min:        cfg.Duration / 128,
-			Max:        cfg.Duration / sim.Duration(adaptiveFixedDrains),
-		}
+		r.drains, r.ringDrains = rep.Windows, rep.Windows*ps.Bundle.NumRings()
+		r.events, r.lost = kc.Total(), ps.Bundle.Lost()
+		return r, nil
 	}
 
 	// Fixed cadence: the sweep's lossy operating point.
-	fixed, err := session(func(w *rclcpp.World, b *tracers.Bundle, kc *trace.KindCounter) (int, int, sim.Duration, sim.Duration, error) {
-		period := cfg.Duration / sim.Duration(adaptiveFixedDrains)
-		var elapsed sim.Duration
-		for k := 1; k <= adaptiveFixedDrains; k++ {
-			target := cfg.Duration * sim.Duration(k) / sim.Duration(adaptiveFixedDrains)
-			w.Run(target - elapsed)
-			elapsed = target
-			if err := b.StreamTo(kc); err != nil {
-				return 0, 0, 0, 0, err
-			}
-		}
-		return adaptiveFixedDrains, adaptiveFixedDrains * b.NumRings(), period, period, nil
-	})
+	fixed, err := session("fixed", adaptiveFixedDrains, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	fixed.mode = "fixed"
-
 	// Adaptive cadence: same capacity, same workload; the scheduler may
 	// plan anywhere between duration/128 and the fixed period.
-	adaptive, err := session(func(w *rclcpp.World, b *tracers.Bundle, kc *trace.KindCounter) (int, int, sim.Duration, sim.Duration, error) {
-		sched := tracers.NewDrainScheduler(b, policy())
-		minP, maxP := sim.Duration(0), sim.Duration(0)
-		var elapsed sim.Duration
-		for elapsed < cfg.Duration {
-			step := sched.Interval()
-			if rest := cfg.Duration - elapsed; step > rest {
-				step = rest
-			}
-			if minP == 0 || step < minP {
-				minP = step
-			}
-			if step > maxP {
-				maxP = step
-			}
-			w.Run(step)
-			elapsed += step
-			sched.Observe(step)
-			if err := b.StreamTo(kc); err != nil {
-				return 0, 0, 0, 0, err
-			}
-		}
-		return sched.Drains(), sched.Drains() * b.NumRings(), minP, maxP, nil
+	adaptive, err := session("adaptive", 0, &tracers.DrainPolicy{
+		Capacity:   adaptiveCapacity,
+		TargetFill: 0.5,
+		Min:        cfg.Duration / 128,
+		Max:        cfg.Duration / sim.Duration(adaptiveFixedDrains),
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	adaptive.mode = "adaptive"
-
-	// Per-ring deadlines: wakeups still track the hottest ring, but each
-	// wakeup drains only the rings that are due. A final full drain
-	// flushes whatever the tail-end deadlines left pending.
-	perRing, err := session(func(w *rclcpp.World, b *tracers.Bundle, kc *trace.KindCounter) (int, int, sim.Duration, sim.Duration, error) {
-		sched := tracers.NewDrainScheduler(b, policy())
-		minP, maxP := sim.Duration(0), sim.Duration(0)
-		var elapsed sim.Duration
-		for elapsed < cfg.Duration {
-			step := sched.Interval()
-			if rest := cfg.Duration - elapsed; step > rest {
-				step = rest
-			}
-			if minP == 0 || step < minP {
-				minP = step
-			}
-			if step > maxP {
-				maxP = step
-			}
-			w.Run(step)
-			elapsed += step
-			due := sched.AdvancePerRing(step)
-			if err := b.StreamDueTo(kc, due.Has); err != nil {
-				return 0, 0, 0, 0, err
-			}
-		}
-		if err := b.StreamTo(kc); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		return sched.Drains(), sched.RingDrains() + b.NumRings(), minP, maxP, nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	perRing.mode = "per-ring"
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "workload: SYN + AVP, %v per run, %d CPUs; per-ring capacity %d\n",
 		cfg.Duration, cfg.CPUs, adaptiveCapacity)
 	fmt.Fprintf(&sb, "%-10s %-8s %-12s %-14s %-14s %10s %10s\n",
 		"mode", "drains", "ring-drains", "min period", "max period", "events", "lost")
-	for _, r := range []adaptiveRun{fixed, adaptive, perRing} {
+	for _, r := range []adaptiveRun{fixed, adaptive} {
 		fmt.Fprintf(&sb, "%-10s %-8d %-12d %-14v %-14v %10d %10d\n",
 			r.mode, r.drains, r.ringDrains, r.minPeriod, r.maxPeriod, r.events, r.lost)
 	}
@@ -202,22 +111,6 @@ func AdaptiveDrainExperiment(cfg Config) (Result, error) {
 		notes = append(notes, fmt.Sprintf(
 			"adaptive drained %d events, want %d (fixed %d + lost %d)",
 			adaptive.events, fixed.events+int(fixed.lost), fixed.events, fixed.lost))
-	}
-	if perRing.lost != 0 {
-		ok = false
-		notes = append(notes, fmt.Sprintf("per-ring drain lost %d records", perRing.lost))
-	}
-	if perRing.events != fixed.events+int(fixed.lost) {
-		ok = false
-		notes = append(notes, fmt.Sprintf(
-			"per-ring drained %d events, want %d (fixed %d + lost %d)",
-			perRing.events, fixed.events+int(fixed.lost), fixed.events, fixed.lost))
-	}
-	if perRing.ringDrains >= adaptive.ringDrains {
-		ok = false
-		notes = append(notes, fmt.Sprintf(
-			"per-ring deadlines did %d ring drains, all-rings adaptive %d; no savings",
-			perRing.ringDrains, adaptive.ringDrains))
 	}
 	return Result{ID: "adaptive-drain",
 		Title: "Adaptive drain scheduling vs fixed period (bounded rings)",

@@ -19,7 +19,7 @@ func TestAdaptiveDrainExperiment(t *testing.T) {
 	if !r.OK {
 		t.Fatalf("adaptive drain checks failed:\n%s\nnotes: %v", r.Text, r.Notes)
 	}
-	for _, want := range []string{"fixed", "adaptive", "per-ring"} {
+	for _, want := range []string{"fixed", "adaptive", "ring-drains"} {
 		if !strings.Contains(r.Text, want) {
 			t.Errorf("adaptive drain output missing %q:\n%s", want, r.Text)
 		}

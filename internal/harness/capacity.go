@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/tracesynth/rostracer/internal/rclcpp"
+	"github.com/tracesynth/rostracer/internal/pipeline"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
-	"github.com/tracesynth/rostracer/internal/tracers"
 )
 
 // capacitySweepCapacities are the per-ring record bounds swept (0 =
@@ -50,36 +49,22 @@ func CapacityPlanExperiment(cfg Config) (Result, error) {
 	}
 	runs, err := runSeries(cfg.Workers, len(combos), func(i int) (capRun, error) {
 		c := combos[i]
-		w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cfg.CPUs, Seed: cfg.Seed})
-		b, err := tracers.NewBundleCapacity(w.Runtime(), c.capacity)
+		ps, err := pipeline.New(pipeline.Config{
+			Seed: cfg.Seed, CPUs: cfg.CPUs, Build: BuildBoth(1), RingCapacity: c.capacity,
+			// Cumulative boundaries keep every combo covering exactly
+			// cfg.Duration (no truncation drift), and keep the drain
+			// instants of each sweep point a subset of the next point's.
+			Duration: cfg.Duration, Drains: c.drains,
+		})
 		if err != nil {
 			return capRun{}, err
 		}
-		tracers.BridgeSched(w.Machine(), w.Runtime())
-		if err := b.StartInit(); err != nil {
-			return capRun{}, err
-		}
-		if err := b.StartRT(); err != nil {
-			return capRun{}, err
-		}
-		if err := b.StartKernel(true); err != nil {
-			return capRun{}, err
-		}
-		BuildBoth(1)(w)
-		b.StopInit()
 		var kc trace.KindCounter
-		// Cumulative boundaries keep every combo covering exactly
-		// cfg.Duration (no truncation drift), and keep the drain instants
-		// of each sweep point a subset of the next point's.
-		var elapsed sim.Duration
-		for k := 1; k <= c.drains; k++ {
-			target := cfg.Duration * sim.Duration(k) / sim.Duration(c.drains)
-			w.Run(target - elapsed)
-			elapsed = target
-			if err := b.StreamTo(&kc); err != nil {
-				return capRun{}, err
-			}
+		ps.Fanout.Add("count", &kc)
+		if _, err := ps.Run(nil); err != nil {
+			return capRun{}, err
 		}
+		b := ps.Bundle
 		r := capRun{
 			capacity: c.capacity, drains: c.drains,
 			events: kc.Total(), lost: b.Lost(), perCPU: b.LostPerCPU(),

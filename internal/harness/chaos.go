@@ -12,11 +12,10 @@ import (
 	"github.com/tracesynth/rostracer/internal/core"
 	"github.com/tracesynth/rostracer/internal/faultinject"
 	"github.com/tracesynth/rostracer/internal/metrics"
-	"github.com/tracesynth/rostracer/internal/rclcpp"
+	"github.com/tracesynth/rostracer/internal/pipeline"
 	"github.com/tracesynth/rostracer/internal/service"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
-	"github.com/tracesynth/rostracer/internal/tracers"
 )
 
 // chaosDrains is the drain-window count of the chaos session.
@@ -165,28 +164,6 @@ func chaosFormatRun(cfg Config, format trace.Format) (chaosRun, error) {
 	}
 	plan := faultinject.Plan{Disk: disk, Ring: ring, Transport: transport}
 
-	// The traced world, with every fault layer wired to its hook before
-	// the first emission so the emitted count covers the whole session.
-	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cfg.CPUs, Seed: cfg.Seed})
-	b, err := tracers.NewBundleCapacity(w.Runtime(), chaosRingCapacity)
-	if err != nil {
-		return chaosRun{}, err
-	}
-	b.SetRingFault(plan.Ring.Hook())
-	w.Domain().Fault = plan.Transport
-	tracers.BridgeSched(w.Machine(), w.Runtime())
-	if err := b.StartInit(); err != nil {
-		return chaosRun{}, err
-	}
-	if err := b.StartRT(); err != nil {
-		return chaosRun{}, err
-	}
-	if err := b.StartKernel(true); err != nil {
-		return chaosRun{}, err
-	}
-	BuildBoth(1)(w)
-	b.StopInit()
-
 	var sb strings.Builder
 	run := chaosRun{ok: true}
 	flunk := func(format string, args ...interface{}) {
@@ -194,6 +171,12 @@ func chaosFormatRun(cfg Config, format trace.Format) (chaosRun, error) {
 		run.notes = append(run.notes, fmt.Sprintf(format, args...))
 	}
 
+	// Self-observability under fault load: the drain fans out to the
+	// store, a metrics sink, and an auxiliary JSONL sink whose writer is
+	// yanked at a scripted window. After every window the registry is
+	// scraped through the same exposition path the HTTP endpoint serves,
+	// and the scrape must stay parseable with every counter monotone —
+	// fault windows included.
 	const session = "chaos"
 	sleeps := 0
 	writer := service.NewSessionWriter(store, session, service.Policy{
@@ -201,23 +184,22 @@ func chaosFormatRun(cfg Config, format trace.Format) (chaosRun, error) {
 		SpillCapacity: chaosSpill,
 		Sleep:         func(time.Duration) { sleeps++ },
 	})
-
-	// Self-observability under fault load: the drain fans out to the
-	// store, a metrics sink, and an auxiliary JSONL sink whose writer is
-	// yanked at a scripted window. After every window the registry is
-	// scraped through the same exposition path the HTTP endpoint serves,
-	// and the scrape must stay parseable with every counter monotone —
-	// fault windows included.
 	reg := metrics.NewRegistry()
-	msink := metrics.NewSink(reg)
-	pm := metrics.NewPipelineMetrics(reg)
-	alerts := metrics.NewAlerts(reg, metrics.DefaultAlertRules())
+	ps, err := pipeline.New(pipeline.Config{
+		Seed: cfg.Seed, CPUs: cfg.CPUs, Build: BuildBoth(1), RingCapacity: chaosRingCapacity,
+		Duration: cfg.Duration, Drains: chaosDrains,
+		Writer: writer, Metrics: reg, AlertRules: metrics.DefaultAlertRules(),
+	})
+	if err != nil {
+		return chaosRun{}, err
+	}
+	// Every fault layer is wired to its hook before the first emission,
+	// so the emitted count covers the whole session.
+	w, b := ps.World, ps.Bundle
+	b.SetRingFault(plan.Ring.Hook())
+	w.Domain().Fault = plan.Transport
 	aux := &yankableWriter{}
-	auxSink := trace.NewJSONLSink(aux)
-	isink := trace.NewIsolatingMultiSink()
-	isink.Add("store", writer)
-	isink.Add("aux-jsonl", auxSink)
-	isink.Add("metrics", msink)
+	ps.Fanout.Add("aux-jsonl", trace.NewJSONLSink(aux))
 
 	var prevScrape *metrics.ParsedExposition
 	scrapeCheck := func(window string) {
@@ -232,34 +214,20 @@ func chaosFormatRun(cfg Config, format trace.Format) (chaosRun, error) {
 		prevScrape = parsed
 	}
 
-	var elapsed sim.Duration
-	for k := 1; k <= chaosDrains; k++ {
-		target := cfg.Duration * sim.Duration(k) / chaosDrains
-		w.Run(target - elapsed)
-		elapsed = target
-		if k == chaosDetachWindow {
-			aux.yanked = true
-		}
-		writer.BeginSegment()
-		if err := b.StreamTo(isink); err != nil {
-			return chaosRun{}, err
-		}
-		writer.EndSegment()
-
-		pm.UpdateBundle(b)
-		pm.UpdateDrain(int64(cfg.Duration)/chaosDrains, k, 0)
-		pm.UpdateWriter(writer)
-		pm.UpdateIntern()
-		pm.UpdateSinks(isink)
-		alerts.Evaluate()
+	drained, err := ps.Run(func(win pipeline.Window) bool {
+		k := win.Index + 1
 		scrapeCheck(fmt.Sprintf("window %d", k))
+		if k+1 == chaosDetachWindow {
+			aux.yanked = true // before the next window's drain
+		}
+		return true
+	})
+	if err != nil {
+		return chaosRun{}, err
 	}
-	writer.Close()
-	if err := isink.Close(); err != nil {
-		flunk("fan-out close: %v", err)
+	if drained.CloseErr != nil {
+		flunk("fan-out close: %v", drained.CloseErr)
 	}
-	pm.UpdateWriter(writer)
-	pm.UpdateSinks(isink)
 	scrapeCheck("post-close")
 
 	stats := writer.Stats()
@@ -271,11 +239,11 @@ func chaosFormatRun(cfg Config, format trace.Format) (chaosRun, error) {
 	// The aux sink must have detached during (exactly) the yank window,
 	// and the sink-detached alert must pin that: silent before, first
 	// firing at chaosDetachWindow.
-	if det := isink.Detached(); len(det) != 1 || det[0].Name != "aux-jsonl" {
+	if det := drained.Detached; len(det) != 1 || det[0].Name != "aux-jsonl" {
 		flunk("detachments = %+v, want exactly the yanked aux-jsonl sink", det)
 	}
 	var detachRule *metrics.RuleState
-	for _, st := range alerts.States() {
+	for _, st := range ps.Alerts.States() {
 		if st.Rule.Name == "sink-detached" {
 			detachRule = st
 		}
@@ -286,7 +254,7 @@ func chaosFormatRun(cfg Config, format trace.Format) (chaosRun, error) {
 		flunk("sink-detached alert fired at evaluation %d, want exactly window %d (state %+v)",
 			detachRule.FiredAt, chaosDetachWindow, detachRule)
 	}
-	for _, st := range alerts.States() {
+	for _, st := range ps.Alerts.States() {
 		if st.Rule.Name == "store-dropped" && !st.Fired {
 			flunk("store-dropped alert never fired despite %d dropped events", stats.Dropped)
 		}

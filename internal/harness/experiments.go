@@ -9,6 +9,7 @@ import (
 	"github.com/tracesynth/rostracer/internal/apps"
 	"github.com/tracesynth/rostracer/internal/core"
 	"github.com/tracesynth/rostracer/internal/metrics"
+	"github.com/tracesynth/rostracer/internal/pipeline"
 	"github.com/tracesynth/rostracer/internal/rclcpp"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
@@ -479,36 +480,21 @@ func Fig2Experiment(cfg Config) (Result, error) {
 	// streaming shape — every periodic drain feeds the same incremental
 	// synthesis sink, and no segment (let alone the merged trace) is ever
 	// materialized.
-	dSeg, err := func() (*core.DAG, error) {
-		w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cfg.CPUs, Seed: cfg.Seed})
-		bd, err := tracers.NewBundle(w.Runtime())
-		if err != nil {
-			return nil, err
-		}
-		tracers.BridgeSched(w.Machine(), w.Runtime())
-		if err := bd.StartInit(); err != nil {
-			return nil, err
-		}
-		if err := bd.StartRT(); err != nil {
-			return nil, err
-		}
-		if err := bd.StartKernel(true); err != nil {
-			return nil, err
-		}
-		apps.BuildAVP(w, apps.AVPConfig{})
-		bd.StopInit()
-		sink := core.NewSynthesizeSink()
-		for i := 0; i < 4; i++ {
-			w.Run(cfg.Duration / 4)
-			if err := bd.StreamTo(sink); err != nil {
-				return nil, err
-			}
-		}
-		return sink.DAG(), nil
-	}()
+	quarter := cfg.Duration / 4
+	seg, err := pipeline.New(pipeline.Config{
+		Seed: cfg.Seed, CPUs: cfg.CPUs,
+		Build:    func(w *rclcpp.World) { apps.BuildAVP(w, apps.AVPConfig{}) },
+		Duration: 4 * quarter, Period: quarter,
+	})
 	if err != nil {
 		return Result{}, err
 	}
+	segSink := core.NewSynthesizeSink()
+	seg.Fanout.Add("synthesis", segSink)
+	if _, err := seg.Run(nil); err != nil {
+		return Result{}, err
+	}
+	dSeg := segSink.DAG()
 	whole, err := RunSession(cfg.Seed, cfg.CPUs, cfg.Duration, true, func(w *rclcpp.World) {
 		apps.BuildAVP(w, apps.AVPConfig{})
 	})

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"github.com/tracesynth/rostracer/internal/apps"
+	"github.com/tracesynth/rostracer/internal/pipeline"
 	"github.com/tracesynth/rostracer/internal/rclcpp"
 	"github.com/tracesynth/rostracer/internal/sched"
 	"github.com/tracesynth/rostracer/internal/sim"
@@ -96,36 +97,25 @@ type Session struct {
 	LostRecords uint64
 }
 
-// RunSessionInto boots a world, attaches the three tracers (kernel
-// tracer filtered unless stated), builds the application, runs for
-// duration, and streams the trace into sink — the deployment sequence of
-// Fig. 2 on the streaming path: decoded events flow from the per-CPU
+// RunSessionInto runs the deployment sequence of Fig. 2 (kernel tracer
+// filtered unless stated) for duration with one drain at the end,
+// streaming the trace into sink: decoded events flow from the per-CPU
 // rings through the tournament merge straight into the sink, and no
 // merged trace is ever materialized (Session.Trace stays nil).
 func RunSessionInto(seed uint64, cpus int, duration sim.Duration, filteredKernel bool,
 	build func(*rclcpp.World), sink trace.Sink) (*Session, error) {
-	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cpus, Seed: seed})
-	b, err := tracers.NewBundle(w.Runtime())
+	ps, err := pipeline.New(pipeline.Config{
+		Seed: seed, CPUs: cpus, Build: build, UnfilteredKernel: !filteredKernel,
+		Duration: duration, Drains: 1,
+	})
 	if err != nil {
 		return nil, err
 	}
-	tracers.BridgeSched(w.Machine(), w.Runtime())
-	if err := b.StartInit(); err != nil {
+	ps.Fanout.Add("sink", sink)
+	if _, err := ps.Run(nil); err != nil {
 		return nil, err
 	}
-	if err := b.StartRT(); err != nil {
-		return nil, err
-	}
-	if err := b.StartKernel(filteredKernel); err != nil {
-		return nil, err
-	}
-	build(w)
-	// TR_IN has seen all node creations; it can be stopped now (Fig. 2).
-	b.StopInit()
-	w.Run(duration)
-	if err := b.StreamTo(sink); err != nil {
-		return nil, err
-	}
+	w, b := ps.World, ps.Bundle
 	s := &Session{
 		World: w, Bundle: b,
 		TraceBytes:  b.TraceBytes(),

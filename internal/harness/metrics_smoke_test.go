@@ -8,17 +8,14 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/tracesynth/rostracer/internal/core"
 	"github.com/tracesynth/rostracer/internal/metrics"
-	"github.com/tracesynth/rostracer/internal/rclcpp"
+	"github.com/tracesynth/rostracer/internal/pipeline"
 	"github.com/tracesynth/rostracer/internal/sim"
-	"github.com/tracesynth/rostracer/internal/trace"
-	"github.com/tracesynth/rostracer/internal/tracers"
 )
 
 // TestMetricsEndpointSmoke is the /metrics smoke test make check runs: a
-// live short session (the rostracer pipeline shape — bundle, drain
-// fan-out, metrics sink, snapshot instrumentation) served over real HTTP
+// live short session on the pipeline drive loop (bundle, drain fan-out,
+// metrics sink, snapshot instrumentation) served over real HTTP
 // and scraped concurrently with the drive loop. Every scrape must be
 // parseable Prometheus text exposition carrying the session's publish-
 // latency histograms and ring accounting.
@@ -47,33 +44,18 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	}
 
 	// The live session: 8 segments of SYN+AVP under the tracers, each
-	// drained through an isolating fan-out into the metrics sink and an
-	// online synthesis service, with the pipeline gauges snapshotted per
-	// segment — exactly rostracer's wiring, minus the disk.
-	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: 4, Seed: 1})
-	b, err := tracers.NewBundleCapacity(w.Runtime(), 0)
+	// drained through the pipeline's isolating fan-out into the metrics
+	// sink and an online synthesis service, with the pipeline gauges
+	// snapshotted per segment — rostracer's drive loop, minus the disk.
+	const segDur = 250 * sim.Millisecond
+	ps, err := pipeline.New(pipeline.Config{
+		Seed: 1, CPUs: 4, Build: BuildBoth(1),
+		Duration: 8 * segDur, Period: segDur,
+		SnapshotEvery: 4 * segDur, Metrics: reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracers.BridgeSched(w.Machine(), w.Runtime())
-	if err := b.StartInit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.StartRT(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.StartKernel(true); err != nil {
-		t.Fatal(err)
-	}
-	BuildBoth(1)(w)
-	b.StopInit()
-
-	msink := metrics.NewSink(reg)
-	pm := metrics.NewPipelineMetrics(reg)
-	snapSvc := core.NewSnapshotService()
-	sink := trace.NewIsolatingMultiSink()
-	sink.Add("metrics", msink)
-	sink.Add("snapshot", snapSvc)
 
 	// A scraper hammering the endpoint while the drive loop runs: the
 	// endpoint must be serveable at any moment, not just between
@@ -96,24 +78,14 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 			}
 		}
 	}()
-
-	const segments = 8
-	const segDur = 250 * sim.Millisecond
-	for k := 1; k <= segments; k++ {
-		w.Run(segDur)
-		if err := b.StreamTo(sink); err != nil {
-			t.Fatal(err)
-		}
-		pm.UpdateBundle(b)
-		pm.UpdateDrain(int64(segDur), k, 0)
-		pm.UpdateIntern()
-		pm.UpdateSinks(sink)
-		pm.UpdateSynthesis(snapSvc)
-	}
+	rep, err := ps.Run(nil)
 	close(stop)
 	wg.Wait()
-	if err := sink.Close(); err != nil {
-		t.Fatalf("fan-out close: %v", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CloseErr != nil || len(rep.Detached) != 0 {
+		t.Fatalf("fan-out close: %v, detached %+v", rep.CloseErr, rep.Detached)
 	}
 
 	// The final scrape carries the whole session.

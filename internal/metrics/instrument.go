@@ -29,7 +29,6 @@ type PipelineMetrics struct {
 
 	drainPeriod *Gauge
 	drains      *Counter
-	ringDrains  *Counter
 
 	storeObserved  *Counter
 	storePersisted *Counter
@@ -61,9 +60,8 @@ func NewPipelineMetrics(r *Registry) *PipelineMetrics {
 		ringLost:    r.CounterVec("rostracer_ring_lost_records_total", "Records dropped to per-CPU ring capacity or injected ring faults, per CPU.", "cpu"),
 		ringBytes:   r.CounterVec("rostracer_ring_bytes_total", "Cumulative perf-buffer payload bytes emitted, per CPU.", "cpu"),
 
-		drainPeriod: r.Gauge("rostracer_drain_period_ns", "Current planned drain interval (time to the earliest ring deadline in per-ring mode), nanoseconds."),
+		drainPeriod: r.Gauge("rostracer_drain_period_ns", "Current planned drain interval, nanoseconds."),
 		drains:      r.Counter("rostracer_drains_total", "Drain observation windows completed."),
-		ringDrains:  r.Counter("rostracer_ring_drains_total", "Individual ring drains selected (per-ring deadline mode)."),
 
 		storeObserved:  r.Counter("rostracer_store_observed_events_total", "Events handed to the session writer."),
 		storePersisted: r.Counter("rostracer_store_persisted_events_total", "Events in durably closed segments."),
@@ -107,17 +105,12 @@ func (p *PipelineMetrics) UpdateBundle(b *tracers.Bundle) {
 	}
 }
 
-// UpdateScheduler snapshots an adaptive scheduler's drain cadence.
-func (p *PipelineMetrics) UpdateScheduler(s *tracers.DrainScheduler) {
-	p.UpdateDrain(int64(s.Interval()), s.Drains(), s.RingDrains())
-}
-
-// UpdateDrain snapshots the drain cadence directly — the fixed-period
-// loop's path, where there is no scheduler to read.
-func (p *PipelineMetrics) UpdateDrain(periodNs int64, drains, ringDrains int) {
+// UpdateDrain snapshots the drain cadence: the planned next period and
+// the windows drained so far. The third argument is unused; every drain
+// covers every ring.
+func (p *PipelineMetrics) UpdateDrain(periodNs int64, drains, _ int) {
 	p.drainPeriod.Set(periodNs)
 	p.drains.Set(uint64(drains))
-	p.ringDrains.Set(uint64(ringDrains))
 }
 
 // UpdateWriter snapshots the session writer's reconciliation ledger.

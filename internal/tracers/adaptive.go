@@ -50,48 +50,16 @@ type DrainObservation struct {
 // DrainScheduler plans the drain cadence of one Bundle from per-ring
 // pending/lost gauges. Call Observe after advancing the simulation by
 // the current Interval and before draining (the drain clears the
-// pending gauges the scheduler reads).
-//
-// Observe plans one global cadence from the worst ring, so every wakeup
-// drains every ring. AdvancePerRing instead gives each ring its own
-// deadline planned from its own fill rate: a wakeup drains only the
-// rings whose deadline arrived (Bundle.StreamDueTo), so cold rings —
-// the init tracer after startup, RT rings on idle CPUs — stop paying
-// cursor setup at the hot rings' cadence. The two modes share the
-// policy but keep separate state; use one or the other per scheduler.
+// pending gauges the scheduler reads). It plans one global cadence from
+// the worst ring, so every wakeup drains every ring (Bundle.StreamTo)
+// and every drain is one (Time, Seq)-ordered stream.
 type DrainScheduler struct {
 	b        *Bundle
 	pol      DrainPolicy
 	interval sim.Duration
 	lastLost [3][]uint64 // per-tracer, per-CPU lost snapshots
 	drains   int
-
-	// Per-ring deadline state (AdvancePerRing mode).
-	now        sim.Duration      // accumulated elapsed simulation time
-	deadline   [3][]sim.Duration // absolute per-ring next-drain deadlines
-	ringIval   [3][]sim.Duration // per-ring last planned interval (backoff base)
-	lastDrain  [3][]sim.Duration // when each ring was last drained (window start)
-	due        RingSet           // scratch, reused across calls
-	ringDrains int               // total ring drains selected so far
 }
-
-// RingSet marks which rings of a bundle are due for draining. Its Has
-// method has the signature Bundle.StreamDueTo expects.
-type RingSet struct {
-	due [3][]bool
-	n   int
-}
-
-// Has reports whether the given tracer's per-CPU ring is in the set.
-func (r *RingSet) Has(tracer, cpu int) bool {
-	if tracer < 0 || tracer >= len(r.due) || cpu < 0 || cpu >= len(r.due[tracer]) {
-		return false
-	}
-	return r.due[tracer][cpu]
-}
-
-// Count returns how many rings are in the set.
-func (r *RingSet) Count() int { return r.n }
 
 // NewDrainScheduler plans drains for b under pol. The initial interval
 // is pol.Min for bounded rings (calibration) and pol.Max for unbounded
@@ -176,88 +144,8 @@ func (s *DrainScheduler) Observe(elapsed sim.Duration) DrainObservation {
 	return obs
 }
 
-// RingDrains returns how many ring drains AdvancePerRing has selected
-// in total — the cost metric per-ring deadlines exist to shrink (the
-// all-rings equivalent is Drains times the ring count).
-func (s *DrainScheduler) RingDrains() int { return s.ringDrains }
-
-// AdvancePerRing advances the scheduler clock by the elapsed window and
-// returns the rings whose deadline arrived, planning each due ring's
-// next deadline from that ring's own demand (pending high-water plus
-// lost delta since the ring was last planned). Rings not yet due are
-// untouched: their gauges keep accumulating and are read when their own
-// deadline fires. After the call, Interval reports the time to the
-// earliest pending deadline — the step the drive loop should sleep.
-//
-// The returned set is valid until the next AdvancePerRing call. Drain
-// exactly the returned rings (b.StreamDueTo(sink, due.Has)) before
-// advancing again, since planning assumes a due ring's pending gauge
-// resets at its deadline.
-func (s *DrainScheduler) AdvancePerRing(elapsed sim.Duration) *RingSet {
-	s.now += elapsed
-	s.drains++
-	s.due.n = 0
-
-	next := s.pol.Max
-	for bi, pb := range s.b.perfBuffers() {
-		rings := pb.NumRings()
-		for len(s.lastLost[bi]) < rings {
-			s.lastLost[bi] = append(s.lastLost[bi], 0)
-			s.deadline[bi] = append(s.deadline[bi], 0)
-			s.ringIval[bi] = append(s.ringIval[bi], s.interval)
-			s.lastDrain[bi] = append(s.lastDrain[bi], 0)
-			s.due.due[bi] = append(s.due.due[bi], false)
-		}
-		for cpu := 0; cpu < rings; cpu++ {
-			if s.deadline[bi][cpu] > s.now {
-				s.due.due[bi][cpu] = false
-				if wait := s.deadline[bi][cpu] - s.now; wait < next {
-					next = wait
-				}
-				continue
-			}
-			s.due.due[bi][cpu] = true
-			s.due.n++
-			s.ringDrains++
-
-			lost := pb.LostOnCPU(cpu)
-			delta := lost - s.lastLost[bi][cpu]
-			s.lastLost[bi][cpu] = lost
-			window := s.now - s.lastDrain[bi][cpu]
-			s.lastDrain[bi][cpu] = s.now
-
-			plan := s.pol.Max
-			if demand := pb.PendingOnCPU(cpu) + int(delta); s.pol.Capacity > 0 && demand > 0 && window > 0 {
-				target := s.pol.TargetFill * float64(s.pol.Capacity)
-				plan = sim.Duration(target * float64(window) / float64(demand))
-				if plan < s.pol.Min {
-					plan = s.pol.Min
-				}
-				if plan > s.pol.Max {
-					plan = s.pol.Max
-				}
-			} else if s.pol.Capacity > 0 {
-				// Quiet ring: back off one planning step, not straight to
-				// Max — same burst hedge as the global mode, applied per
-				// ring so one idle CPU can't slow the others' cadence.
-				if plan = s.ringIval[bi][cpu] * 2; plan > s.pol.Max {
-					plan = s.pol.Max
-				}
-			}
-			s.ringIval[bi][cpu] = plan
-			s.deadline[bi][cpu] = s.now + plan
-			if plan < next {
-				next = plan
-			}
-		}
-	}
-	s.interval = next
-	return &s.due
-}
-
 // NumRings reports the total per-CPU ring count across the bundle's
-// three tracers — the all-rings drain cost per wakeup that per-ring
-// deadlines amortize.
+// three tracers — the number of rings every drain covers.
 func (b *Bundle) NumRings() int {
 	n := 0
 	for _, pb := range b.perfBuffers() {

@@ -158,152 +158,6 @@ func TestDrainSchedulerZeroLossAtLossyPoint(t *testing.T) {
 	}
 }
 
-// tracedWorld boots SYN+AVP with all three tracers live, so every
-// buffer owns populated rings (the init phase registers the PIDs the
-// kernel tracer's filtering needs).
-func tracedWorld(t *testing.T, cpus, capacity int, seed uint64) (*rclcpp.World, *Bundle) {
-	t.Helper()
-	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cpus, Seed: seed})
-	b, err := NewBundleCapacity(w.Runtime(), capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	BridgeSched(w.Machine(), w.Runtime())
-	for _, err := range []error{b.StartInit(), b.StartRT(), b.StartKernel(true)} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	apps.BuildSYN(w, apps.SYNConfig{})
-	apps.BuildAVP(w, apps.AVPConfig{})
-	b.StopInit()
-	return w, b
-}
-
-// TestStreamDueToSelectsRings checks the selective drain's contract:
-// only rings the predicate admits are drained; the rest keep their
-// backlog and a later full drain recovers it.
-func TestStreamDueToSelectsRings(t *testing.T) {
-	w, b := tracedWorld(t, 4, 0, 11)
-	w.Run(200 * sim.Millisecond)
-
-	pbs := b.perfBuffers()
-	var kc trace.KindCounter
-	// Drain only the kernel tracer's rings (index 2, the hot ones).
-	if err := b.StreamDueTo(&kc, func(tracer, cpu int) bool { return tracer == 2 }); err != nil {
-		t.Fatal(err)
-	}
-	if kc.Total() == 0 {
-		t.Fatal("selective drain of the kernel rings yielded nothing")
-	}
-	if p := pbs[2].Pending(); p != 0 {
-		t.Fatalf("kernel buffer still has %d pending after selective drain", p)
-	}
-	rest := pbs[0].Pending() + pbs[1].Pending()
-	if rest == 0 {
-		t.Fatal("non-selected rings were drained (or workload emitted nothing on them)")
-	}
-	before := kc.Total()
-	if err := b.StreamTo(&kc); err != nil {
-		t.Fatal(err)
-	}
-	if got := kc.Total() - before; got != rest {
-		t.Fatalf("full drain recovered %d events, want the %d left pending", got, rest)
-	}
-}
-
-// TestAdvancePerRingStaggersDeadlines checks that per-ring planning
-// actually differentiates rings: after calibration, cold rings back off
-// past hot ones, so some wakeups drain a strict subset of the rings.
-func TestAdvancePerRingStaggersDeadlines(t *testing.T) {
-	w, b := tracedWorld(t, 4, 256, 11)
-	pol := DrainPolicy{Capacity: 256, TargetFill: 0.5,
-		Min: 10 * sim.Millisecond, Max: sim.Second}
-	s := NewDrainScheduler(b, pol)
-
-	var kc trace.KindCounter
-	sawSubset := false
-	for i := 0; i < 40; i++ {
-		step := s.Interval()
-		w.Run(step)
-		due := s.AdvancePerRing(step)
-		if n := due.Count(); n > 0 && n < b.NumRings() {
-			sawSubset = true
-		}
-		if err := b.StreamDueTo(&kc, due.Has); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !sawSubset {
-		t.Fatal("every wakeup drained all rings; deadlines never staggered")
-	}
-	if s.RingDrains() >= s.Drains()*b.NumRings() {
-		t.Fatalf("ring drains %d not below all-rings cost %d",
-			s.RingDrains(), s.Drains()*b.NumRings())
-	}
-	if kc.Total() == 0 {
-		t.Fatal("no events drained")
-	}
-}
-
-// TestPerRingDeadlinesZeroLossAtLossyPoint extends the adaptive
-// zero-loss property to per-ring deadlines: at the same lossy operating
-// point, draining only due rings must still lose nothing and recover
-// the identical stream, while doing fewer ring drains than draining
-// every ring on every wakeup.
-func TestPerRingDeadlinesZeroLossAtLossyPoint(t *testing.T) {
-	const capacity = 256
-	duration := 4 * sim.Second
-	fixedPeriod := duration / 8
-
-	pol := DrainPolicy{Capacity: capacity, TargetFill: 0.5,
-		Min: duration / 128, Max: fixedPeriod}
-
-	// Fixed-period reference, to know the full stream size.
-	wf, bf := tracedWorld(t, 8, capacity, 9)
-	var fixed trace.KindCounter
-	for elapsed := sim.Duration(0); elapsed < duration; elapsed += fixedPeriod {
-		wf.Run(fixedPeriod)
-		if err := bf.StreamTo(&fixed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bf.Lost() == 0 {
-		t.Skip("fixed period lost nothing at this scale; operating point not lossy")
-	}
-	want := fixed.Total() + int(bf.Lost())
-
-	w, b := tracedWorld(t, 8, capacity, 9)
-	s := NewDrainScheduler(b, pol)
-	var kc trace.KindCounter
-	var elapsed sim.Duration
-	for elapsed < duration {
-		step := s.Interval()
-		if rest := duration - elapsed; step > rest {
-			step = rest
-		}
-		w.Run(step)
-		elapsed += step
-		due := s.AdvancePerRing(step)
-		if err := b.StreamDueTo(&kc, due.Has); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.StreamTo(&kc); err != nil {
-		t.Fatal(err)
-	}
-	if lost := b.Lost(); lost != 0 {
-		t.Fatalf("per-ring drain lost %d records", lost)
-	}
-	if kc.Total() != want {
-		t.Fatalf("per-ring drained %d events, want %d", kc.Total(), want)
-	}
-	if allRings := s.Drains() * b.NumRings(); s.RingDrains() >= allRings {
-		t.Fatalf("per-ring did %d ring drains, all-rings equivalent %d; no savings",
-			s.RingDrains(), allRings)
-	}
-}
-
 // TestMaxRingPending checks the gauge the scheduler plans from reports
 // the worst single ring, not a sum.
 func TestMaxRingPending(t *testing.T) {

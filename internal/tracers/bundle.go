@@ -117,6 +117,18 @@ func NewBundleCapacity(rt *ebpf.Runtime, perRingCapacity int) (*Bundle, error) {
 // Table I experiment).
 func (b *Bundle) Programs() map[string]*ebpf.Program { return b.progs }
 
+// TierCounts tallies the bundle's programs per dispatch tier:
+// counts[0..2] are tiers 0..2, undecoded programs are not counted.
+func (b *Bundle) TierCounts() [3]int {
+	var counts [3]int
+	for _, p := range b.progs {
+		if t := p.DecodeTier(); t >= 0 && t < 3 {
+			counts[t]++
+		}
+	}
+	return counts
+}
+
 // PIDMap exposes the ROS2-PID filter map (user-space side reads it to know
 // which PIDs the kernel tracer follows).
 func (b *Bundle) PIDMap() *ebpf.HashMap { return b.pidMap }
@@ -343,18 +355,6 @@ func (c *recordCursor) Next() (*trace.Event, bool, error) {
 // every event of the segment, and on return they are released to their
 // rings for the next emission burst to reuse.
 func (b *Bundle) StreamTo(sink trace.Sink) (err error) {
-	return b.StreamDueTo(sink, nil)
-}
-
-// StreamDueTo is StreamTo restricted to the rings due reports true for
-// (nil means all): rings left undrained keep accumulating, so a drain
-// scheduler with per-ring deadlines can skip cold rings entirely
-// instead of paying the cursor setup for every ring on every wakeup.
-// The merged output is (Time, Seq)-sorted within this drain, but a ring
-// drained later may hold events older than ones already delivered — the
-// segment store's read-time merge absorbs that; sinks that need one
-// globally ordered stream must drain all rings together (StreamTo).
-func (b *Bundle) StreamDueTo(sink trace.Sink, due func(tracer, cpu int) bool) (err error) {
 	pbs := b.perfBuffers()
 	nrings := 0
 	for _, pb := range pbs {
@@ -369,11 +369,8 @@ func (b *Bundle) StreamDueTo(sink trace.Sink, due func(tracer, cpu int) bool) (e
 		refs = make([]trace.Cursor, 0, nrings)
 	}
 	n := 0
-	for bi, pb := range pbs {
+	for _, pb := range pbs {
 		for cpu := 0; cpu < pb.NumRings(); cpu++ {
-			if due != nil && !due(bi, cpu) {
-				continue
-			}
 			rc := &curs[n]
 			n++
 			pb.DrainCursorInto(&rc.recs, cpu)
@@ -391,7 +388,7 @@ func (b *Bundle) StreamDueTo(sink trace.Sink, due func(tracer, cpu int) bool) (e
 	// Chunks stay pinned until the sink returns; only then do the
 	// segments recycle.
 	defer func() {
-		for i := range curs[:n] {
+		for i := range curs {
 			curs[i].recs.Release()
 		}
 	}()
