@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check bench bench-smoke bench-compare stream-bench fmt-compat fuzz-smoke chaos chaos-race baseline metrics-smoke perfbench-vet
+.PHONY: all build test vet fmt-check race check bench bench-smoke bench-compare stream-bench fmt-compat fuzz-smoke chaos chaos-race baseline metrics-smoke perfbench-vet
 
 all: check
 
@@ -13,13 +13,17 @@ test:
 vet:
 	$(GO) vet ./...
 
+# Fail when any Go file (perfbench included) is not gofmt-clean.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # Race-detector pass over the library packages and the commands (the
 # parallel harness, the interned decode paths and the drive loop behind
 # rostracer run under concurrency).
 race:
 	$(GO) test -race ./internal/... ./cmd/...
 
-check: vet build test race metrics-smoke perfbench-vet
+check: fmt-check vet build test race metrics-smoke perfbench-vet
 
 # Vet the end-to-end benchmark against the library. perfbench is a nested
 # module (it replaces the root module with ../), so `go build ./...` at

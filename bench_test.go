@@ -680,7 +680,13 @@ func benchStoreSession(b *testing.B, seconds sim.Duration, segments int) (*trace
 // format (0 = the store default, v2).
 func benchStoreSessionFormat(b *testing.B, seconds sim.Duration, segments int, format trace.Format) (*trace.Store, string, int) {
 	b.Helper()
-	tr := avpTrace(b, seconds)
+	return saveSegmented(b, avpTrace(b, seconds), segments, format)
+}
+
+// saveSegmented writes tr into a fresh store as session "run", split
+// into segments contiguous chunks.
+func saveSegmented(b *testing.B, tr *trace.Trace, segments int, format trace.Format) (*trace.Store, string, int) {
+	b.Helper()
 	st, err := trace.NewStore(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -758,6 +764,34 @@ func BenchmarkStoreStreamSynthesize(b *testing.B) {
 			b.Fatal("empty model")
 		}
 	}
+}
+
+// BenchmarkStoreStreamSynthesize60 is BenchmarkStoreStreamSynthesize in
+// the shape of the reference run (rostracer -app both -segment 1s, 60 s):
+// 60 v2 segments streamed into the synthesis sink. With 60 cursors
+// primed at once, a per-segment read cost shows here that the 8-segment
+// benchmarks hide.
+func BenchmarkStoreStreamSynthesize60(b *testing.B) {
+	s, err := harness.RunSession(1, 12, 60*sim.Second, true, harness.BuildBoth(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, sess, want := saveSegmented(b, s.Trace, 60, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink := core.NewSynthesizeSink()
+		if err := st.StreamSession(sess, sink); err != nil {
+			b.Fatal(err)
+		}
+		if err := sink.Err(); err != nil {
+			b.Fatal(err)
+		}
+		if len(sink.DAG().Vertices) == 0 {
+			b.Fatal("empty model")
+		}
+	}
+	b.ReportMetric(float64(want), "events/op")
 }
 
 // BenchmarkStoreStreamSessionV1 is BenchmarkStoreStreamSession over v1

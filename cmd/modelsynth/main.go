@@ -139,7 +139,7 @@ func main() {
 	if len(dags) == 0 {
 		log.Fatal("no sessions found")
 	}
-	d := core.MergeDAGs(dags...)
+	d := mergeSessions(dags)
 
 	fmt.Print(core.Summary(d))
 
@@ -182,6 +182,16 @@ func main() {
 		log.Print("WARNING: one or more sessions were salvaged from damage; the model covers surviving events only")
 		os.Exit(1)
 	}
+}
+
+// mergeSessions merges the per-session DAGs into the model. A single
+// session's DAG already is the model, so it is used as is rather than
+// deep-copied through MergeDAGs.
+func mergeSessions(dags []*core.DAG) *core.DAG {
+	if len(dags) == 1 {
+		return dags[0]
+	}
+	return core.MergeDAGs(dags...)
 }
 
 // printChains writes the -chains report: every computation chain with

@@ -70,7 +70,7 @@ func offlineOutputs(t *testing.T, store *trace.Store) (jsonOut, dot, chains stri
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
-	d := core.MergeDAGs(sink.DAG())
+	d := mergeSessions([]*core.DAG{sink.DAG()})
 	var j, c bytes.Buffer
 	if err := core.WriteJSON(&j, d); err != nil {
 		t.Fatal(err)

@@ -345,9 +345,13 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 		}
 		log.Printf("  WARNING: sink %q detached after %d events: %v%s", d.Name, d.Events, d.Err, suffix)
 	}
-	log.Printf("  %d events, %.2f MB perf payload, probe cost %.4f cores",
-		rep.Persisted, float64(b.TraceBytes())/1e6,
-		s.World.Runtime().CostNs()/float64(cfg.duration))
+	// Probe cost is a share of the traced span, so a session that traced
+	// nothing (-duration 0) reports none.
+	summary := fmt.Sprintf("  %d events, %.2f MB perf payload", rep.Persisted, float64(b.TraceBytes())/1e6)
+	if cfg.duration > 0 {
+		summary += fmt.Sprintf(", probe cost %.4f cores", s.World.Runtime().CostNs()/float64(cfg.duration))
+	}
+	log.Print(summary)
 	// Per-CPU ring accounting, as a real perf_event_array poller reports
 	// it: payload per CPU, and any overruns attributed to the ring that
 	// dropped them.

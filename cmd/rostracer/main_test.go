@@ -175,3 +175,18 @@ func TestNormalShutdownCutsFinalSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroDurationSummary checks a session that traces nothing keeps the
+// summary line's "N events, X MB perf payload" prefix and reports no
+// probe cost instead of dividing by its zero span.
+func TestZeroDurationSummary(t *testing.T) {
+	_, logText := traceLog(t, t.TempDir(), "both", "s", runConfig{
+		seed: 1, cpus: 12, duration: 0, segment: sim.Second,
+	})
+	if !regexp.MustCompile(`(?m)^rostracer:\s+\d+ events, [0-9.]+ MB perf payload$`).MatchString(logText) {
+		t.Fatalf("no cost-free summary line in the log:\n%s", logText)
+	}
+	if strings.Contains(logText, "probe cost") || strings.Contains(logText, "Inf") {
+		t.Fatalf("zero-duration session reports a probe cost:\n%s", logText)
+	}
+}

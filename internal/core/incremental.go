@@ -43,7 +43,8 @@ import (
 // All other attributes fold forward: merged callbacks accumulate stats,
 // instances, and refcounted out-topics; timer periods keep an exact
 // two-heap running median over inter-start gaps, matching
-// EstimatePeriod's upper-median element for any length.
+// EstimatePeriod's upper-median element for any length. Instance Writes
+// are carved out of a shared slab rather than allocated one slice each.
 type snapEngine struct {
 	ord uint64 // ROS events folded so far: the ordinal of the next one
 
@@ -62,6 +63,28 @@ type snapEngine struct {
 	names map[string]*topicNames
 
 	pending []*pendingClient
+
+	// writes is the slab instance Writes are carved from (see carveWrites).
+	writes []Write
+}
+
+// writeSlabLen is the number of Writes one slab chunk holds.
+const writeSlabLen = 512
+
+// carveWrites copies ws into the slab and returns the copy capped to its
+// length, so an append by any holder reallocates instead of running into
+// the next instance's writes; buildDAG's clamp-sharing of Instances
+// relies on that. A full chunk is left to the instances carved from it.
+func (g *snapEngine) carveWrites(ws []Write) []Write {
+	if len(ws) == 0 {
+		return nil
+	}
+	if cap(g.writes)-len(g.writes) < len(ws) {
+		g.writes = make([]Write, 0, max(writeSlabLen, len(ws)))
+	}
+	n := len(g.writes)
+	g.writes = append(g.writes, ws...)
+	return g.writes[n:len(g.writes):len(g.writes)]
 }
 
 // topicNames holds what the engine derives from one topic or service
@@ -193,6 +216,7 @@ type curState struct {
 	inTopic  string
 	isSync   bool
 	outs     []outContrib // reused across instances
+	writes   []Write      // reused across instances; carved into inst.Writes at the end
 	start    sim.Time
 	startSeq uint64
 	inst     Instance
@@ -217,11 +241,11 @@ type cbEntry struct {
 	outsCache []string
 	outsDirty bool
 
-	med medianTracker // inter-start gaps, for timer period estimates
+	med medianTracker // inter-start gaps, for timer period estimates (timers only)
 }
 
 func (e *cbEntry) addInstance(inst Instance) {
-	if n := len(e.cb.Instances); n > 0 {
+	if n := len(e.cb.Instances); n > 0 && e.cb.Type == CBTimer {
 		e.med.push(inst.Start.Sub(e.cb.Instances[n-1].Start))
 	}
 	e.cb.Stats.Add(inst.ET)
@@ -260,9 +284,9 @@ func (e *cbEntry) outs() []string {
 	return e.outsCache[:len(e.outsCache):len(e.outsCache)]
 }
 
-// period is the entry's timer-period estimate: the same upper-median
+// period is a timer entry's period estimate: the same upper-median
 // inter-start gap EstimatePeriod computes by sorting, read off the
-// running median in O(1).
+// running median in O(1). Only timer entries track the median.
 func (e *cbEntry) period() sim.Duration {
 	if len(e.cb.Instances) < 2 {
 		return 0
@@ -437,7 +461,8 @@ func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 				fmt.Sprintf("callback start %v while instance from %v still open", e.Kind, m.cur.start)}})
 		}
 		m.open = true
-		m.cur = curState{typ: cbTypeOf(e.Kind), outs: m.cur.outs[:0], start: e.Time, startSeq: e.Seq}
+		m.cur = curState{typ: cbTypeOf(e.Kind), outs: m.cur.outs[:0], writes: m.cur.writes[:0],
+			start: e.Time, startSeq: e.Seq}
 
 	case trace.KindTimerCall: // P3
 		m.caller = e.CBID
@@ -508,7 +533,7 @@ func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 			contrib.fixed = topic
 		}
 		m.cur.outs = append(m.cur.outs, contrib)
-		m.cur.inst.Writes = append(m.cur.inst.Writes, Write{Topic: topic, SrcTS: e.SrcTS})
+		m.cur.writes = append(m.cur.writes, Write{Topic: topic, SrcTS: e.SrcTS})
 
 	case trace.KindTakeTypeErased: // P14
 		m.tte = append(m.tte, ttePoint{g.ord, e.Ret})
@@ -541,6 +566,7 @@ func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 				cur.inst.ET += e.Time.Sub(w.last)
 			}
 		}
+		cur.inst.Writes = g.carveWrites(cur.writes)
 		m.merge(cur)
 	}
 }

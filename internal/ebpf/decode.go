@@ -51,22 +51,22 @@ const (
 	// tier1.go for the matcher and vm.go for the semantics). Each covers a
 	// contiguous range of original instructions [pc, pc+w) and falls back
 	// to the tier-0 ops of that range if its runtime guard fails.
-	opStoreRunImm       // copy templates[imm] into stack[tgt:]
-	opLdxCtx2           // regs[dst] = ctx[tgt]; regs[src] = ctx[imm]
-	opCtxToStack        // regs[dst] = ctx[imm]; stack[tgt:+8] = regs[dst]
-	opTimeToStack       // regs[R0] = now; stack[tgt:+8] = regs[R0]
-	opPidToStack        // regs[R0] = pid; stack[tgt:+8] = regs[R0]
-	opCPUToStack        // regs[R0] = cpu; stack[tgt:+8] = regs[R0]
-	opCallTime          // regs[R0] = now
-	opCallPid           // regs[R0] = pid
-	opCallCPU           // regs[R0] = cpu
-	opEmitRecord        // calls[tgt].pb.Emit(stack[base:base+size]); imm = base<<32|size
-	opMapLookupFast     // regs[R0] = calls[tgt].map.Lookup(key)
-	opMapExistFast      // regs[R0] = key present in calls[tgt].map
-	opMapDeleteFast     // calls[tgt].map.Delete(key)
-	opMapUpdateFast     // calls[tgt].map.Update(key, value)
-	opProbeReadFast     // probe_read(stack[tgt:tgt+imm], addr=regs[src])
-	opProbeReadStrFast  // probe_read_str(stack[tgt:tgt+imm], addr=regs[src])
+	opStoreRunImm      // copy templates[imm] into stack[tgt:]
+	opLdxCtx2          // regs[dst] = ctx[tgt]; regs[src] = ctx[imm]
+	opCtxToStack       // regs[dst] = ctx[imm]; stack[tgt:+8] = regs[dst]
+	opTimeToStack      // regs[R0] = now; stack[tgt:+8] = regs[R0]
+	opPidToStack       // regs[R0] = pid; stack[tgt:+8] = regs[R0]
+	opCPUToStack       // regs[R0] = cpu; stack[tgt:+8] = regs[R0]
+	opCallTime         // regs[R0] = now
+	opCallPid          // regs[R0] = pid
+	opCallCPU          // regs[R0] = cpu
+	opEmitRecord       // calls[tgt].pb.Emit(stack[base:base+size]); imm = base<<32|size
+	opMapLookupFast    // regs[R0] = calls[tgt].map.Lookup(key)
+	opMapExistFast     // regs[R0] = key present in calls[tgt].map
+	opMapDeleteFast    // calls[tgt].map.Delete(key)
+	opMapUpdateFast    // calls[tgt].map.Update(key, value)
+	opProbeReadFast    // probe_read(stack[tgt:tgt+imm], addr=regs[src])
+	opProbeReadStrFast // probe_read_str(stack[tgt:tgt+imm], addr=regs[src])
 
 	// opTrace is the tier-2 cross-block superinstruction (produced only by
 	// reoptimize when a block's terminating conditional jump has a single

@@ -259,7 +259,7 @@ func TestTier1Equivalence(t *testing.T) {
 	runEquiv(t, "probe", probeProg, 1, []*ExecContext{
 		{PID: 1, NowNs: 1, Words: []uint64{addr}, Mem: sp},
 		{PID: 2, NowNs: 2, Words: []uint64{0xdead_0000}, Mem: sp}, // faulting address
-		{PID: 3, NowNs: 3, Words: []uint64{addr}},                // nil Mem
+		{PID: 3, NowNs: 3, Words: []uint64{addr}},                 // nil Mem
 	})
 }
 

@@ -271,8 +271,17 @@ func (be *blockEnc) add(e *Event) {
 	be.count++
 }
 
-// ruv reads one uvarint at offset o, bounds-checked.
+// ruv reads one uvarint at offset o, bounds-checked. Most fields of a
+// record are small deltas or values that fit one byte; those skip
+// ruvLong's general decode.
 func ruv(b []byte, o int) (uint64, int, error) {
+	if o < len(b) && b[o] < 0x80 {
+		return uint64(b[o]), o + 1, nil
+	}
+	return ruvLong(b, o)
+}
+
+func ruvLong(b []byte, o int) (uint64, int, error) {
 	v, n := binary.Uvarint(b[o:])
 	if n <= 0 {
 		return 0, o, fmt.Errorf("trace: truncated or overlong varint at offset %d", o)
@@ -442,14 +451,14 @@ func decodeBlockHeader(body []byte, strs []string) (count int, strsOut []string,
 // backing array, reusing its slots (decodeRecord2 overwrites every field)
 // and growing it by append only past its capacity — never pre-sized from
 // the header's record count, which is untrusted input. On error it
-// returns the records decoded before the damage point (the
-// complete-record prefix a torn block salvages to) along with the error;
-// info is only meaningful when err is nil.
-func decodeBlockBody(dst []Event, strs []string, body []byte) (events []Event, strsOut []string, info BlockInfo, err error) {
+// returns the records decoded before the damage point along with the
+// error. The indexed query cursor decodes its selected blocks this way;
+// FileCursor decodes one record per Next instead.
+func decodeBlockBody(dst []Event, strs []string, body []byte) (events []Event, strsOut []string, err error) {
 	events = dst[:0]
 	count, strs, o, err := decodeBlockHeader(body, strs)
 	if err != nil {
-		return events, strs, info, err
+		return events, strs, err
 	}
 	var st decState
 	for i := 0; i < count; i++ {
@@ -458,25 +467,16 @@ func decodeBlockBody(dst []Event, strs []string, body []byte) (events []Event, s
 		} else {
 			events = append(events, Event{})
 		}
-		e := &events[len(events)-1]
-		o2, derr := decodeRecord2(body, o, &st, strs, e)
+		o2, derr := decodeRecord2(body, o, &st, strs, &events[len(events)-1])
 		if derr != nil {
-			return events[:len(events)-1], strs, info, derr
+			return events[:len(events)-1], strs, derr
 		}
 		o = o2
-		if i == 0 || e.Time < info.MinTime {
-			info.MinTime = e.Time
-		}
-		if i == 0 || e.Time > info.MaxTime {
-			info.MaxTime = e.Time
-		}
-		info.Kinds |= kindBit(e.Kind)
 	}
 	if o != len(body) {
-		return events, strs, info, fmt.Errorf("trace: %d trailing bytes in block", len(body)-o)
+		return events, strs, fmt.Errorf("trace: %d trailing bytes in block", len(body)-o)
 	}
-	info.Count = count
-	return events, strs, info, nil
+	return events, strs, nil
 }
 
 // appendFooterBody encodes the footer index: per-block entries with

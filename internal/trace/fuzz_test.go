@@ -295,7 +295,7 @@ func FuzzV1V2Equivalence(f *testing.F) {
 		}
 		for _, blockRecords := range []int{1, 3, 0} {
 			// Compare each event as the cursor serves it, out of its reused
-			// block slot, before the next Next can overwrite it.
+			// Event, before the next Next can overwrite it.
 			cur := NewFileCursor(bytes.NewReader(encodeV2(t, tr.Events, blockRecords)))
 			n := 0
 			for ; ; n++ {

@@ -8,12 +8,12 @@ import (
 	"github.com/tracesynth/rostracer/internal/sim"
 )
 
-// Cursors decode in place: the v1 cursor into one reused Event, the v2
-// cursors into the slots of one reused decoded block. These tests feed
-// records whose presence masks leave fields out right after records
-// that set them, in the same slot, and demand every served event equal
-// an independent decode into fresh storage, so a reused slot never leaks
-// a field from an earlier record.
+// Cursors decode in place: the v1 and v2 file cursors into one reused
+// Event, the indexed query cursor into the slots of one reused decoded
+// block. These tests feed records whose presence masks leave fields out
+// right after records that set them, in the same slot, and demand every
+// served event equal an independent decode into fresh storage, so a
+// reused slot never leaks a field from an earlier record.
 
 // richThenSparse returns blocks of n events: even blocks set every
 // optional field (ROS payloads with Node, Topic, CBID and Ret; sched
@@ -50,7 +50,7 @@ func freshV2Decode(t *testing.T, data []byte) []Event {
 	o := len(binMagic2)
 	for o < len(data) && data[o] == frameBlock {
 		n := int(binary.LittleEndian.Uint32(data[o+1:]))
-		evs, _, _, err := decodeBlockBody(nil, nil, data[o+5:o+5+n])
+		evs, _, err := decodeBlockBody(nil, nil, data[o+5:o+5+n])
 		if err != nil {
 			t.Fatal(err)
 		}

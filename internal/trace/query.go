@@ -358,7 +358,7 @@ func (c *indexedCursor) Next() (*Event, bool, error) {
 				continue
 			}
 		}
-		events, strs, _, err := decodeBlockBody(c.events[:0], c.strs[:0], body)
+		events, strs, err := decodeBlockBody(c.events[:0], c.strs[:0], body)
 		c.events, c.strs, c.ei = events, strs, 0
 		if err != nil {
 			return c.fail(fmt.Errorf("%w: %v", ErrBadBlock, err))

@@ -284,8 +284,9 @@ func (sw *SegmentWriter) Close() error {
 }
 
 // FileCursor decodes a .rtrc segment into a Cursor: one record per Next,
-// off a buffered reader, with a single reused record buffer — reading a
-// multi-GB segment holds one record in memory, never the segment. It
+// off a buffered reader, into a single reused Event — reading a
+// multi-GB segment holds one record (v1) or one block's encoded body
+// (v2) in memory, never the segment. It
 // accepts exactly the inputs ReadBinary accepts and fails exactly where
 // ReadBinary fails (ReadBinary is implemented over it, and
 // FuzzFileCursor pins the equivalence): a segment truncated mid-record —
@@ -313,22 +314,31 @@ type FileCursor struct {
 	// and every fully decoded frame — the length of the longest prefix
 	// that is itself a valid segment. Salvage uses it to report how many
 	// bytes of a damaged segment were recovered vs dropped. For v1 the
-	// granularity is one record; for v2 it is one block frame (the
-	// complete-record prefix of a torn block is yielded but not counted,
-	// since those bytes are not themselves a valid segment).
+	// granularity is one record; for v2 it is one block frame, counted
+	// when the whole frame has been read and taken back if a record in it
+	// fails to decode or trailing bytes remain (the complete-record prefix
+	// of a torn or bad block is yielded but not counted, since those bytes
+	// are not themselves a valid segment).
 	consumed int64
-	// v2 state: decoded-but-unserved records of the current block, the
-	// reused string table, an error held back until the torn block's
-	// complete-record prefix has been served, and the observed block index
-	// (validated against the footer, and usable to rebuild a missing one).
-	version     Format
-	ev          Event // v1: the record Next decoded last, reused in place
-	blockEvents []Event
-	blockIdx    int
-	blockStrs   []string
-	pendingErr  error
-	obsIndex    []BlockInfo
-	recCount    int
+	version  Format
+	ev       Event // the record Next decoded last, reused in place
+	// v2 state: the current block's body (a view of buf), the offset of
+	// its next record, the records it has left, its delta chain and string
+	// table, and its index entry as far as decoded. blkTorn is the
+	// truncation error of a torn frame (nil for a complete one). An error
+	// is held back in pendingErr until the block's last record has been
+	// served, and obsIndex is the observed block index (validated against
+	// the footer, and usable to rebuild a missing one).
+	blk        []byte
+	blkOff     int
+	blkLeft    int
+	blkSt      decState
+	blkStrs    []string
+	blkInfo    BlockInfo
+	blkTorn    error
+	pendingErr error
+	obsIndex   []BlockInfo
+	recCount   int
 }
 
 // NewFileCursor opens a cursor over a .rtrc stream. The magic header is
@@ -360,8 +370,9 @@ func (c *FileCursor) checkOrder(ev *Event) error {
 }
 
 // Next implements Cursor. Errors are sticky: after the first decode
-// error the cursor keeps returning it. The event is the cursor's own
-// (v1: one reused Event; v2: a slot of the reused decoded block), valid
+// error the cursor keeps returning it. The event is the cursor's one
+// reused Event, decoded in place from the current record (v1) or from
+// the current block's body at the next record's offset (v2), and valid
 // until the next Next.
 func (c *FileCursor) Next() (*Event, bool, error) {
 	if c.err != nil {
@@ -419,19 +430,25 @@ func (c *FileCursor) Next() (*Event, bool, error) {
 	return &c.ev, true, nil
 }
 
-// nextV2 serves decoded records out of the current block, pulling the
-// next frame when the block runs dry. A torn or damaged block's
+// nextV2 decodes the current block's next record, pulling the next
+// frame when the block runs dry. A torn or damaged block's
 // complete-record prefix is served before its error surfaces, matching
 // v1's "every complete record, then the error" salvage semantics.
 func (c *FileCursor) nextV2() (*Event, bool, error) {
 	for {
-		if c.blockIdx < len(c.blockEvents) {
-			ev := &c.blockEvents[c.blockIdx]
-			c.blockIdx++
-			if err := c.checkOrder(ev); err != nil {
+		if c.blkLeft > 0 {
+			if err := c.decodeNext(&c.ev); err != nil {
 				return c.fail(err)
 			}
-			return ev, true, nil
+			if err := c.checkOrder(&c.ev); err != nil {
+				// Settle the rest of the block unserved, so the frame's count
+				// and index entry stand as if every record had been read.
+				var rest Event
+				for c.blkLeft > 0 && c.decodeNext(&rest) == nil {
+				}
+				return c.fail(err)
+			}
+			return &c.ev, true, nil
 		}
 		if c.pendingErr != nil {
 			return c.fail(c.pendingErr)
@@ -465,9 +482,9 @@ func (c *FileCursor) nextV2() (*Event, bool, error) {
 	}
 }
 
-// readBlock reads and decodes one block frame. Damage inside the frame
-// is deferred via pendingErr so the block's complete-record prefix is
-// served first; damage to the frame itself fails immediately.
+// readBlock reads one block frame and its header, leaving its records to
+// decodeNext. Damage to the frame itself fails immediately; a torn body
+// still serves its complete-record prefix before the truncation error.
 func (c *FileCursor) readBlock() error {
 	if _, err := io.ReadFull(c.br, c.lenBuf[:]); err != nil {
 		return fmt.Errorf("%w: block length: %w", ErrTruncated, err)
@@ -479,28 +496,77 @@ func (c *FileCursor) readBlock() error {
 	if cap(c.buf) < int(n) {
 		c.buf = make([]byte, n)
 	}
-	body := c.buf[:n]
-	m, rerr := io.ReadFull(c.br, body)
+	m, rerr := io.ReadFull(c.br, c.buf[:n])
+	c.blk, c.blkTorn = c.buf[:m], nil
+	c.blkInfo = BlockInfo{Offset: c.consumed, Len: n}
 	if rerr != nil {
-		// Torn block: decode the complete-record prefix of what did arrive,
-		// serve it, then surface the truncation.
-		evs, strs, _, _ := decodeBlockBody(c.blockEvents[:0], c.blockStrs[:0], body[:m])
-		c.blockEvents, c.blockStrs, c.blockIdx = evs, strs, 0
-		c.pendingErr = fmt.Errorf("%w: block body: %w", ErrTruncated, rerr)
-		return nil
+		c.blkTorn = fmt.Errorf("%w: block body: %w", ErrTruncated, rerr)
+	} else {
+		c.consumed += int64(5 + n)
 	}
-	evs, strs, info, derr := decodeBlockBody(c.blockEvents[:0], c.blockStrs[:0], body)
-	c.blockEvents, c.blockStrs, c.blockIdx = evs, strs, 0
-	if derr != nil {
-		c.pendingErr = fmt.Errorf("%w: %w", ErrBadBlock, derr)
-		return nil
+	count, strs, o, err := decodeBlockHeader(c.blk, c.blkStrs)
+	c.blkStrs = strs
+	if err != nil {
+		return c.blockErr(err)
 	}
-	info.Offset = c.consumed
-	info.Len = n
-	c.obsIndex = append(c.obsIndex, info)
-	c.recCount += info.Count
-	c.consumed += int64(5 + n)
+	c.blkOff, c.blkLeft, c.blkSt = o, count, decState{}
+	c.blkInfo.Count = count
+	if count == 0 {
+		return c.endBlock()
+	}
 	return nil
+}
+
+// decodeNext decodes the current block's next record into e and folds it
+// into the block's index entry. Once the last record is decoded, the
+// block's verdict (endBlock) is held in pendingErr, to surface after
+// that record has been served.
+func (c *FileCursor) decodeNext(e *Event) error {
+	o, err := decodeRecord2(c.blk, c.blkOff, &c.blkSt, c.blkStrs, e)
+	if err != nil {
+		return c.blockErr(err)
+	}
+	info := &c.blkInfo
+	first := c.blkLeft == info.Count
+	if first || e.Time < info.MinTime {
+		info.MinTime = e.Time
+	}
+	if first || e.Time > info.MaxTime {
+		info.MaxTime = e.Time
+	}
+	info.Kinds |= kindBit(e.Kind)
+	c.blkOff = o
+	if c.blkLeft--; c.blkLeft == 0 {
+		c.pendingErr = c.endBlock()
+	}
+	return nil
+}
+
+// endBlock settles a block whose records have all decoded: a complete
+// frame with no trailing bytes joins the observed index; anything else
+// is the block's damage.
+func (c *FileCursor) endBlock() error {
+	if c.blkTorn != nil {
+		return c.blkTorn
+	}
+	if c.blkOff != len(c.blk) {
+		return c.blockErr(fmt.Errorf("trace: %d trailing bytes in block", len(c.blk)-c.blkOff))
+	}
+	c.obsIndex = append(c.obsIndex, c.blkInfo)
+	c.recCount += c.blkInfo.Count
+	return nil
+}
+
+// blockErr ends the current block on damage found inside it: a torn
+// frame reports its truncation; a complete frame's bytes are taken back
+// out of consumed and the damage reported as ErrBadBlock.
+func (c *FileCursor) blockErr(err error) error {
+	c.blkLeft = 0
+	if c.blkTorn != nil {
+		return c.blkTorn
+	}
+	c.consumed -= int64(5 + len(c.blk))
+	return fmt.Errorf("%w: %w", ErrBadBlock, err)
 }
 
 // readFooter reads, validates, and cross-checks the footer index against

@@ -135,9 +135,9 @@ func (ms multiSink) Observe(e Event) {
 //
 // The event Next returns belongs to the cursor and stays valid only
 // until that cursor's next Next — the aliasing rule
-// ebpf.RecordCursor.Data has. Decoding cursors fill one reused event (or
-// a reused decoded block) in place; a caller that keeps an event past
-// the next Next copies it.
+// ebpf.RecordCursor.Data has. Decoding cursors fill one reused event in
+// place, one record per Next; a caller that keeps an event past the next
+// Next copies it.
 type Cursor interface {
 	Next() (ev *Event, ok bool, err error)
 }
