@@ -75,6 +75,19 @@ func main() {
 	if filtering && (*salvage || *fsck) {
 		log.Fatal("-t0/-t1/-kinds/-node use the strict indexed read path and cannot combine with -salvage or -fsck")
 	}
+	if *t1 != 0 && *t1 < *t0 {
+		log.Fatalf("-t1 %v is earlier than -t0 %v: the window is empty", *t1, *t0)
+	}
+	if *span < 0 {
+		log.Fatalf("-span %v is negative", *span)
+	}
+	// NewStore creates a missing directory, as a tracer writing a new
+	// store needs; a reader must not.
+	if fi, err := os.Stat(*in); err != nil {
+		log.Fatal(err)
+	} else if !fi.IsDir() {
+		log.Fatalf("%s is not a directory", *in)
+	}
 
 	store, err := trace.NewStore(*in)
 	if err != nil {
@@ -105,11 +118,11 @@ func main() {
 		// Each session streams off disk straight into the incremental
 		// synthesis sink: segment records decode one at a time, the k-way
 		// merge holds one event per segment, and sched events fold online —
-		// a multi-GB session synthesizes without ever materializing.
+		// a multi-GB session synthesizes without ever materializing. The
+		// sink also counts the events and tracks their span.
 		sink := core.NewSynthesizeSink()
-		var spanSink trace.SpanTracker
 		if *salvage {
-			rep, err := store.SalvageSession(s, trace.MultiSink(sink, &spanSink))
+			rep, err := store.SalvageSession(s, sink)
 			if err != nil {
 				log.Fatalf("salvaging %s: %v", s, err)
 			}
@@ -118,23 +131,23 @@ func main() {
 			}
 			log.Print(rep.String())
 		} else if filtering {
-			stats, err := store.QuerySession(s, filter, trace.MultiSink(sink, &spanSink))
+			stats, err := store.QuerySession(s, filter, sink)
 			if err != nil {
 				log.Fatalf("querying %s: %v", s, err)
 			}
 			log.Printf("session %s: %d/%d blocks read (%d skipped by index, %d footers rebuilt), %d records decoded, %d matched",
 				s, stats.BlocksRead, stats.BlocksTotal, stats.BlocksSkipped,
 				stats.FootersRebuilt, stats.RecordsDecoded, stats.RecordsMatched)
-		} else if err := store.StreamSession(s, trace.MultiSink(sink, &spanSink)); err != nil {
+		} else if err := store.StreamSession(s, sink); err != nil {
 			log.Fatalf("loading %s: %v (re-run with -salvage to recover the undamaged prefix)", s, err)
 		}
 		if err := sink.Err(); err != nil {
 			log.Fatalf("synthesizing %s: %v", s, err)
 		}
-		first, last := spanSink.Span()
+		first, last := sink.Span()
 		inferredSpan += last.Sub(first)
 		dags = append(dags, sink.DAG())
-		log.Printf("session %s: %d events", s, spanSink.Total())
+		log.Printf("session %s: %d events", s, sink.EventsFolded())
 	}
 	if len(dags) == 0 {
 		log.Fatal("no sessions found")

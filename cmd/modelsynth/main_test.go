@@ -2,6 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/tracesynth/rostracer/internal/apps"
@@ -14,7 +19,7 @@ import (
 
 // loadsSession traces 3 s of SYN + AVP on 6 CPUs (seed 9) into a store
 // and synthesizes it the way modelsynth does: the session streamed off
-// disk into a SynthesizeSink, its span tracked alongside.
+// disk into a SynthesizeSink, which also tracks its span.
 func loadsSession(t *testing.T) (*core.DAG, sim.Duration) {
 	t.Helper()
 	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: 6, Seed: 9})
@@ -44,14 +49,13 @@ func loadsSession(t *testing.T) (*core.DAG, sim.Duration) {
 		t.Fatal(err)
 	}
 	sink := core.NewSynthesizeSink()
-	var span trace.SpanTracker
-	if err := store.StreamSession("run", trace.MultiSink(sink, &span)); err != nil {
+	if err := store.StreamSession("run", sink); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
-	first, last := span.Span()
+	first, last := sink.Span()
 	return sink.DAG(), last.Sub(first)
 }
 
@@ -112,4 +116,130 @@ func TestLoadsTextPin(t *testing.T) {
 			t.Fatalf("call %d printed a different report:\n%s", i+2, again.String())
 		}
 	}
+}
+
+// runAsMainEnv makes the test binary run main instead of the tests, so
+// a test can run it as modelsynth with its own flags.
+const runAsMainEnv = "MODELSYNTH_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runAsMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// modelsynth runs the test binary as modelsynth with args and returns
+// its exit code and combined output.
+func modelsynth(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runAsMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, string(out)
+	case errors.As(err, &exit):
+		return exit.ExitCode(), string(out)
+	}
+	t.Fatal(err)
+	return 0, ""
+}
+
+// oneSessionStore writes a store holding one short session, so a run
+// that gets past flag checking synthesizes something.
+func oneSessionStore(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	store, err := trace.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{Events: []trace.Event{
+		{Time: 1, Seq: 1, Kind: trace.KindCreateNode, PID: 7, Node: "n"},
+		{Time: 2, Seq: 2, Kind: trace.KindTimerCBStart, PID: 7},
+		{Time: 3, Seq: 3, Kind: trace.KindTimerCall, PID: 7, CBID: 9},
+		{Time: 5, Seq: 4, Kind: trace.KindTimerCBEnd, PID: 7},
+	}}
+	if err := store.SaveSegment("run", 0, tr); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestRejectsBadInputs checks that modelsynth refuses, with an error
+// and a nonzero exit, inputs it used to accept silently.
+func TestRejectsBadInputs(t *testing.T) {
+	store := oneSessionStore(t)
+	missing := filepath.Join(t.TempDir(), "no", "such", "store")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"missing-in", []string{"-in", missing}, "no such file or directory"},
+		{"t1-before-t0", []string{"-in", store, "-t0", "2s", "-t1", "1s"}, "-t1 1s is earlier than -t0 2s"},
+		{"negative-span", []string{"-in", store, "-loads", "-span", "-1s"}, "-span -1s is negative"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out := modelsynth(t, tc.args...)
+			if code == 0 || !strings.Contains(out, tc.want) {
+				t.Fatalf("exit %d, output:\n%s\nwant a nonzero exit and %q", code, out, tc.want)
+			}
+		})
+	}
+	if _, err := os.Stat(filepath.Dir(filepath.Dir(missing))); !os.IsNotExist(err) {
+		t.Fatalf("modelsynth -in created part of the missing path: %v", err)
+	}
+	if code, out := modelsynth(t, "-in", store, "-loads"); code != 0 {
+		t.Fatalf("a good store exits %d:\n%s", code, out)
+	}
+}
+
+// TestBuilderSpanMatchesSpanTracker checks that the synthesis sink's
+// event count and span, which modelsynth prints and feeds to -loads,
+// are those of a trace.SpanTracker on the same stream, on each read
+// path: a full stream, a query, and a salvage over a damaged segment.
+func TestBuilderSpanMatchesSpanTracker(t *testing.T) {
+	store := writeSegmentedSession(t, trace.FormatV2)
+	check := func(name string, read func(trace.Sink) error) {
+		t.Helper()
+		sink := core.NewSynthesizeSink()
+		var span trace.SpanTracker
+		if err := read(trace.MultiSink(sink, &span)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := sink.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		f0, l0 := span.Span()
+		f1, l1 := sink.Span()
+		if span.Total() < 1000 || sink.EventsFolded() != uint64(span.Total()) || f0 != f1 || l0 != l1 {
+			t.Fatalf("%s: sink %d events over [%v, %v]; SpanTracker %d over [%v, %v]",
+				name, sink.EventsFolded(), f1, l1, span.Total(), f0, l0)
+		}
+	}
+	check("stream", func(s trace.Sink) error { return store.StreamSession("run", s) })
+	check("query", func(s trace.Sink) error {
+		_, err := store.QuerySession("run", trace.Filter{T0: sim.Time(300 * sim.Millisecond), T1: sim.Time(2 * sim.Second)}, s)
+		return err
+	})
+
+	seg := filepath.Join(store.Dir(), "run-0004.rtrc")
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	check("salvage", func(s trace.Sink) error {
+		rep, err := store.SalvageSession("run", s)
+		if err == nil && rep.Damaged() != 1 {
+			t.Fatalf("salvage found %d damaged segments, want 1", rep.Damaged())
+		}
+		return err
+	})
 }

@@ -265,3 +265,14 @@ func TestStatsMergeCommutesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCanonicalKeysOrderCollisionsByFirst checks that colliding keys get
+// their ordinal suffix in Callback.First order, not in model order.
+func TestCanonicalKeysOrderCollisionsByFirst(t *testing.T) {
+	late := &Callback{PID: 1, Node: "n", Type: CBTimer, ID: 1, OutTopics: []string{"/x"}, First: 20}
+	early := &Callback{PID: 1, Node: "n", Type: CBTimer, ID: 2, OutTopics: []string{"/x"}, First: 10}
+	keys := canonicalKeys([]*Callback{late, early})
+	if keys[early] != "n|timer|/x|0" || keys[late] != "n|timer|/x|1" {
+		t.Fatalf("keys: early %q, late %q", keys[early], keys[late])
+	}
+}

@@ -12,6 +12,9 @@ import (
 
 // Vertex is one task of the synthesized timing model: a callback, or a
 // zero-execution-time AND junction inserted for message synchronization.
+// It carries statistics only: Stats holds Count, Min, Max and Sum (no
+// Samples), and the per-instance history stays on the Model's callbacks
+// when a ModelBuilder produced them.
 type Vertex struct {
 	Key  string // canonical identity, stable across runs
 	Node string
@@ -26,7 +29,6 @@ type Vertex struct {
 	OutTopics []string
 
 	Stats           ExecStats
-	Instances       []Instance
 	PeriodEstimates []sim.Duration // one per contributing trace (timers)
 }
 
@@ -200,7 +202,8 @@ func decorID(t string) uint64 {
 // undecorated topics; service callbacks additionally carry their caller's
 // canonical key (recursively), preserving the paper's per-caller split.
 // Remaining collisions (e.g. two timers with identical outputs in one
-// node) are disambiguated ordinally by first observed start time.
+// node) are disambiguated ordinally by first observed start time
+// (Callback.First).
 func canonicalKeys(cbs []*Callback) map[*Callback]string {
 	base := make(map[*Callback]string, len(cbs))
 	idToBase := make(map[uint64]string)
@@ -254,21 +257,12 @@ func canonicalKeys(cbs []*Callback) map[*Callback]string {
 		if len(group) < 2 {
 			continue
 		}
-		sort.Slice(group, func(i, j int) bool {
-			return firstStart(group[i]) < firstStart(group[j])
-		})
+		sort.Slice(group, func(i, j int) bool { return group[i].First < group[j].First })
 		for i, cb := range group {
 			full[cb] = fmt.Sprintf("%s|%d", full[cb], i)
 		}
 	}
 	return full
-}
-
-func firstStart(cb *Callback) sim.Time {
-	if len(cb.Instances) == 0 {
-		return 0
-	}
-	return cb.Instances[0].Start
 }
 
 // BuildDAG applies the DAG-synthesis rules of Sec. IV to a model:
@@ -295,33 +289,15 @@ func buildDAG(m *Model, periodOf func(*Callback) sim.Duration) *DAG {
 	d := NewDAG()
 	keys := canonicalKeys(m.Callbacks)
 
-	// Vertices. Canonical keys are unique per callback within one model
-	// (ordinal disambiguation splits every residual collision group), so
-	// in the common case each vertex has exactly one contributor and can
-	// share its samples and instances — full-capacity-clamped, so later
-	// appends by a consumer (MergeDAGs) reallocate instead of writing
-	// into the callback's backing arrays. A second contributor to the
-	// same key falls back to copy-then-merge.
-	sharedV := make(map[*Vertex]bool)
+	// Vertices, with the statistics of every callback mapped to them.
 	for _, cb := range m.Callbacks {
 		key := keys[cb]
 		v, ok := d.Vertices[key]
 		if !ok {
 			v = &Vertex{Key: key, Node: cb.Node, PID: cb.PID, Type: cb.Type, IsSync: cb.IsSync}
-			v.Stats = cb.Stats
-			v.Stats.Samples = clampDurations(cb.Stats.Samples)
-			v.Instances = clampInstances(cb.Instances)
-			sharedV[v] = true
 			d.Vertices[key] = v
-		} else {
-			if sharedV[v] {
-				v.Stats.Samples = append([]sim.Duration(nil), v.Stats.Samples...)
-				v.Instances = append([]Instance(nil), v.Instances...)
-				sharedV[v] = false
-			}
-			v.Stats.Merge(cb.Stats)
-			v.Instances = append(v.Instances, cb.Instances...)
 		}
+		v.Stats.Merge(cb.Stats.summary())
 		if in := baseTopic(cb.InTopic); in != "" {
 			v.InTopics = mergeSorted(v.InTopics, in)
 		}
@@ -413,13 +389,6 @@ func buildDAG(m *Model, periodOf func(*Callback) sim.Duration) *DAG {
 	return d
 }
 
-// clampDurations full-capacity-clamps a duration slice so appends by the
-// receiver reallocate instead of aliasing the source's backing array.
-func clampDurations(s []sim.Duration) []sim.Duration { return s[:len(s):len(s)] }
-
-// clampInstances is clampDurations for instance slices.
-func clampInstances(s []Instance) []Instance { return s[:len(s):len(s)] }
-
 func mergeSorted(list []string, s string) []string {
 	for _, x := range list {
 		if x == s {
@@ -454,7 +423,6 @@ func MergeDAGs(dags ...*DAG) *DAG {
 				out.Vertices[key] = dst
 			}
 			dst.Stats.Merge(v.Stats)
-			dst.Instances = append(dst.Instances, v.Instances...)
 			dst.PeriodEstimates = append(dst.PeriodEstimates, v.PeriodEstimates...)
 			dst.OrJunction = dst.OrJunction || v.OrJunction
 			dst.IsSync = dst.IsSync || v.IsSync
@@ -527,6 +495,7 @@ func BuildDAGNaive(m *Model) *DAG {
 		c := &Callback{
 			PID: cb.PID, Node: cb.Node, Type: cb.Type, ID: cb.ID,
 			InTopic: baseTopic(cb.InTopic), OutTopics: outs, IsSync: cb.IsSync,
+			First: cb.First,
 		}
 		c.Stats.Merge(cb.Stats)
 		c.Instances = append(c.Instances, cb.Instances...)

@@ -40,16 +40,24 @@ import (
 //     appears, until the answer is provably final (a dispatched client
 //     found with every earlier take definitively skipped).
 //
-// All other attributes fold forward: merged callbacks accumulate stats,
-// instances, and refcounted out-topics; timer periods keep an exact
-// two-heap running median over inter-start gaps, matching
-// EstimatePeriod's upper-median element for any length. Instance Writes
-// are carved out of a shared slab rather than allocated one slice each.
+// All other attributes fold forward: merged callbacks accumulate stats
+// and refcounted out-topics; timer periods keep an exact two-heap
+// running median over inter-start gaps, matching EstimatePeriod's
+// upper-median element for any length.
+//
+// Per-instance history (Instances, their Writes, and the ET Samples) is
+// kept only when keep is set, which only NewModelBuilder does: the DAG
+// reads statistics alone. Instance Writes are carved out of a shared
+// slab rather than allocated one slice each.
 type snapEngine struct {
-	ord uint64 // ROS events folded so far: the ordinal of the next one
+	ord  uint64 // ROS events folded so far: the ordinal of the next one
+	keep bool   // retain instances, writes and ET samples
 
-	nodeOf   map[uint32]string
-	machines map[uint32]*pidMachine
+	nodeOf map[uint32]string
+	// dense holds the machines of PIDs below densePIDs, indexed by PID;
+	// sparse holds the rest.
+	dense  []*pidMachine
+	sparse map[uint32]*pidMachine
 
 	// callerOf maps a request write's (topic, srcTS) to findCaller's
 	// answer, captured when the first such write was folded.
@@ -73,8 +81,8 @@ const writeSlabLen = 512
 
 // carveWrites copies ws into the slab and returns the copy capped to its
 // length, so an append by any holder reallocates instead of running into
-// the next instance's writes; buildDAG's clamp-sharing of Instances
-// relies on that. A full chunk is left to the instances carved from it.
+// the next instance's writes. A full chunk is left to the instances
+// carved from it.
 func (g *snapEngine) carveWrites(ws []Write) []Write {
 	if len(ws) == 0 {
 		return nil
@@ -157,7 +165,7 @@ type ttePoint struct {
 func newSnapEngine() *snapEngine {
 	return &snapEngine{
 		nodeOf:     make(map[uint32]string),
-		machines:   make(map[uint32]*pidMachine),
+		sparse:     make(map[uint32]*pidMachine),
 		callerOf:   make(map[topicTS]uint64),
 		takeRespBy: make(map[topicTS][]takeResp),
 	}
@@ -216,7 +224,7 @@ type curState struct {
 	inTopic  string
 	isSync   bool
 	outs     []outContrib // reused across instances
-	writes   []Write      // reused across instances; carved into inst.Writes at the end
+	writes   []Write      // reused across instances; carved into inst.Writes at the end (keep only)
 	start    sim.Time
 	startSeq uint64
 	inst     Instance
@@ -241,15 +249,25 @@ type cbEntry struct {
 	outsCache []string
 	outsDirty bool
 
-	med medianTracker // inter-start gaps, for timer period estimates (timers only)
+	last sim.Time      // start of the latest instance
+	med  medianTracker // inter-start gaps, for timer period estimates (timers only)
 }
 
-func (e *cbEntry) addInstance(inst Instance) {
-	if n := len(e.cb.Instances); n > 0 && e.cb.Type == CBTimer {
-		e.med.push(inst.Start.Sub(e.cb.Instances[n-1].Start))
+// addInstance folds a completed instance into the entry's statistics
+// and, with keep, appends it and its ET sample to the history.
+func (e *cbEntry) addInstance(inst *Instance, keep bool) {
+	if e.cb.Stats.Count == 0 {
+		e.cb.First = inst.Start
+	} else if e.cb.Type == CBTimer {
+		e.med.push(inst.Start.Sub(e.last))
 	}
-	e.cb.Stats.Add(inst.ET)
-	e.cb.Instances = append(e.cb.Instances, inst)
+	e.last = inst.Start
+	if keep {
+		e.cb.Stats.Add(inst.ET)
+		e.cb.Instances = append(e.cb.Instances, *inst)
+	} else {
+		e.cb.Stats.fold(inst.ET)
+	}
 }
 
 func (e *cbEntry) addOut(c outContrib) {
@@ -288,7 +306,7 @@ func (e *cbEntry) outs() []string {
 // inter-start gap EstimatePeriod computes by sorting, read off the
 // running median in O(1). Only timer entries track the median.
 func (e *cbEntry) period() sim.Duration {
-	if len(e.cb.Instances) < 2 {
+	if e.cb.Stats.Count < 2 {
 		return 0
 	}
 	return e.med.upperMedian()
@@ -301,11 +319,15 @@ func (e *cbEntry) period() sim.Duration {
 func (e *cbEntry) snapshotCallback(node string) *Callback {
 	cb := e.cb
 	cb.Node = node
-	cb.Stats.Samples = clampDurations(cb.Stats.Samples)
-	cb.Instances = clampInstances(cb.Instances)
+	cb.Stats.Samples = clamp(cb.Stats.Samples)
+	cb.Instances = clamp(cb.Instances)
 	cb.OutTopics = e.outs()
 	return &cb
 }
+
+// clamp full-capacity-clamps s, so an append by the receiver reallocates
+// instead of writing into the source's backing array.
+func clamp[T any](s []T) []T { return s[:len(s):len(s)] }
 
 // pendingClient is one unresolved findClient lookup, created at a
 // response dds_write and re-resolved at every materialization until
@@ -379,18 +401,42 @@ func (g *snapEngine) observeSwitch(e *trace.Event) {
 
 // window returns pid's open execution-time window, or nil.
 func (g *snapEngine) window(pid uint32) *etWindow {
-	if m := g.machines[pid]; m != nil && m.win.open {
+	if m := g.machine(pid); m != nil && m.win.open {
 		return &m.win
 	}
 	return nil
 }
 
-func (g *snapEngine) machineFor(pid uint32) *pidMachine {
-	m := g.machines[pid]
-	if m == nil {
-		m = &pidMachine{pid: pid}
-		g.machines[pid] = m
+// densePIDs bounds the PIDs whose machines the engine indexes by slice
+// position: every sched_switch looks up two PIDs, and a slice index is
+// cheaper than a map probe. Larger PIDs fall back to the map.
+const densePIDs = 1 << 16
+
+// machine returns pid's machine, or nil.
+func (g *snapEngine) machine(pid uint32) *pidMachine {
+	if pid < densePIDs {
+		if int(pid) < len(g.dense) {
+			return g.dense[pid]
+		}
+		return nil
 	}
+	return g.sparse[pid]
+}
+
+// machineFor returns pid's machine, making it on first use.
+func (g *snapEngine) machineFor(pid uint32) *pidMachine {
+	if m := g.machine(pid); m != nil {
+		return m
+	}
+	m := &pidMachine{pid: pid}
+	if pid >= densePIDs {
+		g.sparse[pid] = m
+		return m
+	}
+	if int(pid) >= len(g.dense) {
+		g.dense = append(g.dense, make([]*pidMachine, int(pid)+1-len(g.dense))...)
+	}
+	g.dense[pid] = m
 	return m
 }
 
@@ -416,7 +462,7 @@ func (m *pidMachine) tteAfter(ord uint64) (ttePoint, bool) {
 func (g *snapEngine) resolve(p *pendingClient) {
 	definitive := true
 	for _, take := range g.takeRespBy[topicTS{p.topic.name, p.srcTS}] {
-		tte, ok := g.machines[take.pid].tteAfter(take.ord)
+		tte, ok := g.machine(take.pid).tteAfter(take.ord)
 		if !ok {
 			definitive = false
 			continue
@@ -533,7 +579,9 @@ func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 			contrib.fixed = topic
 		}
 		m.cur.outs = append(m.cur.outs, contrib)
-		m.cur.writes = append(m.cur.writes, Write{Topic: topic, SrcTS: e.SrcTS})
+		if g.keep {
+			m.cur.writes = append(m.cur.writes, Write{Topic: topic, SrcTS: e.SrcTS})
+		}
 
 	case trace.KindTakeTypeErased: // P14
 		m.tte = append(m.tte, ttePoint{g.ord, e.Ret})
@@ -566,8 +614,10 @@ func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 				cur.inst.ET += e.Time.Sub(w.last)
 			}
 		}
-		cur.inst.Writes = g.carveWrites(cur.writes)
-		m.merge(cur)
+		if g.keep {
+			cur.inst.Writes = g.carveWrites(cur.writes)
+		}
+		m.merge(cur, g.keep)
 	}
 }
 
@@ -588,7 +638,7 @@ func cbTypeOf(k trace.Kind) CBType {
 // entries also the same (caller-decorated) in-topic. Both sides of the
 // comparison are stable under stream growth (caller decoration rests on
 // findCaller), so merge decisions never need revisiting.
-func (m *pidMachine) merge(cur *curState) {
+func (m *pidMachine) merge(cur *curState, keep bool) {
 	for _, e := range m.list {
 		if e.cb.ID != cur.id {
 			continue
@@ -596,7 +646,7 @@ func (m *pidMachine) merge(cur *curState) {
 		if e.cb.Type == CBService && e.cb.InTopic != cur.inTopic {
 			continue
 		}
-		e.addInstance(cur.inst)
+		e.addInstance(&cur.inst, keep)
 		for _, c := range cur.outs {
 			e.addOut(c)
 		}
@@ -613,7 +663,7 @@ func (m *pidMachine) merge(cur *curState) {
 			InTopic: cur.inTopic, IsSync: cur.isSync},
 		outRefs: make(map[string]int),
 	}
-	e.addInstance(cur.inst)
+	e.addInstance(&cur.inst, keep)
 	for _, c := range cur.outs {
 		e.addOut(c)
 	}
@@ -636,7 +686,7 @@ func (g *snapEngine) materialize() (*Model, func(*Callback) sim.Duration) {
 
 	periods := make(map[*Callback]sim.Duration)
 	for _, pid := range pids {
-		mach := g.machines[pid]
+		mach := g.machine(pid)
 		for _, e := range mach.list {
 			cb := e.snapshotCallback(g.nodeOf[pid])
 			if cb.Type == CBTimer {

@@ -198,6 +198,7 @@ func extractCallbacks(pid uint32, idx *eventIndex, et etFunc) ([]*Callback, []Di
 			return
 		}
 		cb.Stats.Add(inst.ET)
+		cb.First = inst.Start
 		cb.Instances = append(cb.Instances, inst)
 		list = append(list, cb)
 	}

@@ -9,7 +9,9 @@ import (
 // SnapshotService puts a live synthesis loop on top of ModelBuilder: a
 // long-running tracer streams drained events in (concurrently, batch by
 // batch) while periodic Snapshot calls hand out the current model and
-// DAG.
+// DAG. Like SynthesizeSink it keeps statistics only: a snapshot's Model
+// has no Instances or Stats.Samples, so the service's memory does not
+// grow with the number of callback instances.
 //
 // Every event is folded into the synthesis engine as it is observed, so
 // the service holds no event buffer and a Snapshot never re-traverses
@@ -25,9 +27,8 @@ import (
 // fails it for good (see ModelBuilder), and Err reports that without
 // taking the lock.
 type SnapshotService struct {
-	mu  sync.Mutex // guards b, obs and seq
+	mu  sync.Mutex // guards b and seq
 	b   *ModelBuilder
-	obs uint64 // total events observed, ROS + sched
 	seq int
 }
 
@@ -36,7 +37,7 @@ type SnapshotService struct {
 // non-decreasing — the monotonicity the race test asserts.
 type Snapshot struct {
 	Seq         int    // 1-based snapshot number
-	Events      uint64 // events observed when the snapshot was taken
+	Events      uint64 // events folded when the snapshot was taken
 	FoldedSched uint64 // sched events folded online (never retained)
 	Model       *Model
 	DAG         *DAG
@@ -44,7 +45,7 @@ type Snapshot struct {
 
 // NewSnapshotService returns a service over an empty builder.
 func NewSnapshotService() *SnapshotService {
-	return &SnapshotService{b: NewModelBuilder()}
+	return &SnapshotService{b: newStatsBuilder()}
 }
 
 // Observe implements trace.Sink. Safe for concurrent use; events must
@@ -53,8 +54,7 @@ func NewSnapshotService() *SnapshotService {
 // segments, one producer at a time per segment).
 func (s *SnapshotService) Observe(e trace.Event) {
 	s.mu.Lock()
-	s.b.Observe(e)
-	s.obs++
+	s.b.observe(&e)
 	s.mu.Unlock()
 }
 
@@ -65,10 +65,9 @@ func (s *SnapshotService) Observe(e trace.Event) {
 // next to record decode.)
 func (s *SnapshotService) ObserveBatch(evs []trace.Event) {
 	s.mu.Lock()
-	for _, e := range evs {
-		s.b.Observe(e)
+	for i := range evs {
+		s.b.observe(&evs[i])
 	}
-	s.obs += uint64(len(evs))
 	s.mu.Unlock()
 }
 
@@ -76,10 +75,12 @@ func (s *SnapshotService) ObserveBatch(evs []trace.Event) {
 func (s *SnapshotService) Err() error { return s.b.Err() }
 
 // EventsObserved reports how many events the service has folded so far.
+// An event refused for its order, and every event after it, is not
+// counted.
 func (s *SnapshotService) EventsObserved() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.obs
+	return s.b.events
 }
 
 // Snapshot synthesizes the model and DAG from everything observed so
@@ -87,7 +88,7 @@ func (s *SnapshotService) EventsObserved() uint64 {
 func (s *SnapshotService) Snapshot() Snapshot {
 	s.mu.Lock()
 	s.seq++
-	snap := Snapshot{Seq: s.seq, Events: s.obs, FoldedSched: s.b.sched}
+	snap := Snapshot{Seq: s.seq, Events: s.b.events, FoldedSched: s.b.sched}
 	m, periodOf := s.b.finish()
 	s.mu.Unlock()
 

@@ -15,8 +15,10 @@ import (
 
 // ExecStats aggregates execution-time measurements of one callback:
 // measured best-case (mBCET), average (mACET) and worst-case (mWCET)
-// values, as reported in Table II. Samples are retained so merged models
-// can re-derive any statistic.
+// values, as reported in Table II. Samples, every measurement in order,
+// exists only on the callbacks of a ModelBuilder's Model; Percentile
+// needs it. DAG vertices and the stats-only sinks (SynthesizeSink,
+// SnapshotService) keep Count, Min, Max and Sum alone.
 type ExecStats struct {
 	Count   int
 	Min     sim.Duration
@@ -25,8 +27,14 @@ type ExecStats struct {
 	Samples []sim.Duration
 }
 
-// Add records one measurement.
+// Add records one measurement and keeps it as a sample.
 func (s *ExecStats) Add(d sim.Duration) {
+	s.fold(d)
+	s.Samples = append(s.Samples, d)
+}
+
+// fold records one measurement in Count, Min, Max and Sum only.
+func (s *ExecStats) fold(d sim.Duration) {
 	if s.Count == 0 || d < s.Min {
 		s.Min = d
 	}
@@ -35,7 +43,6 @@ func (s *ExecStats) Add(d sim.Duration) {
 	}
 	s.Count++
 	s.Sum += d
-	s.Samples = append(s.Samples, d)
 }
 
 // Merge folds other into s.
@@ -52,6 +59,12 @@ func (s *ExecStats) Merge(other ExecStats) {
 	s.Count += other.Count
 	s.Sum += other.Sum
 	s.Samples = append(s.Samples, other.Samples...)
+}
+
+// summary returns s without its samples.
+func (s ExecStats) summary() ExecStats {
+	s.Samples = nil
+	return s
 }
 
 // BCET returns the measured best-case execution time.
@@ -136,7 +149,9 @@ type Instance struct {
 	Writes    []Write
 }
 
-// Callback is one CBlist entry produced by Algorithm 1.
+// Callback is one CBlist entry produced by Algorithm 1. Instances (and
+// Stats.Samples) are kept only by a ModelBuilder; the stats-only sinks
+// leave them nil.
 type Callback struct {
 	PID       uint32
 	Node      string
@@ -146,6 +161,7 @@ type Callback struct {
 	OutTopics []string // decorated for requests (own ID) and responses (client ID)
 	IsSync    bool
 	Stats     ExecStats
+	First     sim.Time // start of the first instance
 	Instances []Instance
 }
 

@@ -90,7 +90,15 @@ func TestModelBuilderBoundarySwitches(t *testing.T) {
 // TestModelBuilderRandomInterleavings is the extraction-level property
 // test: random sorted interleavings of callback windows and switches
 // over several PIDs produce byte-identical models through both paths.
+// The second PID set straddles the engine's dense PID table and its map
+// fallback.
 func TestModelBuilderRandomInterleavings(t *testing.T) {
+	for _, pids := range [][]uint32{{7, 8, 9}, {7, densePIDs - 1, densePIDs, 1 << 20}} {
+		testRandomInterleavings(t, pids)
+	}
+}
+
+func testRandomInterleavings(t *testing.T, pids []uint32) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := sim.NewRNG(seed)
 		tr := &trace.Trace{}
@@ -100,7 +108,6 @@ func TestModelBuilderRandomInterleavings(t *testing.T) {
 			seq++
 			tr.Append(e)
 		}
-		pids := []uint32{7, 8, 9}
 		for i, pid := range pids {
 			add(trace.Event{Time: 0, PID: pid, Kind: trace.KindCreateNode,
 				Node: string(rune('a' + i))})

@@ -80,6 +80,7 @@ func TestSynchronizerRequiresTwoTopics(t *testing.T) {
 func TestSynchronizerFusionOnCompletingArrival(t *testing.T) {
 	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: 2, Seed: 1,
 		DDSLatency: sim.Constant{Value: 10 * sim.Microsecond}})
+	w.RecordTruth()
 	src := w.NewNode("src", 5, 0)
 	pa := src.CreatePublisher("/a")
 	pb := src.CreatePublisher("/b")

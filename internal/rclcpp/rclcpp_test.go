@@ -124,6 +124,7 @@ func TestNodesRunInParallelOnDifferentCPUs(t *testing.T) {
 
 func TestGroundTruthRecorded(t *testing.T) {
 	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: 2, Seed: 1})
+	w.RecordTruth()
 	n := w.NewNode("n", 5, 0)
 	n.CreateTimer(10*sim.Millisecond, 0, rclcpp.SimpleBody{ET: sim.Constant{Value: 2 * sim.Millisecond}})
 	w.Run(55 * sim.Millisecond)

@@ -74,7 +74,8 @@ type World struct {
 	takeRequest        rmw.TakeSite
 	takeResponse       rmw.TakeSite
 
-	truth []TruthRecord
+	truthOn bool // set by RecordTruth
+	truth   []TruthRecord
 }
 
 // NewWorld creates a world. All randomness derives from cfg.Seed.
@@ -145,7 +146,13 @@ func (w *World) NodeByName(name string) *Node {
 	return nil
 }
 
-// Truth returns the ground-truth callback-instance log.
+// RecordTruth turns on the ground-truth log for the callback instances
+// that start from now on. It is off by default: the log grows by one
+// record per instance for the life of the world, and only tests read it.
+func (w *World) RecordTruth() { w.truthOn = true }
+
+// Truth returns the ground-truth callback-instance log (empty unless
+// RecordTruth was called).
 func (w *World) Truth() []TruthRecord { return w.truth }
 
 // Run advances the simulation for d of virtual time.
@@ -154,6 +161,9 @@ func (w *World) Run(d sim.Duration) {
 }
 
 func (w *World) recordTruth(pid uint32, cbid uint64, start sim.Time, designed sim.Duration) {
+	if !w.truthOn {
+		return
+	}
 	w.truth = append(w.truth, TruthRecord{PID: pid, CBID: cbid, Start: start, Designed: designed})
 }
 

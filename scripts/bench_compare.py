@@ -17,8 +17,10 @@ import sys
 
 # The hot-path benchmarks that gate: the per-event fire path, the ring
 # emit/drain path, the streaming drain the tracers sustain, the
-# trace-store read paths, online synthesis from disk to model, and the
-# simulated scheduler and event queue that produce every sched_switch.
+# trace-store read paths, online synthesis from disk to model, the
+# simulated scheduler and event queue that produce every sched_switch,
+# and the multi-run Table II and Fig. 4 experiments, whose per-run DAG
+# merges keep statistics only.
 GATED = [
     "BenchmarkEBPF_DispatchDecoded",
     "BenchmarkEBPF_DispatchTier2",
@@ -41,6 +43,8 @@ GATED = [
     "BenchmarkSnapshotIncremental/preload=16s",
     "BenchmarkSched_Reschedule",
     "BenchmarkSim_EngineAtRun",
+    "BenchmarkTableII_AVPStats",
+    "BenchmarkFig4_Convergence",
 ]
 
 # Alloc regressions on the zero-alloc paths are failures at any size:
