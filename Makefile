@@ -72,15 +72,14 @@ fmt-compat:
 
 # Short coverage-guided fuzz passes (used by CI): the binary trace codec
 # (batch reader and streaming segment cursor), salvage over damaged
-# segments, and the tier-0 vs tier-1 decode equivalence of random
-# programs.
+# segments, and the raw vs decoded equivalence of random programs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzFileCursor -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSalvage -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzV2Cursor -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz 'FuzzV1V2Equivalence$$' -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzTier1Equivalence -fuzztime 10s ./internal/ebpf
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEquivalence -fuzztime 10s ./internal/ebpf
 
 # Fault-injection chaos run: the full drain -> store -> synthesis
 # pipeline under a seeded fault plan (transport drops, forced ring

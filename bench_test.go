@@ -285,12 +285,10 @@ func BenchmarkEBPF_ProbeDispatch(b *testing.B) {
 // dispatchRuntime builds a runtime with a representative tracer-shaped
 // program (ctx loads, ALU, branches, four map-helper calls, no perf
 // output so the workload is pure dispatch) attached to one uprobe.
-// hotThreshold configures the tier-1 promotion point (0 pins tier 0).
-func dispatchRuntime(b *testing.B, predecode bool, hotThreshold uint64) (*ebpf.Runtime, ebpf.Symbol) {
+func dispatchRuntime(b *testing.B, predecode bool) (*ebpf.Runtime, ebpf.Symbol) {
 	b.Helper()
 	rt := ebpf.NewRuntime(func() int64 { return 42 }, nil)
 	rt.SetPredecode(predecode)
-	rt.SetHotThreshold(hotThreshold)
 	hm := ebpf.NewHashMap("state", 1024)
 	fd := rt.RegisterMap(hm)
 	p := ebpf.NewAssembler("dispatch_bench").
@@ -335,90 +333,11 @@ func dispatchRuntime(b *testing.B, predecode bool, hotThreshold uint64) (*ebpf.R
 	return rt, sym
 }
 
-// BenchmarkEBPF_DispatchDecoded measures one probe fire through the
-// tiered decode pipeline in its steady state: the warmup fires cross the
-// hotness threshold, so the measured loop dispatches over the
-// profile-guided tier-1 form (fused helper patterns, compacted hot
-// blocks) exactly as a long tracing session does.
+// BenchmarkEBPF_DispatchDecoded measures one probe fire over the
+// dispatch form Load installs (fused helper patterns, compacted blocks),
+// exactly as every fire of a tracing session runs.
 func BenchmarkEBPF_DispatchDecoded(b *testing.B) {
-	rt, sym := dispatchRuntime(b, true, ebpf.DefaultHotThreshold())
-	for i := uint64(0); i <= ebpf.DefaultHotThreshold(); i++ {
-		rt.FireUprobe(7, 0, sym, i, i>>3)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt.FireUprobe(7, 0, sym, uint64(i), uint64(i>>3))
-	}
-}
-
-// BenchmarkEBPF_DispatchTier2 measures the steady-state fire of a
-// program whose hot block ends in a decisively biased branch, so the
-// tier-1 promotion also fuses a guarded cross-block trace: the hot
-// block, the guard check and the taken-side continuation retire as one
-// superinstruction. The measured loop runs ~99% guard hits (the input
-// distribution matches the warmup bias), which is the workload tier 2
-// exists for. dispatchRuntime's program is deliberately ~50/50 on its
-// branch, so it never forms a trace — this benchmark needs its own
-// skewed program.
-func BenchmarkEBPF_DispatchTier2(b *testing.B) {
-	rt := ebpf.NewRuntime(func() int64 { return 42 }, nil)
-	rt.SetPredecode(true)
-	rt.SetHotThreshold(ebpf.DefaultHotThreshold())
-	hm := ebpf.NewHashMap("state", 1024)
-	fd := rt.RegisterMap(hm)
-	p := ebpf.NewAssembler("tier2_bench").
-		LdxCtx(ebpf.R6, ebpf.R1, 0).
-		LdxCtx(ebpf.R7, ebpf.R1, 1).
-		MovReg(ebpf.R8, ebpf.R6).
-		AndImm(ebpf.R8, 0xff).
-		JgtImm(ebpf.R8, 2, "hot").
-		// Cold side: taken for 3 of every 256 inputs — rare enough that
-		// the promotion fuses the taken side behind a guard.
-		AddImm(ebpf.R8, 1).
-		MovReg(ebpf.R0, ebpf.R8).
-		Exit().
-		Label("hot").
-		AddReg(ebpf.R8, ebpf.R7).
-		AndImm(ebpf.R8, 0xff).
-		MovImm(ebpf.R1, fd).
-		MovReg(ebpf.R2, ebpf.R8).
-		MovReg(ebpf.R3, ebpf.R6).
-		Call(ebpf.HelperMapUpdate).
-		MovImm(ebpf.R1, fd).
-		MovReg(ebpf.R2, ebpf.R8).
-		Call(ebpf.HelperMapLookup).
-		MovReg(ebpf.R9, ebpf.R0).
-		Call(ebpf.HelperKtimeGetNs).
-		AddReg(ebpf.R9, ebpf.R0).
-		MovReg(ebpf.R0, ebpf.R9).
-		Exit().
-		MustAssemble()
-	if err := rt.Load(p, 2); err != nil {
-		b.Fatal(err)
-	}
-	sym := ebpf.Symbol{Lib: "rclcpp", Func: "tier2_target"}
-	if _, err := rt.AttachUprobe(sym, p); err != nil {
-		b.Fatal(err)
-	}
-	for i := uint64(0); i <= ebpf.DefaultHotThreshold(); i++ {
-		rt.FireUprobe(7, 0, sym, i, i>>3)
-	}
-	if p.DecodeTier() != 2 {
-		b.Fatalf("warmup left program at tier %d, want 2 (no trace formed)", p.DecodeTier())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt.FireUprobe(7, 0, sym, uint64(i), uint64(i>>3))
-	}
-}
-
-// BenchmarkEBPF_DispatchTier0 measures the same fire pinned to the
-// load-time tier-0 decode (no profile-guided re-decode) — the before
-// side of the tier-1 optimization.
-func BenchmarkEBPF_DispatchTier0(b *testing.B) {
-	rt, sym := dispatchRuntime(b, true, 0)
+	rt, sym := dispatchRuntime(b, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -430,7 +349,7 @@ func BenchmarkEBPF_DispatchTier0(b *testing.B) {
 // reference interpreter (per-retire operand resolution and map-fd
 // hashing) — the before side of the decode optimization.
 func BenchmarkEBPF_DispatchRaw(b *testing.B) {
-	rt, sym := dispatchRuntime(b, false, 0)
+	rt, sym := dispatchRuntime(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -275,10 +275,9 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 		if win.Segment.Down {
 			status = "  [disk down: spilling]"
 		}
-		tc := b.TierCounts()
-		log.Printf("  seg %-3d t=%-12v %6d events, ring hwm cpu%d=%d, lost +%d (total %d), tiers t0:%d t1:%d t2:%d, next period %v%s",
+		log.Printf("  seg %-3d t=%-12v %6d events, ring hwm cpu%d=%d, lost +%d (total %d), next period %v%s",
 			win.Index, win.Elapsed, win.Segment.Persisted, win.MaxPendingCPU, win.MaxPending,
-			win.LostDelta, b.Lost(), tc[0], tc[1], tc[2], win.Next, status)
+			win.LostDelta, b.Lost(), win.Next, status)
 		for _, st := range win.Firing {
 			if st.FiredAt == s.Alerts.Rounds() {
 				log.Printf("  ALERT %s fired: %s (value %g)", st.Rule.Name, st.Rule, st.Last)

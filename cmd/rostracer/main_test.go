@@ -27,11 +27,13 @@ import (
 // stay byte-identical.
 const pinBothSession = "b6d81e6d5d248deab512a19e8233deff5fc4e91225e3e846b6def639b95e38a8"
 
-// pinBothLog is the digest of rostracer's log for the same session,
-// recorded before the drive loop moved into internal/pipeline: the
+// pinBothLog is the digest of rostracer's log for the same session: the
 // per-segment lines, the snapshot lines and the summary that perfbench
-// parses.
-const pinBothLog = "1535774f5217fc7b43ab6519085e49814d6e2420ee66b9be670cab20c672a13e"
+// parses. It was recorded before probe programs got a single load-time
+// dispatch form, from that build's log with every per-segment
+// ", tiers t0:N t1:N t2:N" field cut out; the field is gone from the
+// log since, and nothing else in it changed.
+const pinBothLog = "f96629fae78f5a26eb7421405de386b77d96aa4a093ff626e3ef771b51b32d87"
 
 // traceLog runs one session named session of app into dir and returns
 // whether it degraded and its log, in the format the binary prints it

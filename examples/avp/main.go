@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"github.com/tracesynth/rostracer/internal/analysis"
 	"github.com/tracesynth/rostracer/internal/apps"
@@ -67,8 +68,13 @@ func main() {
 			l.Key, l.RateHz, l.ACET.Milliseconds(), 100*l.Utilization)
 	}
 	binding := analysis.GreedyBinding(analysis.NodeLoads(loads), 4)
-	for node, cpu := range binding.CPUOf {
-		fmt.Printf("  cpu%d <- %s\n", cpu, node)
+	nodes := make([]string, 0, len(binding.CPUOf))
+	for node := range binding.CPUOf {
+		nodes = append(nodes, node)
+	}
+	sort.Strings(nodes)
+	for _, node := range nodes {
+		fmt.Printf("  cpu%d <- %s\n", binding.CPUOf[node], node)
 	}
 	fmt.Printf("  max core load %.1f%%\n", 100*binding.MaxLoad)
 }

@@ -12,13 +12,12 @@ import "fmt"
 // this form on every probe fire; the raw Instruction slice is kept for
 // diagnostics and as the reference interpreter.
 //
-// Decoding is tiered. Tier 0 (this file) is the load-time lowering plus
-// near-free profiling: every fused-run slot carries an execution counter
-// and the program counts its runs. When a program crosses its hotness
-// threshold (or on an explicit Runtime.Reoptimize), tier 1 (tier1.go)
-// re-decodes it using the observed counts: helper-argument setup patterns
-// fuse into dedicated superinstructions, immediate chains constant-fold,
-// and hot blocks are compacted into a dense, profile-ordered slot array.
+// Like the kernel's JIT, decoding runs once, when Runtime.Load installs
+// the program, and nothing is re-decoded at run time. This file lowers
+// each instruction and fuses straight-line runs; optimize (optimize.go)
+// then folds constants, fuses helper-argument setup into dedicated
+// superinstructions, applies pair/ladder peepholes, and compacts the
+// reachable blocks into a dense slot array in source order.
 
 // Internal opcodes produced only by the decoder, numbered above the raw
 // opcode space.
@@ -27,8 +26,8 @@ const (
 	// pre-resolved instructions executed back to back without per-retire
 	// outer-loop overhead.
 	opRunFused Op = 0x80 + iota
-	// opRunExit is a tier-1 run that ends the program: the dispatch loop
-	// returns straight after the run instead of bouncing through a
+	// opRunExit is an optimized run that ends the program: the dispatch
+	// loop returns straight after the run instead of bouncing through a
 	// separate exit slot. Its retire count includes the folded OpExit
 	// (and any jump-threaded Ja slots).
 	opRunExit
@@ -47,10 +46,11 @@ const (
 	opStImmFP2
 	opStImmFP1
 
-	// Tier-1 pattern superinstructions (produced only by reoptimize; see
-	// tier1.go for the matcher and vm.go for the semantics). Each covers a
-	// contiguous range of original instructions [pc, pc+w) and falls back
-	// to the tier-0 ops of that range if its runtime guard fails.
+	// Pattern superinstructions (produced only by optimize; see
+	// optimize.go for the matcher and vm.go for the semantics). Each
+	// covers a contiguous range of original instructions [pc, pc+w) and
+	// falls back to the lowered ops of that range if its runtime guard
+	// fails.
 	opStoreRunImm      // copy templates[imm] into stack[tgt:]
 	opLdxCtx2          // regs[dst] = ctx[tgt]; regs[src] = ctx[imm]
 	opCtxToStack       // regs[dst] = ctx[imm]; stack[tgt:+8] = regs[dst]
@@ -68,16 +68,6 @@ const (
 	opProbeReadFast    // probe_read(stack[tgt:tgt+imm], addr=regs[src])
 	opProbeReadStrFast // probe_read_str(stack[tgt:tgt+imm], addr=regs[src])
 
-	// opTrace is the tier-2 cross-block superinstruction (produced only by
-	// reoptimize when a block's terminating conditional jump has a single
-	// profile-dominant successor): the slot's run executes, then the
-	// recorded guard — the original conditional jump — is evaluated once.
-	// When it resolves in the dominant direction the fused successor block
-	// executes in the same dispatch step and control continues past it;
-	// when it does not, control falls back to the recorded cold successor
-	// with tier-0 retire accounting, exactly like a pattern-op guard
-	// failure degrades to the tier-0 range. See dtrace.
-	opTrace
 )
 
 // Argument-source and result-forwarding flags for the fused helper ops,
@@ -169,76 +159,31 @@ type dcall struct {
 }
 
 // dinsn is one top-level dispatch slot: a fused run, a jump, or exit.
-// In the tier-0 layout slots are indexed by original pc and slots in the
-// middle of a fused run are unreachable and left zeroed; the tier-1
-// layout is compacted (every slot reachable, profile-ordered).
+// In the lowered layout decode builds, slots are indexed by original pc
+// and slots in the middle of a fused run are unreachable and left zeroed;
+// the installed layout is compacted (every slot reachable, source order).
 type dinsn struct {
 	op     Op
 	dst    uint8
 	src    uint8
-	tgt    int32 // absolute jump target, or next slot after a fused run/trace
+	tgt    int32 // absolute jump target, or next slot after a fused run
 	retire int32 // original instructions retired by a fused run
 	imm    uint64
-	hits   uint64 // tier-0 profile: times this slot was entered
-	run    []dop  // opRunFused/opRunExit/opTrace: the fused instructions
-	// tr is the guarded cross-block extension of an opTrace slot. Branch
-	// taken counts live in decodedProgram.takenCtr, not here, keeping the
-	// slot at one cache line.
-	tr *dtrace
+	run    []dop // opRunFused/opRunExit: the fused instructions
 }
 
-// dtrace is the tier-2 extension of an opTrace slot: the guard condition
-// copied from the original conditional jump, the optimized ops of the
-// profile-dominant successor block, and the hit-path retire weight. The
-// hit weight covers the guard, any jump-threaded Ja slots on the way
-// into and out of the dominant block, the block itself, and — when the
-// dominant path ends the program — the folded OpExit. It does not
-// include the continuation slot's own retire: the dispatch loop accounts
-// for that when it lands there. A guard miss retires nothing here — it
-// re-enters at the branch slot, which retires normally — so the total
-// stays bit-identical to the reference interpreter either way.
-type dtrace struct {
-	op        Op    // guard: one of the conditional jump opcodes
-	dst, src  uint8 // guard operand registers
-	expect    bool  // guard outcome fused into the trace (true = taken)
-	exit      bool  // dominant path folds the program exit
-	failTgt   int32 // the branch slot itself, re-executed on guard miss
-	retireHit int32
-	imm       uint64 // guard immediate operand
-	runB      []dop  // optimized ops of the dominant successor block
-}
-
-// decodedProgram is one immutable dispatch form of a program. A Program
-// points at its current form through an atomic pointer, so tier swaps are
-// atomic with respect to in-flight fires: a run loads the pointer once
-// and executes that form to completion even if a reoptimization lands
-// mid-run.
+// decodedProgram is the immutable dispatch form of a program, built once
+// by Runtime.Load and published through the Program's atomic pointer.
 type decodedProgram struct {
-	// tier is 0 for the load-time lowering, 1 for the profile-guided
-	// re-decode, and 2 when the re-decode additionally formed at least one
-	// guarded cross-block trace (opTrace).
-	tier  int
-	insns []dinsn // dispatch slots (pc-indexed in tier 0, compact in tier 1+)
-	calls []dcall // per-call-site helper bindings (shared across tiers)
-	// ops is the tier-0 per-instruction lowering, indexed by original pc.
-	// Tier 1 re-fuses from it and pattern ops fall back to their
-	// ops[pc:pc+w] range when a runtime guard fails.
+	insns []dinsn // compacted dispatch slots
+	calls []dcall // per-call-site helper bindings
+	// ops is the per-instruction lowering, indexed by original pc. Pattern
+	// ops fall back to their ops[pc:pc+w] range when a runtime guard
+	// fails.
 	ops []dop
 	// templates backs opStoreRunImm: pre-rendered little-endian bytes of a
 	// fused immediate-store ladder.
 	templates [][]byte
-	// runs counts program entries while in tier 0; when it crosses
-	// hotThreshold (>0) the VM swaps in the tier-1 form. Plain fields:
-	// like the rest of the fire path they are owned by one
-	// single-threaded simulation.
-	runs         uint64
-	hotThreshold uint64
-	// takenCtr is the tier-0 branch-edge profile, indexed by slot: how
-	// often each conditional jump resolved taken (hits - taken is the
-	// fallthrough count). A side array rather than a dinsn field so the
-	// dispatch slots stay cache-line-sized; nil on tier-1/2 forms, which
-	// no longer profile.
-	takenCtr []uint64
 }
 
 // isJump reports whether op transfers control.
@@ -251,10 +196,10 @@ func isJump(op Op) bool {
 	return false
 }
 
-// decode builds the tier-0 dispatch form of p against the given fd table.
-// The program must be verified: decoding leans on verifier guarantees
-// (constant map fds at call sites, constant stack-access offsets,
-// in-range jumps).
+// decode builds and installs the dispatch form of p against the given fd
+// table. The program must be verified: decoding leans on verifier
+// guarantees (constant map fds at call sites, constant stack-access
+// offsets, in-range jumps).
 //
 // Decoding happens in two passes. The first lowers each instruction into a
 // compact dop — immediates widened, shift counts masked, context offsets
@@ -265,8 +210,9 @@ func isJump(op Op) bool {
 // jump successors) into opRunFused superinstructions, so the dispatch loop
 // pays its control-flow overhead once per block instead of once per
 // instruction. Constituents keep their original pc for error attribution
-// and each one still counts toward the retired-instruction total.
-func decode(p *Program, lookup func(fd int64) Map, hotThreshold uint64) error {
+// and each one still counts toward the retired-instruction total. The
+// fused layout then goes through optimize, and its result is installed.
+func decode(p *Program, lookup func(fd int64) Map) error {
 	if !p.verified {
 		return fmt.Errorf("ebpf: decoding unverified program %q", p.Name)
 	}
@@ -331,10 +277,10 @@ func decode(p *Program, lookup func(fd int64) Map, hotThreshold uint64) error {
 	// Fuse straight-line runs. A run starts at a leader and extends over
 	// consecutive non-control instructions up to (excluding) the next
 	// jump, exit, or leader. Mid-run slots are unreachable (any jump into
-	// them would have made them leaders) and stay zeroed — tier 1 compacts
-	// them away. Single instructions are wrapped too, so every reachable
-	// slot is a run, a jump, or exit, and the dispatch loop steers control
-	// flow only.
+	// them would have made them leaders) and stay zeroed — optimize
+	// compacts them away. Single instructions are wrapped too, so every
+	// reachable slot is a run, a jump, or exit, and the dispatch loop
+	// steers control flow only.
 	out := make([]dinsn, len(ops))
 	for start := 0; start < len(ops); start++ {
 		o := ops[start]
@@ -353,13 +299,6 @@ func decode(p *Program, lookup func(fd int64) Map, hotThreshold uint64) error {
 		out[start] = dinsn{op: opRunFused, tgt: int32(end), retire: int32(end - start),
 			run: ops[start:end:end]}
 	}
-	p.dp.Store(&decodedProgram{
-		tier:         0,
-		insns:        out,
-		calls:        calls,
-		ops:          ops,
-		hotThreshold: hotThreshold,
-		takenCtr:     make([]uint64, len(out)),
-	})
+	p.dp.Store(optimize(out, ops, calls))
 	return nil
 }

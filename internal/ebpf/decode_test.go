@@ -2,6 +2,7 @@ package ebpf
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/tracesynth/rostracer/internal/umem"
@@ -37,6 +38,18 @@ func newEquivFixture(t *testing.T, build func() *Program, ctxWords int) *equivFi
 	return f
 }
 
+// decodedFixture verifies build's program against the fixture maps and
+// installs its decoded form, as Runtime.Load does.
+func decodedFixture(t *testing.T, build func() *Program, ctxWords int) *equivFixture {
+	t.Helper()
+	f := newEquivFixture(t, build, ctxWords)
+	maps := f.maps
+	if err := decode(f.prog, func(fd int64) Map { return maps[fd] }); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func (f *equivFixture) mapState() (hash map[uint64]uint64, arr []uint64, recs []PerfRecord) {
 	hash = make(map[uint64]uint64)
 	for _, k := range f.hash.Keys() {
@@ -51,60 +64,34 @@ func (f *equivFixture) mapState() (hash map[uint64]uint64, arr []uint64, recs []
 	return hash, arr, recs
 }
 
-// runEquiv runs build three times — raw, tier-0 decoded, and tier-1
-// reoptimized — against every ctx and compares results and final map
-// state across all three dispatch forms.
+// runEquiv runs build twice — raw and decoded, the form Load installs —
+// against every ctx and compares results and final map state.
 func runEquiv(t *testing.T, name string, build func() *Program, ctxWords int, ctxs []*ExecContext) {
 	t.Helper()
 	raw := newEquivFixture(t, build, ctxWords)
-	fixtures := map[string]*equivFixture{
-		"tier0": newEquivFixture(t, build, ctxWords),
-		"tier1": newEquivFixture(t, build, ctxWords),
-	}
-	for tier, f := range fixtures {
-		maps := f.maps
-		if err := decode(f.prog, func(fd int64) Map { return maps[fd] }, 0); err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		dp := f.prog.dp.Load()
-		if dp == nil {
-			t.Fatalf("%s: program not decoded", name)
-		}
-		if tier == "tier1" {
-			f.prog.dp.Store(reoptimize(dp, false))
-			if f.prog.DecodeTier() != 1 {
-				t.Fatalf("%s: program not reoptimized", name)
-			}
-		}
-	}
-
-	rawVM := NewVM(raw.maps)
-	vms := map[string]*VM{"tier0": NewVM(fixtures["tier0"].maps), "tier1": NewVM(fixtures["tier1"].maps)}
+	dec := decodedFixture(t, build, ctxWords)
+	rawVM, decVM := NewVM(raw.maps), NewVM(dec.maps)
 	for i, ctx := range ctxs {
 		rres, rerr := rawVM.RunInterpreted(raw.prog, ctx)
-		for tier, f := range fixtures {
-			ctx2 := *ctx // each decoded run gets its own copy
-			dres, derr := vms[tier].Run(f.prog, &ctx2)
-			if (rerr == nil) != (derr == nil) {
-				t.Fatalf("%s ctx %d: raw err %v, %s err %v", name, i, rerr, tier, derr)
-			}
-			if rres != dres {
-				t.Fatalf("%s ctx %d: raw %+v, %s %+v", name, i, rres, tier, dres)
-			}
+		ctx2 := *ctx // the decoded run gets its own copy
+		dres, derr := decVM.Run(dec.prog, &ctx2)
+		if (rerr == nil) != (derr == nil) {
+			t.Fatalf("%s ctx %d: raw err %v, decoded err %v", name, i, rerr, derr)
+		}
+		if rres != dres {
+			t.Fatalf("%s ctx %d: raw %+v, decoded %+v", name, i, rres, dres)
 		}
 	}
 	rh, ra, rr := raw.mapState()
-	for tier, f := range fixtures {
-		dh, da, dr := f.mapState()
-		if !reflect.DeepEqual(rh, dh) {
-			t.Fatalf("%s: hash state diverged: raw %v, %s %v", name, rh, tier, dh)
-		}
-		if !reflect.DeepEqual(ra, da) {
-			t.Fatalf("%s: array state diverged: raw %v, %s %v", name, ra, tier, da)
-		}
-		if !reflect.DeepEqual(rr, dr) {
-			t.Fatalf("%s: perf records diverged: raw %v, %s %v", name, rr, tier, dr)
-		}
+	dh, da, dr := dec.mapState()
+	if !reflect.DeepEqual(rh, dh) {
+		t.Fatalf("%s: hash state diverged: raw %v, decoded %v", name, rh, dh)
+	}
+	if !reflect.DeepEqual(ra, da) {
+		t.Fatalf("%s: array state diverged: raw %v, decoded %v", name, ra, da)
+	}
+	if !reflect.DeepEqual(rr, dr) {
+		t.Fatalf("%s: perf records diverged: raw %v, decoded %v", name, rr, dr)
 	}
 }
 
@@ -237,10 +224,7 @@ func TestDecodedEquivalenceHelpers(t *testing.T) {
 
 // TestDecodeBindsMaps checks the decoder resolved every map call site.
 func TestDecodeBindsMaps(t *testing.T) {
-	f := newEquivFixture(t, helperProg, 2)
-	if err := decode(f.prog, func(fd int64) Map { return f.maps[fd] }, 0); err != nil {
-		t.Fatal(err)
-	}
+	f := decodedFixture(t, helperProg, 2)
 	calls := f.prog.dp.Load().calls
 	bound := 0
 	for _, c := range calls {
@@ -282,7 +266,7 @@ func TestRuntimeLoadDecodes(t *testing.T) {
 	if err := rt.Load(p, 1); err != nil {
 		t.Fatal(err)
 	}
-	if p.DecodeTier() != 0 {
+	if p.dp.Load() == nil {
 		t.Fatal("Load did not decode the program")
 	}
 
@@ -291,34 +275,39 @@ func TestRuntimeLoadDecodes(t *testing.T) {
 	if err := rt2.Load(p2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if p2.DecodeTier() != -1 {
+	if p2.dp.Load() != nil {
 		t.Fatal("SetPredecode(false) still decoded the program")
 	}
 }
 
 // TestFireNoAlloc checks the hot fire path performs no per-fire heap
-// allocations beyond what the program itself emits.
+// allocations beyond what the program itself emits, from the first fire
+// on: the dispatch form is final at Load, so no later fire rebuilds it.
 func TestFireNoAlloc(t *testing.T) {
-	rt := NewRuntime(func() int64 { return 5 }, nil)
-	hm := NewHashMap("h", 16)
-	fd := rt.RegisterMap(hm)
-	p := NewAssembler("count").
-		LdxCtx(R6, R1, 0).
-		MovImm(R1, fd).
-		MovReg(R2, R6).
-		MovImm(R3, 1).
-		Call(HelperMapUpdate).
-		MovImm(R0, 0).
-		Exit().
-		MustAssemble()
-	if err := rt.Load(p, 1); err != nil {
-		t.Fatal(err)
-	}
 	sym := Symbol{Lib: "lib", Func: "fn"}
-	if _, err := rt.AttachUprobe(sym, p); err != nil {
-		t.Fatal(err)
+	load := func() *Runtime {
+		rt := NewRuntime(func() int64 { return 5 }, nil)
+		fd := rt.RegisterMap(NewHashMap("h", 16))
+		p := NewAssembler("count").
+			LdxCtx(R6, R1, 0).
+			MovImm(R1, fd).
+			MovReg(R2, R6).
+			MovImm(R3, 1).
+			Call(HelperMapUpdate).
+			MovImm(R0, 0).
+			Exit().
+			MustAssemble()
+		if err := rt.Load(p, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.AttachUprobe(sym, p); err != nil {
+			t.Fatal(err)
+		}
+		rt.FireUprobe(1, 0, sym, 1) // warm up scratch buffers and the map
+		return rt
 	}
-	rt.FireUprobe(1, 0, sym, 1) // warm up scratch buffers and the map
+
+	rt := load()
 	allocs := testing.AllocsPerRun(100, func() {
 		rt.FireUprobe(1, 0, sym, 1)
 	})
@@ -330,5 +319,19 @@ func TestFireNoAlloc(t *testing.T) {
 	})
 	if ret > 0 {
 		t.Fatalf("FireUretprobe allocates %.1f times per fire, want 0", ret)
+	}
+
+	// testing.AllocsPerRun warms up with one extra run of its own, so a
+	// fire-path allocation at a fixed run count would slip past it. Count
+	// mallocs over a long stretch of fires right after the first one.
+	rt = load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		rt.FireUprobe(1, 0, sym, 1)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("1000 fires after the first allocate %d times, want 0", n)
 	}
 }

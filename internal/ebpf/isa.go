@@ -168,30 +168,17 @@ type Program struct {
 	// address arithmetic, the way the kernel verifier rewrites memory
 	// instructions.
 	memLo []int32
-	// dp points at the current pre-resolved dispatch form built by
-	// Runtime.Load (tier 0) or a later profile-guided reoptimization
-	// (tier 1): operands widened, jump targets absolute, map fds bound.
-	// Nil until a runtime decodes the program; the VM falls back to the
-	// raw interpreter in that case. The pointer is atomic so a tier swap
-	// never disturbs an in-flight fire: a run loads the form once and
-	// executes it to completion.
+	// dp points at the pre-resolved dispatch form Runtime.Load installs:
+	// operands widened, jump targets absolute, map fds bound, patterns
+	// fused. Nil until a runtime decodes the program; the VM falls back to
+	// the raw interpreter in that case. The pointer is atomic because a
+	// later Load on another runtime may rebind the program while a fire
+	// holds the old form.
 	dp atomic.Pointer[decodedProgram]
 }
 
 // Verified reports whether the program has passed the verifier.
 func (p *Program) Verified() bool { return p.verified }
-
-// DecodeTier reports the program's current dispatch form: -1 when the
-// program has not been decoded (the VM interprets the raw instructions),
-// 0 for the load-time lowering, 1 for the profile-guided re-decode, and
-// 2 when the re-decode also formed guarded cross-block traces.
-func (p *Program) DecodeTier() int {
-	dp := p.dp.Load()
-	if dp == nil {
-		return -1
-	}
-	return dp.tier
-}
 
 // HelperID identifies a kernel helper callable from programs.
 type HelperID int64

@@ -1,18 +1,13 @@
 package ebpf
 
-import (
-	"encoding/binary"
-	"sort"
-	"sync/atomic"
-)
+import "encoding/binary"
 
-// Tier-1 re-decode: profile-guided superinstruction selection.
+// Load-time optimization: superinstruction selection over the lowered
+// program.
 //
-// Tier 0 (decode.go) lowers a program once at load time and counts, per
-// fused-run slot, how often the block executes. When the program crosses
-// its hotness threshold — or on an explicit Runtime.Reoptimize — the
-// program is re-decoded from the tier-0 per-instruction ops using those
-// counts:
+// decode (decode.go) lowers a program once into per-instruction ops and a
+// pc-indexed slot array of fused runs; optimize then rewrites that form
+// once, before it is installed, through four passes:
 //
 //  1. constant folding: register moves from constant-valued registers
 //     (R10 is always the frame top) rewrite to immediate loads, and
@@ -30,73 +25,29 @@ import (
 //     stack-store pairs, and immediate-store ladders (the record headers
 //     every tracer program builds, opStoreRunImm) each become one op
 //     with pre-rendered bytes where possible;
-//  4. block compaction: reachable slots are re-emitted densely, hottest
-//     chains first (a conditional jump stays adjacent to its fallthrough
-//     successor), and the unreachable zero slots of the tier-0 layout
-//     disappear.
+//  4. block compaction: reachable slots are re-emitted densely in source
+//     order (so a conditional jump stays adjacent to its fallthrough
+//     successor), unconditional jumps are threaded into their
+//     predecessors, and the unreachable mid-run slots of the lowered
+//     layout disappear.
 //
 // Every pattern op records the original instruction range it covers
 // (dop.pc, dop.w); its runtime guard failing falls back to executing the
-// tier-0 ops of exactly that range, and the retired-instruction count is
+// lowered ops of exactly that range, and the retired-instruction count is
 // preserved either way, so the overhead accounting stays bit-identical
 // to the reference interpreter.
-
-// defaultHotThreshold seeds Runtime.hotThreshold for new runtimes: the
-// tier-0 run count at which a program is promoted to tier 1.
-var defaultHotThreshold atomic.Uint64
-
-func init() { defaultHotThreshold.Store(512) }
-
-// DefaultHotThreshold returns the tier-0 run count at which programs
-// loaded by new runtimes are automatically re-decoded into tier 1.
-func DefaultHotThreshold() uint64 { return defaultHotThreshold.Load() }
-
-// SetDefaultHotThreshold sets the automatic tier-1 promotion threshold
-// for runtimes created afterwards and returns the previous value. 0
-// disables automatic promotion. Equivalence tests use it to force a
-// whole session onto one tier.
-func SetDefaultHotThreshold(n uint64) uint64 { return defaultHotThreshold.Swap(n) }
 
 // maxPatternWeight bounds how many original instructions one fused
 // pattern op may cover: the weight travels in a uint8.
 const maxPatternWeight = 255
 
-// Tier-2 trace formation thresholds: a conditional jump qualifies as a
-// trace guard only once its edge profile is both warm (traceMinHits
-// executions observed) and decisive (the dominant direction holds at
-// least traceBiasNum/traceBiasDen of them). Below either bar the branch
-// stays a plain tier-1 jump.
-const (
-	traceMinHits = 64
-	traceBiasNum = 7
-	traceBiasDen = 8
-)
-
-// traceDirection reports the profile-dominant outcome of a conditional
-// jump slot — hits entries, taken of which resolved to the jump target —
-// and whether the profile is decisive enough to guard a trace.
-func traceDirection(hits, taken uint64) (expectTaken, ok bool) {
-	if hits < traceMinHits {
-		return false, false
-	}
-	if taken*traceBiasDen >= hits*traceBiasNum {
-		return true, true
-	}
-	if (hits-taken)*traceBiasDen >= hits*traceBiasNum {
-		return false, true
-	}
-	return false, false
-}
-
-// reoptimize builds the tier-1 (and, with traces enabled and a decisive
-// branch profile, tier-2) form of a tier-0 decoded program. It is total:
-// blocks where no pattern applies re-fuse exactly as tier 0 laid them
-// out, so the result is always a valid dispatch form. withTraces gates
-// cross-block trace formation so equivalence tests can pin the pure
-// tier-1 form.
-func reoptimize(dp *decodedProgram, withTraces bool) *decodedProgram {
-	ndp := &decodedProgram{tier: 1, calls: dp.calls, ops: dp.ops}
-	old := dp.insns
+// optimize builds the installed dispatch form from the lowered program:
+// slots is the pc-indexed layout decode fused, ops the per-instruction
+// lowering it was fused from. It is total: blocks where no pattern
+// applies re-fuse exactly as decode laid them out, so the result is
+// always a valid dispatch form.
+func optimize(slots []dinsn, ops []dop, calls []dcall) *decodedProgram {
+	ndp := &decodedProgram{calls: calls, ops: ops}
 
 	// thread follows a chain of unconditional jumps from a run's target.
 	// A run reaching a Ja always retires it, so folding the jump into the
@@ -104,8 +55,8 @@ func reoptimize(dp *decodedProgram, withTraces bool) *decodedProgram {
 	// one retire per skipped slot.
 	thread := func(tgt int32) (int32, int32) {
 		extra := int32(0)
-		for int(tgt) >= 0 && int(tgt) < len(old) && old[tgt].op == OpJa && extra < int32(len(old)) {
-			tgt = old[tgt].tgt
+		for int(tgt) >= 0 && int(tgt) < len(slots) && slots[tgt].op == OpJa && extra < int32(len(slots)) {
+			tgt = slots[tgt].tgt
 			extra++
 		}
 		return tgt, extra
@@ -114,23 +65,28 @@ func reoptimize(dp *decodedProgram, withTraces bool) *decodedProgram {
 	// Reachable slots, discovered over explicit control edges (threaded
 	// run targets, jump targets, conditional fallthroughs). Mid-run zero
 	// slots, dead blocks, and jump-threaded Ja slots are never visited
-	// and vanish from the compacted layout.
-	reach := make([]bool, len(old))
+	// and vanish from the compacted layout. A conditional jump's
+	// fallthrough is always reachable, so source order keeps it adjacent.
+	// newIdx maps each slot to its compacted index; -1 marks it unreached.
+	newIdx := make([]int32, len(slots))
+	for i := range newIdx {
+		newIdx[i] = -1
+	}
 	work := []int{0}
 	for len(work) > 0 {
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		if i < 0 || i >= len(old) || reach[i] {
+		if i < 0 || i >= len(slots) || newIdx[i] >= 0 {
 			continue
 		}
-		reach[i] = true
-		in := &old[i]
+		newIdx[i] = 0
+		in := &slots[i]
 		switch {
 		case in.op == opRunFused:
 			// A run whose threaded successor is the program exit folds it
 			// (opRunExit) and stops needing the slot at all.
-			if tgt, _ := thread(in.tgt); int(tgt) < 0 || int(tgt) >= len(old) ||
-				old[tgt].op != OpExit {
+			if tgt, _ := thread(in.tgt); int(tgt) < 0 || int(tgt) >= len(slots) ||
+				slots[tgt].op != OpExit {
 				work = append(work, int(tgt))
 			}
 		case in.op == OpJa:
@@ -140,156 +96,44 @@ func reoptimize(dp *decodedProgram, withTraces bool) *decodedProgram {
 		}
 	}
 
-	// Group slots into fallthrough chains: a conditional jump must stay
-	// immediately ahead of its fallthrough successor, so the unit of
-	// reordering is the chain, not the slot.
-	var chains [][]int
-	chainEnd := make(map[int]int) // last slot of a chain -> chain index
-	for i := 0; i < len(old); i++ {
-		if !reach[i] {
-			continue
-		}
-		if ci, ok := chainEnd[i-1]; ok && isJump(old[i-1].op) && old[i-1].op != OpJa {
-			chains[ci] = append(chains[ci], i)
-			delete(chainEnd, i-1)
-			chainEnd[i] = ci
-			continue
-		}
-		chains = append(chains, []int{i})
-		chainEnd[i] = len(chains) - 1
-	}
-
-	// Order chains by profile: the entry chain stays first (dispatch
-	// starts at slot 0), the rest sort hottest-run first so the hot
-	// blocks of a program sit contiguous at the front of the slot array.
-	hotness := func(c []int) uint64 {
-		var h uint64
-		for _, s := range c {
-			if old[s].op == opRunFused && old[s].hits > h {
-				h = old[s].hits
-			}
-		}
-		return h
-	}
-	if len(chains) > 1 {
-		rest := chains[1:]
-		sort.SliceStable(rest, func(a, b int) bool {
-			return hotness(rest[a]) > hotness(rest[b])
-		})
-	}
-
-	// Assign compacted indexes and emit, remapping every control edge.
-	newIdx := make([]int32, len(old))
+	// Number the reachable slots in source order, then emit, remapping
+	// every control edge.
+	n := int32(0)
 	for i := range newIdx {
-		newIdx[i] = -1
+		if newIdx[i] >= 0 {
+			newIdx[i] = n
+			n++
+		}
 	}
-	var order []int
-	for _, c := range chains {
-		order = append(order, c...)
-	}
-	for n, oldI := range order {
-		newIdx[oldI] = int32(n)
-	}
-	ndp.insns = make([]dinsn, 0, len(order))
-	for _, oldI := range order {
-		in := old[oldI]
+	ndp.insns = make([]dinsn, 0, n)
+	for i, in := range slots {
+		if newIdx[i] < 0 {
+			continue
+		}
 		switch {
 		case in.op == opRunFused:
-			run := optimizeRun(in.run, dp.calls, ndp)
+			run := optimizeRun(in.run, calls, ndp)
 			tgt, extra := thread(in.tgt)
-			if int(tgt) >= 0 && int(tgt) < len(old) && old[tgt].op == OpExit {
+			if int(tgt) >= 0 && int(tgt) < len(slots) && slots[tgt].op == OpExit {
 				ndp.insns = append(ndp.insns, dinsn{
 					op: opRunExit, retire: in.retire + extra + 1, run: run,
 				})
 				continue
-			}
-			// Tier 2: a run whose successor is a decisively-biased
-			// conditional jump fuses across it into a guarded trace.
-			if withTraces {
-				if tr, cont, ok := formTrace(dp, thread, newIdx, tgt, ndp); ok {
-					ndp.insns = append(ndp.insns, dinsn{
-						op: opTrace, tgt: cont, retire: in.retire + extra, run: run, tr: tr,
-					})
-					ndp.tier = 2
-					continue
-				}
 			}
 			ndp.insns = append(ndp.insns, dinsn{
 				op: opRunFused, tgt: remap(newIdx, tgt), retire: in.retire + extra, run: run,
 			})
 		case isJump(in.op):
 			in.tgt = remap(newIdx, in.tgt)
-			in.hits = 0
 			ndp.insns = append(ndp.insns, in)
 		default: // OpExit, or a corrupt slot that will error identically
-			in.hits = 0
 			ndp.insns = append(ndp.insns, in)
 		}
 	}
 	return ndp
 }
 
-// formTrace attempts tier-2 cross-block fusion at jSlot, the threaded
-// successor of a run being emitted. It succeeds when jSlot is a
-// conditional jump with a decisive edge profile whose dominant successor
-// (after jump threading) is a plain fused run: the guard condition, the
-// optimized dominant block, and both outcomes' retire weights are
-// packaged into a dtrace. The returned cont is the compacted slot the
-// trace continues at after the dominant block (0 and unused when the
-// dominant path folds the program exit). The jump and dominant-block
-// slots stay in the layout for their other predecessors and for the
-// cold path.
-func formTrace(dp *decodedProgram, thread func(int32) (int32, int32),
-	newIdx []int32, jSlot int32, ndp *decodedProgram) (*dtrace, int32, bool) {
-	old, calls := dp.insns, dp.calls
-	if int(jSlot) < 0 || int(jSlot) >= len(old) {
-		return nil, 0, false
-	}
-	j := &old[jSlot]
-	if !isJump(j.op) || j.op == OpJa {
-		return nil, 0, false
-	}
-	var taken uint64
-	if int(jSlot) < len(dp.takenCtr) {
-		taken = dp.takenCtr[jSlot]
-	}
-	expect, decisive := traceDirection(j.hits, taken)
-	if !decisive {
-		return nil, 0, false
-	}
-	b0 := jSlot + 1 // dominant successor
-	if expect {
-		b0 = j.tgt
-	}
-	bSlot, extraToB := thread(b0)
-	if int(bSlot) < 0 || int(bSlot) >= len(old) || old[bSlot].op != opRunFused {
-		return nil, 0, false
-	}
-	bb := &old[bSlot]
-	afterB, extraAfterB := thread(bb.tgt)
-	exit := int(afterB) >= 0 && int(afterB) < len(old) && old[afterB].op == OpExit
-	tr := &dtrace{
-		op: j.op, dst: j.dst, src: j.src, imm: j.imm,
-		expect: expect,
-		exit:   exit,
-		// Guard failure re-enters at the branch slot itself, which stays
-		// in the layout for the cold path; it retires normally there, so
-		// the fallback needs no retire adjustment and stays exact even
-		// under a corrupted guard.
-		failTgt:   remap(newIdx, jSlot),
-		retireHit: 1 + extraToB + bb.retire + extraAfterB,
-		runB:      optimizeRun(bb.run, calls, ndp),
-	}
-	var cont int32
-	if exit {
-		tr.retireHit++ // the folded OpExit retires too
-	} else {
-		cont = remap(newIdx, afterB)
-	}
-	return tr, cont, true
-}
-
-// remap translates a tier-0 slot index into the compacted layout. An
+// remap translates a lowered slot index into the compacted layout. An
 // edge into an unmapped slot (impossible for verified programs) keeps an
 // out-of-range target so the dispatch loop reports it rather than
 // executing the wrong block.
@@ -300,10 +144,12 @@ func remap(newIdx []int32, tgt int32) int32 {
 	return int32(len(newIdx)) + 1
 }
 
-// optimizeRun rewrites one fused straight-line run through the tier-1
+// optimizeRun rewrites one fused straight-line run through the load-time
 // passes: constant folding, helper-call fusion, and pair/ladder
 // peepholes. The result covers exactly the same original instruction
-// range, with each op's (pc, w) naming the tier-0 ops it replaces.
+// range, with each op's (pc, w) naming the lowered ops it replaces.
+// run aliases the lowered ops the pattern guards fall back to, so the
+// first pass copies it and the later ones rewrite that copy in place.
 func optimizeRun(run []dop, calls []dcall, ndp *decodedProgram) []dop {
 	folded := foldConstants(run)
 	fused := fuseCalls(folded, calls)
@@ -397,7 +243,7 @@ type argDef struct {
 // absorbed definition is simply read from its register at execution
 // time.
 func fuseCalls(run []dop, calls []dcall) []dop {
-	out := make([]dop, 0, len(run))
+	out := run[:0] // in place: the output never runs ahead of the input
 	for _, d := range run {
 		if d.op != OpCall {
 			out = append(out, d)
@@ -543,7 +389,7 @@ func fuseCalls(run []dop, calls []dcall) []dop {
 // immediate frame stores over contiguous bytes, which pre-render into a
 // byte template copied in one shot (opStoreRunImm).
 func fusePairs(run []dop, ndp *decodedProgram) []dop {
-	out := make([]dop, 0, len(run))
+	out := run[:0] // in place: the output never runs ahead of the input
 	for i := 0; i < len(run); i++ {
 		d := run[i]
 

@@ -8,20 +8,7 @@ import (
 	"github.com/tracesynth/rostracer/internal/sim"
 )
 
-// tier1Program verifies build's program against the fixture maps,
-// decodes it, and promotes it to tier 1.
-func tier1Fixture(t *testing.T, build func() *Program, ctxWords int) *equivFixture {
-	t.Helper()
-	f := newEquivFixture(t, build, ctxWords)
-	maps := f.maps
-	if err := decode(f.prog, func(fd int64) Map { return maps[fd] }, 0); err != nil {
-		t.Fatal(err)
-	}
-	f.prog.dp.Store(reoptimize(f.prog.dp.Load(), false))
-	return f
-}
-
-// allOps flattens every fused run of the current dispatch form.
+// allOps flattens every fused run of the installed dispatch form.
 func allOps(p *Program) []dop {
 	dp := p.dp.Load()
 	var out []dop
@@ -133,8 +120,8 @@ func probeProg() *Program {
 		MustAssemble()
 }
 
-// TestTier1PatternLowering is the decode-table test for every tier-1
-// pattern op: each construct the tracers rely on lowers to its dedicated
+// TestTier1PatternLowering is the decode-table test for every pattern
+// op: each construct the tracers rely on lowers to its dedicated
 // superinstruction, with the retire weights covering the whole program.
 func TestTier1PatternLowering(t *testing.T) {
 	cases := []struct {
@@ -164,7 +151,7 @@ func TestTier1PatternLowering(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := tier1Fixture(t, tc.build, tc.ctxWords)
+			f := decodedFixture(t, tc.build, tc.ctxWords)
 			ops := allOps(f.prog)
 			for op, min := range tc.want {
 				if got := countOp(ops, op); got < min {
@@ -198,7 +185,7 @@ func TestTier1PatternLowering(t *testing.T) {
 
 // TestTier1PatternDetails pins the operand encoding of the key patterns.
 func TestTier1PatternDetails(t *testing.T) {
-	f := tier1Fixture(t, emitterProg, 1)
+	f := decodedFixture(t, emitterProg, 1)
 	ops := allOps(f.prog)
 
 	emit := findOp(t, ops, opEmitRecord)
@@ -227,7 +214,7 @@ func TestTier1PatternDetails(t *testing.T) {
 			len(dp.insns), dp.insns[0].op)
 	}
 
-	f2 := tier1Fixture(t, mapLadderProg, 2)
+	f2 := decodedFixture(t, mapLadderProg, 2)
 	ops2 := allOps(f2.prog)
 	look := findOp(t, ops2, opMapLookupFast)
 	if look.dst != uint8(R8) || look.size&resFwdAdd != 0 {
@@ -243,8 +230,8 @@ func TestTier1PatternDetails(t *testing.T) {
 	}
 }
 
-// TestTier1Equivalence runs the pattern-heavy programs through all three
-// dispatch forms (the shared runEquiv helper) over a spread of contexts.
+// TestTier1Equivalence runs the pattern-heavy programs raw and decoded
+// (the shared runEquiv helper) over a spread of contexts.
 func TestTier1Equivalence(t *testing.T) {
 	sp, addr := equivSpace()
 	runEquiv(t, "emitter", emitterProg, 1, []*ExecContext{
@@ -263,9 +250,9 @@ func TestTier1Equivalence(t *testing.T) {
 	})
 }
 
-// TestTier1GuardFallback corrupts tier-1 pattern guards in place and
-// demands the run still produce tier-0-identical results through the
-// per-pattern fallback to the original instruction range.
+// TestTier1GuardFallback corrupts pattern guards in place and demands the
+// run still produce raw-identical results through the per-pattern
+// fallback to the original instruction range.
 func TestTier1GuardFallback(t *testing.T) {
 	ctx := func() *ExecContext {
 		return &ExecContext{PID: 4, CPU: 1, NowNs: 44, Words: []uint64{3}}
@@ -287,7 +274,7 @@ func TestTier1GuardFallback(t *testing.T) {
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			f := tier1Fixture(t, emitterProg, 1)
+			f := decodedFixture(t, emitterProg, 1)
 			dp := f.prog.dp.Load()
 			found := false
 			for si := range dp.insns {
@@ -323,7 +310,7 @@ func TestTier1GuardFallback(t *testing.T) {
 }
 
 // branchyProg returns a program whose two branch bodies are selected by
-// ctx word 0, for profile-ordering tests.
+// ctx word 0, for layout tests.
 func branchyProg() *Program {
 	return NewAssembler("branchy").
 		LdxCtx(R6, R1, 0).
@@ -337,59 +324,48 @@ func branchyProg() *Program {
 		MustAssemble()
 }
 
-// TestTier1BlockReorderCompacts checks that the tier-1 layout is dense
-// (no unreachable zero slots), orders the profiled-hot block ahead of
-// the cold one, threads the unconditional jump, and still computes the
-// same results.
+// TestTier1BlockReorderCompacts checks that the installed layout is
+// dense (no unreachable zero slots), keeps the blocks in source order so
+// the conditional jump sits directly ahead of its fallthrough, threads
+// the unconditional jump, and still computes the same results.
 func TestTier1BlockReorderCompacts(t *testing.T) {
 	rt := NewRuntime(func() int64 { return 1 }, nil)
-	rt.SetHotThreshold(0)
 	p := branchyProg()
 	if err := rt.Load(p, 1); err != nil {
 		t.Fatal(err)
 	}
-	sym := Symbol{Lib: "l", Func: "f"}
-	if _, err := rt.AttachUprobe(sym, p); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		rt.FireUprobe(1, 0, sym, 100) // hot path: the "big" block
-	}
-	rt.FireUprobe(1, 0, sym, 0) // cold path once
-
-	tier0Slots := len(p.dp.Load().insns)
-	// Trace-free re-decode: this test pins the tier-1 layout itself
-	// (tier-2 trace formation is covered by tier2_test.go).
-	p.dp.Store(reoptimize(p.dp.Load(), false))
 	dp := p.dp.Load()
-	if dp.tier != 1 {
-		t.Fatal("reoptimize did not produce tier 1")
-	}
-	if len(dp.insns) >= tier0Slots {
-		t.Fatalf("tier-1 layout not compacted: %d slots, tier-0 had %d", len(dp.insns), tier0Slots)
+	if len(dp.insns) >= len(p.Insns) {
+		t.Fatalf("layout not compacted: %d slots for %d instructions", len(dp.insns), len(p.Insns))
 	}
 	for i, in := range dp.insns {
 		if in.op == OpInvalid {
-			t.Fatalf("tier-1 slot %d is a zero slot", i)
+			t.Fatalf("slot %d is a zero slot", i)
+		}
+		if in.op == OpJa {
+			t.Fatalf("slot %d is an unthreaded Ja", i)
 		}
 	}
-	// Hot block (MovImm R0, 2) must be ordered directly after the entry
-	// chain, ahead of the cold block.
-	hotAt, coldAt := -1, -1
+	// The fallthrough block (MovImm R0, 1) follows the jump directly,
+	// ahead of the jump's target block (MovImm R0, 2).
+	jumpAt, fallAt, takenAt := -1, -1, -1
 	for i, in := range dp.insns {
+		if in.op == OpJgtImm {
+			jumpAt = i
+		}
 		for _, d := range in.run {
 			if d.op == OpMovImm && d.dst == uint8(R0) {
-				if d.imm == 2 {
-					hotAt = i
-				}
 				if d.imm == 1 {
-					coldAt = i
+					fallAt = i
+				}
+				if d.imm == 2 {
+					takenAt = i
 				}
 			}
 		}
 	}
-	if hotAt < 0 || coldAt < 0 || hotAt > coldAt {
-		t.Fatalf("hot block at %d, cold at %d; want hot first", hotAt, coldAt)
+	if jumpAt < 0 || fallAt != jumpAt+1 || takenAt <= fallAt {
+		t.Fatalf("jump at %d, fallthrough at %d, target at %d; want source order", jumpAt, fallAt, takenAt)
 	}
 	// Both paths still compute the same results as the raw interpreter.
 	vm := NewVM(nil)
@@ -403,106 +379,16 @@ func TestTier1BlockReorderCompacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if raw != got {
-			t.Fatalf("word %d: tier-1 %+v, raw %+v", w, got, raw)
+			t.Fatalf("word %d: decoded %+v, raw %+v", w, got, raw)
 		}
 	}
 }
 
-// TestAutoReoptimizeThreshold checks the profile-driven promotion: a
-// program crosses the configured run count and swaps to tier 1; a zero
-// threshold pins it to tier 0 until an explicit Reoptimize.
-func TestAutoReoptimizeThreshold(t *testing.T) {
-	build := func(threshold uint64) (*Runtime, *Program, Symbol) {
-		rt := NewRuntime(func() int64 { return 1 }, nil)
-		rt.SetHotThreshold(threshold)
-		p := branchyProg()
-		if err := rt.Load(p, 1); err != nil {
-			t.Fatal(err)
-		}
-		sym := Symbol{Lib: "l", Func: "f"}
-		if _, err := rt.AttachUprobe(sym, p); err != nil {
-			t.Fatal(err)
-		}
-		return rt, p, sym
-	}
-
-	rt, p, sym := build(8)
-	for i := 0; i < 7; i++ {
-		rt.FireUprobe(1, 0, sym, uint64(i))
-	}
-	if got := p.DecodeTier(); got != 0 {
-		t.Fatalf("tier %d before threshold, want 0", got)
-	}
-	rt.FireUprobe(1, 0, sym, 7)
-	if got := p.DecodeTier(); got != 1 {
-		t.Fatalf("tier %d after threshold, want 1", got)
-	}
-
-	rt0, p0, sym0 := build(0)
-	for i := 0; i < 100; i++ {
-		rt0.FireUprobe(1, 0, sym0, uint64(i))
-	}
-	if got := p0.DecodeTier(); got != 0 {
-		t.Fatalf("tier %d with disabled threshold, want 0", got)
-	}
-	rt0.Reoptimize(p0)
-	promoted := p0.DecodeTier()
-	if promoted < 1 {
-		t.Fatalf("tier %d after explicit Reoptimize, want >= 1", promoted)
-	}
-	rt0.Reoptimize(p0) // idempotent once promoted
-	if got := p0.DecodeTier(); got != promoted {
-		t.Fatalf("tier %d after double Reoptimize, want %d", got, promoted)
-	}
-}
-
-// TestTier1ProfileCounters checks the tier-0 profile the re-decode
-// consumes: run-slot hit counts accumulate per entered block.
-func TestTier1ProfileCounters(t *testing.T) {
-	rt := NewRuntime(func() int64 { return 1 }, nil)
-	rt.SetHotThreshold(0)
-	p := branchyProg()
-	if err := rt.Load(p, 1); err != nil {
-		t.Fatal(err)
-	}
-	sym := Symbol{Lib: "l", Func: "f"}
-	if _, err := rt.AttachUprobe(sym, p); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		rt.FireUprobe(1, 0, sym, 100)
-	}
-	for i := 0; i < 3; i++ {
-		rt.FireUprobe(1, 0, sym, 0)
-	}
-	dp := p.dp.Load()
-	if dp.runs != 13 {
-		t.Fatalf("program runs = %d, want 13", dp.runs)
-	}
-	var hot, cold uint64
-	for _, in := range dp.insns {
-		for _, d := range in.run {
-			if d.op == OpMovImm && d.dst == uint8(R0) && d.imm == 2 {
-				hot = in.hits
-			}
-			if d.op == OpMovImm && d.dst == uint8(R0) && d.imm == 1 {
-				cold = in.hits
-			}
-		}
-	}
-	if hot != 10 || cold != 3 {
-		t.Fatalf("block hits hot=%d cold=%d, want 10/3", hot, cold)
-	}
-}
-
-// FuzzTier1Equivalence drives the random-program generator from fuzz
+// FuzzDecodeEquivalence drives the random-program generator from fuzz
 // input and demands that any program the verifier accepts produces
 // identical results, map contents, and perf records through the raw
-// interpreter, the tier-0 decode, the tier-1 re-decode, and a tier-2
-// re-decode whose branch profile was warmed by skewed fires (traces form
-// whenever the random program happens to have a decisively biased
-// branch; either way the guarded form must stay raw-identical).
-func FuzzTier1Equivalence(f *testing.F) {
+// interpreter and the decoded form.
+func FuzzDecodeEquivalence(f *testing.F) {
 	f.Add(uint64(10), uint64(7), uint64(40))
 	f.Add(uint64(12), uint64(0), uint64(1))
 	f.Add(uint64(22), uint64(1<<40), uint64(3))
@@ -525,59 +411,28 @@ func FuzzTier1Equivalence(f *testing.F) {
 			w.hash.Update(3, 33)
 			return w
 		}
-		worlds := []*world{mkWorld(), mkWorld(), mkWorld(), mkWorld()} // raw, tier0, tier1, tier2
-		for _, w := range worlds {
+		raw, dec := mkWorld(), mkWorld()
+		for _, w := range []*world{raw, dec} {
 			maps := w.maps
 			if err := Verify(w.prog, VerifyOptions{CtxWords: 4, LookupMap: func(fd int64) Map { return maps[fd] }}); err != nil {
 				t.Skip() // rejected programs have no behavior to compare
 			}
 		}
-		for i, w := range worlds[1:] {
-			maps := w.maps
-			if err := decode(w.prog, func(fd int64) Map { return maps[fd] }, 0); err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			switch i {
-			case 1:
-				w.prog.dp.Store(reoptimize(w.prog.dp.Load(), false))
-			case 2:
-				// Warm the branch profile: mostly the comparison context (so
-				// any trace that forms points down the path the comparison
-				// will take), plus a varied tail that keeps the cold edges
-				// alive. Then roll the map/perf state back to the seed and
-				// promote with traces enabled.
-				vm := NewVM(w.maps)
-				for n := 0; n < int(traceMinHits)*2; n++ {
-					vm.Run(w.prog, &ExecContext{PID: 7, CPU: 1, NowNs: 1234,
-						Words: []uint64{w0, w1, w0 % 97, w1 ^ w0}})
-				}
-				for n := uint64(0); n < 8; n++ {
-					vm.Run(w.prog, &ExecContext{PID: 7, CPU: 1, NowNs: 1234,
-						Words: []uint64{n * 31, w1 ^ n, n, w0 + n}})
-				}
-				for _, k := range w.hash.Keys() {
-					w.hash.Delete(k)
-				}
-				w.hash.Update(3, 33)
-				w.pb.Drain()
-				*w.pb.seq = 0
-				w.prog.dp.Store(reoptimize(w.prog.dp.Load(), true))
-			}
+		if err := decode(dec.prog, func(fd int64) Map { return dec.maps[fd] }); err != nil {
+			t.Fatalf("decode: %v", err)
 		}
 
 		ctx := func() *ExecContext {
 			return &ExecContext{PID: 7, CPU: 1, NowNs: 1234,
 				Words: []uint64{w0, w1, w0 % 97, w1 ^ w0}}
 		}
-		rres, rerr := NewVM(worlds[0].maps).RunInterpreted(worlds[0].prog, ctx())
-		for i, w := range worlds[1:] {
-			res, err := NewVM(w.maps).Run(w.prog, ctx())
-			if (rerr == nil) != (err == nil) {
-				t.Fatalf("tier%d error %v, raw error %v\nprogram: %v", i, err, rerr, p.Insns)
-			}
-			if res != rres {
-				t.Fatalf("tier%d result %+v, raw %+v\nprogram: %v", i, res, rres, p.Insns)
-			}
+		rres, rerr := NewVM(raw.maps).RunInterpreted(raw.prog, ctx())
+		res, err := NewVM(dec.maps).Run(dec.prog, ctx())
+		if (rerr == nil) != (err == nil) {
+			t.Fatalf("decoded error %v, raw error %v\nprogram: %v", err, rerr, p.Insns)
+		}
+		if res != rres {
+			t.Fatalf("decoded result %+v, raw %+v\nprogram: %v", res, rres, p.Insns)
 		}
 		state := func(w *world) (map[uint64]uint64, []PerfRecord) {
 			h := map[uint64]uint64{}
@@ -587,15 +442,13 @@ func FuzzTier1Equivalence(f *testing.F) {
 			}
 			return h, w.pb.Drain()
 		}
-		rh, rr := state(worlds[0])
-		for i, w := range worlds[1:] {
-			h, recs := state(w)
-			if !reflect.DeepEqual(rh, h) {
-				t.Fatalf("tier%d hash state %v, raw %v\nprogram: %v", i, h, rh, p.Insns)
-			}
-			if !reflect.DeepEqual(rr, recs) {
-				t.Fatalf("tier%d perf records %v, raw %v\nprogram: %v", i, recs, rr, p.Insns)
-			}
+		rh, rr := state(raw)
+		h, recs := state(dec)
+		if !reflect.DeepEqual(rh, h) {
+			t.Fatalf("decoded hash state %v, raw %v\nprogram: %v", h, rh, p.Insns)
+		}
+		if !reflect.DeepEqual(rr, recs) {
+			t.Fatalf("decoded perf records %v, raw %v\nprogram: %v", recs, rr, p.Insns)
 		}
 	})
 }

@@ -85,11 +85,6 @@ type Runtime struct {
 	// pre-resolved dispatch form (on by default; off forces the raw
 	// reference interpreter, for equivalence tests and benchmarks).
 	predecode bool
-	// hotThreshold is the tier-0 run count at which a loaded program is
-	// re-decoded into its profile-guided tier-1 form (0 disables the
-	// automatic promotion; Reoptimize still forces it). It applies to
-	// subsequent Load calls.
-	hotThreshold uint64
 	// fireCtx and fireWords are the per-runtime execution context and
 	// argument scratch reused across probe fires, so the hot dispatch
 	// path allocates nothing. The runtime is owned by one single-threaded
@@ -122,10 +117,9 @@ func NewRuntime(clock func() int64, spaces func(pid uint32) *umem.Space) *Runtim
 		spaces:      spaces,
 		// ~4 ns per interpreted instruction: the order of magnitude of a
 		// JITed eBPF instruction plus map-helper amortization.
-		perInsnNs:    4,
-		predecode:    true,
-		hotThreshold: DefaultHotThreshold(),
-		fireWords:    make([]uint64, 0, MaxCtxWords),
+		perInsnNs: 4,
+		predecode: true,
+		fireWords: make([]uint64, 0, MaxCtxWords),
 	}
 	rt.vm = NewVM(rt.maps)
 	return rt
@@ -151,26 +145,10 @@ func (rt *Runtime) MapByFD(fd int64) Map { return rt.maps[fd] }
 // run through the raw reference interpreter.
 func (rt *Runtime) SetPredecode(on bool) { rt.predecode = on }
 
-// SetHotThreshold sets the tier-0 run count at which subsequently loaded
-// programs are automatically re-decoded into their profile-guided tier-1
-// form. 0 disables automatic promotion (Reoptimize still forces it).
-func (rt *Runtime) SetHotThreshold(n uint64) { rt.hotThreshold = n }
-
-// Reoptimize forces the profile-guided tier-1 re-decode of a loaded
-// program immediately, without waiting for the hotness threshold. The
-// swap is atomic with respect to in-flight fires: a fire that already
-// loaded the tier-0 form completes on it, the next one dispatches over
-// the tier-1 form. Reoptimizing an undecoded or already tier-1 program
-// is a no-op.
-func (rt *Runtime) Reoptimize(p *Program) {
-	if dp := p.dp.Load(); dp != nil && dp.tier == 0 {
-		p.dp.Store(reoptimize(dp, true))
-	}
-}
-
 // Load verifies p for an attach point exposing ctxWords context words and,
-// unless predecoding is disabled, lowers it into the pre-resolved dispatch
-// form bound to this runtime's maps. It must be called before Attach.
+// unless predecoding is disabled, lowers and optimizes it into the
+// pre-resolved dispatch form bound to this runtime's maps, once, as the
+// kernel JIT-compiles a program at load. It must be called before Attach.
 //
 // Loading binds p to THIS runtime: the decoded form references this
 // runtime's Map objects directly, so a Program must not be shared across
@@ -181,7 +159,7 @@ func (rt *Runtime) Load(p *Program, ctxWords int) error {
 		return err
 	}
 	if rt.predecode {
-		return decode(p, rt.MapByFD, rt.hotThreshold)
+		return decode(p, rt.MapByFD)
 	}
 	return nil
 }

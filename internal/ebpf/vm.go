@@ -58,25 +58,10 @@ func (vm *VM) Run(p *Program, ctx *ExecContext) (ExecResult, error) {
 }
 
 // runDecoded is the hot dispatch loop over the pre-resolved form. Every
-// reachable slot is a fused straight-line run, a guarded trace, a jump,
-// or exit, so the outer loop only steers control flow; execRun retires
-// the straight-line work. While the program is in tier 0 the loop also
-// maintains the profile — a program-entry count, a per-slot hit count,
-// and a taken count on conditional jumps — and swaps in the tier-1/2
-// re-decode once the program crosses its hotness threshold. The swap is
-// a single atomic store; this run keeps executing the form it loaded,
-// the next fire picks up the new one.
+// reachable slot is a fused straight-line run, a jump, or exit, so the
+// outer loop only steers control flow; execRun retires the straight-line
+// work.
 func (vm *VM) runDecoded(p *Program, dp *decodedProgram, ctx *ExecContext) (ExecResult, error) {
-	profiling := dp.tier == 0
-	if profiling {
-		dp.runs++
-		if dp.hotThreshold != 0 && dp.runs >= dp.hotThreshold {
-			ndp := reoptimize(dp, true)
-			p.dp.Store(ndp)
-			dp = ndp
-			profiling = false
-		}
-	}
 	regs := &vm.regs
 	stack := vm.stack[:]
 	regs[R10] = StackSize
@@ -95,12 +80,6 @@ func (vm *VM) runDecoded(p *Program, dp *decodedProgram, ctx *ExecContext) (Exec
 		}
 		switch in.op {
 		case opRunFused:
-			// The block-hit profile only feeds the tier-1 re-decode;
-			// promoted forms skip the write so their slots stay read-only
-			// on the steady-state path.
-			if profiling {
-				in.hits++
-			}
 			insns += int(in.retire) - 1 // each constituent retires; the run itself is not an insn
 			if err := vm.execRun(in.run, dp, regs, stack, ctx); err != nil {
 				return ExecResult{}, fmt.Errorf("ebpf: %q: %w", p.Name, err)
@@ -114,34 +93,6 @@ func (vm *VM) runDecoded(p *Program, dp *decodedProgram, ctx *ExecContext) (Exec
 				return ExecResult{}, fmt.Errorf("ebpf: %q: %w", p.Name, err)
 			}
 			return ExecResult{R0: regs[R0], Insns: insns}, nil
-
-		case opTrace:
-			// Tier-2 guarded trace: the block runs, then the guard — the
-			// block's original conditional jump — either commits the fused
-			// dominant successor or falls back to the branch slot itself,
-			// which stays in the layout and re-executes at tier 1. The
-			// fallback retires nothing here (the branch retires normally on
-			// re-execution), so a corrupted guard degrades to the plain
-			// branch instead of misdirecting execution — the same contract
-			// as every tier-1 pattern-op guard.
-			insns += int(in.retire) - 1
-			if err := vm.execRun(in.run, dp, regs, stack, ctx); err != nil {
-				return ExecResult{}, fmt.Errorf("ebpf: %q: %w", p.Name, err)
-			}
-			tr := in.tr
-			if jumpTaken(tr.op, regs[tr.dst&regIdxMask], regs[tr.src&regIdxMask], tr.imm) == tr.expect {
-				insns += int(tr.retireHit)
-				if err := vm.execRun(tr.runB, dp, regs, stack, ctx); err != nil {
-					return ExecResult{}, fmt.Errorf("ebpf: %q: %w", p.Name, err)
-				}
-				if tr.exit {
-					return ExecResult{R0: regs[R0], Insns: insns}, nil
-				}
-				pc = int(in.tgt)
-				continue
-			}
-			pc = int(tr.failTgt)
-			continue
 
 		case OpJa:
 			pc = int(in.tgt)
@@ -201,58 +152,13 @@ func (vm *VM) runDecoded(p *Program, dp *decodedProgram, ctx *ExecContext) (Exec
 		default:
 			return ExecResult{}, fmt.Errorf("ebpf: %q invalid opcode at pc %d", p.Name, pc)
 		}
-		// Only a not-taken conditional jump falls out of the switch: the
-		// edge profile (hits here, hits+taken below) is what tier-2 trace
-		// formation reads to find single-dominant-successor branches.
-		if profiling {
-			in.hits++
-		}
+		// Only a not-taken conditional jump falls out of the switch.
 		pc++
 		continue
 
 	taken:
-		if profiling {
-			in.hits++
-			if uint(pc) < uint(len(dp.takenCtr)) {
-				dp.takenCtr[pc]++
-			}
-		}
 		pc = int(in.tgt)
 	}
-}
-
-// jumpTaken evaluates a conditional-jump guard against operand values a
-// (dst register), b (src register), and the immediate. Unknown opcodes
-// report not-taken; an opTrace guard is only ever built from the
-// conditional opcodes below.
-func jumpTaken(op Op, a, b, imm uint64) bool {
-	switch op {
-	case OpJeqImm:
-		return a == imm
-	case OpJneImm:
-		return a != imm
-	case OpJgtImm:
-		return a > imm
-	case OpJgeImm:
-		return a >= imm
-	case OpJltImm:
-		return a < imm
-	case OpJleImm:
-		return a <= imm
-	case OpJeqReg:
-		return a == b
-	case OpJneReg:
-		return a != b
-	case OpJgtReg:
-		return a > b
-	case OpJgeReg:
-		return a >= b
-	case OpJltReg:
-		return a < b
-	case OpJleReg:
-		return a <= b
-	}
-	return false
 }
 
 // execRun executes a fused straight-line run back to back: no pc
@@ -262,10 +168,10 @@ func jumpTaken(op Op, a, b, imm uint64) bool {
 // not errors; stack bounds were proven by the verifier — the checks here
 // are defensive).
 //
-// Tier-1 pattern superinstructions each cover a contiguous range of
-// original instructions ops[pc:pc+w]; when a pattern's runtime guard
-// fails the constituent tier-0 ops execute instead (execFallback), so a
-// guard failure degrades to tier-0 semantics rather than an error.
+// Pattern superinstructions each cover a contiguous range of original
+// instructions ops[pc:pc+w]; when a pattern's runtime guard fails the
+// constituent lowered ops execute instead (execFallback), so a guard
+// failure degrades to the plain lowering rather than an error.
 func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, stack []byte, ctx *ExecContext) error {
 	for i := range run {
 		in := &run[i]
@@ -376,7 +282,7 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 				return fmt.Errorf("pc %d: %w", in.pc, err)
 			}
 
-		// --- tier-1 pattern superinstructions ---
+		// --- pattern superinstructions ---
 		//
 		// Ops that produce a helper result in R0 support result
 		// forwarding: an absorbed "rd = R0" / "rd += R0" successor lands
@@ -606,8 +512,8 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 		continue
 
 	fallback:
-		// A tier-1 pattern guard failed before any side effect: execute
-		// the original tier-0 ops the pattern covers. Tier-0 ops contain
+		// A pattern guard failed before any side effect: execute the
+		// original lowered ops the pattern covers. Lowered ops contain
 		// no pattern opcodes, so the recursion is at most one level deep.
 		if err := vm.execFallback(in, dp, regs, stack, ctx); err != nil {
 			return err
@@ -616,7 +522,7 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 	return nil
 }
 
-// execFallback runs the tier-0 constituent range of a pattern op whose
+// execFallback runs the lowered constituent range of a pattern op whose
 // guard failed.
 func (vm *VM) execFallback(in *dop, dp *decodedProgram, regs *[decodedRegs]uint64, stack []byte, ctx *ExecContext) error {
 	lo, hi := int(in.pc), int(in.pc)+int(in.w)

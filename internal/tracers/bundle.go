@@ -117,18 +117,6 @@ func NewBundleCapacity(rt *ebpf.Runtime, perRingCapacity int) (*Bundle, error) {
 // Table I experiment).
 func (b *Bundle) Programs() map[string]*ebpf.Program { return b.progs }
 
-// TierCounts tallies the bundle's programs per dispatch tier:
-// counts[0..2] are tiers 0..2, undecoded programs are not counted.
-func (b *Bundle) TierCounts() [3]int {
-	var counts [3]int
-	for _, p := range b.progs {
-		if t := p.DecodeTier(); t >= 0 && t < 3 {
-			counts[t]++
-		}
-	}
-	return counts
-}
-
 // PIDMap exposes the ROS2-PID filter map (user-space side reads it to know
 // which PIDs the kernel tracer follows).
 func (b *Bundle) PIDMap() *ebpf.HashMap { return b.pidMap }

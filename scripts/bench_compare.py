@@ -23,7 +23,6 @@ import sys
 # merges keep statistics only.
 GATED = [
     "BenchmarkEBPF_DispatchDecoded",
-    "BenchmarkEBPF_DispatchTier2",
     "BenchmarkEBPF_ProbeDispatch",
     "BenchmarkEBPF_PerfEmitPerCPU",
     "BenchmarkBundle_StreamDrain",
@@ -53,7 +52,6 @@ GATED = [
 # decisions and event queue, which reuse their scratch and slots.
 ZERO_ALLOC = [
     "BenchmarkEBPF_DispatchDecoded",
-    "BenchmarkEBPF_DispatchTier2",
     "BenchmarkEBPF_ProbeDispatch",
     "BenchmarkBundle_StreamDrain",
     "BenchmarkMetricsSinkObserve",
