@@ -48,9 +48,9 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
-# Streaming-pipeline microbenchmarks: stream vs batch drain, the
-# incremental model builder, and the trace-store read paths, with
-# allocation reporting.
+# Streaming-pipeline microbenchmarks: the ring->sink drain, alone and
+# into the online model builder; Algorithm 1, batch and incremental; and
+# the trace-store read and query paths, with allocation reporting.
 stream-bench:
 	$(GO) test -run '^$$' -bench 'Bundle_|Alg1_|Store' -benchmem .
 

@@ -264,19 +264,21 @@ func BenchmarkEBPF_ProbeDispatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	node := w.NewNode("bench", 5, 0)
-	_ = node
 	// Fire through a pre-resolved site, as the middleware does.
 	site := w.Runtime().Site(ebpf.Symbol{Lib: "rclcpp", Func: "execute_subscription"})
 	pid := node.PID()
+	var kc trace.KindCounter
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		site.FireEntry(pid, 0)
 		if i&4095 == 4095 {
 			// Drain like the user-space poller does; an undrained
-			// buffer measures slice growth, not dispatch.
+			// buffer measures ring growth, not dispatch.
 			b.StopTimer()
-			bundle.Drain()
+			if err := bundle.StreamTo(&kc); err != nil {
+				b.Fatal(err)
+			}
 			b.StartTimer()
 		}
 	}
@@ -285,7 +287,7 @@ func BenchmarkEBPF_ProbeDispatch(b *testing.B) {
 // dispatchRuntime builds a runtime with a representative tracer-shaped
 // program (ctx loads, ALU, branches, four map-helper calls, no perf
 // output so the workload is pure dispatch) attached to one uprobe.
-func dispatchRuntime(b *testing.B, predecode bool) (*ebpf.Runtime, ebpf.Symbol) {
+func dispatchRuntime(b *testing.B, predecode bool) *ebpf.ProbeSite {
 	b.Helper()
 	rt := ebpf.NewRuntime(func() int64 { return 42 }, nil)
 	rt.SetPredecode(predecode)
@@ -330,18 +332,18 @@ func dispatchRuntime(b *testing.B, predecode bool) (*ebpf.Runtime, ebpf.Symbol) 
 	if _, err := rt.AttachUprobe(sym, p); err != nil {
 		b.Fatal(err)
 	}
-	return rt, sym
+	return rt.Site(sym)
 }
 
 // BenchmarkEBPF_DispatchDecoded measures one probe fire over the
 // dispatch form Load installs (fused helper patterns, compacted blocks),
 // exactly as every fire of a tracing session runs.
 func BenchmarkEBPF_DispatchDecoded(b *testing.B) {
-	rt, sym := dispatchRuntime(b, true)
+	site := dispatchRuntime(b, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.FireUprobe(7, 0, sym, uint64(i), uint64(i>>3))
+		site.FireEntry(7, 0, uint64(i), uint64(i>>3))
 	}
 }
 
@@ -349,11 +351,11 @@ func BenchmarkEBPF_DispatchDecoded(b *testing.B) {
 // reference interpreter (per-retire operand resolution and map-fd
 // hashing) — the before side of the decode optimization.
 func BenchmarkEBPF_DispatchRaw(b *testing.B) {
-	rt, sym := dispatchRuntime(b, false)
+	site := dispatchRuntime(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.FireUprobe(7, 0, sym, uint64(i), uint64(i>>3))
+		site.FireEntry(7, 0, uint64(i), uint64(i>>3))
 	}
 }
 
@@ -409,10 +411,13 @@ func BenchmarkDAG_VertexByLabelSubstring(b *testing.B) {
 
 // BenchmarkEBPF_PerfEmitPerCPU measures perf-ring emission round-robin
 // across 8 CPU rings — the buffer half of perf_event_output — with the
-// periodic drain a user-space poller performs.
+// periodic drain a user-space poller performs: each ring's segment is
+// drained into a cursor and released, as Bundle.StreamTo does, so the
+// next burst reuses the arena chunks.
 func BenchmarkEBPF_PerfEmitPerCPU(b *testing.B) {
 	pb := ebpf.NewPerfBuffer("bench", 0)
 	payload := make([]byte, 64)
+	var c ebpf.RecordCursor
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
@@ -420,29 +425,11 @@ func BenchmarkEBPF_PerfEmitPerCPU(b *testing.B) {
 		pb.Emit(i&7, int64(i), payload)
 		if i&8191 == 8191 {
 			b.StopTimer()
-			pb.Drain()
+			for cpu := 0; cpu < pb.NumRings(); cpu++ {
+				pb.DrainCursorInto(&c, cpu)
+				c.Release()
+			}
 			b.StartTimer()
-		}
-	}
-}
-
-// BenchmarkEBPF_PerfDrainMerged measures the merged lock-free drain: 8K
-// records spread over 8 CPU rings, k-way merged back into (Time, Seq)
-// order.
-func BenchmarkEBPF_PerfDrainMerged(b *testing.B) {
-	pb := ebpf.NewPerfBuffer("bench", 0)
-	payload := make([]byte, 64)
-	const records = 8192
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for r := 0; r < records; r++ {
-			pb.Emit(r&7, int64(r), payload)
-		}
-		b.StartTimer()
-		if len(pb.Drain()) != records {
-			b.Fatal("drain lost records")
 		}
 	}
 }
@@ -506,29 +493,7 @@ func benchTracedWorld(b *testing.B) (*rclcpp.World, *tracers.Bundle) {
 	return w, bd
 }
 
-// BenchmarkBundle_BatchDrain measures the batch drain of one 500 ms
-// segment: decode + merge into a materialized trace. Its allocations
-// carry the full merged event slice — the peak-memory cost the
-// streaming path exists to avoid.
-func BenchmarkBundle_BatchDrain(b *testing.B) {
-	w, bd := benchTracedWorld(b)
-	events := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		w.Run(500 * sim.Millisecond)
-		b.StartTimer()
-		tr, err := bd.Drain()
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += tr.Len()
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-}
-
-// BenchmarkBundle_StreamDrain measures the streaming drain of the same
+// BenchmarkBundle_StreamDrain measures the streaming drain of one
 // 500 ms segment into a counting sink: per-ring cursors, lazy decode,
 // tournament merge — no event slice is ever built, so allocations stay
 // per-drain-constant instead of per-event.
@@ -620,28 +585,6 @@ func saveSegmented(b *testing.B, tr *trace.Trace, segments int, format trace.For
 		}
 	}
 	return st, "run", tr.Len()
-}
-
-// BenchmarkStoreLoadSession measures the batch read path of the trace
-// database: materialize every event of a 10 s, 8-segment session into
-// one merged trace. Its B/op carries the whole session — the peak-memory
-// cost the streaming store path exists to avoid.
-func BenchmarkStoreLoadSession(b *testing.B) {
-	st, sess, want := benchStoreSession(b, 10*sim.Second, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	events := 0
-	for i := 0; i < b.N; i++ {
-		tr, err := st.LoadSession(sess)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tr.Len() != want {
-			b.Fatalf("loaded %d events, want %d", tr.Len(), want)
-		}
-		events += tr.Len()
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 // BenchmarkStoreStreamSession measures the streaming read path over the

@@ -37,10 +37,11 @@ func loadsSession(t *testing.T) (*core.DAG, sim.Duration) {
 	apps.BuildAVP(w, apps.AVPConfig{})
 	b.StopInit()
 	w.Run(3 * sim.Second)
-	tr, err := b.Drain()
-	if err != nil {
+	var col trace.Collector
+	if err := b.StreamTo(&col); err != nil {
 		t.Fatal(err)
 	}
+	tr := &col.Trace
 	store, err := trace.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

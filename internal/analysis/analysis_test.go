@@ -28,11 +28,11 @@ func traceApp(t *testing.T, seed uint64, cpus int, build func(*rclcpp.World), du
 	}
 	build(w)
 	w.Run(dur)
-	tr, err := b.Drain()
-	if err != nil {
+	var col trace.Collector
+	if err := b.StreamTo(&col); err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return &col.Trace
 }
 
 func TestChainsOfAVP(t *testing.T) {

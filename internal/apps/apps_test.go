@@ -26,11 +26,11 @@ func runTraced(t *testing.T, seed uint64, cpus int, build func(*rclcpp.World), d
 	}
 	build(w)
 	w.Run(dur)
-	tr, err := b.Drain()
-	if err != nil {
+	var col trace.Collector
+	if err := b.StreamTo(&col); err != nil {
 		t.Fatal(err)
 	}
-	return tr, w
+	return &col.Trace, w
 }
 
 func TestSYNDAGStructure(t *testing.T) {

@@ -29,6 +29,17 @@ func tracedWorld(t *testing.T, cpus int, seed uint64) (*rclcpp.World, *tracers.B
 	return w, b
 }
 
+// drainTrace drains every tracer ring of b through StreamTo into one
+// (Time, Seq)-ordered trace.
+func drainTrace(t *testing.T, b *tracers.Bundle) *trace.Trace {
+	t.Helper()
+	var col trace.Collector
+	if err := b.StreamTo(&col); err != nil {
+		t.Fatal(err)
+	}
+	return &col.Trace
+}
+
 // TestMeasuredETMatchesGroundTruthUnderInterference is the paper's SYN
 // validation: designed (constant) execution times must be recovered
 // exactly by Algorithm 2 from the trace, even when the node is preempted
@@ -49,10 +60,7 @@ func TestMeasuredETMatchesGroundTruthUnderInterference(t *testing.T) {
 	})
 
 	w.Run(2 * sim.Second)
-	tr, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := drainTrace(t, b)
 	m := core.ExtractModel(tr)
 
 	var victimCB *core.Callback
@@ -117,10 +125,7 @@ func TestServiceSplitIntoPerCallerVertices(t *testing.T) {
 	})
 
 	w.Run(2 * sim.Second)
-	tr, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := drainTrace(t, b)
 	d := core.Synthesize(tr)
 
 	var serviceVerts []*core.Vertex
@@ -182,10 +187,7 @@ func TestSyncSubscribersGetAndJunction(t *testing.T) {
 	down.CreateSubscription("/fused", rclcpp.SimpleBody{ET: sim.Constant{Value: sim.Millisecond}})
 
 	w.Run(2 * sim.Second)
-	tr, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := drainTrace(t, b)
 	d := core.Synthesize(tr)
 
 	var and *core.Vertex
@@ -246,10 +248,7 @@ func TestOrJunctionMarked(t *testing.T) {
 	s.CreateSubscription("/shared", rclcpp.SimpleBody{ET: sim.Constant{Value: sim.Millisecond}})
 
 	w.Run(1 * sim.Second)
-	tr, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := drainTrace(t, b)
 	d := core.Synthesize(tr)
 
 	sub := d.VertexByLabelSubstring("subscriber|sub")
@@ -282,11 +281,7 @@ func TestMergeStrategiesEquivalent(t *testing.T) {
 		s := w.NewNode("s", 5, 0)
 		s.CreateSubscription("/x", rclcpp.SimpleBody{ET: sim.Constant{Value: sim.Millisecond}})
 		w.Run(500 * sim.Millisecond)
-		tr, err := b.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+		return drainTrace(t, b)
 	}
 	for seed := uint64(100); seed < 103; seed++ {
 		segs = append(segs, runOnce(seed))
@@ -336,7 +331,7 @@ func TestDAGExports(t *testing.T) {
 	s := w.NewNode("s", 5, 0)
 	s.CreateSubscription("/x", rclcpp.SimpleBody{ET: sim.Constant{Value: sim.Millisecond}})
 	w.Run(200 * sim.Millisecond)
-	tr, _ := b.Drain()
+	tr := drainTrace(t, b)
 	d := core.Synthesize(tr)
 
 	dot := core.ToDOT(d, "test")
@@ -372,11 +367,7 @@ func TestMultiModeDAG(t *testing.T) {
 		s := w.NewNode("s", 5, 0)
 		s.CreateSubscription(topic, rclcpp.SimpleBody{ET: sim.Constant{Value: sim.Millisecond}})
 		w.Run(200 * sim.Millisecond)
-		tr, err := b.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+		return drainTrace(t, b)
 	}
 	mm := core.NewMultiModeDAG()
 	mm.AddTrace("city", runMode(1, "/city"))

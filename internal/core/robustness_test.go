@@ -17,11 +17,7 @@ func synTrace(t *testing.T, seed uint64, dur sim.Duration) *trace.Trace {
 	w, b := tracedWorld(t, 8, seed)
 	apps.BuildSYN(w, apps.SYNConfig{})
 	w.Run(dur)
-	tr, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return drainTrace(t, b)
 }
 
 // TestCanonicalKeysStableAcrossSeeds: the vertex identities must be
@@ -198,10 +194,7 @@ func TestLostRecordsWithTinyPerfBuffers(t *testing.T) {
 	// Drain very rarely so buffers would overrun if they were bounded; the
 	// default unbounded buffers must not lose records.
 	w.Run(5 * sim.Second)
-	tr, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := drainTrace(t, b)
 	if b.Lost() != 0 {
 		t.Fatalf("lost %d records with unbounded buffers", b.Lost())
 	}

@@ -47,11 +47,7 @@ func TestSnapshotServiceMatchesBatch(t *testing.T) {
 			return nil
 		}
 		w.Run(4 * sim.Second)
-		tr, err := b.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+		return drainTrace(t, b)
 	}
 
 	svc := core.NewSnapshotService()
@@ -197,10 +193,7 @@ func TestSnapshotServiceSnapshotsDuringTraffic(t *testing.T) {
 	apps.BuildSYN(w, apps.SYNConfig{})
 	b.StopInit()
 	w.Run(3 * sim.Second)
-	tr, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := drainTrace(t, b)
 
 	svc := core.NewSnapshotService()
 	done := make(chan struct{})

@@ -30,11 +30,7 @@ func drainedSession(t *testing.T, cpus int, seed uint64, d sim.Duration, build f
 	build(w)
 	b.StopInit()
 	w.Run(d)
-	tr, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return drainTrace(t, b)
 }
 
 func buildBoth(w *rclcpp.World) {

@@ -44,10 +44,7 @@ func streamedAndBatchModels(t *testing.T, cpus int, seed uint64,
 	streamed = mb.Finish()
 
 	_, bB := run()
-	tr, err := bB.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := drainTrace(t, bB)
 	batch = core.BatchExtractModel(tr)
 	return streamed, batch
 }

@@ -155,16 +155,18 @@ func TestWriteFiresP16WithTopicAndSrcTS(t *testing.T) {
 	eng.At(1234, func() { w.Write(nil, 0, 0) })
 	eng.Run(sim.MaxTime)
 
-	recs := pb.Drain()
-	if len(recs) != 1 {
-		t.Fatalf("records = %d", len(recs))
+	var c ebpf.RecordCursor
+	pb.DrainCursorInto(&c, 0) // the probe fired on CPU 0
+	if c.Len() != 1 {
+		t.Fatalf("records = %d", c.Len())
 	}
+	rec, _ := c.Next()
 	// fp-72 holds srcTS; fp-64.. holds topic string.
-	srcTS := int64(recs[0].Data[0]) | int64(recs[0].Data[1])<<8
+	srcTS := int64(rec.Data[0]) | int64(rec.Data[1])<<8
 	if srcTS != 1234 {
 		t.Errorf("srcTS = %d", srcTS)
 	}
-	topic := recs[0].Data[8:]
+	topic := rec.Data[8:]
 	n := 0
 	for n < len(topic) && topic[n] != 0 {
 		n++

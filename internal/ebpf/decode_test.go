@@ -60,7 +60,7 @@ func (f *equivFixture) mapState() (hash map[uint64]uint64, arr []uint64, recs []
 		v, _ := f.arr.Lookup(k)
 		arr = append(arr, v)
 	}
-	recs = f.pb.Drain()
+	recs = drainSorted(f.pb)
 	return hash, arr, recs
 }
 
@@ -280,12 +280,15 @@ func TestRuntimeLoadDecodes(t *testing.T) {
 	}
 }
 
-// TestFireNoAlloc checks the hot fire path performs no per-fire heap
-// allocations beyond what the program itself emits, from the first fire
-// on: the dispatch form is final at Load, so no later fire rebuilds it.
+// TestFireNoAlloc checks the fire paths the middleware and the
+// scheduler bridge run — ProbeSite.FireEntry/FireReturn and
+// TracepointSite.Fire — perform no per-fire heap allocations beyond what
+// the program itself emits, from the first fire on: the dispatch form is
+// final at Load, so no later fire rebuilds it.
 func TestFireNoAlloc(t *testing.T) {
 	sym := Symbol{Lib: "lib", Func: "fn"}
-	load := func() *Runtime {
+	const tpName = "sched:sched_switch"
+	load := func() (*ProbeSite, *TracepointSite) {
 		rt := NewRuntime(func() int64 { return 5 }, nil)
 		fd := rt.RegisterMap(NewHashMap("h", 16))
 		p := NewAssembler("count").
@@ -303,32 +306,45 @@ func TestFireNoAlloc(t *testing.T) {
 		if _, err := rt.AttachUprobe(sym, p); err != nil {
 			t.Fatal(err)
 		}
-		rt.FireUprobe(1, 0, sym, 1) // warm up scratch buffers and the map
-		return rt
+		if _, err := rt.AttachUretprobe(sym, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.AttachTracepoint(tpName, p); err != nil {
+			t.Fatal(err)
+		}
+		site, tp := rt.Site(sym), rt.TracepointSiteFor(tpName)
+		// Warm up the scratch buffers and the map.
+		site.FireEntry(1, 0, 1)
+		site.FireReturn(1, 0, 7, 1, 2)
+		tp.Fire(0, 1, 2, 3, 4, 5)
+		return site, tp
 	}
 
-	rt := load()
-	allocs := testing.AllocsPerRun(100, func() {
-		rt.FireUprobe(1, 0, sym, 1)
-	})
-	if allocs > 0 {
-		t.Fatalf("FireUprobe allocates %.1f times per fire, want 0", allocs)
+	site, tp := load()
+	fires := []struct {
+		name string
+		fn   func()
+	}{
+		{"ProbeSite.FireEntry", func() { site.FireEntry(1, 0, 1) }},
+		{"ProbeSite.FireReturn", func() { site.FireReturn(1, 0, 7, 1, 2) }},
+		{"TracepointSite.Fire", func() { tp.Fire(0, 1, 2, 3, 4, 5) }},
 	}
-	ret := testing.AllocsPerRun(100, func() {
-		rt.FireUretprobe(1, 0, sym, 7, 1, 2)
-	})
-	if ret > 0 {
-		t.Fatalf("FireUretprobe allocates %.1f times per fire, want 0", ret)
+	for _, f := range fires {
+		if allocs := testing.AllocsPerRun(100, f.fn); allocs > 0 {
+			t.Fatalf("%s allocates %.1f times per fire, want 0", f.name, allocs)
+		}
 	}
 
 	// testing.AllocsPerRun warms up with one extra run of its own, so a
 	// fire-path allocation at a fixed run count would slip past it. Count
 	// mallocs over a long stretch of fires right after the first one.
-	rt = load()
+	site, tp = load()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 1000; i++ {
-		rt.FireUprobe(1, 0, sym, 1)
+		site.FireEntry(1, 0, 1)
+		site.FireReturn(1, 0, 7, 1, 2)
+		tp.Fire(0, 1, 2, 3, 4, 5)
 	}
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {

@@ -24,7 +24,7 @@ func TestEmitFaultDropsCountAsLost(t *testing.T) {
 	if pb.LostOnCPU(0) != 1 || pb.LostOnCPU(1) != 1 {
 		t.Fatalf("per-CPU lost = %d/%d, want 1/1", pb.LostOnCPU(0), pb.LostOnCPU(1))
 	}
-	if len(pb.DrainCPU(0)) != 1 || len(pb.DrainCPU(1)) != 1 {
+	if len(ringRecords(pb, 0)) != 1 || len(ringRecords(pb, 1)) != 1 {
 		t.Fatal("surviving emissions not in the rings")
 	}
 	// The hook sees the resolved CPU of every emission, including ones it
@@ -36,7 +36,7 @@ func TestEmitFaultDropsCountAsLost(t *testing.T) {
 	// Removing the hook restores pass-through.
 	pb.SetEmitFault(nil)
 	pb.Emit(0, 50, []byte{5})
-	if pb.Lost() != 2 || len(pb.DrainCPU(0)) != 1 {
+	if pb.Lost() != 2 || len(ringRecords(pb, 0)) != 1 {
 		t.Fatal("nil hook still dropping")
 	}
 }
@@ -53,7 +53,7 @@ func TestEmitFaultDropsDoNotConsumeCapacity(t *testing.T) {
 	if got := pb.Lost(); got != 4 {
 		t.Fatalf("lost = %d, want 3 forced + 1 overrun", got)
 	}
-	if got := len(pb.DrainCPU(0)); got != 2 {
+	if got := len(ringRecords(pb, 0)); got != 2 {
 		t.Fatalf("ring held %d records, want capacity 2", got)
 	}
 }

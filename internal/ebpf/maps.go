@@ -241,11 +241,9 @@ func (a *ArrayMap) Delete(key uint64) {
 }
 
 // PerfRecord is one record emitted through perf_event_output. Data
-// points into the ring's arena: records obtained from the batch drains
-// (Drain, DrainCPU, DrainInto) own their chunks and may be retained
-// freely, while records decoded through a streaming RecordCursor alias
-// chunks that return to the ring when the cursor is released — a
-// streaming consumer must finish with Data before Release.
+// points into the ring's arena: records decoded through a RecordCursor
+// alias chunks that return to the ring when the cursor is released, so
+// a consumer must finish with Data before Release.
 type PerfRecord struct {
 	CPU  int
 	Time int64  // virtual ns at emission
@@ -260,10 +258,8 @@ type PerfRecord struct {
 // ring writes perf_event_header + raw sample into its mmap'd pages, so
 // emit allocates nothing on the steady state and a drain hands the
 // chunks themselves to the consumer instead of materializing a record
-// slice. A streaming consumer decodes records in place out of the
-// chunks and releases them back to the ring's free list when its sink
-// is done; batch consumers keep the chunks (their records' Data aliases
-// them) and the ring grows fresh ones.
+// slice. The consumer decodes records in place out of the chunks and
+// releases them back to the ring's free list when its sink is done.
 //
 // Exactly one simulated CPU produces into a ring, and a drain consumes
 // it by swapping the chunk list out, so neither path ever takes a lock.
@@ -310,8 +306,7 @@ func (r *perfRing) newChunk(need int) []byte {
 }
 
 // drainSegment swaps the ring's current segment out: the chunk list and
-// its record count. The caller owns the chunks until it releases them
-// (streaming) or forever (batch materialization).
+// its record count. The caller owns the chunks until it releases them.
 func (r *perfRing) drainSegment() ([][]byte, int) {
 	chunks, n := r.chunks, r.count
 	r.chunks, r.count = nil, 0
@@ -320,8 +315,9 @@ func (r *perfRing) drainSegment() ([][]byte, int) {
 
 // PerfBuffer is a BPF_MAP_TYPE_PERF_EVENT_ARRAY equivalent: one ring per
 // CPU, allocated on first emission from that CPU. Programs write records
-// to the ring of the CPU they fire on; the user-space tracer drains the
-// rings merged by (Time, Seq) or one CPU at a time. A per-ring capacity
+// to the ring of the CPU they fire on; the user-space tracer drains one
+// ring at a time (DrainCursorInto) and merges the rings by (Time, Seq)
+// downstream (trace.MergeStream). A per-ring capacity
 // bound models real ring-buffer overruns: records beyond it are counted
 // as lost against the overrunning CPU.
 type PerfBuffer struct {
@@ -343,8 +339,9 @@ const perfArenaChunk = 64 << 10
 
 // NewPerfBuffer creates a perf buffer whose rings each hold at most
 // capacity undrained records (0 means unbounded). The buffer stamps
-// records from its own emission counter, so the merged Drain reproduces
-// emission order even when virtual time stands still.
+// records from its own emission counter, so merging its rings by
+// (Time, Seq) reproduces emission order even when virtual time stands
+// still.
 func NewPerfBuffer(name string, capacity int) *PerfBuffer {
 	return &PerfBuffer{name: name, capacity: capacity, seq: new(uint64)}
 }
@@ -427,83 +424,16 @@ func (p *PerfBuffer) Emit(cpu int, now int64, data []byte) {
 	r.bytes += uint64(len(data))
 }
 
-// Drain returns and clears the pending records of every ring, merged
-// into (Time, Seq) order. Each ring drains by a plain slice swap and is
-// already monotonic in (Time, Seq) — virtual time never runs backwards
-// and the emission counter only grows — so the rings k-way merge without
-// a global sort; ties (possible only across buffers, never within one)
-// resolve to the lower CPU.
-func (p *PerfBuffer) Drain() []PerfRecord {
-	switch len(p.rings) {
-	case 0:
-		return nil
-	case 1:
-		return p.DrainCPU(0)
-	}
-	streams := make([][]PerfRecord, 0, len(p.rings))
-	total := 0
-	for i := range p.rings {
-		if s := p.DrainCPU(i); len(s) > 0 {
-			streams = append(streams, s)
-			total += len(s)
-		}
-	}
-	switch len(streams) {
-	case 0:
-		return nil
-	case 1:
-		return streams[0]
-	}
-	out := make([]PerfRecord, 0, total)
-	for len(out) < total {
-		best := -1
-		for s := range streams {
-			if len(streams[s]) == 0 {
-				continue
-			}
-			if best < 0 || perfRecordLess(&streams[s][0], &streams[best][0]) {
-				best = s
-			}
-		}
-		out = append(out, streams[best][0])
-		streams[best] = streams[best][1:]
-	}
-	return out
-}
-
-// DrainCPU returns and clears the pending records of one CPU's ring, in
-// emission order. CPUs the buffer never saw drain empty. The returned
-// records own their arena chunks (the ring grows fresh ones), so batch
-// consumers may retain Data indefinitely.
-func (p *PerfBuffer) DrainCPU(cpu int) []PerfRecord {
-	if cpu < 0 || cpu >= len(p.rings) {
-		return nil
-	}
-	chunks, n := p.rings[cpu].drainSegment()
-	if n == 0 {
-		return nil
-	}
-	out := make([]PerfRecord, 0, n)
-	c := RecordCursor{cpu: cpu, chunks: chunks, n: n}
-	for {
-		rec, ok := c.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, rec)
-	}
-}
-
 // RecordCursor iterates one drained ring segment, decoding each record's
 // frame in place: the yielded PerfRecord's Data aliases the segment's
-// arena chunk, so the streaming drain path performs no per-record copy
-// or allocation. The segment was swapped out of the ring when the cursor
-// was created, so iteration never races with new emissions and its
-// length bounds what a streaming consumer can ever have in flight from
-// this ring. Release hands the chunks back to the ring once the consumer
-// is done with every Data it yielded.
+// arena chunk, so the drain performs no per-record copy or allocation.
+// The segment was swapped out of the ring when the cursor was created,
+// so iteration never races with new emissions and its length bounds what
+// a consumer can ever have in flight from this ring. Release hands the
+// chunks back to the ring once the consumer is done with every Data it
+// yielded.
 type RecordCursor struct {
-	ring   *perfRing // for Release; nil for detached (batch) decoding
+	ring   *perfRing // for Release; nil for an empty cursor
 	cpu    int
 	chunks [][]byte
 	n      int // records remaining
@@ -539,10 +469,10 @@ func (c *RecordCursor) Len() int { return c.n }
 
 // Release returns the segment's arena chunks to the ring's free list for
 // the next emission burst to reuse. After Release, Data slices of
-// records this cursor yielded may be overwritten; a streaming sink must
-// be done with them (events decode into value fields and interned
-// strings, never retaining Data — see tracers.DecodeRecord). Safe to
-// call more than once and on detached cursors.
+// records this cursor yielded may be overwritten; the sink must be done
+// with them (events decode into value fields and interned strings, never
+// retaining Data — see tracers.DecodeRecord). Safe to call more than
+// once and on empty cursors.
 func (c *RecordCursor) Release() {
 	r := c.ring
 	if r == nil {
@@ -562,18 +492,12 @@ func (c *RecordCursor) Release() {
 	c.chunks = nil
 }
 
-// DrainCursor drains one CPU's ring — the records emitted since the
-// previous drain, its current segment — and returns a cursor over them.
-// The ring's lost/byte counters are untouched: they accumulate for the
-// lifetime of the buffer regardless of how records are consumed.
-func (p *PerfBuffer) DrainCursor(cpu int) *RecordCursor {
-	c := new(RecordCursor)
-	p.DrainCursorInto(c, cpu)
-	return c
-}
-
-// DrainCursorInto is DrainCursor into caller-owned storage, so a drain
-// loop can reuse its cursors across segments without allocating.
+// DrainCursorInto drains one CPU's ring — the records emitted since the
+// previous drain, its current segment — into a caller-owned cursor, so a
+// drain loop reuses its cursors across segments without allocating.
+// CPUs the buffer never saw drain empty. The ring's lost/byte counters
+// are untouched: they accumulate for the lifetime of the buffer
+// regardless of how records are consumed.
 func (p *PerfBuffer) DrainCursorInto(c *RecordCursor, cpu int) {
 	if cpu < 0 || cpu >= len(p.rings) {
 		*c = RecordCursor{}
@@ -582,28 +506,6 @@ func (p *PerfBuffer) DrainCursorInto(c *RecordCursor, cpu int) {
 	r := &p.rings[cpu]
 	chunks, n := r.drainSegment()
 	*c = RecordCursor{ring: r, cpu: cpu, chunks: chunks, n: n}
-}
-
-// DrainInto drains one CPU's ring, invoking fn on every record of the
-// segment in emission order. A non-nil error from fn stops the iteration
-// and is returned; records not yet visited are dropped, exactly as a
-// real perf poller loses its batch when the consumer fails mid-page.
-func (p *PerfBuffer) DrainInto(cpu int, fn func(PerfRecord) error) error {
-	for _, rec := range p.DrainCPU(cpu) {
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// perfRecordLess orders records by (Time, Seq), the same key the trace
-// merger uses.
-func perfRecordLess(a, b *PerfRecord) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	return a.Seq < b.Seq
 }
 
 // NumRings reports how many per-CPU rings the buffer has materialized

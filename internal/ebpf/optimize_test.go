@@ -300,7 +300,7 @@ func TestTier1GuardFallback(t *testing.T) {
 			if !reflect.DeepEqual(rh, fh) || !reflect.DeepEqual(ra, fa) || !reflect.DeepEqual(rr, fr) {
 				t.Fatal("map/perf state diverged through guard fallback")
 			}
-			// Re-prime the reference state consumed by mapState's Drain.
+			// Re-prime the reference state consumed by mapState's drain.
 			ref = newEquivFixture(t, emitterProg, 1)
 			if refRes, err = NewVM(ref.maps).RunInterpreted(ref.prog, ctx()); err != nil {
 				t.Fatal(err)
@@ -440,7 +440,7 @@ func FuzzDecodeEquivalence(f *testing.F) {
 				v, _ := w.hash.Lookup(k)
 				h[k] = v
 			}
-			return h, w.pb.Drain()
+			return h, drainSorted(w.pb)
 		}
 		rh, rr := state(raw)
 		h, recs := state(dec)

@@ -2,11 +2,41 @@ package ebpf
 
 import (
 	"encoding/binary"
-	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
+
+// ringRecords drains one CPU's ring through DrainCursorInto and returns
+// its records in emission order. The cursor is never released, so the
+// records keep their arena chunks and may be retained.
+func ringRecords(pb *PerfBuffer, cpu int) []PerfRecord {
+	var c RecordCursor
+	pb.DrainCursorInto(&c, cpu)
+	var out []PerfRecord
+	for rec, ok := c.Next(); ok; rec, ok = c.Next() {
+		out = append(out, rec)
+	}
+	return out
+}
+
+// drainSorted drains every ring of pb and stably sorts the records by
+// (Time, Seq): the merged-order oracle for tests, independent of the
+// production merge (trace.MergeStream). Ties fall to the lower CPU.
+func drainSorted(pb *PerfBuffer) []PerfRecord {
+	var out []PerfRecord
+	for cpu := 0; cpu < pb.NumRings(); cpu++ {
+		out = append(out, ringRecords(pb, cpu)...)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Time != out[j].Time {
+			return out[i].Time < out[j].Time
+		}
+		return out[i].Seq < out[j].Seq
+	})
+	return out
+}
 
 // TestPerfBufferPerCPUAccounting checks that capacity, lost and byte
 // counters are tracked per CPU ring, and that the buffer-level accessors
@@ -56,7 +86,7 @@ func TestPerfBufferPerCPUAccounting(t *testing.T) {
 	}
 
 	// A drain empties pending but keeps cumulative lost/byte counters.
-	if got := len(pb.Drain()); got != 6 {
+	if got := len(drainSorted(pb)); got != 6 {
 		t.Fatalf("drained %d records, want 6", got)
 	}
 	if pb.Pending() != 0 || pb.Lost() != 4 || pb.Bytes() != 12 {
@@ -70,8 +100,10 @@ func TestPerfBufferPerCPUAccounting(t *testing.T) {
 }
 
 // TestPerfBufferMergedDrainOrder interleaves emissions across CPUs and
-// checks the merged drain reproduces global (Time, Seq) order — which,
-// with the buffer's own emission counter, is exactly emission order.
+// checks that the rings, merged by (Time, Seq), reproduce emission order:
+// the buffer's own emission counter stamps a Seq that breaks every time
+// tie, within and across rings, which is the order trace.MergeStream
+// relies on.
 func TestPerfBufferMergedDrainOrder(t *testing.T) {
 	pb := NewPerfBuffer("merge", 0)
 	// (cpu, time) in emission order; times repeat across and within CPUs.
@@ -84,13 +116,13 @@ func TestPerfBufferMergedDrainOrder(t *testing.T) {
 	for i, e := range emissions {
 		pb.Emit(e.cpu, e.time, []byte{byte(i)})
 	}
-	recs := pb.Drain()
+	recs := drainSorted(pb)
 	if len(recs) != len(emissions) {
 		t.Fatalf("drained %d records, want %d", len(recs), len(emissions))
 	}
 	for i, rec := range recs {
 		if int(rec.Data[0]) != i {
-			t.Fatalf("record %d is emission %d; merged drain broke emission order", i, rec.Data[0])
+			t.Fatalf("record %d is emission %d; (Time, Seq) order broke emission order", i, rec.Data[0])
 		}
 		if rec.CPU != emissions[i].cpu || rec.Time != emissions[i].time {
 			t.Fatalf("record %d = cpu%d t=%d, want cpu%d t=%d",
@@ -102,31 +134,32 @@ func TestPerfBufferMergedDrainOrder(t *testing.T) {
 	}
 }
 
-// TestPerfBufferDrainCPU checks single-ring drains are independent.
-func TestPerfBufferDrainCPU(t *testing.T) {
+// TestPerfBufferRingDrainsIndependent checks single-ring drains are
+// independent.
+func TestPerfBufferRingDrainsIndependent(t *testing.T) {
 	pb := NewPerfBuffer("single", 0)
 	pb.Emit(0, 1, []byte{0xA})
 	pb.Emit(1, 2, []byte{0xB})
 	pb.Emit(0, 3, []byte{0xC})
 
-	got := pb.DrainCPU(0)
+	got := ringRecords(pb, 0)
 	want := [][]byte{{0xA}, {0xC}}
 	if len(got) != 2 {
-		t.Fatalf("DrainCPU(0) = %d records, want 2", len(got))
+		t.Fatalf("ring 0 drained %d records, want 2", len(got))
 	}
 	for i := range got {
 		if !reflect.DeepEqual(got[i].Data, want[i]) {
-			t.Fatalf("DrainCPU(0)[%d].Data = %v, want %v", i, got[i].Data, want[i])
+			t.Fatalf("ring 0 record %d Data = %v, want %v", i, got[i].Data, want[i])
 		}
 	}
 	if pb.PendingOnCPU(1) != 1 {
-		t.Fatal("DrainCPU(0) touched CPU 1's ring")
+		t.Fatal("draining ring 0 touched CPU 1's ring")
 	}
-	if recs := pb.DrainCPU(7); recs != nil {
-		t.Fatalf("DrainCPU of unmaterialized ring = %v", recs)
+	if recs := ringRecords(pb, 7); recs != nil {
+		t.Fatalf("drain of unmaterialized ring = %v", recs)
 	}
-	if recs := pb.Drain(); len(recs) != 1 || recs[0].Data[0] != 0xB {
-		t.Fatalf("final merged drain = %v", recs)
+	if recs := drainSorted(pb); len(recs) != 1 || recs[0].Data[0] != 0xB {
+		t.Fatalf("final drain = %v", recs)
 	}
 }
 
@@ -142,8 +175,8 @@ func TestPerfBufferSharedSeqMergesAcrossBuffers(t *testing.T) {
 	b.Emit(2, 6, []byte{3})
 
 	var all []PerfRecord
-	all = append(all, a.Drain()...)
-	all = append(all, b.Drain()...)
+	all = append(all, drainSorted(a)...)
+	all = append(all, drainSorted(b)...)
 	// Per-buffer drains are (Time, Seq) sorted; a two-way merge on Seq
 	// must reproduce emission order 0,1,2,3.
 	seen := make([]bool, 4)
@@ -160,10 +193,10 @@ func TestPerfBufferSharedSeqMergesAcrossBuffers(t *testing.T) {
 	}
 }
 
-// TestPerfBufferDrainCursor checks cursor-based segment iteration: a
-// cursor captures exactly the ring's current segment, iterates it in
+// TestPerfBufferDrainCursorInto checks cursor-based segment iteration:
+// a cursor captures exactly the ring's current segment, iterates it in
 // emission order, and leaves cumulative lost/byte accounting intact.
-func TestPerfBufferDrainCursor(t *testing.T) {
+func TestPerfBufferDrainCursorInto(t *testing.T) {
 	pb := NewPerfBuffer("cursor", 3)
 	pb.Emit(1, 10, []byte{1})
 	pb.Emit(1, 20, []byte{2})
@@ -171,9 +204,16 @@ func TestPerfBufferDrainCursor(t *testing.T) {
 		pb.Emit(1, 30, []byte{9}) // one lands, three lost (capacity 3)
 	}
 
-	cur := pb.DrainCursor(1)
+	var cur RecordCursor
+	pb.DrainCursorInto(&cur, 1)
 	if cur.Len() != 3 {
 		t.Fatalf("segment has %d records, want 3", cur.Len())
+	}
+	// The segment was swapped out when the cursor was made, before any
+	// record was read: a consumer that stops early drops the remainder
+	// (as a failed real poller would), it does not requeue it.
+	if pb.PendingOnCPU(1) != 0 {
+		t.Fatalf("drained ring still has %d records pending", pb.PendingOnCPU(1))
 	}
 	var times []int64
 	for {
@@ -195,53 +235,14 @@ func TestPerfBufferDrainCursor(t *testing.T) {
 			pb.PendingOnCPU(1), pb.LostOnCPU(1), pb.BytesOnCPU(1))
 	}
 	pb.Emit(1, 40, []byte{7})
-	next := pb.DrainCursor(1)
-	if next.Len() != 1 {
-		t.Fatalf("next segment has %d records, want 1", next.Len())
+	pb.DrainCursorInto(&cur, 1)
+	if cur.Len() != 1 {
+		t.Fatalf("next segment has %d records, want 1", cur.Len())
 	}
 	// Never-seen CPUs yield empty cursors.
-	if pb.DrainCursor(17).Len() != 0 {
+	pb.DrainCursorInto(&cur, 17)
+	if cur.Len() != 0 {
 		t.Fatal("cursor over unseen CPU not empty")
-	}
-}
-
-// TestPerfBufferDrainInto checks the push-style segment drain, including
-// mid-segment abort semantics.
-func TestPerfBufferDrainInto(t *testing.T) {
-	pb := NewPerfBuffer("into", 0)
-	for i := 0; i < 5; i++ {
-		pb.Emit(2, int64(i), []byte{byte(i)})
-	}
-	var seen []int64
-	if err := pb.DrainInto(2, func(rec PerfRecord) error {
-		seen = append(seen, rec.Time)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seen, []int64{0, 1, 2, 3, 4}) {
-		t.Fatalf("DrainInto order %v", seen)
-	}
-
-	for i := 0; i < 5; i++ {
-		pb.Emit(2, int64(10+i), []byte{byte(i)})
-	}
-	errStop := fmt.Errorf("stop")
-	n := 0
-	if err := pb.DrainInto(2, func(PerfRecord) error {
-		n++
-		if n == 2 {
-			return errStop
-		}
-		return nil
-	}); err != errStop {
-		t.Fatalf("DrainInto error = %v, want errStop", err)
-	}
-	// The segment was swapped out before iteration: an aborted consumer
-	// drops the remainder (as a failed real poller would), it does not
-	// requeue it.
-	if pb.PendingOnCPU(2) != 0 {
-		t.Fatalf("aborted DrainInto left %d records pending", pb.PendingOnCPU(2))
 	}
 }
 
@@ -265,7 +266,8 @@ func TestPerfRingChunkReuseAfterRelease(t *testing.T) {
 		pb.Emit(0, int64(i), payload(1, i))
 	}
 
-	c := pb.DrainCursor(0)
+	var c RecordCursor
+	pb.DrainCursorInto(&c, 0)
 	if len(c.chunks) == 0 {
 		t.Fatal("drained cursor has no chunks")
 	}
@@ -288,7 +290,8 @@ func TestPerfRingChunkReuseAfterRelease(t *testing.T) {
 	for i := 0; i < n; i++ {
 		pb.Emit(0, int64(1000+i), payload(2, i))
 	}
-	c2 := pb.DrainCursor(0)
+	var c2 RecordCursor
+	pb.DrainCursorInto(&c2, 0)
 	defer c2.Release()
 	if len(c2.chunks) == 0 {
 		t.Fatal("second drain has no chunks")
@@ -313,9 +316,9 @@ func TestPerfRingChunkReuseAfterRelease(t *testing.T) {
 }
 
 // TestPerfRingDrainWhileNextBurstEmits drives the segment-swap isolation
-// property under the race detector: DrainCursor swaps the segment out of
-// the ring, so consuming the cursor's records may overlap with the next
-// emission burst filling fresh chunks. The emitter touches only ring
+// property under the race detector: DrainCursorInto swaps the segment
+// out of the ring, so consuming the cursor's records may overlap with
+// the next emission burst filling fresh chunks. The emitter touches only ring
 // state (new chunks, counters); the consumer touches only cursor-local
 // state; Release — which does touch the ring's free list — is ordered
 // after the emitter finishes, matching the StreamTo cadence where
@@ -331,7 +334,8 @@ func TestPerfRingDrainWhileNextBurstEmits(t *testing.T) {
 	for i := 0; i < n; i++ {
 		pb.Emit(0, int64(i), payload(1, i))
 	}
-	c := pb.DrainCursor(0)
+	var c RecordCursor
+	pb.DrainCursorInto(&c, 0)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -355,7 +359,8 @@ func TestPerfRingDrainWhileNextBurstEmits(t *testing.T) {
 	wg.Wait()
 	c.Release()
 
-	c2 := pb.DrainCursor(0)
+	var c2 RecordCursor
+	pb.DrainCursorInto(&c2, 0)
 	defer c2.Release()
 	if c2.Len() != n {
 		t.Fatalf("concurrent burst drained %d records, want %d", c2.Len(), n)

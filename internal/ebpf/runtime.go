@@ -2,7 +2,6 @@ package ebpf
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/tracesynth/rostracer/internal/umem"
 )
@@ -37,6 +36,11 @@ func (k AttachKind) String() string {
 		return "tracepoint"
 	}
 }
+
+// perInsnNs is the simulated cost of one interpreted instruction: ~4 ns,
+// the order of magnitude of a JITed eBPF instruction plus map-helper
+// amortization.
+const perInsnNs = 4
 
 type attachment struct {
 	prog *Program
@@ -77,9 +81,8 @@ type Runtime struct {
 	// spaces resolves a PID to its simulated address space.
 	spaces func(pid uint32) *umem.Space
 
-	stats     RuntimeStats
-	perInsnNs float64 // simulated cost of one interpreted instruction
-	costNs    float64 // accumulated simulated tracing cost
+	stats  RuntimeStats
+	costNs float64 // accumulated simulated tracing cost
 
 	// predecode controls whether Load lowers programs into the
 	// pre-resolved dispatch form (on by default; off forces the raw
@@ -94,14 +97,6 @@ type Runtime struct {
 
 	nativeHooks  map[Symbol][]nativeAttachment
 	nativeCostNs float64
-
-	// Inline caches for the symbol-keyed Fire* entry points (see
-	// fireCache); invalidated by attachGen like the resolved sites.
-	upCache     fireCache
-	retCache    fireCache
-	tpCacheGen  uint64
-	tpCacheName string
-	tpCacheList []attachment
 }
 
 // NewRuntime creates a runtime. clock supplies virtual time; spaces maps a
@@ -115,19 +110,12 @@ func NewRuntime(clock func() int64, spaces func(pid uint32) *umem.Space) *Runtim
 		tracepoints: make(map[string][]attachment),
 		clock:       clock,
 		spaces:      spaces,
-		// ~4 ns per interpreted instruction: the order of magnitude of a
-		// JITed eBPF instruction plus map-helper amortization.
-		perInsnNs: 4,
-		predecode: true,
-		fireWords: make([]uint64, 0, MaxCtxWords),
+		predecode:   true,
+		fireWords:   make([]uint64, 0, MaxCtxWords),
 	}
 	rt.vm = NewVM(rt.maps)
 	return rt
 }
-
-// SetPerInsnCost overrides the simulated per-instruction cost in
-// nanoseconds (for the overhead sensitivity experiment).
-func (rt *Runtime) SetPerInsnCost(ns float64) { rt.perInsnNs = ns }
 
 // RegisterMap installs m and returns its fd.
 func (rt *Runtime) RegisterMap(m Map) int64 {
@@ -230,37 +218,6 @@ func (rt *Runtime) Detach(id int) bool {
 	return false
 }
 
-// DetachAll removes every attachment (end of a tracing session).
-func (rt *Runtime) DetachAll() {
-	rt.attachGen++
-	rt.uprobes = make(map[Symbol][]attachment)
-	rt.uretprobes = make(map[Symbol][]attachment)
-	rt.tracepoints = make(map[string][]attachment)
-}
-
-// Attachments lists currently attached program names, sorted, for
-// diagnostics.
-func (rt *Runtime) Attachments() []string {
-	var out []string
-	for sym, list := range rt.uprobes {
-		for _, at := range list {
-			out = append(out, fmt.Sprintf("uprobe:%s -> %s", sym, at.prog.Name))
-		}
-	}
-	for sym, list := range rt.uretprobes {
-		for _, at := range list {
-			out = append(out, fmt.Sprintf("uretprobe:%s -> %s", sym, at.prog.Name))
-		}
-	}
-	for tp, list := range rt.tracepoints {
-		for _, at := range list {
-			out = append(out, fmt.Sprintf("tracepoint:%s -> %s", tp, at.prog.Name))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // execCtx fills the runtime's reusable fire context. hasRet prepends ret as
 // word 0 (uretprobes); args are copied into the scratch buffer so callers'
 // variadic slices never escape to the heap. The returned context is valid
@@ -301,7 +258,7 @@ func (rt *Runtime) run(list []attachment, ctx *ExecContext) {
 		res, err := rt.vm.Run(at.prog, ctx)
 		rt.stats.Runs++
 		rt.stats.Insns += uint64(res.Insns)
-		rt.costNs += float64(res.Insns) * rt.perInsnNs
+		rt.costNs += float64(res.Insns) * perInsnNs
 		if err != nil {
 			// A faulting program is dropped from accounting but must not
 			// crash the traced application, as in the kernel.
@@ -404,66 +361,6 @@ func (s *TracepointSite) Fire(cpu int, fields ...uint64) {
 	}
 	if len(s.list) > 0 {
 		s.rt.run(s.list, s.rt.execCtx(0, cpu, false, 0, fields))
-	}
-}
-
-// fireCache is a one-entry inline cache for the symbol-keyed Fire*
-// entry points: repeated fires at the same probe location skip the
-// string-hashed map lookup, validated by the same attachment generation
-// the pre-resolved sites use. The middleware fires through ProbeSites;
-// this covers callers of the legacy per-symbol API.
-type fireCache struct {
-	gen    uint64
-	sym    Symbol
-	list   []attachment
-	native []nativeAttachment
-}
-
-func (c *fireCache) refresh(rt *Runtime, sym Symbol, m map[Symbol][]attachment, withNative bool) {
-	c.gen, c.sym = rt.attachGen, sym
-	c.list = m[sym]
-	c.native = nil
-	if withNative {
-		c.native = rt.nativeHooks[sym]
-	}
-}
-
-// FireUprobe is called by the simulated middleware at a function's entry.
-// args become ctx words 0..n-1.
-func (rt *Runtime) FireUprobe(pid uint32, cpu int, sym Symbol, args ...uint64) {
-	c := &rt.upCache
-	if c.gen != rt.attachGen || c.sym != sym {
-		c.refresh(rt, sym, rt.uprobes, true)
-	}
-	if len(c.list) > 0 {
-		rt.run(c.list, rt.execCtx(pid, cpu, false, 0, args))
-	}
-	if len(c.native) > 0 {
-		rt.runNativeList(c.native, rt.execCtx(pid, cpu, false, 0, args))
-	}
-}
-
-// FireUretprobe is called at a function's return; ret becomes ctx word 0
-// and the entry args follow in words 1..n.
-func (rt *Runtime) FireUretprobe(pid uint32, cpu int, sym Symbol, ret uint64, args ...uint64) {
-	c := &rt.retCache
-	if c.gen != rt.attachGen || c.sym != sym {
-		c.refresh(rt, sym, rt.uretprobes, false)
-	}
-	if len(c.list) > 0 {
-		rt.run(c.list, rt.execCtx(pid, cpu, true, ret, args))
-	}
-}
-
-// FireTracepoint is called by the simulated kernel; fields are the
-// tracepoint's record in declaration order.
-func (rt *Runtime) FireTracepoint(name string, cpu int, fields ...uint64) {
-	if rt.tpCacheGen != rt.attachGen || rt.tpCacheName != name {
-		rt.tpCacheGen, rt.tpCacheName = rt.attachGen, name
-		rt.tpCacheList = rt.tracepoints[name]
-	}
-	if list := rt.tpCacheList; len(list) > 0 {
-		rt.run(list, rt.execCtx(0, cpu, false, 0, fields))
 	}
 }
 

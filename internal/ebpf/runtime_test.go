@@ -45,10 +45,10 @@ func TestUprobeDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt.FireUprobe(100, 0, sym, 0xAA)
-	rt.FireUprobe(100, 0, Symbol{Lib: "rclcpp", Func: "other"}, 0xBB) // not attached
+	rt.Site(sym).FireEntry(100, 0, 0xAA)
+	rt.Site(Symbol{Lib: "rclcpp", Func: "other"}).FireEntry(100, 0, 0xBB) // not attached
 
-	recs := pb.Drain()
+	recs := drainSorted(pb)
 	if len(recs) != 1 {
 		t.Fatalf("fired %d records, want 1", len(recs))
 	}
@@ -66,8 +66,8 @@ func TestUretprobeSeesReturnValue(t *testing.T) {
 	if _, err := rt.AttachUretprobe(sym, p); err != nil {
 		t.Fatal(err)
 	}
-	rt.FireUretprobe(7, 1, sym, 1 /* ret */, 0x99 /* arg */)
-	recs := pb.Drain()
+	rt.Site(sym).FireReturn(7, 1, 1 /* ret */, 0x99 /* arg */)
+	recs := drainSorted(pb)
 	if len(recs) != 1 || loadSized(recs[0].Data, 8) != 1 {
 		t.Fatalf("uretprobe records = %v", recs)
 	}
@@ -82,15 +82,17 @@ func TestTracepointDispatchAndDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.FireTracepoint("sched:sched_switch", 0, 11, 22)
-	if got := len(pb.Drain()); got != 1 {
+	tp := rt.TracepointSiteFor("sched:sched_switch")
+	tp.Fire(0, 11, 22)
+	if got := len(drainSorted(pb)); got != 1 {
 		t.Fatalf("records = %d", got)
 	}
 	if !rt.Detach(id) {
 		t.Fatal("detach failed")
 	}
-	rt.FireTracepoint("sched:sched_switch", 0, 11, 22)
-	if got := len(pb.Drain()); got != 0 {
+	// The site resolved before the detach must see it on its next fire.
+	tp.Fire(0, 11, 22)
+	if got := len(drainSorted(pb)); got != 0 {
 		t.Fatalf("records after detach = %d", got)
 	}
 }
@@ -112,8 +114,9 @@ func TestRuntimeStatsAccumulate(t *testing.T) {
 	if _, err := rt.AttachUprobe(sym, p); err != nil {
 		t.Fatal(err)
 	}
+	site := rt.Site(sym)
 	for i := 0; i < 5; i++ {
-		rt.FireUprobe(1, 0, sym, uint64(i))
+		site.FireEntry(1, 0, uint64(i))
 	}
 	st := rt.Stats()
 	if st.Runs != 5 {
@@ -194,13 +197,14 @@ func TestSrcTSEntryExitTechnique(t *testing.T) {
 	srcTSAddr := space.AllocU64(0) // out-param, not yet filled
 
 	// Middleware calls rmw_take_int(sub, msg, &srcTS):
-	rt.FireUprobe(pid, 0, sym, 0, 0, uint64(srcTSAddr))
+	site := rt.Site(sym)
+	site.FireEntry(pid, 0, 0, 0, uint64(srcTSAddr))
 	// ... DDS determines the source timestamp during the call:
 	space.WriteU64(srcTSAddr, 123456789)
 	// ... and the function returns:
-	rt.FireUretprobe(pid, 0, sym, 1)
+	site.FireReturn(pid, 0, 1)
 
-	recs := pb.Drain()
+	recs := drainSorted(pb)
 	if len(recs) != 1 {
 		t.Fatalf("records = %d, want 1", len(recs))
 	}

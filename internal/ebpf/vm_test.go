@@ -365,7 +365,7 @@ func TestPerfOutput(t *testing.T) {
 		MustAssemble()
 	mustVerify(t, p, 1, maps)
 	run(t, p, &ExecContext{CPU: 2, NowNs: 555}, maps)
-	recs := pb.Drain()
+	recs := drainSorted(pb)
 	if len(recs) != 1 {
 		t.Fatalf("got %d records", len(recs))
 	}

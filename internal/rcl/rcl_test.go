@@ -62,13 +62,15 @@ func TestTimerCallFiresP3WithDescriptor(t *testing.T) {
 	}
 
 	TimerCall(rt, 11, 0, tm)
-	recs := pb.Drain()
-	if len(recs) != 1 {
-		t.Fatalf("records = %d", len(recs))
+	var c ebpf.RecordCursor
+	pb.DrainCursorInto(&c, 0) // the probe fired on CPU 0
+	if c.Len() != 1 {
+		t.Fatalf("records = %d", c.Len())
 	}
+	rec, _ := c.Next()
 	got := uint64(0)
 	for i := 7; i >= 0; i-- {
-		got = got<<8 | uint64(recs[0].Data[i])
+		got = got<<8 | uint64(rec.Data[i])
 	}
 	if got != tm.CBID {
 		t.Fatalf("probed cbid %#x, want %#x", got, tm.CBID)

@@ -58,7 +58,7 @@ func NewEntity(space *umem.Space, name string) Entity {
 // callbacks.
 func CreateNode(rt *ebpf.Runtime, pid uint32, cpu int, space *umem.Space, name string) {
 	nameAddr := space.AllocString(name)
-	rt.FireUprobe(pid, cpu, SymCreateNode, uint64(nameAddr))
+	rt.Site(SymCreateNode).FireEntry(pid, cpu, uint64(nameAddr))
 }
 
 // TakeSite is a pre-resolved rmw_take_* probe pair. Callers resolve it

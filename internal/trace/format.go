@@ -447,38 +447,6 @@ func decodeBlockHeader(body []byte, strs []string) (count int, strsOut []string,
 	return int(c), strs, o, nil
 }
 
-// decodeBlockBody decodes one complete block body in place into dst's
-// backing array, reusing its slots (decodeRecord2 overwrites every field)
-// and growing it by append only past its capacity — never pre-sized from
-// the header's record count, which is untrusted input. On error it
-// returns the records decoded before the damage point along with the
-// error. The indexed query cursor decodes its selected blocks this way;
-// FileCursor decodes one record per Next instead.
-func decodeBlockBody(dst []Event, strs []string, body []byte) (events []Event, strsOut []string, err error) {
-	events = dst[:0]
-	count, strs, o, err := decodeBlockHeader(body, strs)
-	if err != nil {
-		return events, strs, err
-	}
-	var st decState
-	for i := 0; i < count; i++ {
-		if len(events) < cap(events) {
-			events = events[:len(events)+1]
-		} else {
-			events = append(events, Event{})
-		}
-		o2, derr := decodeRecord2(body, o, &st, strs, &events[len(events)-1])
-		if derr != nil {
-			return events[:len(events)-1], strs, derr
-		}
-		o = o2
-	}
-	if o != len(body) {
-		return events, strs, fmt.Errorf("trace: %d trailing bytes in block", len(body)-o)
-	}
-	return events, strs, nil
-}
-
 // appendFooterBody encodes the footer index: per-block entries with
 // delta-encoded offsets, then the segment's total record count as a
 // cross-check.

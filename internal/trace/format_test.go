@@ -121,14 +121,14 @@ func TestFormatCompatStore(t *testing.T) {
 	if !reflect.DeepEqual(streams[FormatV1], events) {
 		t.Fatal("streamed session diverges from input")
 	}
-	// LoadSegment reads both formats through the same path.
+	// ReadBinary reads a segment of either format through the same path.
 	for format, s := range stores {
-		tr, err := s.LoadSegment("run", 2)
+		tr, err := readSegment(s, "run", 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(tr.Events, events[2*perSeg:3*perSeg]) {
-			t.Fatalf("%s LoadSegment diverges", format)
+			t.Fatalf("%s segment read diverges", format)
 		}
 	}
 	ratio := float64(sizes[FormatV1]) / float64(sizes[FormatV2])

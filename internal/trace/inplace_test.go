@@ -50,11 +50,22 @@ func freshV2Decode(t *testing.T, data []byte) []Event {
 	o := len(binMagic2)
 	for o < len(data) && data[o] == frameBlock {
 		n := int(binary.LittleEndian.Uint32(data[o+1:]))
-		evs, _, err := decodeBlockBody(nil, nil, data[o+5:o+5+n])
+		body := data[o+5 : o+5+n]
+		count, strs, ro, err := decodeBlockHeader(body, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, evs...)
+		var st decState
+		for i := 0; i < count; i++ {
+			var e Event
+			if ro, err = decodeRecord2(body, ro, &st, strs, &e); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, e)
+		}
+		if ro != len(body) {
+			t.Fatalf("%d trailing bytes in block", len(body)-ro)
+		}
 		o += 5 + n
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/tracesynth/rostracer/internal/sim"
 )
@@ -282,10 +283,11 @@ func (c *filterCursor) Next() (*Event, bool, error) {
 }
 
 // indexedCursor decodes only the selected blocks of a v2 segment with
-// positioned reads, applying the record filter as it serves them. Blocks
-// are self-contained, so decoding can start at any selected block; the
-// selection preserves file order, so the stream stays (Time, Seq)-sorted
-// exactly as the sequential cursor would serve it.
+// positioned reads, one record per Next into one reused Event, applying
+// the record filter as it serves them. Blocks are self-contained, so
+// decoding can start at any selected block; the selection preserves
+// file order, so the stream stays (Time, Seq)-sorted exactly as the
+// sequential cursor would serve it.
 type indexedCursor struct {
 	f      *os.File
 	name   string
@@ -293,12 +295,17 @@ type indexedCursor struct {
 	filter *compiledFilter
 	qs     *QueryStats
 
-	bi     int
-	buf    []byte
-	events []Event
-	strs   []string
-	ei     int
-	err    error
+	bi  int
+	buf []byte
+	// The current block: its body (a view of buf), the offset of its next
+	// record, the records it has left, its delta chain and string table.
+	blk  []byte
+	off  int
+	left int
+	st   decState
+	strs []string
+	ev   Event // the record Next decoded last, reused in place
+	err  error
 }
 
 func (c *indexedCursor) fail(err error) (*Event, bool, error) {
@@ -306,20 +313,29 @@ func (c *indexedCursor) fail(err error) (*Event, bool, error) {
 	return nil, false, c.err
 }
 
-// Next implements Cursor; the event is a slot of the reused decoded
-// block.
+// Next implements Cursor; the event is the cursor's own, valid until the
+// next Next.
 func (c *indexedCursor) Next() (*Event, bool, error) {
 	if c.err != nil {
 		return nil, false, c.err
 	}
 	for {
-		for c.ei < len(c.events) {
-			ev := &c.events[c.ei]
-			c.ei++
-			if c.filter.match(ev) {
-				c.qs.RecordsMatched++
-				return ev, true, nil
+		if c.left > 0 {
+			o, err := decodeRecord2(c.blk, c.off, &c.st, c.strs, &c.ev)
+			if err != nil {
+				return c.fail(fmt.Errorf("%w: %v", ErrBadBlock, err))
 			}
+			c.off = o
+			c.left--
+			c.qs.RecordsDecoded++
+			if c.filter.match(&c.ev) {
+				c.qs.RecordsMatched++
+				return &c.ev, true, nil
+			}
+			continue
+		}
+		if c.off != len(c.blk) {
+			return c.fail(fmt.Errorf("%w: trace: %d trailing bytes in block", ErrBadBlock, len(c.blk)-c.off))
 		}
 		if c.bi >= len(c.blocks) {
 			return nil, false, nil
@@ -338,32 +354,18 @@ func (c *indexedCursor) Next() (*Event, bool, error) {
 			return c.fail(fmt.Errorf("%w: frame at %d disagrees with index", ErrBadBlock, bi.Offset))
 		}
 		body := frame[5:]
-		// Node filters can skip the record decode entirely when the block's
-		// string table does not mention the node.
-		if c.filter.node != "" {
-			_, strs, _, err := decodeBlockHeader(body, c.strs[:0])
-			c.strs = strs
-			if err != nil {
-				return c.fail(fmt.Errorf("%w: %v", ErrBadBlock, err))
-			}
-			found := false
-			for _, s := range strs {
-				if s == c.filter.node {
-					found = true
-					break
-				}
-			}
-			if !found {
-				c.qs.BlocksSkipped++
-				continue
-			}
-		}
-		events, strs, err := decodeBlockBody(c.events[:0], c.strs[:0], body)
-		c.events, c.strs, c.ei = events, strs, 0
+		count, strs, o, err := decodeBlockHeader(body, c.strs[:0])
+		c.strs = strs
 		if err != nil {
 			return c.fail(fmt.Errorf("%w: %v", ErrBadBlock, err))
 		}
+		// Node filters skip the record decode entirely when the block's
+		// string table does not mention the node.
+		if c.filter.node != "" && !slices.Contains(strs, c.filter.node) {
+			c.qs.BlocksSkipped++
+			continue
+		}
+		c.blk, c.off, c.left, c.st = body, o, count, decState{}
 		c.qs.BlocksRead++
-		c.qs.RecordsDecoded += len(events)
 	}
 }

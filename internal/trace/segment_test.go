@@ -17,6 +17,28 @@ import (
 	"github.com/tracesynth/rostracer/internal/sim"
 )
 
+// loadSession collects a whole session through StreamSession.
+func loadSession(t *testing.T, st *Store, session string) *Trace {
+	t.Helper()
+	var col Collector
+	if err := st.StreamSession(session, &col); err != nil {
+		t.Fatal(err)
+	}
+	return &col.Trace
+}
+
+// readSegment decodes one segment file of either format with ReadBinary.
+// Unlike the session read paths it is non-strict: a single segment read
+// in isolation has no merge to corrupt, so any record order round-trips.
+func readSegment(st *Store, session string, segment int) (*Trace, error) {
+	f, err := os.Open(st.segPath(session, segment))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadBinary(f)
+}
+
 // writeSessionSegments saves the given per-segment event slices as one
 // store session and returns the store.
 func writeSessionSegments(t *testing.T, session string, segs [][]Event) *Store {
@@ -146,12 +168,8 @@ func TestSessionNamePrefixCollision(t *testing.T) {
 	if !reflect.DeepEqual(sessions, []string{"run", "run-b"}) {
 		t.Fatalf("sessions = %v, want [run run-b]", sessions)
 	}
-	loaded, err := st.LoadSession("run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded.Events, []Event{run}) {
-		t.Fatalf("LoadSession(run) = %v, want only run's event", loaded.Events)
+	if loaded := loadSession(t, st, "run"); !reflect.DeepEqual(loaded.Events, []Event{run}) {
+		t.Fatalf("StreamSession(run) = %v, want only run's event", loaded.Events)
 	}
 	var got collectSink
 	qs, err := st.QuerySession("run", Filter{}, &got)
@@ -199,12 +217,11 @@ func TestSegmentWriterObserveAfterClose(t *testing.T) {
 	}
 }
 
-// TestLoadSessionSortsUnsortedSegment preserves the historical Merge
-// safety net's observable result: a trace saved out of (Time, Seq)
-// order still loads as a sorted trace. The normalization now happens at
-// SaveSegment time — the streaming read path merges and cannot re-sort,
-// so segments are required sorted on disk.
-func TestLoadSessionSortsUnsortedSegment(t *testing.T) {
+// TestSaveSegmentSortsUnsortedTrace checks a trace saved out of
+// (Time, Seq) order still reads back as a sorted session. The
+// normalization happens at SaveSegment time — the streaming read path
+// merges and cannot re-sort, so segments are required sorted on disk.
+func TestSaveSegmentSortsUnsortedTrace(t *testing.T) {
 	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -217,10 +234,7 @@ func TestLoadSessionSortsUnsortedSegment(t *testing.T) {
 	if err := st.SaveSegment("run", 0, unsorted); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := st.LoadSession("run")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := loadSession(t, st, "run")
 	want := unsorted.Clone()
 	want.SortByTime()
 	if !reflect.DeepEqual(tr.Events, want.Events) {
@@ -262,7 +276,7 @@ func TestStreamSessionRejectsUnsortedSegment(t *testing.T) {
 	}
 	// The plain codec keeps accepting the same bytes: ordering is a
 	// store contract, not a codec one.
-	if _, err := st.LoadSegment("run", 0); err != nil {
+	if _, err := readSegment(st, "run", 0); err != nil {
 		t.Fatalf("ReadBinary rejected an unsorted (but well-formed) trace: %v", err)
 	}
 }
@@ -336,8 +350,7 @@ func sessionEvents(seed int64, nSegs, total int) [][]Event {
 // TestStoreStreamSessionMatchesBatchMerge is the store-level equivalence
 // pin: StreamSession into a Collector must reproduce, event for event,
 // what the historical batch path produced — read every segment, then
-// stable-sort the concatenation — and LoadSession (now a wrapper) must
-// agree.
+// stable-sort the concatenation.
 func TestStoreStreamSessionMatchesBatchMerge(t *testing.T) {
 	segs := sessionEvents(7, 5, 400)
 	st := writeSessionSegments(t, "run1", segs)
@@ -345,7 +358,7 @@ func TestStoreStreamSessionMatchesBatchMerge(t *testing.T) {
 	// Historical batch path, reconstructed inline.
 	var traces []*Trace
 	for i := range segs {
-		tr, err := st.LoadSegment("run1", i)
+		tr, err := readSegment(st, "run1", i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,14 +373,6 @@ func TestStoreStreamSessionMatchesBatchMerge(t *testing.T) {
 	if !reflect.DeepEqual(col.Trace.Events, want.Events) {
 		t.Fatalf("StreamSession differs from batch merge: %d vs %d events",
 			col.Trace.Len(), want.Len())
-	}
-
-	loaded, err := st.LoadSession("run1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded.Events, want.Events) {
-		t.Fatal("LoadSession differs from batch merge")
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // Persistence is streaming on both sides: WriteSegment returns a
 // SegmentWriter sink that appends records as they are observed, and
 // StreamSession k-way merges FileCursors over all segments of a session
-// straight into any sink. SaveSegment and LoadSession are the batch
-// wrappers over those paths.
+// straight into any sink. SaveSegment is the batch wrapper over the
+// write path.
 type Store struct {
 	dir string
 
@@ -83,8 +83,7 @@ func (s *Store) WriteSegment(session string, segment int) (*SegmentWriter, error
 // SaveSegment writes one trace segment for a session: the batch wrapper
 // over WriteSegment. Store segments are (Time, Seq)-sorted on disk —
 // the streaming read path merges, it cannot re-sort — so an unsorted
-// trace is normalized here at write time (the historical LoadSession
-// sorted at read time, with the same observable result).
+// trace is normalized here at write time.
 func (s *Store) SaveSegment(session string, segment int, t *Trace) error {
 	if !t.sortedByTime() {
 		t = t.Clone()
@@ -98,39 +97,6 @@ func (s *Store) SaveSegment(session string, segment int, t *Trace) error {
 		sw.Observe(e)
 	}
 	return sw.Close()
-}
-
-// LoadSegment reads one trace segment of either format through the
-// version-aware streaming cursor. Decode errors name the segment file
-// and the detected format version. Unlike the session read paths this
-// is non-strict: a single segment loaded in isolation has no merge to
-// corrupt, so arbitrary record order round-trips (as it always has
-// through ReadBinary).
-func (s *Store) LoadSegment(session string, segment int) (*Trace, error) {
-	path := s.segPath(session, segment)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var r io.Reader = f
-	if s.WrapReader != nil {
-		r = s.WrapReader(filepath.Base(path), f)
-	}
-	fc := NewFileCursor(r)
-	fc.c = f
-	fc.name = filepath.Base(path)
-	defer fc.Close()
-	out := &Trace{}
-	for {
-		e, ok, err := fc.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out.Events = append(out.Events, *e)
-	}
 }
 
 // Sessions lists distinct session names in the store, sorted.
@@ -273,17 +239,4 @@ func (s *Store) StreamSession(session string, sink Sink) error {
 		cursors[i] = c
 	}
 	return NewMergeStream(cursors...).Run(sink)
-}
-
-// LoadSession merges all segments of a session into one sorted trace:
-// the Collector wrapper over StreamSession. Sortedness is guaranteed at
-// write time (SaveSegment normalizes, drains emit in order) and
-// validated at read time by the strict cursors, so the result needs no
-// re-sort — an out-of-order segment file fails loudly instead.
-func (s *Store) LoadSession(session string) (*Trace, error) {
-	var col Collector
-	if err := s.StreamSession(session, &col); err != nil {
-		return nil, err
-	}
-	return &col.Trace, nil
 }

@@ -159,15 +159,13 @@ func TestStoreSessions(t *testing.T) {
 		t.Fatalf("sessions = %v", sessions)
 	}
 
-	merged, err := st.LoadSession("run1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := loadSession(t, st, "run1")
 	if merged.Len() != 2 || merged.Events[0].Time != 1 || merged.Events[1].Time != 5 {
 		t.Fatalf("merged session = %v", merged.Events)
 	}
 
-	if _, err := st.LoadSession("nope"); err == nil {
+	var col Collector
+	if err := st.StreamSession("nope", &col); err == nil {
 		t.Fatal("missing session loaded")
 	}
 }

@@ -216,13 +216,6 @@ func (b *Bundle) StartKernel(filtered bool) error {
 // StopKernel detaches TR_KN.
 func (b *Bundle) StopKernel() { b.detach(&b.knIDs) }
 
-// StopAll detaches everything.
-func (b *Bundle) StopAll() {
-	b.StopInit()
-	b.StopRT()
-	b.StopKernel()
-}
-
 // perfBuffers returns the three tracer buffers in TR_IN, TR_RT, TR_KN
 // order.
 func (b *Bundle) perfBuffers() [3]*ebpf.PerfBuffer {
@@ -381,22 +374,6 @@ func (b *Bundle) StreamTo(sink trace.Sink) (err error) {
 		}
 	}()
 	return b.merge.Reset(refs...).Run(sink)
-}
-
-// Drain decodes and merges all pending records from the three tracers into
-// one chronologically sorted trace: the batch-compatibility wrapper over
-// StreamTo, collecting the stream into a single exactly-sized trace.
-func (b *Bundle) Drain() (*trace.Trace, error) {
-	var col trace.Collector
-	pending := 0
-	for _, pb := range b.perfBuffers() {
-		pending += pb.Pending()
-	}
-	col.Grow(pending)
-	if err := b.StreamTo(&col); err != nil {
-		return nil, err
-	}
-	return &col.Trace, nil
 }
 
 // BridgeSched wires the simulated machine's scheduler notifications into

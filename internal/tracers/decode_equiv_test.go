@@ -36,10 +36,7 @@ func TestDecodedBundleEquivalence(t *testing.T) {
 		apps.BuildAVP(w, apps.AVPConfig{})
 		b.StopInit()
 		w.Run(3 * sim.Second)
-		tr, err := b.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := drainTrace(t, b)
 		st := w.Runtime().Stats()
 		return tr, st.Runs, st.Insns, w.Runtime().CostNs()
 	}

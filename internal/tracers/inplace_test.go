@@ -45,13 +45,13 @@ func TestRecordCursorClearsStaleFields(t *testing.T) {
 		perfRecord("", k(trace.KindTimerCBStart), 7, 111),                      // plain after full
 	}
 	// The same emissions into two buffers: one drained through the
-	// streaming cursor, the other into owned records for the oracle.
+	// reused-slot cursor, the other into retained records for the oracle.
 	cursorPB, refPB := ebpf.NewPerfBuffer("cursor", 0), ebpf.NewPerfBuffer("ref", 0)
 	for i, r := range records {
 		cursorPB.Emit(0, int64(100+i), r)
 		refPB.Emit(0, int64(100+i), r)
 	}
-	ref := refPB.DrainCPU(0)
+	ref := ringRecords(refPB, 0)
 	var rc recordCursor
 	cursorPB.DrainCursorInto(&rc.recs, 0)
 	defer rc.recs.Release()

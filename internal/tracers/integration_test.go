@@ -48,10 +48,7 @@ func TestTimerToSubscriberPipeline(t *testing.T) {
 	})
 
 	w.Run(1 * sim.Second)
-	tr, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := drainTrace(t, b)
 
 	// Node creations observed with correct PIDs.
 	nodes := tr.Nodes()
@@ -165,10 +162,7 @@ func TestServiceMultiClientDispatch(t *testing.T) {
 	_ = cb
 
 	w.Run(500 * sim.Millisecond)
-	tr, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := drainTrace(t, b)
 
 	if dispatchedA == 0 {
 		t.Fatal("client A callback never dispatched")
@@ -249,10 +243,7 @@ func TestMessageFilterSyncFiresP7AndFuses(t *testing.T) {
 	})
 
 	w.Run(1 * sim.Second)
-	tr, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := drainTrace(t, b)
 
 	if sync.Matches() < 9 {
 		t.Fatalf("only %d fusion matches", sync.Matches())
@@ -305,10 +296,7 @@ func TestSessionSegmentation(t *testing.T) {
 	var segments []*trace.Trace
 	for i := 0; i < 4; i++ {
 		w.Run(250 * sim.Millisecond)
-		seg, err := b.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
+		seg := drainTrace(t, b)
 		segments = append(segments, seg)
 	}
 	curs := make([]trace.Cursor, len(segments))

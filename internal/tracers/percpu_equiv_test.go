@@ -1,6 +1,7 @@
 package tracers
 
 import (
+	"sort"
 	"testing"
 
 	"github.com/tracesynth/rostracer/internal/apps"
@@ -37,30 +38,33 @@ func tracedSession(t *testing.T, seed uint64) *Bundle {
 	return b
 }
 
-// preSplitDrain reproduces the single-buffer implementation Drain had
-// before the per-CPU split: each tracer's records in one emission-ordered
-// stream, the three streams merged. It is the reference the per-CPU
-// drain must match byte for byte.
+// preSplitDrain reproduces the single-buffer implementation the drain
+// had before the per-CPU split: each tracer's records in one
+// emission-ordered stream (its rings sorted by (Time, Seq), which the
+// buffer's emission counter makes emission order), the three streams
+// merged. It is the reference the per-CPU drain must match byte for
+// byte.
 func preSplitDrain(t *testing.T, b *Bundle) *trace.Trace {
 	t.Helper()
 	var streams [3]*trace.Trace
-	for i, pb := range []*ebpf.PerfBuffer{b.initPB, b.rtPB, b.knPB} {
-		recs := pb.Drain() // merged across rings = emission order
-		tr := &trace.Trace{Events: make([]trace.Event, 0, len(recs))}
-		for _, rec := range recs {
-			var ev trace.Event
-			if err := DecodeRecord(rec, &ev); err != nil {
-				t.Fatal(err)
-			}
-			tr.Events = append(tr.Events, ev)
+	for i, pb := range b.perfBuffers() {
+		var recs []ebpf.PerfRecord
+		for cpu := 0; cpu < pb.NumRings(); cpu++ {
+			recs = append(recs, ringRecords(pb, cpu)...)
 		}
-		streams[i] = tr
+		sort.SliceStable(recs, func(i, j int) bool {
+			if recs[i].Time != recs[j].Time {
+				return recs[i].Time < recs[j].Time
+			}
+			return recs[i].Seq < recs[j].Seq
+		})
+		streams[i] = decodeRecords(t, recs)
 	}
 	return referenceMerge(streams[0], streams[1], streams[2])
 }
 
 // TestPerCPUDrainMatchesPreSplit runs two identical sessions and drains
-// one through the per-CPU Bundle.Drain (3×NCPU ring streams merged) and
+// one through the per-CPU Bundle.StreamTo (3×NCPU ring streams merged) and
 // the other through the pre-split reference. Event order and content
 // must be identical — the acceptance bar for the ring split.
 func TestPerCPUDrainMatchesPreSplit(t *testing.T) {
@@ -68,10 +72,7 @@ func TestPerCPUDrainMatchesPreSplit(t *testing.T) {
 	bundleNew := tracedSession(t, seed)
 	bundleRef := tracedSession(t, seed)
 
-	got, err := bundleNew.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := drainTrace(t, bundleNew)
 	want := preSplitDrain(t, bundleRef)
 
 	if got.Len() == 0 {

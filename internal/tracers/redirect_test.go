@@ -34,10 +34,7 @@ func TestRedirectBaselineComparison(t *testing.T) {
 	s.CreateSubscription("/x", rclcpp.SimpleBody{ET: sim.Constant{Value: sim.Millisecond}})
 	w.Run(2 * sim.Second)
 
-	ebpfTrace, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ebpfTrace := drainTrace(t, b)
 
 	// Same observable stream: both see every timer start, take and write.
 	count := func(evs []trace.Event, k trace.Kind) int {

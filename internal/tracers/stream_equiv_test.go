@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/tracesynth/rostracer/internal/apps"
+	"github.com/tracesynth/rostracer/internal/ebpf"
 	"github.com/tracesynth/rostracer/internal/rclcpp"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
@@ -36,27 +37,51 @@ func randomTracedWorld(t *testing.T, seed uint64) (*rclcpp.World, *Bundle) {
 	return w, b
 }
 
-// batchDrain is the pre-streaming Drain: decode every ring segment into
-// a per-ring event slice, then batch-merge. It is the reference the
-// streaming drain must match byte for byte.
-func batchDrain(t *testing.T, b *Bundle) *trace.Trace {
+// drainTrace drains every tracer ring of b through StreamTo into one
+// (Time, Seq)-ordered trace.
+func drainTrace(t *testing.T, b *Bundle) *trace.Trace {
+	t.Helper()
+	var col trace.Collector
+	if err := b.StreamTo(&col); err != nil {
+		t.Fatal(err)
+	}
+	return &col.Trace
+}
+
+// ringRecords drains one CPU's ring of pb through DrainCursorInto and
+// returns its records in emission order. The cursor is never released,
+// so the records keep their arena chunks and may be retained.
+func ringRecords(pb *ebpf.PerfBuffer, cpu int) []ebpf.PerfRecord {
+	var c ebpf.RecordCursor
+	pb.DrainCursorInto(&c, cpu)
+	var out []ebpf.PerfRecord
+	for rec, ok := c.Next(); ok; rec, ok = c.Next() {
+		out = append(out, rec)
+	}
+	return out
+}
+
+// decodeRecords decodes records into a trace, in the given order.
+func decodeRecords(t *testing.T, recs []ebpf.PerfRecord) *trace.Trace {
+	t.Helper()
+	tr := &trace.Trace{Events: make([]trace.Event, len(recs))}
+	for i, rec := range recs {
+		if err := DecodeRecord(rec, &tr.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tr
+}
+
+// sortedRingDrain is the reference the streaming drain must match byte
+// for byte: decode every ring segment into a per-ring event slice, then
+// merge the slices with referenceMerge.
+func sortedRingDrain(t *testing.T, b *Bundle) *trace.Trace {
 	t.Helper()
 	var streams []*trace.Trace
 	for _, pb := range b.perfBuffers() {
 		for cpu := 0; cpu < pb.NumRings(); cpu++ {
-			recs := pb.DrainCPU(cpu)
-			if len(recs) == 0 {
-				continue
-			}
-			tr := &trace.Trace{Events: make([]trace.Event, 0, len(recs))}
-			for _, rec := range recs {
-				var ev trace.Event
-				if err := DecodeRecord(rec, &ev); err != nil {
-					t.Fatal(err)
-				}
-				tr.Events = append(tr.Events, ev)
-			}
-			streams = append(streams, tr)
+			streams = append(streams, decodeRecords(t, ringRecords(pb, cpu)))
 		}
 	}
 	return referenceMerge(streams...)
@@ -74,65 +99,31 @@ func referenceMerge(streams ...*trace.Trace) *trace.Trace {
 	return out
 }
 
-// TestStreamToMatchesBatchDrain is the streaming-equivalence property
+// TestStreamToMatchesSortedRings is the streaming-equivalence property
 // test: across random app workloads, StreamTo into a collector yields
-// exactly the trace the batch drain builds — same events, same order.
-func TestStreamToMatchesBatchDrain(t *testing.T) {
+// exactly the trace sortedRingDrain builds — same events, same order.
+func TestStreamToMatchesSortedRings(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		wS, bS := randomTracedWorld(t, seed)
 		wB, bB := randomTracedWorld(t, seed)
 		wS.Run(2 * sim.Second)
 		wB.Run(2 * sim.Second)
 
-		var col trace.Collector
-		if err := bS.StreamTo(&col); err != nil {
-			t.Fatal(err)
-		}
-		got := &col.Trace
-		want := batchDrain(t, bB)
+		got := drainTrace(t, bS)
+		want := sortedRingDrain(t, bB)
 
 		if got.Len() == 0 {
 			t.Fatalf("seed %d: streamed session produced no events", seed)
 		}
 		if got.Len() != want.Len() {
-			t.Fatalf("seed %d: streamed %d events, batch %d", seed, got.Len(), want.Len())
+			t.Fatalf("seed %d: streamed %d events, reference %d", seed, got.Len(), want.Len())
 		}
 		for i := range want.Events {
 			if got.Events[i] != want.Events[i] {
-				t.Fatalf("seed %d: event %d differs:\n stream: %v\n batch:  %v",
+				t.Fatalf("seed %d: event %d differs:\n stream:    %v\n reference: %v",
 					seed, i, got.Events[i], want.Events[i])
 			}
 		}
-	}
-}
-
-// TestStreamToDrainWrapperIdentity checks the Drain compatibility
-// wrapper returns the streamed events exactly, sized without append
-// growth.
-func TestStreamToDrainWrapperIdentity(t *testing.T) {
-	w1, b1 := randomTracedWorld(t, 9)
-	w2, b2 := randomTracedWorld(t, 9)
-	w1.Run(sim.Second)
-	w2.Run(sim.Second)
-
-	got, err := b1.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var col trace.Collector
-	if err := b2.StreamTo(&col); err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != col.Trace.Len() {
-		t.Fatalf("Drain %d events, StreamTo %d", got.Len(), col.Trace.Len())
-	}
-	for i := range got.Events {
-		if got.Events[i] != col.Trace.Events[i] {
-			t.Fatalf("event %d differs", i)
-		}
-	}
-	if cap(got.Events) != len(got.Events) {
-		t.Errorf("Drain over-allocated: cap %d for %d events", cap(got.Events), len(got.Events))
 	}
 }
 
@@ -167,10 +158,7 @@ func TestPeriodicStreamBoundsBuffering(t *testing.T) {
 	}
 
 	wAll.Run(total)
-	whole, err := bAll.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	whole := drainTrace(t, bAll)
 	if col.Trace.Len() != whole.Len() {
 		t.Fatalf("segmented stream has %d events, whole-run %d", col.Trace.Len(), whole.Len())
 	}

@@ -26,9 +26,7 @@ GATED = [
     "BenchmarkEBPF_ProbeDispatch",
     "BenchmarkEBPF_PerfEmitPerCPU",
     "BenchmarkBundle_StreamDrain",
-    "BenchmarkBundle_BatchDrain",
     "BenchmarkAlg1_StreamModel",
-    "BenchmarkStoreLoadSession",
     "BenchmarkStoreStreamSession",
     "BenchmarkStoreStreamSessionV1",
     "BenchmarkStoreStreamSynthesize",
@@ -47,12 +45,14 @@ GATED = [
 ]
 
 # Alloc regressions on the zero-alloc paths are failures at any size:
-# the fire path (dispatch), the streaming ring->sink drain, whose B/op
-# is per-drain-constant under the zero-copy decode, and the scheduler's
+# the fire path (dispatch), ring emission, whose arena chunks return to
+# the ring on every cursor release, the streaming ring->sink drain, whose
+# B/op is per-drain-constant under the zero-copy decode, and the scheduler's
 # decisions and event queue, which reuse their scratch and slots.
 ZERO_ALLOC = [
     "BenchmarkEBPF_DispatchDecoded",
     "BenchmarkEBPF_ProbeDispatch",
+    "BenchmarkEBPF_PerfEmitPerCPU",
     "BenchmarkBundle_StreamDrain",
     "BenchmarkMetricsSinkObserve",
     "BenchmarkSched_Reschedule",
