@@ -132,21 +132,23 @@ func TestMain(m *testing.M) {
 }
 
 // modelsynth runs the test binary as modelsynth with args and returns
-// its exit code and combined output.
-func modelsynth(t *testing.T, args ...string) (int, string) {
+// its exit code, its standard output and its log (standard error).
+func modelsynth(t *testing.T, args ...string) (code int, stdout, log string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), runAsMainEnv+"=1")
-	out, err := cmd.CombinedOutput()
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, string(out)
+		return 0, out.String(), errOut.String()
 	case errors.As(err, &exit):
-		return exit.ExitCode(), string(out)
+		return exit.ExitCode(), out.String(), errOut.String()
 	}
 	t.Fatal(err)
-	return 0, ""
+	return 0, "", ""
 }
 
 // oneSessionStore writes a store holding one short session, so a run
@@ -185,17 +187,17 @@ func TestRejectsBadInputs(t *testing.T) {
 		{"negative-span", []string{"-in", store, "-loads", "-span", "-1s"}, "-span -1s is negative"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			code, out := modelsynth(t, tc.args...)
-			if code == 0 || !strings.Contains(out, tc.want) {
-				t.Fatalf("exit %d, output:\n%s\nwant a nonzero exit and %q", code, out, tc.want)
+			code, _, log := modelsynth(t, tc.args...)
+			if code == 0 || !strings.Contains(log, tc.want) {
+				t.Fatalf("exit %d, log:\n%s\nwant a nonzero exit and %q", code, log, tc.want)
 			}
 		})
 	}
 	if _, err := os.Stat(filepath.Dir(filepath.Dir(missing))); !os.IsNotExist(err) {
 		t.Fatalf("modelsynth -in created part of the missing path: %v", err)
 	}
-	if code, out := modelsynth(t, "-in", store, "-loads"); code != 0 {
-		t.Fatalf("a good store exits %d:\n%s", code, out)
+	if code, _, log := modelsynth(t, "-in", store, "-loads"); code != 0 {
+		t.Fatalf("a good store exits %d:\n%s", code, log)
 	}
 }
 
@@ -243,4 +245,42 @@ func TestBuilderSpanMatchesSpanTracker(t *testing.T) {
 		}
 		return err
 	})
+}
+
+// TestOutputDeterministic runs modelsynth five times over one store with
+// every output switched on and requires the same stdout (the -chains and
+// -loads reports) and the same -json and -dot files each time: nothing
+// it prints or writes may follow map order.
+func TestOutputDeterministic(t *testing.T) {
+	store := writeSegmentedSession(t, trace.FormatV2)
+	var first []string
+	for run := 0; run < 5; run++ {
+		dir := t.TempDir()
+		jsonPath, dotPath := filepath.Join(dir, "model.json"), filepath.Join(dir, "model.dot")
+		code, stdout, log := modelsynth(t, "-in", store.Dir(), "-json", jsonPath, "-dot", dotPath, "-chains", "-loads")
+		if code != 0 {
+			t.Fatalf("run %d exits %d:\n%s", run, code, log)
+		}
+		got := []string{stdout}
+		for _, p := range []string{jsonPath, dotPath} {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatalf("run %d: %v", run, err)
+			}
+			got = append(got, string(b))
+		}
+		if run == 0 {
+			if !strings.Contains(got[0], "computation chains:") || !strings.Contains(got[0], "processor loads:") ||
+				len(got[1]) < 1000 || len(got[2]) < 1000 {
+				t.Fatalf("outputs implausibly small: %d-byte stdout, %d-byte JSON, %d-byte DOT", len(got[0]), len(got[1]), len(got[2]))
+			}
+			first = got
+			continue
+		}
+		for i, name := range []string{"stdout", "-json file", "-dot file"} {
+			if got[i] != first[i] {
+				t.Fatalf("run %d: %s differs from run 0:\n--- got ---\n%s\n--- run 0 ---\n%s", run, name, got[i], first[i])
+			}
+		}
+	}
 }

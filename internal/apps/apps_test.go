@@ -99,9 +99,9 @@ func TestSYNMeasurementMatchesDesign(t *testing.T) {
 		t.Helper()
 		for _, cb := range m.Callbacks {
 			if cb.Node == node && cb.Type == typ && baseOf(cb.InTopic) == inTopic {
-				for _, s := range cb.Stats.Samples {
-					if s != want {
-						t.Errorf("%s %s(%s): sample %v != designed %v", node, typ, inTopic, s, want)
+				for _, inst := range cb.Instances {
+					if inst.ET != want {
+						t.Errorf("%s %s(%s): sample %v != designed %v", node, typ, inTopic, inst.ET, want)
 						return
 					}
 				}

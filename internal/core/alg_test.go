@@ -165,7 +165,7 @@ func TestExtractModelBasics(t *testing.T) {
 	if !timer.HasOutTopic("/a") || sub.InTopic != "/a" {
 		t.Errorf("topics: out=%v in=%q", timer.OutTopics, sub.InTopic)
 	}
-	if p := timer.EstimatePeriod(); p != 1000 {
+	if p := timer.Period; p != 1000 {
 		t.Errorf("period = %v", p)
 	}
 }
@@ -223,7 +223,7 @@ func TestTruncatedInstanceDiagnosed(t *testing.T) {
 	}
 }
 
-func TestStatsMergeAndPercentile(t *testing.T) {
+func TestStatsMerge(t *testing.T) {
 	var a, b ExecStats
 	for _, v := range []sim.Duration{5, 1, 3} {
 		a.Add(v)
@@ -237,12 +237,6 @@ func TestStatsMergeAndPercentile(t *testing.T) {
 	}
 	if a.ACET() != (5+1+3+10+2)/5 {
 		t.Fatalf("ACET = %v", a.ACET())
-	}
-	if p := a.Percentile(1.0); p != 10 {
-		t.Fatalf("P100 = %v", p)
-	}
-	if p := a.Percentile(0); p != 1 {
-		t.Fatalf("P0 = %v", p)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 
 // Vertex is one task of the synthesized timing model: a callback, or a
 // zero-execution-time AND junction inserted for message synchronization.
-// It carries statistics only: Stats holds Count, Min, Max and Sum (no
-// Samples), and the per-instance history stays on the Model's callbacks
-// when a ModelBuilder produced them.
+// It carries statistics only: Stats merges its callbacks' ExecStats and
+// PeriodEstimates their timer periods, and the per-instance history
+// stays on the Model's callbacks when a ModelBuilder kept it.
 type Vertex struct {
 	Key  string // canonical identity, stable across runs
 	Node string
@@ -277,15 +277,6 @@ func canonicalKeys(cbs []*Callback) map[*Callback]string {
 //   - a vertex whose subscribed topic is fed by more than one publisher is
 //     marked as an OR junction.
 func BuildDAG(m *Model) *DAG {
-	return buildDAG(m, nil)
-}
-
-// buildDAG is BuildDAG with the timer-period estimator injectable:
-// periodOf (nil selects Callback.EstimatePeriod) lets the incremental
-// snapshot engine substitute its O(1) streaming median for the batch
-// sort, without which every snapshot would re-sort every timer's full
-// inter-start gap history.
-func buildDAG(m *Model, periodOf func(*Callback) sim.Duration) *DAG {
 	d := NewDAG()
 	keys := canonicalKeys(m.Callbacks)
 
@@ -297,23 +288,15 @@ func buildDAG(m *Model, periodOf func(*Callback) sim.Duration) *DAG {
 			v = &Vertex{Key: key, Node: cb.Node, PID: cb.PID, Type: cb.Type, IsSync: cb.IsSync}
 			d.Vertices[key] = v
 		}
-		v.Stats.Merge(cb.Stats.summary())
+		v.Stats.Merge(cb.Stats)
 		if in := baseTopic(cb.InTopic); in != "" {
 			v.InTopics = mergeSorted(v.InTopics, in)
 		}
 		for _, t := range cb.OutTopics {
 			v.OutTopics = mergeSorted(v.OutTopics, baseTopic(t))
 		}
-		if cb.Type == CBTimer {
-			var p sim.Duration
-			if periodOf != nil {
-				p = periodOf(cb)
-			} else {
-				p = cb.EstimatePeriod()
-			}
-			if p > 0 {
-				v.PeriodEstimates = append(v.PeriodEstimates, p)
-			}
+		if cb.Type == CBTimer && cb.Period > 0 {
+			v.PeriodEstimates = append(v.PeriodEstimates, cb.Period)
 		}
 	}
 
@@ -495,13 +478,10 @@ func BuildDAGNaive(m *Model) *DAG {
 		c := &Callback{
 			PID: cb.PID, Node: cb.Node, Type: cb.Type, ID: cb.ID,
 			InTopic: baseTopic(cb.InTopic), OutTopics: outs, IsSync: cb.IsSync,
-			First: cb.First,
+			Stats: cb.Stats, Period: cb.Period, First: cb.First,
 		}
-		c.Stats.Merge(cb.Stats)
-		c.Instances = append(c.Instances, cb.Instances...)
 		if existing, ok := byID[cb.ID]; ok && existing.Type == c.Type {
 			existing.Stats.Merge(cb.Stats)
-			existing.Instances = append(existing.Instances, cb.Instances...)
 			for _, t := range outs {
 				existing.addOutTopic(t)
 			}

@@ -78,9 +78,9 @@ func TestMeasuredETMatchesGroundTruthUnderInterference(t *testing.T) {
 	// Every measured sample must equal the designed 7ms exactly (virtual
 	// time has no measurement noise); the wall window, however, must often
 	// exceed 7ms because of preemption.
-	for _, s := range victimCB.Stats.Samples {
-		if s != 7*sim.Millisecond {
-			t.Fatalf("measured ET %v != designed 7ms", s)
+	for _, inst := range victimCB.Instances {
+		if inst.ET != 7*sim.Millisecond {
+			t.Fatalf("measured ET %v != designed 7ms", inst.ET)
 		}
 	}
 	preempted := 0

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/tracesynth/rostracer/internal/dds"
@@ -41,17 +43,17 @@ import (
 //     found with every earlier take definitively skipped).
 //
 // All other attributes fold forward: merged callbacks accumulate stats
-// and refcounted out-topics; timer periods keep an exact two-heap
-// running median over inter-start gaps, matching EstimatePeriod's
-// upper-median element for any length.
+// and refcounted out-topics, and each timer counts its inter-start gaps
+// in a multiset of distinct values (gapCounts), from which a
+// materialization reads the period as the upper median.
 //
-// Per-instance history (Instances, their Writes, and the ET Samples) is
-// kept only when keep is set, which only NewModelBuilder does: the DAG
-// reads statistics alone. Instance Writes are carved out of a shared
-// slab rather than allocated one slice each.
+// Per-instance history (Instances and their Writes) is kept only when
+// keep is set, which only NewModelBuilder does: the DAG reads
+// statistics alone. Instance Writes are carved out of a shared slab
+// rather than allocated one slice each.
 type snapEngine struct {
 	ord  uint64 // ROS events folded so far: the ordinal of the next one
-	keep bool   // retain instances, writes and ET samples
+	keep bool   // retain instances and their writes
 
 	nodeOf map[uint32]string
 	// dense holds the machines of PIDs below densePIDs, indexed by PID;
@@ -249,24 +251,22 @@ type cbEntry struct {
 	outsCache []string
 	outsDirty bool
 
-	last sim.Time      // start of the latest instance
-	med  medianTracker // inter-start gaps, for timer period estimates (timers only)
+	last sim.Time  // start of the latest instance
+	gaps gapCounts // inter-start gaps (timers only)
 }
 
 // addInstance folds a completed instance into the entry's statistics
-// and, with keep, appends it and its ET sample to the history.
+// and, with keep, appends it to the history.
 func (e *cbEntry) addInstance(inst *Instance, keep bool) {
 	if e.cb.Stats.Count == 0 {
 		e.cb.First = inst.Start
 	} else if e.cb.Type == CBTimer {
-		e.med.push(inst.Start.Sub(e.last))
+		e.gaps.add(inst.Start.Sub(e.last))
 	}
 	e.last = inst.Start
+	e.cb.Stats.Add(inst.ET)
 	if keep {
-		e.cb.Stats.Add(inst.ET)
 		e.cb.Instances = append(e.cb.Instances, *inst)
-	} else {
-		e.cb.Stats.fold(inst.ET)
 	}
 }
 
@@ -302,32 +302,58 @@ func (e *cbEntry) outs() []string {
 	return e.outsCache[:len(e.outsCache):len(e.outsCache)]
 }
 
-// period is a timer entry's period estimate: the same upper-median
-// inter-start gap EstimatePeriod computes by sorting, read off the
-// running median in O(1). Only timer entries track the median.
-func (e *cbEntry) period() sim.Duration {
-	if e.cb.Stats.Count < 2 {
-		return 0
-	}
-	return e.med.upperMedian()
-}
-
-// snapshotCallback materializes the entry as a fresh Callback whose
-// slices are shared full-capacity-clamped: the engine keeps appending
-// to its own backing arrays (in place, beyond the snapshot's length)
-// while every handed-out snapshot stays fixed.
+// snapshotCallback materializes the entry as a fresh Callback with its
+// timer period read off the gap multiset. Its slices are shared
+// full-capacity-clamped: the engine keeps appending to its own backing
+// arrays (in place, beyond the snapshot's length) while every
+// handed-out snapshot stays fixed.
 func (e *cbEntry) snapshotCallback(node string) *Callback {
 	cb := e.cb
 	cb.Node = node
-	cb.Stats.Samples = clamp(cb.Stats.Samples)
-	cb.Instances = clamp(cb.Instances)
+	cb.Period = e.gaps.upperMedian()
+	cb.Instances = cb.Instances[:len(cb.Instances):len(cb.Instances)]
 	cb.OutTopics = e.outs()
 	return &cb
 }
 
-// clamp full-capacity-clamps s, so an append by the receiver reallocates
-// instead of writing into the source's backing array.
-func clamp[T any](s []T) []T { return s[:len(s):len(s)] }
+// gapCounts is a counted multiset of durations: the distinct values in
+// ascending order, each with its count. Its memory follows the distinct
+// values, not the values added; a timer's gaps mostly repeat its period.
+type gapCounts struct {
+	vals []gapCount
+	n    int // values added
+}
+
+// gapCount is one distinct value and how often it was added.
+type gapCount struct {
+	d sim.Duration
+	n int
+}
+
+func (s *gapCounts) add(d sim.Duration) {
+	i, found := slices.BinarySearchFunc(s.vals, d, func(c gapCount, d sim.Duration) int {
+		return cmp.Compare(c.d, d)
+	})
+	if found {
+		s.vals[i].n++
+	} else {
+		s.vals = slices.Insert(s.vals, i, gapCount{d, 1})
+	}
+	s.n++
+}
+
+// upperMedian returns element n/2 of the n values in ascending order,
+// or 0 when there are none.
+func (s *gapCounts) upperMedian() sim.Duration {
+	k := s.n / 2
+	for _, c := range s.vals {
+		if k < c.n {
+			return c.d
+		}
+		k -= c.n
+	}
+	return 0
+}
 
 // pendingClient is one unresolved findClient lookup, created at a
 // response dds_write and re-resolved at every materialization until
@@ -673,9 +699,8 @@ func (m *pidMachine) merge(cur *curState, keep bool) {
 // materialize assembles a Model from the accumulators: fresh Callback
 // headers over clamp-shared slices, in (PID, first-instance) order,
 // with diagnostics filtered by current pending resolutions and an open
-// instance reported as truncated. The returned periodOf reads timer
-// periods captured here, so it stays valid while the engine folds on.
-func (g *snapEngine) materialize() (*Model, func(*Callback) sim.Duration) {
+// instance reported as truncated.
+func (g *snapEngine) materialize() *Model {
 	m := &Model{NodeOf: make(map[uint32]string, len(g.nodeOf))}
 	pids := make([]uint32, 0, len(g.nodeOf))
 	for pid, node := range g.nodeOf {
@@ -684,15 +709,10 @@ func (g *snapEngine) materialize() (*Model, func(*Callback) sim.Duration) {
 	}
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 
-	periods := make(map[*Callback]sim.Duration)
 	for _, pid := range pids {
 		mach := g.machine(pid)
 		for _, e := range mach.list {
-			cb := e.snapshotCallback(g.nodeOf[pid])
-			if cb.Type == CBTimer {
-				periods[cb] = e.period()
-			}
-			m.Callbacks = append(m.Callbacks, cb)
+			m.Callbacks = append(m.Callbacks, e.snapshotCallback(g.nodeOf[pid]))
 		}
 		for _, slot := range mach.diags {
 			switch {
@@ -709,89 +729,5 @@ func (g *snapEngine) materialize() (*Model, func(*Callback) sim.Duration) {
 				"instance open at end of trace (truncated)"})
 		}
 	}
-	periodOf := func(cb *Callback) sim.Duration {
-		if p, ok := periods[cb]; ok {
-			return p
-		}
-		return cb.EstimatePeriod()
-	}
-	return m, periodOf
-}
-
-// medianTracker maintains the upper median of a growing multiset with
-// two heaps: lo (a max-heap) holds the smaller floor(n/2) elements, hi
-// (a min-heap) the larger ceil(n/2), so hi's root is element n/2 of the
-// sorted multiset — exactly what EstimatePeriod's sort produces.
-type medianTracker struct {
-	lo, hi []sim.Duration
-}
-
-func (m *medianTracker) push(d sim.Duration) {
-	if len(m.hi) == 0 || d >= m.hi[0] {
-		heapPush(&m.hi, d, false)
-	} else {
-		heapPush(&m.lo, d, true)
-	}
-	if len(m.hi) > len(m.lo)+1 {
-		heapPush(&m.lo, heapPop(&m.hi, false), true)
-	} else if len(m.lo) > len(m.hi) {
-		heapPush(&m.hi, heapPop(&m.lo, true), false)
-	}
-}
-
-func (m *medianTracker) upperMedian() sim.Duration {
-	if len(m.hi) == 0 {
-		return 0
-	}
-	return m.hi[0]
-}
-
-// heapPush / heapPop implement a binary heap over a duration slice; max
-// selects max-heap ordering.
-func heapPush(h *[]sim.Duration, d sim.Duration, max bool) {
-	s := append(*h, d)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !heapAbove(s[i], s[parent], max) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-	*h = s
-}
-
-func heapPop(h *[]sim.Duration, max bool) sim.Duration {
-	s := *h
-	root := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(s) && heapAbove(s[l], s[best], max) {
-			best = l
-		}
-		if r < len(s) && heapAbove(s[r], s[best], max) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		s[i], s[best] = s[best], s[i]
-		i = best
-	}
-	*h = s
-	return root
-}
-
-// heapAbove reports whether a should sit above b in the heap.
-func heapAbove(a, b sim.Duration, max bool) bool {
-	if max {
-		return a > b
-	}
-	return a < b
+	return m
 }

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/tracesynth/rostracer/internal/dds"
@@ -319,11 +320,36 @@ func buildModel(ros []trace.Event, etFor func(pid uint32) etFunc) *Model {
 		cbs, diags := extractCallbacks(pid, idx, etFor(pid))
 		for _, cb := range cbs {
 			cb.Node = m.NodeOf[pid]
+			if cb.Type == CBTimer {
+				cb.Period = sortedPeriod(cb.Instances)
+			}
 		}
 		m.Callbacks = append(m.Callbacks, cbs...)
 		m.Diags = append(m.Diags, diags...)
 	}
 	return m
+}
+
+// sortedPeriod is the timer period by sorting: the upper median of the
+// gaps between successive instance starts, or 0 with fewer than two
+// instances.
+func sortedPeriod(insts []Instance) sim.Duration {
+	gaps := make([]sim.Duration, 0, len(insts))
+	for i := 1; i < len(insts); i++ {
+		gaps = append(gaps, insts[i].Start.Sub(insts[i-1].Start))
+	}
+	return sortedUpperMedian(gaps)
+}
+
+// sortedUpperMedian returns element n/2 of the n durations in ascending
+// order, or 0 when there are none.
+func sortedUpperMedian(ds []sim.Duration) sim.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 // BatchExtractModel is the batch oracle for ExtractModel: it

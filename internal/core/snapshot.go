@@ -10,18 +10,18 @@ import (
 // long-running tracer streams drained events in (concurrently, batch by
 // batch) while periodic Snapshot calls hand out the current model and
 // DAG. Like SynthesizeSink it keeps statistics only: a snapshot's Model
-// has no Instances or Stats.Samples, so the service's memory does not
-// grow with the number of callback instances.
+// has no Instances, so the service's memory does not grow with the
+// number of callback instances.
 //
 // Every event is folded into the synthesis engine as it is observed, so
 // the service holds no event buffer and a Snapshot never re-traverses
 // the stream: it resolves the pending client lookups and materializes
 // the model from the engine's accumulators, in O(callbacks). One lock
 // covers both: Observe holds it for one event fold, Snapshot for the
-// materialization (including the timer periods, which read live running
-// medians). The DAG is then built outside the lock from the
-// materialized model: its slices are clamped, so the engine only ever
-// appends behind them.
+// materialization, which copies each callback's statistics and timer
+// period into the model. The DAG is then built outside the lock from
+// the materialized model: its slices are clamped, so the engine only
+// ever appends behind them.
 //
 // The service is a trace.ErrSink: an event out of (Time, Seq) order
 // fails it for good (see ModelBuilder), and Err reports that without
@@ -89,10 +89,9 @@ func (s *SnapshotService) Snapshot() Snapshot {
 	s.mu.Lock()
 	s.seq++
 	snap := Snapshot{Seq: s.seq, Events: s.b.events, FoldedSched: s.b.sched}
-	m, periodOf := s.b.finish()
+	snap.Model = s.b.Finish()
 	s.mu.Unlock()
 
-	snap.Model = m
-	snap.DAG = buildDAG(m, periodOf)
+	snap.DAG = BuildDAG(snap.Model)
 	return snap
 }

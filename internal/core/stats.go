@@ -15,26 +15,18 @@ import (
 
 // ExecStats aggregates execution-time measurements of one callback:
 // measured best-case (mBCET), average (mACET) and worst-case (mWCET)
-// values, as reported in Table II. Samples, every measurement in order,
-// exists only on the callbacks of a ModelBuilder's Model; Percentile
-// needs it. DAG vertices and the stats-only sinks (SynthesizeSink,
-// SnapshotService) keep Count, Min, Max and Sum alone.
+// values, as reported in Table II. It keeps Count, Min, Max and Sum
+// alone; the measurements themselves stay on the callback's Instances
+// when a ModelBuilder keeps them.
 type ExecStats struct {
-	Count   int
-	Min     sim.Duration
-	Max     sim.Duration
-	Sum     sim.Duration
-	Samples []sim.Duration
+	Count int
+	Min   sim.Duration
+	Max   sim.Duration
+	Sum   sim.Duration
 }
 
-// Add records one measurement and keeps it as a sample.
+// Add records one measurement.
 func (s *ExecStats) Add(d sim.Duration) {
-	s.fold(d)
-	s.Samples = append(s.Samples, d)
-}
-
-// fold records one measurement in Count, Min, Max and Sum only.
-func (s *ExecStats) fold(d sim.Duration) {
 	if s.Count == 0 || d < s.Min {
 		s.Min = d
 	}
@@ -58,13 +50,6 @@ func (s *ExecStats) Merge(other ExecStats) {
 	}
 	s.Count += other.Count
 	s.Sum += other.Sum
-	s.Samples = append(s.Samples, other.Samples...)
-}
-
-// summary returns s without its samples.
-func (s ExecStats) summary() ExecStats {
-	s.Samples = nil
-	return s
 }
 
 // BCET returns the measured best-case execution time.
@@ -79,25 +64,6 @@ func (s *ExecStats) ACET() sim.Duration {
 		return 0
 	}
 	return s.Sum / sim.Duration(s.Count)
-}
-
-// Percentile returns the p-quantile (0..1) of the samples, or 0 when
-// empty.
-func (s *ExecStats) Percentile(p float64) sim.Duration {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	cp := make([]sim.Duration, len(s.Samples))
-	copy(cp, s.Samples)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	idx := int(p * float64(len(cp)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(cp) {
-		idx = len(cp) - 1
-	}
-	return cp[idx]
 }
 
 func (s *ExecStats) String() string {
@@ -149,9 +115,11 @@ type Instance struct {
 	Writes    []Write
 }
 
-// Callback is one CBlist entry produced by Algorithm 1. Instances (and
-// Stats.Samples) are kept only by a ModelBuilder; the stats-only sinks
-// leave them nil.
+// Callback is one CBlist entry produced by Algorithm 1. Period is a
+// timer's approximate invocation period: the upper median of the gaps
+// between its instance starts (element n/2 of the n sorted gaps), or 0
+// with fewer than two instances. Instances are kept only by a
+// NewModelBuilder; the stats-only sinks leave them nil.
 type Callback struct {
 	PID       uint32
 	Node      string
@@ -161,7 +129,8 @@ type Callback struct {
 	OutTopics []string // decorated for requests (own ID) and responses (client ID)
 	IsSync    bool
 	Stats     ExecStats
-	First     sim.Time // start of the first instance
+	Period    sim.Duration // timers only
+	First     sim.Time     // start of the first instance
 	Instances []Instance
 }
 
@@ -181,21 +150,6 @@ func (cb *Callback) addOutTopic(t string) {
 	}
 	cb.OutTopics = append(cb.OutTopics, t)
 	sort.Strings(cb.OutTopics)
-}
-
-// EstimatePeriod returns the median inter-start gap — the paper's
-// approximate invocation period for timer callbacks — or 0 with fewer than
-// two instances.
-func (cb *Callback) EstimatePeriod() sim.Duration {
-	if len(cb.Instances) < 2 {
-		return 0
-	}
-	gaps := make([]sim.Duration, 0, len(cb.Instances)-1)
-	for i := 1; i < len(cb.Instances); i++ {
-		gaps = append(gaps, cb.Instances[i].Start.Sub(cb.Instances[i-1].Start))
-	}
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
-	return gaps[len(gaps)/2]
 }
 
 func (cb *Callback) String() string {

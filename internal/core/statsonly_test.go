@@ -57,10 +57,21 @@ func buildTwinTimers(w *rclcpp.World) {
 	sub.CreateSubscription("/twin", rclcpp.SimpleBody{ET: sim.Constant{Value: sim.Millisecond}})
 }
 
+// renderDAG renders d as its JSON followed by its DOT.
+func renderDAG(t *testing.T, d *core.DAG) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := core.WriteJSON(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String() + core.ToDOT(d, "g")
+}
+
 // TestStatsOnlySinksKeepNoInstances checks the retention contract after
 // a traced both session: SynthesizeSink and a SnapshotService keep no
 // per-instance history, yet count exactly the instances a ModelBuilder
-// keeps, and their DAG vertices carry no samples.
+// keeps and give every timer the same period, and their DAGs render
+// identically to the one built from the ModelBuilder's model.
 func TestStatsOnlySinksKeepNoInstances(t *testing.T) {
 	tr := drainedSession(t, 6, 3, 3*sim.Second, buildBoth)
 	synth := core.NewSynthesizeSink()
@@ -76,9 +87,8 @@ func TestStatsOnlySinksKeepNoInstances(t *testing.T) {
 		t.Fatalf("implausibly small model: %d callbacks", len(full.Callbacks))
 	}
 	for _, cb := range full.Callbacks {
-		if len(cb.Instances) != cb.Stats.Count || len(cb.Stats.Samples) != cb.Stats.Count {
-			t.Fatalf("ModelBuilder %s: %d instances, %d samples, count %d",
-				cb, len(cb.Instances), len(cb.Stats.Samples), cb.Stats.Count)
+		if len(cb.Instances) != cb.Stats.Count {
+			t.Fatalf("ModelBuilder %s: %d instances, count %d", cb, len(cb.Instances), cb.Stats.Count)
 		}
 	}
 	for name, m := range map[string]*core.Model{"SynthesizeSink": synth.Finish(), "Snapshot.Model": snap.Model} {
@@ -86,20 +96,19 @@ func TestStatsOnlySinksKeepNoInstances(t *testing.T) {
 			t.Fatalf("%s: %d callbacks, ModelBuilder %d", name, len(m.Callbacks), len(full.Callbacks))
 		}
 		for i, cb := range m.Callbacks {
-			if cb.Instances != nil || cb.Stats.Samples != nil {
-				t.Errorf("%s %s keeps %d instances and %d samples", name, cb, len(cb.Instances), len(cb.Stats.Samples))
+			if cb.Instances != nil {
+				t.Errorf("%s %s keeps %d instances", name, cb, len(cb.Instances))
 			}
-			if want := full.Callbacks[i]; cb.Stats.Count != want.Stats.Count || cb.First != want.First {
-				t.Errorf("%s %s: count %d first %v, ModelBuilder count %d first %v",
-					name, cb, cb.Stats.Count, cb.First, want.Stats.Count, want.First)
+			if want := full.Callbacks[i]; cb.Stats != want.Stats || cb.First != want.First || cb.Period != want.Period {
+				t.Errorf("%s %s: stats %+v first %v period %v, ModelBuilder stats %+v first %v period %v",
+					name, cb, cb.Stats, cb.First, cb.Period, want.Stats, want.First, want.Period)
 			}
 		}
 	}
-	for name, d := range map[string]*core.DAG{"SynthesizeSink": synth.DAG(), "Snapshot": snap.DAG, "BuildDAG": core.BuildDAG(full)} {
-		for k, v := range d.Vertices {
-			if v.Stats.Samples != nil {
-				t.Errorf("%s vertex %s keeps %d samples", name, k, len(v.Stats.Samples))
-			}
+	want := renderDAG(t, core.BuildDAG(full))
+	for name, d := range map[string]*core.DAG{"SynthesizeSink": synth.DAG(), "Snapshot": snap.DAG} {
+		if got := renderDAG(t, d); got != want {
+			t.Errorf("%s DAG differs from BuildDAG(ModelBuilder):\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 		}
 	}
 }
@@ -118,13 +127,6 @@ func TestStatsOnlyDAGMatchesModelDAG(t *testing.T) {
 		{"both", buildBoth},
 		{"twin-timers", buildTwinTimers},
 	}
-	render := func(t *testing.T, d *core.DAG) string {
-		var buf bytes.Buffer
-		if err := core.WriteJSON(&buf, d); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String() + core.ToDOT(d, "g")
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := drainedSession(t, 4, 11, 2*sim.Second, tc.build)
@@ -134,14 +136,14 @@ func TestStatsOnlyDAGMatchesModelDAG(t *testing.T) {
 			for _, e := range tr.Events {
 				sink.Observe(e)
 			}
-			want := render(t, core.BuildDAG(core.ExtractModel(tr)))
-			if oracle := render(t, core.BuildDAG(core.BatchExtractModel(tr))); oracle != want {
+			want := renderDAG(t, core.BuildDAG(core.ExtractModel(tr)))
+			if oracle := renderDAG(t, core.BuildDAG(core.BatchExtractModel(tr))); oracle != want {
 				t.Fatalf("ExtractModel and the batch oracle disagree:\n%s\n---\n%s", want, oracle)
 			}
-			if got := render(t, synth.DAG()); got != want {
+			if got := renderDAG(t, synth.DAG()); got != want {
 				t.Errorf("SynthesizeSink DAG differs:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 			}
-			if got := render(t, svc.Snapshot().DAG); got != want {
+			if got := renderDAG(t, svc.Snapshot().DAG); got != want {
 				t.Errorf("snapshot DAG differs:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 			}
 		})

@@ -13,12 +13,12 @@ import (
 // it is observed, so Finish only resolves the pending client lookups
 // and materializes the model.
 //
-// A ModelBuilder from NewModelBuilder keeps every callback instance,
-// its writes and its ET sample, because the analyses of its Model
-// (ChainLatencies, WaitingTimes, the validation experiment) read them.
-// The DAG-only sinks built on it, SynthesizeSink and SnapshotService,
-// keep statistics alone: their callbacks have nil Instances and nil
-// Stats.Samples.
+// A ModelBuilder from NewModelBuilder keeps every callback instance and
+// its writes, because the analyses of its Model (ChainLatencies,
+// WaitingTimes, the validation experiment) read them. The DAG-only
+// sinks built on it, SynthesizeSink and SnapshotService, keep
+// statistics alone: their callbacks have nil Instances. Either way each
+// callback carries its ExecStats and, for a timer, its Period.
 //
 // Memory: no event is retained, ROS or scheduler. Scheduler events —
 // the bulk of any kernel-traced run — charge or suspend the open
@@ -114,12 +114,6 @@ func (b *ModelBuilder) Span() (first, last sim.Time) { return b.firstTime, b.las
 // again, so a long-running tracer can re-synthesize periodically while
 // the session continues.
 func (b *ModelBuilder) Finish() *Model {
-	m, _ := b.finish()
-	return m
-}
-
-// finish is Finish plus the timer periods captured with the model.
-func (b *ModelBuilder) finish() (*Model, func(*Callback) sim.Duration) {
 	b.eng.resolvePending()
 	return b.eng.materialize()
 }
@@ -128,13 +122,13 @@ func (b *ModelBuilder) finish() (*Model, func(*Callback) sim.Duration) {
 // session (or several segments) into it, then call DAG. It is the
 // streaming form of Synthesize. It keeps statistics only, so its memory
 // does not grow with the number of callback instances; its Finish
-// returns callbacks without Instances or Stats.Samples.
+// returns callbacks without Instances.
 type SynthesizeSink struct {
 	ModelBuilder
 }
 
 // DAG builds the precedence DAG from everything observed so far.
-func (s *SynthesizeSink) DAG() *DAG { return buildDAG(s.finish()) }
+func (s *SynthesizeSink) DAG() *DAG { return BuildDAG(s.Finish()) }
 
 // NewSynthesizeSink returns an empty synthesis sink.
 func NewSynthesizeSink() *SynthesizeSink {

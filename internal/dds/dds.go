@@ -61,10 +61,6 @@ type Writer struct {
 // Topic returns the topic name.
 func (w *Writer) Topic() string { return w.topic }
 
-// StructAddr returns the address of the writer descriptor in process
-// memory; exported for the probe-construction layer.
-func (w *Writer) StructAddr() umem.Addr { return w.structAddr }
-
 // WriterStructTopicPtrOff is the byte offset of the topic-name pointer
 // inside the writer descriptor.
 const WriterStructTopicPtrOff = 0

@@ -177,9 +177,6 @@ type Program struct {
 	dp atomic.Pointer[decodedProgram]
 }
 
-// Verified reports whether the program has passed the verifier.
-func (p *Program) Verified() bool { return p.verified }
-
 // HelperID identifies a kernel helper callable from programs.
 type HelperID int64
 

@@ -106,7 +106,6 @@ type Synchronizer struct {
 	// the first arrival.
 	siteOp *ebpf.ProbeSite
 
-	subs    []*rclcpp.Subscription
 	matches uint64
 }
 
@@ -142,16 +141,13 @@ func New(node *rclcpp.Node, cfg Config) *Synchronizer {
 	}
 	for i, topic := range cfg.Topics {
 		i := i
-		s.subs = append(s.subs, node.CreateSubscription(topic, rclcpp.BodyFunc(
+		node.CreateSubscription(topic, rclcpp.BodyFunc(
 			func(ctx *rclcpp.CallbackContext) (sim.Duration, rclcpp.Action) {
 				return s.operator(i, ctx)
-			})))
+			}))
 	}
 	return s
 }
-
-// Subscriptions returns the underlying subscriptions, input order.
-func (s *Synchronizer) Subscriptions() []*rclcpp.Subscription { return s.subs }
 
 // Matches returns how many complete sets have been fused.
 func (s *Synchronizer) Matches() uint64 { return s.matches }

@@ -63,10 +63,7 @@ type Node struct {
 	space  *umem.Space
 	exec   *executor
 
-	timers        []*Timer
-	subscriptions []*Subscription
-	services      []*Service
-	clients       []*Client
+	timers []*Timer
 }
 
 // Name returns the node name.
@@ -162,7 +159,6 @@ func (s *Subscription) Topic() string { return s.topic }
 // CreateSubscription registers a subscriber callback on topic.
 func (n *Node) CreateSubscription(topic string, body Body) *Subscription {
 	s := &Subscription{node: n, topic: topic, body: body, entity: rmw.NewEntity(n.space, topic)}
-	n.subscriptions = append(n.subscriptions, s)
 	n.world.domain.CreateReader(n.pid, topic, func(sample *dds.Sample) {
 		n.exec.enqueue(workItem{kind: workSub, sub: s, sample: sample})
 		n.world.machine.Wake(n.thread.PID())
@@ -177,7 +173,6 @@ type ServiceHandler func(ctx *CallbackContext) interface{}
 // completion writes the response on the service's response topic.
 type Service struct {
 	node       *Node
-	name       string
 	et         sim.Distribution
 	handler    ServiceHandler
 	entity     rmw.Entity
@@ -187,18 +182,14 @@ type Service struct {
 // CBID returns the service's callback handle.
 func (s *Service) CBID() uint64 { return s.entity.CBID }
 
-// ServiceName returns the service name.
-func (s *Service) ServiceName() string { return s.name }
-
 // CreateService registers a service. et is the designed execution time of
 // the service callback; handler produces the response payload (may be nil).
 func (n *Node) CreateService(service string, et sim.Distribution, handler ServiceHandler) *Service {
 	s := &Service{
-		node: n, name: service, et: et, handler: handler,
+		node: n, et: et, handler: handler,
 		entity:     rmw.NewEntity(n.space, service),
 		respWriter: n.world.domain.CreateWriter(n.pid, n.space, dds.ServiceResponseTopic(service)),
 	}
-	n.services = append(n.services, s)
 	n.world.domain.CreateReader(n.pid, dds.ServiceRequestTopic(service), func(sample *dds.Sample) {
 		n.exec.enqueue(workItem{kind: workService, svc: s, sample: sample})
 		n.world.machine.Wake(n.thread.PID())
@@ -213,7 +204,6 @@ func (n *Node) CreateService(service string, et sim.Distribution, handler Servic
 // dispatched.
 type Client struct {
 	node      *Node
-	service   string
 	body      Body
 	entity    rmw.Entity
 	reqWriter *dds.Writer
@@ -224,18 +214,14 @@ type Client struct {
 // client for response routing.
 func (c *Client) CBID() uint64 { return c.entity.CBID }
 
-// ServiceName returns the called service.
-func (c *Client) ServiceName() string { return c.service }
-
 // CreateClient registers a client of service; body is the response
 // callback.
 func (n *Node) CreateClient(service string, body Body) *Client {
 	c := &Client{
-		node: n, service: service, body: body,
+		node: n, body: body,
 		entity:    rmw.NewEntity(n.space, service),
 		reqWriter: n.world.domain.CreateWriter(n.pid, n.space, dds.ServiceRequestTopic(service)),
 	}
-	n.clients = append(n.clients, c)
 	n.world.domain.CreateReader(n.pid, dds.ServiceResponseTopic(service), func(sample *dds.Sample) {
 		n.exec.enqueue(workItem{kind: workClient, client: c, sample: sample})
 		n.world.machine.Wake(n.thread.PID())

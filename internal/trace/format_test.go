@@ -756,6 +756,43 @@ func TestQuerySessionDamageFails(t *testing.T) {
 	}
 }
 
+// TestQuerySessionRejectsUnordered: a v2 segment whose first ten
+// records run backwards in Seq at one Time fails QuerySession with
+// ErrUnordered naming the segment, as it fails StreamSession — also when
+// the filter matches none of the unordered records, since every record
+// the query decodes is checked. A block the index skips is not decoded
+// and so not checked.
+func TestQuerySessionRejectsUnordered(t *testing.T) {
+	s, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Format = FormatV2
+	evs := make([]Event, 20)
+	for i := range evs {
+		evs[i] = Event{Time: sim.Time(100 + 10*max(i-9, 0)), Seq: uint64(i), Kind: KindSchedSwitch, PID: 7}
+		if i < 10 {
+			evs[i].Seq = uint64(9 - i)
+		}
+	}
+	name := filepath.Base(writeSessionSegment(t, s, "u", 0, evs))
+
+	if err := s.StreamSession("u", &collectSink{}); !errors.Is(err, ErrUnordered) {
+		t.Fatalf("StreamSession err = %v, want ErrUnordered", err)
+	}
+	for _, f := range []Filter{{Kinds: []Kind{KindSchedSwitch}}, {T0: 150}} {
+		var got collectSink
+		_, err := s.QuerySession("u", f, &got)
+		if !errors.Is(err, ErrUnordered) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("filter %+v: err = %v after %d events, want ErrUnordered naming %s", f, err, len(got.events), name)
+		}
+	}
+	stats, err := s.QuerySession("u", Filter{Kinds: []Kind{KindDDSWrite}}, &collectSink{})
+	if err != nil || stats.BlocksRead != 0 {
+		t.Fatalf("skipped block: err = %v, stats %+v; want no error and no block read", err, stats)
+	}
+}
+
 // TestParseKind pins the accepted spellings of the CLI kind syntax.
 func TestParseKind(t *testing.T) {
 	cases := []struct {

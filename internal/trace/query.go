@@ -99,7 +99,9 @@ type QueryStats struct {
 // crashed writer — gets its index rebuilt by one sequential scan. v1
 // segments and fault-injected stores (WrapReader set: the wrapped reader
 // cannot seek) fall back to a full sequential scan with the same filter.
-// Damage fails the query exactly as it fails StreamSession; use
+// Damage fails the query exactly as it fails StreamSession, records out
+// of (Time, Seq) order included, as far as the query decodes: a v2 block
+// the index skips is not read, so damage inside it goes unseen. Use
 // SalvageSession for degraded reads.
 func (s *Store) QuerySession(session string, f Filter, sink Sink) (QueryStats, error) {
 	var qs QueryStats
@@ -287,7 +289,9 @@ func (c *filterCursor) Next() (*Event, bool, error) {
 // the record filter as it serves them. Blocks are self-contained, so
 // decoding can start at any selected block; the selection preserves
 // file order, so the stream stays (Time, Seq)-sorted exactly as the
-// sequential cursor would serve it.
+// sequential cursor would serve it. Every decoded record, matched or
+// not, is checked against the previous decoded one, so an unordered
+// segment fails with ErrUnordered as the strict FileCursor fails it.
 type indexedCursor struct {
 	f      *os.File
 	name   string
@@ -299,13 +303,14 @@ type indexedCursor struct {
 	buf []byte
 	// The current block: its body (a view of buf), the offset of its next
 	// record, the records it has left, its delta chain and string table.
-	blk  []byte
-	off  int
-	left int
-	st   decState
-	strs []string
-	ev   Event // the record Next decoded last, reused in place
-	err  error
+	blk   []byte
+	off   int
+	left  int
+	st    decState
+	strs  []string
+	ev    Event // the record Next decoded last, reused in place
+	order orderCheck
+	err   error
 }
 
 func (c *indexedCursor) fail(err error) (*Event, bool, error) {
@@ -324,6 +329,9 @@ func (c *indexedCursor) Next() (*Event, bool, error) {
 			o, err := decodeRecord2(c.blk, c.off, &c.st, c.strs, &c.ev)
 			if err != nil {
 				return c.fail(fmt.Errorf("%w: %v", ErrBadBlock, err))
+			}
+			if err := c.order.check(&c.ev); err != nil {
+				return c.fail(err)
 			}
 			c.off = o
 			c.left--

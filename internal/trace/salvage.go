@@ -141,10 +141,6 @@ func (c *SalvageCursor) Next() (*Event, bool, error) {
 // Events reports how many records passed through.
 func (c *SalvageCursor) Events() int { return c.events }
 
-// Damage reports the retained decode error, nil when the stream was
-// clean (so far).
-func (c *SalvageCursor) Damage() error { return c.cause }
-
 // report summarizes the cursor after its stream ended. size is the total
 // byte length of the underlying stream when known, else negative (bytes
 // dropped then stay 0).

@@ -302,14 +302,12 @@ type FileCursor struct {
 	// out-of-order stream would silently corrupt Algorithm 2's windows),
 	// so store-opened cursors validate; the plain codec keeps accepting
 	// arbitrary traces, as WriteBinary round-trips them.
-	strict   bool
-	prevTime sim.Time
-	prevSeq  uint64
-	prevSet  bool
-	lenBuf   [4]byte // reused: a stack-local would escape through io.ReadFull
-	err      error
-	started  bool
-	done     bool
+	strict  bool
+	order   orderCheck
+	lenBuf  [4]byte // reused: a stack-local would escape through io.ReadFull
+	err     error
+	started bool
+	done    bool
 	// consumed counts the bytes of the stream covered by the magic header
 	// and every fully decoded frame — the length of the longest prefix
 	// that is itself a valid segment. Salvage uses it to report how many
@@ -361,11 +359,22 @@ func (c *FileCursor) checkOrder(ev *Event) error {
 	if !c.strict {
 		return nil
 	}
-	if c.prevSet && (ev.Time < c.prevTime || (ev.Time == c.prevTime && ev.Seq < c.prevSeq)) {
-		return fmt.Errorf("%w: (%d, %d) after (%d, %d)",
-			ErrUnordered, ev.Time, ev.Seq, c.prevTime, c.prevSeq)
+	return c.order.check(ev)
+}
+
+// orderCheck enforces (Time, Seq) order over the records of a stream.
+type orderCheck struct {
+	time sim.Time
+	seq  uint64
+	set  bool
+}
+
+// check fails with ErrUnordered when ev sorts before the previous record.
+func (o *orderCheck) check(ev *Event) error {
+	if o.set && (ev.Time < o.time || (ev.Time == o.time && ev.Seq < o.seq)) {
+		return fmt.Errorf("%w: (%d, %d) after (%d, %d)", ErrUnordered, ev.Time, ev.Seq, o.time, o.seq)
 	}
-	c.prevTime, c.prevSeq, c.prevSet = ev.Time, ev.Seq, true
+	o.time, o.seq, o.set = ev.Time, ev.Seq, true
 	return nil
 }
 

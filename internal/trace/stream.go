@@ -31,20 +31,6 @@ type Collector struct {
 // Observe implements Sink.
 func (c *Collector) Observe(e Event) { c.Trace.Events = append(c.Trace.Events, e) }
 
-// Grow pre-allocates room for n more events.
-func (c *Collector) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	evs := c.Trace.Events
-	if cap(evs)-len(evs) >= n {
-		return
-	}
-	grown := make([]Event, len(evs), len(evs)+n)
-	copy(grown, evs)
-	c.Trace.Events = grown
-}
-
 // KindCounter is a Sink that tallies events per kind without retaining
 // them — enough for inventory-style experiments (Table I) and event
 // totals.

@@ -132,16 +132,3 @@ func TestKindCounterAndMultiSink(t *testing.T) {
 		t.Fatalf("KindSchedSwitch count = %d, want %d", kc.Count(KindSchedSwitch), col.Trace.Len()-1)
 	}
 }
-
-// TestCollectorGrow checks Grow pre-allocates without changing content.
-func TestCollectorGrow(t *testing.T) {
-	var c Collector
-	c.Observe(Event{Time: 1, Seq: 1})
-	c.Grow(100)
-	if cap(c.Trace.Events)-len(c.Trace.Events) < 100 {
-		t.Fatalf("Grow(100) left capacity %d", cap(c.Trace.Events)-len(c.Trace.Events))
-	}
-	if c.Trace.Len() != 1 || c.Trace.Events[0].Seq != 1 {
-		t.Fatal("Grow corrupted collected events")
-	}
-}

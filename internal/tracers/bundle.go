@@ -34,8 +34,6 @@ type Bundle struct {
 	progs map[string]*ebpf.Program
 
 	initIDs []int
-	rtIDs   []int
-	knIDs   []int
 
 	// Streaming-drain scratch, reused across StreamTo calls so a
 	// steady-state drain loop allocates nothing: per-ring record cursors,
@@ -113,14 +111,6 @@ func NewBundleCapacity(rt *ebpf.Runtime, perRingCapacity int) (*Bundle, error) {
 	return b, nil
 }
 
-// Programs returns the loaded programs by name (for inspection and the
-// Table I experiment).
-func (b *Bundle) Programs() map[string]*ebpf.Program { return b.progs }
-
-// PIDMap exposes the ROS2-PID filter map (user-space side reads it to know
-// which PIDs the kernel tracer follows).
-func (b *Bundle) PIDMap() *ebpf.HashMap { return b.pidMap }
-
 func (b *Bundle) attach(ids *[]int, kind ebpf.AttachKind, sym ebpf.Symbol, tp string, prog string) error {
 	p, ok := b.progs[prog]
 	if !ok {
@@ -159,7 +149,8 @@ func (b *Bundle) StartInit() error {
 // StopInit detaches TR_IN.
 func (b *Bundle) StopInit() { b.detach(&b.initIDs) }
 
-// StartRT attaches TR_RT (P2–P16).
+// StartRT attaches TR_RT (P2–P16) for the rest of the bundle's life. On
+// failure it detaches the probes it attached.
 func (b *Bundle) StartRT() error {
 	type at struct {
 		kind ebpf.AttachKind
@@ -186,35 +177,37 @@ func (b *Bundle) StartRT() error {
 		{ebpf.AttachUretprobe, rclcpp.SymExecuteClient, "p15_execute_client_exit"},
 		{ebpf.AttachUprobe, dds.SymWrite, "p16_dds_write_impl"},
 	}
+	var ids []int
 	for _, a := range plan {
-		if err := b.attach(&b.rtIDs, a.kind, a.sym, "", a.prog); err != nil {
-			b.detach(&b.rtIDs)
+		if err := b.attach(&ids, a.kind, a.sym, "", a.prog); err != nil {
+			b.detach(&ids)
 			return err
 		}
 	}
 	return nil
 }
 
-// StopRT detaches TR_RT.
-func (b *Bundle) StopRT() { b.detach(&b.rtIDs) }
-
 // StartKernel attaches TR_KN to sched:sched_switch. filtered selects the
 // PID-filtered program (the paper's configuration); unfiltered records
-// every switch (the memory-footprint comparison baseline).
+// every switch (the memory-footprint comparison baseline). TR_KN stays
+// attached for the rest of the bundle's life; on failure StartKernel
+// detaches what it attached.
 func (b *Bundle) StartKernel(filtered bool) error {
 	prog := "sched_switch_filtered"
 	if !filtered {
 		prog = "sched_switch_unfiltered"
 	}
-	if err := b.attach(&b.knIDs, ebpf.AttachTracepoint, ebpf.Symbol{}, "sched:sched_switch", prog); err != nil {
+	var ids []int
+	if err := b.attach(&ids, ebpf.AttachTracepoint, ebpf.Symbol{}, "sched:sched_switch", prog); err != nil {
 		return err
 	}
 	// The waiting-time extension (Sec. VII): wakeup events, PID-filtered.
-	return b.attach(&b.knIDs, ebpf.AttachTracepoint, ebpf.Symbol{}, "sched:sched_wakeup", "sched_wakeup_filtered")
+	if err := b.attach(&ids, ebpf.AttachTracepoint, ebpf.Symbol{}, "sched:sched_wakeup", "sched_wakeup_filtered"); err != nil {
+		b.detach(&ids)
+		return err
+	}
+	return nil
 }
-
-// StopKernel detaches TR_KN.
-func (b *Bundle) StopKernel() { b.detach(&b.knIDs) }
 
 // perfBuffers returns the three tracer buffers in TR_IN, TR_RT, TR_KN
 // order.

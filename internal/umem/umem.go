@@ -193,11 +193,6 @@ func (s *Space) WriteU64(a Addr, v uint64) {
 	binary.LittleEndian.PutUint64(s.slice(a, 8), v)
 }
 
-// WriteU32 stores a little-endian 32-bit value at a.
-func (s *Space) WriteU32(a Addr, v uint32) {
-	binary.LittleEndian.PutUint32(s.slice(a, 4), v)
-}
-
 // WriteBytes copies b to a.
 func (s *Space) WriteBytes(a Addr, b []byte) {
 	copy(s.slice(a, len(b)), b)

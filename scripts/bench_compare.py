@@ -63,6 +63,7 @@ ZERO_ALLOC = [
 # count is not zero (segment files, read buffers, the model itself), but
 # any growth over the baseline is a failure, as for ZERO_ALLOC.
 NO_ALLOC_GROWTH = [
+    "BenchmarkAlg1_StreamModel",
     "BenchmarkStoreStreamSession",
     "BenchmarkStoreStreamSessionV1",
     "BenchmarkStoreStreamSynthesize",
