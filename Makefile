@@ -66,19 +66,22 @@ bench-compare:
 # Cross-version .rtrc compatibility suite (used by CI): v1 <-> v2 decoded
 # equivalence at codec and store level, the v2 crash-recovery truncation
 # sweep, v2 damage classification, indexed-query correctness against the
-# sequential reference, and the v1/v2 fuzz equivalence seeds.
+# sequential reference (also on damaged segments), and the v1/v2 fuzz
+# equivalence seeds.
 fmt-compat:
-	$(GO) test -run 'TestFormatCompat|TestSegmentWriterFormatKnob|TestSegmentCrashRecovery|TestSalvage|TestFsck|TestQuerySession|FuzzV1V2Equivalence|FuzzV2Cursor' -count=1 ./internal/trace
+	$(GO) test -run 'TestFormatCompat|TestSegmentWriterFormatKnob|TestSegmentCrashRecovery|TestSalvage|TestFsck|TestQuerySession|FuzzV1V2Equivalence|FuzzV2Cursor|FuzzQueryMatchesStream' -count=1 ./internal/trace
 
 # Short coverage-guided fuzz passes (used by CI): the binary trace codec
 # (batch reader and streaming segment cursor), salvage over damaged
-# segments, and the raw vs decoded equivalence of random programs.
+# segments, a query as a filtered stream, and the raw vs decoded
+# equivalence of random programs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzFileCursor -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSalvage -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzV2Cursor -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz 'FuzzV1V2Equivalence$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzQueryMatchesStream -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEquivalence -fuzztime 10s ./internal/ebpf
 
 # Fault-injection chaos run: the full drain -> store -> synthesis

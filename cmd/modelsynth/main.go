@@ -135,9 +135,9 @@ func main() {
 			if err != nil {
 				log.Fatalf("querying %s: %v", s, err)
 			}
-			log.Printf("session %s: %d/%d blocks read (%d skipped by index, %d footers rebuilt), %d records decoded, %d matched",
+			log.Printf("session %s: %d/%d blocks read (%d skipped by index), %d segments scanned, %d records decoded, %d matched",
 				s, stats.BlocksRead, stats.BlocksTotal, stats.BlocksSkipped,
-				stats.FootersRebuilt, stats.RecordsDecoded, stats.RecordsMatched)
+				stats.Scans, stats.RecordsDecoded, stats.RecordsMatched)
 		} else if err := store.StreamSession(s, sink); err != nil {
 			log.Fatalf("loading %s: %v (re-run with -salvage to recover the undamaged prefix)", s, err)
 		}

@@ -230,12 +230,7 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 		if cfg.ringCapacity <= 0 {
 			log.Printf("  warning: -adaptive-drain without -ring-capacity: unbounded rings cannot overrun, draining at the fixed -segment period")
 		}
-		pcfg.Policy = &tracers.DrainPolicy{
-			Capacity:   cfg.ringCapacity,
-			TargetFill: 0.5,
-			Min:        cfg.segment / 64,
-			Max:        cfg.segment,
-		}
+		pcfg.Policy = &tracers.DrainPolicy{Min: cfg.segment / 64, Max: cfg.segment}
 	}
 	// Self-observability: a per-run registry fed by a metrics sink on the
 	// fan-out plus per-segment snapshots of the pipeline's own

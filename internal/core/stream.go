@@ -40,11 +40,10 @@ type ModelBuilder struct {
 	sched  uint64
 	events uint64 // events folded, ROS + sched
 
-	// (lastTime, lastSeq) is the last event folded and firstTime the
-	// first; they are unset while events is 0.
+	// order checks each event against the last one folded; firstTime is
+	// the first event's time, unset while events is 0.
+	order     trace.OrderCheck
 	firstTime sim.Time
-	lastTime  sim.Time
-	lastSeq   uint64
 
 	err atomic.Pointer[error] // sticky; read without the observer's locks
 }
@@ -69,16 +68,14 @@ func (b *ModelBuilder) observe(e *trace.Event) {
 	if b.err.Load() != nil {
 		return
 	}
-	if b.events > 0 && (e.Time < b.lastTime || (e.Time == b.lastTime && e.Seq < b.lastSeq)) {
-		err := fmt.Errorf("core: model builder: %w: (%d, %d) after (%d, %d)",
-			trace.ErrUnordered, e.Time, e.Seq, b.lastTime, b.lastSeq)
-		b.err.Store(&err)
+	if err := b.order.Check(e); err != nil {
+		failed := fmt.Errorf("core: model builder: %w", err)
+		b.err.Store(&failed)
 		return
 	}
 	if b.events == 0 {
 		b.firstTime = e.Time
 	}
-	b.lastTime, b.lastSeq = e.Time, e.Seq
 	b.events++
 	if e.Kind == trace.KindSchedSwitch || e.Kind == trace.KindSchedWakeup {
 		b.sched++
@@ -107,7 +104,7 @@ func (b *ModelBuilder) EventsFolded() uint64 { return b.events }
 // Span reports the times of the first and last events folded (zero
 // values before the first), as trace.SpanTracker does for an ordered
 // stream.
-func (b *ModelBuilder) Span() (first, last sim.Time) { return b.firstTime, b.lastTime }
+func (b *ModelBuilder) Span() (first, last sim.Time) { return b.firstTime, b.order.Last() }
 
 // Finish returns the model of everything observed so far. It does not
 // consume the builder: more events may be observed and Finish called

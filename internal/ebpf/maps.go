@@ -508,6 +508,9 @@ func (p *PerfBuffer) DrainCursorInto(c *RecordCursor, cpu int) {
 	*c = RecordCursor{ring: r, cpu: cpu, chunks: chunks, n: n}
 }
 
+// Capacity reports the per-ring record bound (0 means unbounded).
+func (p *PerfBuffer) Capacity() int { return p.capacity }
+
 // NumRings reports how many per-CPU rings the buffer has materialized
 // (the highest emitting CPU index + 1).
 func (p *PerfBuffer) NumRings() int { return len(p.rings) }

@@ -74,10 +74,8 @@ func AdaptiveDrainExperiment(cfg Config) (Result, error) {
 	// Adaptive cadence: same capacity, same workload; the scheduler may
 	// plan anywhere between duration/128 and the fixed period.
 	adaptive, err := session("adaptive", 0, &tracers.DrainPolicy{
-		Capacity:   adaptiveCapacity,
-		TargetFill: 0.5,
-		Min:        cfg.Duration / 128,
-		Max:        cfg.Duration / sim.Duration(adaptiveFixedDrains),
+		Min: cfg.Duration / 128,
+		Max: cfg.Duration / sim.Duration(adaptiveFixedDrains),
 	})
 	if err != nil {
 		return Result{}, err

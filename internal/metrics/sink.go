@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 
-	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
 )
 
@@ -38,12 +37,8 @@ type Sink struct {
 	openCB    map[uint32]int64 // PID -> callback-start time
 	events    uint64
 
-	// (lastTime, lastSeq) is the last event folded; seen is false before
-	// the first one.
-	lastTime sim.Time
-	lastSeq  uint64
-	seen     bool
-	err      error // sticky
+	order trace.OrderCheck // against the last event folded
+	err   error            // sticky
 }
 
 // NewSink registers the sink's families on r and returns a sink ready to
@@ -73,12 +68,10 @@ func (s *Sink) Observe(e trace.Event) {
 	if s.err != nil {
 		return
 	}
-	if s.seen && (e.Time < s.lastTime || (e.Time == s.lastTime && e.Seq < s.lastSeq)) {
-		s.err = fmt.Errorf("metrics: sink: %w: (%d, %d) after (%d, %d)",
-			trace.ErrUnordered, e.Time, e.Seq, s.lastTime, s.lastSeq)
+	if err := s.order.Check(&e); err != nil {
+		s.err = fmt.Errorf("metrics: sink: %w", err)
 		return
 	}
-	s.lastTime, s.lastSeq, s.seen = e.Time, e.Seq, true
 	s.events++
 	k := uint8(e.Kind) & 63
 	c := s.kinds[k]

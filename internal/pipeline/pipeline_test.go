@@ -53,7 +53,7 @@ func TestDrainInstants(t *testing.T) {
 	}
 	// A scheduler plans every window within its bounds; the last one is
 	// cut short at Duration.
-	pol := &tracers.DrainPolicy{Capacity: 64, Min: 10 * sim.Millisecond, Max: 300 * sim.Millisecond}
+	pol := &tracers.DrainPolicy{Min: 10 * sim.Millisecond, Max: 300 * sim.Millisecond}
 	at := drainInstants(t, Config{Duration: d, Policy: pol, RingCapacity: 64, Period: sim.Second})
 	var prev sim.Duration
 	for i, a := range at {

@@ -695,8 +695,8 @@ func TestQuerySessionMixedAndRebuilt(t *testing.T) {
 	if !reflect.DeepEqual(got.events, applyFilter(events, f)) {
 		t.Fatalf("mixed-session query wrong: %d events", len(got.events))
 	}
-	if stats.Scans != 1 || stats.FootersRebuilt != 1 || stats.Segments != 3 {
-		t.Fatalf("stats = %+v, want 1 v1 scan + 1 rebuilt footer over 3 segments", stats)
+	if stats.Scans != 2 || stats.Segments != 3 {
+		t.Fatalf("stats = %+v, want a v1 and a footerless v2 scan over 3 segments", stats)
 	}
 }
 

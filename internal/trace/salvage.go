@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 )
 
@@ -15,7 +13,10 @@ import (
 // recovers every complete record up to each segment's damage point and
 // reports exactly what was skipped, so one bad segment tail no longer
 // costs the whole session. Fsck is the read-only scan of the same
-// machinery, classifying the damage across all sessions.
+// machinery, classifying the damage across all sessions. Both open
+// segments through SessionCursors and wrap each FileCursor in a
+// SalvageCursor, so they decode exactly what StreamSession decodes and
+// stop where it fails.
 
 // SegmentSalvage is the per-segment outcome of a salvage or fsck pass.
 type SegmentSalvage struct {
@@ -141,12 +142,12 @@ func (c *SalvageCursor) Next() (*Event, bool, error) {
 // Events reports how many records passed through.
 func (c *SalvageCursor) Events() int { return c.events }
 
-// report summarizes the cursor after its stream ended. size is the total
-// byte length of the underlying stream when known, else negative (bytes
-// dropped then stay 0).
-func (c *SalvageCursor) report(name string, size int64) SegmentSalvage {
+// report summarizes the cursor after its stream ended, naming its
+// segment. Bytes dropped are counted against the segment file's size,
+// and stay 0 for plain readers, whose size is unknown.
+func (c *SalvageCursor) report() SegmentSalvage {
 	s := SegmentSalvage{
-		Name:           name,
+		Name:           c.fc.name,
 		Events:         c.events,
 		BytesRecovered: c.fc.BytesConsumed(),
 		Damaged:        c.cause != nil,
@@ -154,8 +155,10 @@ func (c *SalvageCursor) report(name string, size int64) SegmentSalvage {
 	}
 	if c.cause != nil {
 		s.Cause = classifyDamage(c.cause)
-		if size >= 0 {
-			s.BytesDropped = size - c.fc.BytesConsumed()
+		if c.fc.file != nil {
+			if fi, err := c.fc.file.Stat(); err == nil {
+				s.BytesDropped = fi.Size() - c.fc.BytesConsumed()
+			}
 		}
 	}
 	return s
@@ -177,46 +180,7 @@ func SalvageReader(r io.Reader, sink Sink) SegmentSalvage {
 			sink.Observe(*ev)
 		}
 	}
-	return sc.report("", -1)
-}
-
-// salvageCursors opens every segment of a session wrapped for salvage,
-// along with file sizes for drop accounting.
-func (s *Store) salvageCursors(session string) (curs []*SalvageCursor, files []*FileCursor, names []string, sizes []int64, err error) {
-	segs, err := s.segmentNames(session)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if len(segs) == 0 {
-		return nil, nil, nil, nil, fmt.Errorf("trace: session %q has no segments", session)
-	}
-	for _, name := range segs {
-		path := filepath.Join(s.dir, name)
-		f, err := os.Open(path)
-		if err != nil {
-			for _, c := range files {
-				c.Close()
-			}
-			return nil, nil, nil, nil, err
-		}
-		size := int64(-1)
-		if fi, err := f.Stat(); err == nil {
-			size = fi.Size()
-		}
-		var r io.Reader = f
-		if s.WrapReader != nil {
-			r = s.WrapReader(name, f)
-		}
-		fc := NewFileCursor(r)
-		fc.c = f
-		fc.name = name
-		fc.strict = true
-		files = append(files, fc)
-		curs = append(curs, NewSalvageCursor(fc))
-		names = append(names, name)
-		sizes = append(sizes, size)
-	}
-	return curs, files, names, sizes, nil
+	return sc.report()
 }
 
 // SalvageSession streams everything recoverable from a session into sink
@@ -231,18 +195,16 @@ func (s *Store) salvageCursors(session string) (curs []*SalvageCursor, files []*
 // like any other sorted stream. sink may be nil to scan without
 // consuming.
 func (s *Store) SalvageSession(session string, sink Sink) (*SalvageReport, error) {
-	curs, files, names, sizes, err := s.salvageCursors(session)
+	files, err := s.SessionCursors(session)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, c := range files {
-			c.Close()
-		}
-	}()
-	cursors := make([]Cursor, len(curs))
-	for i, c := range curs {
-		cursors[i] = c
+	defer closeCursors(files)
+	curs := make([]*SalvageCursor, len(files))
+	cursors := make([]Cursor, len(files))
+	for i, fc := range files {
+		curs[i] = NewSalvageCursor(fc)
+		cursors[i] = curs[i]
 	}
 	if sink == nil {
 		sink = SinkFunc(func(Event) {})
@@ -252,8 +214,8 @@ func (s *Store) SalvageSession(session string, sink Sink) (*SalvageReport, error
 		return nil, err
 	}
 	rep := &SalvageReport{Session: session}
-	for i, c := range curs {
-		rep.Segments = append(rep.Segments, c.report(names[i], sizes[i]))
+	for _, c := range curs {
+		rep.Segments = append(rep.Segments, c.report())
 	}
 	return rep, nil
 }
@@ -296,19 +258,20 @@ func (s *Store) Fsck() (*FsckReport, error) {
 	for _, session := range sessions {
 		// Scanning per segment (not merged) keeps fsck independent of
 		// cross-segment ordering; each segment is judged on its own bytes.
-		curs, files, names, sizes, err := s.salvageCursors(session)
+		files, err := s.SessionCursors(session)
 		if err != nil {
 			return nil, err
 		}
 		sr := SalvageReport{Session: session}
-		for i, c := range curs {
+		for _, fc := range files {
+			c := NewSalvageCursor(fc)
 			for {
 				if _, ok, _ := c.Next(); !ok {
 					break
 				}
 			}
-			sr.Segments = append(sr.Segments, c.report(names[i], sizes[i]))
-			files[i].Close()
+			sr.Segments = append(sr.Segments, c.report())
+			fc.Close()
 		}
 		rep.Sessions = append(rep.Sessions, sr)
 	}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"slices"
 
 	"github.com/tracesynth/rostracer/internal/sim"
 )
@@ -34,8 +36,9 @@ var (
 
 // Streaming persistence: SegmentWriter is the Sink side of the trace
 // database (events append to a .rtrc segment as they are observed) and
-// FileCursor is the Cursor side (records decode one at a time off a
-// buffered reader). Together they make disk a pass-through stage of the
+// FileCursor is the Cursor side, and the only segment decoder: records
+// decode one at a time off a buffered reader, or off the block frames an
+// index selects. Together they make disk a pass-through stage of the
 // streaming pipeline: a drain can flow rings -> merge -> segment file,
 // and a stored session can flow segment files -> merge -> model builder,
 // with peak buffering of one event per stream on either side.
@@ -286,16 +289,23 @@ func (sw *SegmentWriter) Close() error {
 // FileCursor decodes a .rtrc segment into a Cursor: one record per Next,
 // off a buffered reader, into a single reused Event — reading a
 // multi-GB segment holds one record (v1) or one block's encoded body
-// (v2) in memory, never the segment. It
-// accepts exactly the inputs ReadBinary accepts and fails exactly where
-// ReadBinary fails (ReadBinary is implemented over it, and
+// (v2) in memory, never the segment. It is the only segment decoder:
+// StreamSession, QuerySession, SalvageSession and Fsck all read through
+// it. It accepts exactly the inputs ReadBinary accepts and fails exactly
+// where ReadBinary fails (ReadBinary is implemented over it, and
 // FuzzFileCursor pins the equivalence): a segment truncated mid-record —
 // e.g. by a writer killed before Close — yields every complete record
 // and then an error, so no partial-record event ever reaches a sink.
+//
+// A store-opened cursor can also carry a record filter and, for a v2
+// segment with a footer, the index entries of the blocks to read: it
+// then reads each listed frame with one positioned read and decodes it
+// through the same block, record and order code as a sequential read.
 type FileCursor struct {
-	br   *bufio.Reader
-	c    io.Closer // owned source, closed by Close (nil for plain readers)
-	name string    // when set (store-opened cursors), errors name the segment
+	src  io.Reader
+	br   *bufio.Reader // buffers src, made on the first sequential read
+	file *os.File      // owned segment file, closed by Close (nil for plain readers)
+	name string        // when set (store-opened cursors), errors name the segment
 	buf  []byte
 	// strict makes Next reject records out of (Time, Seq) order. Store
 	// segments are required sorted (MergeStream cannot re-sort, and an
@@ -303,7 +313,7 @@ type FileCursor struct {
 	// so store-opened cursors validate; the plain codec keeps accepting
 	// arbitrary traces, as WriteBinary round-trips them.
 	strict  bool
-	order   orderCheck
+	order   OrderCheck
 	lenBuf  [4]byte // reused: a stack-local would escape through io.ReadFull
 	err     error
 	started bool
@@ -326,7 +336,7 @@ type FileCursor struct {
 	// truncation error of a torn frame (nil for a complete one). An error
 	// is held back in pendingErr until the block's last record has been
 	// served, and obsIndex is the observed block index (validated against
-	// the footer, and usable to rebuild a missing one).
+	// the footer).
 	blk        []byte
 	blkOff     int
 	blkLeft    int
@@ -337,13 +347,33 @@ type FileCursor struct {
 	pendingErr error
 	obsIndex   []BlockInfo
 	recCount   int
+	// Filtered reads: records filter rejects are decoded but not served
+	// (nil serves all, uncounted); decoded and matched count the records
+	// decoded and served under a filter. sel, when non-nil, lists the
+	// index entries of the blocks to read and selAt the next one; stepped
+	// counts the selected blocks passed over because their string table
+	// lacks the node filter. badIndex is the first entry found to
+	// disagree with its block, reported where a sequential read reports
+	// it: at the segment's end.
+	filter           *compiledFilter
+	sel              []BlockInfo
+	selAt            int
+	stepped          int
+	decoded, matched int
+	badIndex         error
 }
 
 // NewFileCursor opens a cursor over a .rtrc stream. The magic header is
 // validated on the first Next. When r needs closing (a file), use
 // Store.SessionCursors, which hands ownership to the cursor.
 func NewFileCursor(r io.Reader) *FileCursor {
-	return &FileCursor{br: bufio.NewReader(r)}
+	return &FileCursor{src: r}
+}
+
+// readSelected makes the cursor read only the listed blocks of its v2
+// segment, whose magic and footer the caller has already read.
+func (c *FileCursor) readSelected(sel []BlockInfo) {
+	c.sel, c.started, c.version, c.consumed = sel, true, FormatV2, int64(len(binMagic2))
 }
 
 func (c *FileCursor) fail(err error) (*Event, bool, error) {
@@ -354,29 +384,27 @@ func (c *FileCursor) fail(err error) (*Event, bool, error) {
 	return nil, false, c.err
 }
 
-// checkOrder enforces (Time, Seq) order on strict cursors.
-func (c *FileCursor) checkOrder(ev *Event) error {
-	if !c.strict {
-		return nil
-	}
-	return c.order.check(ev)
-}
-
-// orderCheck enforces (Time, Seq) order over the records of a stream.
-type orderCheck struct {
+// OrderCheck enforces (Time, Seq) order over the events of a stream: the
+// one check behind strict segment reads, the model builder and the
+// metrics sink.
+type OrderCheck struct {
 	time sim.Time
 	seq  uint64
 	set  bool
 }
 
-// check fails with ErrUnordered when ev sorts before the previous record.
-func (o *orderCheck) check(ev *Event) error {
+// Check fails with ErrUnordered when ev sorts before the previous event.
+func (o *OrderCheck) Check(ev *Event) error {
 	if o.set && (ev.Time < o.time || (ev.Time == o.time && ev.Seq < o.seq)) {
 		return fmt.Errorf("%w: (%d, %d) after (%d, %d)", ErrUnordered, ev.Time, ev.Seq, o.time, o.seq)
 	}
 	o.time, o.seq, o.set = ev.Time, ev.Seq, true
 	return nil
 }
+
+// Last reports the time of the last event checked (zero before the
+// first).
+func (o *OrderCheck) Last() sim.Time { return o.time }
 
 // Next implements Cursor. Errors are sticky: after the first decode
 // error the cursor keeps returning it. The event is the cursor's one
@@ -392,6 +420,7 @@ func (c *FileCursor) Next() (*Event, bool, error) {
 	}
 	if !c.started {
 		c.started = true
+		c.br = bufio.NewReader(c.src)
 		var magic [len(binMagic)]byte
 		if _, err := io.ReadFull(c.br, magic[:]); err != nil {
 			return c.fail(fmt.Errorf("%w: reading magic: %w", ErrTruncated, err))
@@ -409,34 +438,45 @@ func (c *FileCursor) Next() (*Event, bool, error) {
 	if c.version == FormatV2 {
 		return c.nextV2()
 	}
-	if _, err := io.ReadFull(c.br, c.lenBuf[:]); err != nil {
-		if err == io.EOF {
-			c.done = true
-			return nil, false, nil
+	for {
+		if _, err := io.ReadFull(c.br, c.lenBuf[:]); err != nil {
+			if err == io.EOF {
+				c.done = true
+				return nil, false, nil
+			}
+			return c.fail(fmt.Errorf("%w: record length: %w", ErrTruncated, err))
 		}
-		return c.fail(fmt.Errorf("%w: record length: %w", ErrTruncated, err))
+		n := binary.LittleEndian.Uint32(c.lenBuf[:])
+		if n < recFixedSize || n > 1<<20 {
+			return c.fail(fmt.Errorf("%w: implausible record length %d", ErrCorrupt, n))
+		}
+		if cap(c.buf) < int(n) {
+			c.buf = make([]byte, n)
+		}
+		buf := c.buf[:n]
+		if _, err := io.ReadFull(c.br, buf); err != nil {
+			return c.fail(fmt.Errorf("%w: record body: %w", ErrTruncated, err))
+		}
+		// decodeRecord interns the string fields, so the record buffer can be
+		// reused for the next Next.
+		if err := decodeRecord(buf, &c.ev); err != nil {
+			return c.fail(fmt.Errorf("%w: %w", ErrCorrupt, err))
+		}
+		if c.strict {
+			if err := c.order.Check(&c.ev); err != nil {
+				return c.fail(err)
+			}
+		}
+		c.consumed += int64(4 + n)
+		if c.filter == nil {
+			return &c.ev, true, nil
+		}
+		c.decoded++
+		if c.filter.match(&c.ev) {
+			c.matched++
+			return &c.ev, true, nil
+		}
 	}
-	n := binary.LittleEndian.Uint32(c.lenBuf[:])
-	if n < recFixedSize || n > 1<<20 {
-		return c.fail(fmt.Errorf("%w: implausible record length %d", ErrCorrupt, n))
-	}
-	if cap(c.buf) < int(n) {
-		c.buf = make([]byte, n)
-	}
-	buf := c.buf[:n]
-	if _, err := io.ReadFull(c.br, buf); err != nil {
-		return c.fail(fmt.Errorf("%w: record body: %w", ErrTruncated, err))
-	}
-	// decodeRecord interns the string fields, so the record buffer can be
-	// reused for the next Next.
-	if err := decodeRecord(buf, &c.ev); err != nil {
-		return c.fail(fmt.Errorf("%w: %w", ErrCorrupt, err))
-	}
-	if err := c.checkOrder(&c.ev); err != nil {
-		return c.fail(err)
-	}
-	c.consumed += int64(4 + n)
-	return &c.ev, true, nil
 }
 
 // nextV2 decodes the current block's next record, pulling the next
@@ -449,18 +489,41 @@ func (c *FileCursor) nextV2() (*Event, bool, error) {
 			if err := c.decodeNext(&c.ev); err != nil {
 				return c.fail(err)
 			}
-			if err := c.checkOrder(&c.ev); err != nil {
-				// Settle the rest of the block unserved, so the frame's count
-				// and index entry stand as if every record had been read.
-				var rest Event
-				for c.blkLeft > 0 && c.decodeNext(&rest) == nil {
+			if c.strict {
+				if err := c.order.Check(&c.ev); err != nil {
+					// Settle the rest of the block unserved, so the frame's count
+					// and index entry stand as if every record had been read.
+					var rest Event
+					for c.blkLeft > 0 && c.decodeNext(&rest) == nil {
+					}
+					return c.fail(err)
 				}
-				return c.fail(err)
 			}
-			return &c.ev, true, nil
+			if c.filter == nil {
+				return &c.ev, true, nil
+			}
+			c.decoded++
+			if c.filter.match(&c.ev) {
+				c.matched++
+				return &c.ev, true, nil
+			}
+			continue
 		}
 		if c.pendingErr != nil {
 			return c.fail(c.pendingErr)
+		}
+		if c.sel != nil {
+			if c.selAt == len(c.sel) {
+				if c.badIndex != nil {
+					return c.fail(c.badIndex)
+				}
+				c.done = true
+				return nil, false, nil
+			}
+			if err := c.readSelectedBlock(); err != nil {
+				return c.fail(err)
+			}
+			continue
 		}
 		tag, err := c.br.ReadByte()
 		if err != nil {
@@ -491,7 +554,7 @@ func (c *FileCursor) nextV2() (*Event, bool, error) {
 	}
 }
 
-// readBlock reads one block frame and its header, leaving its records to
+// readBlock reads one block frame off the stream, leaving its records to
 // decodeNext. Damage to the frame itself fails immediately; a torn body
 // still serves its complete-record prefix before the truncation error.
 func (c *FileCursor) readBlock() error {
@@ -513,10 +576,51 @@ func (c *FileCursor) readBlock() error {
 	} else {
 		c.consumed += int64(5 + n)
 	}
+	return c.startBlock()
+}
+
+// readSelectedBlock reads the next selected block frame with one
+// positioned read, checks its tag and length against the index entry,
+// and starts it like a sequentially read block. A frame that disagrees
+// with its entry ends the trust in the index: the cursor reads on
+// sequentially from the end of the last frame it read, as StreamSession
+// reads, so damage to the data or to the index fails it with
+// StreamSession's error.
+func (c *FileCursor) readSelectedBlock() error {
+	bi := &c.sel[c.selAt]
+	c.selAt++
+	need := 5 + int(bi.Len)
+	if cap(c.buf) < need {
+		c.buf = make([]byte, need)
+	}
+	frame := c.buf[:need]
+	if _, err := c.file.ReadAt(frame, bi.Offset); err != nil || frame[0] != frameBlock || binary.LittleEndian.Uint32(frame[1:5]) != bi.Len {
+		c.obsIndex = append(c.obsIndex[:0], c.sel[:c.selAt-1]...)
+		for _, read := range c.obsIndex {
+			c.recCount += read.Count
+		}
+		c.sel = nil
+		c.br = bufio.NewReader(io.NewSectionReader(c.file, c.consumed, 1<<62))
+		return nil
+	}
+	c.blk, c.blkTorn = frame[5:], nil
+	c.blkInfo = BlockInfo{Offset: bi.Offset, Len: bi.Len}
+	c.consumed = bi.Offset + int64(need)
+	return c.startBlock()
+}
+
+// startBlock decodes the current block's header. A selected block whose
+// string table lacks the node filter is passed over without decoding its
+// records.
+func (c *FileCursor) startBlock() error {
 	count, strs, o, err := decodeBlockHeader(c.blk, c.blkStrs)
 	c.blkStrs = strs
 	if err != nil {
 		return c.blockErr(err)
+	}
+	if c.sel != nil && c.filter != nil && c.filter.node != "" && !slices.Contains(strs, c.filter.node) {
+		c.stepped++
+		return nil
 	}
 	c.blkOff, c.blkLeft, c.blkSt = o, count, decState{}
 	c.blkInfo.Count = count
@@ -560,6 +664,12 @@ func (c *FileCursor) endBlock() error {
 	}
 	if c.blkOff != len(c.blk) {
 		return c.blockErr(fmt.Errorf("trace: %d trailing bytes in block", len(c.blk)-c.blkOff))
+	}
+	if c.sel != nil {
+		if c.blkInfo != c.sel[c.selAt-1] && c.badIndex == nil {
+			c.badIndex = fmt.Errorf("%w: entry for the block at %d disagrees with data", ErrBadFooter, c.blkInfo.Offset)
+		}
+		return nil
 	}
 	c.obsIndex = append(c.obsIndex, c.blkInfo)
 	c.recCount += c.blkInfo.Count
@@ -625,13 +735,12 @@ func (c *FileCursor) readFooter() error {
 		return fmt.Errorf("%w: after footer: %w", ErrCorrupt, err)
 	}
 	c.consumed += int64(5 + need)
-	return nil
+	return c.badIndex
 }
 
 // BlockIndex returns the index entries of every complete block decoded
-// so far — after a clean full read, the same entries the footer carries.
-// Query paths use it to reconstruct the index of a segment whose footer
-// was never written (crashed writer). The slice is owned by the cursor.
+// so far by a sequential read — after a clean full read, the same
+// entries the footer carries. The slice is owned by the cursor.
 func (c *FileCursor) BlockIndex() []BlockInfo { return c.obsIndex }
 
 // BytesConsumed reports the length of the longest stream prefix covered
@@ -643,10 +752,10 @@ func (c *FileCursor) BytesConsumed() int64 { return c.consumed }
 // Err reports the first decode error, if any.
 func (c *FileCursor) Err() error { return c.err }
 
-// Close releases the underlying source when the cursor owns it.
+// Close releases the segment file when the cursor owns it.
 func (c *FileCursor) Close() error {
-	if c.c != nil {
-		return c.c.Close()
+	if c.file != nil {
+		return c.file.Close()
 	}
 	return nil
 }

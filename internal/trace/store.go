@@ -16,15 +16,16 @@ import (
 //
 // Persistence is streaming on both sides: WriteSegment returns a
 // SegmentWriter sink that appends records as they are observed, and
-// StreamSession k-way merges FileCursors over all segments of a session
-// straight into any sink. SaveSegment is the batch wrapper over the
-// write path.
+// every read path opens a session's segments as FileCursors through
+// SessionCursors — StreamSession k-way merges them straight into any
+// sink, QuerySession filters them, SalvageSession and Fsck recover
+// what decodes. SaveSegment is the batch wrapper over the write path.
 type Store struct {
 	dir string
 
 	// Format selects the segment format the write paths (WriteSegment,
-	// SaveSegment) produce; the zero value means the default, v2. Read
-	// paths are always version-aware — they sniff each segment's magic —
+	// SaveSegment) produce; the zero value means the default, v2. Reads
+	// are always version-aware — FileCursor sniffs each segment's magic —
 	// so a store can hold a mix of v1 and v2 segments.
 	Format Format
 
@@ -180,12 +181,13 @@ func (s *Store) segmentNames(session string) ([]string, error) {
 // SessionCursors opens every segment of a session and returns one
 // FileCursor per segment, in segment order; decode errors name the
 // segment file they came from, and records out of (Time, Seq) order are
-// rejected (the merge cannot re-sort them). The caller owns the cursors
-// and must Close each one; StreamSession does this bookkeeping for the
-// common merge-into-a-sink case. Every segment file is open at once —
-// the single-pass k-way merge reads all heads simultaneously — so
-// sessions are bounded by the process fd limit at roughly one fd per
-// segment (a 1h run at the default 5s period is ~720).
+// rejected (the merge cannot re-sort them). It is the only place a store
+// opens segments for reading: StreamSession, QuerySession,
+// SalvageSession and Fsck all start here. The caller owns the cursors
+// and must Close each one. Every segment file is open at once — the
+// single-pass k-way merge reads all heads simultaneously — so sessions
+// are bounded by the process fd limit at roughly one fd per segment (a
+// 1h run at the default 5s period is ~720).
 func (s *Store) SessionCursors(session string) ([]*FileCursor, error) {
 	names, err := s.segmentNames(session)
 	if err != nil {
@@ -198,9 +200,7 @@ func (s *Store) SessionCursors(session string) ([]*FileCursor, error) {
 	for _, name := range names {
 		f, err := os.Open(filepath.Join(s.dir, name))
 		if err != nil {
-			for _, c := range curs {
-				c.Close()
-			}
+			closeCursors(curs)
 			return nil, err
 		}
 		var r io.Reader = f
@@ -208,12 +208,16 @@ func (s *Store) SessionCursors(session string) ([]*FileCursor, error) {
 			r = s.WrapReader(name, f)
 		}
 		fc := NewFileCursor(r)
-		fc.c = f
-		fc.name = name
-		fc.strict = true
+		fc.file, fc.name, fc.strict = f, name, true
 		curs = append(curs, fc)
 	}
 	return curs, nil
+}
+
+func closeCursors(curs []*FileCursor) {
+	for _, c := range curs {
+		c.Close()
+	}
 }
 
 // StreamSession k-way merges all segments of a session into sink in
@@ -229,11 +233,7 @@ func (s *Store) StreamSession(session string, sink Sink) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, c := range curs {
-			c.Close()
-		}
-	}()
+	defer closeCursors(curs)
 	cursors := make([]Cursor, len(curs))
 	for i, c := range curs {
 		cursors[i] = c

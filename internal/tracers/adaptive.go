@@ -13,18 +13,18 @@ import (
 // trade-off offline; DrainScheduler closes the loop online, using the
 // same observable the sweep reports — per-ring pending high-water marks
 // and lost counts — to plan each next period so the worst ring is
-// expected to reach TargetFill of its capacity, no further.
+// expected to reach targetFill of its capacity, no further.
 
-// DrainPolicy parameterizes the scheduler.
+// targetFill is the fraction of the ring capacity the worst ring should
+// reach by the next drain; the 2x headroom absorbs rate growth between
+// observations.
+const targetFill = 0.5
+
+// DrainPolicy parameterizes the scheduler. The ring capacity it plans
+// against is the one the bundle was built with (NewBundleCapacity); an
+// unbounded bundle disables adaptation, and the scheduler then always
+// plans Max.
 type DrainPolicy struct {
-	// Capacity is the per-ring record bound the bundle was built with
-	// (NewBundleCapacity); 0 means unbounded, which disables adaptation
-	// (the scheduler then always plans Max).
-	Capacity int
-	// TargetFill is the fraction of Capacity the worst ring should reach
-	// by the next drain; the 1/TargetFill headroom absorbs rate growth
-	// between observations. Defaults to 0.5.
-	TargetFill float64
 	// Min and Max clamp the planned interval. The first interval is Min:
 	// a short calibration period that observes the actual fill rate
 	// before the scheduler trusts itself to back off.
@@ -56,6 +56,7 @@ type DrainObservation struct {
 type DrainScheduler struct {
 	b        *Bundle
 	pol      DrainPolicy
+	capacity int // per-ring record bound of b's buffers; 0 is unbounded
 	interval sim.Duration
 	lastLost [3][]uint64 // per-tracer, per-CPU lost snapshots
 	drains   int
@@ -65,17 +66,14 @@ type DrainScheduler struct {
 // is pol.Min for bounded rings (calibration) and pol.Max for unbounded
 // ones.
 func NewDrainScheduler(b *Bundle, pol DrainPolicy) *DrainScheduler {
-	if pol.TargetFill <= 0 || pol.TargetFill > 1 {
-		pol.TargetFill = 0.5
-	}
 	if pol.Min <= 0 {
 		pol.Min = 1
 	}
 	if pol.Max < pol.Min {
 		pol.Max = pol.Min
 	}
-	s := &DrainScheduler{b: b, pol: pol, interval: pol.Min}
-	if pol.Capacity <= 0 {
+	s := &DrainScheduler{b: b, pol: pol, capacity: b.initPB.Capacity(), interval: pol.Min}
+	if s.capacity <= 0 {
 		s.interval = pol.Max
 	}
 	return s
@@ -90,7 +88,7 @@ func (s *DrainScheduler) Drains() int { return s.drains }
 // Observe reads the per-ring gauges accumulated over the elapsed window
 // and plans the next interval: the worst ring's demand (pending
 // high-water plus records it lost) defines the observed fill rate, and
-// the next period is sized so that rate fills TargetFill of the
+// the next period is sized so that rate fills targetFill of the
 // capacity. It must be called after the simulation advanced and before
 // the rings are drained.
 func (s *DrainScheduler) Observe(elapsed sim.Duration) DrainObservation {
@@ -120,9 +118,9 @@ func (s *DrainScheduler) Observe(elapsed sim.Duration) DrainObservation {
 	}
 	s.drains++
 
-	if s.pol.Capacity > 0 && worstDemand > 0 && elapsed > 0 {
+	if s.capacity > 0 && worstDemand > 0 && elapsed > 0 {
 		// rate = worstDemand / elapsed; next = target records / rate.
-		target := s.pol.TargetFill * float64(s.pol.Capacity)
+		target := targetFill * float64(s.capacity)
 		next := sim.Duration(target * float64(elapsed) / float64(worstDemand))
 		if next < s.pol.Min {
 			next = s.pol.Min
@@ -131,7 +129,7 @@ func (s *DrainScheduler) Observe(elapsed sim.Duration) DrainObservation {
 			next = s.pol.Max
 		}
 		obs.Next = next
-	} else if s.pol.Capacity > 0 {
+	} else if s.capacity > 0 {
 		// Nothing arrived: back off one planning step at a time rather
 		// than jumping straight to Max, in case the workload is bursty.
 		next := s.interval * 2

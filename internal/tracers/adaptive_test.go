@@ -33,8 +33,7 @@ func schedulerWorld(t *testing.T, capacity int) (*rclcpp.World, *Bundle) {
 // policy bounds.
 func TestDrainSchedulerTightensUnderLoad(t *testing.T) {
 	w, b := schedulerWorld(t, 64)
-	pol := DrainPolicy{Capacity: 64, TargetFill: 0.5,
-		Min: 10 * sim.Millisecond, Max: 2 * sim.Second}
+	pol := DrainPolicy{Min: 10 * sim.Millisecond, Max: 2 * sim.Second}
 	s := NewDrainScheduler(b, pol)
 	if s.Interval() != pol.Min {
 		t.Fatalf("initial interval %v, want calibration at Min %v", s.Interval(), pol.Min)
@@ -71,7 +70,7 @@ func TestDrainSchedulerTightensUnderLoad(t *testing.T) {
 // always plans the maximum period.
 func TestDrainSchedulerUnboundedStaysAtMax(t *testing.T) {
 	w, b := schedulerWorld(t, 0)
-	pol := DrainPolicy{Capacity: 0, Min: 10 * sim.Millisecond, Max: sim.Second}
+	pol := DrainPolicy{Min: 10 * sim.Millisecond, Max: sim.Second}
 	s := NewDrainScheduler(b, pol)
 	if s.Interval() != pol.Max {
 		t.Fatalf("unbounded initial interval %v, want Max %v", s.Interval(), pol.Max)
@@ -119,8 +118,7 @@ func TestDrainSchedulerZeroLossAtLossyPoint(t *testing.T) {
 		w, b := lossyWorld()
 		var kc trace.KindCounter
 		if adaptive {
-			s := NewDrainScheduler(b, DrainPolicy{Capacity: capacity, TargetFill: 0.5,
-				Min: duration / 128, Max: fixedPeriod})
+			s := NewDrainScheduler(b, DrainPolicy{Min: duration / 128, Max: fixedPeriod})
 			var elapsed sim.Duration
 			for elapsed < duration {
 				step := s.Interval()

@@ -59,15 +59,18 @@ ZERO_ALLOC = [
     "BenchmarkSim_EngineAtRun",
 ]
 
-# No allocs/op growth on the offline read and synthesis paths. Their
-# count is not zero (segment files, read buffers, the model itself), but
-# any growth over the baseline is a failure, as for ZERO_ALLOC.
+# No allocs/op growth on the offline read, query and synthesis paths.
+# Their count is not zero (segment files, read buffers, the model
+# itself), but any growth over the baseline is a failure, as for
+# ZERO_ALLOC.
 NO_ALLOC_GROWTH = [
     "BenchmarkAlg1_StreamModel",
     "BenchmarkStoreStreamSession",
     "BenchmarkStoreStreamSessionV1",
     "BenchmarkStoreStreamSynthesize",
     "BenchmarkStoreStreamSynthesize60",
+    "BenchmarkStoreQuerySession",
+    "BenchmarkStoreQuerySessionWide",
 ]
 
 
