@@ -359,7 +359,7 @@ func BenchmarkEBPF_DispatchRaw(b *testing.B) {
 	}
 }
 
-// benchDAG builds a synthetic DAG large enough to expose query scaling:
+// benchDAG builds a synthetic DAG large enough to expose lookup scaling:
 // a layered graph with fan-in and fan-out.
 func benchDAG(vertices, width int) *core.DAG {
 	d := core.NewDAG()
@@ -375,25 +375,6 @@ func benchDAG(vertices, width int) *core.DAG {
 		}
 	}
 	return d
-}
-
-// BenchmarkDAG_EdgeQueries measures InEdges/OutEdges over every vertex of
-// a 260-vertex, ~1300-edge DAG — the access pattern of the analysis
-// passes (chains, junction classification).
-func BenchmarkDAG_EdgeQueries(b *testing.B) {
-	d := benchDAG(260, 5)
-	keys := d.VertexKeys()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := 0
-		for _, k := range keys {
-			total += len(d.InEdges(k)) + len(d.OutEdges(k))
-		}
-		if total == 0 {
-			b.Fatal("no edges")
-		}
-	}
 }
 
 // BenchmarkDAG_VertexByLabelSubstring measures the label lookup the

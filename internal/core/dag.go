@@ -61,44 +61,26 @@ type Edge struct {
 	Topic    string // undecorated topic name
 }
 
-// DAG is the synthesized timing model. Alongside the edge set it maintains
-// per-vertex in/out adjacency indexes (updated in AddEdge) and a sorted
-// edge-list cache, so edge queries cost O(degree) and repeated Edges()
-// calls don't re-sort.
+// DAG is the synthesized timing model: the vertex map and one edge set,
+// with a sorted edge-list cache so repeated Edges() calls don't re-sort.
 type DAG struct {
 	Vertices map[string]*Vertex
 	edgeSet  map[Edge]struct{}
-
-	inIdx  map[string][]Edge // To -> edges into it, insertion order
-	outIdx map[string][]Edge // From -> edges out of it, insertion order
-	sorted []Edge            // Edges() cache; nil when dirty
+	sorted   []Edge // Edges() cache; nil when dirty
 }
 
 // NewDAG returns an empty model.
 func NewDAG() *DAG {
-	return &DAG{
-		Vertices: make(map[string]*Vertex),
-		edgeSet:  make(map[Edge]struct{}),
-		inIdx:    make(map[string][]Edge),
-		outIdx:   make(map[string][]Edge),
-	}
+	return &DAG{Vertices: make(map[string]*Vertex), edgeSet: make(map[Edge]struct{})}
 }
 
-// AddEdge inserts e if absent and updates the adjacency indexes.
+// AddEdge inserts e if absent.
 func (d *DAG) AddEdge(e Edge) {
 	if _, ok := d.edgeSet[e]; ok {
 		return
 	}
 	d.edgeSet[e] = struct{}{}
-	d.inIdx[e.To] = append(d.inIdx[e.To], e)
-	d.outIdx[e.From] = append(d.outIdx[e.From], e)
 	d.sorted = nil
-}
-
-// HasEdge reports whether e exists.
-func (d *DAG) HasEdge(e Edge) bool {
-	_, ok := d.edgeSet[e]
-	return ok
 }
 
 func edgeLess(a, b Edge) bool {
@@ -156,21 +138,21 @@ func (d *DAG) VertexByLabelSubstring(s string) *Vertex {
 
 // InEdges returns the edges into key, sorted by (From, To, Topic).
 func (d *DAG) InEdges(key string) []Edge {
-	return sortedAdjacency(d.inIdx[key])
+	return d.filterEdges(func(e Edge) bool { return e.To == key })
 }
 
 // OutEdges returns the edges out of key, sorted by (From, To, Topic).
 func (d *DAG) OutEdges(key string) []Edge {
-	return sortedAdjacency(d.outIdx[key])
+	return d.filterEdges(func(e Edge) bool { return e.From == key })
 }
 
-func sortedAdjacency(list []Edge) []Edge {
-	if len(list) == 0 {
-		return nil
+func (d *DAG) filterEdges(keep func(Edge) bool) []Edge {
+	var out []Edge
+	for _, e := range d.Edges() {
+		if keep(e) {
+			out = append(out, e)
+		}
 	}
-	out := make([]Edge, len(list))
-	copy(out, list)
-	sort.Slice(out, func(i, j int) bool { return edgeLess(out[i], out[j]) })
 	return out
 }
 

@@ -162,27 +162,6 @@ func (d *Domain) CreateReader(pid uint32, topic string, onData func(*Sample)) *R
 	return r
 }
 
-// RemoveReader detaches r from its topic. The topic's map entry is
-// deleted when the last reader detaches, so topic churn (short-lived
-// subscriptions on ever-new topics) does not grow the reader map without
-// bound.
-func (d *Domain) RemoveReader(r *Reader) {
-	list := d.readers[r.topic]
-	for i, x := range list {
-		if x == r {
-			if len(list) == 1 {
-				delete(d.readers, r.topic)
-				return
-			}
-			d.readers[r.topic] = append(list[:i:i], list[i+1:]...)
-			return
-		}
-	}
-}
-
-// ReaderCount reports the number of readers on a topic.
-func (d *Domain) ReaderCount(topic string) int { return len(d.readers[topic]) }
-
 // Write publishes a sample: it stamps the source timestamp, fires P16 in
 // the writer's process context, and schedules delivery to every reader of
 // the topic.

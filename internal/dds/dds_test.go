@@ -74,53 +74,6 @@ func TestDeliveryRespectsLatencyModel(t *testing.T) {
 	}
 }
 
-func TestRemoveReader(t *testing.T) {
-	eng, d := newTestDomain()
-	space := umem.NewSpace(1)
-	w := d.CreateWriter(1, space, "/x")
-	n := 0
-	r := d.CreateReader(2, "/x", func(*Sample) { n++ })
-	w.Write(nil, 0, 0)
-	eng.Run(sim.MaxTime)
-	d.RemoveReader(r)
-	if d.ReaderCount("/x") != 0 {
-		t.Fatal("reader not removed")
-	}
-	w.Write(nil, 0, 0)
-	eng.Run(sim.MaxTime)
-	if n != 1 {
-		t.Errorf("deliveries = %d, want 1", n)
-	}
-}
-
-// TestRemoveReaderReleasesTopicEntry: topic churn — subscribe and
-// unsubscribe on ever-new topics — must not grow the reader map without
-// bound, so removing the last reader of a topic deletes its map entry.
-func TestRemoveReaderReleasesTopicEntry(t *testing.T) {
-	_, d := newTestDomain()
-	for i := 0; i < 1000; i++ {
-		topic := "/churn/" + string(rune('a'+i%26)) + string(rune('0'+i%10))
-		r := d.CreateReader(2, topic, nil)
-		d.RemoveReader(r)
-	}
-	if got := len(d.readers); got != 0 {
-		t.Fatalf("reader map holds %d emptied topics after churn", got)
-	}
-	// Removing one of several readers keeps the entry.
-	r1 := d.CreateReader(2, "/keep", nil)
-	r2 := d.CreateReader(3, "/keep", nil)
-	d.RemoveReader(r1)
-	if d.ReaderCount("/keep") != 1 {
-		t.Fatal("remaining reader lost")
-	}
-	d.RemoveReader(r2)
-	if _, ok := d.readers["/keep"]; ok {
-		t.Fatal("emptied topic entry left behind")
-	}
-	// Removing an already-removed reader is a no-op.
-	d.RemoveReader(r2)
-}
-
 func TestWriteFiresP16WithTopicAndSrcTS(t *testing.T) {
 	eng := sim.NewEngine()
 	spaces := map[uint32]*umem.Space{7: umem.NewSpace(7)}

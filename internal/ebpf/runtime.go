@@ -371,13 +371,6 @@ func (rt *Runtime) Stats() RuntimeStats { return rt.stats }
 // the numerator of the paper's "0.008 CPU cores" overhead figure.
 func (rt *Runtime) CostNs() float64 { return rt.costNs }
 
-// ResetCost zeroes the stats and cost accumulators (per-experiment).
-func (rt *Runtime) ResetCost() {
-	rt.stats = RuntimeStats{}
-	rt.costNs = 0
-	rt.nativeCostNs = 0
-}
-
 // NativeHook is user-space instrumentation invoked synchronously at a
 // probe site, modeling LD_PRELOAD-style function redirection (the CARET
 // approach the paper compares against in Sec. II-B): the call is diverted

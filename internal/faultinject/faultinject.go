@@ -1,6 +1,6 @@
 // Package faultinject provides deterministic, scriptable fault injection
-// for the drain → store → synthesis pipeline: io.Writer/io.Reader
-// wrappers that fail, tear, or corrupt byte streams at scripted points;
+// for the drain → store → synthesis pipeline: io.Writer wrappers that
+// fail, tear, or corrupt byte streams at scripted points;
 // ring faults that force lost records and overflow bursts on the per-CPU
 // perf rings; and DDS transport faults (drop / duplicate / extra delay)
 // drawn from the simulation's seeded RNG.
@@ -11,9 +11,10 @@
 // ring-lost + spill-dropped) instead of "roughly survived".
 //
 // All injection points in the production code are nil-checked hooks
-// (trace.Store.WrapWriter/WrapReader, ebpf.PerfBuffer.SetEmitFault,
+// (trace.Store.WrapWriter, ebpf.PerfBuffer.SetEmitFault,
 // dds.Domain.Fault): when no plan is installed the hot paths pay at most
-// one nil check and allocate nothing.
+// one nil check and allocate nothing. There is no read-side hook: the
+// salvage, fsck, fuzz and chaos tests damage segment bytes on disk.
 package faultinject
 
 import (
@@ -23,12 +24,8 @@ import (
 	"github.com/tracesynth/rostracer/internal/sim"
 )
 
-// Injected error sentinels. ErrDiskFull models ENOSPC — the canonical
-// persistent write failure; ErrIO models a generic transient I/O error.
-var (
-	ErrDiskFull = errors.New("faultinject: disk full")
-	ErrIO       = errors.New("faultinject: injected I/O error")
-)
+// ErrDiskFull models ENOSPC — the canonical persistent write failure.
+var ErrDiskFull = errors.New("faultinject: disk full")
 
 // WriteFaultKind selects the failure mode of one Writer wrapper.
 type WriteFaultKind int
@@ -158,70 +155,6 @@ func (w *Writer) Write(p []byte) (int, error) {
 
 // Ops reports how many Write calls the wrapper has seen.
 func (w *Writer) Ops() int { return w.ops }
-
-// ReadFaultKind selects the failure mode of one Reader wrapper.
-type ReadFaultKind int
-
-const (
-	// ReadHealthy passes everything through.
-	ReadHealthy ReadFaultKind = iota
-	// ReadFailAtOp makes the Nth Read call (1-based) fail with ErrIO.
-	ReadFailAtOp
-	// ReadFlipBit flips the lowest bit of the byte at stream offset N on
-	// its way up: corruption discovered at read time.
-	ReadFlipBit
-	// ReadTruncateAt ends the stream (io.EOF) at offset N: the tail of
-	// the file never comes back.
-	ReadTruncateAt
-)
-
-// ReadFault is one scripted read-side fault.
-type ReadFault struct {
-	Kind ReadFaultKind
-	N    int64
-}
-
-// Reader wraps an io.Reader with scripted faults.
-type Reader struct {
-	r      io.Reader
-	faults []ReadFault
-	off    int64
-	ops    int
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader, faults ...ReadFault) *Reader {
-	return &Reader{r: r, faults: faults}
-}
-
-// Read implements io.Reader under the scripted faults.
-func (r *Reader) Read(p []byte) (int, error) {
-	r.ops++
-	limit := len(p)
-	for _, f := range r.faults {
-		switch f.Kind {
-		case ReadFailAtOp:
-			if int64(r.ops) == f.N {
-				return 0, ErrIO
-			}
-		case ReadTruncateAt:
-			if r.off >= f.N {
-				return 0, io.EOF
-			}
-			if rest := f.N - r.off; int64(limit) > rest {
-				limit = int(rest)
-			}
-		}
-	}
-	n, err := r.r.Read(p[:limit])
-	for _, f := range r.faults {
-		if f.Kind == ReadFlipBit && f.N >= r.off && f.N < r.off+int64(n) {
-			p[f.N-r.off] ^= 1
-		}
-	}
-	r.off += int64(n)
-	return n, err
-}
 
 // Disk scripts the write-side behaviour of successive files: the k-th
 // file opened through Wrap gets the k-th fault set of the script (beyond

@@ -84,37 +84,6 @@ func TestWriterFailAll(t *testing.T) {
 	}
 }
 
-func TestReaderFaults(t *testing.T) {
-	src := []byte{0, 1, 2, 3, 4, 5, 6, 7}
-
-	// Fail at op 2.
-	r := NewReader(bytes.NewReader(src), ReadFault{Kind: ReadFailAtOp, N: 2})
-	p := make([]byte, 4)
-	if _, err := r.Read(p); err != nil {
-		t.Fatalf("op 1: %v", err)
-	}
-	if _, err := r.Read(p); !errors.Is(err, ErrIO) {
-		t.Fatalf("op 2: err=%v, want ErrIO", err)
-	}
-
-	// Flip bit at offset 5.
-	r = NewReader(bytes.NewReader(src), ReadFault{Kind: ReadFlipBit, N: 5})
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[5] != 4 || got[4] != 4 {
-		t.Fatalf("read back %v, want bit 0 of byte 5 flipped", got)
-	}
-
-	// Truncate at offset 6: stream ends early.
-	r = NewReader(bytes.NewReader(src), ReadFault{Kind: ReadTruncateAt, N: 6})
-	got, err = io.ReadAll(r)
-	if err != nil || len(got) != 6 {
-		t.Fatalf("truncated read: %d bytes err=%v, want 6 bytes clean EOF", len(got), err)
-	}
-}
-
 func TestDiskScriptPerOpen(t *testing.T) {
 	d := NewDisk(
 		nil,

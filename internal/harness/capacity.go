@@ -47,7 +47,7 @@ func CapacityPlanExperiment(cfg Config) (Result, error) {
 			combos = append(combos, combo{c, n})
 		}
 	}
-	runs, err := runSeries(cfg.Workers, len(combos), func(i int) (capRun, error) {
+	runs, err := runSeries(cfg.workers, len(combos), func(i int) (capRun, error) {
 		c := combos[i]
 		ps, err := pipeline.New(pipeline.Config{
 			Seed: cfg.Seed, CPUs: cfg.CPUs, Build: BuildBoth(1), RingCapacity: c.capacity,

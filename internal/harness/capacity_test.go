@@ -28,9 +28,9 @@ func TestCapacityPlanExperiment(t *testing.T) {
 func TestCapacityPlanDeterministic(t *testing.T) {
 	cfg := Config{Runs: 1, Duration: 3 * sim.Second, CPUs: 4, Seed: 5}
 	seq := cfg
-	seq.Workers = 1
+	seq.workers = 1
 	par := cfg
-	par.Workers = 4
+	par.workers = 4
 	a, err := CapacityPlanExperiment(seq)
 	if err != nil {
 		t.Fatal(err)

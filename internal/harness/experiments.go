@@ -49,7 +49,7 @@ func TableIExperiment(cfg Config) (Result, error) {
 // per-run DAGs.
 func Fig3aExperiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	dags, err := runSeries(cfg.Workers, cfg.Runs, func(run int) (*core.DAG, error) {
+	dags, err := runSeries(cfg.workers, cfg.Runs, func(run int) (*core.DAG, error) {
 		sink := core.NewSynthesizeSink()
 		if _, err := RunSessionInto(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
 			func(w *rclcpp.World) {
@@ -85,7 +85,7 @@ func Fig3aExperiment(cfg Config) (Result, error) {
 // Fig3bExperiment (E3) regenerates the AVP localization DAG of Fig. 3b.
 func Fig3bExperiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	dags, err := runSeries(cfg.Workers, cfg.Runs, func(run int) (*core.DAG, error) {
+	dags, err := runSeries(cfg.workers, cfg.Runs, func(run int) (*core.DAG, error) {
 		sink := core.NewSynthesizeSink()
 		if _, err := RunSessionInto(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
 			func(w *rclcpp.World) {
@@ -157,7 +157,7 @@ func runAVPSeries(cfg Config) ([]*core.DAG, []*Session, error) {
 		dag  *core.DAG
 		sess *Session
 	}
-	runs, err := runSeries(cfg.Workers, cfg.Runs, func(run int) (avpRun, error) {
+	runs, err := runSeries(cfg.workers, cfg.Runs, func(run int) (avpRun, error) {
 		sink := core.NewSynthesizeSink()
 		s, err := RunSessionInto(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
 			BuildBoth(loadScaleForRun(run)), sink)
@@ -351,7 +351,7 @@ func OverheadsExperiment(cfg Config) (Result, error) {
 	// same seed; run them as a two-run series so they fan out too. Only
 	// volume and cost counters matter here, so the traces stream into
 	// counting sinks and are never held.
-	sessions, err := runSeries(cfg.Workers, 2, func(run int) (*Session, error) {
+	sessions, err := runSeries(cfg.workers, 2, func(run int) (*Session, error) {
 		var kc trace.KindCounter
 		return RunSessionInto(cfg.Seed, cfg.CPUs, duration, run == 0, buildBusyHost, &kc)
 	})
@@ -510,7 +510,7 @@ func Fig2Experiment(cfg Config) (Result, error) {
 	// (b) Merge strategies: per-run DAGs merged vs per-run synthesis (the
 	// strategies coincide per run; across runs the DAG-merge path is the
 	// paper's choice). Statistics must be identical either way.
-	perRun, err := runSeries(cfg.Workers, min(cfg.Runs, 5), func(run int) (*core.DAG, error) {
+	perRun, err := runSeries(cfg.workers, min(cfg.Runs, 5), func(run int) (*core.DAG, error) {
 		sink := core.NewSynthesizeSink()
 		if _, err := RunSessionInto(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration/2, true,
 			func(w *rclcpp.World) {
@@ -604,7 +604,7 @@ func AblationSyncExperiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	// Merge several runs so both sync callbacks have completed sets at
 	// least once (arrival order varies with the load).
-	models, err := runSeries(cfg.Workers, min(cfg.Runs, 10), func(run int) (*core.Model, error) {
+	models, err := runSeries(cfg.workers, min(cfg.Runs, 10), func(run int) (*core.Model, error) {
 		mb := core.NewModelBuilder()
 		if _, err := RunSessionInto(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
 			BuildBoth(loadScaleForRun(run)), mb); err != nil {
@@ -694,7 +694,7 @@ func ValidationExperiment(cfg Config) (Result, error) {
 		maxInflation float64
 		exact        bool
 	}
-	checks, err := runSeries(cfg.Workers, min(cfg.Runs, 10), func(run int) (runCheck, error) {
+	checks, err := runSeries(cfg.workers, min(cfg.Runs, 10), func(run int) (runCheck, error) {
 		scale := loadScaleForRun(run)
 		mb := core.NewModelBuilder()
 		_, err := RunSessionInto(cfg.Seed+uint64(run), 1 /* one CPU forces preemption */, cfg.Duration, true,

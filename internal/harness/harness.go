@@ -49,11 +49,11 @@ type Config struct {
 	Duration sim.Duration // traced span per run
 	CPUs     int
 	Seed     uint64
-	// Workers bounds how many of an experiment's independent seeded runs
+	// workers bounds how many of an experiment's independent seeded runs
 	// execute concurrently: 0 means GOMAXPROCS, 1 forces sequential
-	// execution. Results are merged in run order, so Result.Text is
-	// byte-identical for every worker count.
-	Workers int
+	// execution. Only tests set it, to check that Result.Text, merged in
+	// run order, is byte-identical for every worker count.
+	workers int
 }
 
 // Defaults returns the paper-scale configuration.

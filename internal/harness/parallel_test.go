@@ -73,9 +73,9 @@ func TestParallelExperimentsDeterministic(t *testing.T) {
 	for _, e := range experiments {
 		t.Run(e.name, func(t *testing.T) {
 			seqCfg := cfg
-			seqCfg.Workers = 1
+			seqCfg.workers = 1
 			parCfg := cfg
-			parCfg.Workers = 8
+			parCfg.workers = 8
 
 			seq, err := e.f(seqCfg)
 			if err != nil {

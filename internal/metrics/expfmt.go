@@ -47,14 +47,8 @@ func escapeLabel(v string) string {
 func (f *family) write(bw *bufio.Writer) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	labels := make([]string, 0, len(f.counters)+len(f.gauges)+len(f.hists))
-	for l := range f.counters {
-		labels = append(labels, l)
-	}
-	for l := range f.gauges {
-		labels = append(labels, l)
-	}
-	for l := range f.hists {
+	labels := make([]string, 0, len(f.cells))
+	for l := range f.cells {
 		labels = append(labels, l)
 	}
 	if len(labels) == 0 {
@@ -68,22 +62,21 @@ func (f *family) write(bw *bufio.Writer) error {
 		if f.labelKey != "" {
 			pair = fmt.Sprintf(`%s="%s"`, f.labelKey, escapeLabel(l))
 		}
-		switch f.kind {
-		case kindCounter:
-			fmt.Fprintf(bw, "%s%s %d\n", f.name, braced(pair), f.counters[l].Value())
-		case kindGauge:
-			fmt.Fprintf(bw, "%s%s %d\n", f.name, braced(pair), f.gauges[l].Value())
-		default:
-			h := f.hists[l]
+		switch c := f.cells[l].(type) {
+		case *Counter:
+			fmt.Fprintf(bw, "%s%s %d\n", f.name, braced(pair), c.Value())
+		case *Gauge:
+			fmt.Fprintf(bw, "%s%s %d\n", f.name, braced(pair), c.Value())
+		case *Histogram:
 			cum := uint64(0)
-			for i, b := range h.bounds {
-				cum += h.cells[i].Load()
+			for i, b := range c.bounds {
+				cum += c.cells[i].Load()
 				fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, braced(join(pair, `le="`+strconv.FormatInt(b, 10)+`"`)), cum)
 			}
-			cum += h.cells[len(h.bounds)].Load()
+			cum += c.cells[len(c.bounds)].Load()
 			fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, braced(join(pair, `le="+Inf"`)), cum)
-			fmt.Fprintf(bw, "%s_sum%s %d\n", f.name, braced(pair), h.Sum())
-			fmt.Fprintf(bw, "%s_count%s %d\n", f.name, braced(pair), h.Count())
+			fmt.Fprintf(bw, "%s_sum%s %d\n", f.name, braced(pair), c.Sum())
+			fmt.Fprintf(bw, "%s_count%s %d\n", f.name, braced(pair), c.Count())
 		}
 	}
 	return nil

@@ -384,3 +384,92 @@ func TestSinkDetachesOnUnorderedStream(t *testing.T) {
 		t.Fatal("order error not sticky")
 	}
 }
+
+// pinRegistry builds one registry of every kind, labeled and unlabeled,
+// with cells created out of label order, so the exposition's sorting
+// and per-kind rendering are both exercised.
+func pinRegistry() *Registry {
+	r := NewRegistry()
+	r.Counter("z_events_total", "events seen").Add(42)
+	lost := r.CounterVec("lost_total", "records lost", "cpu")
+	lost.With("3").Add(7)
+	lost.With("1").Add(2)
+	lost.With("10").Add(1)
+	r.Gauge("backlog", "ring backlog").Set(-4)
+	fill := r.GaugeVec("fill_bytes", "ring fill", "cpu")
+	fill.With("b").Set(30)
+	fill.With("a").Set(-5)
+	fill.With(`q"\`).Set(1)
+	r.Histogram("drain_ns", "drain period", []int64{10, 100}).Observe(50)
+	lat := r.HistogramVec("lat_ns", "latency", "topic", []int64{10, 100})
+	lat.With("/b").Observe(5)
+	lat.With("/b").Observe(500)
+	lat.With("/a").Observe(10)
+	lat.With("/a").Observe(11)
+	lat.With("/a").Observe(100)
+	r.CounterVec("unused_total", "never materialized", "cpu")
+	return r
+}
+
+func TestRegistryExpositionPin(t *testing.T) {
+	r := pinRegistry()
+	want := `# HELP backlog ring backlog
+# TYPE backlog gauge
+backlog -4
+# HELP drain_ns drain period
+# TYPE drain_ns histogram
+drain_ns_bucket{le="10"} 0
+drain_ns_bucket{le="100"} 1
+drain_ns_bucket{le="+Inf"} 1
+drain_ns_sum 50
+drain_ns_count 1
+# HELP fill_bytes ring fill
+# TYPE fill_bytes gauge
+fill_bytes{cpu="a"} -5
+fill_bytes{cpu="b"} 30
+fill_bytes{cpu="q\"\\"} 1
+# HELP lat_ns latency
+# TYPE lat_ns histogram
+lat_ns_bucket{topic="/a",le="10"} 1
+lat_ns_bucket{topic="/a",le="100"} 3
+lat_ns_bucket{topic="/a",le="+Inf"} 3
+lat_ns_sum{topic="/a"} 121
+lat_ns_count{topic="/a"} 3
+lat_ns_bucket{topic="/b",le="10"} 1
+lat_ns_bucket{topic="/b",le="100"} 1
+lat_ns_bucket{topic="/b",le="+Inf"} 2
+lat_ns_sum{topic="/b"} 505
+lat_ns_count{topic="/b"} 2
+# HELP lost_total records lost
+# TYPE lost_total counter
+lost_total{cpu="1"} 2
+lost_total{cpu="10"} 1
+lost_total{cpu="3"} 7
+# HELP z_events_total events seen
+# TYPE z_events_total counter
+z_events_total 42
+`
+	if got := r.Exposition(); got != want {
+		t.Fatalf("exposition moved:\n%s", got)
+	}
+	for _, c := range []struct {
+		name, label string
+		v           float64
+		ok          bool
+	}{
+		{"fill_bytes", "b", 30, true},
+		{"fill_bytes", "", 26, true},
+		{"fill_bytes", "zz", 0, false},
+		{"lat_ns", "/a", 3, true},
+		{"lat_ns", "", 5, true},
+		{"lat_ns", "/c", 0, false},
+		{"drain_ns", "", 1, true},
+		{"backlog", "", -4, true},
+		{"lost_total", "", 10, true},
+		{"unused_total", "", 0, false},
+	} {
+		if v, ok := r.Value(c.name, c.label); v != c.v || ok != c.ok {
+			t.Errorf("Value(%s, %q) = %v,%v want %v,%v", c.name, c.label, v, ok, c.v, c.ok)
+		}
+	}
+}

@@ -119,17 +119,47 @@ func (k metricKind) String() string {
 }
 
 // family is one named metric with zero or one label dimension. Unlabeled
-// metrics store their single cell under the "" key.
+// metrics store their single cell under the "" key. Every cell is of the
+// family's kind: *Counter, *Gauge or *Histogram.
 type family struct {
 	name, help string
 	kind       metricKind
 	labelKey   string // "" for unlabeled metrics
 	bounds     []int64
 
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu    sync.RWMutex
+	cells map[string]any
+}
+
+// cellFor returns the cell for the label value, creating it with
+// newCell on first sight.
+func cellFor[T any](f *family, label string, newCell func() *T) *T {
+	f.mu.RLock()
+	c, ok := f.cells[label]
+	f.mu.RUnlock()
+	if ok {
+		return c.(*T)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok = f.cells[label]; ok {
+		return c.(*T)
+	}
+	t := newCell()
+	f.cells[label] = t
+	return t
+}
+
+// cellValue reads a counter or gauge; a histogram reports its count.
+func cellValue(c any) float64 {
+	switch c := c.(type) {
+	case *Counter:
+		return float64(c.Value())
+	case *Gauge:
+		return float64(c.Value())
+	default:
+		return float64(c.(*Histogram).Count())
+	}
 }
 
 // CounterVec is a counter family keyed by one label value.
@@ -145,61 +175,19 @@ type HistogramVec struct{ f *family }
 // first sight. The returned pointer is stable; hot paths should cache
 // it instead of re-resolving per event.
 func (v CounterVec) With(label string) *Counter {
-	f := v.f
-	f.mu.RLock()
-	c, ok := f.counters[label]
-	f.mu.RUnlock()
-	if ok {
-		return c
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok = f.counters[label]; ok {
-		return c
-	}
-	c = &Counter{}
-	f.counters[label] = c
-	return c
+	return cellFor(v.f, label, func() *Counter { return &Counter{} })
 }
 
 // With returns the gauge cell for the label value, creating it on first
 // sight.
 func (v GaugeVec) With(label string) *Gauge {
-	f := v.f
-	f.mu.RLock()
-	g, ok := f.gauges[label]
-	f.mu.RUnlock()
-	if ok {
-		return g
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if g, ok = f.gauges[label]; ok {
-		return g
-	}
-	g = &Gauge{}
-	f.gauges[label] = g
-	return g
+	return cellFor(v.f, label, func() *Gauge { return &Gauge{} })
 }
 
 // With returns the histogram cell for the label value, creating it on
 // first sight.
 func (v HistogramVec) With(label string) *Histogram {
-	f := v.f
-	f.mu.RLock()
-	h, ok := f.hists[label]
-	f.mu.RUnlock()
-	if ok {
-		return h
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if h, ok = f.hists[label]; ok {
-		return h
-	}
-	h = newHistogram(f.bounds)
-	f.hists[label] = h
-	return h
+	return cellFor(v.f, label, func() *Histogram { return newHistogram(v.f.bounds) })
 }
 
 func newHistogram(bounds []int64) *Histogram {
@@ -228,12 +216,7 @@ func (r *Registry) family(name, help string, kind metricKind, labelKey string, b
 	if !ok {
 		r.mu.Lock()
 		if f, ok = r.families[name]; !ok {
-			f = &family{
-				name: name, help: help, kind: kind, labelKey: labelKey, bounds: bounds,
-				counters: make(map[string]*Counter),
-				gauges:   make(map[string]*Gauge),
-				hists:    make(map[string]*Histogram),
-			}
+			f = &family{name: name, help: help, kind: kind, labelKey: labelKey, bounds: bounds, cells: make(map[string]any)}
 			r.families[name] = f
 		}
 		r.mu.Unlock()
@@ -293,54 +276,17 @@ func (r *Registry) Value(name, label string) (v float64, ok bool) {
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	sum := func(each func(string) (float64, bool)) (float64, bool) {
-		if label != "" || f.labelKey == "" {
-			return each(label)
+	if label != "" || f.labelKey == "" {
+		c, ok := f.cells[label]
+		if !ok {
+			return 0, false
 		}
-		total, any := 0.0, false
-		for l := range f.counters {
-			if x, ok := each(l); ok {
-				total += x
-				any = true
-			}
-		}
-		for l := range f.gauges {
-			if x, ok := each(l); ok {
-				total += x
-				any = true
-			}
-		}
-		for l := range f.hists {
-			if x, ok := each(l); ok {
-				total += x
-				any = true
-			}
-		}
-		return total, any
+		return cellValue(c), true
 	}
-	switch f.kind {
-	case kindCounter:
-		return sum(func(l string) (float64, bool) {
-			if c, ok := f.counters[l]; ok {
-				return float64(c.Value()), true
-			}
-			return 0, false
-		})
-	case kindGauge:
-		return sum(func(l string) (float64, bool) {
-			if g, ok := f.gauges[l]; ok {
-				return float64(g.Value()), true
-			}
-			return 0, false
-		})
-	default:
-		return sum(func(l string) (float64, bool) {
-			if h, ok := f.hists[l]; ok {
-				return float64(h.Count()), true
-			}
-			return 0, false
-		})
+	for _, c := range f.cells {
+		v += cellValue(c)
 	}
+	return v, len(f.cells) > 0
 }
 
 // sortedFamilies snapshots the family list in name order for exposition.

@@ -22,11 +22,9 @@ import (
 type Policy struct {
 	// MaxAttempts is how many fresh segment files one failure may try
 	// (open + replay) before the writer declares the disk down. Default 3.
+	// The sleep between attempts starts at backoffBase and doubles up to
+	// backoffMax.
 	MaxAttempts int
-	// BackoffBase is the sleep before the first retry; it doubles per
-	// attempt up to BackoffMax. Defaults 10ms / 1s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// SpillCapacity bounds the in-memory buffer of not-yet-durable events
 	// (the current segment's replay buffer while the disk is up, the
 	// spill buffer while it is down). Beyond it, events ride the open
@@ -39,15 +37,16 @@ type Policy struct {
 	Sleep func(time.Duration)
 }
 
+// The retry backoff: backoffBase before the first retry, doubling per
+// attempt up to backoffMax.
+const (
+	backoffBase = 10 * time.Millisecond
+	backoffMax  = time.Second
+)
+
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
-	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = 10 * time.Millisecond
-	}
-	if p.BackoffMax <= 0 {
-		p.BackoffMax = time.Second
 	}
 	if p.SpillCapacity <= 0 {
 		p.SpillCapacity = 65536
@@ -129,9 +128,9 @@ func (w *SessionWriter) Down() bool { return w.down }
 
 // backoff sleeps for the attempt-th retry (1-based) and counts it.
 func (w *SessionWriter) backoff(attempt int) {
-	d := w.pol.BackoffBase << (attempt - 1)
-	if d > w.pol.BackoffMax || d <= 0 {
-		d = w.pol.BackoffMax
+	d := backoffBase << (attempt - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	w.stats.Retries++
 	w.pol.Sleep(d)

@@ -247,15 +247,16 @@ func TestCloseWhileDownAccountsEverything(t *testing.T) {
 
 func TestBackoffBoundedAndCounted(t *testing.T) {
 	store := newStore(t)
-	dead := []faultinject.WriteFault{{Kind: faultinject.WriteFailAll}}
-	disk := faultinject.NewDisk(dead, dead, dead)
+	dead := make([][]faultinject.WriteFault, 30)
+	for i := range dead {
+		dead[i] = []faultinject.WriteFault{{Kind: faultinject.WriteFailAll}}
+	}
+	disk := faultinject.NewDisk(dead...)
 	store.WrapWriter = disk.Wrap
 
 	var slept []time.Duration
 	pol := Policy{
-		MaxAttempts: 3,
-		BackoffBase: 10 * time.Millisecond,
-		BackoffMax:  15 * time.Millisecond,
+		MaxAttempts: 10,
 		Sleep:       func(d time.Duration) { slept = append(slept, d) },
 	}
 	w := NewSessionWriter(store, "retry", pol)
@@ -264,15 +265,23 @@ func TestBackoffBoundedAndCounted(t *testing.T) {
 	w.EndSegment()
 	w.Close()
 
-	// recover() backs off between its attempts; the doubling is capped at
-	// BackoffMax.
-	if len(slept) == 0 {
-		t.Fatal("no backoff sleeps recorded")
+	// recover() backs off between its attempts: 10ms doubling per retry,
+	// capped at backoffMax, which nine retries reach.
+	if len(slept) < pol.MaxAttempts-1 {
+		t.Fatalf("%d backoff sleeps recorded, want >= %d", len(slept), pol.MaxAttempts-1)
+	}
+	for i, d := range slept[:pol.MaxAttempts-1] {
+		if want := min(backoffBase<<i, backoffMax); d != want {
+			t.Fatalf("sleep %d = %v, want %v", i, d, want)
+		}
 	}
 	for i, d := range slept {
-		if d > pol.BackoffMax {
-			t.Fatalf("sleep %d = %v exceeds cap %v", i, d, pol.BackoffMax)
+		if d > backoffMax {
+			t.Fatalf("sleep %d = %v exceeds cap %v", i, d, backoffMax)
 		}
+	}
+	if slept[pol.MaxAttempts-2] != backoffMax {
+		t.Fatalf("doubling never reached the cap: %v", slept)
 	}
 	if w.Stats().Retries != len(slept) {
 		t.Fatalf("retries = %d, sleeps = %d", w.Stats().Retries, len(slept))

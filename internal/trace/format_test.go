@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -697,27 +696,6 @@ func TestQuerySessionMixedAndRebuilt(t *testing.T) {
 	}
 	if stats.Scans != 2 || stats.Segments != 3 {
 		t.Fatalf("stats = %+v, want a v1 and a footerless v2 scan over 3 segments", stats)
-	}
-}
-
-// TestQuerySessionWrapReaderFallback: fault-injected stores read through
-// WrapReader, which cannot seek — the query must fall back to filtered
-// sequential scans and still match the reference semantics.
-func TestQuerySessionWrapReaderFallback(t *testing.T) {
-	s, events := queryStore(t, FormatV2)
-	reads := 0
-	s.WrapReader = func(name string, f io.Reader) io.Reader { reads++; return f }
-	fl := Filter{Kinds: []Kind{KindSchedSwitch}, T0: 2000}
-	var got collectSink
-	stats, err := s.QuerySession("q", fl, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.events, applyFilter(events, fl)) {
-		t.Fatal("wrapped query diverges from reference")
-	}
-	if stats.Scans != 4 || stats.BlocksRead != 0 || reads != 4 {
-		t.Fatalf("stats = %+v (wrapped %d), want 4 sequential scans", stats, reads)
 	}
 }
 

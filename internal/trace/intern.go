@@ -86,36 +86,3 @@ func InternBytes(b []byte) string {
 	}
 	return s
 }
-
-// InternString returns the canonical string equal to s, interning it on
-// first sight.
-func InternString(s string) string {
-	if s == "" {
-		return ""
-	}
-	if len(s) > internMaxLen {
-		internCapped.Add(1)
-		return s
-	}
-	t := &interned
-	t.mu.RLock()
-	c, ok := t.m[s]
-	t.mu.RUnlock()
-	if ok {
-		internHits.Add(1)
-		return c
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok = t.m[s]; ok {
-		internHits.Add(1)
-		return c
-	}
-	if len(t.m) < internMaxEntries {
-		t.m[s] = s
-		internMisses.Add(1)
-	} else {
-		internCapped.Add(1)
-	}
-	return s
-}

@@ -13,9 +13,8 @@ import (
 // session touches a handful of blocks per segment instead of the whole
 // store. Both open segments through SessionCursors and decode through
 // FileCursor, which applies the filter and reads the selected blocks.
-// v1 segments, footerless v2 segments and stores opened with a
-// WrapReader (which cannot seek) degrade to one sequential scan with the
-// same filter applied record-by-record, so results are
+// v1 segments and footerless v2 segments degrade to one sequential scan
+// with the same filter applied record-by-record, so results are
 // format-independent.
 
 // Filter selects a subset of a session's events. The zero value matches
@@ -84,7 +83,7 @@ func (cf *compiledFilter) blockOverlaps(bi *BlockInfo) bool {
 // proof that an indexed read skipped what the filter excluded.
 type QueryStats struct {
 	Segments       int // segment files opened
-	Scans          int // segments read sequentially (v1, footerless v2, or WrapReader set)
+	Scans          int // segments read sequentially (v1 or footerless v2)
 	BlocksTotal    int // v2 blocks listed by the footer indexes
 	BlocksRead     int // v2 blocks whose records were decoded
 	BlocksSkipped  int // v2 blocks excluded without decoding records
@@ -99,11 +98,10 @@ type QueryStats struct {
 // selects only blocks overlapping the time window whose kind bitmap
 // intersects the filter (and, for node filters, whose string table
 // mentions the node), read with positioned reads; a segment with no
-// selected block is not read at all. Every other segment — v1, a
-// footerless v2 segment (a crashed writer), or any segment of a
-// fault-injected store (WrapReader set: the wrapped reader cannot seek)
-// — is scanned once with the filter applied record by record, and so is
-// a segment whose footer fails validation. Damage fails the query
+// selected block is not read at all. Every other segment — v1 or a
+// footerless v2 segment (a crashed writer) — is scanned once with the
+// filter applied record by record, and so is a segment whose footer
+// fails validation. Damage fails the query
 // exactly as it fails StreamSession, records out of (Time, Seq) order
 // included, as far as the query decodes: a selected frame that
 // disagrees with its index entry sends its cursor on sequentially, and
@@ -124,11 +122,7 @@ func (s *Store) QuerySession(session string, f Filter, sink Sink) (QueryStats, e
 	for _, fc := range curs {
 		qs.Segments++
 		fc.filter = &cf
-		var blocks []BlockInfo
-		indexed := false
-		if s.WrapReader == nil {
-			blocks, indexed = readIndex(fc.file)
-		}
+		blocks, indexed := readIndex(fc.file)
 		if !indexed {
 			qs.Scans++
 			cursors = append(cursors, fc)

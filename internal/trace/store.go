@@ -37,13 +37,12 @@ type Store struct {
 
 	// WrapWriter, when set, wraps the file every WriteSegment opens; the
 	// segment writer's bytes flow through the returned writer (the file
-	// itself is still closed by Close). WrapReader does the same for every
-	// segment file the read paths open. Both exist for deterministic fault
-	// injection — wrapping a segment in a faultinject.Writer/Reader makes
-	// disk-full, short-write, and corruption scenarios scriptable — and
-	// are nil in production, where the open paths use the files directly.
+	// itself is still closed by Close). It exists for deterministic fault
+	// injection — wrapping a segment in a faultinject.Writer makes
+	// disk-full and short-write scenarios scriptable — and is nil in
+	// production. The read paths always read the files directly; read-side
+	// damage is tested by editing segment bytes on disk.
 	WrapWriter func(name string, f io.Writer) io.Writer
-	WrapReader func(name string, f io.Reader) io.Reader
 }
 
 // NewStore opens (creating if needed) a trace database at dir.
@@ -203,11 +202,7 @@ func (s *Store) SessionCursors(session string) ([]*FileCursor, error) {
 			closeCursors(curs)
 			return nil, err
 		}
-		var r io.Reader = f
-		if s.WrapReader != nil {
-			r = s.WrapReader(name, f)
-		}
-		fc := NewFileCursor(r)
+		fc := NewFileCursor(f)
 		fc.file, fc.name, fc.strict = f, name, true
 		curs = append(curs, fc)
 	}
