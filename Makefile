@@ -49,7 +49,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
 # Streaming-pipeline microbenchmarks: the ring->sink drain, alone and
-# into the online model builder; Algorithm 1, batch and incremental; and
+# into the online model builder; Algorithm 1 over a collected trace; and
 # the trace-store read and query paths, with allocation reporting.
 stream-bench:
 	$(GO) test -run '^$$' -bench 'Bundle_|Alg1_|Store' -benchmem .
@@ -71,12 +71,11 @@ bench-compare:
 fmt-compat:
 	$(GO) test -run 'TestFormatCompat|TestSegmentWriterFormatKnob|TestSegmentCrashRecovery|TestSalvage|TestFsck|TestQuerySession|FuzzV1V2Equivalence|FuzzV2Cursor|FuzzQueryMatchesStream' -count=1 ./internal/trace
 
-# Short coverage-guided fuzz passes (used by CI): the binary trace codec
-# (batch reader and streaming segment cursor), salvage over damaged
-# segments, a query as a filtered stream, and the raw vs decoded
-# equivalence of random programs.
+# Short coverage-guided fuzz passes (used by CI): the segment cursor
+# (with its re-encode round trip), salvage over damaged segments, a
+# query as a filtered stream, and the raw vs decoded equivalence of
+# random programs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzFileCursor -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSalvage -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzV2Cursor -fuzztime 10s ./internal/trace

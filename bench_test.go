@@ -118,29 +118,34 @@ func BenchmarkValidation_MeasuredVsDesigned(b *testing.B) {
 
 // --- substrate microbenchmarks ---
 
-// avpTrace produces one AVP trace for the synthesis microbenches.
+// avpTrace collects one (Time, Seq)-ordered AVP trace for the synthesis
+// microbenches.
 func avpTrace(b *testing.B, seconds sim.Duration) *trace.Trace {
 	b.Helper()
-	s, err := harness.RunSession(5, 8, seconds, true, func(w *rclcpp.World) {
+	var col trace.Collector
+	if _, err := harness.RunSession(5, 8, seconds, true, func(w *rclcpp.World) {
 		apps.BuildAVP(w, apps.AVPConfig{})
-	})
-	if err != nil {
+	}, &col); err != nil {
 		b.Fatal(err)
 	}
-	return s.Trace
+	return &col.Trace
 }
 
 // BenchmarkSimulation_AVPSecond measures simulating + tracing one virtual
-// second of the AVP pipeline.
+// second of the AVP pipeline, the drained stream counted and dropped.
 func BenchmarkSimulation_AVPSecond(b *testing.B) {
 	b.ReportAllocs()
+	var kc trace.KindCounter
 	for i := 0; i < b.N; i++ {
 		_, err := harness.RunSession(uint64(i), 8, sim.Second, true, func(w *rclcpp.World) {
 			apps.BuildAVP(w, apps.AVPConfig{})
-		})
+		}, &kc)
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+	if kc.Total() == 0 {
+		b.Fatal("no events traced")
 	}
 }
 
@@ -208,26 +213,23 @@ func BenchmarkSim_EngineAtRun(b *testing.B) {
 	e.Run(sim.MaxTime)
 }
 
-// BenchmarkAlg1_ExtractModel measures Algorithm 1 over a 20 s AVP trace.
-func BenchmarkAlg1_ExtractModel(b *testing.B) {
-	tr := avpTrace(b, 20*sim.Second)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := core.ExtractModel(tr)
-		if len(m.Callbacks) == 0 {
-			b.Fatal("no callbacks")
-		}
+// synthesize folds tr through a fresh SynthesizeSink and builds its DAG.
+func synthesize(tr *trace.Trace) *core.DAG {
+	sink := core.NewSynthesizeSink()
+	for _, e := range tr.Events {
+		sink.Observe(e)
 	}
+	return sink.DAG()
 }
 
-// BenchmarkDAG_Synthesize measures full DAG synthesis from a trace.
+// BenchmarkDAG_Synthesize measures full DAG synthesis from a 20 s AVP
+// trace: every event folded through a SynthesizeSink, then DAG.
 func BenchmarkDAG_Synthesize(b *testing.B) {
 	tr := avpTrace(b, 20*sim.Second)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := core.Synthesize(tr)
+		d := synthesize(tr)
 		if len(d.Vertices) != 7 {
 			b.Fatalf("vertices %d", len(d.Vertices))
 		}
@@ -236,8 +238,7 @@ func BenchmarkDAG_Synthesize(b *testing.B) {
 
 // BenchmarkDAG_Merge measures merging 50 per-run DAGs.
 func BenchmarkDAG_Merge(b *testing.B) {
-	tr := avpTrace(b, 5*sim.Second)
-	base := core.Synthesize(tr)
+	base := synthesize(avpTrace(b, 5*sim.Second))
 	dags := make([]*core.DAG, 50)
 	for i := range dags {
 		dags[i] = base
@@ -415,23 +416,6 @@ func BenchmarkEBPF_PerfEmitPerCPU(b *testing.B) {
 	}
 }
 
-// BenchmarkTrace_FilterPID measures the per-PID sub-trace split Algorithm 1
-// performs for every traced process.
-func BenchmarkTrace_FilterPID(b *testing.B) {
-	tr := avpTrace(b, 8*sim.Second)
-	pids := tr.PIDs()
-	if len(pids) == 0 {
-		b.Fatal("no pids")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tr.FilterPID(pids[i%len(pids)]).Len() == 0 {
-			b.Fatal("empty filter")
-		}
-	}
-}
-
 // BenchmarkTraceCodec_Binary measures the trace store codec.
 func BenchmarkTraceCodec_Binary(b *testing.B) {
 	tr := avpTrace(b, 10*sim.Second)
@@ -513,13 +497,11 @@ func BenchmarkBundle_StreamSynthesize(b *testing.B) {
 	b.ReportMetric(float64(mb.SchedEventsFolded())/float64(b.N), "schedfolded/op")
 }
 
-// BenchmarkAlg1_StreamModel measures the incremental extraction over a
-// 20 s AVP trace — the streaming counterpart of
-// BenchmarkAlg1_ExtractModel (no clone, no sort, no per-PID sched
-// filtering; exec times accumulate as events pass).
+// BenchmarkAlg1_StreamModel measures Algorithm 1 over a 20 s AVP trace:
+// the events folded through an instance-keeping ModelBuilder, exec times
+// accumulating as events pass, then Finish.
 func BenchmarkAlg1_StreamModel(b *testing.B) {
 	tr := avpTrace(b, 20*sim.Second)
-	tr.SortByTime()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -557,15 +539,22 @@ func saveSegmented(b *testing.B, tr *trace.Trace, segments int, format trace.For
 		b.Fatal(err)
 	}
 	st.Format = format
-	per := (tr.Len() + segments - 1) / segments
+	n := len(tr.Events)
+	per := (n + segments - 1) / segments
 	for seg := 0; seg < segments; seg++ {
-		lo := min(seg*per, tr.Len())
-		hi := min(lo+per, tr.Len())
-		if err := st.SaveSegment("run", seg, &trace.Trace{Events: tr.Events[lo:hi]}); err != nil {
+		sw, err := st.WriteSegment("run", seg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lo := min(seg*per, n)
+		for _, e := range tr.Events[lo:min(lo+per, n)] {
+			sw.Observe(e)
+		}
+		if err := sw.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return st, "run", tr.Len()
+	return st, "run", n
 }
 
 // BenchmarkStoreStreamSession measures the streaming read path over the
@@ -615,11 +604,11 @@ func BenchmarkStoreStreamSynthesize(b *testing.B) {
 // primed at once, a per-segment read cost shows here that the 8-segment
 // benchmarks hide.
 func BenchmarkStoreStreamSynthesize60(b *testing.B) {
-	s, err := harness.RunSession(1, 12, 60*sim.Second, true, harness.BuildBoth(1))
-	if err != nil {
+	var col trace.Collector
+	if _, err := harness.RunSession(1, 12, 60*sim.Second, true, harness.BuildBoth(1), &col); err != nil {
 		b.Fatal(err)
 	}
-	st, sess, want := saveSegmented(b, s.Trace, 60, 0)
+	st, sess, want := saveSegmented(b, &col.Trace, 60, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -721,8 +710,8 @@ func benchSegmentWrite(b *testing.B, format trace.Format) {
 		}
 		bytes = cw.n
 	}
-	b.ReportMetric(float64(tr.Len()), "events/op")
-	b.ReportMetric(float64(bytes)/float64(tr.Len()), "B/event")
+	b.ReportMetric(float64(len(tr.Events)), "events/op")
+	b.ReportMetric(float64(bytes)/float64(len(tr.Events)), "B/event")
 }
 
 // BenchmarkSegmentWriteV1 measures the flat v1 record encoder.
@@ -795,17 +784,18 @@ func BenchmarkMetricsSinkObserve(b *testing.B) {
 // preloads would be linear in session length.)
 func BenchmarkSnapshotIncremental(b *testing.B) {
 	full := avpTrace(b, 16*sim.Second)
-	full.SortByTime()
 	for _, preload := range []sim.Duration{2 * sim.Second, 8 * sim.Second, 16 * sim.Second} {
 		b.Run(fmt.Sprintf("preload=%ds", preload/sim.Second), func(b *testing.B) {
-			cut := sort.Search(full.Len(), func(i int) bool {
+			cut := sort.Search(len(full.Events), func(i int) bool {
 				return full.Events[i].Time >= sim.Time(preload)
 			})
 			if cut == 0 {
 				b.Fatal("empty preload")
 			}
 			svc := core.NewSnapshotService()
-			svc.ObserveBatch(full.Events[:cut])
+			for _, e := range full.Events[:cut] {
+				svc.Observe(e)
+			}
 			if s := svc.Snapshot(); len(s.Model.Callbacks) == 0 {
 				b.Fatal("empty model after preload")
 			}
@@ -824,7 +814,9 @@ func BenchmarkSnapshotIncremental(b *testing.B) {
 					delta[j] = trace.Event{Time: tm, Seq: seq,
 						Kind: trace.KindSchedSwitch, PrevPID: 1, NextPID: 2}
 				}
-				svc.ObserveBatch(delta)
+				for _, e := range delta {
+					svc.Observe(e)
+				}
 				s := svc.Snapshot()
 				if len(s.Model.Callbacks) == 0 || s.DAG == nil {
 					b.Fatal("empty snapshot")

@@ -37,16 +37,18 @@ func loadsSession(t *testing.T) (*core.DAG, sim.Duration) {
 	apps.BuildAVP(w, apps.AVPConfig{})
 	b.StopInit()
 	w.Run(3 * sim.Second)
-	var col trace.Collector
-	if err := b.StreamTo(&col); err != nil {
-		t.Fatal(err)
-	}
-	tr := &col.Trace
 	store, err := trace.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveSegment("run", 0, tr); err != nil {
+	sw, err := store.WriteSegment("run", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.StreamTo(sw); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	sink := core.NewSynthesizeSink()
@@ -160,13 +162,19 @@ func oneSessionStore(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &trace.Trace{Events: []trace.Event{
+	sw, err := store.WriteSegment("run", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []trace.Event{
 		{Time: 1, Seq: 1, Kind: trace.KindCreateNode, PID: 7, Node: "n"},
 		{Time: 2, Seq: 2, Kind: trace.KindTimerCBStart, PID: 7},
 		{Time: 3, Seq: 3, Kind: trace.KindTimerCall, PID: 7, CBID: 9},
 		{Time: 5, Seq: 4, Kind: trace.KindTimerCBEnd, PID: 7},
-	}}
-	if err := store.SaveSegment("run", 0, tr); err != nil {
+	} {
+		sw.Observe(e)
+	}
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return dir

@@ -26,13 +26,13 @@ func main() {
 	var dags []*core.DAG
 	var lastModel *core.Model
 	for run := 0; run < runs; run++ {
-		s, err := harness.RunSession(uint64(run+1), 12, duration, true, func(w *rclcpp.World) {
+		b := core.NewModelBuilder()
+		if _, err := harness.RunSession(uint64(run+1), 12, duration, true, func(w *rclcpp.World) {
 			apps.BuildAVP(w, apps.AVPConfig{})
-		})
-		if err != nil {
+		}, b); err != nil {
 			log.Fatal(err)
 		}
-		m := core.ExtractModel(s.Trace)
+		m := b.Finish()
 		dags = append(dags, core.BuildDAG(m))
 		lastModel = m
 	}

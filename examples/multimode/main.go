@@ -21,22 +21,22 @@ func main() {
 	mm := core.NewMultiModeDAG()
 
 	for run := 0; run < 3; run++ {
-		s, err := harness.RunSession(uint64(10+run), 8, 15*sim.Second, true, func(w *rclcpp.World) {
+		synth := core.NewSynthesizeSink()
+		if _, err := harness.RunSession(uint64(10+run), 8, 15*sim.Second, true, func(w *rclcpp.World) {
 			apps.BuildAVP(w, apps.AVPConfig{})
-		})
-		if err != nil {
+		}, synth); err != nil {
 			log.Fatal(err)
 		}
-		mm.AddTrace("nominal", s.Trace)
+		mm.Add("nominal", synth.DAG())
 	}
 	for run := 0; run < 3; run++ {
-		s, err := harness.RunSession(uint64(20+run), 8, 15*sim.Second, true, func(w *rclcpp.World) {
+		synth := core.NewSynthesizeSink()
+		if _, err := harness.RunSession(uint64(20+run), 8, 15*sim.Second, true, func(w *rclcpp.World) {
 			apps.BuildAVP(w, apps.AVPConfig{NoFrontSensor: true})
-		})
-		if err != nil {
+		}, synth); err != nil {
 			log.Fatal(err)
 		}
-		mm.AddTrace("front-lidar-failed", s.Trace)
+		mm.Add("front-lidar-failed", synth.DAG())
 	}
 
 	for _, mode := range mm.ModeNames() {

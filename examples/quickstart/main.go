@@ -12,7 +12,6 @@ import (
 	"github.com/tracesynth/rostracer/internal/pipeline"
 	"github.com/tracesynth/rostracer/internal/rclcpp"
 	"github.com/tracesynth/rostracer/internal/sim"
-	"github.com/tracesynth/rostracer/internal/trace"
 )
 
 func main() {
@@ -42,17 +41,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Run 10 seconds of virtual time and collect the trace.
-	var col trace.Collector
-	session.Fanout.Add("trace", &col)
+	// 3. Run 10 seconds of virtual time, streaming the trace into the
+	// synthesis sink as it is drained.
+	synth := core.NewSynthesizeSink()
+	session.Fanout.Add("synthesis", synth)
 	if _, err := session.Run(nil); err != nil {
 		log.Fatal(err)
 	}
-	tr := &col.Trace
-	fmt.Printf("collected %d trace events (%.1f kB)\n\n", tr.Len(), float64(session.Bundle.TraceBytes())/1e3)
+	fmt.Printf("collected %d trace events (%.1f kB)\n\n", synth.EventsFolded(), float64(session.Bundle.TraceBytes())/1e3)
 
 	// 4. Synthesize the timing model.
-	dag := core.Synthesize(tr)
+	dag := synth.DAG()
 	fmt.Print(core.Summary(dag))
 	fmt.Println()
 	fmt.Print(core.ToDOT(dag, "quickstart"))

@@ -21,13 +21,13 @@ import (
 )
 
 func main() {
-	s, err := harness.RunSession(7, 8, 30*sim.Second, true, func(w *rclcpp.World) {
+	b := core.NewModelBuilder()
+	if _, err := harness.RunSession(7, 8, 30*sim.Second, true, func(w *rclcpp.World) {
 		apps.BuildSYN(w, apps.SYNConfig{})
-	})
-	if err != nil {
+	}, b); err != nil {
 		log.Fatal(err)
 	}
-	m := core.ExtractModel(s.Trace)
+	m := b.Finish()
 	dag := core.BuildDAG(m)
 
 	fmt.Println("== synthesized SYN model (Fig. 3a) ==")

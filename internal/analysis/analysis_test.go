@@ -13,7 +13,9 @@ import (
 	"github.com/tracesynth/rostracer/internal/tracers"
 )
 
-func traceApp(t *testing.T, seed uint64, cpus int, build func(*rclcpp.World), dur sim.Duration) *trace.Trace {
+// traceApp traces build for dur and streams the drained trace into a
+// ModelBuilder and any extra sinks.
+func traceApp(t *testing.T, seed uint64, cpus int, build func(*rclcpp.World), dur sim.Duration, sinks ...trace.Sink) *core.Model {
 	t.Helper()
 	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cpus, Seed: seed})
 	b, err := tracers.NewBundle(w.Runtime())
@@ -28,16 +30,16 @@ func traceApp(t *testing.T, seed uint64, cpus int, build func(*rclcpp.World), du
 	}
 	build(w)
 	w.Run(dur)
-	var col trace.Collector
-	if err := b.StreamTo(&col); err != nil {
+	mb := core.NewModelBuilder()
+	if err := b.StreamTo(trace.MultiSink(append(sinks, mb)...)); err != nil {
 		t.Fatal(err)
 	}
-	return &col.Trace
+	return mb.Finish()
 }
 
 func TestChainsOfAVP(t *testing.T) {
-	tr := traceApp(t, 1, 8, func(w *rclcpp.World) { apps.BuildAVP(w, apps.AVPConfig{}) }, 20*sim.Second)
-	d := core.Synthesize(tr)
+	m := traceApp(t, 1, 8, func(w *rclcpp.World) { apps.BuildAVP(w, apps.AVPConfig{}) }, 20*sim.Second)
+	d := core.BuildDAG(m)
 	chains := analysis.Chains(d, 0)
 	// Two chains (rear and front), both converging through the AND
 	// junction to the localizer.
@@ -56,8 +58,7 @@ func TestChainsOfAVP(t *testing.T) {
 }
 
 func TestChainLatenciesAVPFrontChain(t *testing.T) {
-	tr := traceApp(t, 2, 8, func(w *rclcpp.World) { apps.BuildAVP(w, apps.AVPConfig{}) }, 20*sim.Second)
-	m := core.ExtractModel(tr)
+	m := traceApp(t, 2, 8, func(w *rclcpp.World) { apps.BuildAVP(w, apps.AVPConfig{}) }, 20*sim.Second)
 	stats, dropped := analysis.ChainLatencies(m, []string{
 		apps.TopicFrontRaw, apps.TopicFrontFiltered, apps.TopicFused,
 		apps.TopicDownsampled,
@@ -80,8 +81,8 @@ func TestChainLatenciesAVPFrontChain(t *testing.T) {
 
 func TestLoadsReportAVPFrontFilterShare(t *testing.T) {
 	span := 30 * sim.Second
-	tr := traceApp(t, 3, 8, func(w *rclcpp.World) { apps.BuildAVP(w, apps.AVPConfig{}) }, span)
-	d := core.Synthesize(tr)
+	m := traceApp(t, 3, 8, func(w *rclcpp.World) { apps.BuildAVP(w, apps.AVPConfig{}) }, span)
+	d := core.BuildDAG(m)
 	loads := analysis.Loads(d, span)
 	if len(loads) == 0 {
 		t.Fatal("no loads")
@@ -122,8 +123,8 @@ func sumLoads(nl map[string]float64) float64 {
 }
 
 func TestChainWCETBound(t *testing.T) {
-	tr := traceApp(t, 4, 8, func(w *rclcpp.World) { apps.BuildAVP(w, apps.AVPConfig{}) }, 10*sim.Second)
-	d := core.Synthesize(tr)
+	m := traceApp(t, 4, 8, func(w *rclcpp.World) { apps.BuildAVP(w, apps.AVPConfig{}) }, 10*sim.Second)
+	d := core.BuildDAG(m)
 	chains := analysis.Chains(d, 0)
 	if len(chains) == 0 {
 		t.Fatal("no chains")
@@ -145,8 +146,7 @@ func TestChainWCETBound(t *testing.T) {
 // single-vertex service model must create chains that do not exist, and
 // the paper's split model must not.
 func TestServiceSplittingAvoidsSpuriousChains(t *testing.T) {
-	tr := traceApp(t, 5, 8, func(w *rclcpp.World) { apps.BuildSYN(w, apps.SYNConfig{}) }, 10*sim.Second)
-	m := core.ExtractModel(tr)
+	m := traceApp(t, 5, 8, func(w *rclcpp.World) { apps.BuildSYN(w, apps.SYNConfig{}) }, 10*sim.Second)
 	proper := core.BuildDAG(m)
 	naive := core.BuildDAGNaive(m)
 
@@ -176,8 +176,8 @@ func TestServiceSplittingAvoidsSpuriousChains(t *testing.T) {
 }
 
 func TestChainsRespectsMax(t *testing.T) {
-	tr := traceApp(t, 6, 8, func(w *rclcpp.World) { apps.BuildSYN(w, apps.SYNConfig{}) }, 5*sim.Second)
-	d := core.Synthesize(tr)
+	m := traceApp(t, 6, 8, func(w *rclcpp.World) { apps.BuildSYN(w, apps.SYNConfig{}) }, 5*sim.Second)
+	d := core.BuildDAG(m)
 	all := analysis.Chains(d, 0)
 	if len(all) < 3 {
 		t.Fatalf("SYN chains = %d", len(all))
@@ -192,7 +192,13 @@ func TestChainsRespectsMax(t *testing.T) {
 // callback's start lags the executor's wakeup, and the lag is measured
 // from sched_wakeup events.
 func TestWaitingTimes(t *testing.T) {
-	tr := traceApp(t, 7, 1, func(w *rclcpp.World) {
+	var sched []trace.Event
+	keepSched := trace.SinkFunc(func(e trace.Event) {
+		if e.Kind == trace.KindSchedSwitch || e.Kind == trace.KindSchedWakeup {
+			sched = append(sched, e)
+		}
+	})
+	m := traceApp(t, 7, 1, func(w *rclcpp.World) {
 		// One CPU: the low-priority victim's executor is woken by sensor
 		// data (delivered by the DDS transport, no CPU needed) while the
 		// high-priority hog occupies the core, so the callback start lags
@@ -202,10 +208,8 @@ func TestWaitingTimes(t *testing.T) {
 		hog := w.NewNode("hog", 9, 0)
 		hog.CreateTimer(10*sim.Millisecond, 0, rclcpp.SimpleBody{ET: sim.Constant{Value: 6 * sim.Millisecond}})
 		apps.SpawnSensor(w, "/work", 10*sim.Millisecond, 2*sim.Millisecond)
-	}, 2*sim.Second)
-
-	m := core.ExtractModel(tr)
-	waits := analysis.WaitingTimes(m, tr.SchedEvents().Events)
+	}, 2*sim.Second, keepSched)
+	waits := analysis.WaitingTimes(m, sched)
 	key := "victim/subscriber(/work)"
 	st, ok := waits[key]
 	if !ok {

@@ -7,11 +7,12 @@ import (
 	"github.com/tracesynth/rostracer/internal/core"
 	"github.com/tracesynth/rostracer/internal/rclcpp"
 	"github.com/tracesynth/rostracer/internal/sim"
-	"github.com/tracesynth/rostracer/internal/trace"
 	"github.com/tracesynth/rostracer/internal/tracers"
 )
 
-func runTraced(t *testing.T, seed uint64, cpus int, build func(*rclcpp.World), dur sim.Duration) (*trace.Trace, *rclcpp.World) {
+// runTraced traces build for dur and streams the drained trace into a
+// ModelBuilder.
+func runTraced(t *testing.T, seed uint64, cpus int, build func(*rclcpp.World), dur sim.Duration) (*core.Model, *rclcpp.World) {
 	t.Helper()
 	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cpus, Seed: seed})
 	b, err := tracers.NewBundle(w.Runtime())
@@ -26,18 +27,18 @@ func runTraced(t *testing.T, seed uint64, cpus int, build func(*rclcpp.World), d
 	}
 	build(w)
 	w.Run(dur)
-	var col trace.Collector
-	if err := b.StreamTo(&col); err != nil {
+	mb := core.NewModelBuilder()
+	if err := b.StreamTo(mb); err != nil {
 		t.Fatal(err)
 	}
-	return &col.Trace, w
+	return mb.Finish(), w
 }
 
 func TestSYNDAGStructure(t *testing.T) {
-	tr, _ := runTraced(t, 1, 8, func(w *rclcpp.World) {
+	m, _ := runTraced(t, 1, 8, func(w *rclcpp.World) {
 		apps.BuildSYN(w, apps.SYNConfig{})
 	}, 10*sim.Second)
-	d := core.Synthesize(tr)
+	d := core.BuildDAG(m)
 
 	if len(d.Vertices) != apps.SYNExpectedVertices {
 		t.Errorf("vertices = %d, want %d:\n%s", len(d.Vertices), apps.SYNExpectedVertices, core.Summary(d))
@@ -90,10 +91,9 @@ func TestSYNDAGStructure(t *testing.T) {
 func TestSYNMeasurementMatchesDesign(t *testing.T) {
 	// All SYN loads are constants, so every measured sample must equal the
 	// designed value exactly — the paper's validation of its framework.
-	tr, _ := runTraced(t, 2, 8, func(w *rclcpp.World) {
+	m, _ := runTraced(t, 2, 8, func(w *rclcpp.World) {
 		apps.BuildSYN(w, apps.SYNConfig{LoadScale: 1})
 	}, 10*sim.Second)
-	m := core.ExtractModel(tr)
 
 	check := func(node string, typ core.CBType, inTopic string, want sim.Duration) {
 		t.Helper()
@@ -117,10 +117,10 @@ func TestSYNMeasurementMatchesDesign(t *testing.T) {
 }
 
 func TestAVPDAGMatchesFig3b(t *testing.T) {
-	tr, w := runTraced(t, 3, 8, func(w *rclcpp.World) {
+	m, w := runTraced(t, 3, 8, func(w *rclcpp.World) {
 		apps.BuildAVP(w, apps.AVPConfig{})
 	}, 20*sim.Second)
-	d := core.Synthesize(tr)
+	d := core.BuildDAG(m)
 
 	// 6 callbacks + 1 AND junction.
 	if len(d.Vertices) != 7 {
@@ -165,10 +165,10 @@ func TestAVPTableIIShape(t *testing.T) {
 	// The designed distributions must reproduce Table II's orderings:
 	// cb2 dominates cb1; cb3's average is well above cb4's; cb6 has the
 	// largest worst case and a heavy tail (mWCET >> mACET).
-	tr, _ := runTraced(t, 4, 8, func(w *rclcpp.World) {
+	m, _ := runTraced(t, 4, 8, func(w *rclcpp.World) {
 		apps.BuildAVP(w, apps.AVPConfig{})
 	}, 40*sim.Second)
-	d := core.Synthesize(tr)
+	d := core.BuildDAG(m)
 
 	v := func(sub string) *core.Vertex {
 		x := d.VertexByLabelSubstring(sub)
@@ -214,10 +214,10 @@ func TestRandomPipelinePropertySynthesisMatchesDesign(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := sim.NewRNG(seed * 977)
 		var rp *apps.RandomPipeline
-		tr, _ := runTraced(t, seed, 8, func(w *rclcpp.World) {
+		m, _ := runTraced(t, seed, 8, func(w *rclcpp.World) {
 			rp = apps.BuildRandomPipeline(w, rng, 1+rng.Intn(3), 4)
 		}, 3*sim.Second)
-		d := core.Synthesize(tr)
+		d := core.BuildDAG(m)
 
 		if len(d.Vertices) != rp.Callbacks {
 			t.Fatalf("seed %d: vertices = %d, designed %d\n%s",

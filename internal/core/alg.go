@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"github.com/tracesynth/rostracer/internal/sim"
-	"github.com/tracesynth/rostracer/internal/trace"
 )
 
 // Diagnostic records a non-fatal inconsistency observed while extracting
@@ -26,7 +25,9 @@ func decorate(topic string, id uint64) string {
 	return topic + "#" + strconv.FormatUint(id, 16)
 }
 
-// Model is the result of running Algorithm 1 over every node in a trace.
+// Model is the result of running Algorithm 1 over every ROS2 node of a
+// stream. Only nodes announced by a P1 event are modeled; a PID with ROS
+// events but no P1 record (e.g. a bare DDS replayer) is left out.
 type Model struct {
 	// Callbacks of all nodes, in (PID, first-instance) order.
 	Callbacks []*Callback
@@ -34,20 +35,4 @@ type Model struct {
 	NodeOf map[uint32]string
 	// Diags aggregates extraction diagnostics.
 	Diags []Diagnostic
-}
-
-// ExtractModel runs Algorithm 1 for every ROS2 node found in the trace
-// (via P1 events; PIDs with ROS events but no P1 record — e.g. bare DDS
-// replayers — are not modeled, matching the paper's deployment where only
-// initialized ROS2 nodes are synthesized). It sorts a copy of the trace
-// and folds it through a ModelBuilder, the same engine the streaming
-// pipelines use.
-func ExtractModel(tr *trace.Trace) *Model {
-	sorted := tr.Clone()
-	sorted.SortByTime()
-	b := NewModelBuilder()
-	for i := range sorted.Events {
-		b.Observe(sorted.Events[i])
-	}
-	return b.Finish()
 }

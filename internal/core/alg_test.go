@@ -114,7 +114,7 @@ func buildTrace() *trace.Trace {
 	add := func(e trace.Event) {
 		e.Seq = seq
 		seq++
-		tr.Append(e)
+		tr.Events = append(tr.Events, e)
 	}
 	add(trace.Event{Time: 0, PID: 10, Kind: trace.KindCreateNode, Node: "producer"})
 	add(trace.Event{Time: 0, PID: 20, Kind: trace.KindCreateNode, Node: "consumer"})
@@ -133,7 +133,7 @@ func buildTrace() *trace.Trace {
 
 func TestExtractModelBasics(t *testing.T) {
 	tr := buildTrace()
-	m := ExtractModel(tr)
+	m := StreamModel(tr)
 	if len(m.Diags) != 0 {
 		t.Fatalf("diagnostics: %v", m.Diags)
 	}
@@ -171,7 +171,7 @@ func TestExtractModelBasics(t *testing.T) {
 }
 
 func TestBuildDAGSimpleEdge(t *testing.T) {
-	d := Synthesize(buildTrace())
+	d := BuildDAG(StreamModel(buildTrace()))
 	if len(d.Vertices) != 2 {
 		t.Fatalf("vertices = %v", d.VertexKeys())
 	}
@@ -192,7 +192,7 @@ func TestNonDispatchedClientInstanceDiscarded(t *testing.T) {
 	add := func(e trace.Event) {
 		e.Seq = seq
 		seq++
-		tr.Append(e)
+		tr.Events = append(tr.Events, e)
 	}
 	add(trace.Event{Time: 0, PID: 30, Kind: trace.KindCreateNode, Node: "client_b"})
 	// A response arrives that belongs to another client: P12, P13, P14(0), P15.
@@ -200,7 +200,7 @@ func TestNonDispatchedClientInstanceDiscarded(t *testing.T) {
 	add(trace.Event{Time: 100, PID: 30, Kind: trace.KindTakeResponse, CBID: 0xC2, Topic: "sv", SrcTS: 50})
 	add(trace.Event{Time: 101, PID: 30, Kind: trace.KindTakeTypeErased, Ret: 0})
 	add(trace.Event{Time: 101, PID: 30, Kind: trace.KindClientCBEnd})
-	m := ExtractModel(tr)
+	m := StreamModel(tr)
 	if len(m.Callbacks) != 0 {
 		t.Fatalf("non-dispatched instance produced callbacks: %v", m.Callbacks)
 	}
@@ -208,13 +208,13 @@ func TestNonDispatchedClientInstanceDiscarded(t *testing.T) {
 
 func TestTruncatedInstanceDiagnosed(t *testing.T) {
 	tr := &trace.Trace{}
-	tr.Append(
+	tr.Events = append(tr.Events,
 		trace.Event{Time: 0, Seq: 0, PID: 5, Kind: trace.KindCreateNode, Node: "n"},
 		trace.Event{Time: 10, Seq: 1, PID: 5, Kind: trace.KindSubCBStart},
 		trace.Event{Time: 10, Seq: 2, PID: 5, Kind: trace.KindTakeInt, CBID: 1, Topic: "/x", SrcTS: 5},
 		// no end: trace segment cut here
 	)
-	m := ExtractModel(tr)
+	m := StreamModel(tr)
 	if len(m.Callbacks) != 0 {
 		t.Fatal("truncated instance stored")
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"github.com/tracesynth/rostracer/internal/sim"
-	"github.com/tracesynth/rostracer/internal/trace"
 )
 
 // Vertex is one task of the synthesized timing model: a callback, or a
@@ -365,12 +364,6 @@ func mergeSorted(list []string, s string) []string {
 	return list
 }
 
-// Synthesize runs the full pipeline — Algorithm 1 over every node, then
-// DAG construction — on one merged trace.
-func Synthesize(tr *trace.Trace) *DAG {
-	return BuildDAG(ExtractModel(tr))
-}
-
 // MergeDAGs merges per-trace DAGs (the approach used for the paper's
 // experiments): vertices and edges are unioned by canonical identity, and
 // per-callback execution-time statistics combine across all inputs.
@@ -414,9 +407,8 @@ type MultiModeDAG struct {
 // NewMultiModeDAG returns an empty multi-mode model.
 func NewMultiModeDAG() *MultiModeDAG { return &MultiModeDAG{Modes: make(map[string]*DAG)} }
 
-// AddTrace synthesizes tr and merges it into the given mode.
-func (mm *MultiModeDAG) AddTrace(mode string, tr *trace.Trace) {
-	d := Synthesize(tr)
+// Add merges d into the given mode.
+func (mm *MultiModeDAG) Add(mode string, d *DAG) {
 	if existing, ok := mm.Modes[mode]; ok {
 		mm.Modes[mode] = MergeDAGs(existing, d)
 	} else {

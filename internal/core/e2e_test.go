@@ -61,7 +61,7 @@ func TestMeasuredETMatchesGroundTruthUnderInterference(t *testing.T) {
 
 	w.Run(2 * sim.Second)
 	tr := drainTrace(t, b)
-	m := core.ExtractModel(tr)
+	m := core.StreamModel(tr)
 
 	var victimCB *core.Callback
 	for _, cb := range m.Callbacks {
@@ -126,7 +126,7 @@ func TestServiceSplitIntoPerCallerVertices(t *testing.T) {
 
 	w.Run(2 * sim.Second)
 	tr := drainTrace(t, b)
-	d := core.Synthesize(tr)
+	d := core.BuildDAG(core.StreamModel(tr))
 
 	var serviceVerts []*core.Vertex
 	for _, k := range d.VertexKeys() {
@@ -188,7 +188,7 @@ func TestSyncSubscribersGetAndJunction(t *testing.T) {
 
 	w.Run(2 * sim.Second)
 	tr := drainTrace(t, b)
-	d := core.Synthesize(tr)
+	d := core.BuildDAG(core.StreamModel(tr))
 
 	var and *core.Vertex
 	syncCount := 0
@@ -249,7 +249,7 @@ func TestOrJunctionMarked(t *testing.T) {
 
 	w.Run(1 * sim.Second)
 	tr := drainTrace(t, b)
-	d := core.Synthesize(tr)
+	d := core.BuildDAG(core.StreamModel(tr))
 
 	sub := d.VertexByLabelSubstring("subscriber|sub")
 	if sub == nil {
@@ -294,10 +294,14 @@ func TestMergeStrategiesEquivalent(t *testing.T) {
 	// applied within each run and the comparison is on equal inputs.
 	var dagsA, dagsB []*core.DAG
 	for _, s := range segs {
-		dagsA = append(dagsA, core.Synthesize(s))
+		sink := core.NewSynthesizeSink()
+		for _, e := range s.Events {
+			sink.Observe(e)
+		}
+		dagsA = append(dagsA, sink.DAG())
 	}
 	for _, s := range segs {
-		dagsB = append(dagsB, core.BuildDAG(core.ExtractModel(s)))
+		dagsB = append(dagsB, core.BuildDAG(core.StreamModel(s)))
 	}
 	a := core.MergeDAGs(dagsA...)
 	bb := core.MergeDAGs(dagsB...)
@@ -332,7 +336,7 @@ func TestDAGExports(t *testing.T) {
 	s.CreateSubscription("/x", rclcpp.SimpleBody{ET: sim.Constant{Value: sim.Millisecond}})
 	w.Run(200 * sim.Millisecond)
 	tr := drainTrace(t, b)
-	d := core.Synthesize(tr)
+	d := core.BuildDAG(core.StreamModel(tr))
 
 	dot := core.ToDOT(d, "test")
 	for _, want := range []string{"digraph", "cluster_", "/x", "->"} {
@@ -370,9 +374,9 @@ func TestMultiModeDAG(t *testing.T) {
 		return drainTrace(t, b)
 	}
 	mm := core.NewMultiModeDAG()
-	mm.AddTrace("city", runMode(1, "/city"))
-	mm.AddTrace("highway", runMode(2, "/highway"))
-	mm.AddTrace("city", runMode(3, "/city"))
+	mm.Add("city", core.BuildDAG(core.StreamModel(runMode(1, "/city"))))
+	mm.Add("highway", core.BuildDAG(core.StreamModel(runMode(2, "/highway"))))
+	mm.Add("city", core.BuildDAG(core.StreamModel(runMode(3, "/city"))))
 
 	if got := mm.ModeNames(); len(got) != 2 {
 		t.Fatalf("modes = %v", got)

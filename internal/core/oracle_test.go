@@ -8,6 +8,7 @@ package core
 // oracle the equivalence tests compare it against.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -352,18 +353,30 @@ func sortedUpperMedian(ds []sim.Duration) sim.Duration {
 	return s[len(s)/2]
 }
 
-// BatchExtractModel is the batch oracle for ExtractModel: it
-// materializes and sorts the whole trace, then runs extractCallbacks once
-// per node over all ROS events with ExecTime over per-PID sched_switch
-// slices.
+// BatchExtractModel is the batch oracle for ModelBuilder: it sorts a
+// copy of the whole trace by (Time, Seq), then runs extractCallbacks once
+// per node over all ROS events with ExecTime over the scheduler events
+// that name the node's PID as previous or next thread.
 func BatchExtractModel(tr *trace.Trace) *Model {
-	sorted := tr.Clone()
-	sorted.SortByTime()
-
-	ros := sorted.ROSEvents()
-	sched := sorted.SchedEvents()
-	return buildModel(ros.Events, func(pid uint32) etFunc {
-		schedPID := sched.FilterPID(pid).Events
+	sorted := slices.Clone(tr.Events)
+	slices.SortStableFunc(sorted, func(a, b trace.Event) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Seq, b.Seq))
+	})
+	var ros, sched []trace.Event
+	for _, e := range sorted {
+		if e.Kind == trace.KindSchedSwitch || e.Kind == trace.KindSchedWakeup {
+			sched = append(sched, e)
+		} else {
+			ros = append(ros, e)
+		}
+	}
+	return buildModel(ros, func(pid uint32) etFunc {
+		var schedPID []trace.Event
+		for _, e := range sched {
+			if e.PrevPID == pid || e.NextPID == pid {
+				schedPID = append(schedPID, e)
+			}
+		}
 		return func(start, end sim.Time, startSeq, endSeq uint64) sim.Duration {
 			return ExecTime(start, end, startSeq, endSeq, pid, schedPID)
 		}

@@ -25,8 +25,8 @@ func synTrace(t *testing.T, seed uint64, dur sim.Duration) *trace.Trace {
 // callback handles and timings), or cross-run DAG merging would be
 // meaningless.
 func TestCanonicalKeysStableAcrossSeeds(t *testing.T) {
-	d1 := core.Synthesize(synTrace(t, 101, 8*sim.Second))
-	d2 := core.Synthesize(synTrace(t, 202, 8*sim.Second))
+	d1 := core.BuildDAG(core.StreamModel(synTrace(t, 101, 8*sim.Second)))
+	d2 := core.BuildDAG(core.StreamModel(synTrace(t, 202, 8*sim.Second)))
 	k1, k2 := d1.VertexKeys(), d2.VertexKeys()
 	if !reflect.DeepEqual(k1, k2) {
 		t.Fatalf("vertex keys differ across seeds:\n%v\n%v", k1, k2)
@@ -55,8 +55,8 @@ func TestSynthesisDeterministic(t *testing.T) {
 // structure; merge is commutative on vertex/edge sets and additive on
 // instance counts.
 func TestMergeDAGsProperties(t *testing.T) {
-	a := core.Synthesize(synTrace(t, 1, 5*sim.Second))
-	b := core.Synthesize(synTrace(t, 2, 5*sim.Second))
+	a := core.BuildDAG(core.StreamModel(synTrace(t, 1, 5*sim.Second)))
+	b := core.BuildDAG(core.StreamModel(synTrace(t, 2, 5*sim.Second)))
 
 	ab := core.MergeDAGs(a, b)
 	ba := core.MergeDAGs(b, a)
@@ -96,19 +96,18 @@ func TestPerfBufferOverrunDegradesGracefully(t *testing.T) {
 	// Build a raw trace and then truncate it mid-instance to simulate
 	// record loss at the buffer boundary.
 	tr := synTrace(t, 9, 5*sim.Second)
-	tr.SortByTime()
-	// Drop a window of events in the middle (a burst overrun).
-	cut := tr.Clone()
-	n := len(cut.Events)
-	cut.Events = append(cut.Events[:n/2:n/2], cut.Events[n/2+200:]...)
+	// Drop a window of events in the middle (a burst overrun); the capped
+	// slice makes append copy instead of overwriting tr.
+	n := len(tr.Events)
+	cut := &trace.Trace{Events: append(tr.Events[:n/2:n/2], tr.Events[n/2+200:]...)}
 
-	m := core.ExtractModel(cut)
+	m := core.StreamModel(cut)
 	if len(m.Callbacks) == 0 {
 		t.Fatal("no callbacks extracted from damaged trace")
 	}
 	// The damage is visible: either diagnostics, or fewer instances than
 	// the undamaged trace yields.
-	full := core.ExtractModel(tr)
+	full := core.StreamModel(tr)
 	fullInst, cutInst := 0, 0
 	for _, cb := range full.Callbacks {
 		fullInst += cb.Stats.Count
@@ -128,7 +127,7 @@ func TestPerfBufferOverrunDegradesGracefully(t *testing.T) {
 // must be skipped (the paper's CB.start != nil guards).
 func TestStrayEventsIgnored(t *testing.T) {
 	tr := &trace.Trace{}
-	tr.Append(
+	tr.Events = append(tr.Events,
 		trace.Event{Time: 0, Seq: 0, PID: 5, Kind: trace.KindCreateNode, Node: "n"},
 		trace.Event{Time: 10, Seq: 1, PID: 5, Kind: trace.KindSubCBEnd},                                // stray end
 		trace.Event{Time: 11, Seq: 2, PID: 5, Kind: trace.KindTakeInt, CBID: 1, Topic: "/x", SrcTS: 5}, // stray take
@@ -139,7 +138,7 @@ func TestStrayEventsIgnored(t *testing.T) {
 		trace.Event{Time: 20, Seq: 6, PID: 5, Kind: trace.KindTakeInt, CBID: 3, Topic: "/x", SrcTS: 15},
 		trace.Event{Time: 25, Seq: 7, PID: 5, Kind: trace.KindSubCBEnd},
 	)
-	m := core.ExtractModel(tr)
+	m := core.StreamModel(tr)
 	if len(m.Callbacks) != 1 {
 		t.Fatalf("callbacks = %v", m.Callbacks)
 	}
@@ -153,7 +152,7 @@ func TestStrayEventsIgnored(t *testing.T) {
 // event) is reported and the new instance wins.
 func TestDoubleStartDiagnosed(t *testing.T) {
 	tr := &trace.Trace{}
-	tr.Append(
+	tr.Events = append(tr.Events,
 		trace.Event{Time: 0, Seq: 0, PID: 5, Kind: trace.KindCreateNode, Node: "n"},
 		trace.Event{Time: 10, Seq: 1, PID: 5, Kind: trace.KindSubCBStart},
 		trace.Event{Time: 10, Seq: 2, PID: 5, Kind: trace.KindTakeInt, CBID: 1, Topic: "/x", SrcTS: 1},
@@ -162,7 +161,7 @@ func TestDoubleStartDiagnosed(t *testing.T) {
 		trace.Event{Time: 30, Seq: 4, PID: 5, Kind: trace.KindTakeInt, CBID: 1, Topic: "/x", SrcTS: 2},
 		trace.Event{Time: 35, Seq: 5, PID: 5, Kind: trace.KindSubCBEnd},
 	)
-	m := core.ExtractModel(tr)
+	m := core.StreamModel(tr)
 	if len(m.Diags) == 0 {
 		t.Fatal("double start not diagnosed")
 	}
@@ -198,7 +197,7 @@ func TestLostRecordsWithTinyPerfBuffers(t *testing.T) {
 	if b.Lost() != 0 {
 		t.Fatalf("lost %d records with unbounded buffers", b.Lost())
 	}
-	d := core.Synthesize(tr)
+	d := core.BuildDAG(core.StreamModel(tr))
 	if len(d.Vertices) != apps.SYNExpectedVertices {
 		t.Fatalf("vertices = %d", len(d.Vertices))
 	}

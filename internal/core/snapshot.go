@@ -58,19 +58,6 @@ func (s *SnapshotService) Observe(e trace.Event) {
 	s.mu.Unlock()
 }
 
-// ObserveBatch folds a whole drained batch under one lock acquisition,
-// for producers that already hold events in batches. (The rostracer
-// drain loop streams per-event through Observe instead — its segments
-// are never materialized, and one uncontended lock per event is noise
-// next to record decode.)
-func (s *SnapshotService) ObserveBatch(evs []trace.Event) {
-	s.mu.Lock()
-	for i := range evs {
-		s.b.observe(&evs[i])
-	}
-	s.mu.Unlock()
-}
-
 // Err implements trace.ErrSink: the builder's sticky order failure.
 func (s *SnapshotService) Err() error { return s.b.Err() }
 

@@ -72,8 +72,8 @@ func TestSnapshotServiceMatchesBatch(t *testing.T) {
 	if got, wantTxt := core.ToDOT(final.DAG, "g"), core.ToDOT(want, "g"); got != wantTxt {
 		t.Fatalf("final snapshot DOT differs from batch")
 	}
-	if final.Events != uint64(tr.Len()) {
-		t.Fatalf("snapshot saw %d events, batch trace has %d", final.Events, tr.Len())
+	if final.Events != uint64(len(tr.Events)) {
+		t.Fatalf("snapshot saw %d events, batch trace has %d", final.Events, len(tr.Events))
 	}
 	for i := 1; i < len(seen); i++ {
 		if seen[i].Seq <= seen[i-1].Seq || seen[i].Events < seen[i-1].Events ||
@@ -138,7 +138,9 @@ func TestSnapshotServiceConcurrent(t *testing.T) {
 			for b := 0; b < batches; b++ {
 				batch := mkBatch(p, b)
 				<-turn[p]
-				svc.ObserveBatch(batch)
+				for _, e := range batch {
+					svc.Observe(e)
+				}
 				turn[(p+1)%producers] <- struct{}{}
 			}
 		}(p)
@@ -199,8 +201,8 @@ func TestSnapshotServiceSnapshotsDuringTraffic(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for lo := 0; lo < tr.Len(); lo += 500 {
-			svc.ObserveBatch(tr.Events[lo:min(lo+500, tr.Len())])
+		for _, e := range tr.Events {
+			svc.Observe(e)
 		}
 	}()
 	snaps := 0

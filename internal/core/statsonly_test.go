@@ -136,9 +136,9 @@ func TestStatsOnlyDAGMatchesModelDAG(t *testing.T) {
 			for _, e := range tr.Events {
 				sink.Observe(e)
 			}
-			want := renderDAG(t, core.BuildDAG(core.ExtractModel(tr)))
+			want := renderDAG(t, core.BuildDAG(core.StreamModel(tr)))
 			if oracle := renderDAG(t, core.BuildDAG(core.BatchExtractModel(tr))); oracle != want {
-				t.Fatalf("ExtractModel and the batch oracle disagree:\n%s\n---\n%s", want, oracle)
+				t.Fatalf("ModelBuilder and the batch oracle disagree:\n%s\n---\n%s", want, oracle)
 			}
 			if got := renderDAG(t, synth.DAG()); got != want {
 				t.Errorf("SynthesizeSink DAG differs:\n--- got ---\n%s\n--- want ---\n%s", got, want)

@@ -116,10 +116,9 @@ func (b *ModelBuilder) Finish() *Model {
 }
 
 // SynthesizeSink couples a ModelBuilder to DAG synthesis: stream a
-// session (or several segments) into it, then call DAG. It is the
-// streaming form of Synthesize. It keeps statistics only, so its memory
-// does not grow with the number of callback instances; its Finish
-// returns callbacks without Instances.
+// session (or several segments) into it, then call DAG. It keeps
+// statistics only, so its memory does not grow with the number of
+// callback instances; its Finish returns callbacks without Instances.
 type SynthesizeSink struct {
 	ModelBuilder
 }

@@ -14,7 +14,7 @@ import (
 // streamedAndBatchModels runs two identical traced sessions and
 // synthesizes one through the streaming pipeline (StreamTo into a
 // ModelBuilder, no materialized trace) and one through the batch
-// pipeline (Drain then ExtractModel).
+// oracle (a collected trace through BatchExtractModel).
 func streamedAndBatchModels(t *testing.T, cpus int, seed uint64,
 	build func(*rclcpp.World)) (streamed, batch *core.Model) {
 	t.Helper()

@@ -10,12 +10,16 @@ import (
 	"github.com/tracesynth/rostracer/internal/trace"
 )
 
-// streamModel feeds a (Time, Seq)-sorted trace through the incremental
-// builder, the way the streaming drain would.
-func streamModel(tr *trace.Trace) *Model {
+// StreamModel feeds a (Time, Seq)-sorted trace through a ModelBuilder,
+// the way the streaming drain would, and panics if the builder refused
+// the order. It is exported for the core_test package's tests.
+func StreamModel(tr *trace.Trace) *Model {
 	mb := NewModelBuilder()
 	for _, e := range tr.Events {
 		mb.Observe(e)
+	}
+	if err := mb.Err(); err != nil {
+		panic(err)
 	}
 	return mb.Finish()
 }
@@ -44,7 +48,7 @@ func requireSameModel(t *testing.T, got, want *Model) {
 // to the batch extraction on the hand-written producer/consumer trace.
 func TestModelBuilderMatchesExtractModelSimple(t *testing.T) {
 	tr := buildTrace()
-	requireSameModel(t, streamModel(tr), BatchExtractModel(tr))
+	requireSameModel(t, StreamModel(tr), BatchExtractModel(tr))
 }
 
 // TestModelBuilderBoundarySwitches exercises the (Time, Seq) window
@@ -57,7 +61,7 @@ func TestModelBuilderBoundarySwitches(t *testing.T) {
 	add := func(e trace.Event) {
 		e.Seq = seq
 		seq++
-		tr.Append(e)
+		tr.Events = append(tr.Events, e)
 	}
 	add(trace.Event{Time: 0, PID: 7, Kind: trace.KindCreateNode, Node: "n"})
 	// Switch out at t=100 emitted BEFORE the start probe at t=100: the
@@ -76,7 +80,7 @@ func TestModelBuilderBoundarySwitches(t *testing.T) {
 	// Switch at the end timestamp emitted after the end probe: ignored.
 	add(trace.Event{Time: 200, Kind: trace.KindSchedSwitch, PrevPID: 7, NextPID: 1})
 
-	got, want := streamModel(tr), BatchExtractModel(tr)
+	got, want := StreamModel(tr), BatchExtractModel(tr)
 	requireSameModel(t, got, want)
 	if len(want.Callbacks) != 1 || len(want.Callbacks[0].Instances) != 1 {
 		t.Fatalf("unexpected extraction shape: %+v", want.Callbacks)
@@ -106,7 +110,7 @@ func testRandomInterleavings(t *testing.T, pids []uint32) {
 		add := func(e trace.Event) {
 			e.Seq = seq
 			seq++
-			tr.Append(e)
+			tr.Events = append(tr.Events, e)
 		}
 		for i, pid := range pids {
 			add(trace.Event{Time: 0, PID: pid, Kind: trace.KindCreateNode,
@@ -147,7 +151,7 @@ func testRandomInterleavings(t *testing.T, pids []uint32) {
 				add(trace.Event{Time: now + 5, PID: pid, Kind: trace.KindTimerCBEnd})
 			}
 		}
-		requireSameModel(t, streamModel(tr), BatchExtractModel(tr))
+		requireSameModel(t, StreamModel(tr), BatchExtractModel(tr))
 	}
 }
 
@@ -253,7 +257,7 @@ func serviceTraffic(seed uint64) *trace.Trace {
 	emit := func(e trace.Event) {
 		e.Time, e.Seq = now, seq
 		seq++
-		tr.Append(e)
+		tr.Events = append(tr.Events, e)
 	}
 	for i, pid := range pids {
 		emit(trace.Event{PID: pid, Kind: trace.KindCreateNode, Node: string(rune('a' + i))})

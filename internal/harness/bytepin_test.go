@@ -47,7 +47,7 @@ func TestSchedStreamBytePin(t *testing.T) {
 		SpawnChatter(w, 24, 2*sim.Millisecond)
 	}
 	sh := &schedHasher{h: sha256.New()}
-	if _, err := RunSessionInto(3, 12, 10*sim.Second, false, busyHost, sh); err != nil {
+	if _, err := RunSession(3, 12, 10*sim.Second, false, busyHost, sh); err != nil {
 		t.Fatal(err)
 	}
 	if sh.events == 0 {

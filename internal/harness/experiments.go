@@ -24,7 +24,7 @@ func TableIExperiment(cfg Config) (Result, error) {
 	// An inventory only needs per-kind tallies: stream the session into a
 	// counting sink, never materializing the trace.
 	var kc trace.KindCounter
-	_, err := RunSessionInto(cfg.Seed, 2, 2*sim.Second, true, func(w *rclcpp.World) {
+	_, err := RunSession(cfg.Seed, 2, 2*sim.Second, true, func(w *rclcpp.World) {
 		apps.BuildSYN(w, apps.SYNConfig{})
 	}, &kc)
 	if err != nil {
@@ -51,7 +51,7 @@ func Fig3aExperiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	dags, err := runSeries(cfg.workers, cfg.Runs, func(run int) (*core.DAG, error) {
 		sink := core.NewSynthesizeSink()
-		if _, err := RunSessionInto(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
+		if _, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
 			func(w *rclcpp.World) {
 				apps.BuildSYN(w, apps.SYNConfig{})
 			}, sink); err != nil {
@@ -87,7 +87,7 @@ func Fig3bExperiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	dags, err := runSeries(cfg.workers, cfg.Runs, func(run int) (*core.DAG, error) {
 		sink := core.NewSynthesizeSink()
-		if _, err := RunSessionInto(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
+		if _, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
 			func(w *rclcpp.World) {
 				apps.BuildAVP(w, apps.AVPConfig{})
 			}, sink); err != nil {
@@ -159,7 +159,7 @@ func runAVPSeries(cfg Config) ([]*core.DAG, []*Session, error) {
 	}
 	runs, err := runSeries(cfg.workers, cfg.Runs, func(run int) (avpRun, error) {
 		sink := core.NewSynthesizeSink()
-		s, err := RunSessionInto(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
+		s, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
 			BuildBoth(loadScaleForRun(run)), sink)
 		if err != nil {
 			return avpRun{}, err
@@ -353,7 +353,7 @@ func OverheadsExperiment(cfg Config) (Result, error) {
 	// counting sinks and are never held.
 	sessions, err := runSeries(cfg.workers, 2, func(run int) (*Session, error) {
 		var kc trace.KindCounter
-		return RunSessionInto(cfg.Seed, cfg.CPUs, duration, run == 0, buildBusyHost, &kc)
+		return RunSession(cfg.Seed, cfg.CPUs, duration, run == 0, buildBusyHost, &kc)
 	})
 	if err != nil {
 		return Result{}, err
@@ -495,13 +495,13 @@ func Fig2Experiment(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	dSeg := segSink.DAG()
-	whole, err := RunSession(cfg.Seed, cfg.CPUs, cfg.Duration, true, func(w *rclcpp.World) {
+	wholeSink := core.NewSynthesizeSink()
+	if _, err := RunSession(cfg.Seed, cfg.CPUs, cfg.Duration, true, func(w *rclcpp.World) {
 		apps.BuildAVP(w, apps.AVPConfig{})
-	})
-	if err != nil {
+	}, wholeSink); err != nil {
 		return Result{}, err
 	}
-	dWhole := core.Synthesize(whole.Trace)
+	dWhole := wholeSink.DAG()
 	segOK := len(dSeg.Vertices) == len(dWhole.Vertices) && len(dSeg.Edges()) == len(dWhole.Edges())
 	fmt.Fprintf(&b, "segmented sessions: %d vertices / %d edges vs whole-run %d / %d -> %v\n",
 		len(dSeg.Vertices), len(dSeg.Edges()), len(dWhole.Vertices), len(dWhole.Edges()), segOK)
@@ -512,7 +512,7 @@ func Fig2Experiment(cfg Config) (Result, error) {
 	// paper's choice). Statistics must be identical either way.
 	perRun, err := runSeries(cfg.workers, min(cfg.Runs, 5), func(run int) (*core.DAG, error) {
 		sink := core.NewSynthesizeSink()
-		if _, err := RunSessionInto(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration/2, true,
+		if _, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration/2, true,
 			func(w *rclcpp.World) {
 				apps.BuildAVP(w, apps.AVPConfig{})
 			}, sink); err != nil {
@@ -541,14 +541,12 @@ func Fig2Experiment(cfg Config) (Result, error) {
 	// (c) Multi-mode: a degraded mode (front LIDAR absent) yields a
 	// different DAG; per-mode merging keeps them apart.
 	mm := core.NewMultiModeDAG()
-	mm.AddTrace("nominal", whole.Trace)
-	degraded, err := RunSession(cfg.Seed+99, cfg.CPUs, cfg.Duration, true, func(w *rclcpp.World) {
-		buildAVPDegraded(w)
-	})
-	if err != nil {
+	mm.Add("nominal", dWhole)
+	degraded := core.NewSynthesizeSink()
+	if _, err := RunSession(cfg.Seed+99, cfg.CPUs, cfg.Duration, true, buildAVPDegraded, degraded); err != nil {
 		return Result{}, err
 	}
-	mm.AddTrace("front-lidar-failed", degraded.Trace)
+	mm.Add("front-lidar-failed", degraded.DAG())
 	nomV := len(mm.Modes["nominal"].Vertices)
 	degV := len(mm.Modes["front-lidar-failed"].Vertices)
 	modeOK := nomV == 7 && degV < nomV
@@ -571,7 +569,7 @@ func buildAVPDegraded(w *rclcpp.World) {
 func AblationServiceExperiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	mb := core.NewModelBuilder()
-	_, err := RunSessionInto(cfg.Seed, cfg.CPUs, cfg.Duration, true, func(w *rclcpp.World) {
+	_, err := RunSession(cfg.Seed, cfg.CPUs, cfg.Duration, true, func(w *rclcpp.World) {
 		apps.BuildSYN(w, apps.SYNConfig{})
 	}, mb)
 	if err != nil {
@@ -606,7 +604,7 @@ func AblationSyncExperiment(cfg Config) (Result, error) {
 	// least once (arrival order varies with the load).
 	models, err := runSeries(cfg.workers, min(cfg.Runs, 10), func(run int) (*core.Model, error) {
 		mb := core.NewModelBuilder()
-		if _, err := RunSessionInto(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
+		if _, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
 			BuildBoth(loadScaleForRun(run)), mb); err != nil {
 			return nil, err
 		}
@@ -697,7 +695,7 @@ func ValidationExperiment(cfg Config) (Result, error) {
 	checks, err := runSeries(cfg.workers, min(cfg.Runs, 10), func(run int) (runCheck, error) {
 		scale := loadScaleForRun(run)
 		mb := core.NewModelBuilder()
-		_, err := RunSessionInto(cfg.Seed+uint64(run), 1 /* one CPU forces preemption */, cfg.Duration, true,
+		_, err := RunSession(cfg.Seed+uint64(run), 1 /* one CPU forces preemption */, cfg.Duration, true,
 			func(w *rclcpp.World) {
 				apps.BuildSYN(w, apps.SYNConfig{LoadScale: scale, Prio: 3})
 				apps.BackgroundLoad(w, 2, 8, 0, 10*sim.Millisecond, 2*sim.Millisecond)

@@ -82,7 +82,6 @@ func (c Config) withDefaults() Config {
 type Session struct {
 	World  *rclcpp.World
 	Bundle *tracers.Bundle
-	Trace  *trace.Trace
 
 	TraceBytes  uint64
 	KernelBytes uint64
@@ -97,12 +96,12 @@ type Session struct {
 	LostRecords uint64
 }
 
-// RunSessionInto runs the deployment sequence of Fig. 2 (kernel tracer
+// RunSession runs the deployment sequence of Fig. 2 (kernel tracer
 // filtered unless stated) for duration with one drain at the end,
 // streaming the trace into sink: decoded events flow from the per-CPU
 // rings through the tournament merge straight into the sink, and no
-// merged trace is ever materialized (Session.Trace stays nil).
-func RunSessionInto(seed uint64, cpus int, duration sim.Duration, filteredKernel bool,
+// merged trace is ever materialized.
+func RunSession(seed uint64, cpus int, duration sim.Duration, filteredKernel bool,
 	build func(*rclcpp.World), sink trace.Sink) (*Session, error) {
 	ps, err := pipeline.New(pipeline.Config{
 		Seed: seed, CPUs: cpus, Build: build, UnfilteredKernel: !filteredKernel,
@@ -127,21 +126,6 @@ func RunSessionInto(seed uint64, cpus int, duration sim.Duration, filteredKernel
 	for _, th := range w.Machine().Threads() {
 		s.AppCPUNs += float64(th.CPUTime())
 	}
-	return s, nil
-}
-
-// RunSession is RunSessionInto collecting the stream into a materialized
-// Session.Trace — the batch-compatibility entry point for consumers that
-// need the whole event sequence (trace stores, multi-mode synthesis,
-// ...).
-func RunSession(seed uint64, cpus int, duration sim.Duration, filteredKernel bool,
-	build func(*rclcpp.World)) (*Session, error) {
-	var col trace.Collector
-	s, err := RunSessionInto(seed, cpus, duration, filteredKernel, build, &col)
-	if err != nil {
-		return nil, err
-	}
-	s.Trace = &col.Trace
 	return s, nil
 }
 

@@ -70,13 +70,13 @@ func TestStoreStreamSessionMatchesBatchPath(t *testing.T) {
 	if err := st.StreamSession("run", &col); err != nil {
 		t.Fatal(err)
 	}
-	s, err := RunSession(seed, 6, 4*sim.Second, true, BuildBoth(1))
-	if err != nil {
+	var whole trace.Collector
+	if _, err := RunSession(seed, 6, 4*sim.Second, true, BuildBoth(1), &whole); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(col.Trace.Events, s.Trace.Events) {
+	if !reflect.DeepEqual(col.Trace.Events, whole.Trace.Events) {
 		t.Fatalf("stored session has %d events, whole-run drain %d, streams differ",
-			col.Trace.Len(), s.Trace.Len())
+			len(col.Trace.Events), len(whole.Trace.Events))
 	}
 
 	// Artifacts: a model synthesized through the streaming store path
@@ -87,7 +87,7 @@ func TestStoreStreamSessionMatchesBatchPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	dStream := sink.DAG()
-	dBatch := core.Synthesize(s.Trace)
+	dBatch := modelDAG(&whole.Trace)
 
 	if got, want := core.Summary(dStream), core.Summary(dBatch); got != want {
 		t.Fatalf("model summaries differ:\n--- streamed store ---\n%s--- batch ---\n%s", got, want)
@@ -110,7 +110,8 @@ func TestStoreStreamSessionMatchesBatchPath(t *testing.T) {
 // TestStoreSegmentsMatchPeriodicDrains checks each stored segment holds
 // exactly one drain period's events: re-running the same world and
 // collecting each period batch-style must reproduce segment files byte
-// for byte (SegmentWriter vs SaveSegment-of-a-Collector).
+// for byte (the periodic loop's writer vs a Collector's events written
+// afterwards).
 func TestStoreSegmentsMatchPeriodicDrains(t *testing.T) {
 	const seed = 29
 	stStream, err := trace.NewStore(t.TempDir())
@@ -142,7 +143,14 @@ func TestStoreSegmentsMatchPeriodicDrains(t *testing.T) {
 		if err := b.StreamTo(&col); err != nil {
 			t.Fatal(err)
 		}
-		if err := stBatch.SaveSegment("run", seg, &col.Trace); err != nil {
+		sw, err := stBatch.WriteSegment("run", seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range col.Trace.Events {
+			sw.Observe(e)
+		}
+		if err := sw.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

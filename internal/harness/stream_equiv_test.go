@@ -10,26 +10,35 @@ import (
 	"github.com/tracesynth/rostracer/internal/trace"
 )
 
-// TestStreamedFigureTextMatchesBatch is the harness-level acceptance
-// test for the streaming refactor: the figure artifacts (DAG summary and
-// DOT text) produced by the streaming session pipeline must be
-// byte-identical to what the batch pipeline — materialize the trace,
-// then synthesize — produces from an identical session.
+// modelDAG folds a collected, (Time, Seq)-ordered trace through an
+// instance-keeping ModelBuilder and builds its DAG.
+func modelDAG(tr *trace.Trace) *core.DAG {
+	mb := core.NewModelBuilder()
+	for _, e := range tr.Events {
+		mb.Observe(e)
+	}
+	return core.BuildDAG(mb.Finish())
+}
+
+// TestStreamedFigureTextMatchesBatch checks the figure artifacts (DAG
+// summary and DOT text) of a session streamed into a SynthesizeSink are
+// byte-identical to those of an identical session collected first and
+// then folded through an instance-keeping ModelBuilder.
 func TestStreamedFigureTextMatchesBatch(t *testing.T) {
 	for _, seed := range []uint64{3, 11} {
 		build := BuildBoth(1)
 
 		sink := core.NewSynthesizeSink()
-		if _, err := RunSessionInto(seed, 8, 6*sim.Second, true, build, sink); err != nil {
+		if _, err := RunSession(seed, 8, 6*sim.Second, true, build, sink); err != nil {
 			t.Fatal(err)
 		}
 		dStream := sink.DAG()
 
-		s, err := RunSession(seed, 8, 6*sim.Second, true, build)
-		if err != nil {
+		var col trace.Collector
+		if _, err := RunSession(seed, 8, 6*sim.Second, true, build, &col); err != nil {
 			t.Fatal(err)
 		}
-		dBatch := core.Synthesize(s.Trace)
+		dBatch := modelDAG(&col.Trace)
 
 		if got, want := core.Summary(dStream), core.Summary(dBatch); got != want {
 			t.Fatalf("seed %d: summaries differ:\n--- streamed ---\n%s--- batch ---\n%s", seed, got, want)
@@ -41,24 +50,24 @@ func TestStreamedFigureTextMatchesBatch(t *testing.T) {
 }
 
 // TestRunSessionIntoCounterMatchesBatchCounts checks the counting sink
-// sees exactly the events the batch collector materializes, kind by
-// kind.
+// sees exactly the events a Collector materializes from an identical
+// session, kind by kind.
 func TestRunSessionIntoCounterMatchesBatchCounts(t *testing.T) {
 	build := func(w *rclcpp.World) { apps.BuildSYN(w, apps.SYNConfig{}) }
 
 	var kc trace.KindCounter
-	if _, err := RunSessionInto(5, 4, 3*sim.Second, true, build, &kc); err != nil {
+	if _, err := RunSession(5, 4, 3*sim.Second, true, build, &kc); err != nil {
 		t.Fatal(err)
 	}
-	s, err := RunSession(5, 4, 3*sim.Second, true, build)
-	if err != nil {
+	var col trace.Collector
+	if _, err := RunSession(5, 4, 3*sim.Second, true, build, &col); err != nil {
 		t.Fatal(err)
 	}
-	if kc.Total() != s.Trace.Len() {
-		t.Fatalf("counter saw %d events, batch trace has %d", kc.Total(), s.Trace.Len())
+	if kc.Total() != len(col.Trace.Events) {
+		t.Fatalf("counter saw %d events, collector has %d", kc.Total(), len(col.Trace.Events))
 	}
 	batchCounts := map[trace.Kind]int{}
-	for _, e := range s.Trace.Events {
+	for _, e := range col.Trace.Events {
 		batchCounts[e.Kind]++
 	}
 	for kind, n := range batchCounts {

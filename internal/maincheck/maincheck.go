@@ -1,19 +1,27 @@
 // Package maincheck checks that a program prints the same bytes on every
-// run: its tests call the program's main repeatedly with stdout captured.
+// run and in every tree: its tests call the program's main repeatedly
+// with stdout captured and compare the bytes with a pinned digest.
 package maincheck
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"os"
 	"testing"
 )
 
 // Deterministic runs main n times and fails t unless every run writes
-// the same bytes to stdout.
-func Deterministic(t *testing.T, n int, main func()) {
+// the same bytes to stdout and their sha256 is wantSHA256 (lowercase
+// hex, as sha256sum prints it).
+func Deterministic(t *testing.T, n int, wantSHA256 string, main func()) {
 	t.Helper()
 	first := capture(t, main)
+	sum := sha256.Sum256(first)
+	if got := hex.EncodeToString(sum[:]); got != wantSHA256 {
+		t.Fatalf("stdout sha256 = %s, want %s:\n%s", got, wantSHA256, first)
+	}
 	for i := 1; i < n; i++ {
 		if got := capture(t, main); !bytes.Equal(got, first) {
 			t.Fatalf("run %d printed different bytes:\n--- run 0 ---\n%s--- run %d ---\n%s", i, first, i, got)

@@ -366,8 +366,8 @@ func TestSinkDetachesOnUnorderedStream(t *testing.T) {
 	if len(det) != 1 || det[0].Name != "metrics" || det[0].Events != ordered || !errors.Is(det[0].Err, trace.ErrUnordered) {
 		t.Fatalf("detachments %+v, want metrics after %d events with trace.ErrUnordered", det, ordered)
 	}
-	if fan.Live() != 1 || all.Trace.Len() != len(evs) {
-		t.Fatalf("%d sinks live, collector got %d of %d events", fan.Live(), all.Trace.Len(), len(evs))
+	if fan.Live() != 1 || len(all.Trace.Events) != len(evs) {
+		t.Fatalf("%d sinks live, collector got %d of %d events", fan.Live(), len(all.Trace.Events), len(evs))
 	}
 	// Only the ordered prefix was folded, and later events stay ignored.
 	s.Observe(trace.Event{Time: 1000, Seq: 8, PID: 7, Kind: trace.KindTakeInt, Topic: "/img", SrcTS: 900})

@@ -24,8 +24,8 @@ import (
 const binMagic = "RTRC1\n"
 
 // appendRecordBody appends the body of one record — everything after the
-// u32 length prefix — to dst. Shared by WriteBinary and SegmentWriter so
-// the batch and streaming encoders cannot drift. ok is false when a
+// u32 length prefix — to dst. SegmentWriter's v1 path encodes every
+// record through it. ok is false when a
 // string field exceeds the u16 length prefix; the caller formats the
 // error (formatting it here would make every event escape to the heap).
 func appendRecordBody(dst []byte, e *Event) (body []byte, ok bool) {
@@ -61,29 +61,10 @@ func WriteBinary(w io.Writer, t *Trace) error {
 	return sw.Close()
 }
 
-// ReadBinary decodes a trace written by WriteBinary: the batch wrapper
-// over FileCursor. It is all-or-nothing — any decode error discards the
-// events read so far; use FileCursor directly to consume the valid
-// prefix of a damaged segment.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	c := NewFileCursor(r)
-	out := &Trace{}
-	for {
-		e, ok, err := c.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out.Events = append(out.Events, *e)
-	}
-}
-
 // recFixedSize is the byte count of a record's fixed fields: the kind
 // byte, the numeric header, and the two (possibly zero-length) string
 // length prefixes. Shorter records cannot have been produced by
-// WriteBinary.
+// SegmentWriter.
 const recFixedSize = 1 + // kind
 	8 + 8 + 4 + // time, seq, pid
 	8 + 8 + 8 + // cbid, srcts, ret
@@ -232,35 +213,4 @@ func (s *JSONLSink) Close() error {
 		return ferr
 	}
 	return cerr
-}
-
-// WriteJSONL encodes t as one JSON object per line, a convenient form for
-// external tooling.
-func WriteJSONL(w io.Writer, t *Trace) error {
-	s := NewJSONLSink(w)
-	for _, e := range t.Events {
-		s.Observe(e)
-	}
-	return s.Flush()
-}
-
-// ReadJSONL decodes a trace written by WriteJSONL.
-func ReadJSONL(r io.Reader) (*Trace, error) {
-	dec := json.NewDecoder(r)
-	out := &Trace{}
-	for {
-		var je jsonEvent
-		if err := dec.Decode(&je); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, err
-		}
-		out.Events = append(out.Events, Event{
-			Time: sim.Time(je.T), Seq: je.Seq, PID: je.PID, Kind: Kind(je.K),
-			Node: je.Node, CBID: je.CBID, Topic: je.Topic, SrcTS: je.SrcTS,
-			Ret: je.Ret, CPU: je.CPU, PrevPID: je.PPID, NextPID: je.NPID,
-			PrevPrio: je.PPrio, NextPrio: je.NPrio, PrevState: je.PSt,
-		})
-	}
 }

@@ -26,12 +26,12 @@ func TestBinaryTruncationNeverPanics(t *testing.T) {
 	full := encodeSample(t)
 	want := sampleEvents()
 	for cut := 0; cut < len(full); cut++ {
-		got, err := ReadBinary(bytes.NewReader(full[:cut]))
+		got, err := decodeAll(bytes.NewReader(full[:cut]))
 		if err != nil {
 			continue
 		}
-		if got.Len() > len(want) {
-			t.Fatalf("cut %d: decoded %d events from a %d-event trace", cut, got.Len(), len(want))
+		if len(got.Events) > len(want) {
+			t.Fatalf("cut %d: decoded %d events from a %d-event trace", cut, len(got.Events), len(want))
 		}
 		for i := range got.Events {
 			if got.Events[i] != want[i] {
@@ -91,7 +91,7 @@ func TestBinaryCorruptRecords(t *testing.T) {
 			binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(tc.body)))
 			buf.Write(lenBuf[:])
 			buf.Write(tc.body)
-			if _, err := ReadBinary(&buf); err == nil {
+			if _, err := decodeAll(&buf); err == nil {
 				t.Fatalf("malformed record accepted")
 			}
 		})
@@ -106,7 +106,7 @@ func TestBinaryImplausibleLengths(t *testing.T) {
 		var lenBuf [4]byte
 		binary.LittleEndian.PutUint32(lenBuf[:], n)
 		buf.Write(lenBuf[:])
-		if _, err := ReadBinary(&buf); err == nil {
+		if _, err := decodeAll(&buf); err == nil {
 			t.Fatalf("record length %d accepted", n)
 		}
 	}
@@ -164,13 +164,13 @@ func TestInternStatsCounters(t *testing.T) {
 func TestBinaryDecodeInternsNames(t *testing.T) {
 	tr := &Trace{}
 	for i := 0; i < 8; i++ {
-		tr.Append(Event{Time: sim.Time(i), Seq: uint64(i), Kind: KindDDSWrite, Topic: "recurring/topic"})
+		tr.Events = append(tr.Events, Event{Time: sim.Time(i), Seq: uint64(i), Kind: KindDDSWrite, Topic: "recurring/topic"})
 	}
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := decodeAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,9 +162,7 @@ func TestStreamSessionAllocsPerSegment(t *testing.T) {
 		for i := range evs {
 			evs[i].Time += sim.Time(seg * 1_000_000)
 		}
-		if err := s.SaveSegment("run", seg, &Trace{Events: evs}); err != nil {
-			t.Fatal(err)
-		}
+		writeSessionSegment(t, s, "run", seg, evs)
 	}
 	var kc KindCounter
 	stream := func() {

@@ -1,6 +1,6 @@
 // Package trace defines the event model produced by the tracers and
-// consumed by the timing-model synthesis algorithms, together with codecs,
-// merging, filtering, and session management.
+// consumed by the timing-model synthesis algorithms, together with the
+// codecs, the streaming merge, and the segment store.
 //
 // An Event is the decoded form of one perf-buffer record (probes P1–P16 of
 // Table I) or one sched_switch tracepoint record. Events order by
@@ -12,10 +12,7 @@
 package trace
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 
 	"github.com/tracesynth/rostracer/internal/sim"
@@ -161,152 +158,9 @@ func (e Event) String() string {
 	}
 }
 
-// Trace is an ordered collection of events.
+// Trace is a materialized event sequence, the form Collector fills.
+// Production code streams events through sinks instead; a Trace is for
+// tests and benchmarks that need the whole sequence at once.
 type Trace struct {
 	Events []Event
-}
-
-// Len returns the number of events.
-func (t *Trace) Len() int { return len(t.Events) }
-
-// Append adds events to the trace.
-func (t *Trace) Append(evs ...Event) { t.Events = append(t.Events, evs...) }
-
-// eventLess is the (Time, Seq) chronological order Algorithm 1 requires.
-func eventLess(a, b *Event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	return a.Seq < b.Seq
-}
-
-// SortByTime orders events by (Time, Seq), the chronological order
-// Algorithm 1 requires.
-func (t *Trace) SortByTime() {
-	slices.SortStableFunc(t.Events, func(a, b Event) int {
-		if a.Time != b.Time {
-			return cmp.Compare(a.Time, b.Time)
-		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
-}
-
-// sortedByTime reports whether the trace is already in (Time, Seq) order.
-func (t *Trace) sortedByTime() bool {
-	for i := 1; i < len(t.Events); i++ {
-		if eventLess(&t.Events[i], &t.Events[i-1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// filter returns the sub-trace of events matching keep, sized exactly with
-// a count pass so the result is a single allocation.
-func (t *Trace) filter(keep func(*Event) bool) *Trace {
-	n := 0
-	for i := range t.Events {
-		if keep(&t.Events[i]) {
-			n++
-		}
-	}
-	out := &Trace{}
-	if n == 0 {
-		return out
-	}
-	out.Events = make([]Event, 0, n)
-	for i := range t.Events {
-		if keep(&t.Events[i]) {
-			out.Events = append(out.Events, t.Events[i])
-		}
-	}
-	return out
-}
-
-// FilterPID returns the sub-trace whose events belong to pid (for
-// sched_switch events: mention pid as prev or next).
-func (t *Trace) FilterPID(pid uint32) *Trace {
-	return t.filter(func(e *Event) bool {
-		if e.Kind == KindSchedSwitch || e.Kind == KindSchedWakeup {
-			return e.PrevPID == pid || e.NextPID == pid
-		}
-		return e.PID == pid
-	})
-}
-
-// FilterKind returns the sub-trace with only the given kinds.
-func (t *Trace) FilterKind(kinds ...Kind) *Trace {
-	var want [numKinds]bool
-	for _, k := range kinds {
-		if k < numKinds {
-			want[k] = true
-		}
-	}
-	return t.filter(func(e *Event) bool {
-		return e.Kind < numKinds && want[e.Kind]
-	})
-}
-
-// ROSEvents returns the sub-trace of ROS2 middleware events (everything
-// except scheduler events).
-func (t *Trace) ROSEvents() *Trace {
-	return t.filter(func(e *Event) bool {
-		return e.Kind != KindSchedSwitch && e.Kind != KindSchedWakeup
-	})
-}
-
-// SchedEvents returns the sub-trace of scheduler events (switches and
-// wakeups).
-func (t *Trace) SchedEvents() *Trace { return t.FilterKind(KindSchedSwitch, KindSchedWakeup) }
-
-// PIDs returns the distinct PIDs of ROS2 events, sorted.
-func (t *Trace) PIDs() []uint32 {
-	seen := make(map[uint32]bool)
-	for _, e := range t.Events {
-		if e.Kind != KindSchedSwitch && e.Kind != KindSchedWakeup {
-			seen[e.PID] = true
-		}
-	}
-	out := make([]uint32, 0, len(seen))
-	for pid := range seen {
-		out = append(out, pid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Nodes returns the node-name→PID mapping established by P1 events.
-func (t *Trace) Nodes() map[string]uint32 {
-	out := make(map[string]uint32)
-	for _, e := range t.Events {
-		if e.Kind == KindCreateNode {
-			out[e.Node] = e.PID
-		}
-	}
-	return out
-}
-
-// Clone returns a deep copy.
-func (t *Trace) Clone() *Trace {
-	out := &Trace{Events: make([]Event, len(t.Events))}
-	copy(out.Events, t.Events)
-	return out
-}
-
-// TimeSpan returns the first and last event times (zero values for an
-// empty trace).
-func (t *Trace) TimeSpan() (first, last sim.Time) {
-	if len(t.Events) == 0 {
-		return 0, 0
-	}
-	first, last = t.Events[0].Time, t.Events[0].Time
-	for _, e := range t.Events {
-		if e.Time < first {
-			first = e.Time
-		}
-		if e.Time > last {
-			last = e.Time
-		}
-	}
-	return first, last
 }

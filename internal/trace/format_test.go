@@ -55,18 +55,18 @@ func TestFormatCompatRoundTrip(t *testing.T) {
 		if err := WriteBinary(&v1, &Trace{Events: events}); err != nil {
 			t.Fatal(err)
 		}
-		fromV1, err := ReadBinary(bytes.NewReader(v1.Bytes()))
+		fromV1, err := decodeAll(bytes.NewReader(v1.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, blockRecords := range []int{1, 4, 0, len(events) + 1} {
-			fromV2, err := ReadBinary(bytes.NewReader(encodeV2(t, events, blockRecords)))
+			fromV2, err := decodeAll(bytes.NewReader(encodeV2(t, events, blockRecords)))
 			if err != nil {
 				t.Fatalf("v2(block=%d): %v", blockRecords, err)
 			}
 			if !reflect.DeepEqual(fromV2.Events, fromV1.Events) {
 				t.Fatalf("v2(block=%d) decode diverges from v1: %d vs %d events",
-					blockRecords, fromV2.Len(), fromV1.Len())
+					blockRecords, len(fromV2.Events), len(fromV1.Events))
 			}
 			if len(events) > 0 && !reflect.DeepEqual(fromV2.Events, events) {
 				t.Fatalf("v2(block=%d) decode diverges from input", blockRecords)
@@ -120,7 +120,8 @@ func TestFormatCompatStore(t *testing.T) {
 	if !reflect.DeepEqual(streams[FormatV1], events) {
 		t.Fatal("streamed session diverges from input")
 	}
-	// ReadBinary reads a segment of either format through the same path.
+	// A plain FileCursor reads a segment of either format through the
+	// same path.
 	for format, s := range stores {
 		tr, err := readSegment(s, "run", 2)
 		if err != nil {

@@ -6,51 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzReadBinary feeds arbitrary bytes to the binary trace reader. The
-// codec must never panic on malformed input — truncated records, corrupt
-// length prefixes, oversized string fields — and anything it accepts must
-// re-encode cleanly.
-func FuzzReadBinary(f *testing.F) {
-	// Seed with a valid encoding, a truncation of it, and a few
-	// deliberately corrupt variants so the fuzzer starts at the
-	// interesting boundaries.
-	var valid bytes.Buffer
-	if err := WriteBinary(&valid, &Trace{Events: sampleEvents()}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
-	f.Add([]byte(binMagic))
-	f.Add([]byte("not a trace file"))
-	corrupt := append([]byte(nil), valid.Bytes()...)
-	binary.LittleEndian.PutUint32(corrupt[len(binMagic):], 1<<19)
-	f.Add(corrupt)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Accepted input must round-trip: what decoded must re-encode.
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
-			t.Fatalf("accepted trace failed to re-encode: %v", err)
-		}
-		back, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded trace failed to decode: %v", err)
-		}
-		if back.Len() != tr.Len() {
-			t.Fatalf("re-decode lost events: %d != %d", back.Len(), tr.Len())
-		}
-	})
-}
-
 // FuzzFileCursor feeds arbitrary segment bytes to the streaming reader.
 // The cursor must never panic — random, truncated, or corrupted input
-// included — and must fail with an error on exactly the inputs
-// ReadBinary rejects, yielding on the way only events ReadBinary would
-// have decoded (its valid prefix, never a partial record).
+// included — its error must be sticky, and every event it yields (all
+// of an accepted input, the valid prefix of a rejected one) must
+// re-encode through NewSegmentWriter and decode back to equal events.
 func FuzzFileCursor(f *testing.F) {
 	var valid bytes.Buffer
 	if err := WriteBinary(&valid, &Trace{Events: sampleEvents()}); err != nil {
@@ -68,39 +28,32 @@ func FuzzFileCursor(f *testing.F) {
 	f.Add(encodeV2(f, sampleEvents(), 3))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var got []Event
 		cur := NewFileCursor(bytes.NewReader(data))
-		var curErr error
-		for {
-			ev, ok, err := cur.Next()
-			if err != nil {
-				curErr = err
-				break
-			}
-			if !ok {
-				break
-			}
-			got = append(got, *ev)
-		}
-		// The error must be sticky.
+		got, curErr := drainCursor(cur)
 		if curErr != nil {
 			if _, _, err := cur.Next(); err == nil {
 				t.Fatal("cursor error not sticky")
 			}
 		}
 
-		want, batchErr := ReadBinary(bytes.NewReader(data))
-		if (curErr == nil) != (batchErr == nil) {
-			t.Fatalf("cursor err=%v, ReadBinary err=%v", curErr, batchErr)
+		var buf bytes.Buffer
+		sw := NewSegmentWriter(&buf)
+		for _, e := range got {
+			sw.Observe(e)
 		}
-		if batchErr == nil {
-			if len(got) != want.Len() {
-				t.Fatalf("cursor decoded %d events, ReadBinary %d", len(got), want.Len())
-			}
-			for i := range got {
-				if got[i] != want.Events[i] {
-					t.Fatalf("event %d: cursor %v, ReadBinary %v", i, got[i], want.Events[i])
-				}
+		if err := sw.Close(); err != nil {
+			t.Fatalf("decoded events failed to re-encode: %v", err)
+		}
+		back, err := decodeAll(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded events failed to decode: %v", err)
+		}
+		if len(back.Events) != len(got) {
+			t.Fatalf("round trip decoded %d events, want %d", len(back.Events), len(got))
+		}
+		for i := range got {
+			if back.Events[i] != got[i] {
+				t.Fatalf("event %d: round trip %v, cursor %v", i, back.Events[i], got[i])
 			}
 		}
 	})
@@ -109,7 +62,7 @@ func FuzzFileCursor(f *testing.F) {
 // FuzzSalvage feeds arbitrary segment bytes to the salvage reader. It
 // must never panic and never yield a partial record: what it recovers is
 // exactly the plain cursor's valid prefix, and the BytesRecovered prefix
-// of the input must itself decode cleanly (with ReadBinary) to exactly
+// of the input must itself decode cleanly (through a FileCursor) to exactly
 // the recovered events.
 func FuzzSalvage(f *testing.F) {
 	var valid bytes.Buffer
@@ -164,17 +117,17 @@ func FuzzSalvage(f *testing.F) {
 		// block's salvaged record prefix is yielded beyond what the byte
 		// prefix re-decodes to — the prefix then holds the leading subset.
 		if rep.BytesRecovered > 0 {
-			tr, err := ReadBinary(bytes.NewReader(data[:rep.BytesRecovered]))
+			tr, err := decodeAll(bytes.NewReader(data[:rep.BytesRecovered]))
 			if err != nil {
 				t.Fatalf("BytesRecovered prefix does not decode: %v", err)
 			}
 			isV2 := len(data) >= len(binMagic2) && string(data[:len(binMagic2)]) == binMagic2
 			if isV2 {
-				if tr.Len() > len(got) {
-					t.Fatalf("prefix decodes to %d events, salvage recovered only %d", tr.Len(), len(got))
+				if len(tr.Events) > len(got) {
+					t.Fatalf("prefix decodes to %d events, salvage recovered only %d", len(tr.Events), len(got))
 				}
-			} else if tr.Len() != len(got) {
-				t.Fatalf("prefix decodes to %d events, salvage recovered %d", tr.Len(), len(got))
+			} else if len(tr.Events) != len(got) {
+				t.Fatalf("prefix decodes to %d events, salvage recovered %d", len(tr.Events), len(got))
 			}
 			for i := range tr.Events {
 				if got[i] != tr.Events[i] {
@@ -258,12 +211,12 @@ func FuzzV2Cursor(f *testing.F) {
 
 		// Cleanly decoded input round-trips through the v2 encoder.
 		if curErr == nil && len(got) > 0 {
-			back, err := ReadBinary(bytes.NewReader(encodeV2(t, got, 3)))
+			back, err := decodeAll(bytes.NewReader(encodeV2(t, got, 3)))
 			if err != nil {
 				t.Fatalf("re-encode of accepted events failed to decode: %v", err)
 			}
-			if back.Len() != len(got) {
-				t.Fatalf("re-encode lost events: %d != %d", back.Len(), len(got))
+			if len(back.Events) != len(got) {
+				t.Fatalf("re-encode lost events: %d != %d", len(back.Events), len(got))
 			}
 			for i := range got {
 				if got[i] != back.Events[i] {
@@ -289,7 +242,7 @@ func FuzzV1V2Equivalence(f *testing.F) {
 	f.Add([]byte("not a trace file"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
+		tr, err := decodeAll(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -306,15 +259,15 @@ func FuzzV1V2Equivalence(f *testing.F) {
 				if !ok {
 					break
 				}
-				if n >= tr.Len() {
+				if n >= len(tr.Events) {
 					continue
 				}
 				if tr.Events[n] != *ev {
 					t.Fatalf("v2(block=%d) event %d: %v != %v", blockRecords, n, *ev, tr.Events[n])
 				}
 			}
-			if n != tr.Len() {
-				t.Fatalf("v2(block=%d) lost events: %d != %d", blockRecords, n, tr.Len())
+			if n != len(tr.Events) {
+				t.Fatalf("v2(block=%d) lost events: %d != %d", blockRecords, n, len(tr.Events))
 			}
 		}
 	})

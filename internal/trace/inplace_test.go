@@ -130,9 +130,7 @@ func TestInPlaceDecodeClearsStaleFieldsV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.BlockRecords = perBlock
-	if err := st.SaveSegment("run", 0, &Trace{Events: evs}); err != nil {
-		t.Fatal(err)
-	}
+	writeSessionSegment(t, st, "run", 0, evs)
 	var col Collector
 	if _, err := st.QuerySession("run", Filter{}, &col); err != nil {
 		t.Fatal(err)

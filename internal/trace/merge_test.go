@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/tracesynth/rostracer/internal/sim"
@@ -47,7 +46,7 @@ func referenceMerge(traces ...*Trace) *Trace {
 			out.Events = append(out.Events, t.Events...)
 		}
 	}
-	out.SortByTime()
+	sortByTime(out.Events)
 	return out
 }
 
@@ -90,8 +89,8 @@ func TestMergeMatchesReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			got := mergeStreams(t, tc.traces...)
 			want := referenceMerge(tc.traces...)
-			if got.Len() != want.Len() {
-				t.Fatalf("len %d, want %d", got.Len(), want.Len())
+			if len(got.Events) != len(want.Events) {
+				t.Fatalf("len %d, want %d", len(got.Events), len(want.Events))
 			}
 			for i := range want.Events {
 				if got.Events[i] != want.Events[i] {
@@ -108,7 +107,7 @@ func TestMergeTieBreaksByInputOrder(t *testing.T) {
 	a := &Trace{Events: []Event{{Time: 5, Seq: 1, PID: 100}}}
 	b := &Trace{Events: []Event{{Time: 5, Seq: 1, PID: 200}}}
 	m := mergeStreams(t, a, b)
-	if m.Len() != 2 || m.Events[0].PID != 100 || m.Events[1].PID != 200 {
+	if len(m.Events) != 2 || m.Events[0].PID != 100 || m.Events[1].PID != 200 {
 		t.Fatalf("tie order broken: %v", m.Events)
 	}
 }
@@ -122,57 +121,5 @@ func TestMergeDoesNotAliasInputs(t *testing.T) {
 	m.Events[0].PID = 999
 	if a.Events[0].PID == 999 {
 		t.Fatal("merge aliases its input's event storage")
-	}
-}
-
-func TestFiltersMatchReference(t *testing.T) {
-	tr := synthTrace(12, 300, false)
-	// Salt in scheduler events, which FilterPID treats specially.
-	for i := 0; i < 40; i++ {
-		tr.Events[i*7].Kind = KindSchedSwitch
-		tr.Events[i*7].PrevPID = uint32(i % 3)
-		tr.Events[i*7].NextPID = uint32((i + 1) % 3)
-	}
-
-	refFilter := func(keep func(Event) bool) []Event {
-		var out []Event
-		for _, e := range tr.Events {
-			if keep(e) {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
-
-	gotPID := tr.FilterPID(2).Events
-	wantPID := refFilter(func(e Event) bool {
-		if e.Kind == KindSchedSwitch || e.Kind == KindSchedWakeup {
-			return e.PrevPID == 2 || e.NextPID == 2
-		}
-		return e.PID == 2
-	})
-	if !reflect.DeepEqual(gotPID, wantPID) {
-		t.Fatalf("FilterPID: %d events, want %d", len(gotPID), len(wantPID))
-	}
-
-	gotKind := tr.FilterKind(KindDDSWrite, KindSchedSwitch).Events
-	wantKind := refFilter(func(e Event) bool {
-		return e.Kind == KindDDSWrite || e.Kind == KindSchedSwitch
-	})
-	if !reflect.DeepEqual(gotKind, wantKind) {
-		t.Fatalf("FilterKind: %d events, want %d", len(gotKind), len(wantKind))
-	}
-
-	gotROS := tr.ROSEvents().Events
-	wantROS := refFilter(func(e Event) bool {
-		return e.Kind != KindSchedSwitch && e.Kind != KindSchedWakeup
-	})
-	if !reflect.DeepEqual(gotROS, wantROS) {
-		t.Fatalf("ROSEvents: %d events, want %d", len(gotROS), len(wantROS))
-	}
-
-	// Filters must return exactly-sized single allocations.
-	if c := cap(tr.FilterPID(2).Events); c != len(wantPID) {
-		t.Fatalf("FilterPID over-allocated: cap %d, want %d", c, len(wantPID))
 	}
 }

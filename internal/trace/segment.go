@@ -291,11 +291,10 @@ func (sw *SegmentWriter) Close() error {
 // multi-GB segment holds one record (v1) or one block's encoded body
 // (v2) in memory, never the segment. It is the only segment decoder:
 // StreamSession, QuerySession, SalvageSession and Fsck all read through
-// it. It accepts exactly the inputs ReadBinary accepts and fails exactly
-// where ReadBinary fails (ReadBinary is implemented over it, and
-// FuzzFileCursor pins the equivalence): a segment truncated mid-record —
-// e.g. by a writer killed before Close — yields every complete record
-// and then an error, so no partial-record event ever reaches a sink.
+// it. A segment truncated mid-record — e.g. by a writer killed before
+// Close — yields every complete record and then an error, so no
+// partial-record event ever reaches a sink; FuzzFileCursor checks that
+// every input it accepts re-encodes to the same events.
 //
 // A store-opened cursor can also carry a record filter and, for a v2
 // segment with a footer, the index entries of the blocks to read: it

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -27,7 +29,26 @@ func loadSession(t *testing.T, st *Store, session string) *Trace {
 	return &col.Trace
 }
 
-// readSegment decodes one segment file of either format with ReadBinary.
+// decodeAll decodes a whole segment through a FileCursor, all or
+// nothing: a decode error discards the events read so far (drainCursor
+// keeps the valid prefix of a damaged segment).
+func decodeAll(r io.Reader) (*Trace, error) {
+	evs, err := drainCursor(NewFileCursor(r))
+	if err != nil {
+		return nil, err
+	}
+	return &Trace{Events: evs}, nil
+}
+
+// sortByTime stably orders events by (Time, Seq), the order a merge of
+// their sorted partitions yields.
+func sortByTime(evs []Event) {
+	slices.SortStableFunc(evs, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Seq, b.Seq))
+	})
+}
+
+// readSegment decodes one segment file of either format with decodeAll.
 // Unlike the session read paths it is non-strict: a single segment read
 // in isolation has no merge to corrupt, so any record order round-trips.
 func readSegment(st *Store, session string, segment int) (*Trace, error) {
@@ -36,7 +57,7 @@ func readSegment(st *Store, session string, segment int) (*Trace, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadBinary(f)
+	return decodeAll(f)
 }
 
 // writeSessionSegments saves the given per-segment event slices as one
@@ -217,36 +238,11 @@ func TestSegmentWriterObserveAfterClose(t *testing.T) {
 	}
 }
 
-// TestSaveSegmentSortsUnsortedTrace checks a trace saved out of
-// (Time, Seq) order still reads back as a sorted session. The
-// normalization happens at SaveSegment time — the streaming read path
-// merges and cannot re-sort, so segments are required sorted on disk.
-func TestSaveSegmentSortsUnsortedTrace(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	unsorted := &Trace{Events: []Event{
-		{Time: 30, Seq: 3, Kind: KindSubCBEnd, PID: 1},
-		{Time: 10, Seq: 1, Kind: KindSubCBStart, PID: 1},
-		{Time: 20, Seq: 2, Kind: KindTakeInt, PID: 1, Topic: "t"},
-	}}
-	if err := st.SaveSegment("run", 0, unsorted); err != nil {
-		t.Fatal(err)
-	}
-	tr := loadSession(t, st, "run")
-	want := unsorted.Clone()
-	want.SortByTime()
-	if !reflect.DeepEqual(tr.Events, want.Events) {
-		t.Fatalf("unsorted segment not re-sorted: %v", tr.Events)
-	}
-}
-
 // TestStreamSessionRejectsUnsortedSegment checks the strict store
 // cursors fail loudly on a segment file whose records are out of
-// (Time, Seq) order — written behind the store's back, since SaveSegment
-// normalizes — instead of silently feeding a misordered stream to
-// Algorithm 2.
+// (Time, Seq) order — written behind the store's back, since the drain
+// only ever writes sorted segments — instead of silently feeding a
+// misordered stream to Algorithm 2.
 func TestStreamSessionRejectsUnsortedSegment(t *testing.T) {
 	st, err := NewStore(t.TempDir())
 	if err != nil {
@@ -277,7 +273,7 @@ func TestStreamSessionRejectsUnsortedSegment(t *testing.T) {
 	// The plain codec keeps accepting the same bytes: ordering is a
 	// store contract, not a codec one.
 	if _, err := readSegment(st, "run", 0); err != nil {
-		t.Fatalf("ReadBinary rejected an unsorted (but well-formed) trace: %v", err)
+		t.Fatalf("FileCursor rejected an unsorted (but well-formed) trace: %v", err)
 	}
 }
 
@@ -294,23 +290,6 @@ func drainCursor(c Cursor) ([]Event, error) {
 			return evs, nil
 		}
 		evs = append(evs, *ev)
-	}
-}
-
-// TestFileCursorMatchesReadBinary checks the cursor yields exactly the
-// events ReadBinary decodes from the same bytes.
-func TestFileCursorMatchesReadBinary(t *testing.T) {
-	data := encodeSample(t)
-	want, err := ReadBinary(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := drainCursor(NewFileCursor(bytes.NewReader(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want.Events) {
-		t.Fatalf("cursor events differ from ReadBinary:\n got %v\nwant %v", got, want.Events)
 	}
 }
 
@@ -372,7 +351,7 @@ func TestStoreStreamSessionMatchesBatchMerge(t *testing.T) {
 	}
 	if !reflect.DeepEqual(col.Trace.Events, want.Events) {
 		t.Fatalf("StreamSession differs from batch merge: %d vs %d events",
-			col.Trace.Len(), want.Len())
+			len(col.Trace.Events), len(want.Events))
 	}
 }
 
@@ -401,9 +380,7 @@ func TestSegmentCrashRecovery(t *testing.T) {
 	// session-level assertion below must fail on the truncation, not on
 	// the strict order check.
 	evs := sampleEvents()
-	tr := Trace{Events: evs}
-	tr.SortByTime()
-	evs = tr.Events
+	sortByTime(evs)
 	// v1 pinned: the sweep below does v1 record-boundary arithmetic
 	// (WriteBinary prefixes). TestSegmentCrashRecoveryV2 is the v2 twin.
 	st := writeSessionSegmentsFormat(t, "run1", [][]Event{evs}, FormatV1)
@@ -499,7 +476,7 @@ func TestStreamSessionRoundTripsFormats(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(col.Trace.Events, want) {
-				t.Fatalf("StreamSession returned %d events, want the %d written", col.Trace.Len(), len(want))
+				t.Fatalf("StreamSession returned %d events, want the %d written", len(col.Trace.Events), len(want))
 			}
 		})
 	}

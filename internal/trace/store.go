@@ -19,12 +19,12 @@ import (
 // every read path opens a session's segments as FileCursors through
 // SessionCursors — StreamSession k-way merges them straight into any
 // sink, QuerySession filters them, SalvageSession and Fsck recover
-// what decodes. SaveSegment is the batch wrapper over the write path.
+// what decodes. Nothing in the store materializes a session.
 type Store struct {
 	dir string
 
-	// Format selects the segment format the write paths (WriteSegment,
-	// SaveSegment) produce; the zero value means the default, v2. Reads
+	// Format selects the segment format WriteSegment produces; the zero
+	// value means the default, v2. Reads
 	// are always version-aware — FileCursor sniffs each segment's magic —
 	// so a store can hold a mix of v1 and v2 segments.
 	Format Format
@@ -78,25 +78,6 @@ func (s *Store) WriteSegment(session string, segment int) (*SegmentWriter, error
 	sw.c = f
 	sw.path = path
 	return sw, nil
-}
-
-// SaveSegment writes one trace segment for a session: the batch wrapper
-// over WriteSegment. Store segments are (Time, Seq)-sorted on disk —
-// the streaming read path merges, it cannot re-sort — so an unsorted
-// trace is normalized here at write time.
-func (s *Store) SaveSegment(session string, segment int, t *Trace) error {
-	if !t.sortedByTime() {
-		t = t.Clone()
-		t.SortByTime()
-	}
-	sw, err := s.WriteSegment(session, segment)
-	if err != nil {
-		return err
-	}
-	for _, e := range t.Events {
-		sw.Observe(e)
-	}
-	return sw.Close()
 }
 
 // Sessions lists distinct session names in the store, sorted.

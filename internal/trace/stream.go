@@ -2,10 +2,10 @@ package trace
 
 import "github.com/tracesynth/rostracer/internal/sim"
 
-// Streaming counterpart of the batch Trace pipeline: a Sink consumes
-// events one at a time in (Time, Seq) order, a Cursor produces them, and
-// MergeStream k-way merges many sorted cursors into a sink with a
-// tournament heap, without ever materializing the merged event sequence.
+// The event stream: a Sink consumes events one at a time in (Time, Seq)
+// order, a Cursor produces them, and MergeStream k-way merges many
+// sorted cursors into a sink with a tournament heap, without ever
+// materializing the merged event sequence.
 // Peak buffering is one event per input stream: the heap holds only a
 // reference to the current head of each cursor.
 
@@ -23,7 +23,7 @@ type SinkFunc func(Event)
 func (f SinkFunc) Observe(e Event) { f(e) }
 
 // Collector is a Sink that materializes the observed stream into a
-// Trace — the bridge from the streaming path back to the batch API.
+// Trace, for tests and benchmarks that need the whole sequence at once.
 type Collector struct {
 	Trace Trace
 }
@@ -58,9 +58,8 @@ func (k *KindCounter) Count(kind Kind) int {
 // Total reports the number of events observed.
 func (k *KindCounter) Total() int { return int(k.total) }
 
-// SpanTracker is a Sink recording the observed stream's first/last event
-// times and its event count without retaining events — the streaming
-// replacement for materializing a trace just to call TimeSpan and Len.
+// SpanTracker is a Sink recording the observed stream's earliest and
+// latest event times and its event count without retaining events.
 type SpanTracker struct {
 	first, last sim.Time
 	n           int
@@ -81,8 +80,8 @@ func (t *SpanTracker) Observe(e Event) {
 	t.n++
 }
 
-// Span reports the first and last observed event times (zero values when
-// nothing was observed), mirroring Trace.TimeSpan.
+// Span reports the earliest and latest observed event times (zero values
+// when nothing was observed).
 func (t *SpanTracker) Span() (first, last sim.Time) { return t.first, t.last }
 
 // Total reports the number of events observed.

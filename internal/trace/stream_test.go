@@ -27,7 +27,7 @@ func randomSortedStreams(rng *rand.Rand, n, maxLen int) []*Trace {
 		if rng.Intn(3) == 0 {
 			now += sim.Time(rng.Intn(50))
 		}
-		streams[s].Append(Event{
+		streams[s].Events = append(streams[s].Events, Event{
 			Time: now,
 			Seq:  seq,
 			PID:  uint32(100 + s),
@@ -49,8 +49,8 @@ func TestMergeStreamMatchesReference(t *testing.T) {
 		streams := randomSortedStreams(rng, n, 1+rng.Intn(60))
 		want := referenceMerge(streams...)
 		got := mergeStreams(t, streams...)
-		if got.Len() != want.Len() {
-			t.Fatalf("trial %d: stream merged %d events, reference %d", trial, got.Len(), want.Len())
+		if len(got.Events) != len(want.Events) {
+			t.Fatalf("trial %d: stream merged %d events, reference %d", trial, len(got.Events), len(want.Events))
 		}
 		for i := range want.Events {
 			if got.Events[i] != want.Events[i] {
@@ -122,13 +122,13 @@ func TestKindCounterAndMultiSink(t *testing.T) {
 	if err := NewMergeStream(curs...).Run(MultiSink(&kc, nil, &col)); err != nil {
 		t.Fatal(err)
 	}
-	if kc.Total() != col.Trace.Len() {
-		t.Fatalf("counter saw %d events, collector %d", kc.Total(), col.Trace.Len())
+	if kc.Total() != len(col.Trace.Events) {
+		t.Fatalf("counter saw %d events, collector %d", kc.Total(), len(col.Trace.Events))
 	}
 	if kc.Count(KindCreateNode) != 1 {
 		t.Fatalf("KindCreateNode count = %d, want 1", kc.Count(KindCreateNode))
 	}
-	if kc.Count(KindSchedSwitch) != col.Trace.Len()-1 {
-		t.Fatalf("KindSchedSwitch count = %d, want %d", kc.Count(KindSchedSwitch), col.Trace.Len()-1)
+	if kc.Count(KindSchedSwitch) != len(col.Trace.Events)-1 {
+		t.Fatalf("KindSchedSwitch count = %d, want %d", kc.Count(KindSchedSwitch), len(col.Trace.Events)-1)
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -21,53 +22,11 @@ func sampleEvents() []Event {
 	}
 }
 
-func TestSortByTimeUsesSeqTiebreak(t *testing.T) {
-	tr := &Trace{Events: []Event{
-		{Time: 20, Seq: 3, Kind: KindTakeInt},
-		{Time: 20, Seq: 2, Kind: KindSubCBStart},
-		{Time: 10, Seq: 9, Kind: KindCreateNode},
-	}}
-	tr.SortByTime()
-	if tr.Events[0].Kind != KindCreateNode || tr.Events[1].Kind != KindSubCBStart || tr.Events[2].Kind != KindTakeInt {
-		t.Fatalf("order wrong: %v", tr.Events)
-	}
-}
-
-func TestFilterPIDIncludesSchedMentions(t *testing.T) {
-	tr := &Trace{Events: sampleEvents()}
-	got := tr.FilterPID(200)
-	// PID 200 events: the sched switch mentioning 200 and the P14 event.
-	if len(got.Events) != 2 {
-		t.Fatalf("filtered %d events, want 2: %v", len(got.Events), got.Events)
-	}
-}
-
-func TestROSAndSchedSplit(t *testing.T) {
-	tr := &Trace{Events: sampleEvents()}
-	if n := tr.ROSEvents().Len(); n != 6 {
-		t.Errorf("ros events = %d, want 6", n)
-	}
-	if n := tr.SchedEvents().Len(); n != 1 {
-		t.Errorf("sched events = %d, want 1", n)
-	}
-}
-
-func TestPIDsAndNodes(t *testing.T) {
-	tr := &Trace{Events: sampleEvents()}
-	if got := tr.PIDs(); !reflect.DeepEqual(got, []uint32{100, 200}) {
-		t.Errorf("PIDs = %v", got)
-	}
-	nodes := tr.Nodes()
-	if nodes["filter_front"] != 100 {
-		t.Errorf("nodes = %v", nodes)
-	}
-}
-
 func TestMergeSorts(t *testing.T) {
 	a := &Trace{Events: []Event{{Time: 30, Seq: 1, Kind: KindSubCBEnd}}}
 	b := &Trace{Events: []Event{{Time: 10, Seq: 2, Kind: KindSubCBStart}}}
 	m := mergeStreams(t, a, b, nil)
-	if m.Len() != 2 || m.Events[0].Time != 10 {
+	if len(m.Events) != 2 || m.Events[0].Time != 10 {
 		t.Fatalf("merge = %v", m.Events)
 	}
 }
@@ -78,7 +37,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := decodeAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,28 +47,41 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a trace file"))); err == nil {
+	if _, err := decodeAll(bytes.NewReader([]byte("not a trace file"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
+// TestJSONLRoundTrip checks JSONLSink's lines carry every field: each
+// decodes back to the event it was written from.
 func TestJSONLRoundTrip(t *testing.T) {
-	tr := &Trace{Events: sampleEvents()}
+	want := sampleEvents()
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, tr); err != nil {
+	s := NewJSONLSink(&buf)
+	for _, e := range want {
+		s.Observe(e)
+	}
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Events) != len(tr.Events) {
-		t.Fatalf("event count %d != %d", len(got.Events), len(tr.Events))
-	}
-	for i := range got.Events {
-		if got.Events[i] != tr.Events[i] {
-			t.Fatalf("event %d mismatch: %v != %v", i, got.Events[i], tr.Events[i])
+	var got []Event
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var je jsonEvent
+		if err := dec.Decode(&je); err != nil {
+			t.Fatal(err)
 		}
+		if je.Kind != Kind(je.K).String() {
+			t.Fatalf("kind name %q for kind %d", je.Kind, je.K)
+		}
+		got = append(got, Event{
+			Time: sim.Time(je.T), Seq: je.Seq, PID: je.PID, Kind: Kind(je.K),
+			Node: je.Node, CBID: je.CBID, Topic: je.Topic, SrcTS: je.SrcTS,
+			Ret: je.Ret, CPU: je.CPU, PrevPID: je.PPID, NextPID: je.NPID,
+			PrevPrio: je.PPrio, NextPrio: je.NPrio, PrevState: je.PSt,
+		})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -125,7 +97,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err := WriteBinary(&buf, &Trace{Events: []Event{ev}}); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := decodeAll(&buf)
 		return err == nil && len(got.Events) == 1 && got.Events[0] == ev
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -139,17 +111,11 @@ func TestStoreSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg1 := &Trace{Events: []Event{{Time: 1, Seq: 1, Kind: KindSubCBStart, PID: 1}}}
-	seg2 := &Trace{Events: []Event{{Time: 5, Seq: 2, Kind: KindSubCBEnd, PID: 1}}}
-	if err := st.SaveSegment("run1", 0, seg1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveSegment("run1", 1, seg2); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveSegment("run2", 0, seg1); err != nil {
-		t.Fatal(err)
-	}
+	seg1 := []Event{{Time: 1, Seq: 1, Kind: KindSubCBStart, PID: 1}}
+	seg2 := []Event{{Time: 5, Seq: 2, Kind: KindSubCBEnd, PID: 1}}
+	writeSessionSegment(t, st, "run1", 0, seg1)
+	writeSessionSegment(t, st, "run1", 1, seg2)
+	writeSessionSegment(t, st, "run2", 0, seg1)
 
 	sessions, err := st.Sessions()
 	if err != nil {
@@ -160,7 +126,7 @@ func TestStoreSessions(t *testing.T) {
 	}
 
 	merged := loadSession(t, st, "run1")
-	if merged.Len() != 2 || merged.Events[0].Time != 1 || merged.Events[1].Time != 5 {
+	if len(merged.Events) != 2 || merged.Events[0].Time != 1 || merged.Events[1].Time != 5 {
 		t.Fatalf("merged session = %v", merged.Events)
 	}
 
@@ -170,14 +136,18 @@ func TestStoreSessions(t *testing.T) {
 	}
 }
 
+// TestTimeSpan checks SpanTracker reports the earliest and latest times
+// of a stream, in or out of order, and zero values for an empty one.
 func TestTimeSpan(t *testing.T) {
-	tr := &Trace{Events: sampleEvents()}
-	first, last := tr.TimeSpan()
-	if first != 10 || last != 30 {
-		t.Fatalf("span = [%v, %v]", first, last)
+	var span SpanTracker
+	for _, e := range sampleEvents() {
+		span.Observe(e)
 	}
-	empty := &Trace{}
-	if f, l := empty.TimeSpan(); f != 0 || l != 0 {
+	if first, last := span.Span(); first != 10 || last != 30 || span.Total() != 7 {
+		t.Fatalf("span = [%v, %v] over %d events", first, last, span.Total())
+	}
+	var empty SpanTracker
+	if f, l := empty.Span(); f != 0 || l != 0 {
 		t.Fatal("empty span not zero")
 	}
 }

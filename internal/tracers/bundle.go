@@ -417,8 +417,8 @@ func DecodeRecord(rec ebpf.PerfRecord, e *trace.Event) error {
 		if len(rec.Data) != recIDSize {
 			return fmt.Errorf("tracers: wakeup record has %d bytes", len(rec.Data))
 		}
-		// pid slot holds the woken thread; mirror it into NextPID so that
-		// FilterPID picks wakeups up alongside switches.
+		// pid slot holds the woken thread; mirror it into NextPID, where a
+		// switch names its incoming thread and WaitingTimes looks for it.
 		e.NextPID = e.PID
 		e.NextPrio = int32(f(3))
 	case kind == trace.KindTimerCall:

@@ -53,10 +53,10 @@ func TestDecodedBundleEquivalence(t *testing.T) {
 	if decCost != rawCost {
 		t.Fatalf("simulated probe cost diverged: decoded %v, raw %v", decCost, rawCost)
 	}
-	if decTr.Len() != rawTr.Len() {
-		t.Fatalf("trace length diverged: decoded %d, raw %d", decTr.Len(), rawTr.Len())
+	if len(decTr.Events) != len(rawTr.Events) {
+		t.Fatalf("trace length diverged: decoded %d, raw %d", len(decTr.Events), len(rawTr.Events))
 	}
-	if decTr.Len() == 0 {
+	if len(decTr.Events) == 0 {
 		t.Fatal("empty trace; session produced no events")
 	}
 	for i := range decTr.Events {

@@ -51,7 +51,12 @@ func TestTimerToSubscriberPipeline(t *testing.T) {
 	tr := drainTrace(t, b)
 
 	// Node creations observed with correct PIDs.
-	nodes := tr.Nodes()
+	nodes := map[string]uint32{}
+	for _, e := range tr.Events {
+		if e.Kind == trace.KindCreateNode {
+			nodes[e.Node] = e.PID
+		}
+	}
 	if nodes["producer"] != producer.PID() || nodes["consumer"] != consumer.PID() {
 		t.Fatalf("node map %v, pids %d/%d", nodes, producer.PID(), consumer.PID())
 	}
@@ -86,8 +91,7 @@ func TestTimerToSubscriberPipeline(t *testing.T) {
 
 	// Per-instance event ordering for the consumer: P5 then P6 then P8,
 	// with matching topic and source timestamps linking back to a P16.
-	sub := tr.FilterPID(consumer.PID()).ROSEvents()
-	sub.SortByTime()
+	sub := rosEventsOf(tr, consumer.PID())
 	writes := map[int64]bool{}
 	for _, e := range tr.Events {
 		if e.Kind == trace.KindDDSWrite && e.Topic == "/t1" {
@@ -96,7 +100,7 @@ func TestTimerToSubscriberPipeline(t *testing.T) {
 	}
 	state := 0
 	takes := 0
-	for _, e := range sub.Events {
+	for _, e := range sub {
 		switch e.Kind {
 		case trace.KindSubCBStart:
 			if state != 0 {
@@ -128,7 +132,10 @@ func TestTimerToSubscriberPipeline(t *testing.T) {
 
 	// Kernel filtering: only traced PIDs appear in sched events.
 	pids := map[uint32]bool{producer.PID(): true, consumer.PID(): true}
-	for _, e := range tr.SchedEvents().Events {
+	for _, e := range tr.Events {
+		if e.Kind != trace.KindSchedSwitch && e.Kind != trace.KindSchedWakeup {
+			continue
+		}
 		if !pids[e.PrevPID] && !pids[e.NextPID] && e.PrevPID != 0 && e.NextPID != 0 {
 			t.Fatalf("unfiltered sched event %+v", e)
 		}
@@ -174,7 +181,7 @@ func TestServiceMultiClientDispatch(t *testing.T) {
 	// Both client nodes must see execute_client and P13/P14 events; B's P14
 	// must carry ret=0, A's ret=1.
 	sawB14 := false
-	for _, e := range tr.FilterPID(clientB.PID()).Events {
+	for _, e := range rosEventsOf(tr, clientB.PID()) {
 		if e.Kind == trace.KindTakeTypeErased {
 			sawB14 = true
 			if e.Ret != 0 {
@@ -186,7 +193,7 @@ func TestServiceMultiClientDispatch(t *testing.T) {
 		t.Fatal("client B never produced P14 (response not delivered to all clients)")
 	}
 	sawA14 := false
-	for _, e := range tr.FilterPID(clientA.PID()).Events {
+	for _, e := range rosEventsOf(tr, clientA.PID()) {
 		if e.Kind == trace.KindTakeTypeErased && e.Ret == 1 {
 			sawA14 = true
 		}
@@ -264,10 +271,8 @@ func TestMessageFilterSyncFiresP7AndFuses(t *testing.T) {
 	}
 	// The fused write must occur inside a subscription callback window of
 	// the fusion node (between P5 and P8 of the same PID).
-	evs := tr.FilterPID(fusion.PID()).ROSEvents()
-	evs.SortByTime()
 	depth := 0
-	for _, e := range evs.Events {
+	for _, e := range rosEventsOf(tr, fusion.PID()) {
 		switch e.Kind {
 		case trace.KindSubCBStart:
 			depth++
@@ -279,6 +284,18 @@ func TestMessageFilterSyncFiresP7AndFuses(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rosEventsOf returns the ROS2 (non-scheduler) events of pid, in the
+// drained trace's (Time, Seq) order.
+func rosEventsOf(tr *trace.Trace, pid uint32) []trace.Event {
+	var out []trace.Event
+	for _, e := range tr.Events {
+		if e.PID == pid && e.Kind != trace.KindSchedSwitch && e.Kind != trace.KindSchedWakeup {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func TestSessionSegmentation(t *testing.T) {

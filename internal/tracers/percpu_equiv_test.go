@@ -1,6 +1,7 @@
 package tracers
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -75,11 +76,11 @@ func TestPerCPUDrainMatchesPreSplit(t *testing.T) {
 	got := drainTrace(t, bundleNew)
 	want := preSplitDrain(t, bundleRef)
 
-	if got.Len() == 0 {
+	if len(got.Events) == 0 {
 		t.Fatal("session produced no events")
 	}
-	if got.Len() != want.Len() {
-		t.Fatalf("per-CPU drain has %d events, pre-split %d", got.Len(), want.Len())
+	if len(got.Events) != len(want.Events) {
+		t.Fatalf("per-CPU drain has %d events, pre-split %d", len(got.Events), len(want.Events))
 	}
 	for i := range want.Events {
 		if got.Events[i] != want.Events[i] {
@@ -90,12 +91,8 @@ func TestPerCPUDrainMatchesPreSplit(t *testing.T) {
 
 	// The merged drain must also be its own (Time, Seq) sort — the global
 	// chronological order Algorithm 1 requires.
-	sorted := got.Clone()
-	sorted.SortByTime()
-	for i := range got.Events {
-		if got.Events[i] != sorted.Events[i] {
-			t.Fatalf("drain output not (Time, Seq) sorted at %d", i)
-		}
+	if !slices.IsSortedFunc(got.Events, byTimeSeq) {
+		t.Fatal("drain output not (Time, Seq) sorted")
 	}
 }
 

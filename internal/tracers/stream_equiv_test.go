@@ -1,6 +1,8 @@
 package tracers
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"github.com/tracesynth/rostracer/internal/apps"
@@ -95,8 +97,14 @@ func referenceMerge(streams ...*trace.Trace) *trace.Trace {
 	for _, s := range streams {
 		out.Events = append(out.Events, s.Events...)
 	}
-	out.SortByTime()
+	slices.SortStableFunc(out.Events, byTimeSeq)
 	return out
+}
+
+// byTimeSeq orders events by (Time, Seq), Algorithm 1's chronological
+// order.
+func byTimeSeq(a, b trace.Event) int {
+	return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Seq, b.Seq))
 }
 
 // TestStreamToMatchesSortedRings is the streaming-equivalence property
@@ -112,11 +120,11 @@ func TestStreamToMatchesSortedRings(t *testing.T) {
 		got := drainTrace(t, bS)
 		want := sortedRingDrain(t, bB)
 
-		if got.Len() == 0 {
+		if len(got.Events) == 0 {
 			t.Fatalf("seed %d: streamed session produced no events", seed)
 		}
-		if got.Len() != want.Len() {
-			t.Fatalf("seed %d: streamed %d events, reference %d", seed, got.Len(), want.Len())
+		if len(got.Events) != len(want.Events) {
+			t.Fatalf("seed %d: streamed %d events, reference %d", seed, len(got.Events), len(want.Events))
 		}
 		for i := range want.Events {
 			if got.Events[i] != want.Events[i] {
@@ -150,17 +158,17 @@ func TestPeriodicStreamBoundsBuffering(t *testing.T) {
 		if pending > peakPending {
 			peakPending = pending
 		}
-		before := col.Trace.Len()
+		before := len(col.Trace.Events)
 		if err := bSeg.StreamTo(&col); err != nil {
 			t.Fatal(err)
 		}
-		perSegment = append(perSegment, col.Trace.Len()-before)
+		perSegment = append(perSegment, len(col.Trace.Events)-before)
 	}
 
 	wAll.Run(total)
 	whole := drainTrace(t, bAll)
-	if col.Trace.Len() != whole.Len() {
-		t.Fatalf("segmented stream has %d events, whole-run %d", col.Trace.Len(), whole.Len())
+	if len(col.Trace.Events) != len(whole.Events) {
+		t.Fatalf("segmented stream has %d events, whole-run %d", len(col.Trace.Events), len(whole.Events))
 	}
 	for i := range whole.Events {
 		if col.Trace.Events[i] != whole.Events[i] {
@@ -176,7 +184,7 @@ func TestPeriodicStreamBoundsBuffering(t *testing.T) {
 	if peakPending > maxSeg {
 		t.Fatalf("peak pending backlog %d exceeds largest segment %d", peakPending, maxSeg)
 	}
-	if whole.Len() < 4*peakPending {
-		t.Fatalf("segmentation did not bound buffering: peak %d vs total %d", peakPending, whole.Len())
+	if len(whole.Events) < 4*peakPending {
+		t.Fatalf("segmentation did not bound buffering: peak %d vs total %d", peakPending, len(whole.Events))
 	}
 }
