@@ -22,26 +22,26 @@ import (
 	"github.com/tracesynth/rostracer/internal/sim"
 )
 
-var experiments = map[string]func(harness.Config) (harness.Result, error){
-	"tableI":           harness.TableIExperiment,
-	"fig3a":            harness.Fig3aExperiment,
-	"fig3b":            harness.Fig3bExperiment,
-	"tableII":          harness.TableIIExperiment,
-	"fig4":             harness.Fig4Experiment,
-	"overheads":        harness.OverheadsExperiment,
-	"fig2":             harness.Fig2Experiment,
-	"ablation-service": harness.AblationServiceExperiment,
-	"ablation-sync":    harness.AblationSyncExperiment,
-	"validation":       harness.ValidationExperiment,
-	"capacity-plan":    harness.CapacityPlanExperiment,
-	"adaptive-drain":   harness.AdaptiveDrainExperiment,
-	"chaos":            harness.ChaosExperiment,
+type experiment struct {
+	name string
+	run  func(harness.Config) (harness.Result, error)
 }
 
-var order = []string{
-	"tableI", "fig3a", "fig3b", "tableII", "fig4",
-	"overheads", "fig2", "ablation-service", "ablation-sync", "validation",
-	"capacity-plan", "adaptive-drain", "chaos",
+// experiments lists every experiment in the order a full run prints them.
+var experiments = []experiment{
+	{"tableI", harness.TableIExperiment},
+	{"fig3a", harness.Fig3aExperiment},
+	{"fig3b", harness.Fig3bExperiment},
+	{"tableII", harness.TableIIExperiment},
+	{"fig4", harness.Fig4Experiment},
+	{"overheads", harness.OverheadsExperiment},
+	{"fig2", harness.Fig2Experiment},
+	{"ablation-service", harness.AblationServiceExperiment},
+	{"ablation-sync", harness.AblationSyncExperiment},
+	{"validation", harness.ValidationExperiment},
+	{"capacity-plan", harness.CapacityPlanExperiment},
+	{"adaptive-drain", harness.AdaptiveDrainExperiment},
+	{"chaos", harness.ChaosExperiment},
 }
 
 func main() {
@@ -58,20 +58,24 @@ func main() {
 		Runs: *runs, Duration: sim.Duration(*duration), CPUs: *cpus, Seed: *seed,
 	}
 
-	names := order
-	if *run != "" {
-		if _, ok := experiments[*run]; !ok {
-			log.Fatalf("unknown experiment %q; have %v", *run, order)
+	var names []string
+	var selected []experiment
+	for _, e := range experiments {
+		names = append(names, e.name)
+		if *run == "" || e.name == *run {
+			selected = append(selected, e)
 		}
-		names = []string{*run}
+	}
+	if len(selected) == 0 {
+		log.Fatalf("unknown experiment %q; have %v", *run, names)
 	}
 
 	failures := 0
-	for _, name := range names {
+	for _, e := range selected {
 		start := time.Now()
-		r, err := experiments[name](cfg)
+		r, err := e.run(cfg)
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			log.Fatalf("%s: %v", e.name, err)
 		}
 		if !*dot {
 			r.Notes = filterDOT(r.Notes)

@@ -8,10 +8,12 @@
 //	rostracer -app syn ...
 //	rostracer -app both ...
 //
-// Each run becomes one session in the store, segmented every -segment of
-// virtual time (or the period -adaptive-drain plans) on the shared drive
-// loop of internal/pipeline; this command keeps only the flags, the log
-// lines and the signal check. Segments are written in the indexed,
+// Each run becomes one session in the store, drained into one segment
+// per period on the shared drive loop of internal/pipeline: every period
+// is -segment of virtual time, or, with -adaptive-drain, whatever the
+// loop's drain scheduler plans between -segment/64 and -segment from
+// the ring gauges. This command keeps only the flags, the log lines and
+// the signal check. Segments are written in the indexed,
 // delta-compressed v2 format by default; -format=v1 keeps the flat v1
 // record stream (both read back through the same store).
 //
@@ -48,7 +50,6 @@ import (
 	"github.com/tracesynth/rostracer/internal/service"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
-	"github.com/tracesynth/rostracer/internal/tracers"
 )
 
 func main() {
@@ -223,14 +224,14 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 		Duration: cfg.duration, Period: cfg.segment,
 		Writer: writer, SnapshotEvery: cfg.snapshotEvery,
 	}
-	// With -adaptive-drain the period is planned per segment by a
-	// DrainScheduler from the per-ring pending/lost gauges (-segment
-	// caps it); otherwise it is the fixed -segment.
+	// With -adaptive-drain the drain scheduler plans each period from
+	// the per-ring pending/lost gauges, between -segment/64 and
+	// -segment; otherwise every period is the fixed -segment.
 	if cfg.adaptive {
 		if cfg.ringCapacity <= 0 {
 			log.Printf("  warning: -adaptive-drain without -ring-capacity: unbounded rings cannot overrun, draining at the fixed -segment period")
 		}
-		pcfg.Policy = &tracers.DrainPolicy{Min: cfg.segment / 64, Max: cfg.segment}
+		pcfg.MinPeriod = cfg.segment / 64
 	}
 	// Self-observability: a per-run registry fed by a metrics sink on the
 	// fan-out plus per-segment snapshots of the pipeline's own
@@ -341,7 +342,7 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 	}
 	// Probe cost is a share of the traced span, so a session that traced
 	// nothing (-duration 0) reports none.
-	summary := fmt.Sprintf("  %d events, %.2f MB perf payload", rep.Persisted, float64(b.TraceBytes())/1e6)
+	summary := fmt.Sprintf("  %d events, %.2f MB perf payload", stats.Persisted, float64(b.TraceBytes())/1e6)
 	if cfg.duration > 0 {
 		summary += fmt.Sprintf(", probe cost %.4f cores", s.World.Runtime().CostNs()/float64(cfg.duration))
 	}

@@ -35,7 +35,7 @@ func main() {
 	// eBPF tracers (ROS2-INIT, ROS2-RT, Kernel) attached before the
 	// application starts.
 	session, err := pipeline.New(pipeline.Config{
-		Seed: 42, CPUs: 4, Build: build, Duration: 10 * sim.Second, Drains: 1,
+		Seed: 42, CPUs: 4, Build: build, Duration: 10 * sim.Second,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"github.com/tracesynth/rostracer/internal/pipeline"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
-	"github.com/tracesynth/rostracer/internal/tracers"
 )
 
 // adaptiveCapacity is the bounded-ring operating point the adaptive
@@ -40,10 +39,13 @@ type adaptiveRun struct {
 func AdaptiveDrainExperiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 
-	session := func(mode string, drains int, policy *tracers.DrainPolicy) (adaptiveRun, error) {
+	// Both cadences share the fixed row's period; the adaptive one may
+	// plan any window down to minPeriod.
+	period := cfg.Duration / adaptiveFixedDrains
+	session := func(mode string, minPeriod sim.Duration) (adaptiveRun, error) {
 		ps, err := pipeline.New(pipeline.Config{
 			Seed: cfg.Seed, CPUs: cfg.CPUs, Build: BuildBoth(1), RingCapacity: adaptiveCapacity,
-			Duration: cfg.Duration, Drains: drains, Policy: policy,
+			Duration: cfg.Duration, Period: period, MinPeriod: minPeriod,
 		})
 		if err != nil {
 			return adaptiveRun{}, err
@@ -67,16 +69,13 @@ func AdaptiveDrainExperiment(cfg Config) (Result, error) {
 	}
 
 	// Fixed cadence: the sweep's lossy operating point.
-	fixed, err := session("fixed", adaptiveFixedDrains, nil)
+	fixed, err := session("fixed", 0)
 	if err != nil {
 		return Result{}, err
 	}
 	// Adaptive cadence: same capacity, same workload; the scheduler may
 	// plan anywhere between duration/128 and the fixed period.
-	adaptive, err := session("adaptive", 0, &tracers.DrainPolicy{
-		Min: cfg.Duration / 128,
-		Max: cfg.Duration / sim.Duration(adaptiveFixedDrains),
-	})
+	adaptive, err := session("adaptive", cfg.Duration/128)
 	if err != nil {
 		return Result{}, err
 	}

@@ -51,10 +51,11 @@ func CapacityPlanExperiment(cfg Config) (Result, error) {
 		c := combos[i]
 		ps, err := pipeline.New(pipeline.Config{
 			Seed: cfg.Seed, CPUs: cfg.CPUs, Build: BuildBoth(1), RingCapacity: c.capacity,
-			// Cumulative boundaries keep every combo covering exactly
-			// cfg.Duration (no truncation drift), and keep the drain
-			// instants of each sweep point a subset of the next point's.
-			Duration: cfg.Duration, Drains: c.drains,
+			// The last window ends at cfg.Duration, so every combo
+			// covers exactly that span; with cfg.Duration a multiple of
+			// every point's drain count, each point's drain instants are
+			// a subset of the next point's.
+			Duration: cfg.Duration, Period: cfg.Duration / sim.Duration(c.drains),
 		})
 		if err != nil {
 			return capRun{}, err

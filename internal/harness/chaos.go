@@ -187,7 +187,7 @@ func chaosFormatRun(cfg Config, format trace.Format) (chaosRun, error) {
 	reg := metrics.NewRegistry()
 	ps, err := pipeline.New(pipeline.Config{
 		Seed: cfg.Seed, CPUs: cfg.CPUs, Build: BuildBoth(1), RingCapacity: chaosRingCapacity,
-		Duration: cfg.Duration, Drains: chaosDrains,
+		Duration: cfg.Duration, Period: cfg.Duration / chaosDrains,
 		Writer: writer, Metrics: reg, AlertRules: metrics.DefaultAlertRules(),
 	})
 	if err != nil {

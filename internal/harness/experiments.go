@@ -152,40 +152,22 @@ var tableIINodeOf = map[string]string{
 
 // runAVPSeries runs AVP+SYN concurrently cfg.Runs times and returns the
 // per-run DAGs (the experiment pipeline shared by Table II and Fig. 4).
-func runAVPSeries(cfg Config) ([]*core.DAG, []*Session, error) {
-	type avpRun struct {
-		dag  *core.DAG
-		sess *Session
-	}
-	runs, err := runSeries(cfg.workers, cfg.Runs, func(run int) (avpRun, error) {
+func runAVPSeries(cfg Config) ([]*core.DAG, error) {
+	return runSeries(cfg.workers, cfg.Runs, func(run int) (*core.DAG, error) {
 		sink := core.NewSynthesizeSink()
-		s, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
-			BuildBoth(loadScaleForRun(run)), sink)
-		if err != nil {
-			return avpRun{}, err
+		if _, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
+			BuildBoth(loadScaleForRun(run)), sink); err != nil {
+			return nil, err
 		}
-		d := sink.DAG()
-		s.World = nil // release the heavy simulation state
-		s.Bundle = nil
-		return avpRun{dag: d, sess: s}, nil
+		return sink.DAG(), nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	dags := make([]*core.DAG, len(runs))
-	sessions := make([]*Session, len(runs))
-	for i, r := range runs {
-		dags[i] = r.dag
-		sessions[i] = r.sess
-	}
-	return dags, sessions, nil
 }
 
 // TableIIExperiment (E4) regenerates Table II: measured execution-time
 // statistics of the six AVP callbacks over cfg.Runs runs, merged.
 func TableIIExperiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	dags, _, err := runAVPSeries(cfg)
+	dags, err := runAVPSeries(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -240,7 +222,7 @@ func within(got, want, tol float64) bool {
 // mBCET / mACET / mWCET with the number of runs for cb1, cb2, cb5, cb6.
 func Fig4Experiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	dags, _, err := runAVPSeries(cfg)
+	dags, err := runAVPSeries(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -351,7 +333,7 @@ func OverheadsExperiment(cfg Config) (Result, error) {
 	// same seed; run them as a two-run series so they fan out too. Only
 	// volume and cost counters matter here, so the traces stream into
 	// counting sinks and are never held.
-	sessions, err := runSeries(cfg.workers, 2, func(run int) (*Session, error) {
+	sessions, err := runSeries(cfg.workers, 2, func(run int) (*pipeline.Session, error) {
 		var kc trace.KindCounter
 		return RunSession(cfg.Seed, cfg.CPUs, duration, run == 0, buildBusyHost, &kc)
 	})
@@ -359,10 +341,14 @@ func OverheadsExperiment(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	filtered, unfiltered := sessions[0], sessions[1]
+	filteredBytes, unfilteredBytes := filtered.Bundle.TraceBytes(), unfiltered.Bundle.TraceBytes()
 
-	probeCores := filtered.ProbeCostNs / float64(duration)
-	appCores := filtered.AppCPUNs / float64(duration)
-	_ = unfiltered
+	probeCores := filtered.World.Runtime().CostNs() / float64(duration)
+	var appCPUNs float64
+	for _, th := range filtered.World.Machine().Threads() {
+		appCPUNs += float64(th.CPUTime())
+	}
+	appCores := appCPUNs / float64(duration)
 
 	// Sec. II-B comparison: the same workload, user-space function tracing
 	// only (no kernel tracer), through eBPF uprobes vs CARET-style
@@ -375,21 +361,21 @@ func OverheadsExperiment(cfg Config) (Result, error) {
 	if appCores > 0 {
 		share = probeCores / appCores
 	}
-	reduction := float64(unfiltered.TraceBytes) / float64(filtered.TraceBytes)
+	reduction := float64(unfilteredBytes) / float64(filteredBytes)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "traced span: %v of SYN + AVP localization (paper: 60 s)\n", duration)
 	fmt.Fprintf(&b, "trace volume (filtered kernel): %.2f MB (paper: 9 MB)\n",
-		float64(filtered.TraceBytes)/1e6)
+		float64(filteredBytes)/1e6)
 	fmt.Fprintf(&b, "probe cost: %.4f CPU cores (paper: 0.008 cores)\n", probeCores)
 	fmt.Fprintf(&b, "application load: %.3f cores; probe share = %.2f%% of app load (paper: 0.3%%)\n",
 		appCores, 100*share)
 	fmt.Fprintf(&b, "trace volume, unfiltered kernel events: %.2f MB -> filtering reduces total %.1fx\n",
-		float64(unfiltered.TraceBytes)/1e6, reduction)
+		float64(unfilteredBytes)/1e6, reduction)
 	fmt.Fprintf(&b, "user-space tracing cost per event (Sec. II-B): eBPF uprobes %.0f ns vs LD_PRELOAD redirection %.0f ns (%.1fx)\n",
 		ebpfPerEvent, redirPerEvent, redirPerEvent/ebpfPerEvent)
 
-	ok := share < 0.05 && reduction > 3 && filtered.TraceBytes > 0 &&
+	ok := share < 0.05 && reduction > 3 && filteredBytes > 0 &&
 		redirPerEvent > ebpfPerEvent
 
 	// The volume metric now aggregates per-CPU rings; its per-CPU
@@ -397,18 +383,19 @@ func OverheadsExperiment(cfg Config) (Result, error) {
 	// have dropped anything. Healthy sessions add no note, so the figure
 	// text stays byte-identical.
 	var notes []string
-	for _, s := range []*Session{filtered, unfiltered} {
+	for _, s := range sessions {
+		b := s.Bundle
 		var sum uint64
-		for _, n := range s.BytesPerCPU {
+		for _, n := range b.BytesPerCPU() {
 			sum += n
 		}
-		if sum != s.TraceBytes {
+		if sum != b.TraceBytes() {
 			ok = false
-			notes = append(notes, fmt.Sprintf("per-CPU byte accounting broken: rings sum to %d, total %d", sum, s.TraceBytes))
+			notes = append(notes, fmt.Sprintf("per-CPU byte accounting broken: rings sum to %d, total %d", sum, b.TraceBytes()))
 		}
-		if s.LostRecords > 0 {
+		if lost := b.Lost(); lost > 0 {
 			ok = false
-			notes = append(notes, fmt.Sprintf("%d records lost on unbounded rings", s.LostRecords))
+			notes = append(notes, fmt.Sprintf("%d records lost on unbounded rings", lost))
 		}
 	}
 	// Interning must have absorbed the name decoding: any capped lookup
@@ -800,23 +787,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// All runs every experiment.
-func All(cfg Config) ([]Result, error) {
-	type exp func(Config) (Result, error)
-	var out []Result
-	for _, e := range []exp{
-		TableIExperiment, Fig3aExperiment, Fig3bExperiment, TableIIExperiment,
-		Fig4Experiment, OverheadsExperiment, Fig2Experiment,
-		AblationServiceExperiment, AblationSyncExperiment, ValidationExperiment,
-		CapacityPlanExperiment, AdaptiveDrainExperiment, ChaosExperiment,
-	} {
-		r, err := e(cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -17,7 +17,6 @@ import (
 	"github.com/tracesynth/rostracer/internal/sched"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
-	"github.com/tracesynth/rostracer/internal/tracers"
 )
 
 // Result is one regenerated artifact.
@@ -78,34 +77,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Session is one traced run of an application set.
-type Session struct {
-	World  *rclcpp.World
-	Bundle *tracers.Bundle
-
-	TraceBytes  uint64
-	KernelBytes uint64
-	ProbeCostNs float64
-	AppCPUNs    float64
-
-	// Per-CPU ring accounting, indexed by CPU and summed over the three
-	// tracers: where the trace volume was produced and which rings
-	// overran. LostRecords is the total across CPUs.
-	BytesPerCPU []uint64
-	LostPerCPU  []uint64
-	LostRecords uint64
-}
-
 // RunSession runs the deployment sequence of Fig. 2 (kernel tracer
 // filtered unless stated) for duration with one drain at the end,
 // streaming the trace into sink: decoded events flow from the per-CPU
 // rings through the tournament merge straight into the sink, and no
-// merged trace is ever materialized.
+// merged trace is ever materialized. The returned session holds the
+// world and the bundle with their cost and ring counters.
 func RunSession(seed uint64, cpus int, duration sim.Duration, filteredKernel bool,
-	build func(*rclcpp.World), sink trace.Sink) (*Session, error) {
+	build func(*rclcpp.World), sink trace.Sink) (*pipeline.Session, error) {
 	ps, err := pipeline.New(pipeline.Config{
 		Seed: seed, CPUs: cpus, Build: build, UnfilteredKernel: !filteredKernel,
-		Duration: duration, Drains: 1,
+		Duration: duration,
 	})
 	if err != nil {
 		return nil, err
@@ -114,19 +96,7 @@ func RunSession(seed uint64, cpus int, duration sim.Duration, filteredKernel boo
 	if _, err := ps.Run(nil); err != nil {
 		return nil, err
 	}
-	w, b := ps.World, ps.Bundle
-	s := &Session{
-		World: w, Bundle: b,
-		TraceBytes:  b.TraceBytes(),
-		ProbeCostNs: w.Runtime().CostNs(),
-		BytesPerCPU: b.BytesPerCPU(),
-		LostPerCPU:  b.LostPerCPU(),
-		LostRecords: b.Lost(),
-	}
-	for _, th := range w.Machine().Threads() {
-		s.AppCPUNs += float64(th.CPUTime())
-	}
-	return s, nil
+	return ps, nil
 }
 
 // BuildBoth builds AVP and SYN concurrently (the paper's Sec. VI setup),

@@ -4,7 +4,9 @@
 // advance virtual time window by window and, after each window, drain
 // every per-CPU ring in (Time, Seq) order into the session's fan-out —
 // the trace store, a live synthesis service, a metrics sink and
-// whatever sinks the caller adds.
+// whatever sinks the caller adds. Every window is placed by one
+// tracers.DrainScheduler, whose single walk over the rings also reads
+// the window's backlog and loss gauges.
 //
 // A session is built in two steps: New constructs the world, the bundle
 // and the fan-out without attaching anything, so the caller can wire
@@ -32,17 +34,13 @@ type Config struct {
 	// RingCapacity bounds every per-CPU ring (0 = unbounded).
 	RingCapacity int
 
-	// Duration is the traced virtual time. The drain instants come from
-	// the first of these that is set:
-	//   - Drains: n windows ending at Duration*k/n for k = 1..n;
-	//   - Policy: a DrainScheduler plans each window from the ring
-	//     gauges, the last one cut short at Duration;
-	//   - Period: fixed windows, the last one cut short at Duration
-	//     (0 = one window).
-	Duration sim.Duration
-	Drains   int
-	Policy   *tracers.DrainPolicy
-	Period   sim.Duration
+	// Duration is the traced virtual time, drained in windows of at
+	// most Period (0 = one window over Duration), the last one cut short
+	// at Duration. MinPeriod 0 fixes every window at Period; MinPeriod >
+	// 0 lets the drain scheduler plan each window in [MinPeriod, Period]
+	// from the ring gauges.
+	Duration          sim.Duration
+	Period, MinPeriod sim.Duration
 
 	// Writer persists the stream: it is the fan-out's first sink
 	// ("store"), and each drain is one of its segments.
@@ -64,12 +62,11 @@ type Window struct {
 	Index   int          // 0-based
 	Elapsed sim.Duration // virtual time at the drain
 	Step    sim.Duration // the window's length
-	Next    sim.Duration // the planned next period: Step unless a scheduler plans it
 
-	// Ring gauges read before the drain: the worst single ring's backlog
-	// and its CPU, and the records lost to overruns during the window.
-	MaxPending, MaxPendingCPU int
-	LostDelta                 uint64
+	// The ring gauges read before the drain (the worst single ring's
+	// backlog and its CPU, the records lost to overruns during the
+	// window) and the next period planned from them.
+	tracers.DrainObservation
 
 	Segment  service.SegmentResult // the writer's segment close (zero without a Writer)
 	Firing   []*metrics.RuleState  // rules firing at this window's evaluation
@@ -79,9 +76,6 @@ type Window struct {
 // Report is what a session hands back at shutdown.
 type Report struct {
 	Windows int
-	// Persisted counts the events the writer made durable: every segment
-	// close plus its final Close.
-	Persisted int
 	// Final is the snapshot cut at shutdown, when events arrived after
 	// the last cut.
 	Final    *core.Snapshot
@@ -116,7 +110,16 @@ func New(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{World: w, Bundle: b, Fanout: trace.NewIsolatingMultiSink(), cfg: cfg}
+	maxP := cfg.Period
+	if maxP <= 0 {
+		maxP = cfg.Duration
+	}
+	minP := cfg.MinPeriod
+	if minP <= 0 {
+		minP = maxP
+	}
+	s := &Session{World: w, Bundle: b, Fanout: trace.NewIsolatingMultiSink(), cfg: cfg,
+		sched: tracers.NewDrainScheduler(b, minP, maxP)}
 	if cfg.Writer != nil {
 		s.Fanout.Add("store", cfg.Writer)
 	}
@@ -158,30 +161,7 @@ func (s *Session) start() error {
 	if s.msink != nil {
 		s.Fanout.Add("metrics", s.msink)
 	}
-	if s.cfg.Policy != nil {
-		s.sched = tracers.NewDrainScheduler(b, *s.cfg.Policy)
-	}
 	return nil
-}
-
-// nextDrain returns the absolute instant of drain k (0-based), or false
-// once the session is over.
-func (s *Session) nextDrain(k int, elapsed sim.Duration) (sim.Duration, bool) {
-	d := s.cfg.Duration
-	if n := s.cfg.Drains; n > 0 {
-		return d * sim.Duration(k+1) / sim.Duration(n), k < n
-	}
-	if elapsed >= d {
-		return 0, false
-	}
-	step := s.cfg.Period
-	if s.sched != nil {
-		step = s.sched.Interval()
-	}
-	if rest := d - elapsed; step <= 0 || step > rest {
-		step = rest
-	}
-	return elapsed + step, true
 }
 
 // Run boots the tracers and drives the session to its end. onWindow,
@@ -194,26 +174,13 @@ func (s *Session) Run(onWindow func(Window) bool) (Report, error) {
 	if err := s.start(); err != nil {
 		return rep, s.abort(err)
 	}
-	var elapsed sim.Duration
-	var prevLost uint64
-	for {
-		at, ok := s.nextDrain(rep.Windows, elapsed)
-		if !ok {
-			break
-		}
-		win := Window{Index: rep.Windows, Elapsed: at, Step: at - elapsed}
+	for elapsed := sim.Duration(0); elapsed < s.cfg.Duration; {
+		win := Window{Index: rep.Windows, Step: min(s.sched.Interval(), s.cfg.Duration-elapsed)}
 		s.World.Run(win.Step)
-		elapsed = at
-
+		elapsed += win.Step
+		win.Elapsed = elapsed
 		// The gauges go first: the drain clears them.
-		win.Next = win.Step
-		win.MaxPending, win.MaxPendingCPU = s.Bundle.MaxRingPending()
-		if s.sched != nil {
-			obs := s.sched.Observe(win.Step)
-			win.MaxPending, win.MaxPendingCPU, win.Next = obs.MaxPending, obs.MaxPendingCPU, obs.Next
-		}
-		lost := s.Bundle.Lost()
-		win.LostDelta, prevLost = lost-prevLost, lost
+		win.DrainObservation = s.sched.Observe(win.Step)
 
 		w := s.cfg.Writer
 		if w != nil {
@@ -228,7 +195,6 @@ func (s *Session) Run(onWindow func(Window) bool) (Report, error) {
 			win.Segment = w.EndSegment()
 		}
 		rep.Windows++
-		rep.Persisted += win.Segment.Persisted
 
 		if s.pm != nil {
 			s.updateGauges()
@@ -249,7 +215,7 @@ func (s *Session) Run(onWindow func(Window) bool) (Report, error) {
 	// Shutdown flushes everything still open: the writer's last segment
 	// and spill, a final snapshot, and every attached sink.
 	if w := s.cfg.Writer; w != nil {
-		rep.Persisted += w.Close().Persisted
+		w.Close()
 	}
 	if s.snapEvery > 0 && s.snaps.EventsObserved() > s.cutEvents {
 		rep.Final = s.cut()

@@ -8,62 +8,73 @@ import (
 	"github.com/tracesynth/rostracer/internal/rclcpp"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
-	"github.com/tracesynth/rostracer/internal/tracers"
 )
 
 func buildSYN(w *rclcpp.World) { apps.BuildSYN(w, apps.SYNConfig{}) }
 
-// drainInstants runs cfg and returns the virtual time of every drain.
-func drainInstants(t *testing.T, cfg Config) []sim.Duration {
+// drainWindows runs cfg and returns every drain window.
+func drainWindows(t *testing.T, cfg Config) []Window {
 	t.Helper()
 	cfg.Seed, cfg.CPUs, cfg.Build = 1, 2, buildSYN
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var at []sim.Duration
+	var wins []Window
 	if _, err := s.Run(func(win Window) bool {
-		at = append(at, win.Elapsed)
+		wins = append(wins, win)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return at
+	return wins
 }
 
 func TestDrainInstants(t *testing.T) {
 	d := sim.Second + 1
+	period := 400 * sim.Millisecond
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want []sim.Duration
+		next sim.Duration // every window's planned next period
 	}{
-		{"drains", Config{Duration: d, Drains: 3},
-			[]sim.Duration{d / 3, 2 * d / 3, d}},
-		{"period", Config{Duration: d, Period: 400 * sim.Millisecond},
-			[]sim.Duration{400 * sim.Millisecond, 800 * sim.Millisecond, d}},
-		{"one window", Config{Duration: d}, []sim.Duration{d}},
-		{"drains win over period", Config{Duration: d, Drains: 1, Period: sim.Millisecond},
-			[]sim.Duration{d}},
-		{"no time, no window", Config{Period: sim.Second}, nil},
+		{"period, short last window", Config{Duration: d, Period: period},
+			[]sim.Duration{period, 2 * period, d}, period},
+		{"fixed period on bounded rings", Config{Duration: d, Period: period, RingCapacity: 64},
+			[]sim.Duration{period, 2 * period, d}, period},
+		{"one window", Config{Duration: d}, []sim.Duration{d}, d},
+		{"no time, no window", Config{Period: sim.Second}, nil, 0},
 	} {
-		if got := drainInstants(t, tc.cfg); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: drains at %v, want %v", tc.name, got, tc.want)
+		var at []sim.Duration
+		for _, win := range drainWindows(t, tc.cfg) {
+			at = append(at, win.Elapsed)
+			if win.Next != tc.next {
+				t.Errorf("%s: window %d plans %v next, want %v", tc.name, win.Index, win.Next, tc.next)
+			}
+		}
+		if !reflect.DeepEqual(at, tc.want) {
+			t.Errorf("%s: drains at %v, want %v", tc.name, at, tc.want)
 		}
 	}
-	// A scheduler plans every window within its bounds; the last one is
-	// cut short at Duration.
-	pol := &tracers.DrainPolicy{Min: 10 * sim.Millisecond, Max: 300 * sim.Millisecond}
-	at := drainInstants(t, Config{Duration: d, Policy: pol, RingCapacity: 64, Period: sim.Second})
+	// With a MinPeriod the scheduler plans every window within
+	// [MinPeriod, Period]; the last one is cut short at Duration.
+	minP, maxP := 10*sim.Millisecond, 300*sim.Millisecond
+	wins := drainWindows(t, Config{Duration: d, Period: maxP, MinPeriod: minP, RingCapacity: 64})
 	var prev sim.Duration
-	for i, a := range at {
-		if step := a - prev; step < pol.Min && i != len(at)-1 || step > pol.Max {
-			t.Fatalf("scheduled drains at %v: step %v outside [%v, %v]", at, step, pol.Min, pol.Max)
+	steps := map[sim.Duration]bool{}
+	for i, win := range wins {
+		if step := win.Elapsed - prev; step < minP && i != len(wins)-1 || step > maxP {
+			t.Fatalf("scheduled window %d at %v: step %v outside [%v, %v]", i, win.Elapsed, step, minP, maxP)
 		}
-		prev = a
+		if win.Next < minP || win.Next > maxP {
+			t.Fatalf("scheduled window %d plans %v next, outside [%v, %v]", i, win.Next, minP, maxP)
+		}
+		steps[win.Step] = true
+		prev = win.Elapsed
 	}
-	if prev != d {
-		t.Fatalf("scheduled drains end at %v, want %v", prev, d)
+	if prev != d || len(steps) < 2 {
+		t.Fatalf("scheduled drains end at %v with %d distinct steps, want the end at %v and a planned cadence", prev, len(steps), d)
 	}
 }
 

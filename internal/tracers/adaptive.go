@@ -20,17 +20,6 @@ import (
 // observations.
 const targetFill = 0.5
 
-// DrainPolicy parameterizes the scheduler. The ring capacity it plans
-// against is the one the bundle was built with (NewBundleCapacity); an
-// unbounded bundle disables adaptation, and the scheduler then always
-// plans Max.
-type DrainPolicy struct {
-	// Min and Max clamp the planned interval. The first interval is Min:
-	// a short calibration period that observes the actual fill rate
-	// before the scheduler trusts itself to back off.
-	Min, Max sim.Duration
-}
-
 // DrainObservation reports one observation window: the gauges read
 // before the drain, and the interval planned from them.
 type DrainObservation struct {
@@ -54,36 +43,32 @@ type DrainObservation struct {
 // the worst ring, so every wakeup drains every ring (Bundle.StreamTo)
 // and every drain is one (Time, Seq)-ordered stream.
 type DrainScheduler struct {
-	b        *Bundle
-	pol      DrainPolicy
-	capacity int // per-ring record bound of b's buffers; 0 is unbounded
-	interval sim.Duration
-	lastLost [3][]uint64 // per-tracer, per-CPU lost snapshots
-	drains   int
+	b          *Bundle
+	minP, maxP sim.Duration // the planned interval's clamp
+	capacity   int          // per-ring record bound of b's buffers; 0 is unbounded
+	interval   sim.Duration
+	lastLost   [3][]uint64 // per-tracer, per-CPU lost snapshots
 }
 
-// NewDrainScheduler plans drains for b under pol. The initial interval
-// is pol.Min for bounded rings (calibration) and pol.Max for unbounded
-// ones.
-func NewDrainScheduler(b *Bundle, pol DrainPolicy) *DrainScheduler {
-	if pol.Min <= 0 {
-		pol.Min = 1
-	}
-	if pol.Max < pol.Min {
-		pol.Max = pol.Min
-	}
-	s := &DrainScheduler{b: b, pol: pol, capacity: b.initPB.Capacity(), interval: pol.Min}
+// NewDrainScheduler plans drains for b within [minP, maxP]. The ring
+// capacity it plans against is the one the bundle was built with
+// (NewBundleCapacity). The initial interval is minP for bounded rings: a
+// short calibration period that observes the actual fill rate before
+// the scheduler trusts itself to back off. Unbounded rings cannot
+// overrun, so the scheduler then always plans maxP; with minP == maxP it
+// plans that one fixed period for any bundle.
+func NewDrainScheduler(b *Bundle, minP, maxP sim.Duration) *DrainScheduler {
+	minP = max(minP, 1)
+	maxP = max(maxP, minP)
+	s := &DrainScheduler{b: b, minP: minP, maxP: maxP, capacity: b.initPB.Capacity(), interval: minP}
 	if s.capacity <= 0 {
-		s.interval = pol.Max
+		s.interval = maxP
 	}
 	return s
 }
 
 // Interval returns the current planned drain interval.
 func (s *DrainScheduler) Interval() sim.Duration { return s.interval }
-
-// Drains returns how many observation windows have completed.
-func (s *DrainScheduler) Drains() int { return s.drains }
 
 // Observe reads the per-ring gauges accumulated over the elapsed window
 // and plans the next interval: the worst ring's demand (pending
@@ -92,7 +77,7 @@ func (s *DrainScheduler) Drains() int { return s.drains }
 // capacity. It must be called after the simulation advanced and before
 // the rings are drained.
 func (s *DrainScheduler) Observe(elapsed sim.Duration) DrainObservation {
-	obs := DrainObservation{Next: s.pol.Max}
+	obs := DrainObservation{Next: s.maxP}
 	worstDemand := 0
 	for bi, pb := range s.b.perfBuffers() {
 		rings := pb.NumRings()
@@ -116,27 +101,17 @@ func (s *DrainScheduler) Observe(elapsed sim.Duration) DrainObservation {
 			}
 		}
 	}
-	s.drains++
 
 	if s.capacity > 0 && worstDemand > 0 && elapsed > 0 {
 		// rate = worstDemand / elapsed; next = target records / rate.
 		target := targetFill * float64(s.capacity)
 		next := sim.Duration(target * float64(elapsed) / float64(worstDemand))
-		if next < s.pol.Min {
-			next = s.pol.Min
-		}
-		if next > s.pol.Max {
-			next = s.pol.Max
-		}
-		obs.Next = next
+		obs.Next = min(max(next, s.minP), s.maxP)
 	} else if s.capacity > 0 {
 		// Nothing arrived: back off one planning step at a time rather
-		// than jumping straight to Max, in case the workload is bursty.
-		next := s.interval * 2
-		if next > s.pol.Max {
-			next = s.pol.Max
-		}
-		obs.Next = next
+		// than jumping straight to the maximum, in case the workload is
+		// bursty.
+		obs.Next = min(s.interval*2, s.maxP)
 	}
 	s.interval = obs.Next
 	return obs

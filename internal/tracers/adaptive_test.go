@@ -33,10 +33,10 @@ func schedulerWorld(t *testing.T, capacity int) (*rclcpp.World, *Bundle) {
 // policy bounds.
 func TestDrainSchedulerTightensUnderLoad(t *testing.T) {
 	w, b := schedulerWorld(t, 64)
-	pol := DrainPolicy{Min: 10 * sim.Millisecond, Max: 2 * sim.Second}
-	s := NewDrainScheduler(b, pol)
-	if s.Interval() != pol.Min {
-		t.Fatalf("initial interval %v, want calibration at Min %v", s.Interval(), pol.Min)
+	minP, maxP := 10*sim.Millisecond, 2*sim.Second
+	s := NewDrainScheduler(b, minP, maxP)
+	if s.Interval() != minP {
+		t.Fatalf("initial interval %v, want calibration at the minimum %v", s.Interval(), minP)
 	}
 
 	// Busy window: run long enough that rings accumulate real backlog.
@@ -46,11 +46,11 @@ func TestDrainSchedulerTightensUnderLoad(t *testing.T) {
 		t.Fatal("busy window observed no traffic; workload broken")
 	}
 	busy := obs.Next
-	if busy < pol.Min || busy > pol.Max {
-		t.Fatalf("planned interval %v outside [%v, %v]", busy, pol.Min, pol.Max)
+	if busy < minP || busy > maxP {
+		t.Fatalf("planned interval %v outside [%v, %v]", busy, minP, maxP)
 	}
-	if busy == pol.Max {
-		t.Fatalf("busy window planned Max (%v); no adaptation happened", busy)
+	if busy == maxP {
+		t.Fatalf("busy window planned the maximum (%v); no adaptation happened", busy)
 	}
 	var kc trace.KindCounter
 	if err := b.StreamTo(&kc); err != nil {
@@ -58,7 +58,7 @@ func TestDrainSchedulerTightensUnderLoad(t *testing.T) {
 	}
 
 	// Idle window: no simulation progress, nothing arrives; the planner
-	// backs off (doubling toward Max), never below the busy plan.
+	// backs off (doubling toward the maximum), never below the busy plan.
 	idle := s.Observe(busy)
 	if idle.Next <= busy {
 		t.Fatalf("idle window planned %v, want backoff above %v", idle.Next, busy)
@@ -70,14 +70,14 @@ func TestDrainSchedulerTightensUnderLoad(t *testing.T) {
 // always plans the maximum period.
 func TestDrainSchedulerUnboundedStaysAtMax(t *testing.T) {
 	w, b := schedulerWorld(t, 0)
-	pol := DrainPolicy{Min: 10 * sim.Millisecond, Max: sim.Second}
-	s := NewDrainScheduler(b, pol)
-	if s.Interval() != pol.Max {
-		t.Fatalf("unbounded initial interval %v, want Max %v", s.Interval(), pol.Max)
+	minP, maxP := 10*sim.Millisecond, sim.Second
+	s := NewDrainScheduler(b, minP, maxP)
+	if s.Interval() != maxP {
+		t.Fatalf("unbounded initial interval %v, want the maximum %v", s.Interval(), maxP)
 	}
 	w.Run(500 * sim.Millisecond)
-	if obs := s.Observe(500 * sim.Millisecond); obs.Next != pol.Max {
-		t.Fatalf("unbounded planned %v, want Max %v", obs.Next, pol.Max)
+	if obs := s.Observe(500 * sim.Millisecond); obs.Next != maxP {
+		t.Fatalf("unbounded planned %v, want the maximum %v", obs.Next, maxP)
 	}
 }
 
@@ -118,7 +118,7 @@ func TestDrainSchedulerZeroLossAtLossyPoint(t *testing.T) {
 		w, b := lossyWorld()
 		var kc trace.KindCounter
 		if adaptive {
-			s := NewDrainScheduler(b, DrainPolicy{Min: duration / 128, Max: fixedPeriod})
+			s := NewDrainScheduler(b, duration/128, fixedPeriod)
 			var elapsed sim.Duration
 			for elapsed < duration {
 				step := s.Interval()
@@ -153,6 +153,40 @@ func TestDrainSchedulerZeroLossAtLossyPoint(t *testing.T) {
 	}
 	if adEvents != fixedEvents+int(fixedLost) {
 		t.Fatalf("adaptive drained %d events, want %d", adEvents, fixedEvents+int(fixedLost))
+	}
+}
+
+// TestObserveMatchesBundleGauges drains a bounded, overrunning bundle at
+// a fixed cadence and checks, window by window, that the scheduler's one
+// walk over the rings reads what the bundle's own gauges read just
+// before it: the worst ring's backlog and CPU, and the growth of the
+// lost total. A fixed cadence keeps planning its one period.
+func TestObserveMatchesBundleGauges(t *testing.T) {
+	w, b := schedulerWorld(t, 64)
+	period := 250 * sim.Millisecond
+	s := NewDrainScheduler(b, period, period)
+	var prevLost, overruns uint64
+	for i := 0; i < 20; i++ {
+		w.Run(period)
+		pending, cpu := b.MaxRingPending()
+		lost := b.Lost()
+		obs := s.Observe(period)
+		if obs.MaxPending != pending || obs.MaxPendingCPU != cpu || obs.LostDelta != lost-prevLost {
+			t.Fatalf("window %d: observed pending %d on cpu%d, lost +%d; bundle reads %d on cpu%d, lost +%d",
+				i, obs.MaxPending, obs.MaxPendingCPU, obs.LostDelta, pending, cpu, lost-prevLost)
+		}
+		if obs.Next != period {
+			t.Fatalf("window %d: fixed cadence planned %v, want %v", i, obs.Next, period)
+		}
+		overruns += obs.LostDelta
+		prevLost = lost
+		var kc trace.KindCounter
+		if err := b.StreamTo(&kc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if overruns == 0 {
+		t.Fatal("no ring overran; the bounded operating point is not lossy")
 	}
 }
 
