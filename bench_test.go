@@ -149,6 +149,30 @@ func BenchmarkSimulation_AVPSecond(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulation_BothSecond measures the steady state of a traced
+// session: one virtual second of SYN+AVP on 12 CPUs, the rings drained
+// into a counting sink. The world, the probe programs and the
+// applications are built and warmed for one second outside the timer,
+// so allocs/op is the per-message path (one Sample per DDS write) and
+// not program load or first-second growth.
+func BenchmarkSimulation_BothSecond(b *testing.B) {
+	w, bd := benchTracedWorld(b, 12)
+	var kc trace.KindCounter
+	w.Run(sim.Second)
+	if err := bd.StreamTo(&kc); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Run(sim.Second)
+		if err := bd.StreamTo(&kc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(kc.Total())/float64(b.N), "events/op")
+}
+
 // BenchmarkSched_Reschedule measures the simulated scheduler's decisions
 // on the thread mix of `rostracer -app both` (SYN + AVP) on 12 CPUs:
 // each iteration wakes every thread, then runs
@@ -440,9 +464,9 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 // benchTracedWorld boots an AVP+SYN world under all three tracers for
 // the streaming-drain benchmarks; each iteration refills the rings by
 // advancing the simulation off the clock.
-func benchTracedWorld(b *testing.B) (*rclcpp.World, *tracers.Bundle) {
+func benchTracedWorld(b *testing.B, cpus int) (*rclcpp.World, *tracers.Bundle) {
 	b.Helper()
-	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: 8, Seed: 5})
+	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cpus, Seed: 5})
 	bd, err := tracers.NewBundle(w.Runtime())
 	if err != nil {
 		b.Fatal(err)
@@ -463,7 +487,7 @@ func benchTracedWorld(b *testing.B) (*rclcpp.World, *tracers.Bundle) {
 // tournament merge — no event slice is ever built, so allocations stay
 // per-drain-constant instead of per-event.
 func BenchmarkBundle_StreamDrain(b *testing.B) {
-	w, bd := benchTracedWorld(b)
+	w, bd := benchTracedWorld(b, 8)
 	var kc trace.KindCounter
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -482,7 +506,7 @@ func BenchmarkBundle_StreamDrain(b *testing.B) {
 // stage: one 500 ms segment drained straight into the online Algorithm
 // 1/2 builder, every event folded as it arrives and none retained.
 func BenchmarkBundle_StreamSynthesize(b *testing.B) {
-	w, bd := benchTracedWorld(b)
+	w, bd := benchTracedWorld(b, 8)
 	mb := core.NewModelBuilder()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -42,6 +42,11 @@ type Reader struct {
 	topic  string
 	pid    uint32
 	OnData func(*Sample)
+
+	// open holds the reader's batches not yet dispatched, at most one
+	// per due tick. It stays a few entries long: a batch lives only for
+	// its sample's transport latency.
+	open []*batch
 }
 
 // Topic returns the topic name.
@@ -56,6 +61,14 @@ type Writer struct {
 	pid        uint32
 	domain     *Domain
 	structAddr umem.Addr
+	readers    *topicReaders // the topic's readers, shared with the domain
+}
+
+// topicReaders lists one topic's readers. Writers hold it directly, so a
+// write reaches its readers without a topic-name lookup, and readers
+// created after the writer still receive its samples.
+type topicReaders struct {
+	list []*Reader
 }
 
 // Topic returns the topic name.
@@ -85,10 +98,10 @@ type TransportFaultStats struct {
 
 // Domain is one DDS domain: the topic space and transport.
 type Domain struct {
-	eng     *sim.Engine
-	rt      *ebpf.Runtime
-	rng     *sim.RNG
-	readers map[string][]*Reader
+	eng    *sim.Engine
+	rt     *ebpf.Runtime
+	rng    *sim.RNG
+	topics map[string]*topicReaders
 	// Latency models transport delay per delivery. Defaults to a uniform
 	// 20–80 µs, the order of local-loopback DDS latencies.
 	Latency sim.Distribution
@@ -104,21 +117,27 @@ type Domain struct {
 	// lazily on the first write.
 	siteWrite *ebpf.ProbeSite
 
-	// batches coalesces deliveries due at the same tick for the same
-	// reader: the first sample scheduled for (reader, due) creates one
-	// engine event, later samples ride it. The engine then dispatches
-	// one event per reader per tick instead of one per sample — the
-	// batching a real DDS reader cache gives the wait set.
-	batches map[deliveryKey][]*Sample
+	// free lists the dispatched delivery batches, ready for reuse.
+	free *batch
 
 	writes     uint64
 	deliveries uint64 // engine delivery events actually scheduled
 }
 
-// deliveryKey identifies one per-reader same-tick delivery batch.
-type deliveryKey struct {
-	reader *Reader
-	due    sim.Time
+// batch coalesces the deliveries due at one reader in one tick: the
+// first sample scheduled for (reader, due) opens a batch and its one
+// engine event, later samples ride it. The engine then dispatches one
+// event per reader per tick instead of one per sample — the batching a
+// real DDS reader cache gives the wait set. Dispatched batches return to
+// the domain's free list with their sample slice emptied, so the steady
+// state schedules deliveries without allocating.
+type batch struct {
+	d       *Domain
+	reader  *Reader
+	due     sim.Time
+	samples []*Sample
+	fire    func() // b.dispatch, bound once when the record is made
+	next    *batch // free-list link
 }
 
 // NewDomain creates a domain on eng, firing probes into rt, with transport
@@ -128,8 +147,7 @@ func NewDomain(eng *sim.Engine, rt *ebpf.Runtime, rng *sim.RNG) *Domain {
 		eng:     eng,
 		rt:      rt,
 		rng:     rng,
-		readers: make(map[string][]*Reader),
-		batches: make(map[deliveryKey][]*Sample),
+		topics:  make(map[string]*topicReaders),
 		Latency: sim.Uniform{Min: 20 * sim.Microsecond, Max: 80 * sim.Microsecond},
 	}
 }
@@ -152,14 +170,24 @@ func (d *Domain) CreateWriter(pid uint32, space *umem.Space, topic string) *Writ
 	sw := umem.NewStructWriter(space)
 	sw.Ptr(nameAddr) // WriterStructTopicPtrOff
 	addr := sw.Commit()
-	return &Writer{topic: topic, pid: pid, domain: d, structAddr: addr}
+	return &Writer{topic: topic, pid: pid, domain: d, structAddr: addr, readers: d.topicReaders(topic)}
 }
 
 // CreateReader subscribes pid to topic; onData runs at delivery time.
 func (d *Domain) CreateReader(pid uint32, topic string, onData func(*Sample)) *Reader {
 	r := &Reader{topic: topic, pid: pid, OnData: onData}
-	d.readers[topic] = append(d.readers[topic], r)
+	tr := d.topicReaders(topic)
+	tr.list = append(tr.list, r)
 	return r
+}
+
+func (d *Domain) topicReaders(topic string) *topicReaders {
+	tr := d.topics[topic]
+	if tr == nil {
+		tr = &topicReaders{}
+		d.topics[topic] = tr
+	}
+	return tr
 }
 
 // Write publishes a sample: it stamps the source timestamp, fires P16 in
@@ -190,7 +218,7 @@ func (w *Writer) Write(payload interface{}, clientID, rpcSeq uint64) *Sample {
 	}
 	d.siteWrite.FireEntry(w.pid, cpu, uint64(w.structAddr), 0, uint64(s.SrcTS))
 
-	for _, r := range d.readers[w.topic] {
+	for _, r := range w.readers.list {
 		copies := 1
 		var extra sim.Duration
 		if d.Fault != nil {
@@ -226,27 +254,54 @@ func (d *Domain) FaultStats() TransportFaultStats { return d.faultStats }
 // deliver enqueues s for r at the due tick. Same-tick deliveries to one
 // reader coalesce into a single engine event that hands the reader its
 // batch in write order, so N simultaneous samples cost one scheduler
-// dispatch instead of N. The batch entry is removed before the callbacks
-// run: a reader that writes back with zero latency starts a fresh batch
-// later in the same tick rather than appending to the one in flight.
+// dispatch instead of N.
 func (d *Domain) deliver(r *Reader, due sim.Time, s *Sample) {
-	key := deliveryKey{reader: r, due: due}
-	if q, ok := d.batches[key]; ok {
-		d.batches[key] = append(q, s)
-		return
-	}
-	d.batches[key] = []*Sample{s}
-	d.deliveries++
-	d.eng.At(due, func() {
-		q := d.batches[key]
-		delete(d.batches, key)
-		if r.OnData == nil {
+	for _, b := range r.open {
+		if b.due == due {
+			b.samples = append(b.samples, s)
 			return
 		}
-		for _, smp := range q {
-			r.OnData(smp)
+	}
+	b := d.free
+	if b != nil {
+		d.free = b.next
+		b.next = nil
+	} else {
+		b = &batch{d: d}
+		b.fire = b.dispatch
+	}
+	b.reader, b.due = r, due
+	b.samples = append(b.samples, s)
+	r.open = append(r.open, b)
+	d.deliveries++
+	d.eng.At(due, b.fire)
+}
+
+// dispatch hands the batch to its reader. The batch leaves the reader's
+// open set before the callbacks run: a reader that writes back with
+// zero latency starts a fresh batch later in the same tick rather than
+// appending to the one in flight.
+func (b *batch) dispatch() {
+	r := b.reader
+	for i, o := range r.open {
+		if o == b {
+			last := len(r.open) - 1
+			r.open[i] = r.open[last]
+			r.open[last] = nil
+			r.open = r.open[:last]
+			break
 		}
-	})
+	}
+	if r.OnData != nil {
+		for _, s := range b.samples {
+			r.OnData(s)
+		}
+	}
+	clear(b.samples)
+	b.samples = b.samples[:0]
+	b.reader = nil
+	b.next = b.d.free
+	b.d.free = b
 }
 
 // ServiceRequestTopic returns the DDS topic carrying requests of a

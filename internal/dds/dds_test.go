@@ -282,3 +282,165 @@ func TestBatchedDeliveryDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchedDeliveryZeroLatencyWriteBack pins the open-set rule: a
+// batch leaves its reader's open set before its callbacks run, so a
+// reader whose OnData writes back on its own topic with zero latency
+// gets that sample in a second batch at the same tick, after every
+// callback of the first.
+func TestBatchedDeliveryZeroLatencyWriteBack(t *testing.T) {
+	eng, d := newTestDomain()
+	d.Latency = sim.Constant{}
+	space := umem.NewSpace(1)
+	w := d.CreateWriter(1, space, "/x")
+
+	type arrival struct {
+		payload interface{}
+		at      sim.Time
+		event   uint64 // the engine event that delivered it
+	}
+	var got []arrival
+	d.CreateReader(10, "/x", func(s *Sample) {
+		got = append(got, arrival{s.Payload, eng.Now(), eng.Executed()})
+		if s.Payload == "a" {
+			w.Write("echo", 0, 0)
+		}
+	})
+	eng.At(100, func() {
+		w.Write("a", 0, 0)
+		w.Write("b", 0, 0)
+	})
+	before := d.DeliveryEvents()
+	eng.Run(sim.MaxTime)
+
+	if n := d.DeliveryEvents() - before; n != 2 {
+		t.Fatalf("DeliveryEvents +%d, want +2 (the write-back opens a second batch)", n)
+	}
+	want := []interface{}{"a", "b", "echo"}
+	if len(got) != len(want) {
+		t.Fatalf("arrivals %v, want payloads %v", got, want)
+	}
+	for i, a := range got {
+		if a.payload != want[i] || a.at != 100 {
+			t.Fatalf("arrival %d = %+v, want %v at tick 100", i, a, want[i])
+		}
+	}
+	// "b" rode the first batch even though "echo" was written while the
+	// first batch's callbacks ran.
+	if got[1].event != got[0].event || got[2].event != got[0].event+1 {
+		t.Fatalf("batch membership %+v, want a and b in one batch, echo in the next", got)
+	}
+}
+
+// transportLog is both the latency model and a duplicating, delaying
+// TransportFault. It draws at random and logs every draw, so a test can
+// replay each write's fan-out (per reader in creation order: one Fate,
+// then one latency draw per copy) and know every sample's due tick.
+type transportLog struct {
+	fates  []struct{ dups, extra int }
+	delays []sim.Duration
+}
+
+func (l *transportLog) Fate(rng *sim.RNG) (bool, int, sim.Duration) {
+	f := struct{ dups, extra int }{rng.Intn(3), rng.Intn(4)}
+	l.fates = append(l.fates, f)
+	return false, f.dups, sim.Duration(f.extra)
+}
+
+func (l *transportLog) Sample(rng *sim.RNG) sim.Duration {
+	d := sim.Duration(rng.Intn(6))
+	l.delays = append(l.delays, d)
+	return d
+}
+
+func (l *transportLog) Bounds() (sim.Duration, sim.Duration) { return 0, 5 }
+
+// TestBatchedDeliveryRecyclingKeepsBatchesExact checks recycled batch
+// records against an independent account: over 1,000 ticks of writes
+// with random latency and a duplicating fault, every OnData call sees
+// exactly the samples due at its (reader, tick), in write order, and no
+// recycled record carries a sample over from its previous use.
+func TestBatchedDeliveryRecyclingKeepsBatchesExact(t *testing.T) {
+	eng := sim.NewEngine()
+	rt := ebpf.NewRuntime(func() int64 { return int64(eng.Now()) }, nil)
+	rng := sim.NewRNG(42)
+	d := NewDomain(eng, rt, rng)
+	tl := &transportLog{}
+	d.Latency, d.Fault = tl, tl
+	space := umem.NewSpace(1)
+	writers := []*Writer{d.CreateWriter(1, space, "/x"), d.CreateWriter(2, space, "/x")}
+
+	const readers = 3
+	type key struct {
+		reader int
+		due    sim.Time
+	}
+	want := make(map[key][]uint64) // replayed from the transport log
+	got := make(map[key][]uint64)  // as OnData saw it
+	batches := make(map[key]uint64)
+	var lastEvent [readers]uint64
+	for r := 0; r < readers; r++ {
+		r := r
+		d.CreateReader(uint32(10+r), "/x", func(s *Sample) {
+			k := key{r, eng.Now()}
+			// Each batch is one engine event.
+			if ev := eng.Executed(); ev != lastEvent[r] {
+				lastEvent[r] = ev
+				batches[k]++
+			}
+			got[k] = append(got[k], s.RPCSeq)
+		})
+	}
+
+	var seq uint64
+	for tick := 0; tick < 1000; tick++ {
+		eng.At(sim.Time(tick), func() {
+			for n := rng.Intn(3); n > 0; n-- {
+				seq++
+				tl.fates, tl.delays = tl.fates[:0], tl.delays[:0]
+				writers[rng.Intn(len(writers))].Write(nil, 0, seq)
+				for r := 0; r < readers; r++ {
+					f := tl.fates[r]
+					for c := 0; c <= f.dups; c++ {
+						due := eng.Now().Add(tl.delays[0] + sim.Duration(f.extra))
+						tl.delays = tl.delays[1:]
+						want[key{r, due}] = append(want[key{r, due}], seq)
+					}
+				}
+			}
+		})
+	}
+	eng.Run(sim.MaxTime)
+	if seq == 0 || d.FaultStats().Duplicated == 0 {
+		t.Fatalf("no traffic (%d writes, %+v)", seq, d.FaultStats())
+	}
+
+	if len(got) != len(want) || uint64(len(want)) != d.DeliveryEvents() {
+		t.Fatalf("%d (reader, tick) batches delivered, %d due, %d delivery events",
+			len(got), len(want), d.DeliveryEvents())
+	}
+	for k, w := range want {
+		g := got[k]
+		if batches[k] != 1 || len(g) != len(w) {
+			t.Fatalf("reader %d tick %v: %d batches carrying %v, want one carrying %v", k.reader, k.due, batches[k], g, w)
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("reader %d tick %v: got %v, want %v (write order)", k.reader, k.due, g, w)
+			}
+		}
+	}
+	if d.free == nil {
+		t.Fatal("no batch returned to the free list")
+	}
+	for b := d.free; b != nil; b = b.next {
+		if len(b.samples) != 0 || b.reader != nil {
+			t.Fatalf("free batch still holds %d samples for reader %v", len(b.samples), b.reader)
+		}
+		for _, s := range b.samples[:cap(b.samples)] {
+			if s != nil {
+				t.Fatal("free batch's array still references a sample")
+			}
+		}
+	}
+}

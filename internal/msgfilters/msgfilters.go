@@ -25,18 +25,19 @@ var SymOperator = ebpf.Symbol{Lib: "message_filters", Func: "operator"}
 
 // Policy matches sets of samples across the input queues.
 type Policy interface {
-	// TryMatch inspects the queues (one per input, oldest first) and
-	// returns the indices of one matched sample per queue, or ok=false.
-	// Implementations may drop unmatchable samples from the queues.
-	TryMatch(queues [][]*dds.Sample) (picks []int, ok bool)
+	// TryMatch inspects the queues (one per input, oldest first) and, on
+	// a match, stores the index of one matched sample per queue in picks
+	// (len(picks) == len(queues)) and returns true. Implementations may
+	// drop unmatchable samples from the queues.
+	TryMatch(queues [][]*dds.Sample, picks []int) bool
 }
 
 // ExactTime matches samples whose source timestamps are identical.
 type ExactTime struct{}
 
 // TryMatch implements Policy.
-func (ExactTime) TryMatch(queues [][]*dds.Sample) ([]int, bool) {
-	return matchWithin(queues, 0)
+func (ExactTime) TryMatch(queues [][]*dds.Sample, picks []int) bool {
+	return matchWithin(queues, picks, 0)
 }
 
 // ApproximateTime matches samples whose source timestamps lie within Slop
@@ -48,19 +49,19 @@ type ApproximateTime struct {
 }
 
 // TryMatch implements Policy.
-func (p ApproximateTime) TryMatch(queues [][]*dds.Sample) ([]int, bool) {
-	return matchWithin(queues, p.Slop)
+func (p ApproximateTime) TryMatch(queues [][]*dds.Sample, picks []int) bool {
+	return matchWithin(queues, picks, p.Slop)
 }
 
 // matchWithin finds head samples with timestamp spread <= slop. Heads that
 // are too old relative to the newest head are discarded, since later
 // samples only move forward in time.
-func matchWithin(queues [][]*dds.Sample, slop sim.Duration) ([]int, bool) {
+func matchWithin(queues [][]*dds.Sample, picks []int, slop sim.Duration) bool {
 	for {
 		var newest sim.Time
 		for _, q := range queues {
 			if len(q) == 0 {
-				return nil, false
+				return false
 			}
 			if q[0].SrcTS > newest {
 				newest = q[0].SrcTS
@@ -69,20 +70,31 @@ func matchWithin(queues [][]*dds.Sample, slop sim.Duration) ([]int, bool) {
 		dropped := false
 		for i, q := range queues {
 			if newest.Sub(q[0].SrcTS) > slop {
-				queues[i] = q[1:]
+				queues[i] = removeAt(q, 0)
 				dropped = true
 			}
 		}
 		if dropped {
 			continue
 		}
-		picks := make([]int, len(queues))
-		return picks, true // heads (index 0) all within slop
+		clear(picks) // heads (index 0) all within slop
+		return true
 	}
 }
 
+// removeAt deletes q[i] in place, shifting the tail down, and clears the
+// vacated slot so the queue keeps no stale sample alive. The backing
+// array is kept for the queue's next arrivals.
+func removeAt(q []*dds.Sample, i int) []*dds.Sample {
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = nil
+	return q[:len(q)-1]
+}
+
 // FusedContext is handed to the fused callback: the matched set plus the
-// completing subscription's callback context.
+// completing subscription's callback context. The synchronizer reuses it
+// and its Set for every match: both are valid until the fused callback
+// returns.
 type FusedContext struct {
 	*rclcpp.CallbackContext
 	Set []*dds.Sample
@@ -105,6 +117,13 @@ type Synchronizer struct {
 	// siteOp is the pre-resolved operator() probe site, bound lazily on
 	// the first arrival.
 	siteOp *ebpf.ProbeSite
+
+	// Match scratch, reused by every arrival: the policy's picks, the
+	// matched set, the fused callback's context and the completion
+	// action that runs it (s.runFused, bound once).
+	picks    []int
+	fc       FusedContext
+	runFused rclcpp.Action
 
 	matches uint64
 }
@@ -138,7 +157,10 @@ func New(node *rclcpp.Node, cfg Config) *Synchronizer {
 		readET:  cfg.ReadET,
 		fusedET: cfg.FusedET,
 		fused:   cfg.Fused,
+		picks:   make([]int, len(cfg.Topics)),
 	}
+	s.fc.Set = make([]*dds.Sample, len(cfg.Topics))
+	s.runFused = s.fuse
 	for i, topic := range cfg.Topics {
 		i := i
 		node.CreateSubscription(topic, rclcpp.BodyFunc(
@@ -169,23 +191,25 @@ func (s *Synchronizer) operator(input int, ctx *rclcpp.CallbackContext) (sim.Dur
 	if s.readET != nil && s.readET[input] != nil {
 		et = s.readET[input].Sample(w.ETRand())
 	}
-	picks, ok := s.policy.TryMatch(s.queues)
-	if !ok {
+	if !s.policy.TryMatch(s.queues, s.picks) {
 		return et, nil
 	}
 	// Pop the matched set.
-	set := make([]*dds.Sample, len(s.queues))
-	for i, pick := range picks {
-		set[i] = s.queues[i][pick]
-		s.queues[i] = append(s.queues[i][:pick:pick], s.queues[i][pick+1:]...)
+	for i, pick := range s.picks {
+		s.fc.Set[i] = s.queues[i][pick]
+		s.queues[i] = removeAt(s.queues[i], pick)
 	}
 	s.matches++
 	if s.fusedET != nil {
 		et += s.fusedET.Sample(w.ETRand())
 	}
-	return et, func(c *rclcpp.CallbackContext) {
-		if s.fused != nil {
-			s.fused(&FusedContext{CallbackContext: c, Set: set})
-		}
+	return et, s.runFused
+}
+
+// fuse runs the fused callback on the set the completing arrival popped.
+func (s *Synchronizer) fuse(c *rclcpp.CallbackContext) {
+	if s.fused != nil {
+		s.fc.CallbackContext = c
+		s.fused(&s.fc)
 	}
 }

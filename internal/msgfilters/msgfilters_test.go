@@ -16,14 +16,14 @@ func TestExactTimePolicy(t *testing.T) {
 		{sample(100)},
 		{sample(100)},
 	}
-	if _, ok := (msgfilters.ExactTime{}).TryMatch(q); !ok {
+	if !(msgfilters.ExactTime{}).TryMatch(q, make([]int, 2)) {
 		t.Fatal("equal timestamps did not match")
 	}
 	q = [][]*dds.Sample{
 		{sample(100)},
 		{sample(101)},
 	}
-	if _, ok := (msgfilters.ExactTime{}).TryMatch(q); ok {
+	if (msgfilters.ExactTime{}).TryMatch(q, make([]int, 2)) {
 		t.Fatal("unequal timestamps matched under exact policy")
 	}
 }
@@ -34,8 +34,8 @@ func TestApproximateTimeWithinSlop(t *testing.T) {
 		{sample(100)},
 		{sample(108)},
 	}
-	picks, ok := p.TryMatch(q)
-	if !ok || len(picks) != 2 {
+	picks := []int{-1, -1}
+	if ok := p.TryMatch(q, picks); !ok || picks[0] != 0 || picks[1] != 0 {
 		t.Fatalf("match failed: %v %v", picks, ok)
 	}
 }
@@ -46,8 +46,8 @@ func TestApproximateTimeDropsStaleHeads(t *testing.T) {
 		{sample(50), sample(100)}, // 50 is stale relative to 105
 		{sample(105)},
 	}
-	picks, ok := p.TryMatch(q)
-	if !ok {
+	picks := make([]int, 2)
+	if !p.TryMatch(q, picks) {
 		t.Fatalf("no match after dropping stale head; queues %v", q)
 	}
 	if q[0][picks[0]].SrcTS != 100 {
@@ -61,7 +61,7 @@ func TestApproximateTimeEmptyQueueNoMatch(t *testing.T) {
 		{sample(100)},
 		{},
 	}
-	if _, ok := p.TryMatch(q); ok {
+	if p.TryMatch(q, make([]int, 2)) {
 		t.Fatal("matched with an empty queue")
 	}
 }

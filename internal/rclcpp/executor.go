@@ -2,9 +2,9 @@ package rclcpp
 
 import (
 	"github.com/tracesynth/rostracer/internal/dds"
+	"github.com/tracesynth/rostracer/internal/ebpf"
 	"github.com/tracesynth/rostracer/internal/rcl"
 	"github.com/tracesynth/rostracer/internal/sched"
-	"github.com/tracesynth/rostracer/internal/sim"
 )
 
 type workKind int
@@ -23,6 +23,37 @@ type workItem struct {
 	sample *dds.Sample
 }
 
+// workQueue is the executor's FIFO of message-driven work. Pops advance
+// head; an append that would grow the array first compacts the live
+// items to its front, so a steady arrival rate reuses one backing array.
+type workQueue struct {
+	items []workItem
+	head  int
+}
+
+func (q *workQueue) push(it workItem) {
+	if len(q.items) == cap(q.items) && q.head > 0 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	q.items = append(q.items, it)
+}
+
+func (q *workQueue) pop() (workItem, bool) {
+	if q.head == len(q.items) {
+		return workItem{}, false
+	}
+	it := q.items[q.head]
+	q.items[q.head] = workItem{}
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return it, true
+}
+
 // executor is the single-threaded ROS2 executor: it dispatches one
 // callback at a time from start to end (Sec. II-A of the paper), blocking
 // on the wait set when nothing is ready. Timers take precedence over
@@ -30,15 +61,22 @@ type workItem struct {
 // handled in arrival order.
 type executor struct {
 	node  *Node
-	queue []workItem
+	queue workQueue
 
+	// The callback in flight: its completion action, its context (one
+	// per executor, reused by every instance) and the execute_* site
+	// whose return probe closes it.
 	inCallback bool
-	endProbe   func()
 	action     Action
-	actionCtx  *CallbackContext
+	ctx        CallbackContext
+	endSite    *ebpf.ProbeSite
 }
 
-func (x *executor) enqueue(it workItem) { x.queue = append(x.queue, it) }
+// arrive queues message-driven work and wakes the executor thread.
+func (x *executor) arrive(it workItem) {
+	x.queue.push(it)
+	x.node.world.machine.Wake(x.node.thread.PID())
+}
 
 // Resume implements sched.Proc.
 func (x *executor) Resume(m *sched.Machine) sched.Demand {
@@ -49,11 +87,10 @@ func (x *executor) Resume(m *sched.Machine) sched.Demand {
 		if t := x.readyTimer(); t != nil {
 			return x.beginTimer(t)
 		}
-		if len(x.queue) == 0 {
+		it, ok := x.queue.pop()
+		if !ok {
 			return sched.Block()
 		}
-		it := x.queue[0]
-		x.queue = x.queue[1:]
 		switch it.kind {
 		case workSub:
 			return x.beginSub(it.sub, it.sample)
@@ -79,33 +116,33 @@ func (x *executor) readyTimer() *Timer {
 }
 
 // start records the in-flight callback and returns its compute demand.
-func (x *executor) start(ctx *CallbackContext, body Body, cbid uint64, endProbe func()) sched.Demand {
-	et, action := body.Plan(ctx)
+func (x *executor) start(body Body, cbid uint64, sample *dds.Sample, endSite *ebpf.ProbeSite) sched.Demand {
+	n := x.node
+	x.ctx = CallbackContext{Node: n, Sample: sample, Time: n.world.eng.Now()}
+	et, action := body.Plan(&x.ctx)
 	if et < 0 {
 		et = 0
 	}
-	n := x.node
-	n.world.recordTruth(n.pid, cbid, ctx.Time, et)
+	n.world.recordTruth(n.pid, cbid, x.ctx.Time, et)
 	x.inCallback = true
 	x.action = action
-	x.actionCtx = ctx
-	x.endProbe = endProbe
+	x.endSite = endSite
 	return sched.Compute(et)
 }
 
 // finishCurrent runs the completion action (publishes, service calls) and
-// fires the execute_* exit probe, all inside the callback window.
+// fires the execute_* exit probe (P4/P8/P11/P15), all inside the callback
+// window.
 func (x *executor) finishCurrent() {
 	if x.action != nil {
-		x.action(x.actionCtx)
+		x.action(&x.ctx)
 	}
-	if x.endProbe != nil {
-		x.endProbe()
-	}
+	n := x.node
+	x.endSite.FireReturn(n.pid, n.cpu(), 0)
 	x.inCallback = false
 	x.action = nil
-	x.actionCtx = nil
-	x.endProbe = nil
+	x.ctx.Sample = nil
+	x.endSite = nil
 }
 
 func (x *executor) beginTimer(t *Timer) sched.Demand {
@@ -115,49 +152,25 @@ func (x *executor) beginTimer(t *Timer) sched.Demand {
 	cpu := n.cpu()
 	w.siteExecTimer.FireEntry(n.pid, cpu)    // P2
 	rcl.TimerCall(w.rt, n.pid, cpu, t.rclTm) // P3
-	ctx := &CallbackContext{Node: n, Time: w.eng.Now()}
-	return x.start(ctx, t.body, t.rclTm.CBID, func() {
-		w.siteExecTimer.FireReturn(n.pid, n.cpu(), 0) // P4
-	})
+	return x.start(t.body, t.rclTm.CBID, nil, w.siteExecTimer)
 }
 
 func (x *executor) beginSub(s *Subscription, sample *dds.Sample) sched.Demand {
 	n := x.node
 	w := n.world
 	cpu := n.cpu()
-	w.siteExecSub.FireEntry(n.pid, cpu)                   // P5
-	w.takeInt.Take(n.pid, cpu, n.space, s.entity, sample) // P6 entry+exit
-	ctx := &CallbackContext{Node: n, Sample: sample, Time: w.eng.Now()}
-	return x.start(ctx, s.body, s.entity.CBID, func() {
-		w.siteExecSub.FireReturn(n.pid, n.cpu(), 0) // P8
-	})
+	w.siteExecSub.FireEntry(n.pid, cpu)                              // P5
+	w.takeInt.Take(n.pid, cpu, n.space, n.srcTS(), s.entity, sample) // P6 entry+exit
+	return x.start(s.body, s.entity.CBID, sample, w.siteExecSub)
 }
 
 func (x *executor) beginService(s *Service, req *dds.Sample) sched.Demand {
 	n := x.node
 	w := n.world
 	cpu := n.cpu()
-	w.siteExecService.FireEntry(n.pid, cpu)                // P9
-	w.takeRequest.Take(n.pid, cpu, n.space, s.entity, req) // P10
-	ctx := &CallbackContext{Node: n, Sample: req, Time: w.eng.Now()}
-	body := BodyFunc(func(c *CallbackContext) (sim.Duration, Action) {
-		var et sim.Duration
-		if s.et != nil {
-			et = s.et.Sample(w.etRNG)
-		}
-		return et, func(c *CallbackContext) {
-			var payload interface{}
-			if s.handler != nil {
-				payload = s.handler(c)
-			}
-			// The response inherits the request's client identity and RPC
-			// sequence so response routing (P14) can discriminate callers.
-			s.respWriter.Write(payload, req.ClientID, req.RPCSeq) // P16
-		}
-	})
-	return x.start(ctx, body, s.entity.CBID, func() {
-		w.siteExecService.FireReturn(n.pid, n.cpu(), 0) // P11
-	})
+	w.siteExecService.FireEntry(n.pid, cpu)                           // P9
+	w.takeRequest.Take(n.pid, cpu, n.space, n.srcTS(), s.entity, req) // P10
+	return x.start(s.body, s.entity.CBID, req, w.siteExecService)
 }
 
 // beginClient handles a response arrival at one client node. It returns
@@ -168,8 +181,8 @@ func (x *executor) beginClient(c *Client, resp *dds.Sample) (sched.Demand, bool)
 	n := x.node
 	w := n.world
 	cpu := n.cpu()
-	w.siteExecClient.FireEntry(n.pid, cpu)                   // P12
-	w.takeResponse.Take(n.pid, cpu, n.space, c.entity, resp) // P13
+	w.siteExecClient.FireEntry(n.pid, cpu)                              // P12
+	w.takeResponse.Take(n.pid, cpu, n.space, n.srcTS(), c.entity, resp) // P13
 	dispatch := uint64(0)
 	if resp.ClientID == c.entity.CBID {
 		dispatch = 1
@@ -180,8 +193,5 @@ func (x *executor) beginClient(c *Client, resp *dds.Sample) (sched.Demand, bool)
 		w.siteExecClient.FireReturn(n.pid, cpu, 0) // P15: nothing ran
 		return sched.Demand{}, false
 	}
-	ctx := &CallbackContext{Node: n, Sample: resp, Time: w.eng.Now()}
-	return x.start(ctx, c.body, c.entity.CBID, func() {
-		w.siteExecClient.FireReturn(n.pid, n.cpu(), 0) // P15
-	}), true
+	return x.start(c.body, c.entity.CBID, resp, w.siteExecClient), true
 }

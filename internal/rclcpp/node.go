@@ -12,7 +12,10 @@ import (
 )
 
 // CallbackContext is passed to callback bodies. It identifies the node and
-// (for message-driven callbacks) the sample being handled.
+// (for message-driven callbacks) the sample being handled. Each executor
+// reuses one context for all of its callback instances: it is valid from
+// an instance's Plan until its Action returns, and a body that needs a
+// field later copies it out.
 type CallbackContext struct {
 	Node   *Node
 	Sample *dds.Sample // nil for timer callbacks
@@ -62,6 +65,9 @@ type Node struct {
 	thread *sched.Thread
 	space  *umem.Space
 	exec   *executor
+	// takeTS is the executor thread's rmw_take_* srcTS out-parameter,
+	// allocated by the first take and reused by every later one.
+	takeTS umem.Addr
 
 	timers []*Timer
 }
@@ -82,6 +88,13 @@ func (n *Node) Space() *umem.Space { return n.space }
 func (n *Node) Thread() *sched.Thread { return n.thread }
 
 func (n *Node) cpu() int { return n.thread.CPU() }
+
+func (n *Node) srcTS() umem.Addr {
+	if n.takeTS.IsNull() {
+		n.takeTS = n.space.AllocU64(0)
+	}
+	return n.takeTS
+}
 
 // rmwCreateNode fires P1 for a fresh node.
 func rmwCreateNode(w *World, n *Node) {
@@ -160,8 +173,7 @@ func (s *Subscription) Topic() string { return s.topic }
 func (n *Node) CreateSubscription(topic string, body Body) *Subscription {
 	s := &Subscription{node: n, topic: topic, body: body, entity: rmw.NewEntity(n.space, topic)}
 	n.world.domain.CreateReader(n.pid, topic, func(sample *dds.Sample) {
-		n.exec.enqueue(workItem{kind: workSub, sub: s, sample: sample})
-		n.world.machine.Wake(n.thread.PID())
+		n.exec.arrive(workItem{kind: workSub, sub: s, sample: sample})
 	})
 	return s
 }
@@ -173,7 +185,7 @@ type ServiceHandler func(ctx *CallbackContext) interface{}
 // completion writes the response on the service's response topic.
 type Service struct {
 	node       *Node
-	et         sim.Distribution
+	body       Body
 	handler    ServiceHandler
 	entity     rmw.Entity
 	respWriter *dds.Writer
@@ -186,15 +198,27 @@ func (s *Service) CBID() uint64 { return s.entity.CBID }
 // the service callback; handler produces the response payload (may be nil).
 func (n *Node) CreateService(service string, et sim.Distribution, handler ServiceHandler) *Service {
 	s := &Service{
-		node: n, et: et, handler: handler,
+		node: n, handler: handler,
 		entity:     rmw.NewEntity(n.space, service),
 		respWriter: n.world.domain.CreateWriter(n.pid, n.space, dds.ServiceResponseTopic(service)),
 	}
+	s.body = SimpleBody{ET: et, Action: s.respond}
 	n.world.domain.CreateReader(n.pid, dds.ServiceRequestTopic(service), func(sample *dds.Sample) {
-		n.exec.enqueue(workItem{kind: workService, svc: s, sample: sample})
-		n.world.machine.Wake(n.thread.PID())
+		n.exec.arrive(workItem{kind: workService, svc: s, sample: sample})
 	})
 	return s
+}
+
+// respond is the service callback's completion action: it writes the
+// handler's response for the request in ctx.Sample.
+func (s *Service) respond(ctx *CallbackContext) {
+	var payload interface{}
+	if s.handler != nil {
+		payload = s.handler(ctx)
+	}
+	// The response inherits the request's client identity and RPC
+	// sequence so response routing (P14) can discriminate callers.
+	s.respWriter.Write(payload, ctx.Sample.ClientID, ctx.Sample.RPCSeq) // P16
 }
 
 // Client issues RPCs to a service and handles responses in a client
@@ -223,8 +247,7 @@ func (n *Node) CreateClient(service string, body Body) *Client {
 		reqWriter: n.world.domain.CreateWriter(n.pid, n.space, dds.ServiceRequestTopic(service)),
 	}
 	n.world.domain.CreateReader(n.pid, dds.ServiceResponseTopic(service), func(sample *dds.Sample) {
-		n.exec.enqueue(workItem{kind: workClient, client: c, sample: sample})
-		n.world.machine.Wake(n.thread.PID())
+		n.exec.arrive(workItem{kind: workClient, client: c, sample: sample})
 	})
 	return c
 }

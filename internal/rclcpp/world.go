@@ -59,7 +59,7 @@ type World struct {
 	machine    *sched.Machine
 	rt         *ebpf.Runtime
 	domain     *dds.Domain
-	spaces     map[uint32]*umem.Space
+	spaces     []*umem.Space // indexed by PID; probe fires resolve through it
 	etRNG      *sim.RNG
 	nodes      []*Node
 	nextExtPID uint32
@@ -88,13 +88,9 @@ func NewWorld(cfg Config) *World {
 	w := &World{
 		eng:     eng,
 		machine: sched.NewMachine(eng, cfg.NumCPUs),
-		spaces:  make(map[uint32]*umem.Space),
 		etRNG:   root.Stream(2),
 	}
-	w.rt = ebpf.NewRuntime(
-		func() int64 { return int64(eng.Now()) },
-		func(pid uint32) *umem.Space { return w.spaces[pid] },
-	)
+	w.rt = ebpf.NewRuntime(func() int64 { return int64(eng.Now()) }, w.spaceOf)
 	// Pre-resolve the executor's probe sites once; callbacks fire through
 	// them on every dispatch.
 	w.siteExecTimer = w.rt.Site(SymExecuteTimer)
@@ -160,6 +156,21 @@ func (w *World) Run(d sim.Duration) {
 	w.eng.Run(w.eng.Now().Add(d))
 }
 
+// spaceOf resolves a PID to its address space, or nil.
+func (w *World) spaceOf(pid uint32) *umem.Space {
+	if int(pid) < len(w.spaces) {
+		return w.spaces[pid]
+	}
+	return nil
+}
+
+func (w *World) setSpace(pid uint32, sp *umem.Space) {
+	if n := int(pid) + 1; n > len(w.spaces) {
+		w.spaces = append(w.spaces, make([]*umem.Space, n-len(w.spaces))...)
+	}
+	w.spaces[pid] = sp
+}
+
 func (w *World) recordTruth(pid uint32, cbid uint64, start sim.Time, designed sim.Duration) {
 	if !w.truthOn {
 		return
@@ -177,7 +188,7 @@ func (w *World) NewExternalProcess() (uint32, *umem.Space) {
 	w.nextExtPID++
 	pid := w.nextExtPID
 	sp := umem.NewSpace(pid)
-	w.spaces[pid] = sp
+	w.setSpace(pid, sp)
 	return pid, sp
 }
 
@@ -194,7 +205,7 @@ func (w *World) NewNode(name string, prio int, affinity uint64) *Node {
 	n.thread = w.machine.Spawn(name, prio, affinity, n.exec)
 	n.pid = uint32(n.thread.PID())
 	n.space = umem.NewSpace(n.pid)
-	w.spaces[n.pid] = n.space
+	w.setSpace(n.pid, n.space)
 	rmwCreateNode(w, n)
 	w.nodes = append(w.nodes, n)
 	return n

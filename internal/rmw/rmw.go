@@ -77,15 +77,18 @@ func ResolveTake(rt *ebpf.Runtime, sym ebpf.Symbol) TakeSite {
 // Take simulates the shared body of the rmw_take_* family: fire the entry
 // probe with (entity, message, &srcTS), let "DDS" fill in the source
 // timestamp, then fire the exit probe with the success return value.
-func (t TakeSite) Take(pid uint32, cpu int, space *umem.Space, ent Entity, s *dds.Sample) {
-	srcAddr := space.AllocU64(0) // out-parameter, unset at entry
+// srcAddr is the caller's srcTS variable in space: a stack slot of the
+// calling thread, which every take of that thread reuses.
+func (t TakeSite) Take(pid uint32, cpu int, space *umem.Space, srcAddr umem.Addr, ent Entity, s *dds.Sample) {
+	space.WriteU64(srcAddr, 0) // out-parameter, unset at entry
 	t.site.FireEntry(pid, cpu, uint64(ent.Addr), 0 /* message buffer */, uint64(srcAddr))
 	space.WriteU64(srcAddr, uint64(s.SrcTS)) // lower layers produce the value
 	t.site.FireReturn(pid, cpu, 1 /* RMW_RET_OK with data */)
 }
 
 // TakeInt simulates rmw_take_int for a subscription (P6) through a
-// freshly resolved site; hot callers hold a TakeSite instead.
+// freshly resolved site and a fresh out-parameter; hot callers hold a
+// TakeSite and a reused slot instead.
 func TakeInt(rt *ebpf.Runtime, pid uint32, cpu int, space *umem.Space, ent Entity, s *dds.Sample) {
-	ResolveTake(rt, SymTakeInt).Take(pid, cpu, space, ent, s)
+	ResolveTake(rt, SymTakeInt).Take(pid, cpu, space, space.AllocU64(0), ent, s)
 }
