@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race check bench bench-smoke bench-compare stream-bench fmt-compat fuzz-smoke chaos chaos-race baseline metrics-smoke perfbench-vet
+.PHONY: all build test vet fmt-check race check bench bench-smoke bench-compare stream-bench fmt-compat fuzz-smoke chaos chaos-race baseline metrics-smoke perfbench-vet lines
 
 all: check
 
@@ -31,6 +31,14 @@ check: fmt-check vet build test race metrics-smoke perfbench-vet
 # an API the benchmark imports.
 perfbench-vet:
 	cd perfbench && $(GO) vet ./...
+
+# Go line counts, production (*.go) and tests (*_test.go) separately,
+# perfbench excluded: every tracked or new, not ignored, file in the
+# working tree.
+lines:
+	@files="$$(git ls-files --cached --others --exclude-standard -- '*.go' ':!:perfbench/*')"; \
+	echo "production Go: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat 2>/dev/null | wc -l) lines"; \
+	echo "test Go:       $$(echo "$$files" | grep '_test\.go$$' | xargs cat 2>/dev/null | wc -l) lines"
 
 # /metrics endpoint smoke: a live short session served over real HTTP and
 # scraped concurrently with the drive loop, asserting the Prometheus

@@ -421,7 +421,7 @@ func BenchmarkDAG_VertexByLabelSubstring(b *testing.B) {
 // drained into a cursor and released, as Bundle.StreamTo does, so the
 // next burst reuses the arena chunks.
 func BenchmarkEBPF_PerfEmitPerCPU(b *testing.B) {
-	pb := ebpf.NewPerfBuffer("bench", 0)
+	pb := ebpf.NewPerfBuffer("bench", 0, new(uint64))
 	payload := make([]byte, 64)
 	var c ebpf.RecordCursor
 	b.ReportAllocs()

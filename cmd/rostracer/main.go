@@ -350,13 +350,11 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 	// Per-CPU ring accounting, as a real perf_event_array poller reports
 	// it: payload per CPU, and any overruns attributed to the ring that
 	// dropped them.
-	bytesPerCPU := b.BytesPerCPU()
-	lostPerCPU := b.LostPerCPU()
-	for cpu := range bytesPerCPU {
-		if bytesPerCPU[cpu] == 0 && lostPerCPU[cpu] == 0 {
+	for cpu, st := range b.PerCPU() {
+		if st.Bytes == 0 && st.Lost == 0 {
 			continue
 		}
-		log.Printf("  cpu%-2d %8.3f MB, %d lost", cpu, float64(bytesPerCPU[cpu])/1e6, lostPerCPU[cpu])
+		log.Printf("  cpu%-2d %8.3f MB, %d lost", cpu, float64(st.Bytes)/1e6, st.Lost)
 	}
 	if lost := b.Lost(); lost > 0 {
 		log.Printf("  WARNING: %d records lost to ring overruns", lost)

@@ -82,7 +82,7 @@ func TestWriteFiresP16WithTopicAndSrcTS(t *testing.T) {
 	d := NewDomain(eng, rt, sim.NewRNG(1))
 
 	// Attach a program reading the writer struct's topic pointer.
-	pb := ebpf.NewPerfBuffer("out", 0)
+	pb := ebpf.NewPerfBuffer("out", 0, new(uint64))
 	fd := rt.RegisterMap(pb)
 	a := ebpf.NewAssembler("p16ish")
 	a.LdxCtx(ebpf.R6, ebpf.R1, 0)

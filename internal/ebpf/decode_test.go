@@ -27,7 +27,7 @@ func newEquivFixture(t *testing.T, build func() *Program, ctxWords int) *equivFi
 	f := &equivFixture{
 		hash: NewHashMap("h", 64),
 		arr:  NewArrayMap("a", 8),
-		pb:   NewPerfBuffer("pb", 0),
+		pb:   NewPerfBuffer("pb", 0, new(uint64)),
 		prog: build(),
 	}
 	f.maps = map[int64]Map{3: f.hash, 4: f.pb, 5: f.arr}
@@ -247,7 +247,7 @@ func TestDecodeBindsMaps(t *testing.T) {
 func TestRuntimeLoadDecodes(t *testing.T) {
 	build := func() (*Runtime, *Program) {
 		rt := NewRuntime(nil, nil)
-		pb := NewPerfBuffer("pb", 0)
+		pb := NewPerfBuffer("pb", 0, new(uint64))
 		fd := rt.RegisterMap(pb)
 		p := NewAssembler("emit").
 			StImmStack(R10, -8, 1, 8).

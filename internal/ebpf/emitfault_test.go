@@ -3,7 +3,7 @@ package ebpf
 import "testing"
 
 func TestEmitFaultDropsCountAsLost(t *testing.T) {
-	pb := NewPerfBuffer("tr_test", 0)
+	pb := NewPerfBuffer("tr_test", 0, new(uint64))
 	drop := false
 	var hookCPUs []int
 	pb.SetEmitFault(func(cpu int) bool {
@@ -18,11 +18,11 @@ func TestEmitFaultDropsCountAsLost(t *testing.T) {
 	drop = false
 	pb.Emit(1, 40, []byte{4})
 
-	if got := pb.Lost(); got != 2 {
+	if got := totals(pb).Lost; got != 2 {
 		t.Fatalf("lost = %d, want 2 forced drops", got)
 	}
-	if pb.LostOnCPU(0) != 1 || pb.LostOnCPU(1) != 1 {
-		t.Fatalf("per-CPU lost = %d/%d, want 1/1", pb.LostOnCPU(0), pb.LostOnCPU(1))
+	if pb.Ring(0).Lost != 1 || pb.Ring(1).Lost != 1 {
+		t.Fatalf("per-CPU lost = %d/%d, want 1/1", pb.Ring(0).Lost, pb.Ring(1).Lost)
 	}
 	if len(ringRecords(pb, 0)) != 1 || len(ringRecords(pb, 1)) != 1 {
 		t.Fatal("surviving emissions not in the rings")
@@ -36,13 +36,13 @@ func TestEmitFaultDropsCountAsLost(t *testing.T) {
 	// Removing the hook restores pass-through.
 	pb.SetEmitFault(nil)
 	pb.Emit(0, 50, []byte{5})
-	if pb.Lost() != 2 || len(ringRecords(pb, 0)) != 1 {
+	if totals(pb).Lost != 2 || len(ringRecords(pb, 0)) != 1 {
 		t.Fatal("nil hook still dropping")
 	}
 }
 
 func TestEmitFaultDropsDoNotConsumeCapacity(t *testing.T) {
-	pb := NewPerfBuffer("tr_cap", 2)
+	pb := NewPerfBuffer("tr_cap", 2, new(uint64))
 	n := 0
 	// Drop every other emission.
 	pb.SetEmitFault(func(int) bool { n++; return n%2 == 0 })
@@ -50,7 +50,7 @@ func TestEmitFaultDropsDoNotConsumeCapacity(t *testing.T) {
 		pb.Emit(0, int64(i), []byte{byte(i)})
 	}
 	// Emissions 2, 4, 6 forced lost; 1, 3 fill capacity; 5 overruns.
-	if got := pb.Lost(); got != 4 {
+	if got := totals(pb).Lost; got != 4 {
 		t.Fatalf("lost = %d, want 3 forced + 1 overrun", got)
 	}
 	if got := len(ringRecords(pb, 0)); got != 2 {

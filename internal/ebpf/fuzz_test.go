@@ -15,7 +15,7 @@ func TestVerifierSoundnessOnRandomPrograms(t *testing.T) {
 	rng := sim.NewRNG(2024)
 	maps := map[int64]Map{
 		1: NewHashMap("h", 64),
-		2: NewPerfBuffer("p", 0),
+		2: NewPerfBuffer("p", 0, new(uint64)),
 	}
 	lookup := func(fd int64) Map { return maps[fd] }
 

@@ -338,19 +338,12 @@ type PerfBuffer struct {
 const perfArenaChunk = 64 << 10
 
 // NewPerfBuffer creates a perf buffer whose rings each hold at most
-// capacity undrained records (0 means unbounded). The buffer stamps
-// records from its own emission counter, so merging its rings by
-// (Time, Seq) reproduces emission order even when virtual time stands
-// still.
-func NewPerfBuffer(name string, capacity int) *PerfBuffer {
-	return &PerfBuffer{name: name, capacity: capacity, seq: new(uint64)}
-}
-
-// NewPerfBufferSeq creates a perf buffer whose records are stamped from a
-// shared emission counter. Buffers sharing one counter produce records
-// whose Seq values define a global order even for identical timestamps,
-// which the trace merger relies on.
-func NewPerfBufferSeq(name string, capacity int, seq *uint64) *PerfBuffer {
+// capacity undrained records (0 means unbounded). Records are stamped
+// from the emission counter seq, which buffers may share: merging the
+// rings of every buffer on one counter by (Time, Seq) then reproduces
+// emission order even when virtual time stands still, the global order
+// the trace merger relies on.
+func NewPerfBuffer(name string, capacity int, seq *uint64) *PerfBuffer {
 	return &PerfBuffer{name: name, capacity: capacity, seq: seq}
 }
 
@@ -384,7 +377,7 @@ func (p *PerfBuffer) ring(cpu int) (*perfRing, int) {
 
 // SetEmitFault installs (or, with nil, removes) the per-emission fault
 // hook. Drops it forces are indistinguishable from capacity overruns:
-// counted in Lost/LostOnCPU, attributed to the emitting ring.
+// counted in the emitting ring's Ring(cpu).Lost.
 func (p *PerfBuffer) SetEmitFault(hook func(cpu int) bool) { p.emitFault = hook }
 
 // Emit frames a record into the ring of the firing CPU (called by the
@@ -515,56 +508,19 @@ func (p *PerfBuffer) Capacity() int { return p.capacity }
 // (the highest emitting CPU index + 1).
 func (p *PerfBuffer) NumRings() int { return len(p.rings) }
 
-// Lost reports how many records were dropped due to per-ring capacity,
-// summed over all CPUs.
-func (p *PerfBuffer) Lost() uint64 {
-	var n uint64
-	for i := range p.rings {
-		n += p.rings[i].lost
-	}
-	return n
+// RingStats is one per-CPU ring's accounting.
+type RingStats struct {
+	Pending int    // records emitted but not yet drained
+	Lost    uint64 // records dropped to the capacity bound or an emit fault
+	Bytes   uint64 // cumulative payload bytes emitted, drained or not
 }
 
-// LostOnCPU reports records dropped on one CPU's ring.
-func (p *PerfBuffer) LostOnCPU(cpu int) uint64 {
+// Ring reports cpu's ring accounting; a CPU the buffer never saw reads
+// zero. Lost and Bytes accumulate for the lifetime of the buffer.
+func (p *PerfBuffer) Ring(cpu int) RingStats {
 	if cpu < 0 || cpu >= len(p.rings) {
-		return 0
+		return RingStats{}
 	}
-	return p.rings[cpu].lost
-}
-
-// Bytes reports the cumulative payload bytes emitted (drained or not)
-// across all CPUs; the overhead experiment uses it as the trace-volume
-// measure.
-func (p *PerfBuffer) Bytes() uint64 {
-	var n uint64
-	for i := range p.rings {
-		n += p.rings[i].bytes
-	}
-	return n
-}
-
-// BytesOnCPU reports the cumulative payload bytes emitted on one CPU.
-func (p *PerfBuffer) BytesOnCPU(cpu int) uint64 {
-	if cpu < 0 || cpu >= len(p.rings) {
-		return 0
-	}
-	return p.rings[cpu].bytes
-}
-
-// Pending reports the number of undrained records across all CPUs.
-func (p *PerfBuffer) Pending() int {
-	n := 0
-	for i := range p.rings {
-		n += p.rings[i].count
-	}
-	return n
-}
-
-// PendingOnCPU reports the number of undrained records on one CPU.
-func (p *PerfBuffer) PendingOnCPU(cpu int) int {
-	if cpu < 0 || cpu >= len(p.rings) {
-		return 0
-	}
-	return p.rings[cpu].count
+	r := &p.rings[cpu]
+	return RingStats{Pending: r.count, Lost: r.lost, Bytes: r.bytes}
 }

@@ -405,7 +405,7 @@ func FuzzDecodeEquivalence(f *testing.F) {
 			prog *Program
 		}
 		mkWorld := func() *world {
-			w := &world{hash: NewHashMap("h", 64), pb: NewPerfBuffer("p", 0)}
+			w := &world{hash: NewHashMap("h", 64), pb: NewPerfBuffer("p", 0, new(uint64))}
 			w.maps = map[int64]Map{1: w.hash, 2: w.pb}
 			w.prog = &Program{Name: p.Name, Insns: p.Insns}
 			w.hash.Update(3, 33)

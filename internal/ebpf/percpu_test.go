@@ -38,11 +38,22 @@ func drainSorted(pb *PerfBuffer) []PerfRecord {
 	return out
 }
 
+// totals sums pb's per-CPU ring accounting.
+func totals(pb *PerfBuffer) RingStats {
+	var t RingStats
+	for cpu := 0; cpu < pb.NumRings(); cpu++ {
+		r := pb.Ring(cpu)
+		t.Pending += r.Pending
+		t.Lost += r.Lost
+		t.Bytes += r.Bytes
+	}
+	return t
+}
+
 // TestPerfBufferPerCPUAccounting checks that capacity, lost and byte
-// counters are tracked per CPU ring, and that the buffer-level accessors
-// report their sums.
+// counters are tracked per CPU ring.
 func TestPerfBufferPerCPUAccounting(t *testing.T) {
-	pb := NewPerfBuffer("rings", 2)
+	pb := NewPerfBuffer("rings", 2, new(uint64))
 	// CPU 0: exactly at capacity. CPU 1: one over. CPU 3: three over,
 	// leaving CPU 2 as a never-emitting hole in the ring set.
 	pb.Emit(0, 1, []byte{1, 1})
@@ -57,45 +68,31 @@ func TestPerfBufferPerCPUAccounting(t *testing.T) {
 	if got := pb.NumRings(); got != 4 {
 		t.Fatalf("NumRings = %d, want 4", got)
 	}
-	wantLost := []uint64{0, 1, 0, 3}
-	wantBytes := []uint64{4, 6, 0, 2}
-	wantPending := []int{2, 2, 0, 2}
-	for cpu := 0; cpu < 4; cpu++ {
-		if got := pb.LostOnCPU(cpu); got != wantLost[cpu] {
-			t.Errorf("LostOnCPU(%d) = %d, want %d", cpu, got, wantLost[cpu])
-		}
-		if got := pb.BytesOnCPU(cpu); got != wantBytes[cpu] {
-			t.Errorf("BytesOnCPU(%d) = %d, want %d", cpu, got, wantBytes[cpu])
-		}
-		if got := pb.PendingOnCPU(cpu); got != wantPending[cpu] {
-			t.Errorf("PendingOnCPU(%d) = %d, want %d", cpu, got, wantPending[cpu])
+	want := []RingStats{{2, 0, 4}, {2, 1, 6}, {}, {2, 3, 2}}
+	for cpu, w := range want {
+		if got := pb.Ring(cpu); got != w {
+			t.Errorf("Ring(%d) = %+v, want %+v", cpu, got, w)
 		}
 	}
-	if got := pb.Lost(); got != 4 {
-		t.Errorf("Lost = %d, want 4", got)
-	}
-	if got := pb.Bytes(); got != 12 {
-		t.Errorf("Bytes = %d, want 12", got)
-	}
-	if got := pb.Pending(); got != 6 {
-		t.Errorf("Pending = %d, want 6", got)
+	if got := totals(pb); got != (RingStats{6, 4, 12}) {
+		t.Errorf("totals = %+v, want 6 pending, 4 lost, 12 bytes", got)
 	}
 	// Out-of-range CPUs are empty, not a panic.
-	if pb.LostOnCPU(-1) != 0 || pb.BytesOnCPU(99) != 0 || pb.PendingOnCPU(99) != 0 {
-		t.Error("out-of-range CPU accessors not zero")
+	if pb.Ring(-1) != (RingStats{}) || pb.Ring(99) != (RingStats{}) {
+		t.Error("out-of-range CPU accounting not zero")
 	}
 
 	// A drain empties pending but keeps cumulative lost/byte counters.
 	if got := len(drainSorted(pb)); got != 6 {
 		t.Fatalf("drained %d records, want 6", got)
 	}
-	if pb.Pending() != 0 || pb.Lost() != 4 || pb.Bytes() != 12 {
-		t.Errorf("post-drain counters: pending %d lost %d bytes %d", pb.Pending(), pb.Lost(), pb.Bytes())
+	if got := totals(pb); got != (RingStats{0, 4, 12}) {
+		t.Errorf("post-drain totals = %+v", got)
 	}
 	// Capacity frees up after the drain.
 	pb.Emit(1, 9, []byte{9})
-	if pb.LostOnCPU(1) != 1 || pb.PendingOnCPU(1) != 1 {
-		t.Errorf("ring 1 after drain: lost %d pending %d", pb.LostOnCPU(1), pb.PendingOnCPU(1))
+	if r := pb.Ring(1); r.Lost != 1 || r.Pending != 1 {
+		t.Errorf("ring 1 after drain: %+v", r)
 	}
 }
 
@@ -105,7 +102,7 @@ func TestPerfBufferPerCPUAccounting(t *testing.T) {
 // tie, within and across rings, which is the order trace.MergeStream
 // relies on.
 func TestPerfBufferMergedDrainOrder(t *testing.T) {
-	pb := NewPerfBuffer("merge", 0)
+	pb := NewPerfBuffer("merge", 0, new(uint64))
 	// (cpu, time) in emission order; times repeat across and within CPUs.
 	emissions := []struct {
 		cpu  int
@@ -129,15 +126,15 @@ func TestPerfBufferMergedDrainOrder(t *testing.T) {
 				i, rec.CPU, rec.Time, emissions[i].cpu, emissions[i].time)
 		}
 	}
-	if pb.Pending() != 0 {
-		t.Fatalf("pending after drain = %d", pb.Pending())
+	if p := totals(pb).Pending; p != 0 {
+		t.Fatalf("pending after drain = %d", p)
 	}
 }
 
 // TestPerfBufferRingDrainsIndependent checks single-ring drains are
 // independent.
 func TestPerfBufferRingDrainsIndependent(t *testing.T) {
-	pb := NewPerfBuffer("single", 0)
+	pb := NewPerfBuffer("single", 0, new(uint64))
 	pb.Emit(0, 1, []byte{0xA})
 	pb.Emit(1, 2, []byte{0xB})
 	pb.Emit(0, 3, []byte{0xC})
@@ -152,7 +149,7 @@ func TestPerfBufferRingDrainsIndependent(t *testing.T) {
 			t.Fatalf("ring 0 record %d Data = %v, want %v", i, got[i].Data, want[i])
 		}
 	}
-	if pb.PendingOnCPU(1) != 1 {
+	if pb.Ring(1).Pending != 1 {
 		t.Fatal("draining ring 0 touched CPU 1's ring")
 	}
 	if recs := ringRecords(pb, 7); recs != nil {
@@ -167,8 +164,8 @@ func TestPerfBufferRingDrainsIndependent(t *testing.T) {
 // emission counter still produce a total order across per-CPU rings.
 func TestPerfBufferSharedSeqMergesAcrossBuffers(t *testing.T) {
 	var seq uint64
-	a := NewPerfBufferSeq("a", 0, &seq)
-	b := NewPerfBufferSeq("b", 0, &seq)
+	a := NewPerfBuffer("a", 0, &seq)
+	b := NewPerfBuffer("b", 0, &seq)
 	a.Emit(1, 5, []byte{0})
 	b.Emit(0, 5, []byte{1})
 	a.Emit(0, 5, []byte{2})
@@ -197,7 +194,7 @@ func TestPerfBufferSharedSeqMergesAcrossBuffers(t *testing.T) {
 // a cursor captures exactly the ring's current segment, iterates it in
 // emission order, and leaves cumulative lost/byte accounting intact.
 func TestPerfBufferDrainCursorInto(t *testing.T) {
-	pb := NewPerfBuffer("cursor", 3)
+	pb := NewPerfBuffer("cursor", 3, new(uint64))
 	pb.Emit(1, 10, []byte{1})
 	pb.Emit(1, 20, []byte{2})
 	for i := 0; i < 4; i++ {
@@ -212,8 +209,8 @@ func TestPerfBufferDrainCursorInto(t *testing.T) {
 	// The segment was swapped out when the cursor was made, before any
 	// record was read: a consumer that stops early drops the remainder
 	// (as a failed real poller would), it does not requeue it.
-	if pb.PendingOnCPU(1) != 0 {
-		t.Fatalf("drained ring still has %d records pending", pb.PendingOnCPU(1))
+	if p := pb.Ring(1).Pending; p != 0 {
+		t.Fatalf("drained ring still has %d records pending", p)
 	}
 	var times []int64
 	for {
@@ -230,9 +227,8 @@ func TestPerfBufferDrainCursorInto(t *testing.T) {
 		t.Fatalf("exhausted cursor reports Len %d", cur.Len())
 	}
 	// The drain defines a new segment; accounting is cumulative.
-	if pb.PendingOnCPU(1) != 0 || pb.LostOnCPU(1) != 3 || pb.BytesOnCPU(1) != 3 {
-		t.Fatalf("post-cursor counters: pending %d lost %d bytes %d",
-			pb.PendingOnCPU(1), pb.LostOnCPU(1), pb.BytesOnCPU(1))
+	if r := pb.Ring(1); r != (RingStats{0, 3, 3}) {
+		t.Fatalf("post-cursor counters: %+v", r)
 	}
 	pb.Emit(1, 40, []byte{7})
 	pb.DrainCursorInto(&cur, 1)
@@ -255,7 +251,7 @@ func TestPerfBufferDrainCursorInto(t *testing.T) {
 // values (interned names, scalar fields) is safe while retaining Data
 // is not.
 func TestPerfRingChunkReuseAfterRelease(t *testing.T) {
-	pb := NewPerfBuffer("arena", 0)
+	pb := NewPerfBuffer("arena", 0, new(uint64))
 	payload := func(burst, i int) []byte {
 		b := make([]byte, 8)
 		binary.LittleEndian.PutUint64(b, uint64(burst)<<32|uint64(i))
@@ -324,7 +320,7 @@ func TestPerfRingChunkReuseAfterRelease(t *testing.T) {
 // after the emitter finishes, matching the StreamTo cadence where
 // release happens before the simulation resumes.
 func TestPerfRingDrainWhileNextBurstEmits(t *testing.T) {
-	pb := NewPerfBuffer("swap", 0)
+	pb := NewPerfBuffer("swap", 0, new(uint64))
 	payload := func(burst, i int) []byte {
 		b := make([]byte, 8)
 		binary.LittleEndian.PutUint64(b, uint64(burst)<<32|uint64(i))

@@ -37,7 +37,7 @@ func counterProg(t *testing.T, rt *Runtime, pbFD int64) *Program {
 
 func TestUprobeDispatch(t *testing.T) {
 	rt, _ := newTestRuntime()
-	pb := NewPerfBuffer("out", 0)
+	pb := NewPerfBuffer("out", 0, new(uint64))
 	fd := rt.RegisterMap(pb)
 	p := counterProg(t, rt, fd)
 	sym := Symbol{Lib: "rclcpp", Func: "execute_timer"}
@@ -59,7 +59,7 @@ func TestUprobeDispatch(t *testing.T) {
 
 func TestUretprobeSeesReturnValue(t *testing.T) {
 	rt, _ := newTestRuntime()
-	pb := NewPerfBuffer("out", 0)
+	pb := NewPerfBuffer("out", 0, new(uint64))
 	fd := rt.RegisterMap(pb)
 	p := counterProg(t, rt, fd) // emits ctx[0], which is the return value
 	sym := Symbol{Lib: "rclcpp", Func: "take_type_erased_response"}
@@ -75,7 +75,7 @@ func TestUretprobeSeesReturnValue(t *testing.T) {
 
 func TestTracepointDispatchAndDetach(t *testing.T) {
 	rt, _ := newTestRuntime()
-	pb := NewPerfBuffer("out", 0)
+	pb := NewPerfBuffer("out", 0, new(uint64))
 	fd := rt.RegisterMap(pb)
 	p := counterProg(t, rt, fd)
 	id, err := rt.AttachTracepoint("sched:sched_switch", p)
@@ -107,7 +107,7 @@ func TestAttachRequiresVerified(t *testing.T) {
 
 func TestRuntimeStatsAccumulate(t *testing.T) {
 	rt, _ := newTestRuntime()
-	pb := NewPerfBuffer("out", 0)
+	pb := NewPerfBuffer("out", 0, new(uint64))
 	fd := rt.RegisterMap(pb)
 	p := counterProg(t, rt, fd)
 	sym := Symbol{Lib: "x", Func: "y"}
@@ -135,7 +135,7 @@ func TestSrcTSEntryExitTechnique(t *testing.T) {
 	rt, spaces := newTestRuntime()
 	pidToAddr := NewHashMap("srcts_addr", 64)
 	addrFD := rt.RegisterMap(pidToAddr)
-	pb := NewPerfBuffer("events", 0)
+	pb := NewPerfBuffer("events", 0, new(uint64))
 	pbFD := rt.RegisterMap(pb)
 
 	entry := NewAssembler("take_entry").

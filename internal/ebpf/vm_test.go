@@ -350,7 +350,7 @@ func TestProbeReadStr(t *testing.T) {
 }
 
 func TestPerfOutput(t *testing.T) {
-	pb := NewPerfBuffer("events", 0)
+	pb := NewPerfBuffer("events", 0, new(uint64))
 	maps := map[int64]Map{7: pb}
 	p := NewAssembler("perf").
 		MovImm(R2, 0xCAFE).
@@ -378,7 +378,7 @@ func TestPerfOutput(t *testing.T) {
 }
 
 func TestPerfOutputUninitializedRejected(t *testing.T) {
-	pb := NewPerfBuffer("events", 0)
+	pb := NewPerfBuffer("events", 0, new(uint64))
 	maps := map[int64]Map{7: pb}
 	p := NewAssembler("perfbad").
 		MovImm(R1, 7).
@@ -445,15 +445,15 @@ func TestHashMapCapacity(t *testing.T) {
 }
 
 func TestPerfBufferOverrun(t *testing.T) {
-	pb := NewPerfBuffer("cap", 2)
+	pb := NewPerfBuffer("cap", 2, new(uint64))
 	pb.Emit(0, 0, []byte{1})
 	pb.Emit(0, 0, []byte{2})
 	pb.Emit(0, 0, []byte{3})
-	if pb.Lost() != 1 {
-		t.Fatalf("lost = %d, want 1", pb.Lost())
+	if l := totals(pb).Lost; l != 1 {
+		t.Fatalf("lost = %d, want 1", l)
 	}
-	if pb.Pending() != 2 {
-		t.Fatalf("pending = %d", pb.Pending())
+	if p := totals(pb).Pending; p != 2 {
+		t.Fatalf("pending = %d", p)
 	}
 }
 

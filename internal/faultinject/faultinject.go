@@ -233,9 +233,7 @@ func (f *RingFault) Hook() func(cpu int) bool {
 	}
 }
 
-// Ops reports emission attempts seen; Drops reports how many were
-// forced lost.
-func (f *RingFault) Ops() uint64   { return f.ops }
+// Drops reports how many emission attempts were forced lost.
 func (f *RingFault) Drops() uint64 { return f.drops }
 
 // Transport implements the dds.TransportFault interface (structurally:

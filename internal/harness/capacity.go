@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/tracesynth/rostracer/internal/ebpf"
 	"github.com/tracesynth/rostracer/internal/pipeline"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
@@ -27,7 +28,7 @@ type capRun struct {
 	lost      uint64
 	worstCPU  int
 	worstLost uint64
-	perCPU    []uint64
+	perCPU    []ebpf.RingStats
 }
 
 // CapacityPlanExperiment (E11) sweeps per-ring capacity against drain
@@ -68,11 +69,11 @@ func CapacityPlanExperiment(cfg Config) (Result, error) {
 		b := ps.Bundle
 		r := capRun{
 			capacity: c.capacity, drains: c.drains,
-			events: kc.Total(), lost: b.Lost(), perCPU: b.LostPerCPU(),
+			events: kc.Total(), lost: b.Lost(), perCPU: b.PerCPU(),
 		}
-		for cpu, n := range r.perCPU {
-			if n > r.worstLost {
-				r.worstLost, r.worstCPU = n, cpu
+		for cpu, st := range r.perCPU {
+			if st.Lost > r.worstLost {
+				r.worstLost, r.worstCPU = st.Lost, cpu
 			}
 		}
 		return r, nil
@@ -134,9 +135,9 @@ func CapacityPlanExperiment(cfg Config) (Result, error) {
 			tight.capacity))
 	} else {
 		var per []string
-		for cpu, n := range tight.perCPU {
-			if n > 0 {
-				per = append(per, fmt.Sprintf("cpu%d=%d", cpu, n))
+		for cpu, st := range tight.perCPU {
+			if st.Lost > 0 {
+				per = append(per, fmt.Sprintf("cpu%d=%d", cpu, st.Lost))
 			}
 		}
 		fmt.Fprintf(&b, "per-CPU losses at capacity %d, single drain: %s\n",

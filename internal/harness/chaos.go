@@ -232,7 +232,7 @@ func chaosFormatRun(cfg Config, format trace.Format) (chaosRun, error) {
 
 	stats := writer.Stats()
 	run.persisted = stats.Persisted
-	emitted := plan.Ring.Ops()
+	emitted := b.Emitted()
 	lost := b.Lost()
 	ts := w.Domain().FaultStats()
 

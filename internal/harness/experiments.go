@@ -49,15 +49,8 @@ func TableIExperiment(cfg Config) (Result, error) {
 // per-run DAGs.
 func Fig3aExperiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	dags, err := runSeries(cfg.workers, cfg.Runs, func(run int) (*core.DAG, error) {
-		sink := core.NewSynthesizeSink()
-		if _, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
-			func(w *rclcpp.World) {
-				apps.BuildSYN(w, apps.SYNConfig{})
-			}, sink); err != nil {
-			return nil, err
-		}
-		return sink.DAG(), nil
+	dags, err := runDAGSeries(cfg, cfg.Runs, cfg.Duration, func(w *rclcpp.World, _ int) {
+		apps.BuildSYN(w, apps.SYNConfig{})
 	})
 	if err != nil {
 		return Result{}, err
@@ -85,16 +78,7 @@ func Fig3aExperiment(cfg Config) (Result, error) {
 // Fig3bExperiment (E3) regenerates the AVP localization DAG of Fig. 3b.
 func Fig3bExperiment(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	dags, err := runSeries(cfg.workers, cfg.Runs, func(run int) (*core.DAG, error) {
-		sink := core.NewSynthesizeSink()
-		if _, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
-			func(w *rclcpp.World) {
-				apps.BuildAVP(w, apps.AVPConfig{})
-			}, sink); err != nil {
-			return nil, err
-		}
-		return sink.DAG(), nil
-	})
+	dags, err := runDAGSeries(cfg, cfg.Runs, cfg.Duration, buildAVP)
 	if err != nil {
 		return Result{}, err
 	}
@@ -150,16 +134,28 @@ var tableIINodeOf = map[string]string{
 	"cb5": apps.NodeVoxelGrid, "cb6": apps.NodeLocalizer,
 }
 
-// runAVPSeries runs AVP+SYN concurrently cfg.Runs times and returns the
-// per-run DAGs (the experiment pipeline shared by Table II and Fig. 4).
-func runAVPSeries(cfg Config) ([]*core.DAG, error) {
-	return runSeries(cfg.workers, cfg.Runs, func(run int) (*core.DAG, error) {
+// runDAGSeries traces runs sessions of duration, run i on seed
+// cfg.Seed+i with its world built by build(w, i), and returns each run's
+// synthesized DAG.
+func runDAGSeries(cfg Config, runs int, duration sim.Duration, build func(w *rclcpp.World, run int)) ([]*core.DAG, error) {
+	return runSeries(cfg.workers, runs, func(run int) (*core.DAG, error) {
 		sink := core.NewSynthesizeSink()
-		if _, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration, true,
-			BuildBoth(loadScaleForRun(run)), sink); err != nil {
+		if _, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, duration, true,
+			func(w *rclcpp.World) { build(w, run) }, sink); err != nil {
 			return nil, err
 		}
 		return sink.DAG(), nil
+	})
+}
+
+// buildAVP builds the AVP localization pipeline alone.
+func buildAVP(w *rclcpp.World, _ int) { apps.BuildAVP(w, apps.AVPConfig{}) }
+
+// runAVPSeries runs AVP+SYN concurrently cfg.Runs times and returns the
+// per-run DAGs (the experiment pipeline shared by Table II and Fig. 4).
+func runAVPSeries(cfg Config) ([]*core.DAG, error) {
+	return runDAGSeries(cfg, cfg.Runs, cfg.Duration, func(w *rclcpp.World, run int) {
+		BuildBoth(loadScaleForRun(run))(w)
 	})
 }
 
@@ -386,8 +382,8 @@ func OverheadsExperiment(cfg Config) (Result, error) {
 	for _, s := range sessions {
 		b := s.Bundle
 		var sum uint64
-		for _, n := range b.BytesPerCPU() {
-			sum += n
+		for _, st := range b.PerCPU() {
+			sum += st.Bytes
 		}
 		if sum != b.TraceBytes() {
 			ok = false
@@ -444,11 +440,12 @@ func runRedirectBaseline(cfg Config, duration sim.Duration) (ebpfPerEvent, redir
 
 	// LD_PRELOAD redirection.
 	wr := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cfg.CPUs, Seed: cfg.Seed})
-	redirect := tracers.NewRedirectTracer(wr.Runtime())
+	var rc trace.KindCounter
+	redirect := tracers.NewRedirectTracer(wr.Runtime(), &rc)
 	redirect.Start()
 	BuildBoth(1)(wr)
 	wr.Run(duration)
-	if n := len(redirect.Events()); n > 0 {
+	if n := rc.Total(); n > 0 {
 		redirPerEvent = redirect.CostNs() / float64(n)
 	}
 	return ebpfPerEvent, redirPerEvent, nil
@@ -497,16 +494,7 @@ func Fig2Experiment(cfg Config) (Result, error) {
 	// (b) Merge strategies: per-run DAGs merged vs per-run synthesis (the
 	// strategies coincide per run; across runs the DAG-merge path is the
 	// paper's choice). Statistics must be identical either way.
-	perRun, err := runSeries(cfg.workers, min(cfg.Runs, 5), func(run int) (*core.DAG, error) {
-		sink := core.NewSynthesizeSink()
-		if _, err := RunSession(cfg.Seed+uint64(run), cfg.CPUs, cfg.Duration/2, true,
-			func(w *rclcpp.World) {
-				apps.BuildAVP(w, apps.AVPConfig{})
-			}, sink); err != nil {
-			return nil, err
-		}
-		return sink.DAG(), nil
-	})
+	perRun, err := runDAGSeries(cfg, min(cfg.Runs, 5), cfg.Duration/2, buildAVP)
 	if err != nil {
 		return Result{}, err
 	}
@@ -780,11 +768,4 @@ func designedFor(cb *core.Callback, designed map[string]sim.Duration) (sim.Durat
 	// Sync subscribers and timers T2/T3 have context-dependent or
 	// ambiguous designed values; skip them here.
 	return 0, false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -94,14 +94,11 @@ func (p *PipelineMetrics) cpuLabel(cpu int) string {
 
 // UpdateBundle snapshots the per-CPU ring fill/lost/bytes gauges.
 func (p *PipelineMetrics) UpdateBundle(b *tracers.Bundle) {
-	pending := b.PendingPerCPU()
-	lost := b.LostPerCPU()
-	bytes := b.BytesPerCPU()
-	for cpu := range pending {
+	for cpu, st := range b.PerCPU() {
 		l := p.cpuLabel(cpu)
-		p.ringPending.With(l).Set(int64(pending[cpu]))
-		p.ringLost.With(l).Set(lost[cpu])
-		p.ringBytes.With(l).Set(bytes[cpu])
+		p.ringPending.With(l).Set(int64(st.Pending))
+		p.ringLost.With(l).Set(st.Lost)
+		p.ringBytes.With(l).Set(st.Bytes)
 	}
 }
 

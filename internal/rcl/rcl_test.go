@@ -37,7 +37,7 @@ func TestTimerCallFiresP3WithDescriptor(t *testing.T) {
 		func(pid uint32) *umem.Space { return spaces[pid] })
 	tm := NewTimer(space)
 
-	pb := ebpf.NewPerfBuffer("out", 0)
+	pb := ebpf.NewPerfBuffer("out", 0, new(uint64))
 	fd := rt.RegisterMap(pb)
 	p := ebpf.NewAssembler("p3ish").
 		LdxCtx(ebpf.R6, ebpf.R1, 0).

@@ -1,6 +1,7 @@
 package tracers
 
 import (
+	"github.com/tracesynth/rostracer/internal/ebpf"
 	"github.com/tracesynth/rostracer/internal/sim"
 )
 
@@ -79,28 +80,24 @@ func (s *DrainScheduler) Interval() sim.Duration { return s.interval }
 func (s *DrainScheduler) Observe(elapsed sim.Duration) DrainObservation {
 	obs := DrainObservation{Next: s.maxP}
 	worstDemand := 0
-	for bi, pb := range s.b.perfBuffers() {
-		rings := pb.NumRings()
-		for len(s.lastLost[bi]) < rings {
-			s.lastLost[bi] = append(s.lastLost[bi], 0)
+	s.b.walkRings(func(t, cpu int, st ebpf.RingStats) {
+		last := &s.lastLost[t]
+		for len(*last) <= cpu {
+			*last = append(*last, 0)
 		}
-		for cpu := 0; cpu < rings; cpu++ {
-			lost := pb.LostOnCPU(cpu)
-			delta := lost - s.lastLost[bi][cpu]
-			s.lastLost[bi][cpu] = lost
-			obs.LostDelta += delta
+		delta := st.Lost - (*last)[cpu]
+		(*last)[cpu] = st.Lost
+		obs.LostDelta += delta
 
-			pend := pb.PendingOnCPU(cpu)
-			if pend > obs.MaxPending {
-				obs.MaxPending, obs.MaxPendingCPU = pend, cpu
-			}
-			// Demand is what the ring would have held had it been big
-			// enough: the records still pending plus the ones it dropped.
-			if demand := pend + int(delta); demand > worstDemand {
-				worstDemand = demand
-			}
+		if st.Pending > obs.MaxPending {
+			obs.MaxPending, obs.MaxPendingCPU = st.Pending, cpu
 		}
-	}
+		// Demand is what the ring would have held had it been big
+		// enough: the records still pending plus the ones it dropped.
+		if demand := st.Pending + int(delta); demand > worstDemand {
+			worstDemand = demand
+		}
+	})
 
 	if s.capacity > 0 && worstDemand > 0 && elapsed > 0 {
 		// rate = worstDemand / elapsed; next = target records / rate.
@@ -115,29 +112,4 @@ func (s *DrainScheduler) Observe(elapsed sim.Duration) DrainObservation {
 	}
 	s.interval = obs.Next
 	return obs
-}
-
-// NumRings reports the total per-CPU ring count across the bundle's
-// three tracers — the number of rings every drain covers.
-func (b *Bundle) NumRings() int {
-	n := 0
-	for _, pb := range b.perfBuffers() {
-		n += pb.NumRings()
-	}
-	return n
-}
-
-// MaxRingPending reports the largest undrained record count on any
-// single per-CPU ring across the three tracers — the gauge a drain
-// scheduler plans from (capacity bounds apply per ring, not per
-// buffer).
-func (b *Bundle) MaxRingPending() (pending, cpu int) {
-	for _, pb := range b.perfBuffers() {
-		for c := 0; c < pb.NumRings(); c++ {
-			if p := pb.PendingOnCPU(c); p > pending {
-				pending, cpu = p, c
-			}
-		}
-	}
-	return pending, cpu
 }

@@ -201,7 +201,7 @@ func TestMaxRingPending(t *testing.T) {
 	}
 	total := 0
 	for _, pb := range b.perfBuffers() {
-		total += pb.Pending()
+		total += totals(pb).Pending
 	}
 	if pending > total {
 		t.Fatalf("worst ring pending %d exceeds total %d", pending, total)

@@ -66,9 +66,9 @@ func NewBundleCapacity(rt *ebpf.Runtime, perRingCapacity int) (*Bundle, error) {
 	entFD := rt.RegisterMap(b.entMap)
 	srcFD := rt.RegisterMap(b.srcMap)
 
-	b.initPB = ebpf.NewPerfBufferSeq("tr_in", perRingCapacity, &b.seq)
-	b.rtPB = ebpf.NewPerfBufferSeq("tr_rt", perRingCapacity, &b.seq)
-	b.knPB = ebpf.NewPerfBufferSeq("tr_kn", perRingCapacity, &b.seq)
+	b.initPB = ebpf.NewPerfBuffer("tr_in", perRingCapacity, &b.seq)
+	b.rtPB = ebpf.NewPerfBuffer("tr_rt", perRingCapacity, &b.seq)
+	b.knPB = ebpf.NewPerfBuffer("tr_kn", perRingCapacity, &b.seq)
 	initFD := rt.RegisterMap(b.initPB)
 	rtFD := rt.RegisterMap(b.rtPB)
 	knFD := rt.RegisterMap(b.knPB)
@@ -218,7 +218,7 @@ func (b *Bundle) perfBuffers() [3]*ebpf.PerfBuffer {
 // SetRingFault installs (or, with nil, removes) one emission fault hook
 // on all three tracer buffers. A drop the hook forces counts as lost on
 // the emitting ring, exactly like a capacity overrun, so the usual
-// Lost/LostPerCPU accounting covers injected ring faults too. Emissions
+// Lost/PerCPU accounting covers injected ring faults too. Emissions
 // consult the hook in a deterministic order (the simulation is
 // single-threaded), so a scripted hook produces the same fault schedule
 // for the same seed.
@@ -228,65 +228,73 @@ func (b *Bundle) SetRingFault(hook func(cpu int) bool) {
 	}
 }
 
+// walkRings calls fn with the accounting of every materialized per-CPU
+// ring, by tracer (0 TR_IN, 1 TR_RT, 2 TR_KN) and then by CPU. It is the
+// one walk every reader of ring accounting reads.
+func (b *Bundle) walkRings(fn func(tracer, cpu int, st ebpf.RingStats)) {
+	for t, pb := range b.perfBuffers() {
+		for cpu := 0; cpu < pb.NumRings(); cpu++ {
+			fn(t, cpu, pb.Ring(cpu))
+		}
+	}
+}
+
 // TraceBytes reports the cumulative perf-buffer payload bytes across all
 // three tracers and all CPU rings — the paper's trace-volume metric.
 func (b *Bundle) TraceBytes() uint64 {
-	return b.initPB.Bytes() + b.rtPB.Bytes() + b.knPB.Bytes()
-}
-
-// Lost reports records dropped due to per-CPU ring capacity, summed over
-// the three tracers and all CPUs.
-func (b *Bundle) Lost() uint64 {
-	return b.initPB.Lost() + b.rtPB.Lost() + b.knPB.Lost()
-}
-
-// NumCPUStats reports how many per-CPU slots LostPerCPU/BytesPerCPU
-// cover: the highest CPU any tracer ring materialized, plus one.
-func (b *Bundle) NumCPUStats() int {
-	n := 0
-	for _, pb := range b.perfBuffers() {
-		if r := pb.NumRings(); r > n {
-			n = r
-		}
-	}
+	var n uint64
+	b.walkRings(func(_, _ int, st ebpf.RingStats) { n += st.Bytes })
 	return n
 }
 
-// LostPerCPU reports records dropped per CPU, summed across the three
-// tracers — the realistic lost-record accounting a per-CPU
-// perf_event_array gives user space.
-func (b *Bundle) LostPerCPU() []uint64 {
-	out := make([]uint64, b.NumCPUStats())
-	for _, pb := range b.perfBuffers() {
-		for cpu := 0; cpu < pb.NumRings(); cpu++ {
-			out[cpu] += pb.LostOnCPU(cpu)
-		}
-	}
-	return out
+// Lost reports records dropped to ring capacity or injected ring faults,
+// summed over the three tracers and all CPUs.
+func (b *Bundle) Lost() uint64 {
+	var n uint64
+	b.walkRings(func(_, _ int, st ebpf.RingStats) { n += st.Lost })
+	return n
 }
 
-// BytesPerCPU reports cumulative payload bytes emitted per CPU, summed
-// across the three tracers.
-func (b *Bundle) BytesPerCPU() []uint64 {
-	out := make([]uint64, b.NumCPUStats())
-	for _, pb := range b.perfBuffers() {
-		for cpu := 0; cpu < pb.NumRings(); cpu++ {
-			out[cpu] += pb.BytesOnCPU(cpu)
-		}
-	}
-	return out
+// Emitted reports every emission the probes attempted: the records the
+// shared counter stamped plus the ones the rings dropped. Once the rings
+// are drained, Emitted equals the events drained plus Lost.
+func (b *Bundle) Emitted() uint64 { return b.seq + b.Lost() }
+
+// NumRings reports the total per-CPU ring count across the bundle's
+// three tracers — the number of rings every drain covers.
+func (b *Bundle) NumRings() int {
+	n := 0
+	b.walkRings(func(_, _ int, _ ebpf.RingStats) { n++ })
+	return n
 }
 
-// PendingPerCPU reports records emitted but not yet drained per CPU,
-// summed across the three tracers — the ring-fill gauge the metrics
-// endpoint exposes alongside LostPerCPU.
-func (b *Bundle) PendingPerCPU() []int {
-	out := make([]int, b.NumCPUStats())
-	for _, pb := range b.perfBuffers() {
-		for cpu := 0; cpu < pb.NumRings(); cpu++ {
-			out[cpu] += pb.PendingOnCPU(cpu)
+// MaxRingPending reports the largest undrained record count on any
+// single per-CPU ring across the three tracers — the gauge a drain
+// scheduler plans from (capacity bounds apply per ring, not per
+// buffer).
+func (b *Bundle) MaxRingPending() (pending, cpu int) {
+	b.walkRings(func(_, c int, st ebpf.RingStats) {
+		if st.Pending > pending {
+			pending, cpu = st.Pending, c
 		}
-	}
+	})
+	return pending, cpu
+}
+
+// PerCPU reports each CPU's ring accounting summed across the three
+// tracers, indexed by CPU up to the highest CPU any ring materialized —
+// the per-CPU view a perf_event_array poller gives user space.
+func (b *Bundle) PerCPU() []ebpf.RingStats {
+	var out []ebpf.RingStats
+	b.walkRings(func(_, cpu int, st ebpf.RingStats) {
+		if cpu >= len(out) {
+			out = append(out, make([]ebpf.RingStats, cpu+1-len(out))...)
+		}
+		o := &out[cpu]
+		o.Pending += st.Pending
+		o.Lost += st.Lost
+		o.Bytes += st.Bytes
+	})
 	return out
 }
 
@@ -329,11 +337,7 @@ func (c *recordCursor) Next() (*trace.Event, bool, error) {
 // every event of the segment, and on return they are released to their
 // rings for the next emission burst to reuse.
 func (b *Bundle) StreamTo(sink trace.Sink) (err error) {
-	pbs := b.perfBuffers()
-	nrings := 0
-	for _, pb := range pbs {
-		nrings += pb.NumRings()
-	}
+	nrings := b.NumRings()
 	if cap(b.drainCurs) < nrings {
 		b.drainCurs = make([]recordCursor, nrings)
 	}
@@ -343,7 +347,7 @@ func (b *Bundle) StreamTo(sink trace.Sink) (err error) {
 		refs = make([]trace.Cursor, 0, nrings)
 	}
 	n := 0
-	for _, pb := range pbs {
+	for _, pb := range b.perfBuffers() {
 		for cpu := 0; cpu < pb.NumRings(); cpu++ {
 			rc := &curs[n]
 			n++

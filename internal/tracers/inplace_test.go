@@ -46,7 +46,7 @@ func TestRecordCursorClearsStaleFields(t *testing.T) {
 	}
 	// The same emissions into two buffers: one drained through the
 	// reused-slot cursor, the other into retained records for the oracle.
-	cursorPB, refPB := ebpf.NewPerfBuffer("cursor", 0), ebpf.NewPerfBuffer("ref", 0)
+	cursorPB, refPB := ebpf.NewPerfBuffer("cursor", 0, new(uint64)), ebpf.NewPerfBuffer("ref", 0, new(uint64))
 	for i, r := range records {
 		cursorPB.Emit(0, int64(100+i), r)
 		refPB.Emit(0, int64(100+i), r)

@@ -369,7 +369,7 @@ func TestKernelFilteringReducesVolume(t *testing.T) {
 			spawnChatterThread(w, 2*sim.Millisecond)
 		}
 		w.Run(2 * sim.Second)
-		return b.knPB.Bytes()
+		return totals(b.knPB).Bytes
 	}
 	filteredBytes := run(true)
 	unfilteredBytes := run(false)

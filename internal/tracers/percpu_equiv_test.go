@@ -96,6 +96,19 @@ func TestPerCPUDrainMatchesPreSplit(t *testing.T) {
 	}
 }
 
+// plus adds two ring accountings.
+func plus(a, b ebpf.RingStats) ebpf.RingStats {
+	return ebpf.RingStats{Pending: a.Pending + b.Pending, Lost: a.Lost + b.Lost, Bytes: a.Bytes + b.Bytes}
+}
+
+// totals sums pb's per-CPU ring accounting.
+func totals(pb *ebpf.PerfBuffer) (t ebpf.RingStats) {
+	for cpu := 0; cpu < pb.NumRings(); cpu++ {
+		t = plus(t, pb.Ring(cpu))
+	}
+	return t
+}
+
 // TestBundleRingsSpreadAcrossCPUs checks the split is real: a
 // multi-CPU session materializes more than one ring on the RT tracer and
 // the per-CPU byte accounting sums to the bundle totals.
@@ -104,13 +117,15 @@ func TestBundleRingsSpreadAcrossCPUs(t *testing.T) {
 	if rings := b.rtPB.NumRings(); rings < 2 {
 		t.Fatalf("RT tracer materialized %d rings; events all landed on one CPU", rings)
 	}
-	perCPU := b.BytesPerCPU()
 	var sum uint64
 	active := 0
-	for _, n := range perCPU {
-		sum += n
-		if n > 0 {
+	for _, st := range b.PerCPU() {
+		sum += st.Bytes
+		if st.Bytes > 0 {
 			active++
+		}
+		if st.Lost != 0 {
+			t.Fatal("unbounded rings lost records")
 		}
 	}
 	if sum != b.TraceBytes() {
@@ -118,10 +133,5 @@ func TestBundleRingsSpreadAcrossCPUs(t *testing.T) {
 	}
 	if active < 2 {
 		t.Fatalf("only %d CPUs emitted; expected a multi-CPU spread", active)
-	}
-	for _, n := range b.LostPerCPU() {
-		if n != 0 {
-			t.Fatal("unbounded rings lost records")
-		}
 	}
 }

@@ -19,12 +19,13 @@ import (
 // It captures the same callback start/end, take, and write events as the
 // eBPF ROS2-RT tracer (so models synthesized from either are equivalent),
 // but each interception carries the redirection cost, and — unlike eBPF —
-// it offers no in-kernel filtering for scheduler events.
+// it offers no in-kernel filtering for scheduler events. Each captured
+// event goes straight to the tracer's sink, in emission order.
 type RedirectTracer struct {
-	rt     *ebpf.Runtime
-	events []trace.Event
-	seq    uint64
-	ids    []int
+	rt   *ebpf.Runtime
+	sink trace.Sink
+	seq  uint64
+	ids  []int
 
 	// CostPerEventNs is the simulated per-interception overhead: PLT
 	// indirection, original-symbol lookup, and trace serialization.
@@ -32,15 +33,16 @@ type RedirectTracer struct {
 	CostPerEventNs float64
 }
 
-// NewRedirectTracer creates the baseline tracer against rt.
-func NewRedirectTracer(rt *ebpf.Runtime) *RedirectTracer {
-	return &RedirectTracer{rt: rt, CostPerEventNs: 1500}
+// NewRedirectTracer creates the baseline tracer against rt, delivering
+// every captured event to sink.
+func NewRedirectTracer(rt *ebpf.Runtime, sink trace.Sink) *RedirectTracer {
+	return &RedirectTracer{rt: rt, sink: sink, CostPerEventNs: 1500}
 }
 
 func (r *RedirectTracer) emit(e trace.Event) {
 	e.Seq = r.seq
 	r.seq++
-	r.events = append(r.events, e)
+	r.sink.Observe(e)
 }
 
 func (r *RedirectTracer) hook(sym ebpf.Symbol, fn func(ctx *ebpf.ExecContext)) {
@@ -111,9 +113,6 @@ func (r *RedirectTracer) Stop() {
 	}
 	r.ids = nil
 }
-
-// Events returns the captured events.
-func (r *RedirectTracer) Events() []trace.Event { return r.events }
 
 // CostNs returns the simulated overhead spent in the shims.
 func (r *RedirectTracer) CostNs() float64 { return r.rt.NativeCostNs() }

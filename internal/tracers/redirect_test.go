@@ -21,7 +21,8 @@ func TestRedirectBaselineComparison(t *testing.T) {
 	if err := b.StartRT(); err != nil {
 		t.Fatal(err)
 	}
-	redirect := NewRedirectTracer(w.Runtime())
+	var col trace.Collector
+	redirect := NewRedirectTracer(w.Runtime(), &col)
 	redirect.Start()
 
 	n := w.NewNode("n", 5, 0)
@@ -47,13 +48,13 @@ func TestRedirectBaselineComparison(t *testing.T) {
 		return n
 	}
 	for _, k := range []trace.Kind{trace.KindTimerCBStart, trace.KindTakeInt, trace.KindDDSWrite} {
-		if got, want := count(redirect.Events(), k), count(ebpfTrace.Events, k); got != want {
+		if got, want := count(col.Trace.Events, k), count(ebpfTrace.Events, k); got != want {
 			t.Errorf("%v: redirect saw %d, eBPF saw %d", k, got, want)
 		}
 	}
 	// The redirect tracer reads the same topic names (it is the shim).
 	foundTopic := false
-	for _, e := range redirect.Events() {
+	for _, e := range col.Trace.Events {
 		if e.Kind == trace.KindTakeInt && e.Topic == "/x" {
 			foundTopic = true
 		}
@@ -68,15 +69,15 @@ func TestRedirectBaselineComparison(t *testing.T) {
 	if redirCost <= ebpfCost {
 		t.Fatalf("redirection cost %.0f ns not above eBPF cost %.0f ns", redirCost, ebpfCost)
 	}
-	perEventRedirect := redirCost / float64(len(redirect.Events()))
+	perEventRedirect := redirCost / float64(len(col.Trace.Events))
 	if perEventRedirect < 1000 {
 		t.Errorf("per-event redirect cost %.0f ns implausibly low", perEventRedirect)
 	}
 
 	redirect.Stop()
-	before := len(redirect.Events())
+	before := len(col.Trace.Events)
 	w.Run(100 * sim.Millisecond)
-	if len(redirect.Events()) != before {
+	if len(col.Trace.Events) != before {
 		t.Error("events captured after Stop")
 	}
 }

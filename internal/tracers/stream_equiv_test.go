@@ -153,7 +153,7 @@ func TestPeriodicStreamBoundsBuffering(t *testing.T) {
 		wSeg.Run(total / periods)
 		pending := 0
 		for _, pb := range bSeg.perfBuffers() {
-			pending += pb.Pending()
+			pending += totals(pb).Pending
 		}
 		if pending > peakPending {
 			peakPending = pending
