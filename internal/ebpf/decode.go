@@ -48,9 +48,8 @@ const (
 
 	// Pattern superinstructions (produced only by optimize; see
 	// optimize.go for the matcher and vm.go for the semantics). Each
-	// covers a contiguous range of original instructions [pc, pc+w) and
-	// falls back to the lowered ops of that range if its runtime guard
-	// fails.
+	// covers a contiguous range of original instructions [pc, pc+w), and
+	// optimize emits one only after proving its operands at load time.
 	opStoreRunImm      // copy templates[imm] into stack[tgt:]
 	opLdxCtx2          // regs[dst] = ctx[tgt]; regs[src] = ctx[imm]
 	opCtxToStack       // regs[dst] = ctx[imm]; stack[tgt:+8] = regs[dst]
@@ -136,8 +135,7 @@ func stImmWidth(op Op) int32 {
 // dop is one pre-resolved straight-line instruction, kept to 24 bytes so
 // fused runs iterate cache-line-dense. tgt is overloaded per op: absolute
 // frame index (specialized stack ops and pattern ops), ctx word index
-// (OpLdxCtx), memory offset (generic stack ops), or call-binding index
-// (OpCall and fused helper ops).
+// (OpLdxCtx), or call-binding index (OpCall and fused helper ops).
 type dop struct {
 	op   Op
 	dst  uint8
@@ -146,7 +144,7 @@ type dop struct {
 	tgt  int32
 	imm  uint64
 	pc   int32 // original pc of the first covered instruction
-	w    uint8 // original instructions covered (retire weight); ops[pc:pc+w]
+	w    uint8 // original instructions covered, [pc, pc+w): the retire weight
 	_    [3]byte
 }
 
@@ -177,10 +175,6 @@ type dinsn struct {
 type decodedProgram struct {
 	insns []dinsn // compacted dispatch slots
 	calls []dcall // per-call-site helper bindings
-	// ops is the per-instruction lowering, indexed by original pc. Pattern
-	// ops fall back to their ops[pc:pc+w] range when a runtime guard
-	// fails.
-	ops []dop
 	// templates backs opStoreRunImm: pre-rendered little-endian bytes of a
 	// fused immediate-store ladder.
 	templates [][]byte
@@ -245,11 +239,12 @@ func decode(p *Program, lookup func(fd int64) Map) error {
 		case OpLshImm, OpRshImm:
 			d.imm &= 63
 		case OpLdxStack, OpStxStack, OpStImmStack:
-			if lo := p.memLo[i]; lo >= 0 && lo+int32(in.Size) <= StackSize {
+			// The verifier proved the frame index of every access it
+			// reached. One it never reached keeps its raw op; it sits in
+			// a block compaction drops, so no raw access is installed.
+			if lo := p.memLo[i]; lo >= 0 {
 				d.op = fpSpecial(in.Op, in.Size)
 				d.tgt = lo
-			} else {
-				d.tgt = in.Off // generic fallback keeps the raw offset
 			}
 		case OpCall:
 			c := dcall{helper: HelperID(in.Imm)}
@@ -299,6 +294,6 @@ func decode(p *Program, lookup func(fd int64) Map) error {
 		out[start] = dinsn{op: opRunFused, tgt: int32(end), retire: int32(end - start),
 			run: ops[start:end:end]}
 	}
-	p.dp.Store(optimize(out, ops, calls))
+	p.dp.Store(optimize(out, calls))
 	return nil
 }

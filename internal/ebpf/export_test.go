@@ -1,0 +1,31 @@
+package ebpf
+
+import "testing"
+
+// CheckInstalled runs checkInstalled for the external test package.
+func CheckInstalled(t testing.TB, p *Program) { checkInstalled(t, p) }
+
+// AttachedPrograms returns every distinct program attached to rt, in no
+// particular order.
+func AttachedPrograms(rt *Runtime) []*Program {
+	seen := make(map[*Program]bool)
+	var out []*Program
+	add := func(list []attachment) {
+		for _, at := range list {
+			if !seen[at.prog] {
+				seen[at.prog] = true
+				out = append(out, at.prog)
+			}
+		}
+	}
+	for _, list := range rt.uprobes {
+		add(list)
+	}
+	for _, list := range rt.uretprobes {
+		add(list)
+	}
+	for _, list := range rt.tracepoints {
+		add(list)
+	}
+	return out
+}

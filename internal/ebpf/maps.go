@@ -342,8 +342,12 @@ const perfArenaChunk = 64 << 10
 // from the emission counter seq, which buffers may share: merging the
 // rings of every buffer on one counter by (Time, Seq) then reproduces
 // emission order even when virtual time stands still, the global order
-// the trace merger relies on.
+// the trace merger relies on. A nil seq panics: every record needs a Seq
+// for that merge.
 func NewPerfBuffer(name string, capacity int, seq *uint64) *PerfBuffer {
+	if seq == nil {
+		panic("ebpf: perf buffer " + name + " has no emission counter")
+	}
 	return &PerfBuffer{name: name, capacity: capacity, seq: seq}
 }
 
@@ -404,12 +408,8 @@ func (p *PerfBuffer) Emit(cpu int, now int64, data []byte) {
 	off := len(cur)
 	cur = cur[:off+need]
 	binary.LittleEndian.PutUint64(cur[off:], uint64(now))
-	var seq uint64
-	if p.seq != nil {
-		seq = *p.seq
-		*p.seq++
-	}
-	binary.LittleEndian.PutUint64(cur[off+8:], seq)
+	binary.LittleEndian.PutUint64(cur[off+8:], *p.seq)
+	*p.seq++
 	binary.LittleEndian.PutUint32(cur[off+16:], uint32(len(data)))
 	copy(cur[off+perfRecHdr:], data)
 	r.chunks[len(r.chunks)-1] = cur

@@ -32,22 +32,23 @@ import "encoding/binary"
 //     layout disappear.
 //
 // Every pattern op records the original instruction range it covers
-// (dop.pc, dop.w); its runtime guard failing falls back to executing the
-// lowered ops of exactly that range, and the retired-instruction count is
-// preserved either way, so the overhead accounting stays bit-identical
-// to the reference interpreter.
+// (dop.pc, dop.w) and is emitted only once its operands are proven: its
+// frame range lies inside the stack, its template exists, and its call
+// site is bound to a map or perf buffer. The VM runs it without
+// re-checking any of that. The retired-instruction count is preserved op
+// for op, so the overhead accounting stays bit-identical to the
+// reference interpreter.
 
 // maxPatternWeight bounds how many original instructions one fused
 // pattern op may cover: the weight travels in a uint8.
 const maxPatternWeight = 255
 
-// optimize builds the installed dispatch form from the lowered program:
-// slots is the pc-indexed layout decode fused, ops the per-instruction
-// lowering it was fused from. It is total: blocks where no pattern
-// applies re-fuse exactly as decode laid them out, so the result is
-// always a valid dispatch form.
-func optimize(slots []dinsn, ops []dop, calls []dcall) *decodedProgram {
-	ndp := &decodedProgram{calls: calls, ops: ops}
+// optimize builds the installed dispatch form from the pc-indexed layout
+// decode fused. It is total: blocks where no pattern applies re-fuse
+// exactly as decode laid them out, so the result is always a valid
+// dispatch form.
+func optimize(slots []dinsn, calls []dcall) *decodedProgram {
+	ndp := &decodedProgram{calls: calls}
 
 	// thread follows a chain of unconditional jumps from a run's target.
 	// A run reaching a Ja always retires it, so folding the jump into the
@@ -147,9 +148,9 @@ func remap(newIdx []int32, tgt int32) int32 {
 // optimizeRun rewrites one fused straight-line run through the load-time
 // passes: constant folding, helper-call fusion, and pair/ladder
 // peepholes. The result covers exactly the same original instruction
-// range, with each op's (pc, w) naming the lowered ops it replaces.
-// run aliases the lowered ops the pattern guards fall back to, so the
-// first pass copies it and the later ones rewrite that copy in place.
+// range, with each op's (pc, w) naming the instructions it replaces.
+// run aliases decode's per-instruction lowering, so the first pass copies
+// it and the later ones rewrite that copy in place.
 func optimizeRun(run []dop, calls []dcall, ndp *decodedProgram) []dop {
 	folded := foldConstants(run)
 	fused := fuseCalls(folded, calls)
@@ -216,7 +217,7 @@ func foldConstants(run []dop) []dop {
 		case OpMovReg, OpAddReg, OpSubReg, OpMulImm, OpMulReg, OpDivImm, OpDivReg,
 			OpModImm, OpModReg, OpAndImm, OpAndReg, OpOrImm, OpOrReg,
 			OpXorImm, OpXorReg, OpLshImm, OpRshImm, OpNeg,
-			OpLdxCtx, opLdxFP8, opLdxFP4, opLdxFP2, opLdxFP1, OpLdxStack:
+			OpLdxCtx, opLdxFP8, opLdxFP4, opLdxFP2, opLdxFP1:
 			invalidate(d.dst)
 		case OpCall:
 			for r := R0; r <= R5; r++ {

@@ -18,6 +18,118 @@ func allOps(p *Program) []dop {
 	return out
 }
 
+// checkInstalled asserts the invariants load establishes for p's
+// installed form, which the VM relies on instead of re-checking them on
+// every fire. Compaction leaves only reachable slots, so every op walked
+// here can run. It reports through t.Errorf only, so a caller can count
+// the violations it finds.
+func checkInstalled(t testing.TB, p *Program) {
+	t.Helper()
+	dp := p.dp.Load()
+	if dp == nil {
+		t.Errorf("%q has no installed form", p.Name)
+		return
+	}
+	inStack := func(d dop, base, size uint64) {
+		if size == 0 || base > StackSize || size > StackSize-base {
+			t.Errorf("%q pc %d: op %d covers stack [%d,+%d), outside [0,%d)",
+				p.Name, d.pc, d.op, base, size, StackSize)
+		}
+	}
+	call := func(d dop) dcall {
+		if d.tgt < 0 || int(d.tgt) >= len(dp.calls) {
+			t.Errorf("%q pc %d: op %d names call site %d of %d", p.Name, d.pc, d.op, d.tgt, len(dp.calls))
+			return dcall{}
+		}
+		return dp.calls[d.tgt]
+	}
+	for _, in := range dp.insns {
+		for _, d := range in.run {
+			switch d.op {
+			case OpLdxStack, OpStxStack, OpStImmStack:
+				t.Errorf("%q pc %d: generic stack op %d installed", p.Name, d.pc, d.op)
+			case opLdxFP8, opStxFP8, opStImmFP8,
+				opTimeToStack, opPidToStack, opCPUToStack, opCtxToStack:
+				inStack(d, uint64(d.tgt), 8)
+			case opLdxFP4, opStxFP4, opStImmFP4:
+				inStack(d, uint64(d.tgt), 4)
+			case opLdxFP2, opStxFP2, opStImmFP2:
+				inStack(d, uint64(d.tgt), 2)
+			case opLdxFP1, opStxFP1, opStImmFP1:
+				inStack(d, uint64(d.tgt), 1)
+			case opStoreRunImm:
+				if d.imm >= uint64(len(dp.templates)) {
+					t.Errorf("%q pc %d: template %d of %d", p.Name, d.pc, d.imm, len(dp.templates))
+					continue
+				}
+				inStack(d, uint64(d.tgt), uint64(len(dp.templates[d.imm])))
+			case opProbeReadFast, opProbeReadStrFast:
+				inStack(d, uint64(d.tgt), d.imm)
+			case opEmitRecord:
+				inStack(d, d.imm>>32, uint64(uint32(d.imm)))
+				if call(d).pb == nil {
+					t.Errorf("%q pc %d: opEmitRecord not bound to a perf buffer", p.Name, d.pc)
+				}
+			case opMapLookupFast, opMapExistFast, opMapDeleteFast, opMapUpdateFast:
+				if call(d).m == nil {
+					t.Errorf("%q pc %d: map op %d not bound to a map", p.Name, d.pc, d.op)
+				}
+			}
+		}
+	}
+}
+
+// errCounter is a testing.TB that counts Errorf calls instead of failing.
+type errCounter struct {
+	testing.TB
+	errs int
+}
+
+func (c *errCounter) Helper()               {}
+func (c *errCounter) Errorf(string, ...any) { c.errs++ }
+
+// TestCheckInstalledFlagsCorruption corrupts the installed form in place
+// and demands checkInstalled report each corruption: a checker that never
+// fires proves nothing.
+func TestCheckInstalledFlagsCorruption(t *testing.T) {
+	corruptions := []struct {
+		name    string
+		op      Op
+		corrupt func(d *dop)
+	}{
+		{"emit_base_oob", opEmitRecord, func(d *dop) { d.imm = uint64(StackSize) << 32 }},
+		{"emit_unbound", opEmitRecord, func(d *dop) { d.tgt = 0 }}, // call 0 is getpid
+		{"ladder_bad_template", opStoreRunImm, func(d *dop) { d.imm = 999 }},
+		{"ladder_base_oob", opStoreRunImm, func(d *dop) { d.tgt = StackSize - 1 }},
+		{"pid_store_oob", opPidToStack, func(d *dop) { d.tgt = -8 }},
+		{"generic_stack_op", opStoreRunImm, func(d *dop) { d.op = OpStImmStack }},
+	}
+	for _, tc := range corruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			f := decodedFixture(t, emitterProg, 1)
+			checkInstalled(t, f.prog)
+			dp := f.prog.dp.Load()
+			found := false
+			for si := range dp.insns {
+				for oi := range dp.insns[si].run {
+					if dp.insns[si].run[oi].op == tc.op {
+						tc.corrupt(&dp.insns[si].run[oi])
+						found = true
+					}
+				}
+			}
+			if !found {
+				t.Fatalf("pattern op %d not present to corrupt", tc.op)
+			}
+			c := &errCounter{TB: t}
+			checkInstalled(c, f.prog)
+			if c.errs == 0 {
+				t.Fatal("corrupted installed form passed checkInstalled")
+			}
+		})
+	}
+}
+
 func countOp(ops []dop, op Op) int {
 	n := 0
 	for _, d := range ops {
@@ -186,6 +298,7 @@ func TestTier1PatternLowering(t *testing.T) {
 // TestTier1PatternDetails pins the operand encoding of the key patterns.
 func TestTier1PatternDetails(t *testing.T) {
 	f := decodedFixture(t, emitterProg, 1)
+	checkInstalled(t, f.prog)
 	ops := allOps(f.prog)
 
 	emit := findOp(t, ops, opEmitRecord)
@@ -215,6 +328,7 @@ func TestTier1PatternDetails(t *testing.T) {
 	}
 
 	f2 := decodedFixture(t, mapLadderProg, 2)
+	checkInstalled(t, f2.prog)
 	ops2 := allOps(f2.prog)
 	look := findOp(t, ops2, opMapLookupFast)
 	if look.dst != uint8(R8) || look.size&resFwdAdd != 0 {
@@ -248,65 +362,6 @@ func TestTier1Equivalence(t *testing.T) {
 		{PID: 2, NowNs: 2, Words: []uint64{0xdead_0000}, Mem: sp}, // faulting address
 		{PID: 3, NowNs: 3, Words: []uint64{addr}},                 // nil Mem
 	})
-}
-
-// TestTier1GuardFallback corrupts pattern guards in place and demands the
-// run still produce raw-identical results through the per-pattern
-// fallback to the original instruction range.
-func TestTier1GuardFallback(t *testing.T) {
-	ctx := func() *ExecContext {
-		return &ExecContext{PID: 4, CPU: 1, NowNs: 44, Words: []uint64{3}}
-	}
-	ref := newEquivFixture(t, emitterProg, 1)
-	refRes, err := NewVM(ref.maps).RunInterpreted(ref.prog, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	corruptions := []struct {
-		name    string
-		op      Op
-		corrupt func(d *dop)
-	}{
-		{"emit_base_oob", opEmitRecord, func(d *dop) { d.imm = uint64(StackSize) << 32 }},
-		{"ladder_bad_template", opStoreRunImm, func(d *dop) { d.imm = 999 }},
-		{"ladder_base_oob", opStoreRunImm, func(d *dop) { d.tgt = StackSize - 1 }},
-	}
-	for _, tc := range corruptions {
-		t.Run(tc.name, func(t *testing.T) {
-			f := decodedFixture(t, emitterProg, 1)
-			dp := f.prog.dp.Load()
-			found := false
-			for si := range dp.insns {
-				for oi := range dp.insns[si].run {
-					if dp.insns[si].run[oi].op == tc.op {
-						tc.corrupt(&dp.insns[si].run[oi])
-						found = true
-					}
-				}
-			}
-			if !found {
-				t.Fatalf("pattern op %d not present to corrupt", tc.op)
-			}
-			res, err := NewVM(f.maps).Run(f.prog, ctx())
-			if err != nil {
-				t.Fatalf("guard fallback errored: %v", err)
-			}
-			if res != refRes {
-				t.Fatalf("fallback result %+v, want %+v", res, refRes)
-			}
-			rh, ra, rr := ref.mapState()
-			fh, fa, fr := f.mapState()
-			if !reflect.DeepEqual(rh, fh) || !reflect.DeepEqual(ra, fa) || !reflect.DeepEqual(rr, fr) {
-				t.Fatal("map/perf state diverged through guard fallback")
-			}
-			// Re-prime the reference state consumed by mapState's drain.
-			ref = newEquivFixture(t, emitterProg, 1)
-			if refRes, err = NewVM(ref.maps).RunInterpreted(ref.prog, ctx()); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 // branchyProg returns a program whose two branch bodies are selected by
@@ -421,6 +476,7 @@ func FuzzDecodeEquivalence(f *testing.F) {
 		if err := decode(dec.prog, func(fd int64) Map { return dec.maps[fd] }); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
+		checkInstalled(t, dec.prog)
 
 		ctx := func() *ExecContext {
 			return &ExecContext{PID: 7, CPU: 1, NowNs: 1234,

@@ -193,24 +193,17 @@ func (rt *Runtime) attach(kind AttachKind, sym Symbol, tp string, p *Program) (i
 // Detach removes an attachment by id. It reports whether it was found.
 func (rt *Runtime) Detach(id int) bool {
 	rt.attachGen++
-	remove := func(m map[Symbol][]attachment) bool {
-		for k, list := range m {
-			for i, at := range list {
-				if at.id == id {
-					m[k] = append(list[:i:i], list[i+1:]...)
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if remove(rt.uprobes) || remove(rt.uretprobes) {
-		return true
-	}
-	for k, list := range rt.tracepoints {
+	return removeAttachment(rt.uprobes, id) || removeAttachment(rt.uretprobes, id) ||
+		removeAttachment(rt.tracepoints, id)
+}
+
+// removeAttachment deletes attachment id from whichever list of m holds
+// it, reporting whether one did.
+func removeAttachment[K comparable](m map[K][]attachment, id int) bool {
+	for k, list := range m {
 		for i, at := range list {
 			if at.id == id {
-				rt.tracepoints[k] = append(list[:i:i], list[i+1:]...)
+				m[k] = append(list[:i:i], list[i+1:]...)
 				return true
 			}
 		}

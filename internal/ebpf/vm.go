@@ -48,7 +48,7 @@ type ExecResult struct {
 // Run executes p against ctx. The program must have been verified; running
 // an unverified program is a programming error and panics, mirroring the
 // kernel's refusal to load unverified bytecode. Programs decoded at load
-// time dispatch over the pre-resolved form; others fall back to the raw
+// time dispatch over the pre-resolved form; others run through the raw
 // reference interpreter.
 func (vm *VM) Run(p *Program, ctx *ExecContext) (ExecResult, error) {
 	if dp := p.dp.Load(); dp != nil {
@@ -165,13 +165,13 @@ func (vm *VM) runDecoded(p *Program, dp *decodedProgram, ctx *ExecContext) (Exec
 // management, jump tests, or instruction-budget checks between
 // constituents. Only non-control instructions are fused, so execution
 // always falls through the whole run (helpers report faults through R0,
-// not errors; stack bounds were proven by the verifier — the checks here
-// are defensive).
+// not errors).
 //
-// Pattern superinstructions each cover a contiguous range of original
-// instructions ops[pc:pc+w]; when a pattern's runtime guard fails the
-// constituent lowered ops execute instead (execFallback), so a guard
-// failure degrades to the plain lowering rather than an error.
+// Nothing here re-checks what load proved: every frame index, pattern
+// byte range, template index and map binding in the run is a load-time
+// constant the verifier and optimize established, so the ops index the
+// stack and the call table directly. Go's own bounds checks remain the
+// backstop.
 func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, stack []byte, ctx *ExecContext) error {
 	for i := range run {
 		in := &run[i]
@@ -228,7 +228,7 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			}
 
 		// Width-specialized stack ops: the frame index in tgt was proven
-		// in bounds by the verifier and re-checked at decode time.
+		// in bounds by the verifier.
 		case opLdxFP8:
 			regs[in.dst&regIdxMask] = binary.LittleEndian.Uint64(stack[in.tgt:])
 		case opLdxFP4:
@@ -253,29 +253,6 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			binary.LittleEndian.PutUint16(stack[in.tgt:], uint16(in.imm))
 		case opStImmFP1:
 			stack[in.tgt] = byte(in.imm)
-
-		// Generic stack ops remain only as the decoder's fallback; the
-		// bounds checks are defensive (the verifier proved them).
-		case OpLdxStack:
-			idx := int64(regs[in.src&regIdxMask]) + int64(in.tgt)
-			if idx < 0 || idx+int64(in.size) > StackSize {
-				return fmt.Errorf("stack read oob at pc %d", in.pc)
-			}
-			regs[in.dst&regIdxMask] = loadSized(stack[idx:], in.size)
-
-		case OpStxStack:
-			idx := int64(regs[in.dst&regIdxMask]) + int64(in.tgt)
-			if idx < 0 || idx+int64(in.size) > StackSize {
-				return fmt.Errorf("stack write oob at pc %d", in.pc)
-			}
-			storeSized(stack[idx:], in.size, regs[in.src&regIdxMask])
-
-		case OpStImmStack:
-			idx := int64(regs[in.dst&regIdxMask]) + int64(in.tgt)
-			if idx < 0 || idx+int64(in.size) > StackSize {
-				return fmt.Errorf("stack write oob at pc %d", in.pc)
-			}
-			storeSized(stack[idx:], in.size, in.imm)
 
 		case OpCall:
 			if err := vm.callDecoded(&dp.calls[in.tgt], regs, stack, ctx); err != nil {
@@ -328,28 +305,16 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			regs[in.src&regIdxMask] = v2
 
 		case opTimeToStack:
-			if int(in.tgt)+8 > StackSize {
-				goto fallback
-			}
 			regs[R0] = uint64(ctx.NowNs)
 			binary.LittleEndian.PutUint64(stack[in.tgt:], regs[R0])
 		case opPidToStack:
-			if int(in.tgt)+8 > StackSize {
-				goto fallback
-			}
 			regs[R0] = uint64(ctx.PID)
 			binary.LittleEndian.PutUint64(stack[in.tgt:], regs[R0])
 		case opCPUToStack:
-			if int(in.tgt)+8 > StackSize {
-				goto fallback
-			}
 			regs[R0] = uint64(ctx.CPU)
 			binary.LittleEndian.PutUint64(stack[in.tgt:], regs[R0])
 
 		case opCtxToStack:
-			if int(in.tgt)+8 > StackSize {
-				goto fallback
-			}
 			var v uint64
 			if w := int(in.imm); w >= 0 && w < len(ctx.Words) {
 				v = ctx.Words[w]
@@ -358,23 +323,11 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			binary.LittleEndian.PutUint64(stack[in.tgt:], v)
 
 		case opStoreRunImm:
-			ti := int(in.imm)
-			if ti >= len(dp.templates) {
-				goto fallback
-			}
-			t := dp.templates[ti]
-			if int(in.tgt)+len(t) > StackSize {
-				goto fallback
-			}
-			copy(stack[in.tgt:], t)
+			copy(stack[in.tgt:], dp.templates[in.imm])
 
 		case opEmitRecord:
-			c := &dp.calls[in.tgt]
-			base, size := int(in.imm>>32), int(uint32(in.imm))
-			if c.pb == nil || base < 0 || size <= 0 || base+size > StackSize {
-				goto fallback
-			}
-			c.pb.Emit(ctx.CPU, ctx.NowNs, stack[base:base+size])
+			base, size := in.imm>>32, uint64(uint32(in.imm))
+			dp.calls[in.tgt].pb.Emit(ctx.CPU, ctx.NowNs, stack[base:base+size])
 			regs[R0] = 0
 
 		case opMapLookupFast:
@@ -386,10 +339,8 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			var v uint64
 			if c.hm != nil {
 				v, _ = c.hm.Lookup(key)
-			} else if c.m != nil {
-				v, _ = c.m.Lookup(key)
 			} else {
-				goto fallback
+				v, _ = c.m.Lookup(key)
 			}
 			regs[R0] = v
 			if in.size&resFwdAdd == 0 {
@@ -407,10 +358,8 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			var ok bool
 			if c.hm != nil {
 				_, ok = c.hm.Lookup(key)
-			} else if c.m != nil {
-				_, ok = c.m.Lookup(key)
 			} else {
-				goto fallback
+				_, ok = c.m.Lookup(key)
 			}
 			var v uint64
 			if ok {
@@ -431,10 +380,8 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			}
 			if c.hm != nil {
 				c.hm.Delete(key)
-			} else if c.m != nil {
-				c.m.Delete(key)
 			} else {
-				goto fallback
+				c.m.Delete(key)
 			}
 			regs[R0] = 0
 			if in.size&resFwdAdd == 0 {
@@ -452,10 +399,8 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			var err error
 			if c.hm != nil {
 				err = c.hm.Update(key, val)
-			} else if c.m != nil {
-				err = c.m.Update(key, val)
 			} else {
-				goto fallback
+				err = c.m.Update(key, val)
 			}
 			if err != nil {
 				regs[R0] = ^uint64(0)
@@ -464,11 +409,7 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			}
 
 		case opProbeReadFast:
-			base, size := int(in.tgt), int(in.imm)
-			if base < 0 || size <= 0 || base+size > StackSize {
-				goto fallback
-			}
-			dst := stack[base : base+size]
+			dst := stack[in.tgt : uint64(in.tgt)+in.imm]
 			var v uint64
 			if ctx.Mem == nil {
 				zero(dst)
@@ -485,11 +426,7 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			}
 
 		case opProbeReadStrFast:
-			base, size := int(in.tgt), int(in.imm)
-			if base < 0 || size <= 0 || base+size > StackSize {
-				goto fallback
-			}
-			dst := stack[base : base+size]
+			dst := stack[in.tgt : uint64(in.tgt)+in.imm]
 			zero(dst)
 			var v uint64
 			if ctx.Mem == nil {
@@ -509,42 +446,15 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 		default:
 			return fmt.Errorf("invalid opcode in fused run at pc %d", in.pc)
 		}
-		continue
-
-	fallback:
-		// A pattern guard failed before any side effect: execute the
-		// original lowered ops the pattern covers. Lowered ops contain
-		// no pattern opcodes, so the recursion is at most one level deep.
-		if err := vm.execFallback(in, dp, regs, stack, ctx); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
-// execFallback runs the lowered constituent range of a pattern op whose
-// guard failed.
-func (vm *VM) execFallback(in *dop, dp *decodedProgram, regs *[decodedRegs]uint64, stack []byte, ctx *ExecContext) error {
-	lo, hi := int(in.pc), int(in.pc)+int(in.w)
-	if lo < 0 || hi > len(dp.ops) || lo >= hi {
-		return fmt.Errorf("invalid pattern fallback range [%d,%d) at pc %d", lo, hi, in.pc)
-	}
-	return vm.execRun(dp.ops[lo:hi], dp, regs, stack, ctx)
-}
-
 // callDecoded dispatches a helper call whose map argument (if any) was
-// bound at decode time.
+// bound at decode time. The verifier proved each stack range constant and
+// in bounds (checkHelper), so the ranges index the frame directly.
 func (vm *VM) callDecoded(in *dcall, regs *[decodedRegs]uint64, stack []byte, ctx *ExecContext) error {
-	h := in.helper
-	stackSlice := func(ptr, size uint64) ([]byte, error) {
-		idx := int64(ptr)
-		if idx < 0 || idx+int64(size) > StackSize {
-			return nil, fmt.Errorf("%v: stack range [%d,+%d) invalid", h, idx, size)
-		}
-		return stack[idx : idx+int64(size)], nil
-	}
-
-	switch h {
+	switch in.helper {
 	case HelperMapLookup:
 		v, _ := in.m.Lookup(regs[R2])
 		regs[R0] = v
@@ -564,10 +474,7 @@ func (vm *VM) callDecoded(in *dcall, regs *[decodedRegs]uint64, stack []byte, ct
 		in.m.Delete(regs[R2])
 		regs[R0] = 0
 	case HelperProbeRead:
-		dst, err := stackSlice(regs[R1], regs[R2])
-		if err != nil {
-			return err
-		}
+		dst := stack[regs[R1] : regs[R1]+regs[R2]]
 		if ctx.Mem == nil {
 			zero(dst)
 			regs[R0] = 1
@@ -580,10 +487,7 @@ func (vm *VM) callDecoded(in *dcall, regs *[decodedRegs]uint64, stack []byte, ct
 		}
 		regs[R0] = 0
 	case HelperProbeReadStr:
-		dst, err := stackSlice(regs[R1], regs[R2])
-		if err != nil {
-			return err
-		}
+		dst := stack[regs[R1] : regs[R1]+regs[R2]]
 		zero(dst)
 		if ctx.Mem == nil {
 			regs[R0] = math.MaxUint64
@@ -596,11 +500,7 @@ func (vm *VM) callDecoded(in *dcall, regs *[decodedRegs]uint64, stack []byte, ct
 		}
 		regs[R0] = uint64(n)
 	case HelperPerfOutput:
-		src, err := stackSlice(regs[R2], regs[R3])
-		if err != nil {
-			return err
-		}
-		in.pb.Emit(ctx.CPU, ctx.NowNs, src)
+		in.pb.Emit(ctx.CPU, ctx.NowNs, stack[regs[R2]:regs[R2]+regs[R3]])
 		regs[R0] = 0
 	case HelperKtimeGetNs:
 		regs[R0] = uint64(ctx.NowNs)
@@ -609,7 +509,7 @@ func (vm *VM) callDecoded(in *dcall, regs *[decodedRegs]uint64, stack []byte, ct
 	case HelperGetSmpProcID:
 		regs[R0] = uint64(ctx.CPU)
 	default:
-		return fmt.Errorf("unknown helper %d", int64(h))
+		return fmt.Errorf("unknown helper %d", int64(in.helper))
 	}
 	return nil
 }

@@ -457,6 +457,17 @@ func TestPerfBufferOverrun(t *testing.T) {
 	}
 }
 
+// TestPerfBufferNilCounterPanics checks a perf buffer cannot be built
+// without the emission counter its records' Seq comes from.
+func TestPerfBufferNilCounterPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewPerfBuffer accepted a nil counter")
+		}
+	}()
+	NewPerfBuffer("noseq", 0, nil)
+}
+
 func TestArrayMap(t *testing.T) {
 	a := NewArrayMap("arr", 4)
 	if err := a.Update(3, 9); err != nil {
