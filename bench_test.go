@@ -182,17 +182,17 @@ func BenchmarkSimulation_BothSecond(b *testing.B) {
 // allocation-free.
 func BenchmarkSched_Reschedule(b *testing.B) {
 	const cpus = 12
-	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: cpus, Seed: 1})
-	harness.BuildBoth(1)(w)
-	mix := w.Machine().Threads()
+	// harness.BuildBoth's node threads in spawn order: five AVP nodes at
+	// priority 5, then five SYN nodes at priority 7, every CPU allowed.
+	mix := []int{5, 5, 5, 5, 5, 7, 7, 7, 7, 7}
 
 	eng := sim.NewEngine()
 	m := sched.NewMachine(eng, cpus)
 	pids := make([]sched.PID, len(mix))
-	for i, th := range mix {
+	for i, prio := range mix {
 		burst := sim.Duration(40+17*i) * sim.Microsecond
 		computing := false
-		t := m.Spawn(th.Name(), th.Priority(), th.Affinity(), sched.ProcFunc(func(*sched.Machine) sched.Demand {
+		t := m.Spawn(fmt.Sprint("node", i), prio, sched.AffinityAll, sched.ProcFunc(func(*sched.Machine) sched.Demand {
 			computing = !computing
 			if computing {
 				return sched.Block()
@@ -518,7 +518,6 @@ func BenchmarkBundle_StreamSynthesize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(mb.SchedEventsFolded())/float64(b.N), "schedfolded/op")
 }
 
 // BenchmarkAlg1_StreamModel measures Algorithm 1 over a 20 s AVP trace:

@@ -139,7 +139,10 @@ func main() {
 				s, stats.BlocksRead, stats.BlocksTotal, stats.BlocksSkipped,
 				stats.Scans, stats.RecordsDecoded, stats.RecordsMatched)
 		} else if err := store.StreamSession(s, sink); err != nil {
-			log.Fatalf("loading %s: %v (re-run with -salvage to recover the undamaged prefix)", s, err)
+			if trace.IsDamage(err) {
+				log.Fatalf("loading %s: %v (re-run with -salvage to recover the undamaged prefix)", s, err)
+			}
+			log.Fatalf("loading %s: %v", s, err)
 		}
 		if err := sink.Err(); err != nil {
 			log.Fatalf("synthesizing %s: %v", s, err)

@@ -181,23 +181,44 @@ func oneSessionStore(t *testing.T) string {
 }
 
 // TestRejectsBadInputs checks that modelsynth refuses, with an error
-// and a nonzero exit, inputs it used to accept silently.
+// and a nonzero exit, inputs it used to accept silently, and suggests
+// -salvage only for a damaged segment.
 func TestRejectsBadInputs(t *testing.T) {
 	store := oneSessionStore(t)
 	missing := filepath.Join(t.TempDir(), "no", "such", "store")
+	dangling := oneSessionStore(t)
+	if err := os.Symlink(filepath.Join(dangling, "gone.rtrc"), filepath.Join(dangling, "run-0001.rtrc")); err != nil {
+		t.Fatal(err)
+	}
+	truncated := oneSessionStore(t)
+	seg := filepath.Join(truncated, "run-0000.rtrc")
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	const hint = "re-run with -salvage"
 	for _, tc := range []struct {
-		name string
-		args []string
-		want string
+		name   string
+		args   []string
+		want   string
+		absent string // must not appear in the log
 	}{
-		{"missing-in", []string{"-in", missing}, "no such file or directory"},
-		{"t1-before-t0", []string{"-in", store, "-t0", "2s", "-t1", "1s"}, "-t1 1s is earlier than -t0 2s"},
-		{"negative-span", []string{"-in", store, "-loads", "-span", "-1s"}, "-span -1s is negative"},
+		{"missing-in", []string{"-in", missing}, "no such file or directory", ""},
+		{"t1-before-t0", []string{"-in", store, "-t0", "2s", "-t1", "1s"}, "-t1 1s is earlier than -t0 2s", ""},
+		{"negative-span", []string{"-in", store, "-loads", "-span", "-1s"}, "-span -1s is negative", ""},
+		{"dangling-segment", []string{"-in", dangling}, "no such file or directory", hint},
+		{"truncated-segment", []string{"-in", truncated}, hint, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, log := modelsynth(t, tc.args...)
 			if code == 0 || !strings.Contains(log, tc.want) {
 				t.Fatalf("exit %d, log:\n%s\nwant a nonzero exit and %q", code, log, tc.want)
+			}
+			if tc.absent != "" && strings.Contains(log, tc.absent) {
+				t.Fatalf("log:\n%s\nwant no %q", log, tc.absent)
 			}
 		})
 	}
@@ -211,21 +232,29 @@ func TestRejectsBadInputs(t *testing.T) {
 
 // TestBuilderSpanMatchesSpanTracker checks that the synthesis sink's
 // event count and span, which modelsynth prints and feeds to -loads,
-// are those of a trace.SpanTracker on the same stream, on each read
-// path: a full stream, a query, and a salvage over a damaged segment.
+// are a trace.SpanTracker's count and the first and last event times of
+// the same stream, on each read path: a full stream, a query, and a
+// salvage over a damaged segment.
 func TestBuilderSpanMatchesSpanTracker(t *testing.T) {
-	store := writeSegmentedSession(t, trace.FormatV2)
+	storeDir := t.TempDir()
+	store := writeSessionTo(t, storeDir, trace.FormatV2)
 	check := func(name string, read func(trace.Sink) error) {
 		t.Helper()
 		sink := core.NewSynthesizeSink()
 		var span trace.SpanTracker
-		if err := read(trace.MultiSink(sink, &span)); err != nil {
+		var f0, l0 sim.Time
+		times := trace.SinkFunc(func(e trace.Event) {
+			if span.Total() == 0 {
+				f0 = e.Time
+			}
+			l0 = e.Time
+		})
+		if err := read(trace.MultiSink(sink, times, &span)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if err := sink.Err(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		f0, l0 := span.Span()
 		f1, l1 := sink.Span()
 		if span.Total() < 1000 || sink.EventsFolded() != uint64(span.Total()) || f0 != f1 || l0 != l1 {
 			t.Fatalf("%s: sink %d events over [%v, %v]; SpanTracker %d over [%v, %v]",
@@ -238,7 +267,7 @@ func TestBuilderSpanMatchesSpanTracker(t *testing.T) {
 		return err
 	})
 
-	seg := filepath.Join(store.Dir(), "run-0004.rtrc")
+	seg := filepath.Join(storeDir, "run-0004.rtrc")
 	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -260,12 +289,13 @@ func TestBuilderSpanMatchesSpanTracker(t *testing.T) {
 // -loads reports) and the same -json and -dot files each time: nothing
 // it prints or writes may follow map order.
 func TestOutputDeterministic(t *testing.T) {
-	store := writeSegmentedSession(t, trace.FormatV2)
+	storeDir := t.TempDir()
+	writeSessionTo(t, storeDir, trace.FormatV2)
 	var first []string
 	for run := 0; run < 5; run++ {
 		dir := t.TempDir()
 		jsonPath, dotPath := filepath.Join(dir, "model.json"), filepath.Join(dir, "model.dot")
-		code, stdout, log := modelsynth(t, "-in", store.Dir(), "-json", jsonPath, "-dot", dotPath, "-chains", "-loads")
+		code, stdout, log := modelsynth(t, "-in", storeDir, "-json", jsonPath, "-dot", dotPath, "-chains", "-loads")
 		if code != 0 {
 			t.Fatalf("run %d exits %d:\n%s", run, code, log)
 		}

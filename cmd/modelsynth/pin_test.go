@@ -19,10 +19,17 @@ import (
 // written as: enough segments for the read-side k-way merge to matter.
 const offlinePinSegments = 10
 
-// writeSegmentedSession traces SYN + AVP on 6 CPUs (seed 4) for
-// offlinePinSegments periods of 400 ms, streaming each drain into its
-// own segment of session "run" in the given format.
+// writeSegmentedSession is writeSessionTo a fresh directory.
 func writeSegmentedSession(t *testing.T, format trace.Format) *trace.Store {
+	t.Helper()
+	return writeSessionTo(t, t.TempDir(), format)
+}
+
+// writeSessionTo traces SYN + AVP on 6 CPUs (seed 4) for
+// offlinePinSegments periods of 400 ms, streaming each drain into its
+// own segment of session "run", in the given format, of the store at
+// dir.
+func writeSessionTo(t *testing.T, dir string, format trace.Format) *trace.Store {
 	t.Helper()
 	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: 6, Seed: 4})
 	b, err := tracers.NewBundle(w.Runtime())
@@ -38,7 +45,7 @@ func writeSegmentedSession(t *testing.T, format trace.Format) *trace.Store {
 	apps.BuildSYN(w, apps.SYNConfig{})
 	apps.BuildAVP(w, apps.AVPConfig{})
 	b.StopInit()
-	store, err := trace.NewStore(t.TempDir())
+	store, err := trace.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

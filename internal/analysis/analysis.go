@@ -15,7 +15,6 @@ import (
 
 	"github.com/tracesynth/rostracer/internal/core"
 	"github.com/tracesynth/rostracer/internal/sim"
-	"github.com/tracesynth/rostracer/internal/trace"
 )
 
 // Chain is one computation chain: a source-to-sink vertex path.
@@ -339,63 +338,4 @@ func nodeTrace(d *core.DAG, c Chain) string {
 		parts = append(parts, fmt.Sprintf("%s/%s(%s)", v.Node, v.Type, in))
 	}
 	return strings.Join(parts, ">")
-}
-
-// WaitStats summarizes callback waiting times: the delay between the
-// executor thread's wake-up (new data or timer expiry) and the callback's
-// start — the Sec. VII extension enabled by tracing sched_wakeup.
-type WaitStats struct {
-	Count int
-	Min   sim.Duration
-	Max   sim.Duration
-	Mean  sim.Duration
-}
-
-// WaitingTimes computes per-callback waiting-time statistics from a model
-// and the scheduler events of its trace. For each instance, the waiting
-// time is instance.Start minus the latest wakeup of the executor's PID at
-// or before the start (and after the previous instance's end, so backlog
-// processing without an intervening sleep counts as zero wait).
-func WaitingTimes(m *core.Model, schedEvents []trace.Event) map[string]WaitStats {
-	// Wakeups per PID, time-sorted.
-	wake := make(map[uint32][]sim.Time)
-	for _, e := range schedEvents {
-		if e.Kind == trace.KindSchedWakeup {
-			wake[e.NextPID] = append(wake[e.NextPID], e.Time)
-		}
-	}
-	for pid := range wake {
-		sort.Slice(wake[pid], func(i, j int) bool { return wake[pid][i] < wake[pid][j] })
-	}
-
-	out := make(map[string]WaitStats)
-	for _, cb := range m.Callbacks {
-		ws := wake[cb.PID]
-		var st WaitStats
-		var sum sim.Duration
-		var prevEnd sim.Time
-		for _, inst := range cb.Instances {
-			// Latest wakeup <= start.
-			i := sort.Search(len(ws), func(i int) bool { return ws[i] > inst.Start })
-			var wait sim.Duration
-			if i > 0 && ws[i-1] > prevEnd {
-				wait = inst.Start.Sub(ws[i-1])
-			}
-			if st.Count == 0 || wait < st.Min {
-				st.Min = wait
-			}
-			if wait > st.Max {
-				st.Max = wait
-			}
-			st.Count++
-			sum += wait
-			prevEnd = inst.End
-		}
-		if st.Count > 0 {
-			st.Mean = sum / sim.Duration(st.Count)
-		}
-		key := fmt.Sprintf("%s/%s(%s)", cb.Node, cb.Type, cb.InTopic)
-		out[key] = st
-	}
-	return out
 }

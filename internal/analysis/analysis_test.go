@@ -187,51 +187,3 @@ func TestChainsRespectsMax(t *testing.T) {
 		t.Fatalf("capped chains = %d", len(capped))
 	}
 }
-
-// TestWaitingTimes exercises the Sec. VII extension: under contention a
-// callback's start lags the executor's wakeup, and the lag is measured
-// from sched_wakeup events.
-func TestWaitingTimes(t *testing.T) {
-	var sched []trace.Event
-	keepSched := trace.SinkFunc(func(e trace.Event) {
-		if e.Kind == trace.KindSchedSwitch || e.Kind == trace.KindSchedWakeup {
-			sched = append(sched, e)
-		}
-	})
-	m := traceApp(t, 7, 1, func(w *rclcpp.World) {
-		// One CPU: the low-priority victim's executor is woken by sensor
-		// data (delivered by the DDS transport, no CPU needed) while the
-		// high-priority hog occupies the core, so the callback start lags
-		// the wakeup by several milliseconds.
-		victim := w.NewNode("victim", 2, 0)
-		victim.CreateSubscription("/work", rclcpp.SimpleBody{ET: sim.Constant{Value: sim.Millisecond}})
-		hog := w.NewNode("hog", 9, 0)
-		hog.CreateTimer(10*sim.Millisecond, 0, rclcpp.SimpleBody{ET: sim.Constant{Value: 6 * sim.Millisecond}})
-		apps.SpawnSensor(w, "/work", 10*sim.Millisecond, 2*sim.Millisecond)
-	}, 2*sim.Second, keepSched)
-	waits := analysis.WaitingTimes(m, sched)
-	key := "victim/subscriber(/work)"
-	st, ok := waits[key]
-	if !ok {
-		t.Fatalf("no waiting stats for %q; have %v", key, keysOf(waits))
-	}
-	if st.Count < 100 {
-		t.Fatalf("instances = %d", st.Count)
-	}
-	// The hog runs ~6ms from each 10ms boundary; work arrives ~2.1ms in,
-	// so the victim typically waits several milliseconds.
-	if st.Max < 2*sim.Millisecond {
-		t.Errorf("max wait %v implausibly small under contention", st.Max)
-	}
-	if st.Mean <= 0 {
-		t.Errorf("mean wait %v", st.Mean)
-	}
-}
-
-func keysOf(m map[string]analysis.WaitStats) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}

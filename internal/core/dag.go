@@ -137,18 +137,9 @@ func (d *DAG) VertexByLabelSubstring(s string) *Vertex {
 
 // InEdges returns the edges into key, sorted by (From, To, Topic).
 func (d *DAG) InEdges(key string) []Edge {
-	return d.filterEdges(func(e Edge) bool { return e.To == key })
-}
-
-// OutEdges returns the edges out of key, sorted by (From, To, Topic).
-func (d *DAG) OutEdges(key string) []Edge {
-	return d.filterEdges(func(e Edge) bool { return e.From == key })
-}
-
-func (d *DAG) filterEdges(keep func(Edge) bool) []Edge {
 	var out []Edge
 	for _, e := range d.Edges() {
-		if keep(e) {
+		if e.To == key {
 			out = append(out, e)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"github.com/tracesynth/rostracer/internal/core"
 	"github.com/tracesynth/rostracer/internal/msgfilters"
 	"github.com/tracesynth/rostracer/internal/rclcpp"
-	"github.com/tracesynth/rostracer/internal/sched"
 	"github.com/tracesynth/rostracer/internal/sim"
 	"github.com/tracesynth/rostracer/internal/trace"
 	"github.com/tracesynth/rostracer/internal/tracers"
@@ -40,6 +39,17 @@ func drainTrace(t *testing.T, b *tracers.Bundle) *trace.Trace {
 	return &col.Trace
 }
 
+// outEdges returns d's edges out of key, in Edges order.
+func outEdges(d *core.DAG, key string) []core.Edge {
+	var out []core.Edge
+	for _, e := range d.Edges() {
+		if e.From == key {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // TestMeasuredETMatchesGroundTruthUnderInterference is the paper's SYN
 // validation: designed (constant) execution times must be recovered
 // exactly by Algorithm 2 from the trace, even when the node is preempted
@@ -47,14 +57,14 @@ func drainTrace(t *testing.T, b *tracers.Bundle) *trace.Trace {
 func TestMeasuredETMatchesGroundTruthUnderInterference(t *testing.T) {
 	w, b := tracedWorld(t, 1, 42) // single CPU forces preemption
 
-	victim := w.NewNode("victim", 2, sched.AffinityCPU(0))
+	victim := w.NewNode("victim", 2, 1) // pinned to CPU 0
 	pub := victim.CreatePublisher("/out")
 	victim.CreateTimer(50*sim.Millisecond, 0, rclcpp.SimpleBody{
 		ET:     sim.Constant{Value: 7 * sim.Millisecond},
 		Action: func(*rclcpp.CallbackContext) { pub.Publish(1) },
 	})
 
-	intruder := w.NewNode("intruder", 9, sched.AffinityCPU(0)) // higher priority
+	intruder := w.NewNode("intruder", 9, 1) // CPU 0, higher priority
 	intruder.CreateTimer(13*sim.Millisecond, 3*sim.Millisecond, rclcpp.SimpleBody{
 		ET: sim.Constant{Value: 2 * sim.Millisecond},
 	})
@@ -143,7 +153,7 @@ func TestServiceSplitIntoPerCallerVertices(t *testing.T) {
 	// send its response edge to cl1's vertex only, and vice versa.
 	for _, sv := range serviceVerts {
 		ins := d.InEdges(sv.Key)
-		outs := d.OutEdges(sv.Key)
+		outs := outEdges(d, sv.Key)
 		if len(ins) != 1 || len(outs) != 1 {
 			t.Fatalf("service vertex %s has %d in / %d out edges", sv.Key, len(ins), len(outs))
 		}
@@ -213,7 +223,7 @@ func TestSyncSubscribersGetAndJunction(t *testing.T) {
 	if n := len(d.InEdges(and.Key)); n != 2 {
 		t.Fatalf("AND in-edges = %d, want 2", n)
 	}
-	outs := d.OutEdges(and.Key)
+	outs := outEdges(d, and.Key)
 	if len(outs) != 1 || outs[0].Topic != "/fused" {
 		t.Fatalf("AND out-edges = %v", outs)
 	}

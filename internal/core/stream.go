@@ -14,8 +14,8 @@ import (
 // and materializes the model.
 //
 // A ModelBuilder from NewModelBuilder keeps every callback instance and
-// its writes, because the analyses of its Model (ChainLatencies,
-// WaitingTimes, the validation experiment) read them. The DAG-only
+// its writes, because the analyses of its Model (ChainLatencies, the
+// validation experiment) read them. The DAG-only
 // sinks built on it, SynthesizeSink and SnapshotService, keep
 // statistics alone: their callbacks have nil Instances. Either way each
 // callback carries its ExecStats and, for a timer, its Period.
@@ -37,7 +37,7 @@ import (
 // letting it synthesize a wrong model.
 type ModelBuilder struct {
 	eng    *snapEngine
-	sched  uint64
+	sched  uint64 // scheduler events folded, for Snapshot.FoldedSched
 	events uint64 // events folded, ROS + sched
 
 	// order checks each event against the last one folded; firstTime is
@@ -92,10 +92,6 @@ func (b *ModelBuilder) Err() error {
 	}
 	return nil
 }
-
-// SchedEventsFolded reports how many scheduler events streamed through
-// without being retained.
-func (b *ModelBuilder) SchedEventsFolded() uint64 { return b.sched }
 
 // EventsFolded reports how many events, ROS and scheduler, were folded.
 // An event refused for its order is not counted.

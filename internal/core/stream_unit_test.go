@@ -379,7 +379,7 @@ func TestModelBuilderFoldsSchedEvents(t *testing.T) {
 	if err := mb.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := mb.SchedEventsFolded(), uint64(3*rounds*(runs+1)); got != want {
+	if got, want := mb.sched, uint64(3*rounds*(runs+1)); got != want {
 		t.Fatalf("folded %d sched events, want %d", got, want)
 	}
 }

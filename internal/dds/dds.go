@@ -39,7 +39,6 @@ type Sample struct {
 // Reader receives samples from a topic. Delivery invokes OnData in the
 // reader process's context; the ROS2 wait-set bridges it to the executor.
 type Reader struct {
-	topic  string
 	pid    uint32
 	OnData func(*Sample)
 
@@ -48,9 +47,6 @@ type Reader struct {
 	// its sample's transport latency.
 	open []*batch
 }
-
-// Topic returns the topic name.
-func (r *Reader) Topic() string { return r.topic }
 
 // Writer publishes samples on a topic. Each writer owns a small descriptor
 // structure in its process's simulated memory holding a pointer to the
@@ -70,9 +66,6 @@ type Writer struct {
 type topicReaders struct {
 	list []*Reader
 }
-
-// Topic returns the topic name.
-func (w *Writer) Topic() string { return w.topic }
 
 // WriterStructTopicPtrOff is the byte offset of the topic-name pointer
 // inside the writer descriptor.
@@ -119,9 +112,6 @@ type Domain struct {
 
 	// free lists the dispatched delivery batches, ready for reuse.
 	free *batch
-
-	writes     uint64
-	deliveries uint64 // engine delivery events actually scheduled
 }
 
 // batch coalesces the deliveries due at one reader in one tick: the
@@ -152,14 +142,6 @@ func NewDomain(eng *sim.Engine, rt *ebpf.Runtime, rng *sim.RNG) *Domain {
 	}
 }
 
-// Writes returns the total number of samples written.
-func (d *Domain) Writes() uint64 { return d.writes }
-
-// DeliveryEvents returns how many engine events delivery scheduling has
-// consumed; with batching it is at most one per reader per distinct due
-// tick, never one per sample.
-func (d *Domain) DeliveryEvents() uint64 { return d.deliveries }
-
 // CreateWriter creates a writer for pid on topic, materializing its
 // descriptor in space.
 func (d *Domain) CreateWriter(pid uint32, space *umem.Space, topic string) *Writer {
@@ -175,7 +157,7 @@ func (d *Domain) CreateWriter(pid uint32, space *umem.Space, topic string) *Writ
 
 // CreateReader subscribes pid to topic; onData runs at delivery time.
 func (d *Domain) CreateReader(pid uint32, topic string, onData func(*Sample)) *Reader {
-	r := &Reader{topic: topic, pid: pid, OnData: onData}
+	r := &Reader{pid: pid, OnData: onData}
 	tr := d.topicReaders(topic)
 	tr.list = append(tr.list, r)
 	return r
@@ -204,7 +186,6 @@ func (w *Writer) Write(payload interface{}, clientID, rpcSeq uint64) *Sample {
 		RPCSeq:    rpcSeq,
 		Payload:   payload,
 	}
-	d.writes++
 
 	// dds_write_impl(writer, data, timestamp): probe P16 reads the topic
 	// name through the writer descriptor and the source timestamp from the
@@ -273,7 +254,6 @@ func (d *Domain) deliver(r *Reader, due sim.Time, s *Sample) {
 	b.reader, b.due = r, due
 	b.samples = append(b.samples, s)
 	r.open = append(r.open, b)
-	d.deliveries++
 	d.eng.At(due, b.fire)
 }
 

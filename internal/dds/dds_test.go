@@ -35,9 +35,6 @@ func TestWriteDeliversToAllReaders(t *testing.T) {
 			t.Errorf("reader %d received %d samples, want 2", i, got[i])
 		}
 	}
-	if d.Writes() != 2 {
-		t.Errorf("writes = %d", d.Writes())
-	}
 }
 
 func TestSrcTSAssignedAtWriteTime(t *testing.T) {
@@ -208,9 +205,6 @@ func TestBatchedDeliveryCoalescesSameTick(t *testing.T) {
 	if got := eng.Executed() - execBefore; got != 1 {
 		t.Fatalf("engine dispatched %d delivery events, want 1 (batched)", got)
 	}
-	if d.DeliveryEvents() != 1 {
-		t.Fatalf("DeliveryEvents = %d, want 1", d.DeliveryEvents())
-	}
 	want := []interface{}{"a1", "b1", "a2"}
 	if len(order) != len(want) {
 		t.Fatalf("delivered %d samples, want %d", len(order), len(want))
@@ -240,9 +234,10 @@ func TestBatchedDeliveryKeepsTicksApart(t *testing.T) {
 	w.Write(2, 0, 0) // due at 1.2ms
 	eng.Run(sim.MaxTime)
 
-	// 2 writes × 2 readers at 2 distinct ticks = 4 delivery events.
-	if d.DeliveryEvents() != 4 {
-		t.Fatalf("DeliveryEvents = %d, want 4", d.DeliveryEvents())
+	// 2 writes × 2 readers at 2 distinct ticks = 4 delivery events, the
+	// only events the engine runs.
+	if eng.Executed() != 4 {
+		t.Fatalf("engine dispatched %d delivery events, want 4", eng.Executed())
 	}
 	wantTimes := []sim.Time{sim.Time(sim.Millisecond), sim.Time(1200 * sim.Microsecond)}
 	if len(got) != 2 || got[0] != wantTimes[0] || got[1] != wantTimes[1] {
@@ -310,11 +305,11 @@ func TestBatchedDeliveryZeroLatencyWriteBack(t *testing.T) {
 		w.Write("a", 0, 0)
 		w.Write("b", 0, 0)
 	})
-	before := d.DeliveryEvents()
 	eng.Run(sim.MaxTime)
 
-	if n := d.DeliveryEvents() - before; n != 2 {
-		t.Fatalf("DeliveryEvents +%d, want +2 (the write-back opens a second batch)", n)
+	// The writing event, then two delivery events.
+	if n := eng.Executed(); n != 3 {
+		t.Fatalf("engine dispatched %d events, want 3 (the write-back opens a second batch)", n)
 	}
 	want := []interface{}{"a", "b", "echo"}
 	if len(got) != len(want) {
@@ -415,9 +410,10 @@ func TestBatchedDeliveryRecyclingKeepsBatchesExact(t *testing.T) {
 		t.Fatalf("no traffic (%d writes, %+v)", seq, d.FaultStats())
 	}
 
-	if len(got) != len(want) || uint64(len(want)) != d.DeliveryEvents() {
+	// Every engine event past the 1000 writing ticks is a delivery.
+	if len(got) != len(want) || uint64(len(want)) != eng.Executed()-1000 {
 		t.Fatalf("%d (reader, tick) batches delivered, %d due, %d delivery events",
-			len(got), len(want), d.DeliveryEvents())
+			len(got), len(want), eng.Executed()-1000)
 	}
 	for k, w := range want {
 		g := got[k]

@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -17,16 +18,43 @@ import (
 type equivFixture struct {
 	prog *Program
 	hash *HashMap
-	arr  *ArrayMap
+	arr  arrayMap
 	pb   *PerfBuffer
 	maps map[int64]Map
+}
+
+// arrayMap is a fixed-size, zero-initialized array map: a Map other than
+// HashMap, so the fixture's programs exercise the generic map calls.
+type arrayMap []uint64
+
+func (a arrayMap) Name() string { return "a" }
+
+func (a arrayMap) Lookup(key uint64) (uint64, bool) {
+	if key >= uint64(len(a)) {
+		return 0, false
+	}
+	return a[key], true
+}
+
+func (a arrayMap) Update(key, value uint64) error {
+	if key >= uint64(len(a)) {
+		return fmt.Errorf("array map index %d out of range", key)
+	}
+	a[key] = value
+	return nil
+}
+
+func (a arrayMap) Delete(key uint64) {
+	if key < uint64(len(a)) {
+		a[key] = 0
+	}
 }
 
 func newEquivFixture(t *testing.T, build func() *Program, ctxWords int) *equivFixture {
 	t.Helper()
 	f := &equivFixture{
 		hash: NewHashMap("h", 64),
-		arr:  NewArrayMap("a", 8),
+		arr:  make(arrayMap, 8),
 		pb:   NewPerfBuffer("pb", 0, new(uint64)),
 		prog: build(),
 	}

@@ -29,3 +29,15 @@ func AttachedPrograms(rt *Runtime) []*Program {
 	}
 	return out
 }
+
+// Keys returns the map's live keys in slot order, for tests that compare
+// map state.
+func (h *HashMap) Keys() []uint64 {
+	out := make([]uint64, 0, h.n)
+	for i, m := range h.meta {
+		if m == slotLive {
+			out = append(out, h.keys[i])
+		}
+	}
+	return out
+}

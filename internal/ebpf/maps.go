@@ -187,59 +187,6 @@ func (h *HashMap) Delete(key uint64) {
 	}
 }
 
-// Len reports the number of live entries.
-func (h *HashMap) Len() int { return h.n }
-
-// Keys returns the current keys in slot order (user-space side iteration,
-// as bpf map dump does).
-func (h *HashMap) Keys() []uint64 {
-	out := make([]uint64, 0, h.n)
-	for i, m := range h.meta {
-		if m == slotLive {
-			out = append(out, h.keys[i])
-		}
-	}
-	return out
-}
-
-// ArrayMap is a BPF_MAP_TYPE_ARRAY equivalent: fixed-size, zero-initialized.
-type ArrayMap struct {
-	name string
-	vals []uint64
-}
-
-// NewArrayMap creates an array map with n slots.
-func NewArrayMap(name string, n int) *ArrayMap {
-	return &ArrayMap{name: name, vals: make([]uint64, n)}
-}
-
-// Name implements Map.
-func (a *ArrayMap) Name() string { return a.name }
-
-// Lookup implements Map; out-of-range keys miss.
-func (a *ArrayMap) Lookup(key uint64) (uint64, bool) {
-	if key >= uint64(len(a.vals)) {
-		return 0, false
-	}
-	return a.vals[key], true
-}
-
-// Update implements Map.
-func (a *ArrayMap) Update(key, value uint64) error {
-	if key >= uint64(len(a.vals)) {
-		return fmt.Errorf("ebpf: array map %q index %d out of range", a.name, key)
-	}
-	a.vals[key] = value
-	return nil
-}
-
-// Delete implements Map: array entries are zeroed, not removed.
-func (a *ArrayMap) Delete(key uint64) {
-	if key < uint64(len(a.vals)) {
-		a.vals[key] = 0
-	}
-}
-
 // PerfRecord is one record emitted through perf_event_output. Data
 // points into the ring's arena: records decoded through a RecordCursor
 // alias chunks that return to the ring when the cursor is released, so

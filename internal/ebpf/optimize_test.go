@@ -43,11 +43,53 @@ func checkInstalled(t testing.TB, p *Program) {
 		}
 		return dp.calls[d.tgt]
 	}
+	// The dispatch loops have no default case. Every slot reachable from
+	// pc 0 must be a run, a jump or exit whose targets lie forward and in
+	// range; every run op one execRun handles; every call a helper
+	// callDecoded handles.
+	seen := make([]bool, len(dp.insns))
+	for work := []int{0}; len(work) > 0; {
+		pc := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[pc] {
+			continue
+		}
+		seen[pc] = true
+		in := dp.insns[pc]
+		next := func(tgt int) {
+			if tgt <= pc || tgt >= len(dp.insns) {
+				t.Errorf("%q pc %d: slot op %d continues at pc %d of %d", p.Name, pc, in.op, tgt, len(dp.insns))
+				return
+			}
+			work = append(work, tgt)
+		}
+		switch in.op {
+		case opRunExit, OpExit:
+		case opRunFused, OpJa:
+			next(int(in.tgt))
+		case OpJeqImm, OpJneImm, OpJgtImm, OpJgeImm, OpJltImm, OpJleImm,
+			OpJeqReg, OpJneReg, OpJgtReg, OpJgeReg, OpJltReg, OpJleReg:
+			next(int(in.tgt))
+			next(pc + 1)
+		default:
+			t.Errorf("%q pc %d: slot op %d is no run, jump or exit", p.Name, pc, in.op)
+		}
+	}
+	for i, c := range dp.calls {
+		if c.helper < HelperMapLookup || c.helper > HelperMapLookupExist {
+			t.Errorf("%q call %d names unknown helper %d", p.Name, i, c.helper)
+		}
+	}
 	for _, in := range dp.insns {
 		for _, d := range in.run {
 			switch d.op {
-			case OpLdxStack, OpStxStack, OpStImmStack:
-				t.Errorf("%q pc %d: generic stack op %d installed", p.Name, d.pc, d.op)
+			case OpMovImm, OpMovReg, OpAddImm, OpAddReg, OpSubImm, OpSubReg,
+				OpMulImm, OpMulReg, OpDivImm, OpDivReg, OpModImm, OpModReg,
+				OpAndImm, OpAndReg, OpOrImm, OpOrReg, OpXorImm, OpXorReg,
+				OpLshImm, OpRshImm, OpNeg, OpLdxCtx, opLdxCtx2,
+				opCallTime, opCallPid, opCallCPU:
+			case OpCall:
+				call(d)
 			case opLdxFP8, opStxFP8, opStImmFP8,
 				opTimeToStack, opPidToStack, opCPUToStack, opCtxToStack:
 				inStack(d, uint64(d.tgt), 8)
@@ -74,6 +116,8 @@ func checkInstalled(t testing.TB, p *Program) {
 				if call(d).m == nil {
 					t.Errorf("%q pc %d: map op %d not bound to a map", p.Name, d.pc, d.op)
 				}
+			default:
+				t.Errorf("%q pc %d: run op %d is not one execRun handles", p.Name, d.pc, d.op)
 			}
 		}
 	}
@@ -95,14 +139,17 @@ func TestCheckInstalledFlagsCorruption(t *testing.T) {
 	corruptions := []struct {
 		name    string
 		op      Op
-		corrupt func(d *dop)
+		corrupt func(dp *decodedProgram, d *dop)
 	}{
-		{"emit_base_oob", opEmitRecord, func(d *dop) { d.imm = uint64(StackSize) << 32 }},
-		{"emit_unbound", opEmitRecord, func(d *dop) { d.tgt = 0 }}, // call 0 is getpid
-		{"ladder_bad_template", opStoreRunImm, func(d *dop) { d.imm = 999 }},
-		{"ladder_base_oob", opStoreRunImm, func(d *dop) { d.tgt = StackSize - 1 }},
-		{"pid_store_oob", opPidToStack, func(d *dop) { d.tgt = -8 }},
-		{"generic_stack_op", opStoreRunImm, func(d *dop) { d.op = OpStImmStack }},
+		{"emit_base_oob", opEmitRecord, func(_ *decodedProgram, d *dop) { d.imm = uint64(StackSize) << 32 }},
+		{"emit_unbound", opEmitRecord, func(_ *decodedProgram, d *dop) { d.tgt = 0 }}, // call 0 is getpid
+		{"ladder_bad_template", opStoreRunImm, func(_ *decodedProgram, d *dop) { d.imm = 999 }},
+		{"ladder_base_oob", opStoreRunImm, func(_ *decodedProgram, d *dop) { d.tgt = StackSize - 1 }},
+		{"pid_store_oob", opPidToStack, func(_ *decodedProgram, d *dop) { d.tgt = -8 }},
+		{"generic_stack_op", opStoreRunImm, func(_ *decodedProgram, d *dop) { d.op = OpStImmStack }},
+		{"unhandled_run_op", opStoreRunImm, func(_ *decodedProgram, d *dop) { d.op = OpExit }},
+		{"unhandled_slot", opEmitRecord, func(dp *decodedProgram, _ *dop) { dp.insns[0].op = OpMovImm }},
+		{"unknown_helper", opEmitRecord, func(dp *decodedProgram, d *dop) { dp.calls[d.tgt].helper = 99 }},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,7 +160,7 @@ func TestCheckInstalledFlagsCorruption(t *testing.T) {
 			for si := range dp.insns {
 				for oi := range dp.insns[si].run {
 					if dp.insns[si].run[oi].op == tc.op {
-						tc.corrupt(&dp.insns[si].run[oi])
+						tc.corrupt(dp, &dp.insns[si].run[oi])
 						found = true
 					}
 				}

@@ -95,7 +95,7 @@ type Runtime struct {
 	fireCtx   ExecContext
 	fireWords []uint64
 
-	nativeHooks  map[Symbol][]nativeAttachment
+	nativeHooks  map[Symbol][]NativeHook
 	nativeCostNs float64
 }
 
@@ -272,7 +272,7 @@ type ProbeSite struct {
 
 	uprobes    []attachment
 	uretprobes []attachment
-	native     []nativeAttachment
+	native     []NativeHook
 }
 
 // Site returns the interned probe site for sym.
@@ -375,44 +375,21 @@ type NativeHook struct {
 	CostNs float64 // per-invocation redirection + handling cost
 }
 
-// AttachNativeHook registers hook at sym's entry. It returns an id usable
-// with DetachNativeHook.
-func (rt *Runtime) AttachNativeHook(sym Symbol, hook NativeHook) int {
+// AttachNativeHook registers hook at sym's entry.
+func (rt *Runtime) AttachNativeHook(sym Symbol, hook NativeHook) {
 	if rt.nativeHooks == nil {
-		rt.nativeHooks = make(map[Symbol][]nativeAttachment)
+		rt.nativeHooks = make(map[Symbol][]NativeHook)
 	}
-	id := rt.nextAttach
-	rt.nextAttach++
 	rt.attachGen++
-	rt.nativeHooks[sym] = append(rt.nativeHooks[sym], nativeAttachment{hook: hook, id: id})
-	return id
-}
-
-// DetachNativeHook removes a native hook by id.
-func (rt *Runtime) DetachNativeHook(id int) bool {
-	rt.attachGen++
-	for k, list := range rt.nativeHooks {
-		for i, at := range list {
-			if at.id == id {
-				rt.nativeHooks[k] = append(list[:i:i], list[i+1:]...)
-				return true
-			}
-		}
-	}
-	return false
+	rt.nativeHooks[sym] = append(rt.nativeHooks[sym], hook)
 }
 
 // NativeCostNs returns the simulated cost accumulated by native hooks.
 func (rt *Runtime) NativeCostNs() float64 { return rt.nativeCostNs }
 
-type nativeAttachment struct {
-	hook NativeHook
-	id   int
-}
-
-func (rt *Runtime) runNativeList(list []nativeAttachment, ctx *ExecContext) {
-	for _, at := range list {
-		at.hook.Fn(ctx)
-		rt.nativeCostNs += at.hook.CostNs
+func (rt *Runtime) runNativeList(list []NativeHook, ctx *ExecContext) {
+	for _, h := range list {
+		h.Fn(ctx)
+		rt.nativeCostNs += h.CostNs
 	}
 }

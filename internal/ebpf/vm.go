@@ -52,7 +52,7 @@ type ExecResult struct {
 // reference interpreter.
 func (vm *VM) Run(p *Program, ctx *ExecContext) (ExecResult, error) {
 	if dp := p.dp.Load(); dp != nil {
-		return vm.runDecoded(p, dp, ctx)
+		return vm.runDecoded(dp, ctx), nil
 	}
 	return vm.RunInterpreted(p, ctx)
 }
@@ -60,8 +60,11 @@ func (vm *VM) Run(p *Program, ctx *ExecContext) (ExecResult, error) {
 // runDecoded is the hot dispatch loop over the pre-resolved form. Every
 // reachable slot is a fused straight-line run, a jump, or exit, so the
 // outer loop only steers control flow; execRun retires the straight-line
-// work.
-func (vm *VM) runDecoded(p *Program, dp *decodedProgram, ctx *ExecContext) (ExecResult, error) {
+// work. Load proved what the loops do not check: every jump lands
+// forward and inside the program, every reachable slot and run op is
+// one they handle, and every call names a known helper; checkInstalled
+// asserts all three in the tests.
+func (vm *VM) runDecoded(dp *decodedProgram, ctx *ExecContext) ExecResult {
 	regs := &vm.regs
 	stack := vm.stack[:]
 	regs[R10] = StackSize
@@ -70,29 +73,19 @@ func (vm *VM) runDecoded(p *Program, dp *decodedProgram, ctx *ExecContext) (Exec
 	insns := 0
 	pc := 0
 	for {
-		if uint(pc) >= uint(len(code)) {
-			return ExecResult{}, fmt.Errorf("ebpf: %q pc %d out of range", p.Name, pc)
-		}
 		in := &code[pc]
 		insns++
-		if insns > MaxInsns*2 {
-			return ExecResult{}, fmt.Errorf("ebpf: %q exceeded instruction budget", p.Name)
-		}
 		switch in.op {
 		case opRunFused:
 			insns += int(in.retire) - 1 // each constituent retires; the run itself is not an insn
-			if err := vm.execRun(in.run, dp, regs, stack, ctx); err != nil {
-				return ExecResult{}, fmt.Errorf("ebpf: %q: %w", p.Name, err)
-			}
+			vm.execRun(in.run, dp, regs, stack, ctx)
 			pc = int(in.tgt)
 			continue
 
 		case opRunExit:
 			insns += int(in.retire) - 1 // includes the folded exit
-			if err := vm.execRun(in.run, dp, regs, stack, ctx); err != nil {
-				return ExecResult{}, fmt.Errorf("ebpf: %q: %w", p.Name, err)
-			}
-			return ExecResult{R0: regs[R0], Insns: insns}, nil
+			vm.execRun(in.run, dp, regs, stack, ctx)
+			return ExecResult{R0: regs[R0], Insns: insns}
 
 		case OpJa:
 			pc = int(in.tgt)
@@ -147,10 +140,7 @@ func (vm *VM) runDecoded(p *Program, dp *decodedProgram, ctx *ExecContext) (Exec
 			}
 
 		case OpExit:
-			return ExecResult{R0: regs[R0], Insns: insns}, nil
-
-		default:
-			return ExecResult{}, fmt.Errorf("ebpf: %q invalid opcode at pc %d", p.Name, pc)
+			return ExecResult{R0: regs[R0], Insns: insns}
 		}
 		// Only a not-taken conditional jump falls out of the switch.
 		pc++
@@ -172,7 +162,7 @@ func (vm *VM) runDecoded(p *Program, dp *decodedProgram, ctx *ExecContext) (Exec
 // constant the verifier and optimize established, so the ops index the
 // stack and the call table directly. Go's own bounds checks remain the
 // backstop.
-func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, stack []byte, ctx *ExecContext) error {
+func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, stack []byte, ctx *ExecContext) {
 	for i := range run {
 		in := &run[i]
 		switch in.op {
@@ -255,9 +245,7 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			stack[in.tgt] = byte(in.imm)
 
 		case OpCall:
-			if err := vm.callDecoded(&dp.calls[in.tgt], regs, stack, ctx); err != nil {
-				return fmt.Errorf("pc %d: %w", in.pc, err)
-			}
+			vm.callDecoded(&dp.calls[in.tgt], regs, stack, ctx)
 
 		// --- pattern superinstructions ---
 		//
@@ -442,18 +430,14 @@ func (vm *VM) execRun(run []dop, dp *decodedProgram, regs *[decodedRegs]uint64, 
 			} else {
 				regs[in.dst&regIdxMask] += v
 			}
-
-		default:
-			return fmt.Errorf("invalid opcode in fused run at pc %d", in.pc)
 		}
 	}
-	return nil
 }
 
 // callDecoded dispatches a helper call whose map argument (if any) was
 // bound at decode time. The verifier proved each stack range constant and
 // in bounds (checkHelper), so the ranges index the frame directly.
-func (vm *VM) callDecoded(in *dcall, regs *[decodedRegs]uint64, stack []byte, ctx *ExecContext) error {
+func (vm *VM) callDecoded(in *dcall, regs *[decodedRegs]uint64, stack []byte, ctx *ExecContext) {
 	switch in.helper {
 	case HelperMapLookup:
 		v, _ := in.m.Lookup(regs[R2])
@@ -478,12 +462,12 @@ func (vm *VM) callDecoded(in *dcall, regs *[decodedRegs]uint64, stack []byte, ct
 		if ctx.Mem == nil {
 			zero(dst)
 			regs[R0] = 1
-			return nil
+			return
 		}
 		if rerr := ctx.Mem.ReadInto(umem.Addr(regs[R3]), dst); rerr != nil {
 			zero(dst)
 			regs[R0] = 1
-			return nil
+			return
 		}
 		regs[R0] = 0
 	case HelperProbeReadStr:
@@ -491,12 +475,12 @@ func (vm *VM) callDecoded(in *dcall, regs *[decodedRegs]uint64, stack []byte, ct
 		zero(dst)
 		if ctx.Mem == nil {
 			regs[R0] = math.MaxUint64
-			return nil
+			return
 		}
 		n, rerr := ctx.Mem.ReadCStringInto(umem.Addr(regs[R3]), dst[:len(dst)-1])
 		if rerr != nil {
 			regs[R0] = math.MaxUint64
-			return nil
+			return
 		}
 		regs[R0] = uint64(n)
 	case HelperPerfOutput:
@@ -508,10 +492,7 @@ func (vm *VM) callDecoded(in *dcall, regs *[decodedRegs]uint64, stack []byte, ct
 		regs[R0] = uint64(ctx.PID)
 	case HelperGetSmpProcID:
 		regs[R0] = uint64(ctx.CPU)
-	default:
-		return fmt.Errorf("unknown helper %d", int64(in.helper))
 	}
-	return nil
 }
 
 // RunInterpreted executes p through the raw reference interpreter,

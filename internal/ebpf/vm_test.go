@@ -467,23 +467,3 @@ func TestPerfBufferNilCounterPanics(t *testing.T) {
 	}()
 	NewPerfBuffer("noseq", 0, nil)
 }
-
-func TestArrayMap(t *testing.T) {
-	a := NewArrayMap("arr", 4)
-	if err := a.Update(3, 9); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := a.Lookup(3); !ok || v != 9 {
-		t.Fatalf("lookup = %d,%v", v, ok)
-	}
-	if _, ok := a.Lookup(4); ok {
-		t.Fatal("out-of-range lookup hit")
-	}
-	if err := a.Update(9, 1); err == nil {
-		t.Fatal("out-of-range update succeeded")
-	}
-	a.Delete(3)
-	if v, _ := a.Lookup(3); v != 0 {
-		t.Fatal("delete did not zero")
-	}
-}

@@ -153,9 +153,6 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return limit, nil
 }
 
-// Ops reports how many Write calls the wrapper has seen.
-func (w *Writer) Ops() int { return w.ops }
-
 // Disk scripts the write-side behaviour of successive files: the k-th
 // file opened through Wrap gets the k-th fault set of the script (beyond
 // the script every file is healthy). Rotation retries open fresh files,

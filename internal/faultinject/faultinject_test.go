@@ -45,8 +45,8 @@ func TestWriterShortAtNthOp(t *testing.T) {
 	if n, err := w.Write(make([]byte, 4)); n != 4 || err != nil {
 		t.Fatalf("op 3 (recovered): n=%d err=%v", n, err)
 	}
-	if w.Ops() != 3 {
-		t.Fatalf("ops = %d, want 3", w.Ops())
+	if w.ops != 3 {
+		t.Fatalf("ops = %d, want 3", w.ops)
 	}
 }
 

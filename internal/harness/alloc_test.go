@@ -43,12 +43,12 @@ func TestMessagePathAllocsPerWrite(t *testing.T) {
 
 	var writes uint64
 	allocs := testing.AllocsPerRun(1, func() {
-		w0 := w.Domain().Writes()
+		w0 := kc.Count(trace.KindDDSWrite)
 		w.Run(200 * sim.Millisecond)
 		if err := b.StreamTo(&kc); err != nil {
 			t.Fatal(err)
 		}
-		writes = w.Domain().Writes() - w0
+		writes = uint64(kc.Count(trace.KindDDSWrite) - w0)
 	})
 	if writes == 0 {
 		t.Fatal("no messages written in the window")

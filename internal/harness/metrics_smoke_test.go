@@ -98,7 +98,7 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 		t.Fatalf("publish-latency family missing or mistyped: %v", parsed.Types)
 	}
 	var topicBuckets, ringPending, ringLost, kindCounters int
-	for _, key := range parsed.Series() {
+	for key := range parsed.Samples {
 		switch {
 		case strings.HasPrefix(key, `rostracer_publish_latency_ns_bucket{topic="`):
 			topicBuckets++

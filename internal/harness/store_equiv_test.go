@@ -114,13 +114,14 @@ func TestStoreStreamSessionMatchesBatchPath(t *testing.T) {
 // afterwards).
 func TestStoreSegmentsMatchPeriodicDrains(t *testing.T) {
 	const seed = 29
-	stStream, err := trace.NewStore(t.TempDir())
+	streamDir, batchDir := t.TempDir(), t.TempDir()
+	stStream, err := trace.NewStore(streamDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writePeriodicSession(t, stStream, "run", seed, 3, sim.Second)
 
-	stBatch, err := trace.NewStore(t.TempDir())
+	stBatch, err := trace.NewStore(batchDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +158,11 @@ func TestStoreSegmentsMatchPeriodicDrains(t *testing.T) {
 
 	for seg := 0; seg < 3; seg++ {
 		name := fmt.Sprintf("run-%04d.rtrc", seg)
-		a, err := os.ReadFile(filepath.Join(stStream.Dir(), name))
+		a, err := os.ReadFile(filepath.Join(streamDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(stBatch.Dir(), name))
+		b, err := os.ReadFile(filepath.Join(batchDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}

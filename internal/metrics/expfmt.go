@@ -114,9 +114,6 @@ type ParsedExposition struct {
 	order   []string
 }
 
-// Series returns the sample keys in scrape order.
-func (e *ParsedExposition) Series() []string { return e.order }
-
 // familyOf maps a sample key back to its TYPE-declaring family,
 // unwrapping the histogram _bucket/_sum/_count suffixes.
 func (e *ParsedExposition) familyOf(key string) (string, string) {

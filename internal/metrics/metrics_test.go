@@ -13,15 +13,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "c")
 	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
+	c.Inc()
+	if got := c.Value(); got != 2 {
+		t.Fatalf("counter = %d, want 2", got)
 	}
 	g := r.Gauge("g", "g")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
+	g.Set(-2)
+	if got := g.Value(); got != -2 {
+		t.Fatalf("gauge = %d, want -2", got)
 	}
 	// Registration is idempotent: same cells come back.
 	if r.Counter("c_total", "c") != c || r.Gauge("g", "g") != g {
@@ -42,7 +41,7 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h_ns", "h", []int64{10, 100})
+	h := r.HistogramVec("h_ns", "h", "", []int64{10, 100}).With("")
 	for _, v := range []int64{1, 10, 11, 100, 101, 5000} {
 		h.Observe(v)
 	}
@@ -64,8 +63,8 @@ func TestHistogramBuckets(t *testing.T) {
 func TestValueSumsLabels(t *testing.T) {
 	r := NewRegistry()
 	vec := r.CounterVec("lost_total", "lost", "cpu")
-	vec.With("0").Add(3)
-	vec.With("1").Add(4)
+	vec.With("0").Set(3)
+	vec.With("1").Set(4)
 	if v, ok := r.Value("lost_total", "1"); !ok || v != 4 {
 		t.Fatalf("Value(lost_total,1) = %v,%v", v, ok)
 	}
@@ -82,7 +81,7 @@ func TestValueSumsLabels(t *testing.T) {
 
 func TestExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "a counter").Add(3)
+	r.Counter("a_total", "a counter").Set(3)
 	r.GaugeVec("b", "a gauge", "cpu").With("0").Set(-2)
 	h := r.HistogramVec("lat_ns", "latency", "topic", []int64{10, 100})
 	h.With("/chatter").Observe(5)
@@ -131,8 +130,8 @@ func TestMonotoneViolations(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "c")
 	g := r.Gauge("g", "g")
-	h := r.Histogram("h_ns", "h", []int64{10})
-	c.Add(5)
+	h := r.HistogramVec("h_ns", "h", "", []int64{10}).With("")
+	c.Set(5)
 	g.Set(5)
 	h.Observe(1)
 	prev, err := ParseExposition(r.Exposition())
@@ -224,7 +223,7 @@ func TestAlertsLevelAndSticky(t *testing.T) {
 func TestAlertsDeltaBaseline(t *testing.T) {
 	r := NewRegistry()
 	lost := r.CounterVec("rostracer_ring_lost_records_total", "l", "cpu")
-	lost.With("0").Add(100) // pre-existing loss before alerting starts
+	lost.With("0").Set(100) // pre-existing loss before alerting starts
 	a := NewAlerts(r, []AlertRule{{Name: "ring-lost", Metric: "rostracer_ring_lost_records_total", Delta: true, Op: ">", Value: 0}})
 
 	// Round 1 only records the baseline — a nonzero starting level must
@@ -235,7 +234,7 @@ func TestAlertsDeltaBaseline(t *testing.T) {
 	if f := a.Evaluate(); len(f) != 0 {
 		t.Fatalf("delta rule fired with no growth: %+v", f[0])
 	}
-	lost.With("1").Add(3) // growth on another CPU still counts (label sum)
+	lost.With("1").Set(3) // growth on another CPU still counts (label sum)
 	f := a.Evaluate()
 	if len(f) != 1 || f[0].Last != 3 {
 		t.Fatalf("firing = %+v", f)
@@ -390,17 +389,17 @@ func TestSinkDetachesOnUnorderedStream(t *testing.T) {
 // and per-kind rendering are both exercised.
 func pinRegistry() *Registry {
 	r := NewRegistry()
-	r.Counter("z_events_total", "events seen").Add(42)
+	r.Counter("z_events_total", "events seen").Set(42)
 	lost := r.CounterVec("lost_total", "records lost", "cpu")
-	lost.With("3").Add(7)
-	lost.With("1").Add(2)
-	lost.With("10").Add(1)
+	lost.With("3").Set(7)
+	lost.With("1").Set(2)
+	lost.With("10").Set(1)
 	r.Gauge("backlog", "ring backlog").Set(-4)
 	fill := r.GaugeVec("fill_bytes", "ring fill", "cpu")
 	fill.With("b").Set(30)
 	fill.With("a").Set(-5)
 	fill.With(`q"\`).Set(1)
-	r.Histogram("drain_ns", "drain period", []int64{10, 100}).Observe(50)
+	r.HistogramVec("drain_ns", "drain period", "", []int64{10, 100}).With("").Observe(50)
 	lat := r.HistogramVec("lat_ns", "latency", "topic", []int64{10, 100})
 	lat.With("/b").Observe(5)
 	lat.With("/b").Observe(500)

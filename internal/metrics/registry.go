@@ -22,7 +22,7 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotone metric cell. Inc/Add grow it on the hot path;
+// Counter is a monotone metric cell. Inc grows it on the hot path;
 // Set exists for counters fed by snapshotting an external cumulative
 // ledger (ring lost counts, writer stats) — such feeds must themselves
 // be monotone, which the chaos harness asserts across scrapes.
@@ -32,9 +32,6 @@ type Counter struct {
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Set overwrites the value from an external cumulative source. The
 // source must be monotone or the exposition stops being a counter.
@@ -50,9 +47,6 @@ type Gauge struct {
 
 // Set overwrites the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value reports the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -236,12 +230,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 // Gauge registers (or returns) the unlabeled gauge name.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return GaugeVec{r.family(name, help, kindGauge, "", nil)}.With("")
-}
-
-// Histogram registers (or returns) the unlabeled histogram name with the
-// given inclusive upper bounds.
-func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
-	return HistogramVec{r.family(name, help, kindHistogram, "", bounds)}.With("")
 }
 
 // CounterVec registers (or returns) a counter family with one label

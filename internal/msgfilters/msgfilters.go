@@ -124,8 +124,6 @@ type Synchronizer struct {
 	picks    []int
 	fc       FusedContext
 	runFused rclcpp.Action
-
-	matches uint64
 }
 
 // Config configures a Synchronizer.
@@ -171,9 +169,6 @@ func New(node *rclcpp.Node, cfg Config) *Synchronizer {
 	return s
 }
 
-// Matches returns how many complete sets have been fused.
-func (s *Synchronizer) Matches() uint64 { return s.matches }
-
 // operator is the filter's operator(): it fires P7, enqueues the sample,
 // and — if this arrival completes a set — plans the fusion work and its
 // publishing action into this callback instance.
@@ -199,7 +194,6 @@ func (s *Synchronizer) operator(input int, ctx *rclcpp.CallbackContext) (sim.Dur
 		s.fc.Set[i] = s.queues[i][pick]
 		s.queues[i] = removeAt(s.queues[i], pick)
 	}
-	s.matches++
 	if s.fusedET != nil {
 		et += s.fusedET.Sample(w.ETRand())
 	}

@@ -97,7 +97,7 @@ func TestSynchronizerFusionOnCompletingArrival(t *testing.T) {
 	fusion := w.NewNode("fusion", 5, 0)
 	fused := 0
 	var lastSet []*dds.Sample
-	sync := msgfilters.New(fusion, msgfilters.Config{
+	msgfilters.New(fusion, msgfilters.Config{
 		Topics:  []string{"/a", "/b"},
 		Policy:  msgfilters.ApproximateTime{Slop: 30 * sim.Millisecond},
 		FusedET: sim.Constant{Value: sim.Millisecond},
@@ -110,9 +110,6 @@ func TestSynchronizerFusionOnCompletingArrival(t *testing.T) {
 
 	if fused < 9 {
 		t.Fatalf("fused %d times", fused)
-	}
-	if sync.Matches() != uint64(fused) {
-		t.Fatalf("matches %d != fused %d", sync.Matches(), fused)
 	}
 	if len(lastSet) != 2 || lastSet[0].Topic != "/a" || lastSet[1].Topic != "/b" {
 		// Samples carry topic names when delivered through real writers.

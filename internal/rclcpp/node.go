@@ -81,9 +81,6 @@ func (n *Node) PID() uint32 { return n.pid }
 // World returns the owning world.
 func (n *Node) World() *World { return n.world }
 
-// Space returns the node's simulated process memory.
-func (n *Node) Space() *umem.Space { return n.space }
-
 // Thread returns the executor thread.
 func (n *Node) Thread() *sched.Thread { return n.thread }
 
@@ -103,18 +100,11 @@ func rmwCreateNode(w *World, n *Node) {
 
 // Timer triggers a callback periodically.
 type Timer struct {
-	node   *Node
-	period sim.Duration
-	body   Body
-	rclTm  rcl.Timer
-	ready  int
+	node  *Node
+	body  Body
+	rclTm rcl.Timer
+	ready int
 }
-
-// CBID returns the timer's callback handle.
-func (t *Timer) CBID() uint64 { return t.rclTm.CBID }
-
-// Period returns the configured period.
-func (t *Timer) Period() sim.Duration { return t.period }
 
 // CreateTimer registers a timer callback. The first expiry occurs at
 // phase+period after creation (as with rclcpp wall timers, which arm on
@@ -127,7 +117,7 @@ func (n *Node) CreateTimer(period sim.Duration, phase sim.Duration, body Body) *
 	if phase < 0 {
 		phase = 0
 	}
-	t := &Timer{node: n, period: period, body: body, rclTm: rcl.NewTimer(n.space)}
+	t := &Timer{node: n, body: body, rclTm: rcl.NewTimer(n.space)}
 	n.timers = append(n.timers, t)
 	var tick func()
 	tick = func() {
@@ -144,9 +134,6 @@ type Publisher struct {
 	writer *dds.Writer
 }
 
-// Topic returns the published topic.
-func (p *Publisher) Topic() string { return p.writer.Topic() }
-
 // Publish writes payload on the topic.
 func (p *Publisher) Publish(payload interface{}) { p.writer.Write(payload, 0, 0) }
 
@@ -158,20 +145,13 @@ func (n *Node) CreatePublisher(topic string) *Publisher {
 // Subscription triggers a callback on new topic data.
 type Subscription struct {
 	node   *Node
-	topic  string
 	body   Body
 	entity rmw.Entity
 }
 
-// CBID returns the subscription's callback handle.
-func (s *Subscription) CBID() uint64 { return s.entity.CBID }
-
-// Topic returns the subscribed topic.
-func (s *Subscription) Topic() string { return s.topic }
-
 // CreateSubscription registers a subscriber callback on topic.
 func (n *Node) CreateSubscription(topic string, body Body) *Subscription {
-	s := &Subscription{node: n, topic: topic, body: body, entity: rmw.NewEntity(n.space, topic)}
+	s := &Subscription{node: n, body: body, entity: rmw.NewEntity(n.space, topic)}
 	n.world.domain.CreateReader(n.pid, topic, func(sample *dds.Sample) {
 		n.exec.arrive(workItem{kind: workSub, sub: s, sample: sample})
 	})
@@ -190,9 +170,6 @@ type Service struct {
 	entity     rmw.Entity
 	respWriter *dds.Writer
 }
-
-// CBID returns the service's callback handle.
-func (s *Service) CBID() uint64 { return s.entity.CBID }
 
 // CreateService registers a service. et is the designed execution time of
 // the service callback; handler produces the response payload (may be nil).
@@ -233,10 +210,6 @@ type Client struct {
 	reqWriter *dds.Writer
 	rpcSeq    uint64
 }
-
-// CBID returns the client's callback handle, which also identifies the
-// client for response routing.
-func (c *Client) CBID() uint64 { return c.entity.CBID }
 
 // CreateClient registers a client of service; body is the response
 // callback.

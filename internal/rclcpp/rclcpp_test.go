@@ -186,11 +186,20 @@ func TestExternalProcessNotTracedAsNode(t *testing.T) {
 
 func TestAffinityAndPriorityPlumbed(t *testing.T) {
 	w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: 2, Seed: 1})
-	n := w.NewNode("pinned", 7, sched.AffinityCPU(1))
-	if n.Thread().Priority() != 7 {
-		t.Errorf("priority = %d", n.Thread().Priority())
+	n := w.NewNode("pinned", 7, 1<<1) // CPU 1 only
+	n.CreateTimer(10*sim.Millisecond, 0, rclcpp.SimpleBody{ET: sim.Constant{Value: sim.Millisecond}})
+	runs := 0
+	w.Machine().OnSwitch = func(s sched.Switch) {
+		if s.NextPID != n.Thread().PID() {
+			return
+		}
+		runs++
+		if s.NextPrio != 7 || s.CPU != 1 {
+			t.Errorf("node thread switched in at priority %d on CPU %d, want 7 on CPU 1", s.NextPrio, s.CPU)
+		}
 	}
-	if n.Thread().Affinity() != sched.AffinityCPU(1) {
-		t.Errorf("affinity = %#x", n.Thread().Affinity())
+	w.Run(100 * sim.Millisecond)
+	if runs == 0 {
+		t.Fatal("node thread never ran")
 	}
 }

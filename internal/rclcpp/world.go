@@ -129,9 +129,6 @@ func (w *World) Domain() *dds.Domain { return w.domain }
 // ETRand returns the execution-time sampling stream.
 func (w *World) ETRand() *sim.RNG { return w.etRNG }
 
-// Nodes returns all created nodes in creation order.
-func (w *World) Nodes() []*Node { return w.nodes }
-
 // NodeByName returns the named node, or nil.
 func (w *World) NodeByName(name string) *Node {
 	for _, n := range w.nodes {

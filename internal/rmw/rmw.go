@@ -85,10 +85,3 @@ func (t TakeSite) Take(pid uint32, cpu int, space *umem.Space, srcAddr umem.Addr
 	space.WriteU64(srcAddr, uint64(s.SrcTS)) // lower layers produce the value
 	t.site.FireReturn(pid, cpu, 1 /* RMW_RET_OK with data */)
 }
-
-// TakeInt simulates rmw_take_int for a subscription (P6) through a
-// freshly resolved site and a fresh out-parameter; hot callers hold a
-// TakeSite and a reused slot instead.
-func TakeInt(rt *ebpf.Runtime, pid uint32, cpu int, space *umem.Space, ent Entity, s *dds.Sample) {
-	ResolveTake(rt, SymTakeInt).Take(pid, cpu, space, space.AllocU64(0), ent, s)
-}

@@ -48,15 +48,14 @@ func TestTakeWritesSrcTSBetweenProbes(t *testing.T) {
 
 	var entrySrcAddr umem.Addr
 	var entryVal, exitVal uint64
-	hookEntry := rt.AttachNativeHook(SymTakeInt, ebpf.NativeHook{Fn: func(ctx *ebpf.ExecContext) {
+	rt.AttachNativeHook(SymTakeInt, ebpf.NativeHook{Fn: func(ctx *ebpf.ExecContext) {
 		entrySrcAddr = umem.Addr(ctx.Words[2])
 		entryVal, _ = space.ReadU64(entrySrcAddr)
 	}})
-	_ = hookEntry
 
 	ent := NewEntity(space, "/scan")
 	sample := &dds.Sample{Topic: "/scan", SrcTS: 987654321}
-	TakeInt(rt, 7, 0, space, ent, sample)
+	ResolveTake(rt, SymTakeInt).Take(7, 0, space, space.AllocU64(0), ent, sample)
 
 	if entrySrcAddr == 0 {
 		t.Fatal("entry hook never ran")

@@ -95,9 +95,9 @@ func (w *randWorld) spawn() {
 	case 0:
 		aff = AffinityAll
 	case 1:
-		aff = AffinityCPU(r.Intn(w.cpus))
+		aff = uint64(1) << r.Intn(w.cpus)
 	case 2:
-		aff = r.Uint64() | AffinityCPU(r.Intn(w.cpus))
+		aff = r.Uint64() | uint64(1)<<r.Intn(w.cpus)
 	}
 	w.m.Spawn(fmt.Sprintf("t%d", len(w.m.threads)), r.Intn(5), aff, ProcFunc(func(m *Machine) Demand {
 		switch x := r.Intn(100); {
@@ -112,7 +112,7 @@ func (w *randWorld) spawn() {
 		case x < 96:
 			return Block()
 		default:
-			return Exit()
+			return Demand{Kind: DemandExit}
 		}
 	}))
 }

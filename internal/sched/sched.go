@@ -85,9 +85,6 @@ func Compute(d sim.Duration) Demand { return Demand{Kind: DemandCompute, Cost: d
 // Block returns a blocking demand.
 func Block() Demand { return Demand{Kind: DemandBlock} }
 
-// Exit returns an exit demand.
-func Exit() Demand { return Demand{Kind: DemandExit} }
-
 // Proc is the behavior of a thread. Resume is invoked when the thread
 // starts, when a compute demand completes, and when the thread is woken
 // from a block; it returns the next demand. Resume runs atomically at one
@@ -124,7 +121,6 @@ type Switch struct {
 // Thread is one schedulable entity.
 type Thread struct {
 	pid      PID
-	name     string
 	prio     int    // larger = more urgent
 	affinity uint64 // bit i set = may run on CPU i
 	proc     Proc
@@ -144,18 +140,6 @@ type Thread struct {
 
 // PID returns the thread's identifier.
 func (t *Thread) PID() PID { return t.pid }
-
-// Name returns the thread's name.
-func (t *Thread) Name() string { return t.name }
-
-// Priority returns the scheduling priority.
-func (t *Thread) Priority() int { return t.prio }
-
-// Affinity returns the CPU affinity mask.
-func (t *Thread) Affinity() uint64 { return t.affinity }
-
-// State returns the current scheduler state.
-func (t *Thread) State() ThreadState { return t.state }
 
 // CPU returns the processor the thread is running on (or last ran on).
 func (t *Thread) CPU() int { return t.cpu }
@@ -218,20 +202,11 @@ func NewMachine(eng *sim.Engine, numCPUs int) *Machine {
 // there.
 const firstPID PID = 1000
 
-// Engine returns the simulation engine.
-func (m *Machine) Engine() *sim.Engine { return m.eng }
-
-// NumCPUs returns the processor count.
-func (m *Machine) NumCPUs() int { return len(m.running) }
-
 // Switches returns the total number of context switches so far.
 func (m *Machine) Switches() uint64 { return m.switches }
 
 // AffinityAll is an affinity mask allowing every CPU.
 const AffinityAll uint64 = ^uint64(0)
-
-// AffinityCPU returns a mask allowing only the given CPU.
-func AffinityCPU(c int) uint64 { return 1 << uint(c) }
 
 // Spawn creates a thread. It becomes runnable immediately; scheduling
 // happens when the engine runs.
@@ -244,7 +219,7 @@ func (m *Machine) Spawn(name string, prio int, affinity uint64, p Proc) *Thread 
 		panic(fmt.Sprintf("sched: thread %q has empty effective affinity", name))
 	}
 	t := &Thread{
-		pid: firstPID + PID(len(m.threads)), name: name, prio: prio, affinity: mask,
+		pid: firstPID + PID(len(m.threads)), prio: prio, affinity: mask,
 		proc: p, state: StateRunnable, fifoSeq: m.seq,
 	}
 	t.completeFn = func() { m.complete(t) }

@@ -16,7 +16,7 @@ type scriptProc struct {
 func (p *scriptProc) Resume(*Machine) Demand {
 	p.resumes++
 	if p.i >= len(p.demands) {
-		return Exit()
+		return Demand{Kind: DemandExit}
 	}
 	d := p.demands[p.i]
 	p.i++
@@ -115,8 +115,8 @@ func TestAffinityPinsThread(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMachine(eng, 2)
 	sws := collectSwitches(m)
-	a := m.Spawn("pinned0", 1, AffinityCPU(0), &scriptProc{demands: []Demand{Compute(4 * sim.Millisecond)}})
-	b := m.Spawn("pinned0too", 1, AffinityCPU(0), &scriptProc{demands: []Demand{Compute(4 * sim.Millisecond)}})
+	a := m.Spawn("pinned0", 1, 1, &scriptProc{demands: []Demand{Compute(4 * sim.Millisecond)}})
+	b := m.Spawn("pinned0too", 1, 1, &scriptProc{demands: []Demand{Compute(4 * sim.Millisecond)}})
 	end := eng.Run(sim.MaxTime)
 	// Serialized on CPU0 despite CPU1 being idle.
 	if end != sim.Time(8*sim.Millisecond) {
@@ -160,7 +160,7 @@ func (p *blockingProc) Resume(*Machine) Demand {
 	case 3:
 		return Compute(2 * sim.Millisecond)
 	default:
-		return Exit()
+		return Demand{Kind: DemandExit}
 	}
 }
 
@@ -297,5 +297,5 @@ func TestSpawnPanicsOnEmptyAffinity(t *testing.T) {
 			t.Fatal("no panic for empty affinity")
 		}
 	}()
-	m.Spawn("bad", 1, AffinityCPU(5), &scriptProc{})
+	m.Spawn("bad", 1, 1<<5, &scriptProc{})
 }

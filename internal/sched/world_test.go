@@ -35,7 +35,7 @@ func runWorld(seed uint64, cpus int, reference bool) worldRun {
 	rng := sim.NewRNG(seed)
 	apps.BuildRandomPipeline(w, rng, 1+rng.Intn(4), 1+rng.Intn(4))
 	harness.SpawnChatter(w, 4+rng.Intn(12), sim.Duration(1+rng.Intn(3))*sim.Millisecond)
-	apps.BackgroundLoad(w, 1+rng.Intn(3), 7, sched.AffinityCPU(rng.Intn(cpus)),
+	apps.BackgroundLoad(w, 1+rng.Intn(3), 7, uint64(1)<<rng.Intn(cpus),
 		5*sim.Millisecond, sim.Duration(200+rng.Intn(800))*sim.Microsecond)
 	w.Run(2 * sim.Second)
 	if msg := sched.CheckInvariants(m); msg != "" {

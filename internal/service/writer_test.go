@@ -29,13 +29,15 @@ func quiet() Policy {
 	return Policy{Sleep: func(time.Duration) {}}
 }
 
-func newStore(t *testing.T) *trace.Store {
+// newStore returns a store in a fresh directory, and the directory.
+func newStore(t *testing.T) (*trace.Store, string) {
 	t.Helper()
-	s, err := trace.NewStore(t.TempDir())
+	dir := t.TempDir()
+	s, err := trace.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return s, dir
 }
 
 // readSession streams a session back strictly and returns its events.
@@ -51,7 +53,7 @@ func readSession(t *testing.T, s *trace.Store, session string) []trace.Event {
 }
 
 func TestHealthyPathByteIdenticalToPlainWriter(t *testing.T) {
-	store := newStore(t)
+	store, dir := newStore(t)
 	events := seqEvents(100, 0, 1)
 
 	// Plain fail-stop path.
@@ -78,11 +80,11 @@ func TestHealthyPathByteIdenticalToPlainWriter(t *testing.T) {
 	}
 	w.Close()
 
-	plain, err := os.ReadFile(filepath.Join(store.Dir(), "plain-0000.rtrc"))
+	plain, err := os.ReadFile(filepath.Join(dir, "plain-0000.rtrc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := os.ReadFile(filepath.Join(store.Dir(), "hard-0000.rtrc"))
+	hard, err := os.ReadFile(filepath.Join(dir, "hard-0000.rtrc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestHealthyPathByteIdenticalToPlainWriter(t *testing.T) {
 }
 
 func TestMidSegmentFailureRotatesAndReplays(t *testing.T) {
-	store := newStore(t)
+	store, dir := newStore(t)
 	// First opened file dies after 1 KB; the rotation target is healthy.
 	disk := faultinject.NewDisk(
 		[]faultinject.WriteFault{{Kind: faultinject.WriteFailAfter, N: 1 << 10}},
@@ -123,7 +125,7 @@ func TestMidSegmentFailureRotatesAndReplays(t *testing.T) {
 		t.Fatalf("replay lost events: got %d, want %d", len(got), len(events))
 	}
 	// The failed segment file must be gone — no partial record on disk.
-	files, err := filepath.Glob(filepath.Join(store.Dir(), "rot-*.rtrc"))
+	files, err := filepath.Glob(filepath.Join(dir, "rot-*.rtrc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestMidSegmentFailureRotatesAndReplays(t *testing.T) {
 }
 
 func TestDiskDownSpillsThenRecovers(t *testing.T) {
-	store := newStore(t)
+	store, _ := newStore(t)
 	dead := []faultinject.WriteFault{{Kind: faultinject.WriteFailAll}}
 	// Window 1's two open attempts hit a dead disk; the next
 	// BeginSegment's first attempt succeeds.
@@ -204,7 +206,7 @@ func TestDiskDownSpillsThenRecovers(t *testing.T) {
 }
 
 func TestCloseWhileDownAccountsEverything(t *testing.T) {
-	store := newStore(t)
+	store, dir := newStore(t)
 	dead := []faultinject.WriteFault{{Kind: faultinject.WriteFailAll}}
 	disk := faultinject.NewDisk(dead, dead, dead, dead, dead, dead, dead, dead)
 	store.WrapWriter = disk.Wrap
@@ -236,7 +238,7 @@ func TestCloseWhileDownAccountsEverything(t *testing.T) {
 		t.Fatal("closed writer still counting")
 	}
 	// No segment file survives.
-	files, err := filepath.Glob(filepath.Join(store.Dir(), "doomed-*.rtrc"))
+	files, err := filepath.Glob(filepath.Join(dir, "doomed-*.rtrc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestCloseWhileDownAccountsEverything(t *testing.T) {
 }
 
 func TestBackoffBoundedAndCounted(t *testing.T) {
-	store := newStore(t)
+	store, _ := newStore(t)
 	dead := make([][]faultinject.WriteFault, 30)
 	for i := range dead {
 		dead[i] = []faultinject.WriteFault{{Kind: faultinject.WriteFailAll}}
@@ -289,14 +291,14 @@ func TestBackoffBoundedAndCounted(t *testing.T) {
 }
 
 func TestBeginSegmentIdempotentWhileOpen(t *testing.T) {
-	store := newStore(t)
+	store, dir := newStore(t)
 	w := NewSessionWriter(store, "idem", Policy{})
 	w.BeginSegment()
 	w.BeginSegment() // no-op: segment already open
 	w.Observe(trace.Event{Time: 1, Seq: 1, Kind: trace.KindSubCBStart})
 	w.EndSegment()
 	w.Close()
-	files, err := filepath.Glob(filepath.Join(store.Dir(), "idem-*.rtrc"))
+	files, err := filepath.Glob(filepath.Join(dir, "idem-*.rtrc"))
 	if err != nil {
 		t.Fatal(err)
 	}

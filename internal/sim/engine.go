@@ -79,13 +79,11 @@ type EventID struct {
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    []entry // binary min-heap on (at, seq)
-	slots   []slot
-	free    []int32 // released slot indices
-	dead    int     // cancelled events still in the heap
-	stopped bool
+	now   Time
+	seq   uint64
+	heap  []entry // binary min-heap on (at, seq)
+	slots []slot
+	free  []int32 // released slot indices
 	// executed counts events dispatched so far; useful as a progress and
 	// runaway guard in tests.
 	executed uint64
@@ -145,20 +143,12 @@ func (e *Engine) Cancel(id EventID) {
 	}
 	s.dead = true
 	s.fn = nil
-	e.dead++
 }
 
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Pending reports the number of live events in the queue.
-func (e *Engine) Pending() int { return len(e.heap) - e.dead }
-
-// Run executes events in order until the queue empties, Stop is called, or
-// the clock passes until. It returns the time at which it stopped.
+// Run executes events in order until the queue empties or the clock
+// passes until. It returns the time at which it stopped.
 func (e *Engine) Run(until Time) Time {
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
+	for len(e.heap) > 0 {
 		top := e.heap[0]
 		if !e.slots[top.slot].dead && top.at > until {
 			e.now = until
@@ -170,28 +160,14 @@ func (e *Engine) Run(until Time) Time {
 			fn()
 		}
 	}
-	// The queue drained (or Stop was called). For a finite horizon the
-	// caller asked to observe the system up to that wall-clock point, so
-	// the clock advances to it; with an unbounded horizon the run-to-
-	// completion time is more useful, so the clock stays at the last event.
-	if until != MaxTime && e.now < until && !e.stopped {
+	// The queue drained. For a finite horizon the caller asked to observe
+	// the system up to that wall-clock point, so the clock advances to it;
+	// with an unbounded horizon the run-to-completion time is more useful,
+	// so the clock stays at the last event.
+	if until != MaxTime && e.now < until {
 		e.now = until
 	}
 	return e.now
-}
-
-// Step executes exactly one live event, if any, and reports whether one ran.
-func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		at := e.heap[0].at
-		if fn := e.pop(); fn != nil {
-			e.now = at
-			e.executed++
-			fn()
-			return true
-		}
-	}
-	return false
 }
 
 // pop removes the earliest event, releases its slot and returns its
@@ -207,11 +183,7 @@ func (e *Engine) pop() func() {
 		e.down(0)
 	}
 	s := &e.slots[i]
-	fn := s.fn
-	if s.dead {
-		e.dead--
-		fn = nil
-	}
+	fn := s.fn // nil once cancelled
 	gen := s.gen + 1
 	if gen == 0 {
 		gen = 1 // 0 stays reserved for the zero EventID

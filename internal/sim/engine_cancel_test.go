@@ -15,9 +15,6 @@ func TestEngineCancelAfterFireSparesSlotReuse(t *testing.T) {
 		t.Fatalf("slot not recycled: %d then %d", first.slot, second.slot)
 	}
 	e.Cancel(first) // already fired: must not touch the slot's new occupant
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
 	e.Run(MaxTime)
 	if !fired {
 		t.Fatal("stale Cancel killed the slot's new occupant")
@@ -28,10 +25,7 @@ func TestEngineCancelAfterCancelSparesSlotReuse(t *testing.T) {
 	e := NewEngine()
 	id := e.At(10, func() { t.Error("cancelled event fired") })
 	e.Cancel(id)
-	e.Cancel(id) // twice: still one cancellation
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after double cancel", e.Pending())
-	}
+	e.Cancel(id)   // twice: still one cancellation
 	e.Run(MaxTime) // pops the dead event, freeing its slot
 	fired := false
 	e.At(20, func() { fired = true })
@@ -70,8 +64,8 @@ func TestEngineCancelZeroID(t *testing.T) {
 }
 
 // TestEngineMatchesModel runs random At / Cancel (live, fired and
-// cancelled IDs alike) / Step sequences against a plain sorted-list model
-// of the queue and requires the same firing order and Pending counts.
+// cancelled IDs alike) / Run-to-horizon sequences against a plain list
+// model of the queue and requires the same firing order.
 func TestEngineMatchesModel(t *testing.T) {
 	type modelEvent struct {
 		at   Time
@@ -85,6 +79,35 @@ func TestEngineMatchesModel(t *testing.T) {
 		var model []*modelEvent
 		var ids []EventID
 		var fired []int
+		// run advances engine and model to horizon: every queued live
+		// event at or before it fires, in (at, seq) order.
+		run := func(op int, horizon Time) {
+			var due []*modelEvent
+			for _, ev := range model {
+				if !ev.done && ev.at <= horizon {
+					ev.done = true
+					if !ev.dead {
+						due = append(due, ev)
+					}
+				}
+			}
+			sort.Slice(due, func(i, j int) bool {
+				if due[i].at != due[j].at {
+					return due[i].at < due[j].at
+				}
+				return due[i].seq < due[j].seq
+			})
+			n := len(fired)
+			e.Run(horizon)
+			if len(fired)-n != len(due) {
+				t.Fatalf("seed %d op %d: Run(%v) fired %v, model wants %d events", seed, op, horizon, fired[n:], len(due))
+			}
+			for i, ev := range due {
+				if fired[n+i] != ev.seq {
+					t.Fatalf("seed %d op %d: Run(%v) fired %v, model wants %d at %d", seed, op, horizon, fired[n:], ev.seq, i)
+				}
+			}
+		}
 		for op := 0; op < 400; op++ {
 			switch x := r.Intn(10); {
 			case x < 5:
@@ -99,42 +122,9 @@ func TestEngineMatchesModel(t *testing.T) {
 					model[i].dead = true
 				}
 			default:
-				// The model's next event: earliest (at, seq) still queued.
-				var live []*modelEvent
-				for _, ev := range model {
-					if !ev.done {
-						live = append(live, ev)
-					}
-				}
-				sort.Slice(live, func(i, j int) bool {
-					if live[i].at != live[j].at {
-						return live[i].at < live[j].at
-					}
-					return live[i].seq < live[j].seq
-				})
-				want := -1
-				for _, ev := range live {
-					ev.done = true
-					if !ev.dead {
-						want = ev.seq
-						break
-					}
-				}
-				n := len(fired)
-				ran := e.Step()
-				if ran != (want >= 0) || (ran && fired[n] != want) {
-					t.Fatalf("seed %d op %d: Step ran=%v fired=%v, model wants %d", seed, op, ran, fired[n:], want)
-				}
-			}
-			pending := 0
-			for _, ev := range model {
-				if !ev.done && !ev.dead {
-					pending++
-				}
-			}
-			if e.Pending() != pending {
-				t.Fatalf("seed %d op %d: Pending %d, model %d", seed, op, e.Pending(), pending)
+				run(op, e.Now()+Time(r.Intn(10)))
 			}
 		}
+		run(400, MaxTime)
 	}
 }

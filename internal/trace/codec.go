@@ -185,15 +185,6 @@ func (s *JSONLSink) Observe(e Event) {
 // Err reports the first encoding error, if any.
 func (s *JSONLSink) Err() error { return s.err }
 
-// Flush writes buffered output and reports the first error of the whole
-// stream.
-func (s *JSONLSink) Flush() error {
-	if s.err != nil {
-		return s.err
-	}
-	return s.bw.Flush()
-}
-
 // Close flushes buffered output — even after a sticky encoding error,
 // salvaging the events encoded before it — and closes the underlying
 // writer when the sink owns it (NewJSONLSinkCloser). Close is

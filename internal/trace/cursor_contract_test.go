@@ -65,7 +65,7 @@ func TestFileCursorBytesConsumedPerRecord(t *testing.T) {
 	if fc.BytesConsumed() != int64(len(data)) {
 		t.Fatalf("end: BytesConsumed %d, want %d", fc.BytesConsumed(), len(data))
 	}
-	if n := len(fc.BlockIndex()); n != len(blockEnds) {
+	if n := len(fc.obsIndex); n != len(blockEnds) {
 		t.Fatalf("BlockIndex has %d entries, want %d", n, len(blockEnds))
 	}
 }
@@ -139,7 +139,7 @@ func TestFileCursorDamageContract(t *testing.T) {
 			if fc.BytesConsumed() != tc.consumed {
 				t.Fatalf("BytesConsumed %d, want %d", fc.BytesConsumed(), tc.consumed)
 			}
-			if n := len(fc.BlockIndex()); n != tc.blocks {
+			if n := len(fc.obsIndex); n != tc.blocks {
 				t.Fatalf("BlockIndex has %d entries, want %d", n, tc.blocks)
 			}
 		})

@@ -145,8 +145,8 @@ func TestFormatCompatStore(t *testing.T) {
 func TestSegmentWriterFormatKnob(t *testing.T) {
 	var buf bytes.Buffer
 	sw := NewSegmentWriterFormat(&buf, 0, 0)
-	if sw.Format() != FormatV2 {
-		t.Fatalf("default format = %v, want v2", sw.Format())
+	if sw.format != FormatV2 {
+		t.Fatalf("default format = %v, want v2", sw.format)
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
@@ -156,8 +156,8 @@ func TestSegmentWriterFormatKnob(t *testing.T) {
 	}
 	buf.Reset()
 	sw = NewSegmentWriter(&buf)
-	if sw.Format() != FormatV1 {
-		t.Fatalf("NewSegmentWriter format = %v, want v1", sw.Format())
+	if sw.format != FormatV1 {
+		t.Fatalf("NewSegmentWriter format = %v, want v1", sw.format)
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func v2Layout(t *testing.T, data []byte) (blockEnds []int64, footerStart int64) 
 	if evs, err := drainCursor(fc); err != nil {
 		t.Fatalf("layout walk failed after %d events: %v", len(evs), err)
 	}
-	for _, bi := range fc.BlockIndex() {
+	for _, bi := range fc.obsIndex {
 		blockEnds = append(blockEnds, bi.Offset+5+int64(bi.Len))
 	}
 	footerStart = int64(len(binMagic2))

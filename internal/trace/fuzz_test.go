@@ -99,8 +99,8 @@ func FuzzSalvage(f *testing.F) {
 			}
 			want = append(want, *ev)
 		}
-		if rep.Damaged != (cur.Err() != nil) {
-			t.Fatalf("salvage damaged=%v, plain cursor err=%v", rep.Damaged, cur.Err())
+		if rep.Damaged != (cur.err != nil) {
+			t.Fatalf("salvage damaged=%v, plain cursor err=%v", rep.Damaged, cur.err)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("salvage recovered %d events, cursor prefix has %d", len(got), len(want))

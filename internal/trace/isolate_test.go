@@ -183,7 +183,7 @@ func TestIsolatingMultiSinkFlushClosesDetachedJSONL(t *testing.T) {
 	for _, e := range events[:failOn-1] {
 		ref.Observe(e)
 	}
-	if err := ref.Flush(); err != nil {
+	if err := ref.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if want.Len() == 0 {
@@ -228,7 +228,7 @@ func TestIsolatingMultiSinkCloseFlushesAttached(t *testing.T) {
 	for _, e := range events {
 		ref.Observe(e)
 	}
-	ref.Flush()
+	ref.Close()
 
 	var rec closeRecorder
 	m := NewIsolatingMultiSink()

@@ -120,10 +120,10 @@ func FuzzQueryMatchesStream(f *testing.F) {
 		f.Fatal(err)
 	}
 	var headers []int64
-	for _, bi := range fc.BlockIndex() {
+	for _, bi := range fc.obsIndex {
 		headers = append(headers, bi.Offset, bi.Offset+1)
 	}
-	last := fc.BlockIndex()[len(fc.BlockIndex())-1]
+	last := fc.obsIndex[len(fc.obsIndex)-1]
 	for at := last.Offset + 5 + int64(last.Len); at < int64(len(data)); at++ {
 		headers = append(headers, at)
 	}

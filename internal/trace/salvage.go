@@ -82,6 +82,12 @@ func (r *SalvageReport) String() string {
 	return b.String()
 }
 
+// IsDamage reports whether err is segment damage — one of the classes
+// classifyDamage names — so salvage can recover the undamaged prefix.
+// An error that is not damage, such as a segment that cannot be opened,
+// is not.
+func IsDamage(err error) bool { return classifyDamage(err) != "error" }
+
 // classifyDamage maps a FileCursor decode error onto its damage class.
 func classifyDamage(err error) string {
 	switch {
@@ -138,9 +144,6 @@ func (c *SalvageCursor) Next() (*Event, bool, error) {
 	}
 	return ev, ok, nil
 }
-
-// Events reports how many records passed through.
-func (c *SalvageCursor) Events() int { return c.events }
 
 // report summarizes the cursor after its stream ended, naming its
 // segment. Bytes dropped are counted against the segment file's size,

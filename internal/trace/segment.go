@@ -113,9 +113,6 @@ func NewSegmentWriterFormat(w io.Writer, format Format, blockRecords int) *Segme
 	return sw
 }
 
-// Format reports the on-disk format this writer produces.
-func (sw *SegmentWriter) Format() Format { return sw.format }
-
 // Observe implements Sink, appending one record to the segment.
 func (sw *SegmentWriter) Observe(e Event) {
 	if sw.closed {
@@ -233,9 +230,6 @@ func (sw *SegmentWriter) writeFooter() {
 	}
 	sw.scratch = body[:0]
 }
-
-// Count reports how many records have been written.
-func (sw *SegmentWriter) Count() int { return sw.n }
 
 // Path reports the destination file of a store-opened writer (empty for
 // plain io.Writer destinations) — what a caller removes when a failed
@@ -737,19 +731,11 @@ func (c *FileCursor) readFooter() error {
 	return c.badIndex
 }
 
-// BlockIndex returns the index entries of every complete block decoded
-// so far by a sequential read — after a clean full read, the same
-// entries the footer carries. The slice is owned by the cursor.
-func (c *FileCursor) BlockIndex() []BlockInfo { return c.obsIndex }
-
 // BytesConsumed reports the length of the longest stream prefix covered
 // by the magic header and fully decoded records. For an undamaged
 // segment read to the end this is the whole file; for a damaged one it
 // marks the damage point — everything past it is what salvage drops.
 func (c *FileCursor) BytesConsumed() int64 { return c.consumed }
-
-// Err reports the first decode error, if any.
-func (c *FileCursor) Err() error { return c.err }
 
 // Close releases the segment file when the cursor owns it.
 func (c *FileCursor) Close() error {

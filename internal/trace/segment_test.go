@@ -111,8 +111,8 @@ func TestSegmentWriterMatchesWriteBinary(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if sw.Count() != len(evs) {
-		t.Fatalf("Count = %d, want %d", sw.Count(), len(evs))
+	if sw.n != len(evs) {
+		t.Fatalf("count = %d, want %d", sw.n, len(evs))
 	}
 	if !bytes.Equal(streamed.Bytes(), batch.Bytes()) {
 		t.Fatalf("streamed encoding differs from WriteBinary: %d vs %d bytes",
@@ -135,8 +135,8 @@ func TestSegmentWriterStickyError(t *testing.T) {
 	if err := sw.Close(); err == nil {
 		t.Fatal("Close did not report the encode error")
 	}
-	if sw.Count() != 1 {
-		t.Fatalf("Count = %d after sticky error, want 1", sw.Count())
+	if sw.n != 1 {
+		t.Fatalf("count = %d after sticky error, want 1", sw.n)
 	}
 }
 
@@ -233,8 +233,8 @@ func TestSegmentWriterObserveAfterClose(t *testing.T) {
 	if sw.Err() == nil {
 		t.Fatal("Observe after Close reported no error")
 	}
-	if sw.Count() != 1 {
-		t.Fatalf("Count = %d after closed write, want 1", sw.Count())
+	if sw.n != 1 {
+		t.Fatalf("count = %d after closed write, want 1", sw.n)
 	}
 }
 
@@ -248,7 +248,7 @@ func TestStreamSessionRejectsUnsortedSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(filepath.Join(st.Dir(), "run-0000.rtrc"))
+	f, err := os.Create(filepath.Join(st.dir, "run-0000.rtrc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestSegmentCrashRecovery(t *testing.T) {
 	// v1 pinned: the sweep below does v1 record-boundary arithmetic
 	// (WriteBinary prefixes). TestSegmentCrashRecoveryV2 is the v2 twin.
 	st := writeSessionSegmentsFormat(t, "run1", [][]Event{evs}, FormatV1)
-	path := filepath.Join(st.Dir(), "run1-0000.rtrc")
+	path := filepath.Join(st.dir, "run1-0000.rtrc")
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +493,7 @@ func TestStreamSessionDamagedSegment(t *testing.T) {
 	for _, format := range formats {
 		t.Run(format.String(), func(t *testing.T) {
 			st := writeSessionSegmentsFormat(t, "run", segs, format)
-			name := filepath.Join(st.Dir(), "run-0002.rtrc")
+			name := filepath.Join(st.dir, "run-0002.rtrc")
 			data, err := os.ReadFile(name)
 			if err != nil {
 				t.Fatal(err)
@@ -534,8 +534,8 @@ func TestSegmentWriterFlushKeepsLayout(t *testing.T) {
 		if err := sw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if sw.Count() != len(evs) {
-			t.Fatalf("Count = %d, want %d", sw.Count(), len(evs))
+		if sw.n != len(evs) {
+			t.Fatalf("count = %d, want %d", sw.n, len(evs))
 		}
 		return buf.Bytes()
 	}
@@ -571,11 +571,11 @@ func TestStoreWritesAreReproducible(t *testing.T) {
 			a, b := write(format), write(format)
 			for i := range segs {
 				name := fmt.Sprintf("run-%04d.rtrc", i)
-				da, err := os.ReadFile(filepath.Join(a.Dir(), name))
+				da, err := os.ReadFile(filepath.Join(a.dir, name))
 				if err != nil {
 					t.Fatal(err)
 				}
-				db, err := os.ReadFile(filepath.Join(b.Dir(), name))
+				db, err := os.ReadFile(filepath.Join(b.dir, name))
 				if err != nil {
 					t.Fatal(err)
 				}

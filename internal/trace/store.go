@@ -53,9 +53,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) segPath(session string, segment int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s-%04d.rtrc", session, segment))
 }

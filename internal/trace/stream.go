@@ -1,7 +1,5 @@
 package trace
 
-import "github.com/tracesynth/rostracer/internal/sim"
-
 // The event stream: a Sink consumes events one at a time in (Time, Seq)
 // order, a Cursor produces them, and MergeStream k-way merges many
 // sorted cursors into a sink with a tournament heap, without ever
@@ -58,31 +56,14 @@ func (k *KindCounter) Count(kind Kind) int {
 // Total reports the number of events observed.
 func (k *KindCounter) Total() int { return int(k.total) }
 
-// SpanTracker is a Sink recording the observed stream's earliest and
-// latest event times and its event count without retaining events.
+// SpanTracker is a Sink counting the observed stream's events without
+// retaining them.
 type SpanTracker struct {
-	first, last sim.Time
-	n           int
+	n int
 }
 
 // Observe implements Sink.
-func (t *SpanTracker) Observe(e Event) {
-	if t.n == 0 {
-		t.first, t.last = e.Time, e.Time
-	} else {
-		if e.Time < t.first {
-			t.first = e.Time
-		}
-		if e.Time > t.last {
-			t.last = e.Time
-		}
-	}
-	t.n++
-}
-
-// Span reports the earliest and latest observed event times (zero values
-// when nothing was observed).
-func (t *SpanTracker) Span() (first, last sim.Time) { return t.first, t.last }
+func (t *SpanTracker) Observe(Event) { t.n++ }
 
 // Total reports the number of events observed.
 func (t *SpanTracker) Total() int { return t.n }
@@ -176,11 +157,6 @@ func (m *MergeStream) Reset(curs ...Cursor) *MergeStream {
 	}
 	return m
 }
-
-// Buffered reports how many events the merge currently holds — at most
-// one per input stream, the bound that keeps the streaming path's memory
-// independent of trace length.
-func (m *MergeStream) Buffered() int { return len(m.heap) }
 
 func (m *MergeStream) less(a, b int) bool {
 	ea, eb := m.heads[a], m.heads[b]

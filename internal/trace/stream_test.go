@@ -92,7 +92,7 @@ func TestMergeStreamBufferBound(t *testing.T) {
 	total, maxBuf := 0, 0
 	if err := m.Run(SinkFunc(func(Event) {
 		total++
-		if b := m.Buffered(); b > maxBuf {
+		if b := len(m.heap); b > maxBuf {
 			maxBuf = b
 		}
 	})); err != nil {

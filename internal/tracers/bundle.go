@@ -422,7 +422,7 @@ func DecodeRecord(rec ebpf.PerfRecord, e *trace.Event) error {
 			return fmt.Errorf("tracers: wakeup record has %d bytes", len(rec.Data))
 		}
 		// pid slot holds the woken thread; mirror it into NextPID, where a
-		// switch names its incoming thread and WaitingTimes looks for it.
+		// switch names its incoming thread.
 		e.NextPID = e.PID
 		e.NextPrio = int32(f(3))
 	case kind == trace.KindTimerCall:

@@ -25,7 +25,6 @@ type RedirectTracer struct {
 	rt   *ebpf.Runtime
 	sink trace.Sink
 	seq  uint64
-	ids  []int
 
 	// CostPerEventNs is the simulated per-interception overhead: PLT
 	// indirection, original-symbol lookup, and trace serialization.
@@ -46,8 +45,7 @@ func (r *RedirectTracer) emit(e trace.Event) {
 }
 
 func (r *RedirectTracer) hook(sym ebpf.Symbol, fn func(ctx *ebpf.ExecContext)) {
-	id := r.rt.AttachNativeHook(sym, ebpf.NativeHook{Fn: fn, CostNs: r.CostPerEventNs})
-	r.ids = append(r.ids, id)
+	r.rt.AttachNativeHook(sym, ebpf.NativeHook{Fn: fn, CostNs: r.CostPerEventNs})
 }
 
 // Start intercepts the ROS2-RT function set. Entry-side shims observe both
@@ -104,14 +102,6 @@ func (r *RedirectTracer) Start() {
 		}
 		r.emit(e)
 	})
-}
-
-// Stop removes all interceptions.
-func (r *RedirectTracer) Stop() {
-	for _, id := range r.ids {
-		r.rt.DetachNativeHook(id)
-	}
-	r.ids = nil
 }
 
 // CostNs returns the simulated overhead spent in the shims.

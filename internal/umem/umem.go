@@ -43,12 +43,6 @@ func NewSpace(pid uint32) *Space {
 	return &Space{base: Addr(uint64(pid+1) * spaceStride)}
 }
 
-// Base returns the lowest address of the space.
-func (s *Space) Base() Addr { return s.base }
-
-// Size returns the number of bytes allocated so far.
-func (s *Space) Size() int { return len(s.mem) }
-
 // Contains reports whether [a, a+n) lies inside the space.
 func (s *Space) Contains(a Addr, n int) bool {
 	if a < s.base || n < 0 {
@@ -101,20 +95,10 @@ func (s *Space) slice(a Addr, n int) []byte {
 	return s.mem[off : off+uint64(n)]
 }
 
-// Read copies n bytes at a. It returns an error (not a panic) for invalid
-// ranges because probe programs must be able to fault gracefully, as real
-// probe_read does.
-func (s *Space) Read(a Addr, n int) ([]byte, error) {
-	if !s.Contains(a, n) {
-		return nil, fmt.Errorf("umem: fault reading [%#x,+%d)", uint64(a), n)
-	}
-	out := make([]byte, n)
-	copy(out, s.slice(a, n))
-	return out, nil
-}
-
 // ReadInto copies len(dst) bytes at a into dst without allocating; the
-// probe_read helper's hot path.
+// probe_read helper's hot path. It returns an error (not a panic) for
+// invalid ranges because probe programs must be able to fault
+// gracefully, as real probe_read does.
 func (s *Space) ReadInto(a Addr, dst []byte) error {
 	if !s.Contains(a, len(dst)) {
 		return fmt.Errorf("umem: fault reading [%#x,+%d)", uint64(a), len(dst))
@@ -129,14 +113,6 @@ func (s *Space) ReadU64(a Addr) (uint64, error) {
 		return 0, fmt.Errorf("umem: fault reading [%#x,+8)", uint64(a))
 	}
 	return binary.LittleEndian.Uint64(s.slice(a, 8)), nil
-}
-
-// ReadU32 reads a little-endian 32-bit value.
-func (s *Space) ReadU32(a Addr) (uint32, error) {
-	if !s.Contains(a, 4) {
-		return 0, fmt.Errorf("umem: fault reading [%#x,+4)", uint64(a))
-	}
-	return binary.LittleEndian.Uint32(s.slice(a, 4)), nil
 }
 
 // cstringWindow locates the NUL-terminated string of at most max bytes at
@@ -230,17 +206,6 @@ func (w *StructWriter) U64(v uint64) int {
 	off := w.size
 	w.fields = append(w.fields, fieldSpec{off, b})
 	w.size += 8
-	return off
-}
-
-// U32 appends a 32-bit field and returns its offset.
-func (w *StructWriter) U32(v uint32) int {
-	w.align(4)
-	b := make([]byte, 4)
-	binary.LittleEndian.PutUint32(b, v)
-	off := w.size
-	w.fields = append(w.fields, fieldSpec{off, b})
-	w.size += 4
 	return off
 }
 

