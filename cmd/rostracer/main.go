@@ -33,8 +33,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -70,7 +68,7 @@ func main() {
 	snapshotEvery := flag.Duration("snapshot-every", 0, "synthesize and write a model snapshot (JSON + DOT) every this much virtual time (0 = off)")
 	spillCap := flag.Int("spill-capacity", 0, "bounded in-memory event spill while the disk is down (0 = default)")
 	format := flag.String("format", "v2", "segment format: v2 (indexed, delta-compressed) or v1 (flat records)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text-format self-metrics at this address (e.g. :9090); empty disables the endpoint")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text-format self-metrics at this address (:PORT, localhost:PORT, IPv4:PORT or [IPv6]:PORT); empty disables the endpoint")
 	alertRules := metrics.DefaultAlertRules()
 	alertsGiven := false
 	flag.Func("alert", `alert rule "name: metric > value" (repeatable; metric{label} selects one cell, delta(metric) compares per-segment growth; added to the built-in rules)`, func(s string) error {
@@ -109,20 +107,11 @@ func main() {
 	metricsOn := *metricsAddr != "" || alertsGiven
 	var liveReg atomic.Pointer[metrics.Registry]
 	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
+		bound, err := metrics.Serve(*metricsAddr, liveReg.Load)
 		if err != nil {
 			log.Fatalf("-metrics-addr: %v", err)
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-			if reg := liveReg.Load(); reg != nil {
-				metrics.Handler(reg).ServeHTTP(w, req)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		})
-		go http.Serve(ln, mux)
-		log.Printf("serving /metrics on http://%s/metrics", ln.Addr())
+		log.Printf("serving /metrics on http://%s/metrics", bound)
 	}
 
 	// Graceful shutdown: the drain loop checks this after each segment

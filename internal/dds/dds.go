@@ -39,7 +39,6 @@ type Sample struct {
 // Reader receives samples from a topic. Delivery invokes OnData in the
 // reader process's context; the ROS2 wait-set bridges it to the executor.
 type Reader struct {
-	pid    uint32
 	OnData func(*Sample)
 
 	// open holds the reader's batches not yet dispatched, at most one
@@ -155,9 +154,9 @@ func (d *Domain) CreateWriter(pid uint32, space *umem.Space, topic string) *Writ
 	return &Writer{topic: topic, pid: pid, domain: d, structAddr: addr, readers: d.topicReaders(topic)}
 }
 
-// CreateReader subscribes pid to topic; onData runs at delivery time.
-func (d *Domain) CreateReader(pid uint32, topic string, onData func(*Sample)) *Reader {
-	r := &Reader{pid: pid, OnData: onData}
+// CreateReader subscribes to topic; onData runs at delivery time.
+func (d *Domain) CreateReader(topic string, onData func(*Sample)) *Reader {
+	r := &Reader{OnData: onData}
 	tr := d.topicReaders(topic)
 	tr.list = append(tr.list, r)
 	return r

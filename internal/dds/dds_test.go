@@ -24,7 +24,7 @@ func TestWriteDeliversToAllReaders(t *testing.T) {
 	got := make(map[int]int)
 	for i := 0; i < 3; i++ {
 		i := i
-		d.CreateReader(uint32(10+i), "/x", func(s *Sample) { got[i]++ })
+		d.CreateReader("/x", func(s *Sample) { got[i]++ })
 	}
 	w.Write("payload", 0, 0)
 	w.Write("payload", 0, 0)
@@ -43,7 +43,7 @@ func TestSrcTSAssignedAtWriteTime(t *testing.T) {
 	w := d.CreateWriter(1, space, "/x")
 	var deliveredAt sim.Time
 	var srcTS sim.Time
-	d.CreateReader(2, "/x", func(s *Sample) {
+	d.CreateReader("/x", func(s *Sample) {
 		deliveredAt = eng.Now()
 		srcTS = s.SrcTS
 	})
@@ -63,7 +63,7 @@ func TestDeliveryRespectsLatencyModel(t *testing.T) {
 	space := umem.NewSpace(1)
 	w := d.CreateWriter(1, space, "/x")
 	var at sim.Time
-	d.CreateReader(2, "/x", func(*Sample) { at = eng.Now() })
+	d.CreateReader("/x", func(*Sample) { at = eng.Now() })
 	w.Write(nil, 0, 0)
 	eng.Run(sim.MaxTime)
 	if at != sim.Time(5*sim.Millisecond) {
@@ -192,7 +192,7 @@ func TestBatchedDeliveryCoalescesSameTick(t *testing.T) {
 	wB := d.CreateWriter(2, space, "/x")
 
 	var order []interface{}
-	d.CreateReader(10, "/x", func(s *Sample) { order = append(order, s.Payload) })
+	d.CreateReader("/x", func(s *Sample) { order = append(order, s.Payload) })
 
 	// Three same-tick writes: constant latency makes all three due at
 	// now+50µs for the one reader.
@@ -226,8 +226,8 @@ func TestBatchedDeliveryKeepsTicksApart(t *testing.T) {
 	w := d.CreateWriter(1, space, "/x")
 
 	var got []sim.Time
-	d.CreateReader(10, "/x", func(*Sample) { got = append(got, eng.Now()) })
-	d.CreateReader(11, "/x", func(*Sample) {})
+	d.CreateReader("/x", func(*Sample) { got = append(got, eng.Now()) })
+	d.CreateReader("/x", func(*Sample) {})
 
 	w.Write(1, 0, 0) // due at 1ms
 	eng.Run(sim.Time(200 * sim.Microsecond))
@@ -256,7 +256,7 @@ func TestBatchedDeliveryDeterministic(t *testing.T) {
 		w1 := d.CreateWriter(1, space, "/x")
 		w2 := d.CreateWriter(2, space, "/x")
 		var seen []uint64
-		d.CreateReader(10, "/x", func(s *Sample) { seen = append(seen, s.RPCSeq) })
+		d.CreateReader("/x", func(s *Sample) { seen = append(seen, s.RPCSeq) })
 		for i := 0; i < 50; i++ {
 			i := i
 			eng.At(sim.Time(i*10_000), func() {
@@ -295,7 +295,7 @@ func TestBatchedDeliveryZeroLatencyWriteBack(t *testing.T) {
 		event   uint64 // the engine event that delivered it
 	}
 	var got []arrival
-	d.CreateReader(10, "/x", func(s *Sample) {
+	d.CreateReader("/x", func(s *Sample) {
 		got = append(got, arrival{s.Payload, eng.Now(), eng.Executed()})
 		if s.Payload == "a" {
 			w.Write("echo", 0, 0)
@@ -376,7 +376,7 @@ func TestBatchedDeliveryRecyclingKeepsBatchesExact(t *testing.T) {
 	var lastEvent [readers]uint64
 	for r := 0; r < readers; r++ {
 		r := r
-		d.CreateReader(uint32(10+r), "/x", func(s *Sample) {
+		d.CreateReader("/x", func(s *Sample) {
 			k := key{r, eng.Now()}
 			// Each batch is one engine event.
 			if ev := eng.Executed(); ev != lastEvent[r] {

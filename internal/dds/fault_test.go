@@ -40,7 +40,7 @@ func TestTransportFaultDropDuplicateDelay(t *testing.T) {
 	space := umem.NewSpace(1)
 	w := d.CreateWriter(1, space, "/x")
 	var arrivals []sim.Time
-	d.CreateReader(2, "/x", func(s *Sample) { arrivals = append(arrivals, eng.Now()) })
+	d.CreateReader("/x", func(s *Sample) { arrivals = append(arrivals, eng.Now()) })
 
 	for i := 0; i < 4; i++ {
 		w.Write(nil, 0, 0)
@@ -73,7 +73,7 @@ func TestTransportFaultNilIsPassThrough(t *testing.T) {
 	space := umem.NewSpace(1)
 	w := d.CreateWriter(1, space, "/x")
 	got := 0
-	d.CreateReader(2, "/x", func(*Sample) { got++ })
+	d.CreateReader("/x", func(*Sample) { got++ })
 	w.Write(nil, 0, 0)
 	eng.Run(sim.MaxTime)
 	if got != 1 {
@@ -90,7 +90,7 @@ func TestTransportFaultDeterministicPerSeed(t *testing.T) {
 		d.Fault = probFault{}
 		space := umem.NewSpace(1)
 		w := d.CreateWriter(1, space, "/x")
-		d.CreateReader(2, "/x", func(*Sample) {})
+		d.CreateReader("/x", func(*Sample) {})
 		for i := 0; i < 200; i++ {
 			w.Write(nil, 0, 0)
 		}

@@ -3,7 +3,6 @@ package harness
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -15,17 +14,20 @@ import (
 
 // TestMetricsEndpointSmoke is the /metrics smoke test make check runs: a
 // live short session on the pipeline drive loop (bundle, drain fan-out,
-// metrics sink, snapshot instrumentation) served over real HTTP
-// and scraped concurrently with the drive loop. Every scrape must be
-// parseable Prometheus text exposition carrying the session's publish-
-// latency histograms and ring accounting.
+// metrics sink, snapshot instrumentation) served by metrics.Serve, the
+// endpoint behind rostracer -metrics-addr, and scraped over real HTTP
+// concurrently with the drive loop. Every scrape must be parseable
+// Prometheus text exposition carrying the session's publish-latency
+// histograms and ring accounting.
 func TestMetricsEndpointSmoke(t *testing.T) {
 	reg := metrics.NewRegistry()
-	srv := httptest.NewServer(metrics.Handler(reg))
-	defer srv.Close()
+	bound, err := metrics.Serve("127.0.0.1:0", func() *metrics.Registry { return reg })
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	scrape := func() string {
-		resp, err := http.Get(srv.URL)
+		resp, err := http.Get("http://" + bound + "/metrics")
 		if err != nil {
 			t.Fatalf("scrape: %v", err)
 		}

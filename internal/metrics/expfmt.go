@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,14 +93,6 @@ func join(a, b string) string {
 		return b
 	}
 	return a + "," + b
-}
-
-// Handler serves the registry as a /metrics endpoint.
-func Handler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
-	})
 }
 
 // Exposition is a parsed scrape: sample values keyed by the full series

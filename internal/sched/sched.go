@@ -35,7 +35,6 @@ const (
 	StateRunning  ThreadState = iota // on a CPU
 	StateRunnable                    // waiting for a CPU
 	StateBlocked                     // waiting for a wake-up
-	StateExited                      // finished
 )
 
 func (s ThreadState) String() string {
@@ -44,20 +43,17 @@ func (s ThreadState) String() string {
 		return "running"
 	case StateRunnable:
 		return "runnable"
-	case StateBlocked:
-		return "blocked"
 	default:
-		return "exited"
+		return "blocked"
 	}
 }
 
 // PrevState values reported in switch events, mirroring Linux: 0 means the
 // previous thread was preempted while still runnable, 1 means it went to
-// sleep, 16 means it exited.
+// sleep.
 const (
 	PrevStateRunnable = 0
 	PrevStateSleeping = 1
-	PrevStateDead     = 16
 )
 
 // DemandKind says what a thread wants next.
@@ -69,8 +65,6 @@ const (
 	DemandCompute DemandKind = iota
 	// DemandBlock puts the thread to sleep until Wake.
 	DemandBlock
-	// DemandExit terminates the thread.
-	DemandExit
 )
 
 // Demand is a thread's next scheduling request.
@@ -113,7 +107,7 @@ type Switch struct {
 	CPU       int
 	PrevPID   PID
 	PrevPrio  int
-	PrevState int // PrevStateRunnable, PrevStateSleeping or PrevStateDead
+	PrevState int // PrevStateRunnable or PrevStateSleeping
 	NextPID   PID
 	NextPrio  int
 }
@@ -158,7 +152,7 @@ type Machine struct {
 	// active is the run queue: every running or runnable thread, in
 	// dispatch order (runsBefore). A thread's key only changes when it
 	// enters the queue (Spawn, Wake from blocked) and it only leaves when
-	// it blocks or exits, so the queue stays sorted without re-sorting.
+	// it blocks, so the queue stays sorted without re-sorting.
 	active []*Thread
 	// busy has bit i set while CPU i has an occupant.
 	busy uint64
@@ -248,7 +242,7 @@ func (m *Machine) Threads() []*Thread { return append([]*Thread(nil), m.threads.
 // mirrors the kernel's wake-up race handling.
 func (m *Machine) Wake(pid PID) {
 	t := m.Lookup(pid)
-	if t == nil || t.state == StateExited {
+	if t == nil {
 		return
 	}
 	switch t.state {
@@ -420,8 +414,6 @@ func prevStateOf(t *Thread) int {
 	switch t.state {
 	case StateBlocked:
 		return PrevStateSleeping
-	case StateExited:
-		return PrevStateDead
 	default:
 		return PrevStateRunnable
 	}
@@ -429,7 +421,7 @@ func prevStateOf(t *Thread) int {
 
 // pause halts the occupant of c, charging its CPU time and cancelling its
 // completion event. A still-running occupant becomes runnable (preemption);
-// blocked/exited occupants keep their state.
+// a blocked occupant keeps its state.
 func (m *Machine) pause(c int) {
 	t := m.running[c]
 	if t == nil {
@@ -504,11 +496,6 @@ func (m *Machine) complete(t *Thread) {
 		}
 		m.dequeue(t)
 		t.state = StateBlocked
-		m.reschedule()
-
-	case DemandExit:
-		m.dequeue(t)
-		t.state = StateExited
 		m.reschedule()
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"github.com/tracesynth/rostracer/internal/sim"
 )
 
-// scriptProc replays a fixed list of demands, then exits.
+// scriptProc replays a fixed list of demands, then blocks for good.
 type scriptProc struct {
 	demands []Demand
 	i       int
@@ -16,7 +16,7 @@ type scriptProc struct {
 func (p *scriptProc) Resume(*Machine) Demand {
 	p.resumes++
 	if p.i >= len(p.demands) {
-		return Demand{Kind: DemandExit}
+		return Block()
 	}
 	d := p.demands[p.i]
 	p.i++
@@ -29,7 +29,7 @@ func collectSwitches(m *Machine) *[]Switch {
 	return &out
 }
 
-func TestSingleThreadComputeThenExit(t *testing.T) {
+func TestSingleThreadComputeThenBlock(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMachine(eng, 1)
 	sws := collectSwitches(m)
@@ -37,13 +37,13 @@ func TestSingleThreadComputeThenExit(t *testing.T) {
 	th := m.Spawn("worker", 10, AffinityAll, p)
 	eng.Run(sim.MaxTime)
 
-	if th.State() != StateExited {
+	if th.State() != StateBlocked {
 		t.Fatalf("state = %v", th.State())
 	}
 	if th.CPUTime() != 100*sim.Microsecond {
 		t.Fatalf("cpu time = %v", th.CPUTime())
 	}
-	// Expect: idle->worker, worker->idle(dead).
+	// Expect: idle->worker, worker->idle(sleeping).
 	if len(*sws) != 2 {
 		t.Fatalf("switches = %d: %+v", len(*sws), *sws)
 	}
@@ -51,7 +51,7 @@ func TestSingleThreadComputeThenExit(t *testing.T) {
 		t.Errorf("first switch %+v", (*sws)[0])
 	}
 	last := (*sws)[1]
-	if last.PrevPID != th.PID() || last.PrevState != PrevStateDead || last.NextPID != IdlePID {
+	if last.PrevPID != th.PID() || last.PrevState != PrevStateSleeping || last.NextPID != IdlePID {
 		t.Errorf("last switch %+v", last)
 	}
 }
@@ -76,14 +76,14 @@ func TestPriorityPreemption(t *testing.T) {
 		t.Errorf("high cpu time = %v", high.CPUTime())
 	}
 	// low must finish at 2+3+8 = 13ms.
-	var lowDead sim.Time
+	var lowDone sim.Time
 	for _, s := range *sws {
-		if s.PrevPID == low.PID() && s.PrevState == PrevStateDead {
-			lowDead = s.Time
+		if s.PrevPID == low.PID() && s.PrevState == PrevStateSleeping {
+			lowDone = s.Time
 		}
 	}
-	if lowDead != sim.Time(13*sim.Millisecond) {
-		t.Errorf("low exited at %v, want 13ms", lowDead)
+	if lowDone != sim.Time(13*sim.Millisecond) {
+		t.Errorf("low finished at %v, want 13ms", lowDone)
 	}
 	// A preemption switch with PrevState runnable must exist.
 	foundPreempt := false
@@ -103,7 +103,7 @@ func TestTwoCPUsRunInParallel(t *testing.T) {
 	a := m.Spawn("a", 1, AffinityAll, &scriptProc{demands: []Demand{Compute(5 * sim.Millisecond)}})
 	b := m.Spawn("b", 1, AffinityAll, &scriptProc{demands: []Demand{Compute(5 * sim.Millisecond)}})
 	end := eng.Run(sim.MaxTime)
-	if a.State() != StateExited || b.State() != StateExited {
+	if a.State() != StateBlocked || b.State() != StateBlocked {
 		t.Fatal("threads did not finish")
 	}
 	if end != sim.Time(5*sim.Millisecond) {
@@ -147,7 +147,8 @@ func TestFIFOWithinPriority(t *testing.T) {
 	}
 }
 
-// blockingProc computes, blocks, computes again after wake, exits.
+// blockingProc computes, blocks, computes again after wake, blocks for
+// good.
 type blockingProc struct{ phase int }
 
 func (p *blockingProc) Resume(*Machine) Demand {
@@ -160,7 +161,7 @@ func (p *blockingProc) Resume(*Machine) Demand {
 	case 3:
 		return Compute(2 * sim.Millisecond)
 	default:
-		return Demand{Kind: DemandExit}
+		return Block()
 	}
 }
 
@@ -179,17 +180,14 @@ func TestBlockAndWake(t *testing.T) {
 	if end != sim.Time(12*sim.Millisecond) {
 		t.Errorf("end = %v, want 12ms", end)
 	}
-	foundSleep := false
+	var sleeps []sim.Time
 	for _, s := range *sws {
 		if s.PrevPID == th.PID() && s.PrevState == PrevStateSleeping {
-			foundSleep = true
-			if s.Time != sim.Time(sim.Millisecond) {
-				t.Errorf("slept at %v, want 1ms", s.Time)
-			}
+			sleeps = append(sleeps, s.Time)
 		}
 	}
-	if !foundSleep {
-		t.Error("no sleeping switch recorded")
+	if len(sleeps) != 2 || sleeps[0] != sim.Time(sim.Millisecond) || sleeps[1] != end {
+		t.Errorf("slept at %v, want [1ms %v]", sleeps, end)
 	}
 }
 
@@ -201,21 +199,26 @@ func TestWakeWhileRunningIsAbsorbed(t *testing.T) {
 	// Wake arrives mid-compute, before the block in phase 2.
 	eng.At(sim.Time(500*sim.Microsecond), func() { m.Wake(th.PID()) })
 	end := eng.Run(sim.MaxTime)
-	if th.State() != StateExited {
-		t.Fatalf("thread stuck in %v: absorbed wake lost", th.State())
+	if p.phase != 4 {
+		t.Fatalf("thread stuck in phase %d: absorbed wake lost", p.phase)
 	}
 	if end != sim.Time(3*sim.Millisecond) {
 		t.Errorf("end = %v, want 3ms (no sleeping)", end)
 	}
 }
 
-func TestWakeOnBlockedUnknownAndExited(t *testing.T) {
+func TestWakeOnBlockedAndUnknown(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMachine(eng, 1)
-	th := m.Spawn("x", 1, AffinityAll, &scriptProc{demands: []Demand{Compute(sim.Millisecond)}})
+	p := &scriptProc{demands: []Demand{Compute(sim.Millisecond)}}
+	th := m.Spawn("x", 1, AffinityAll, p)
 	eng.Run(sim.MaxTime)
-	m.Wake(th.PID()) // exited: no-op
+	m.Wake(th.PID()) // blocked: resumes once, then blocks again
 	m.Wake(99999)    // unknown: no-op
+	eng.Run(sim.MaxTime)
+	if p.resumes != 3 || th.State() != StateBlocked {
+		t.Fatalf("resumes = %d, state %v; want 3, blocked", p.resumes, th.State())
+	}
 }
 
 func TestGroundTruthMatchesSegments(t *testing.T) {
