@@ -312,10 +312,9 @@ func BenchmarkEBPF_ProbeDispatch(b *testing.B) {
 // dispatchRuntime builds a runtime with a representative tracer-shaped
 // program (ctx loads, ALU, branches, four map-helper calls, no perf
 // output so the workload is pure dispatch) attached to one uprobe.
-func dispatchRuntime(b *testing.B, predecode bool) *ebpf.ProbeSite {
+func dispatchRuntime(b *testing.B) *ebpf.ProbeSite {
 	b.Helper()
 	rt := ebpf.NewRuntime(func() int64 { return 42 }, nil)
-	rt.SetPredecode(predecode)
 	hm := ebpf.NewHashMap("state", 1024)
 	fd := rt.RegisterMap(hm)
 	p := ebpf.NewAssembler("dispatch_bench").
@@ -364,19 +363,7 @@ func dispatchRuntime(b *testing.B, predecode bool) *ebpf.ProbeSite {
 // dispatch form Load installs (fused helper patterns, compacted blocks),
 // exactly as every fire of a tracing session runs.
 func BenchmarkEBPF_DispatchDecoded(b *testing.B) {
-	site := dispatchRuntime(b, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		site.FireEntry(7, 0, uint64(i), uint64(i>>3))
-	}
-}
-
-// BenchmarkEBPF_DispatchRaw measures the same fire through the raw
-// reference interpreter (per-retire operand resolution and map-fd
-// hashing) — the before side of the decode optimization.
-func BenchmarkEBPF_DispatchRaw(b *testing.B) {
-	site := dispatchRuntime(b, false)
+	site := dispatchRuntime(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

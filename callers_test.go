@@ -22,31 +22,30 @@ import (
 // internal/ that may stay without a production caller, each with the
 // reason. Names are package.Func or package.Type.Method.
 var callerAllowlist = map[string]string{
-	"apps.BuildRandomPipeline":  "test support: the random pipelines the sched, apps and tracers property tests run",
-	"maincheck.Deterministic":   "test support: the determinism check each example's main test runs",
-	"rclcpp.World.RecordTruth":  "ground-truth oracle the msgfilters and rclcpp tests compare the synthesized model against",
-	"rclcpp.World.Truth":        "ground-truth oracle the msgfilters and rclcpp tests compare the synthesized model against",
-	"trace.WriteBinary":         "writes the v1 test inputs until the both-v1 workload is retired",
-	"ebpf.Runtime.SetPredecode": "selects the raw reference interpreter TestDecodedBundleEquivalence compares against",
-	"ebpf.Assembler.AddReg":     asmReason,
-	"ebpf.Assembler.AndImm":     asmReason,
-	"ebpf.Assembler.DivImm":     asmReason,
-	"ebpf.Assembler.DivReg":     asmReason,
-	"ebpf.Assembler.Ja":         asmReason,
-	"ebpf.Assembler.JeqReg":     asmReason,
-	"ebpf.Assembler.JgeImm":     asmReason,
-	"ebpf.Assembler.JgtImm":     asmReason,
-	"ebpf.Assembler.JleImm":     asmReason,
-	"ebpf.Assembler.JltImm":     asmReason,
-	"ebpf.Assembler.JneReg":     asmReason,
-	"ebpf.Assembler.LshImm":     asmReason,
-	"ebpf.Assembler.ModImm":     asmReason,
-	"ebpf.Assembler.MulImm":     asmReason,
-	"ebpf.Assembler.OrImm":      asmReason,
-	"ebpf.Assembler.RshImm":     asmReason,
-	"ebpf.Assembler.SubImm":     asmReason,
-	"ebpf.Assembler.SubReg":     asmReason,
-	"ebpf.Assembler.XorReg":     asmReason,
+	"apps.BuildRandomPipeline": "test support: the random pipelines the sched, apps and tracers property tests run",
+	"maincheck.Deterministic":  "test support: the determinism check each example's main test runs",
+	"rclcpp.World.RecordTruth": "ground-truth oracle the msgfilters and rclcpp tests compare the synthesized model against",
+	"rclcpp.World.Truth":       "ground-truth oracle the msgfilters and rclcpp tests compare the synthesized model against",
+	"trace.WriteBinary":        "writes the v1 test inputs until the both-v1 workload is retired",
+	"ebpf.Assembler.AddReg":    asmReason,
+	"ebpf.Assembler.AndImm":    asmReason,
+	"ebpf.Assembler.DivImm":    asmReason,
+	"ebpf.Assembler.DivReg":    asmReason,
+	"ebpf.Assembler.Ja":        asmReason,
+	"ebpf.Assembler.JeqReg":    asmReason,
+	"ebpf.Assembler.JgeImm":    asmReason,
+	"ebpf.Assembler.JgtImm":    asmReason,
+	"ebpf.Assembler.JleImm":    asmReason,
+	"ebpf.Assembler.JltImm":    asmReason,
+	"ebpf.Assembler.JneReg":    asmReason,
+	"ebpf.Assembler.LshImm":    asmReason,
+	"ebpf.Assembler.ModImm":    asmReason,
+	"ebpf.Assembler.MulImm":    asmReason,
+	"ebpf.Assembler.OrImm":     asmReason,
+	"ebpf.Assembler.RshImm":    asmReason,
+	"ebpf.Assembler.SubImm":    asmReason,
+	"ebpf.Assembler.SubReg":    asmReason,
+	"ebpf.Assembler.XorReg":    asmReason,
 }
 
 const asmReason = "an instruction only test programs emit; the assembler covers the instruction set the verifier accepts"

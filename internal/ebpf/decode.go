@@ -10,7 +10,7 @@ import "fmt"
 // frame indexes the verifier proved, hashing map fds, and type-asserting
 // perf buffers — happens once at load time instead. The VM dispatches over
 // this form on every probe fire; the raw Instruction slice is kept for
-// diagnostics and as the reference interpreter.
+// diagnostics and for the tests' reference interpreter.
 //
 // Like the kernel's JIT, decoding runs once, when Runtime.Load installs
 // the program, and nothing is re-decoded at run time. This file lowers
@@ -294,6 +294,6 @@ func decode(p *Program, lookup func(fd int64) Map) error {
 		out[start] = dinsn{op: opRunFused, tgt: int32(end), retire: int32(end - start),
 			run: ops[start:end:end]}
 	}
-	p.dp.Store(optimize(out, calls))
+	p.dp = optimize(out, calls)
 	return nil
 }

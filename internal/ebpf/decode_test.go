@@ -98,13 +98,13 @@ func runEquiv(t *testing.T, name string, build func() *Program, ctxWords int, ct
 	t.Helper()
 	raw := newEquivFixture(t, build, ctxWords)
 	dec := decodedFixture(t, build, ctxWords)
-	rawVM, decVM := NewVM(raw.maps), NewVM(dec.maps)
+	ref, decVM := &rawVM{maps: raw.maps}, NewVM()
 	for i, ctx := range ctxs {
-		rres, rerr := rawVM.RunInterpreted(raw.prog, ctx)
+		rres, rerr := ref.RunInterpreted(raw.prog, ctx)
 		ctx2 := *ctx // the decoded run gets its own copy
-		dres, derr := decVM.Run(dec.prog, &ctx2)
-		if (rerr == nil) != (derr == nil) {
-			t.Fatalf("%s ctx %d: raw err %v, decoded err %v", name, i, rerr, derr)
+		dres := decVM.Run(dec.prog, &ctx2)
+		if rerr != nil {
+			t.Fatalf("%s ctx %d: raw err %v, decoded ran", name, i, rerr)
 		}
 		if rres != dres {
 			t.Fatalf("%s ctx %d: raw %+v, decoded %+v", name, i, rres, dres)
@@ -253,7 +253,7 @@ func TestDecodedEquivalenceHelpers(t *testing.T) {
 // TestDecodeBindsMaps checks the decoder resolved every map call site.
 func TestDecodeBindsMaps(t *testing.T) {
 	f := decodedFixture(t, helperProg, 2)
-	calls := f.prog.dp.Load().calls
+	calls := f.prog.dp.calls
 	bound := 0
 	for _, c := range calls {
 		if c.m != nil {
@@ -270,41 +270,26 @@ func TestDecodeBindsMaps(t *testing.T) {
 	}
 }
 
-// TestRuntimeLoadDecodes checks Load produces the decoded form by default
-// and honors SetPredecode(false).
+// TestRuntimeLoadDecodes checks Load installs the decoded form.
 func TestRuntimeLoadDecodes(t *testing.T) {
-	build := func() (*Runtime, *Program) {
-		rt := NewRuntime(nil, nil)
-		pb := NewPerfBuffer("pb", 0, new(uint64))
-		fd := rt.RegisterMap(pb)
-		p := NewAssembler("emit").
-			StImmStack(R10, -8, 1, 8).
-			MovImm(R1, fd).
-			MovReg(R2, R10).
-			SubImm(R2, 8).
-			MovImm(R3, 8).
-			Call(HelperPerfOutput).
-			MovImm(R0, 0).
-			Exit().
-			MustAssemble()
-		return rt, p
-	}
-
-	rt, p := build()
+	rt := NewRuntime(nil, nil)
+	pb := NewPerfBuffer("pb", 0, new(uint64))
+	fd := rt.RegisterMap(pb)
+	p := NewAssembler("emit").
+		StImmStack(R10, -8, 1, 8).
+		MovImm(R1, fd).
+		MovReg(R2, R10).
+		SubImm(R2, 8).
+		MovImm(R3, 8).
+		Call(HelperPerfOutput).
+		MovImm(R0, 0).
+		Exit().
+		MustAssemble()
 	if err := rt.Load(p, 1); err != nil {
 		t.Fatal(err)
 	}
-	if p.dp.Load() == nil {
+	if p.dp == nil {
 		t.Fatal("Load did not decode the program")
-	}
-
-	rt2, p2 := build()
-	rt2.SetPredecode(false)
-	if err := rt2.Load(p2, 1); err != nil {
-		t.Fatal(err)
-	}
-	if p2.dp.Load() != nil {
-		t.Fatal("SetPredecode(false) still decoded the program")
 	}
 }
 

@@ -2,6 +2,20 @@ package ebpf
 
 import "testing"
 
+// UseRawReference makes rt run every fire through the raw reference
+// interpreter over rt's fd table instead of the installed form. A fault,
+// which the verifier rules out, panics.
+func UseRawReference(rt *Runtime) {
+	raw := &rawVM{maps: rt.maps}
+	rt.reference = func(p *Program, ctx *ExecContext) ExecResult {
+		res, err := raw.RunInterpreted(p, ctx)
+		if err != nil {
+			panic(err)
+		}
+		return res
+	}
+}
+
 // CheckInstalled runs checkInstalled for the external test package.
 func CheckInstalled(t testing.TB, p *Program) { checkInstalled(t, p) }
 

@@ -11,6 +11,8 @@ import (
 // property, mirrored from the kernel's contract: any program the verifier
 // accepts must execute without faulting — no out-of-bounds stack access,
 // no bad helper calls, guaranteed termination — on arbitrary contexts.
+// Each accepted program is decoded and run as Runtime.Load installs it;
+// the installed form has no run-time checks, so a fault would panic.
 func TestVerifierSoundnessOnRandomPrograms(t *testing.T) {
 	rng := sim.NewRNG(2024)
 	maps := map[int64]Map{
@@ -35,9 +37,18 @@ func TestVerifierSoundnessOnRandomPrograms(t *testing.T) {
 			Words: []uint64{uint64(addr), rng.Uint64() % 1024, 0, uint64(addr)},
 			Mem:   space,
 		}
-		if _, err := NewVM(maps).Run(p, ctx); err != nil {
-			t.Fatalf("verified program faulted at runtime: %v\nprogram: %v", err, p.Insns)
+		if err := decode(p, lookup); err != nil {
+			t.Fatalf("decode of a verified program failed: %v\nprogram: %v", err, p.Insns)
 		}
+		checkInstalled(t, p)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("verified program faulted at runtime: %v\nprogram: %v", r, p.Insns)
+				}
+			}()
+			NewVM().Run(p, ctx)
+		}()
 	}
 	if accepted == 0 {
 		t.Fatal("no random program was ever accepted; generator too wild to be useful")

@@ -14,10 +14,7 @@
 // structures without instrumenting the libraries.
 package ebpf
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Reg is a VM register. R0 holds return values, R1–R5 are helper arguments
 // and are clobbered by calls, R6–R9 are callee-saved working registers, R10
@@ -170,11 +167,11 @@ type Program struct {
 	memLo []int32
 	// dp points at the pre-resolved dispatch form Runtime.Load installs:
 	// operands widened, jump targets absolute, map fds bound, patterns
-	// fused. Nil until a runtime decodes the program; the VM falls back to
-	// the raw interpreter in that case. The pointer is atomic because a
-	// later Load on another runtime may rebind the program while a fire
-	// holds the old form.
-	dp atomic.Pointer[decodedProgram]
+	// fused. Nil until a runtime loads the program, and Attach refuses
+	// the program while it is. Load installs the form before Attach can
+	// hand the program to a probe site, and each session assembles its
+	// own programs, so fires read the form without synchronization.
+	dp *decodedProgram
 }
 
 // HelperID identifies a kernel helper callable from programs.

@@ -36,7 +36,7 @@ import "encoding/binary"
 // frame range lies inside the stack, its template exists, and its call
 // site is bound to a map or perf buffer. The VM runs it without
 // re-checking any of that. The retired-instruction count is preserved op
-// for op, so the overhead accounting stays bit-identical to the
+// for op, so the overhead accounting stays bit-identical to the tests'
 // reference interpreter.
 
 // maxPatternWeight bounds how many original instructions one fused

@@ -10,7 +10,7 @@ import (
 
 // allOps flattens every fused run of the installed dispatch form.
 func allOps(p *Program) []dop {
-	dp := p.dp.Load()
+	dp := p.dp
 	var out []dop
 	for _, in := range dp.insns {
 		out = append(out, in.run...)
@@ -25,7 +25,7 @@ func allOps(p *Program) []dop {
 // the violations it finds.
 func checkInstalled(t testing.TB, p *Program) {
 	t.Helper()
-	dp := p.dp.Load()
+	dp := p.dp
 	if dp == nil {
 		t.Errorf("%q has no installed form", p.Name)
 		return
@@ -155,7 +155,7 @@ func TestCheckInstalledFlagsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := decodedFixture(t, emitterProg, 1)
 			checkInstalled(t, f.prog)
-			dp := f.prog.dp.Load()
+			dp := f.prog.dp
 			found := false
 			for si := range dp.insns {
 				for oi := range dp.insns[si].run {
@@ -318,7 +318,7 @@ func TestTier1PatternLowering(t *testing.T) {
 				}
 			}
 			// Retire weights must cover the whole program, slot for slot.
-			dp := f.prog.dp.Load()
+			dp := f.prog.dp
 			total := 0
 			for _, in := range dp.insns {
 				if in.op == opRunFused || in.op == opRunExit {
@@ -357,7 +357,7 @@ func TestTier1PatternDetails(t *testing.T) {
 	}
 
 	ladder := findOp(t, ops, opStoreRunImm)
-	dp := f.prog.dp.Load()
+	dp := f.prog.dp
 	tmpl := dp.templates[ladder.imm]
 	want := make([]byte, 24)
 	want[0], want[8], want[16] = 1, 2, 3
@@ -436,7 +436,7 @@ func TestTier1BlockReorderCompacts(t *testing.T) {
 	if err := rt.Load(p, 1); err != nil {
 		t.Fatal(err)
 	}
-	dp := p.dp.Load()
+	dp := p.dp
 	if len(dp.insns) >= len(p.Insns) {
 		t.Fatalf("layout not compacted: %d slots for %d instructions", len(dp.insns), len(p.Insns))
 	}
@@ -470,16 +470,13 @@ func TestTier1BlockReorderCompacts(t *testing.T) {
 		t.Fatalf("jump at %d, fallthrough at %d, target at %d; want source order", jumpAt, fallAt, takenAt)
 	}
 	// Both paths still compute the same results as the raw interpreter.
-	vm := NewVM(nil)
+	ref, vm := &rawVM{}, NewVM()
 	for _, w := range []uint64{0, 5, 11, 100} {
-		raw, err := vm.RunInterpreted(p, &ExecContext{Words: []uint64{w}})
+		raw, err := ref.RunInterpreted(p, &ExecContext{Words: []uint64{w}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := vm.Run(p, &ExecContext{Words: []uint64{w}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := vm.Run(p, &ExecContext{Words: []uint64{w}})
 		if raw != got {
 			t.Fatalf("word %d: decoded %+v, raw %+v", w, got, raw)
 		}
@@ -529,10 +526,10 @@ func FuzzDecodeEquivalence(f *testing.F) {
 			return &ExecContext{PID: 7, CPU: 1, NowNs: 1234,
 				Words: []uint64{w0, w1, w0 % 97, w1 ^ w0}}
 		}
-		rres, rerr := NewVM(raw.maps).RunInterpreted(raw.prog, ctx())
-		res, err := NewVM(dec.maps).Run(dec.prog, ctx())
-		if (rerr == nil) != (err == nil) {
-			t.Fatalf("decoded error %v, raw error %v\nprogram: %v", err, rerr, p.Insns)
+		rres, rerr := (&rawVM{maps: raw.maps}).RunInterpreted(raw.prog, ctx())
+		res := NewVM().Run(dec.prog, ctx())
+		if rerr != nil {
+			t.Fatalf("decoded ran, raw error %v\nprogram: %v", rerr, p.Insns)
 		}
 		if res != rres {
 			t.Fatalf("decoded result %+v, raw %+v\nprogram: %v", res, rres, p.Insns)

@@ -50,9 +50,8 @@ type attachment struct {
 // RuntimeStats aggregates the cost of all program executions, mirroring
 // what `bpftool prog show` reports (run count and cumulative runtime).
 type RuntimeStats struct {
-	Runs        uint64
-	Insns       uint64
-	FaultedRuns uint64
+	Runs  uint64
+	Insns uint64
 }
 
 // Runtime owns loaded programs, maps, and attachments, and dispatches probe
@@ -84,10 +83,10 @@ type Runtime struct {
 	stats  RuntimeStats
 	costNs float64 // accumulated simulated tracing cost
 
-	// predecode controls whether Load lowers programs into the
-	// pre-resolved dispatch form (on by default; off forces the raw
-	// reference interpreter, for equivalence tests and benchmarks).
-	predecode bool
+	// reference, when set, runs every fire instead of the installed
+	// form. Only tests set it, to drive the same session through the raw
+	// reference interpreter.
+	reference func(*Program, *ExecContext) ExecResult
 	// fireCtx and fireWords are the per-runtime execution context and
 	// argument scratch reused across probe fires, so the hot dispatch
 	// path allocates nothing. The runtime is owned by one single-threaded
@@ -110,10 +109,9 @@ func NewRuntime(clock func() int64, spaces func(pid uint32) *umem.Space) *Runtim
 		tracepoints: make(map[string][]attachment),
 		clock:       clock,
 		spaces:      spaces,
-		predecode:   true,
 		fireWords:   make([]uint64, 0, MaxCtxWords),
 	}
-	rt.vm = NewVM(rt.maps)
+	rt.vm = NewVM()
 	return rt
 }
 
@@ -128,15 +126,10 @@ func (rt *Runtime) RegisterMap(m Map) int64 {
 // MapByFD returns the map registered under fd, or nil.
 func (rt *Runtime) MapByFD(fd int64) Map { return rt.maps[fd] }
 
-// SetPredecode toggles load-time lowering into the pre-resolved dispatch
-// form. It affects subsequent Load calls only; disabling it makes programs
-// run through the raw reference interpreter.
-func (rt *Runtime) SetPredecode(on bool) { rt.predecode = on }
-
-// Load verifies p for an attach point exposing ctxWords context words and,
-// unless predecoding is disabled, lowers and optimizes it into the
-// pre-resolved dispatch form bound to this runtime's maps, once, as the
-// kernel JIT-compiles a program at load. It must be called before Attach.
+// Load verifies p for an attach point exposing ctxWords context words and
+// lowers and optimizes it into the pre-resolved dispatch form bound to
+// this runtime's maps, once, as the kernel JIT-compiles a program at
+// load. It must be called before Attach.
 //
 // Loading binds p to THIS runtime: the decoded form references this
 // runtime's Map objects directly, so a Program must not be shared across
@@ -146,10 +139,7 @@ func (rt *Runtime) Load(p *Program, ctxWords int) error {
 	if err := Verify(p, VerifyOptions{CtxWords: ctxWords, LookupMap: rt.MapByFD}); err != nil {
 		return err
 	}
-	if rt.predecode {
-		return decode(p, rt.MapByFD)
-	}
-	return nil
+	return decode(p, rt.MapByFD)
 }
 
 // AttachUprobe attaches p to the entry of sym. The program must be loaded.
@@ -172,8 +162,8 @@ func (rt *Runtime) attach(kind AttachKind, sym Symbol, tp string, p *Program) (i
 	if p == nil {
 		return 0, fmt.Errorf("ebpf: attach of nil program")
 	}
-	if !p.verified {
-		return 0, fmt.Errorf("ebpf: program %q not verified", p.Name)
+	if p.dp == nil {
+		return 0, fmt.Errorf("ebpf: program %q not loaded", p.Name)
 	}
 	id := rt.nextAttach
 	rt.nextAttach++
@@ -248,15 +238,15 @@ func (rt *Runtime) execCtx(pid uint32, cpu int, hasRet bool, ret uint64, args []
 
 func (rt *Runtime) run(list []attachment, ctx *ExecContext) {
 	for _, at := range list {
-		res, err := rt.vm.Run(at.prog, ctx)
+		var res ExecResult
+		if rt.reference != nil {
+			res = rt.reference(at.prog, ctx)
+		} else {
+			res = rt.vm.Run(at.prog, ctx)
+		}
 		rt.stats.Runs++
 		rt.stats.Insns += uint64(res.Insns)
 		rt.costNs += float64(res.Insns) * perInsnNs
-		if err != nil {
-			// A faulting program is dropped from accounting but must not
-			// crash the traced application, as in the kernel.
-			rt.stats.FaultedRuns++
-		}
 	}
 }
 

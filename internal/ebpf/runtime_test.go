@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/tracesynth/rostracer/internal/umem"
@@ -97,11 +98,43 @@ func TestTracepointDispatchAndDetach(t *testing.T) {
 	}
 }
 
+// TestAttachRequiresVerified checks Attach refuses a program without the
+// form Load installs: one never verified, and one verified but never
+// decoded, which would have no form to run on its first fire.
 func TestAttachRequiresVerified(t *testing.T) {
 	rt, _ := newTestRuntime()
 	p := NewAssembler("raw").MovImm(R0, 0).Exit().MustAssemble()
 	if _, err := rt.AttachUprobe(Symbol{"l", "f"}, p); err == nil {
 		t.Fatal("attach of unverified program succeeded")
+	}
+	if err := Verify(p, VerifyOptions{CtxWords: 1}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := rt.AttachUprobe(Symbol{"l", "f"}, p)
+	if err == nil || !strings.Contains(err.Error(), "not loaded") {
+		t.Fatalf("attach of verified but unloaded program: err %v, want \"not loaded\"", err)
+	}
+}
+
+// TestFailedReloadKeepsInstalledForm checks a Load that fails
+// verification leaves an attached program its installed form, so the
+// next fire still runs it.
+func TestFailedReloadKeepsInstalledForm(t *testing.T) {
+	rt, _ := newTestRuntime()
+	p := NewAssembler("word1").LdxCtx(R0, R1, 1).Exit().MustAssemble()
+	if err := rt.Load(p, 2); err != nil {
+		t.Fatal(err)
+	}
+	sym := Symbol{Lib: "l", Func: "f"}
+	if _, err := rt.AttachUprobe(sym, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Load(p, 1); err == nil {
+		t.Fatal("Load accepted a ctx word beyond the attach point's")
+	}
+	rt.Site(sym).FireEntry(1, 0, 5, 6)
+	if st := rt.Stats(); st.Runs != 1 || st.Insns != 2 {
+		t.Fatalf("stats %+v after a failed reload, want one 2-insn run", st)
 	}
 }
 

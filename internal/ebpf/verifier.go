@@ -128,7 +128,6 @@ func Verify(p *Program, opts VerifyOptions) error {
 	v := &verifier{prog: p, ctxWords: opts.CtxWords, maps: opts.LookupMap,
 		states: make([]*absState, len(p.Insns))}
 
-	p.dp.Store(nil)
 	p.callMapFD = make([]int64, len(p.Insns))
 	p.memLo = make([]int32, len(p.Insns))
 	for i := range p.callMapFD {
@@ -166,6 +165,10 @@ func Verify(p *Program, opts VerifyOptions) error {
 			v.propagate(jumpTarget, st.clone())
 		}
 	}
+	// Only a successful verification drops the installed form, so a
+	// failed reload leaves an attached program running the form an
+	// earlier Load installed.
+	p.dp = nil
 	p.verified = true
 	return nil
 }

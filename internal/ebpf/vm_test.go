@@ -19,16 +19,17 @@ func mustVerify(t *testing.T, p *Program, ctxWords int, maps map[int64]Map) {
 	}
 }
 
+// run decodes the verified p against maps, as Runtime.Load does, and
+// runs the installed form.
 func run(t *testing.T, p *Program, ctx *ExecContext, maps map[int64]Map) uint64 {
 	t.Helper()
 	if ctx == nil {
 		ctx = &ExecContext{}
 	}
-	res, err := NewVM(maps).Run(p, ctx)
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	if err := decode(p, func(fd int64) Map { return maps[fd] }); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
-	return res.R0
+	return NewVM().Run(p, ctx).R0
 }
 
 func TestALUArithmetic(t *testing.T) {
@@ -413,6 +414,9 @@ func TestTimeAndPidHelpers(t *testing.T) {
 	}
 }
 
+// TestRunningUnverifiedProgramPanics checks the raw oracle refuses an
+// unverified program; the runtime refuses one at Attach
+// (TestAttachRequiresVerified).
 func TestRunningUnverifiedProgramPanics(t *testing.T) {
 	p := NewAssembler("raw").MovImm(R0, 0).Exit().MustAssemble()
 	defer func() {
@@ -420,7 +424,7 @@ func TestRunningUnverifiedProgramPanics(t *testing.T) {
 			t.Fatal("unverified run did not panic")
 		}
 	}()
-	_, _ = NewVM(nil).Run(p, &ExecContext{})
+	_, _ = (&rawVM{}).RunInterpreted(p, &ExecContext{})
 }
 
 func TestHashMapCapacity(t *testing.T) {
